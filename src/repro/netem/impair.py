@@ -34,7 +34,7 @@ from repro.netem.ledger import ImpairmentLedger
 from repro.netem.model import GilbertElliottChain, ImpairmentConfig
 from repro.netem.trace import CLEAN, Decision, ImpairmentTrace
 from repro.packet.batch import PackedBatch
-from repro.packet.builder import checksum16
+from repro.packet.builder import checksum16, fold_checksum, word_sum
 from repro.packet.ethernet import ETHERTYPE_IPV4, ETHERTYPE_IPV6
 from repro.packet.ipv4 import PROTO_TCP, PROTO_UDP
 from repro.packet.mbuf import Mbuf
@@ -42,8 +42,6 @@ from repro.packet.mbuf import Mbuf
 _ETH_HLEN = 14
 _VLAN_TYPES = (0x8100, 0x88A8)
 _PACK_H = struct.Struct("!H").pack
-_PACK_PSEUDO4 = struct.Struct("!BBH").pack
-_PACK_PSEUDO6 = struct.Struct("!IHBB").pack
 
 
 def _walk_headers(data: bytes) -> Optional[Tuple[int, int, int, int,
@@ -89,13 +87,13 @@ def _walk_headers(data: bytes) -> Optional[Tuple[int, int, int, int,
     return None
 
 
-def _pseudo(data: bytes, off: int, is_v4: bool, proto: int,
-            l4_len: int) -> bytes:
-    if is_v4:
-        return bytes(data[off + 12:off + 20]) + \
-            _PACK_PSEUDO4(0, proto, l4_len)
-    return bytes(data[off + 8:off + 40]) + \
-        _PACK_PSEUDO6(l4_len, 0, 0, proto)
+def _l4_checksum(view: memoryview, off: int, is_v4: bool, proto: int,
+                 l4_off: int, l4_len: int) -> int:
+    """TCP/UDP checksum of pseudo-header + segment, summed part by part
+    where they lie (the builder's kernel): no copy of the segment."""
+    addrs = view[off + 12:off + 20] if is_v4 else view[off + 8:off + 40]
+    return fold_checksum(word_sum(addrs) + proto + l4_len
+                         + word_sum(view[l4_off:l4_off + l4_len]))
 
 
 def frame_checksums_ok(data) -> Optional[bool]:
@@ -113,22 +111,19 @@ def frame_checksums_ok(data) -> Optional[bool]:
     if walked is None:
         return None
     off, ihl, proto, l4_off, l4_len, is_v4 = walked
+    view = memoryview(data)
     verified = False
     if is_v4:
-        if checksum16(data[off:off + ihl]) != 0:
+        if checksum16(view[off:off + ihl]) != 0:
             return False
         verified = True
     if proto == PROTO_TCP and l4_len >= 20:
-        segment = data[l4_off:l4_off + l4_len]
-        if checksum16(_pseudo(data, off, is_v4, proto, l4_len)
-                      + segment) != 0:
+        if _l4_checksum(view, off, is_v4, proto, l4_off, l4_len) != 0:
             return False
         verified = True
     elif proto == PROTO_UDP and l4_len >= 8:
-        segment = data[l4_off:l4_off + l4_len]
-        if not (is_v4 and segment[6:8] == b"\x00\x00"):
-            if checksum16(_pseudo(data, off, is_v4, proto, l4_len)
-                          + segment) != 0:
+        if not (is_v4 and data[l4_off + 6:l4_off + 8] == b"\x00\x00"):
+            if _l4_checksum(view, off, is_v4, proto, l4_off, l4_len) != 0:
                 return False
             verified = True
     return True if verified else None
@@ -141,15 +136,14 @@ def fix_checksums(frame: bytearray) -> None:
     a length field) is left alone — it will read as detectably bad,
     which is the honest outcome.
     """
-    data = bytes(frame)
-    walked = _walk_headers(data)
+    walked = _walk_headers(frame)
     if walked is None:
         return
     off, ihl, proto, l4_off, l4_len, is_v4 = walked
+    view = memoryview(frame)
     if is_v4:
         frame[off + 10:off + 12] = b"\x00\x00"
-        csum = checksum16(bytes(frame[off:off + ihl]))
-        frame[off + 10:off + 12] = _PACK_H(csum)
+        frame[off + 10:off + 12] = _PACK_H(checksum16(view[off:off + ihl]))
     if proto == PROTO_TCP and l4_len >= 20:
         csum_off = l4_off + 16
     elif proto == PROTO_UDP and l4_len >= 8:
@@ -157,8 +151,7 @@ def fix_checksums(frame: bytearray) -> None:
     else:
         return
     frame[csum_off:csum_off + 2] = b"\x00\x00"
-    csum = checksum16(_pseudo(bytes(frame), off, is_v4, proto, l4_len)
-                      + bytes(frame[l4_off:l4_off + l4_len]))
+    csum = _l4_checksum(view, off, is_v4, proto, l4_off, l4_len)
     if proto == PROTO_UDP and csum == 0:
         csum = 0xFFFF
     frame[csum_off:csum_off + 2] = _PACK_H(csum)

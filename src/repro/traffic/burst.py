@@ -16,13 +16,13 @@ what lets tests assert exact shed counts.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence
 
 from repro.packet.batch import DEFAULT_BATCH_SIZE, PackedBatch, pack_stream
 from repro.packet.mbuf import Mbuf
 from repro.traffic.campus import CampusProfile, CampusTrafficGenerator
+from repro.traffic.flows import merge_flows
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,8 @@ class BurstTrafficGenerator:
             arrivals.extend(w_start + rng.random() * w_len
                             for _ in range(extra))
         arrivals.sort()
-        flows = [self._campus._one_connection(ts) for ts in arrivals]
-        return list(heapq.merge(*flows, key=lambda mbuf: mbuf.timestamp))
+        return merge_flows(
+            self._campus._one_connection(ts) for ts in arrivals)
 
     def packed_batches(
         self,

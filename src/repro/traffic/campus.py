@@ -10,7 +10,6 @@ timestamp-sorted stream of :class:`~repro.packet.mbuf.Mbuf`.
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional
@@ -28,6 +27,7 @@ from repro.traffic.flows import (
     TcpFlow,
     dns_flow,
     http_flow,
+    merge_flows,
     ping_flow,
     quic_flow,
     single_syn,
@@ -267,13 +267,7 @@ class CampusTrafficGenerator:
         target_bytes = gbps * 1e9 / 8 * duration
         mean_conn_bytes = self.profile.estimate_mean_conn_bytes()
         n_conns = max(1, int(target_bytes / mean_conn_bytes))
-        arrival_times = sorted(
-            start_ts + self.rng.random() * duration for _ in range(n_conns)
-        )
-        flows = [self._one_connection(ts) for ts in arrival_times]
-        merged = list(heapq.merge(
-            *flows, key=lambda mbuf: mbuf.timestamp))
-        return merged
+        return self.connections(n_conns, duration, start_ts)
 
     def connections(self, n_conns: int,
                     duration: float = 1.0,
@@ -283,8 +277,7 @@ class CampusTrafficGenerator:
             start_ts + self.rng.random() * duration
             for _ in range(n_conns)
         )
-        flows = [self._one_connection(ts) for ts in arrival_times]
-        return list(heapq.merge(*flows, key=lambda mbuf: mbuf.timestamp))
+        return merge_flows(self._one_connection(ts) for ts in arrival_times)
 
     def packed_batches(
         self,

@@ -11,14 +11,12 @@ builders.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import accumulate, chain
+from operator import attrgetter
+from typing import Iterable, List, Optional, Sequence
 
-from repro.packet.builder import (
-    build_icmp_echo,
-    build_tcp_packet,
-    build_udp_packet,
-)
+from repro.packet.builder import Direction
 from repro.packet.mbuf import Mbuf
 from repro.packet.tcp import TcpFlags
 from repro.protocols.dns.build import build_dns_query, build_dns_response
@@ -53,6 +51,13 @@ class FlowSpec:
     client_port: int
     server_port: int
 
+    def upstream(self) -> Direction:
+        """A fresh client → server frame builder; ``.reverse`` is the
+        server → client one. Held by the flow being built, not here, so
+        the resolved addresses die with that flow."""
+        return Direction(self.client_ip, self.server_ip,
+                         self.client_port, self.server_port)
+
 
 class TcpFlow:
     """Stateful builder for one TCP conversation.
@@ -73,6 +78,7 @@ class TcpFlow:
         server_isn: int = 9_000_000,
     ) -> None:
         self.spec = spec
+        self._up = spec.upstream()
         self.ts = start_ts
         self.rtt = rtt
         self.packet_gap = packet_gap
@@ -83,39 +89,25 @@ class TcpFlow:
         self._last_from_client: Optional[bool] = None
 
     # -- internals -----------------------------------------------------------
-    def _advance_time(self, from_client: bool) -> None:
-        if self._last_from_client is None:
-            pass
-        elif self._last_from_client == from_client:
-            self.ts += self.packet_gap
-        else:
-            self.ts += self.rtt / 2
-        self._last_from_client = from_client
-
     def _emit(self, from_client: bool, payload: bytes, flags: int) -> Mbuf:
-        self._advance_time(from_client)
-        spec = self.spec
-        if from_client:
-            src, dst = spec.client_ip, spec.server_ip
-            sport, dport = spec.client_port, spec.server_port
-            seq, ack = self.client_seq, self.server_seq
-        else:
-            src, dst = spec.server_ip, spec.client_ip
-            sport, dport = spec.server_port, spec.client_port
-            seq, ack = self.server_seq, self.client_seq
-        frame = build_tcp_packet(
-            src, dst, sport, dport, payload=payload,
-            seq=seq, ack=ack, flags=flags,
-        )
-        mbuf = Mbuf(frame, timestamp=self.ts)
-        self.packets.append(mbuf)
+        last = self._last_from_client
+        if last is not None:
+            self.ts += self.packet_gap if last == from_client \
+                else self.rtt / 2
+        self._last_from_client = from_client
         span = len(payload)
         if flags & (_SYN | int(TcpFlags.FIN)):
             span += 1
         if from_client:
+            frame = self._up.tcp_frame(
+                payload, self.client_seq, self.server_seq, flags)
             self.client_seq = (self.client_seq + span) % (1 << 32)
         else:
+            frame = self._up.reverse.tcp_frame(
+                payload, self.server_seq, self.client_seq, flags)
             self.server_seq = (self.server_seq + span) % (1 << 32)
+        mbuf = Mbuf(frame, timestamp=self.ts)
+        self.packets.append(mbuf)
         return mbuf
 
     # -- conversation steps ---------------------------------------------------
@@ -322,15 +314,7 @@ def dns_flow(
     query = build_dns_query(name, qtype=qtype, txn_id=txn_id)
     response = build_dns_response(name, answer, qtype=qtype,
                                   txn_id=txn_id, rcode=rcode)
-    spec_frames = [
-        Mbuf(build_udp_packet(spec.client_ip, spec.server_ip,
-                              spec.client_port, spec.server_port, query),
-             timestamp=start_ts),
-        Mbuf(build_udp_packet(spec.server_ip, spec.client_ip,
-                              spec.server_port, spec.client_port, response),
-             timestamp=start_ts + rtt),
-    ]
-    return spec_frames
+    return _alternating_datagrams(spec, [query, response], start_ts, rtt)
 
 
 def udp_flow(
@@ -340,20 +324,8 @@ def udp_flow(
     gap: float = 0.001,
 ) -> List[Mbuf]:
     """Generic UDP traffic (QUIC-ish opaque datagrams)."""
-    frames = []
-    ts = start_ts
-    for i, size in enumerate(payload_sizes):
-        from_client = i % 2 == 0
-        src = spec.client_ip if from_client else spec.server_ip
-        dst = spec.server_ip if from_client else spec.client_ip
-        sport = spec.client_port if from_client else spec.server_port
-        dport = spec.server_port if from_client else spec.client_port
-        frames.append(Mbuf(
-            build_udp_packet(src, dst, sport, dport, bytes(size)),
-            timestamp=ts,
-        ))
-        ts += gap
-    return frames
+    return _alternating_datagrams(
+        spec, [bytes(size) for size in payload_sizes], start_ts, gap)
 
 
 def quic_flow(
@@ -367,30 +339,28 @@ def quic_flow(
 ) -> List[Mbuf]:
     """A QUIC connection over UDP: client and server Initials followed
     by short-header 1-RTT packets, with the requested datagram sizes."""
+    datagrams = []
+    for i, size in enumerate(payload_sizes):
+        if i < 2:
+            ids = (dcid, scid) if i == 0 else (scid, dcid)
+            datagrams.append(build_quic_initial(
+                *ids, version=version, payload_len=max(size - 60, 32)))
+        else:
+            datagrams.append(build_quic_short(
+                dcid if i % 2 == 0 else scid,
+                payload_len=max(size - 20, 16)))
+    return _alternating_datagrams(spec, datagrams, start_ts, gap)
+
+
+def _alternating_datagrams(spec: FlowSpec, datagrams: Sequence[bytes],
+                           start_ts: float, gap: float) -> List[Mbuf]:
+    """UDP frames ``gap`` apart, the client sending the even ones."""
+    up = spec.upstream()
     frames = []
     ts = start_ts
-    for i, size in enumerate(payload_sizes):
-        from_client = i % 2 == 0
-        if i == 0:
-            datagram = build_quic_initial(
-                dcid, scid, version=version,
-                payload_len=max(size - 60, 32))
-        elif i == 1:
-            datagram = build_quic_initial(
-                scid, dcid, version=version,
-                payload_len=max(size - 60, 32))
-        else:
-            datagram = build_quic_short(
-                dcid if from_client else scid,
-                payload_len=max(size - 20, 16))
-        src = spec.client_ip if from_client else spec.server_ip
-        dst = spec.server_ip if from_client else spec.client_ip
-        sport = spec.client_port if from_client else spec.server_port
-        dport = spec.server_port if from_client else spec.client_port
-        frames.append(Mbuf(
-            build_udp_packet(src, dst, sport, dport, datagram),
-            timestamp=ts,
-        ))
+    for i, datagram in enumerate(datagrams):
+        direction = up if i % 2 == 0 else up.reverse
+        frames.append(Mbuf(direction.udp_frame(datagram), timestamp=ts))
         ts += gap
     return frames
 
@@ -402,15 +372,14 @@ def ping_flow(
     rtt: float = 0.01,
 ) -> List[Mbuf]:
     """An ICMP echo request/reply exchange."""
+    up = spec.upstream()
     frames = []
     ts = start_ts
     for sequence in range(1, count + 1):
-        frames.append(Mbuf(build_icmp_echo(
-            spec.client_ip, spec.server_ip, identifier=spec.client_port,
-            sequence=sequence), timestamp=ts))
-        frames.append(Mbuf(build_icmp_echo(
-            spec.server_ip, spec.client_ip, identifier=spec.client_port,
-            sequence=sequence, reply=True), timestamp=ts + rtt))
+        frames.append(Mbuf(up.icmp_echo_frame(
+            spec.client_port, sequence), timestamp=ts))
+        frames.append(Mbuf(up.reverse.icmp_echo_frame(
+            spec.client_port, sequence, reply=True), timestamp=ts + rtt))
         ts += 1.0
     return frames
 
@@ -419,6 +388,24 @@ def single_syn(spec: FlowSpec, start_ts: float = 0.0) -> List[Mbuf]:
     """An unanswered SYN — the scanner population (65% of campus
     connections, Table 2)."""
     return TcpFlow(spec, start_ts=start_ts).syn().build()
+
+
+_TIMESTAMP = attrgetter("timestamp")
+
+
+def merge_flows(flows: Iterable[Sequence[Mbuf]]) -> List[Mbuf]:
+    """Merge per-flow packet lists by timestamp, ties in flow order:
+    what ``heapq.merge(*flows, key=timestamp)`` yields, from one stable
+    sort. The key is each flow's running maximum, which is the timestamp
+    unless a flow dips (``CampusTrafficGenerator._stretch`` can compress
+    one); a k-way merge holds the dipping packets behind the earlier,
+    larger one in just that way."""
+    flows = list(flows)
+    merged = list(chain.from_iterable(flows))
+    keys = [key for flow in flows
+            for key in accumulate(map(_TIMESTAMP, flow), max)]
+    return [merged[i]
+            for i in sorted(range(len(merged)), key=keys.__getitem__)]
 
 
 def duplicate_across_ports(packets: Sequence[Mbuf],

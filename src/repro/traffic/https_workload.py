@@ -10,13 +10,12 @@ request rate matches the sweep point.
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
 from typing import List
 
 from repro.packet.mbuf import Mbuf
-from repro.traffic.flows import FlowSpec, tls_flow
+from repro.traffic.flows import FlowSpec, merge_flows, tls_flow
 
 
 @dataclass
@@ -57,7 +56,7 @@ class HttpsWorkloadGenerator:
                 appdata_up_bytes=300,
                 rtt=self.rtt, rng=rng,
             ))
-        return list(heapq.merge(*flows, key=lambda m: m.timestamp))
+        return merge_flows(flows)
 
     def bytes_per_request(self) -> int:
         """Wire bytes of one request's flow (for rate conversions)."""

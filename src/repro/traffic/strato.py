@@ -12,14 +12,14 @@ originals do.
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.packet.mbuf import Mbuf
 from repro.traffic.distributions import choose_domain
-from repro.traffic.flows import FlowSpec, dns_flow, http_flow, tls_flow
+from repro.traffic.flows import (FlowSpec, dns_flow, http_flow,
+                                 merge_flows, tls_flow)
 
 #: Named trace profiles: (seed, flows, http_share, mean_response_kb).
 _PROFILES: Dict[str, tuple] = {
@@ -75,7 +75,7 @@ def stratosphere_trace(name: str, duration: float = 60.0) -> List[Mbuf]:
                 appdata_bytes=int(rng.expovariate(1 / (mean_kb * 1024))),
                 rng=rng,
             ))
-    return list(heapq.merge(*flows, key=lambda m: m.timestamp))
+    return merge_flows(flows)
 
 
 def _server_ip(rng: random.Random) -> str:

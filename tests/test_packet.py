@@ -144,9 +144,9 @@ class TestTcp:
     def test_checksum_valid(self):
         mbuf = make_tcp_mbuf(payload=b"data bytes here")
         stack = parse_stack(mbuf)
-        from repro.packet.builder import _pseudo_header
         segment = mbuf.data[stack.tcp.offset:]
-        pseudo = _pseudo_header("10.0.0.1", "192.168.1.2", 6, len(segment))
+        pseudo = (bytes([10, 0, 0, 1, 192, 168, 1, 2])
+                  + struct.pack("!BBH", 0, 6, len(segment)))
         assert checksum16(pseudo + segment) == 0
 
     def test_not_tcp_raises(self):

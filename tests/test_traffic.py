@@ -1,5 +1,6 @@
 """Tests for traffic synthesis: flows, campus mix, workloads, pcap."""
 
+import heapq
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from repro.traffic import (
     udp_flow,
     write_pcap,
 )
+from repro.traffic.flows import merge_flows
 from repro.traffic.pcap import PcapFormatError
 from repro.traffic.strato import trace_names
 
@@ -303,3 +305,21 @@ class TestPcapPropertyRoundTrip:
         assert [m.data for m in back] == [m.data for m in mbufs]
         for a, b in zip(back, mbufs):
             assert abs(a.timestamp - b.timestamp) < 1e-5
+
+
+class TestMergeFlows:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 6), max_size=8), max_size=6))
+    def test_orders_exactly_as_heapq_merge(self, flows):
+        """Same order as the k-way merge it replaced — ties in flow
+        order, and a flow whose timestamps dip (not time-sorted) keeps
+        its later packets behind the earlier, larger one."""
+        flows = [[Mbuf(b"%d.%d" % (f, i), timestamp=float(ts))
+                  for i, ts in enumerate(flow)]
+                 for f, flow in enumerate(flows)]
+        expected = list(heapq.merge(*flows, key=lambda m: m.timestamp))
+        assert [m.data for m in merge_flows(flows)] == \
+            [m.data for m in expected]
