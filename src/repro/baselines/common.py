@@ -169,7 +169,9 @@ class EagerAnalyzer:
             if not payload:
                 return []
             return [StreamSegment(payload, True, stack.mbuf.timestamp)]
-        pdu = L4Pdu.from_stack(stack, tup, flow["tuple"])
+        tcp, mbuf = stack.tcp, stack.mbuf
+        pdu = L4Pdu(mbuf, payload, tcp.seq_no(), tcp.flags_raw(),
+                    flow["tuple"].same_direction(tup), mbuf.timestamp)
         return flow["reasm"].push(pdu)
 
     def _feed(self, flow, segment: StreamSegment,

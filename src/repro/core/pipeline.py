@@ -125,6 +125,11 @@ class CorePipeline:
         else:
             self._spans = None
         self._level = subscription.level
+        # Plan flags are getattr-backed properties on the subscription;
+        # resolved once here, they are read per packet below.
+        self._needs_conntrack = subscription.needs_conntrack
+        self._streams_bytes = subscription.streams_bytes
+        self._buffers_packets = subscription.buffers_packets
         if executor is None:
             from repro.core.executor import InlineExecutor
             executor = InlineExecutor(subscription.callback,
@@ -223,7 +228,7 @@ class CorePipeline:
         capture_stage = Stage.CAPTURE
         filter_stage = Stage.PACKET_FILTER
         packet_filter = self._filter.packet_filter
-        fast_path = not self.sub.needs_conntrack
+        fast_path = not self._needs_conntrack
         deliver = self._deliver
         stateful = self._stateful
         now = self._now
@@ -329,7 +334,7 @@ class CorePipeline:
         capture_stage = Stage.CAPTURE
         filter_stage = Stage.PACKET_FILTER
         packet_filter = self._filter.packet_filter
-        fast_path = not self.sub.needs_conntrack
+        fast_path = not self._needs_conntrack
         deliver = self._deliver
         stateful = self._stateful
         stateful_columnar = self._stateful_columnar
@@ -437,7 +442,7 @@ class CorePipeline:
         capture_stage = Stage.CAPTURE
         filter_stage = Stage.PACKET_FILTER
         packet_filter = self._filter.packet_filter
-        fast_path = not self.sub.needs_conntrack
+        fast_path = not self._needs_conntrack
         deliver = self._deliver
         stateful = self._stateful
         stateful_columnar = self._stateful_columnar
@@ -569,7 +574,7 @@ class CorePipeline:
         fast = cols.fast
         wires = cols.wire
         packet_filter = self._filter.packet_filter
-        fast_path = not self.sub.needs_conntrack
+        fast_path = not self._needs_conntrack
         deliver = self._deliver
         stateful = self._stateful
         stateful_columnar = self._stateful_columnar
@@ -636,9 +641,9 @@ class CorePipeline:
         columns — no :func:`parse_stack`, no header views, and a
         :class:`FiveTuple` object only when a connection is actually
         created (with its canonical cache pre-seeded, so
-        ``Connection.__init__`` reuses the same key tuple). The stack
-        is parsed lazily, only for connections that still probe, parse,
-        or stream payload bytes; pure TRACK-state flows never touch it.
+        ``Connection.__init__`` reuses the same key tuple). Connections
+        that still probe, parse, or stream slice their payload at the
+        row's ``payload_off``; pure TRACK-state flows never touch it.
         """
         stats = self.stats
         ledger = stats.ledger
@@ -713,20 +718,19 @@ class CorePipeline:
             if self._level is Level.PACKET and conn.matched:
                 self._deliver(RawPacket(mbuf=mbuf,
                                         five_tuple=conn.five_tuple))
-            elif self.sub.streams_bytes and conn.matched:
-                stack = parse_stack(mbuf)
-                five_tuple = FiveTuple.from_stack(stack)
-                segments = self._reassemble(conn, stack, five_tuple,
-                                            stack.l4_payload())
-                self._handle_stream_segments(conn, segments)
+            elif self._streams_bytes and conn.matched:
+                off = cols.payload_off[i]
+                self._handle_stream_segments(conn, self._reassemble(
+                    conn, mbuf, bytes(mbuf.data[off:off + payload_len]),
+                    from_orig, seq, flags))
         elif state in _PROBE_OR_PARSE:
-            if self.sub.buffers_packets and not conn.matched:
+            if self._buffers_packets and not conn.matched:
                 conn.buffer_packet(mbuf)
-            stack = parse_stack(mbuf)
-            five_tuple = FiveTuple.from_stack(stack)
-            segments = self._reassemble(conn, stack, five_tuple,
-                                        stack.l4_payload())
-            if self.sub.streams_bytes:
+            off = cols.payload_off[i]
+            segments = self._reassemble(
+                conn, mbuf, bytes(mbuf.data[off:off + payload_len]),
+                from_orig, seq, flags)
+            if self._streams_bytes:
                 self._handle_stream_segments(conn, segments)
             if segments:
                 if conn.state is ConnState.PROBE:
@@ -826,18 +830,18 @@ class CorePipeline:
             if self._level is Level.PACKET and conn.matched:
                 self._deliver(RawPacket(mbuf=mbuf,
                                         five_tuple=conn.five_tuple))
-            elif self.sub.streams_bytes and conn.matched:
+            elif self._streams_bytes and conn.matched:
                 # Byte-stream subscriptions keep the reorderer alive
                 # past the filter match: the stream IS the data.
-                segments = self._reassemble(conn, stack, five_tuple,
-                                            stack.l4_payload())
+                segments = self._reassemble(conn, mbuf, stack.l4_payload(),
+                                            from_orig, seq, flags)
                 self._handle_stream_segments(conn, segments)
         elif state in (ConnState.PROBE, ConnState.PARSE):
-            if self.sub.buffers_packets and not conn.matched:
+            if self._buffers_packets and not conn.matched:
                 conn.buffer_packet(mbuf)
-            segments = self._reassemble(conn, stack, five_tuple,
-                                        stack.l4_payload())
-            if self.sub.streams_bytes:
+            segments = self._reassemble(conn, mbuf, stack.l4_payload(),
+                                        from_orig, seq, flags)
+            if self._streams_bytes:
                 self._handle_stream_segments(conn, segments)
             if segments:
                 if conn.state is ConnState.PROBE:
@@ -882,7 +886,7 @@ class CorePipeline:
                 self._enter_probe(conn)
             else:
                 conn.state = ConnState.TRACK
-                if self.sub.streams_bytes:
+                if self._streams_bytes:
                     # The stream itself is the subscription data.
                     self._create_reassembler(conn)
         else:
@@ -890,7 +894,7 @@ class CorePipeline:
 
     def _enter_probe(self, conn: Connection) -> None:
         conn.state = ConnState.PROBE
-        if self.sub.streams_bytes or self._probe_protocols:
+        if self._streams_bytes or self._probe_protocols:
             self._create_reassembler(conn)
         if not self._probe_protocols:
             # The filter needs a connection-layer decision but no
@@ -920,17 +924,17 @@ class CorePipeline:
                 stats=self.stats)
 
     # -- reassembly ----------------------------------------------------------
-    def _reassemble(self, conn: Connection, stack, five_tuple,
-                    payload: bytes) -> List[StreamSegment]:
+    def _reassemble(self, conn: Connection, mbuf: Mbuf, payload: bytes,
+                    from_orig: bool, seq, flags) -> List[StreamSegment]:
+        """Row-shaped: both state machines hold ``from_orig``/``seq``/
+        ``flags`` already (from the stack or from the burst's columns)."""
         if conn.five_tuple.protocol == PROTO_UDP:
             if not payload:
                 return []
-            return [StreamSegment(payload,
-                                  conn.five_tuple.same_direction(five_tuple),
-                                  self._now)]
+            return [StreamSegment(payload, from_orig, self._now)]
         if conn.reassembler is None:
             return []
-        pdu = L4Pdu.from_stack(stack, five_tuple, conn.five_tuple, payload)
+        pdu = L4Pdu(mbuf, payload, seq, flags, from_orig, mbuf.timestamp)
         # Every segment of a connection still being probed/parsed goes
         # through the reorderer (sequence tracking examines ACKs too).
         model = self.stats.ledger.model
@@ -1159,7 +1163,7 @@ class CorePipeline:
             for mbuf in conn.drain_buffered():
                 self._deliver(RawPacket(mbuf=mbuf,
                                         five_tuple=conn.five_tuple))
-        if self.sub.streams_bytes and conn.user_data:
+        if self._streams_bytes and conn.user_data:
             # Release the stream chunks held while the filter resolved.
             for segment in conn.user_data:
                 self._deliver_chunk(conn, segment)
@@ -1193,7 +1197,7 @@ class CorePipeline:
         the subscription streams bytes), keep counters."""
         conn.state = state
         conn.parser = None
-        if not self.sub.streams_bytes:
+        if not self._streams_bytes:
             conn.reassembler = None
         if self._level is not Level.PACKET:
             conn.buffered_mbufs = []
@@ -1234,7 +1238,7 @@ class CorePipeline:
         self.table.schedule_removal(conn, self._now)
 
     def _deliver_connection(self, conn: Connection) -> None:
-        if self.sub.streams_bytes:
+        if self._streams_bytes:
             return  # chunks were delivered as they arrived
         if (self._level is Level.CONNECTION and conn.matched
                 and not conn.delivered):

@@ -63,6 +63,27 @@ class NicPortStats:
         }
 
 
+class _RssHashCache(dict):
+    """RSS input bytes → Toeplitz hash, bounded by clear-when-full.
+
+    A hit is one C-level dict subscript; ``__missing__`` is the single
+    miss path shared by every ingress entry point.
+    """
+
+    __slots__ = ("key", "size")
+
+    def __init__(self, key: bytes, size: int) -> None:
+        self.key = key
+        self.size = size
+
+    def __missing__(self, data: bytes) -> int:
+        rss = toeplitz_hash(self.key, data)
+        if len(self) >= self.size:
+            self.clear()
+        self[data] = rss
+        return rss
+
+
 class SimNic:
     """A multi-queue NIC with a flow-rule table and symmetric RSS."""
 
@@ -83,8 +104,7 @@ class SimNic:
         self.table = RedirectionTable(num_queues, redirection_size)
         self.hardware_filter: Optional[HardwareFilter] = None
         self.stats = NicPortStats()
-        self._hash_cache: Dict[bytes, int] = {}
-        self._hash_cache_size = hash_cache_size
+        self._hash_cache = _RssHashCache(rss_key, hash_cache_size)
         # Fast-row admit check over decoded columns: True (admit all),
         # a closure, or None when the rule set is not column-expressible
         # (receive_columnar then must not be used for this NIC).
@@ -115,15 +135,7 @@ class SimNic:
     # -- data path -----------------------------------------------------------
     def rss_hash(self, stack: PacketStack) -> int:
         data = rss_input_bytes(stack)
-        if data is None:
-            return 0
-        cached = self._hash_cache.get(data)
-        if cached is None:
-            cached = toeplitz_hash(self.rss_key, data)
-            if len(self._hash_cache) >= self._hash_cache_size:
-                self._hash_cache.clear()
-            self._hash_cache[data] = cached
-        return cached
+        return 0 if data is None else self._hash_cache[data]
 
     def receive(self, mbuf: Mbuf) -> Optional[int]:
         """Process one ingress frame.
@@ -134,7 +146,7 @@ class SimNic:
 
         This is the dispatching process's per-packet hot path (the
         parallel backend routes every frame here before sharding), so
-        the hash cache and redirection table are accessed inline.
+        the redirection table is accessed inline.
         """
         stats = self.stats
         frame_bytes = len(mbuf.data)
@@ -149,16 +161,7 @@ class SimNic:
             stats.hw_dropped_bytes += frame_bytes
             return None
         data = rss_input_bytes(stack)
-        if data is None:
-            rss = 0
-        else:
-            cache = self._hash_cache
-            rss = cache.get(data)
-            if rss is None:
-                rss = toeplitz_hash(self.rss_key, data)
-                if len(cache) >= self._hash_cache_size:
-                    cache.clear()
-                cache[data] = rss
+        rss = 0 if data is None else self._hash_cache[data]
         table = self.table
         queue = table.entries[rss % table.size]
         if queue == self.SINK:
@@ -195,16 +198,9 @@ class SimNic:
             stats.hw_dropped_bytes += frame_bytes
             return None
         if cols.ethertype[i] == ETHERTYPE_IPV4:
-            data = bytes(mbuf.data[26:38])
+            rss = self._hash_cache[bytes(mbuf.data[26:38])]
         else:
-            data = bytes(mbuf.data[22:58])
-        cache = self._hash_cache
-        rss = cache.get(data)
-        if rss is None:
-            rss = toeplitz_hash(self.rss_key, data)
-            if len(cache) >= self._hash_cache_size:
-                cache.clear()
-            cache[data] = rss
+            rss = self._hash_cache[bytes(mbuf.data[22:58])]
         table = self.table
         queue = table.entries[rss % table.size]
         if queue == self.SINK:

@@ -102,20 +102,22 @@ class ColumnarBatch:
     hold raw wire bytes — 4 per row for IPv4, 16 for IPv6 — and
     ``ip_total_len`` is only meaningful on IPv4 rows; all columns other
     than ``wire``/``fast``/``payload_len``/``ethertype`` are only
-    meaningful where ``fast[i]`` is True.
+    meaningful where ``fast[i]`` is True. ``payload_off`` is the frame
+    offset of the first byte above TCP/UDP, so a fast row's L4 payload
+    is ``data[payload_off:payload_off + payload_len]``.
     """
 
     __slots__ = ("n", "wire", "fast", "ethertype", "proto", "src_ip",
                  "dst_ip", "src_port", "dst_port", "payload_len",
-                 "tcp_flags", "tcp_seq", "ip_total_len")
+                 "tcp_flags", "tcp_seq", "ip_total_len", "payload_off")
 
     def __init__(self, n: int, wire: Sequence[int], fast: Sequence[bool],
                  ethertype: Sequence[int], proto: Sequence[int],
                  src_ip: Sequence[bytes], dst_ip: Sequence[bytes],
                  src_port: Sequence[int], dst_port: Sequence[int],
                  payload_len: Sequence[int], tcp_flags: Sequence[int],
-                 tcp_seq: Sequence[int],
-                 ip_total_len: Sequence[int]) -> None:
+                 tcp_seq: Sequence[int], ip_total_len: Sequence[int],
+                 payload_off: Sequence[int]) -> None:
         self.n = n
         self.wire = wire
         self.fast = fast
@@ -129,6 +131,7 @@ class ColumnarBatch:
         self.tcp_flags = tcp_flags
         self.tcp_seq = tcp_seq
         self.ip_total_len = ip_total_len
+        self.payload_off = payload_off
 
 
 _EMPTY: Tuple = ()
@@ -148,7 +151,7 @@ def decode_mbufs(mbufs: Sequence[Mbuf]) -> ColumnarBatch:
     n = len(mbufs)
     if n == 0:
         e = _EMPTY
-        return ColumnarBatch(0, e, e, e, e, e, e, e, e, e, e, e, e)
+        return ColumnarBatch(0, e, e, e, e, e, e, e, e, e, e, e, e, e)
     pad = _PAD
     width = _WIDTH
     parts: List[bytes] = []
@@ -176,6 +179,7 @@ def decode_mbufs(mbufs: Sequence[Mbuf]) -> ColumnarBatch:
     # IPv6 fast rows overwrite their slots with the v6 interpretation.
     fast = [False] * n
     payload_len = [0] * n
+    payload_off = [0] * n
     proto: List[int] = list(proto4)
     src_ip: List[bytes] = list(src_ip4)
     dst_ip: List[bytes] = list(dst_ip4)
@@ -233,13 +237,14 @@ def decode_mbufs(mbufs: Sequence[Mbuf]) -> ColumnarBatch:
         else:
             continue
         fast[i] = True
+        payload_off[i] = start
         if end > w:
             end = w
         if end > start:
             payload_len[i] = end - start
     return ColumnarBatch(n, wire, fast, ethertype, proto, src_ip, dst_ip,
                          src_port, dst_port, payload_len, tcp_flags,
-                         tcp_seq, ip_total_len)
+                         tcp_seq, ip_total_len, payload_off)
 
 
 def columnar_dispatch(mbufs: Iterable[Mbuf], nics: Sequence,

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.conntrack.five_tuple import FiveTuple
 from repro.packet.mbuf import Mbuf
-from repro.packet.stack import PacketStack
 from repro.packet.tcp import TcpFlags
+
+# Plain int masks: ``flags`` is the raw header byte, and ``int & IntFlag``
+# dispatches to the enum's Python-level ``__rand__`` on every segment.
+_FIN = int(TcpFlags.FIN)
+_SYN = int(TcpFlags.SYN)
+_RST = int(TcpFlags.RST)
 
 
 @dataclass
@@ -16,7 +19,8 @@ class L4Pdu:
     """One transport segment as handed to the reassembler.
 
     ``payload`` references the mbuf's bytes (no copy); ``from_orig``
-    orients the segment relative to the connection originator.
+    orients the segment relative to the connection originator. UDP
+    never becomes a PDU: datagrams bypass reordering by construction.
     """
 
     mbuf: Mbuf
@@ -26,55 +30,24 @@ class L4Pdu:
     from_orig: bool
     timestamp: float
 
-    @classmethod
-    def from_stack(
-        cls,
-        stack: PacketStack,
-        five_tuple: FiveTuple,
-        conn_tuple: FiveTuple,
-        payload: Optional[bytes] = None,
-    ) -> "L4Pdu":
-        """Build a PDU from a parsed packet.
-
-        UDP datagrams get a synthetic always-in-order sequence of 0 and
-        no flags — they bypass reordering by construction. Callers that
-        already computed ``stack.l4_payload()`` pass it in to avoid
-        re-slicing.
-        """
-        if payload is None:
-            payload = stack.l4_payload()
-        tcp = stack.tcp
-        if tcp is not None:
-            seq = tcp.seq_no()
-            flags = tcp.flags_raw()
-        else:
-            seq, flags = 0, 0
-        return cls(
-            mbuf=stack.mbuf,
-            payload=payload,
-            seq=seq,
-            flags=flags,
-            from_orig=conn_tuple.same_direction(five_tuple),
-            timestamp=stack.mbuf.timestamp,
-        )
-
     @property
     def is_syn(self) -> bool:
-        return bool(self.flags & TcpFlags.SYN)
+        return bool(self.flags & _SYN)
 
     @property
     def is_fin(self) -> bool:
-        return bool(self.flags & TcpFlags.FIN)
+        return bool(self.flags & _FIN)
 
     @property
     def is_rst(self) -> bool:
-        return bool(self.flags & TcpFlags.RST)
+        return bool(self.flags & _RST)
 
     @property
     def seq_span(self) -> int:
         """Sequence numbers this segment consumes."""
-        return len(self.payload) + (1 if self.is_syn else 0) + \
-            (1 if self.is_fin else 0)
+        flags = self.flags
+        return len(self.payload) + (1 if flags & _SYN else 0) + \
+            (1 if flags & _FIN else 0)
 
 
 @dataclass

@@ -13,6 +13,8 @@ import json
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Runtime, RuntimeConfig
 from repro.filter import compile_filter
@@ -25,6 +27,7 @@ from repro.packet import (
     parse_stack,
 )
 from repro.packet.columnar import decode_mbufs
+from repro.traffic import CampusTrafficGenerator, HttpsWorkloadGenerator
 
 ETHERTYPE_VLAN = 0x8100
 ETHERTYPE_QINQ = 0x88A8
@@ -61,6 +64,19 @@ def _ipv6_with_hopopts(frame: bytes) -> bytes:
     struct.pack_into("!H", out, 18, plen)
     ext = bytes([transport_proto, 0]) + b"\x00" * 6
     return bytes(out[:54]) + ext + bytes(out[54:])
+
+
+def _tcp_with_options(frame: bytes, words: int) -> bytes:
+    """Grow the TCP data offset by ``words`` NOP-filled option words
+    (IPv4 or IPv6 frame, no IP options) and fix the IP length field."""
+    out = bytearray(frame)
+    v6 = out[12:14] == b"\x86\xdd"
+    toff, len_off = (54, 18) if v6 else (34, 16)
+    out[toff + 12] = (5 + words) << 4
+    ip_len = struct.unpack_from("!H", out, len_off)[0] + 4 * words
+    struct.pack_into("!H", out, len_off, ip_len)
+    return bytes(out[:toff + 20]) + b"\x01" * (4 * words) + \
+        bytes(out[toff + 20:])
 
 
 def _tcp4(payload=b"hello", **kw):
@@ -169,6 +185,37 @@ class TestColumnarDecodeParity:
                 assert cols.proto[i] == 17
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(v6=st.booleans(), udp=st.booleans(),
+           opt_words=st.integers(0, 10), payload=st.binary(max_size=48),
+           tail=st.integers(-60, 12), view=st.booleans())
+    def test_payload_off_slices_l4_payload(self, v6, udp, opt_words,
+                                           payload, tail, view):
+        """``payload_off``/``payload_len`` address exactly the bytes
+        ``l4_payload()`` returns: with TCP options, with Ethernet
+        padding (``tail`` > 0: IP length < wire), truncated (``tail`` <
+        0: IP length > wire), with no payload, on either buffer type."""
+        if udp:
+            frame = (_udp6 if v6 else _udp4)(payload=payload)
+        else:
+            frame = _tcp_with_options(
+                (_tcp6 if v6 else _tcp4)(payload=payload), opt_words)
+        if tail >= 0:
+            frame += b"\xee" * tail
+        else:
+            frame = frame[:max(0, len(frame) + tail)]
+        mbuf = Mbuf(memoryview(frame) if view else frame)
+        cols = decode_mbufs([mbuf])
+        # Fast exactly while the cut stays above the transport header.
+        assert cols.fast[0] == (-tail <= len(payload))
+        if cols.fast[0]:
+            off = cols.payload_off[0]
+            got = bytes(mbuf.data[off:off + cols.payload_len[0]])
+            assert got == parse_stack(Mbuf(frame)).l4_payload()
+            assert got == payload[:len(payload) + min(tail, 0)]
+            assert mbuf.stack is None
+
+
 class TestColumnarFilterParity:
     @pytest.mark.parametrize("mode", ["codegen", "interp"])
     @pytest.mark.parametrize("filter_str", FILTERS)
@@ -219,3 +266,46 @@ class TestColumnarEndToEnd:
         scalar = self._canonical(columnar=False, filter_str="ipv6 and tcp")
         columnar = self._canonical(columnar=True, filter_str="ipv6 and tcp")
         assert columnar == scalar
+
+
+class TestNoReparse:
+    """After the burst decode a fast row is served from its columns:
+    no ``PacketStack`` is ever memoised on its mbuf, whatever state its
+    connection is in, and the stats still equal the scalar path's."""
+
+    @pytest.fixture(scope="class")
+    def traces(self):
+        https = HttpsWorkloadGenerator(
+            seed=5, response_bytes=24 * 1024).packets(40, duration=0.5)
+        campus = CampusTrafficGenerator(seed=21).packets(
+            duration=0.4, gbps=0.3)
+        return {"https": [(m.data, m.timestamp, m.port) for m in https],
+                "campus": [(m.data, m.timestamp, m.port) for m in campus]}
+
+    @pytest.mark.parametrize("parallel", [False, True],
+                             ids=["sequential", "parallel2"])
+    @pytest.mark.parametrize("filter_str,datatype", [
+        ("tcp.port = 443", "byte_stream"),
+        ("tls.sni ~ 'e'", "tls_handshake"),
+        ("tcp", "connection"),
+    ], ids=["byte_stream", "tls_handshake", "connection"])
+    @pytest.mark.parametrize("trace", ["https", "campus"])
+    def test_fast_rows_keep_no_stack(self, traces, trace, filter_str,
+                                     datatype, parallel):
+        def run(columnar):
+            mbufs = [Mbuf(*row) for row in traces[trace]]
+            runtime = Runtime(
+                RuntimeConfig(cores=2, columnar=columnar,
+                              parallel=parallel),
+                filter_str=filter_str, datatype=datatype, callback=None)
+            stats = runtime.run(iter(mbufs)).stats
+            return mbufs, json.dumps(stats.to_dict(), sort_keys=True)
+
+        mbufs, digest = run(columnar=True)
+        fast = decode_mbufs([Mbuf(m.data) for m in mbufs]).fast
+        assert sum(fast) > 0.9 * len(mbufs)
+        assert [m for m, f in zip(mbufs, fast)
+                if f and m.stack is not None] == []
+        scalar_mbufs, scalar_digest = run(columnar=False)
+        assert all(m.stack is not None for m in scalar_mbufs)
+        assert digest == scalar_digest

@@ -15,10 +15,51 @@ from repro.nic import (
     rss_input_bytes,
     toeplitz_hash,
 )
+from repro.nic.rss import _toeplitz_tables
 from repro.packet import Mbuf, build_tcp_packet, build_udp_packet, parse_stack
+from repro.packet.columnar import decode_mbufs
+
+
+def toeplitz_bit_serial(key: bytes, data: bytes) -> int:
+    """The textbook definition, kept as the oracle for the table-driven
+    ``toeplitz_hash``: XOR the key's 32-bit window at every set input bit."""
+    key_int = int.from_bytes(key, "big")
+    key_bits = len(key) * 8
+    result = 0
+    for i, byte in enumerate(data):
+        for bit in range(8):
+            if byte & (0x80 >> bit):
+                shift = key_bits - 32 - (i * 8 + bit)
+                result ^= (key_int >> shift) & 0xFFFFFFFF
+    return result
 
 
 class TestToeplitz:
+    @settings(max_examples=300, deadline=None)
+    @given(key_len=st.sampled_from([16, 40, 52]), data=st.data())
+    def test_tables_match_bit_serial_oracle(self, key_len, data):
+        key = data.draw(st.binary(min_size=key_len, max_size=key_len))
+        msg = data.draw(st.binary(max_size=min(36, key_len - 4)))
+        assert toeplitz_hash(key, msg) == toeplitz_bit_serial(key, msg)
+
+    @pytest.mark.parametrize("key_len", [16, 40, 52])
+    def test_longest_input_and_one_past(self, key_len):
+        key = bytes(range(1, key_len + 1))
+        msg = b"\xff" * (key_len - 4)
+        assert toeplitz_hash(key, msg) == toeplitz_bit_serial(key, msg)
+        with pytest.raises(ValueError):
+            toeplitz_hash(key, msg + b"\x00")
+
+    def test_tables_built_once_per_key(self):
+        key = bytes.fromhex("a5" * 40)
+        _toeplitz_tables.cache_clear()
+        for i in range(50):
+            toeplitz_hash(key, i.to_bytes(12, "big"))
+        info = _toeplitz_tables.cache_info()
+        assert (info.misses, info.hits) == (1, 49)
+        assert len(_toeplitz_tables(key)) == 36
+        assert all(len(t) == 256 for t in _toeplitz_tables(key))
+
     def test_known_microsoft_vector(self):
         """Verification suite vector from the MS RSS specification."""
         key = bytes.fromhex(
@@ -210,6 +251,23 @@ class TestSimNic:
     def test_bad_config(self):
         with pytest.raises(ConfigError):
             SimNic(num_queues=0)
+
+    def test_entry_points_share_one_bounded_cache(self):
+        """receive, receive_columnar and rss_hash go through the same
+        miss path: one entry per flow, cleared when full."""
+        nic = SimNic(num_queues=4, hash_cache_size=3)
+        frames = [build_tcp_packet("10.0.0.1", "10.0.0.2", 1000 + i, 80)
+                  for i in range(7)]
+        mbufs = [Mbuf(frame) for frame in frames]
+        cols = decode_mbufs(mbufs)
+        for i, frame in enumerate(frames):
+            queue = nic.receive_columnar(mbufs[i], cols, i)
+            assert len(nic._hash_cache) == i % 3 + 1
+            assert nic.receive(Mbuf(frame)) == queue
+            assert nic.rss_hash(parse_stack(Mbuf(frame))) == \
+                toeplitz_bit_serial(SYMMETRIC_RSS_KEY, frame[26:38])
+            assert len(nic._hash_cache) == i % 3 + 1
+        assert nic.stats.received_packets == 14
 
     def test_hash_cache_consistent(self):
         nic = SimNic(num_queues=4, hash_cache_size=2)
