@@ -75,13 +75,20 @@ class TestTimerWheel:
     @pytest.mark.parametrize("population", [1_000, 50_000])
     def test_schedule_advance_rate(self, benchmark, population):
         """Schedule/advance cost must not blow up with table size."""
+        class Item:
+            __slots__ = ("deadline",)
+
+            def __init__(self):
+                self.deadline = None
+
         def workload():
             wheel = TimerWheel(tick=0.5, num_slots=64)
-            for i in range(population):
-                wheel.schedule(i, 5.0 + (i % 300))
+            items = [Item() for _ in range(population)]
+            for i, item in enumerate(items):
+                wheel.schedule(item, 5.0 + (i % 300))
             # Refresh a third of them (the hot path: conn activity).
-            for i in range(0, population, 3):
-                wheel.schedule(i, 400.0)
+            for item in items[::3]:
+                wheel.schedule(item, 400.0)
             fired = wheel.advance(1000.0)
             return len(fired)
 

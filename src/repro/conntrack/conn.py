@@ -11,7 +11,8 @@ the probing/parsing context, and the filter progress tags
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, List, Optional
+from types import MappingProxyType
+from typing import Any, Mapping, Optional, Sequence, Tuple
 
 from repro.conntrack.five_tuple import FiveTuple
 from repro.packet.mbuf import Mbuf
@@ -52,12 +53,24 @@ class TcpConnState(enum.Enum):
 #: parser context).
 CONN_BASE_MEMORY_BYTES = 512
 
+#: Shared empties for fields most connections never write (a single
+#: unanswered SYN has no weirds and buffers nothing): the first write
+#: swaps in a private container.
+_NO_WEIRDS: Mapping[str, int] = MappingProxyType({})
+_NO_MBUFS: Sequence[Mbuf] = ()
+
 
 class Connection:
-    """Tracked state for one five-tuple."""
+    """Tracked state for one five-tuple.
+
+    Identity is the canonical ``key`` plus ``orig_first`` — whether the
+    originator is the key's first endpoint — so the hot path never needs
+    a :class:`FiveTuple`; :attr:`five_tuple` materialises on first read.
+    """
 
     __slots__ = (
-        "five_tuple", "key", "state", "tcp_state",
+        "key", "orig_first", "_five_tuple", "state", "tcp_state",
+        "timer_establish", "timer_inactive",
         "first_ts", "last_ts", "syn_ts", "established_ts",
         "pkts_orig", "pkts_resp", "bytes_orig", "bytes_resp",
         "payload_bytes_orig", "payload_bytes_resp",
@@ -68,14 +81,18 @@ class Connection:
         "history", "_next_seq_orig", "_next_seq_resp", "weirds",
     )
 
-    def __init__(self, five_tuple: FiveTuple, now: float) -> None:
-        self.five_tuple = five_tuple
-        self.key = five_tuple.canonical()
+    def __init__(self, key: Tuple, orig_first: bool, now: float) -> None:
+        self.key = key
+        self.orig_first = orig_first
+        self._five_tuple: Optional[FiveTuple] = None
         self.state = ConnState.PROBE
         self.tcp_state = (
-            TcpConnState.SYN_SENT if five_tuple.protocol == 6 else
+            TcpConnState.SYN_SENT if key[4] == 6 else
             TcpConnState.ESTABLISHED
         )
+        #: Deadlines owned by the two timer wheels (``None``: unarmed).
+        self.timer_establish: Optional[float] = None
+        self.timer_inactive: Optional[float] = None
         self.first_ts = now
         self.last_ts = now
         self.syn_ts: Optional[float] = None
@@ -105,12 +122,12 @@ class Connection:
         #: the subscription needs in-order bytes).
         self.reassembler: Optional[Any] = None
         #: Packets buffered before a full filter match (Figure 4a).
-        self.buffered_mbufs: List[Mbuf] = []
+        self.buffered_mbufs: Sequence[Mbuf] = _NO_MBUFS
         self.buffered_bytes = 0
         #: Subscription-owned per-connection data (Trackable state).
         self.user_data: Optional[Any] = None
         #: Zeek-style history string of flag events ("S", "SA", "F"...).
-        self.history: List[str] = []
+        self.history = ""
         # Lightweight per-direction sequence tracking for out-of-order
         # accounting — cheap enough to run even in TRACK state, where
         # the full reassembler has been torn down.
@@ -120,7 +137,25 @@ class Connection:
         #: connection, name → count. Real-world traffic is unpredictable
         #: and malicious (the paper's Security goal); these are the
         #: analysis-visible symptoms.
-        self.weirds: Dict[str, int] = {}
+        self.weirds: Mapping[str, int] = _NO_WEIRDS
+
+    def make_five_tuple(self) -> FiveTuple:
+        """A fresh originator-to-responder five-tuple, not cached (for
+        a record that outlives the connection)."""
+        a_ip, a_port, b_ip, b_port, protocol = self.key
+        if self.orig_first:
+            tup = FiveTuple(a_ip, b_ip, a_port, b_port, protocol)
+        else:
+            tup = FiveTuple(b_ip, a_ip, b_port, a_port, protocol)
+        object.__setattr__(tup, "_canonical", self.key)
+        return tup
+
+    @property
+    def five_tuple(self) -> FiveTuple:
+        tup = self._five_tuple
+        if tup is None:
+            tup = self._five_tuple = self.make_five_tuple()
+        return tup
 
     # -- accessors used by the connection filter ---------------------------
     def service(self) -> Optional[str]:
@@ -136,7 +171,7 @@ class Connection:
     def is_single_syn(self) -> bool:
         """An unanswered SYN: one originator packet, no response."""
         return (
-            self.five_tuple.protocol == 6
+            self.key[4] == 6
             and self.tcp_state is TcpConnState.SYN_SENT
             and self.pkts_resp == 0
             and self.pkts_orig <= 1
@@ -180,6 +215,8 @@ class Connection:
 
     def weird(self, name: str) -> None:
         """Record one protocol anomaly on this connection."""
+        if self.weirds is _NO_WEIRDS:
+            self.weirds = {}
         self.weirds[name] = self.weirds.get(name, 0) + 1
 
     def _check_weird(self, from_orig: bool, payload_bytes: int,
@@ -232,22 +269,22 @@ class Connection:
         newly_established = False
         if flags & _RST:
             self.tcp_state = TcpConnState.CLOSED
-            self.history.append("R")
+            self.history += "R"
             return False
         if flags & _SYN:
             if flags & _ACK:
-                self.history.append("SA")
+                self.history += "SA"
                 if self.tcp_state is TcpConnState.SYN_SENT:
                     self.tcp_state = TcpConnState.ESTABLISHED
                     self.established_ts = now
                     newly_established = True
             else:
-                self.history.append("S")
+                self.history += "S"
                 if self.syn_ts is None:
                     self.syn_ts = now
             return newly_established
         if flags & _FIN:
-            self.history.append("F")
+            self.history += "F"
             if self.tcp_state is TcpConnState.CLOSING:
                 self.tcp_state = TcpConnState.CLOSED
             elif self.tcp_state is not TcpConnState.CLOSED:
@@ -263,14 +300,20 @@ class Connection:
 
     def buffer_packet(self, mbuf: Mbuf) -> None:
         """Hold a packet until the filter fully matches (Figure 4a)."""
-        self.buffered_mbufs.append(mbuf)
+        if self.buffered_mbufs:
+            self.buffered_mbufs.append(mbuf)
+        else:
+            self.buffered_mbufs = [mbuf]
         self.buffered_bytes += len(mbuf)
 
-    def drain_buffered(self) -> List[Mbuf]:
+    def drain_buffered(self) -> Sequence[Mbuf]:
         mbufs = self.buffered_mbufs
-        self.buffered_mbufs = []
-        self.buffered_bytes = 0
+        self.drop_buffered()
         return mbufs
+
+    def drop_buffered(self) -> None:
+        self.buffered_mbufs = _NO_MBUFS
+        self.buffered_bytes = 0
 
     @property
     def memory_bytes(self) -> int:

@@ -19,8 +19,12 @@ class FiveTuple:
     first packet the tracker saw. :meth:`canonical` produces a
     direction-insensitive key so both directions of a flow map to the
     same table entry (which symmetric RSS guarantees land on the same
-    core).
+    core). Slotted by hand (``dataclass(slots=True)`` needs 3.10): the
+    five fields plus the :meth:`canonical` cache.
     """
+
+    __slots__ = ("src_ip", "dst_ip", "src_port", "dst_port", "protocol",
+                 "_canonical")
 
     src_ip: bytes
     dst_ip: bytes
@@ -57,10 +61,10 @@ class FiveTuple:
     def canonical(self) -> Tuple:
         """Direction-insensitive hashable key (computed once, cached)."""
         try:
-            return self._canonical  # type: ignore[attr-defined]
+            return self._canonical
         except AttributeError:
             pass
-        if (self.src_ip, self.src_port) <= (self.dst_ip, self.dst_port):
+        if self.src_is_first():
             canon = (self.src_ip, self.src_port, self.dst_ip,
                      self.dst_port, self.protocol)
         else:
@@ -68,6 +72,16 @@ class FiveTuple:
                      self.src_port, self.protocol)
         object.__setattr__(self, "_canonical", canon)
         return canon
+
+    def __reduce__(self):
+        # A frozen class cannot take pickle's default slot-by-slot
+        # ``setattr``; the cache is cheaper to rebuild than to ship.
+        return (type(self), (self.src_ip, self.dst_ip, self.src_port,
+                             self.dst_port, self.protocol))
+
+    def src_is_first(self) -> bool:
+        """True if the source is the canonical key's first endpoint."""
+        return (self.src_ip, self.src_port) <= (self.dst_ip, self.dst_port)
 
     def reversed(self) -> "FiveTuple":
         return FiveTuple(self.dst_ip, self.src_ip, self.dst_port,

@@ -77,17 +77,14 @@ class ConnTable:
         key is assembled straight from decoded columns, no FiveTuple)."""
         return self._conns.get(key)
 
-    def create_with_key(self, key: Tuple, five_tuple: FiveTuple,
+    def create_with_key(self, key: Tuple, orig_first: bool,
                         now: float) -> Connection:
-        """Insert a new connection whose canonical key is already known.
-
-        Mirrors the create arm of :meth:`get_or_create`; the caller has
-        already missed on :meth:`lookup_key` and pre-seeded
-        ``five_tuple``'s canonical cache with ``key``.
-        """
-        conn = Connection(five_tuple, now)
+        """Insert a new connection whose canonical key is already known
+        (the caller has missed on :meth:`lookup_key`); ``orig_first``
+        says whether its originator is the key's first endpoint."""
+        conn = Connection(key, orig_first, now)
         self._conns[key] = conn
-        self._timers.on_new_connection(key, now)
+        self._timers.on_new_connection(conn, now)
         self.created += 1
         return conn
 
@@ -99,32 +96,29 @@ class ConnTable:
         conn = self._conns.get(key)
         if conn is not None:
             return conn, False
-        conn = Connection(five_tuple, now)
-        self._conns[key] = conn
-        self._timers.on_new_connection(key, now)
-        self.created += 1
-        return conn, True
+        return self.create_with_key(key, five_tuple.src_is_first(),
+                                    now), True
 
     def touch(self, conn: Connection, now: float,
               newly_established: bool) -> None:
         """Refresh the connection's timeout after a packet."""
         if newly_established:
-            self._timers.on_established(conn.key, now)
+            self._timers.on_established(conn, now)
         else:
-            self._timers.on_activity(conn.key, now, conn.established)
+            self._timers.on_activity(conn, now, conn.established)
 
     def schedule_removal(self, conn: Connection, now: float,
                          linger: float = 5.0) -> bool:
         """TIME_WAIT-like linger for a closed, already-delivered
         connection: keep the (lightweight) entry briefly so trailing
         segments of the teardown don't re-create the flow."""
-        return self._timers.schedule_removal(conn.key, now, linger)
+        return self._timers.schedule_removal(conn, now, linger)
 
     def remove(self, conn: Connection) -> None:
         """Delete a connection (filter miss, termination, or callback
         completion — the Figure 4 DELETE transitions)."""
         if self._conns.pop(conn.key, None) is not None:
-            self._timers.on_remove(conn.key)
+            self._timers.on_remove(conn)
             self.removed += 1
             conn.state = ConnState.DELETE
 
@@ -136,10 +130,10 @@ class ConnTable:
         connection record the user may have subscribed to).
         """
         expired: List[Connection] = []
-        for key in self._timers.advance(now):
-            conn = self._conns.pop(key, None)
-            if conn is None:
-                continue
+        for conn in self._timers.advance(now):
+            if self._conns.pop(conn.key, None) is None:
+                continue  # fired by both tiers in this advance
+            self._timers.on_remove(conn)
             if conn.established:
                 self.expired_inactive += 1
             else:
@@ -153,7 +147,7 @@ class ConnTable:
         """Remove and return every live connection (end of run)."""
         conns = list(self._conns.values())
         for conn in conns:
-            self._timers.on_remove(conn.key)
+            self._timers.on_remove(conn)
             conn.state = ConnState.DELETE
         self._conns.clear()
         self.removed += len(conns)
@@ -190,7 +184,7 @@ class ConnTable:
                 break
             remaining -= conn.memory_bytes
             del self._conns[conn.key]
-            self._timers.on_remove(conn.key)
+            self._timers.on_remove(conn)
             conn.state = ConnState.DELETE
             self.removed += 1
             self.evicted += 1

@@ -8,120 +8,95 @@ and a longer *inactivity* timeout (default 5 min) for established
 connections. Timer-wheel deletion scales independently of table size
 and keeps hash-table insertion O(1) [Girondi et al.].
 
-The wheel uses lazy cancellation: rescheduling a key simply records the
-new deadline; stale wheel entries are dropped when their slot fires by
-comparing against the authoritative deadline.
+The wheel is intrusive: a slot holds the scheduled item itself, and the
+authoritative deadline lives in an attribute on the item, so nothing is
+kept per key. Cancellation stays lazy: rescheduling or cancelling only
+rewrites that attribute; stale slot entries are dropped or re-aimed when
+their slot fires by comparing against it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import List, Optional
 
 
 class TimerWheel:
     """A single hashed timing wheel with lazy cancellation.
 
-    Keys are arbitrary hashables (canonical five-tuples). Deadlines
-    beyond the wheel horizon are carried in the slot and re-inserted on
-    fire — the standard "rounds" technique, giving hierarchical range
-    with a single wheel.
+    Items are any objects with a writable ``attr`` attribute (``None``
+    while unscheduled) that this wheel owns. Deadlines beyond the wheel
+    horizon stay in the capped slot and are re-inserted on fire — the
+    standard "rounds" technique, giving hierarchical range with a
+    single wheel.
     """
 
-    def __init__(self, tick: float, num_slots: int) -> None:
+    def __init__(self, tick: float, num_slots: int,
+                 attr: str = "deadline") -> None:
         if tick <= 0 or num_slots < 2:
             raise ValueError("tick must be > 0 and num_slots >= 2")
         self.tick = tick
         self.num_slots = num_slots
-        self._slots: List[List[Tuple[object, float]]] = [
-            [] for _ in range(num_slots)
-        ]
-        #: Authoritative deadline per key; the wheel entries are hints.
-        self._deadlines: Dict[object, float] = {}
-        #: Live wheel entries per key, to keep rescheduling O(1) without
-        #: accumulating stale entries.
-        self._entry_count: Dict[object, int] = {}
+        self.attr = attr
+        self._slots: List[list] = [[] for _ in range(num_slots)]
         self._current_tick = 0
 
-    def __len__(self) -> int:
-        return len(self._deadlines)
+    def schedule(self, item: object, fire_at: float) -> None:
+        """Insert or reschedule ``item`` to fire at ``fire_at``.
 
-    def __contains__(self, key: object) -> bool:
-        return key in self._deadlines
-
-    def deadline(self, key: object) -> Optional[float]:
-        return self._deadlines.get(key)
-
-    def schedule(self, key: object, fire_at: float) -> None:
-        """Insert or reschedule ``key`` to fire at ``fire_at``.
-
-        Rescheduling *later* is O(1): only the authoritative deadline
-        moves; the existing wheel entry is re-aimed when its slot fires.
+        Rescheduling *later* is O(1): only the item's deadline moves;
+        the existing wheel entry is re-aimed when its slot fires.
         Rescheduling *earlier* inserts a fresh entry at the new slot so
-        the key cannot fire late (the stale entry is dropped inertly
-        when its slot comes around).
+        the item cannot fire late (the stale entry is dropped inertly
+        when its slot comes around). An unscheduled item (never armed,
+        fired, or cancelled — any leftover entries may be aimed at a
+        later slot than the new deadline) always gets a fresh entry.
         """
-        previous = self._deadlines.get(key)
-        self._deadlines[key] = fire_at
-        # A fresh entry is needed when the key has no wheel entry at
-        # all, when the only entries left are inert post-cancel hints
-        # (previous is None: they may be aimed at a later slot than the
-        # new deadline), or when the deadline moved earlier than the
-        # live entry can fire.
-        if self._entry_count.get(key, 0) == 0 or previous is None or \
-                fire_at < previous:
-            self._insert_entry(key, fire_at)
+        attr = self.attr
+        previous = getattr(item, attr)
+        setattr(item, attr, fire_at)
+        if previous is None or fire_at < previous:
+            self._insert_entry(item, fire_at)
 
-    def cancel(self, key: object) -> None:
-        """Remove ``key``; its wheel entries become inert."""
-        self._deadlines.pop(key, None)
+    def cancel(self, item: object) -> None:
+        """Unschedule ``item``; its wheel entries become inert."""
+        setattr(item, self.attr, None)
 
-    def _insert_entry(self, key: object, fire_at: float) -> None:
+    def _insert_entry(self, item: object, fire_at: float) -> None:
         target_tick = max(int(fire_at / self.tick), self._current_tick)
         horizon = self._current_tick + self.num_slots - 1
         slot_tick = min(target_tick, horizon)
-        self._slots[slot_tick % self.num_slots].append((key, fire_at))
-        self._entry_count[key] = self._entry_count.get(key, 0) + 1
+        self._slots[slot_tick % self.num_slots].append(item)
 
     def advance(self, now: float) -> List[object]:
-        """Advance wheel time to ``now``; return keys whose deadline
-        passed. Fired keys are removed from the wheel."""
+        """Advance wheel time to ``now``; return items whose deadline
+        passed, unscheduled, in slot order."""
         expired: List[object] = []
+        attr = self.attr
         target_tick = int(now / self.tick)
         while self._current_tick <= target_tick:
             slot = self._slots[self._current_tick % self.num_slots]
             if slot:
-                remaining: List[Tuple[object, float]] = []
-                for key, hinted_at in slot:
-                    deadline = self._deadlines.get(key)
+                remaining: list = []
+                for item in slot:
+                    deadline = getattr(item, attr)
                     if deadline is None:
-                        self._drop_entry(key)  # cancelled
-                        continue
+                        continue  # cancelled, or fired by another entry
                     if deadline <= now:
-                        del self._deadlines[key]
-                        self._drop_entry(key)
-                        expired.append(key)
+                        setattr(item, attr, None)
+                        expired.append(item)
                     elif int(deadline / self.tick) <= self._current_tick:
                         # Deadline in this slot's tick but not yet due
                         # (fractional): keep for the next advance call.
-                        remaining.append((key, deadline))
+                        remaining.append(item)
                     else:
                         # Rescheduled or beyond-horizon: re-aim at its
                         # (possibly capped) future slot.
-                        self._drop_entry(key)
-                        self._insert_entry(key, deadline)
-                slot.clear()
-                slot.extend(remaining)
+                        self._insert_entry(item, deadline)
+                slot[:] = remaining
             if self._current_tick == target_tick:
                 break
             self._current_tick += 1
         return expired
-
-    def _drop_entry(self, key: object) -> None:
-        count = self._entry_count.get(key, 0)
-        if count <= 1:
-            self._entry_count.pop(key, None)
-        else:
-            self._entry_count[key] = count - 1
 
 
 class ConnectionTimers:
@@ -130,7 +105,10 @@ class ConnectionTimers:
     Non-established connections live on a fine-grained wheel with the
     establishment timeout; once established they migrate to a coarse
     wheel with the inactivity timeout. ``None`` for either timeout
-    disables that tier (used by the Figure 8 ablations).
+    disables that tier (used by the Figure 8 ablations). Connections
+    carry one deadline attribute per tier (``timer_establish`` and
+    ``timer_inactive``): one born established, or closing before its
+    handshake, is armed on both at once.
     """
 
     def __init__(
@@ -141,40 +119,43 @@ class ConnectionTimers:
         self.establish_timeout = establish_timeout
         self.inactivity_timeout = inactivity_timeout
         self._establish_wheel = (
-            TimerWheel(tick=max(establish_timeout / 16, 1e-3), num_slots=64)
+            TimerWheel(tick=max(establish_timeout / 16, 1e-3), num_slots=64,
+                       attr="timer_establish")
             if establish_timeout is not None else None
         )
         self._inactivity_wheel = (
-            TimerWheel(tick=max(inactivity_timeout / 16, 1e-3), num_slots=64)
+            TimerWheel(tick=max(inactivity_timeout / 16, 1e-3), num_slots=64,
+                       attr="timer_inactive")
             if inactivity_timeout is not None else None
         )
 
-    def on_new_connection(self, key: object, now: float) -> None:
+    def on_new_connection(self, conn: object, now: float) -> None:
         if self._establish_wheel is not None:
-            self._establish_wheel.schedule(key, now + self.establish_timeout)
+            self._establish_wheel.schedule(conn, now + self.establish_timeout)
         elif self._inactivity_wheel is not None:
-            self._inactivity_wheel.schedule(key,
+            self._inactivity_wheel.schedule(conn,
                                             now + self.inactivity_timeout)
 
-    def on_established(self, key: object, now: float) -> None:
+    def on_established(self, conn: object, now: float) -> None:
         """Migrate from the establishment tier to the inactivity tier."""
         if self._establish_wheel is not None:
-            self._establish_wheel.cancel(key)
+            self._establish_wheel.cancel(conn)
         if self._inactivity_wheel is not None:
-            self._inactivity_wheel.schedule(key,
+            self._inactivity_wheel.schedule(conn,
                                             now + self.inactivity_timeout)
 
-    def on_activity(self, key: object, now: float, established: bool) -> None:
+    def on_activity(self, conn: object, now: float,
+                    established: bool) -> None:
         """Refresh the connection's deadline after a packet."""
         if established or self._establish_wheel is None:
             if self._inactivity_wheel is not None:
                 self._inactivity_wheel.schedule(
-                    key, now + self.inactivity_timeout)
+                    conn, now + self.inactivity_timeout)
         else:
-            self._establish_wheel.schedule(key,
+            self._establish_wheel.schedule(conn,
                                            now + self.establish_timeout)
 
-    def schedule_removal(self, key: object, now: float,
+    def schedule_removal(self, conn: object, now: float,
                          linger: float = 5.0) -> bool:
         """Schedule a closed connection's tombstone for removal after a
         short linger (TIME_WAIT-like: absorbs the trailing ACK of a FIN
@@ -182,19 +163,19 @@ class ConnectionTimers:
         no timer tier is enabled (caller should remove immediately)."""
         if self._establish_wheel is not None:
             if self._inactivity_wheel is not None:
-                self._inactivity_wheel.cancel(key)
-            self._establish_wheel.schedule(key, now + linger)
+                self._inactivity_wheel.cancel(conn)
+            self._establish_wheel.schedule(conn, now + linger)
             return True
         if self._inactivity_wheel is not None:
-            self._inactivity_wheel.schedule(key, now + linger)
+            self._inactivity_wheel.schedule(conn, now + linger)
             return True
         return False
 
-    def on_remove(self, key: object) -> None:
+    def on_remove(self, conn: object) -> None:
         if self._establish_wheel is not None:
-            self._establish_wheel.cancel(key)
+            self._establish_wheel.cancel(conn)
         if self._inactivity_wheel is not None:
-            self._inactivity_wheel.cancel(key)
+            self._inactivity_wheel.cancel(conn)
 
     def advance(self, now: float) -> List[object]:
         """Collect every connection whose deadline has passed."""

@@ -82,7 +82,9 @@ class ConnectionRecord:
         ooo_orig = conn.ooo_orig
         ooo_resp = conn.ooo_resp
         return cls(
-            five_tuple=conn.five_tuple,
+            # Not ``conn.five_tuple``: caching one on every connection
+            # of a drain would hold them all live at once.
+            five_tuple=conn.make_five_tuple(),
             first_ts=conn.first_ts,
             last_ts=conn.last_ts,
             syn_ts=conn.syn_ts,
@@ -95,7 +97,7 @@ class ConnectionRecord:
             payload_bytes_resp=conn.payload_bytes_resp,
             ooo_orig=ooo_orig,
             ooo_resp=ooo_resp,
-            history="".join(conn.history),
+            history=conn.history,
             service=conn.service_name,
             terminated_gracefully=conn.terminated,
             weirds=dict(conn.weirds),

@@ -638,12 +638,12 @@ class CorePipeline:
         """Columnar variant of :meth:`_stateful` for fast rows.
 
         The connection key is assembled straight from the decoded
-        columns — no :func:`parse_stack`, no header views, and a
-        :class:`FiveTuple` object only when a connection is actually
-        created (with its canonical cache pre-seeded, so
-        ``Connection.__init__`` reuses the same key tuple). Connections
-        that still probe, parse, or stream slice their payload at the
-        row's ``payload_off``; pure TRACK-state flows never touch it.
+        columns — no :func:`parse_stack`, no header views, and no
+        :class:`FiveTuple`: a packet flows from the originator when its
+        source sorts first in the key exactly if the creating packet's
+        did. Connections that still probe, parse, or stream slice their
+        payload at the row's ``payload_off``; pure TRACK-state flows
+        never touch it.
         """
         stats = self.stats
         ledger = stats.ledger
@@ -663,13 +663,15 @@ class CorePipeline:
         sp = cols.src_port[i]
         dp = cols.dst_port[i]
         proto = cols.proto[i]
-        if (sip, sp) <= (dip, dp):
+        src_first = (sip, sp) <= (dip, dp)
+        if src_first:
             key = (sip, sp, dip, dp, proto)
         else:
             key = (dip, dp, sip, sp, proto)
         table = self.table
         conn = table.lookup_key(key)
-        if conn is None:
+        created = conn is None
+        if created:
             block = self._ov_block
             shed_map = self._ov_shed
             if block or shed_map:
@@ -689,18 +691,12 @@ class CorePipeline:
             if self._shedding:
                 stats.conns_shed += 1
                 return
-            five_tuple = FiveTuple(sip, dip, sp, dp, proto)
-            object.__setattr__(five_tuple, "_canonical", key)
-            conn = table.create_with_key(key, five_tuple, now)
+            conn = table.create_with_key(key, src_first, now)
             stats.conns_created += 1
             if self._tracer is not None:
                 self._tracer.record(conn, now, "created")
             self._init_connection(conn, node, terminal)
-            from_orig = True  # the creating packet defines orig
-        else:
-            conn_tuple = conn.five_tuple
-            from_orig = (conn_tuple.src_ip == sip
-                         and conn_tuple.src_port == sp)
+        from_orig = src_first == conn.orig_first
         payload_len = cols.payload_len[i]
         if proto == 6:
             flags = cols.tcp_flags[i]
@@ -711,7 +707,10 @@ class CorePipeline:
         newly_established = conn.record_packet(
             from_orig, wire, payload_len, now, flags, seq
         )
-        table.touch(conn, now, newly_established)
+        # ``create_with_key`` armed the establishment timer at this very
+        # deadline; only a creating packet that establishes migrates.
+        if not created or conn.established:
+            table.touch(conn, now, newly_established)
 
         state = conn.state
         if state is _TRACK:
@@ -812,7 +811,7 @@ class CorePipeline:
             if self._tracer is not None:
                 self._tracer.record(conn, self._now, "created")
             self._init_connection(conn, result.node, result.terminal)
-        from_orig = conn.five_tuple.same_direction(five_tuple)
+        from_orig = five_tuple.src_is_first() == conn.orig_first
         # Only the payload *length* is needed for accounting; the bytes
         # are sliced lazily below, and only for connections that still
         # probe/parse/stream (TRACK-state flows skip the copy).
@@ -823,7 +822,8 @@ class CorePipeline:
         newly_established = conn.record_packet(
             from_orig, len(mbuf.data), payload_len, self._now, flags, seq
         )
-        self.table.touch(conn, self._now, newly_established)
+        if not created or conn.established:  # else armed by the create
+            self.table.touch(conn, self._now, newly_established)
 
         state = conn.state
         if state is ConnState.TRACK:
@@ -906,7 +906,7 @@ class CorePipeline:
         conn.parser = _ProbeContext(candidates)
 
     def _create_reassembler(self, conn: Connection) -> None:
-        if conn.five_tuple.protocol != PROTO_TCP or \
+        if conn.key[4] != PROTO_TCP or \
                 conn.reassembler is not None:
             return
         if self.config.reassembler == "buffered":
@@ -928,7 +928,7 @@ class CorePipeline:
                     from_orig: bool, seq, flags) -> List[StreamSegment]:
         """Row-shaped: both state machines hold ``from_orig``/``seq``/
         ``flags`` already (from the stack or from the burst's columns)."""
-        if conn.five_tuple.protocol == PROTO_UDP:
+        if conn.key[4] == PROTO_UDP:
             if not payload:
                 return []
             return [StreamSegment(payload, from_orig, self._now)]
@@ -1200,8 +1200,7 @@ class CorePipeline:
         if not self._streams_bytes:
             conn.reassembler = None
         if self._level is not Level.PACKET:
-            conn.buffered_mbufs = []
-            conn.buffered_bytes = 0
+            conn.drop_buffered()
 
     def _discard(self, conn: Connection, rejected: bool = True) -> None:
         """Filter rejected (or nothing more to deliver): drop all heavy
@@ -1218,8 +1217,7 @@ class CorePipeline:
         conn.state = ConnState.DELETE
         conn.parser = None
         conn.reassembler = None
-        conn.buffered_mbufs = []
-        conn.buffered_bytes = 0
+        conn.drop_buffered()
         conn.user_data = None
 
     # -- termination and expiry --------------------------------------------------

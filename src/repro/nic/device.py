@@ -95,7 +95,7 @@ class SimNic:
         num_queues: int,
         rss_key: bytes = SYMMETRIC_RSS_KEY,
         redirection_size: int = 512,
-        hash_cache_size: int = 65536,
+        hash_cache_size: int = 8192,
     ) -> None:
         if num_queues < 1:
             raise ConfigError("NIC needs at least one receive queue")

@@ -13,7 +13,7 @@ def make_conn():
     tup = FiveTuple(ipaddress.ip_address("10.0.0.1").packed,
                     ipaddress.ip_address("10.0.0.2").packed,
                     1234, 443, 6)
-    return Connection(tup, now=0.0)
+    return Connection(tup.canonical(), tup.src_is_first(), now=0.0)
 
 
 class TestWeirdDetection:
@@ -68,6 +68,8 @@ class TestWeirdDetection:
         conn.record_packet(True, 500, 440, 0.3,
                            TcpFlags.PSH | TcpFlags.ACK, seq=101)
         assert conn.weirds == {}
+        # ... and no private dict was born to say so.
+        assert not isinstance(conn.weirds, dict)
 
     def test_weirds_reach_connection_record(self):
         got = []
