@@ -71,9 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="filter execution backend")
     parser.add_argument("--no-hardware-filter", action="store_true",
                         help="disable NIC flow-rule offload")
-    parser.add_argument("--no-columnar", action="store_true",
-                        help="disable the columnar batch hot path "
-                             "(bulk header decode + mask filters)")
     parser.add_argument("--sink-fraction", type=float, default=0.0,
                         help="flow-sample fraction dropped at the NIC")
     parser.add_argument("--print-limit", type=int, default=10,
@@ -515,7 +512,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             ipc_transport=args.ipc,
             filter_mode=args.mode,
             hardware_filter=not args.no_hardware_filter,
-            columnar=not args.no_columnar,
             sink_fraction=args.sink_fraction,
             telemetry=bool(args.metrics_out or args.trace_out),
             trace_sample=(args.trace_sample if args.trace_sample

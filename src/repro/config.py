@@ -83,13 +83,14 @@ class RuntimeConfig:
     #: fixed traffic source both backends produce identical
     #: filter/connection/session/callback counts.
     parallel: bool = False
-    #: Columnar batch hot path: bulk-decode header columns per burst
-    #: and evaluate the packet filter as batch mask predicates
-    #: (:mod:`repro.packet.columnar`). Semantically invisible — filters
-    #: the columns cannot express, and frames the columnar decoder
-    #: cannot prove simple (VLAN/IPv6/options/fragments/truncation),
-    #: fall back to the scalar per-packet path automatically. Off
-    #: forces the scalar path everywhere (benchmark baseline).
+    #: Reference switch, not a user option (no CLI flag): False means
+    #: "no row of a decoded burst is fast" — every burst is decoded
+    #: with only ``wire`` and an all-False ``fast`` mask
+    #: (:func:`repro.packet.columnar.decode_mbufs`), so every frame
+    #: takes the per-packet ``parse_stack`` fallback the columnar decoder
+    #: already uses for frames it cannot prove simple (VLAN, options,
+    #: extension headers, fragments, ICMP, truncation). The parity
+    #: tests and benchmarks compare the columns against it.
     columnar: bool = True
     #: Packets per dispatch batch. Batches amortize the per-message
     #: IPC + pickle cost in the parallel backend (DPDK-burst style)

@@ -135,12 +135,12 @@ class CycleLedger:
     def observe_batched(self, stage: Stage, invocations: int) -> None:
         """Record histogram observations for a *batched* stage.
 
-        The batch loops (scalar, columnar, and rows mode) charge
-        capture and the packet filter with direct dict updates and
-        settle the histogram here, once per burst: the stages have
-        constant per-invocation cost, so ``invocations`` observations
-        all land in the model-cost bucket. Keeps histogram totals in
-        parity with the ledger on every path (see
+        The per-row loop (``CorePipeline.process_batch_rows``) and
+        the tenant fan-out prelude charge capture and the packet filter
+        outside ``charge`` and settle the histogram here, once per
+        burst: the stages have constant per-invocation cost, so
+        ``invocations`` observations all land in the model-cost
+        bucket. Keeps histogram totals in parity with the ledger (see
         :meth:`check_hist_parity`).
         """
         if self.hist is not None and invocations:
@@ -151,9 +151,9 @@ class CycleLedger:
         """Assert per-stage histogram totals match the ledger.
 
         Every invocation charged while ``record_hist`` was on must
-        appear in exactly one histogram bucket — on the scalar, the
-        columnar, and the rows-mode paths alike. Raises
-        ``AssertionError`` naming the stages that disagree.
+        appear in exactly one histogram bucket, whatever the burst
+        shape. Raises ``AssertionError`` naming the stages that
+        disagree.
         """
         if self.hist is None:
             return

@@ -107,7 +107,7 @@ from repro.core.stats import CoreStats
 from repro.core.subscription import Subscription
 from repro.errors import RetinaError
 from repro.packet.batch import PackedBatch
-from repro.packet.columnar import columnar_dispatch
+from repro.packet.columnar import HELD, ingress_rows
 from repro.packet.mbuf import Mbuf
 from repro.resilience.faults import FaultPlan, build_fault_report
 from repro.resilience.supervisor import WorkerSupervisor
@@ -1298,79 +1298,20 @@ def run_parallel(
     failfast_at: Optional[float] = None
     with pool:
         nics = runtime.nics
-        nic0 = nics[0]
-        num_nics = len(nics)
-        frag = runtime.fragment_reassembler
         pending: List[List[Mbuf]] = [[] for _ in range(cores)]
         next_monitor_ts: Optional[float] = \
             None if monitor is not None else float("inf")
         next_memory_ts = float("inf")
         next_ff_ts = float("inf")
         first = runtime._first_ts is None
-        # Columnar ingress (mirrors the sequential backend): bulk-decode
-        # header columns per burst so RSS dispatch skips the per-packet
-        # stack parse. Same gate, same lazy per-packet interleaving —
-        # worker-side processing is untouched, so the shards (and all
-        # counters) stay byte-identical to the scalar feeder.
-        use_columnar = (config.columnar and frag is None
-                        and all(n.supports_columnar() for n in nics))
-        if use_columnar:
-            for mbuf, queue in columnar_dispatch(traffic, nics,
-                                                 batch_size):
-                ts = mbuf.timestamp
-                if first:
-                    first = False
-                    if runtime._first_ts is None:
-                        runtime._first_ts = ts
-                        runtime._last_memory_sample = ts
-                        next_memory_ts = ts + memory_sample_interval
-                    if ff_possible:
-                        next_ff_ts = ts + config.overload_eval_interval
-                if ts > runtime._last_ts:
-                    runtime._last_ts = ts
-                if next_event_ts is not None and ts >= next_event_ts:
-                    # Swap before this packet: flush, publish, bump.
-                    for qid, queued in enumerate(pending):
-                        if queued:
-                            dispatch(qid, queued)
-                            pending[qid] = []
-                    for epoch_no, actions in publish_due(ts):
-                        send_bump(epoch_no, actions)
-                    next_event_ts = runtime.next_reconfigure_ts
-                if queue is not None:
-                    queued = pending[queue]
-                    queued.append(mbuf)
-                    if len(queued) >= sizes[queue]:
-                        dispatch(queue, queued)
-                        pending[queue] = []
-                if next_monitor_ts is None or ts >= next_monitor_ts:
-                    pool.drain_progress()
-                    monitor.observe(view_runtime, ts)
-                    next_monitor_ts = ts + monitor.interval
-                if ts >= next_memory_ts:
-                    next_memory_ts = ts + memory_sample_interval
-                    runtime._last_memory_sample = ts
-                    for queue, queued in enumerate(pending):
-                        if queued:
-                            dispatch(queue, queued)
-                            pending[queue] = []
-                    for queue in range(cores):
-                        if not skip_core(queue):
-                            send(queue, (_SAMPLE,))
-                    if memory_limit is not None:
-                        pool.drain_progress()
-                        if view_runtime.memory_bytes > memory_limit:
-                            oom_at = ts
-                            break
-                if ts >= next_ff_ts:
-                    next_ff_ts = ts + config.overload_eval_interval
-                    pool.drain_progress()
-                    tripped = view_runtime.overload_failfast_at
-                    if tripped is not None:
-                        failfast_at = tripped
-                        break
-            traffic = ()  # fully consumed (or aborted) above
-        for mbuf in traffic:
+        # The same ingress generator as the sequential backend: header
+        # columns are decoded per burst so RSS dispatch skips the
+        # per-packet stack parse wherever a row allows it. Worker-side
+        # processing never sees the columns, so the shards (and all
+        # counters) are byte-identical whichever rows were fast.
+        for mbuf, queue, _cols, _i, _verdict in ingress_rows(
+                traffic, nics, batch_size, runtime.fragment_reassembler,
+                config.columnar):
             ts = mbuf.timestamp
             if first:
                 first = False
@@ -1391,13 +1332,8 @@ def run_parallel(
                 for epoch_no, actions in publish_due(ts):
                     send_bump(epoch_no, actions)
                 next_event_ts = runtime.next_reconfigure_ts
-            if frag is not None:
-                mbuf = frag.push(mbuf)
-                if mbuf is None:
-                    continue  # fragment held pending completion
-            port = mbuf.port
-            nic = nics[port] if 0 < port < num_nics else nic0
-            queue = nic.receive(mbuf)
+            if queue is HELD:
+                continue  # fragment held pending completion
             if queue is not None:
                 queued = pending[queue]
                 queued.append(mbuf)

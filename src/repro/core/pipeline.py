@@ -26,13 +26,13 @@ timer wheels.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import TYPE_CHECKING, Callable, List, Optional
 
 if TYPE_CHECKING:  # avoid a config<->core import cycle at runtime
     from repro.config import RuntimeConfig
 
 from repro.conntrack.conn import ConnState, Connection
-from repro.conntrack.five_tuple import FiveTuple
 from repro.conntrack.table import ConnTable
 from repro.errors import CallbackError, ProtocolError, \
     ResourceExhaustedError
@@ -45,7 +45,7 @@ from repro.core.datatypes import (
 )
 from repro.core.stats import CoreStats
 from repro.core.subscription import Subscription
-from repro.packet.columnar import decode_mbufs
+from repro.packet.columnar import ColumnarBatch, decode_mbufs
 from repro.packet.ipv4 import PROTO_TCP, PROTO_UDP
 from repro.packet.mbuf import Mbuf
 from repro.packet.stack import parse_stack
@@ -59,10 +59,12 @@ from repro.stream.reassembly import LazyReassembler
 #: the session filter is skipped and sessions match unconditionally.
 FILTER_SATISFIED = -1
 
-# Enum members hoisted to module scope: the columnar stateful path runs
+# Enum members hoisted to module scope: the stateful path runs
 # once per matched packet, and member access on an Enum class costs a
 # class-dict lookup (plus a descriptor for ``Stage.value`` inside
 # ``charge``) that adds up at 100k+ pkts/s.
+_CAPTURE = Stage.CAPTURE
+_PACKET_FILTER = Stage.PACKET_FILTER
 _CONN_TRACK = Stage.CONN_TRACK
 _TRACK = ConnState.TRACK
 _DELETE = ConnState.DELETE
@@ -103,14 +105,15 @@ class CorePipeline:
         else:
             self._tracer = None
         self._filter = subscription.filter
-        #: Batch packet filter over decoded columns; None when disabled
-        #: by config or when the filter trie uses predicates the
-        #: columnar layer cannot express (process_batch then keeps the
-        #: scalar per-packet path).
+        #: Batch packet filter over decoded columns; None when no row
+        #: will be fast (``config.columnar=False``, the parity tests'
+        #: reference) or when the filter trie uses predicates the
+        #: columnar layer cannot express: every row then carries
+        #: verdict ``None`` and runs the scalar filter in the loop.
         self._pf_batch = (subscription.filter.packet_filter_batch
                           if config.columnar else None)
-        #: Conn-track stage cost, hoisted for the unrolled columnar
-        #: charge (see :meth:`_stateful_columnar`).
+        #: Conn-track stage cost, hoisted for the unrolled charge (see
+        #: :meth:`_stateful_columnar`).
         self._ct_cost = self.stats.ledger.model.conn_track
         # -- burst span recorder (repro.telemetry.spans) ----------------
         # None when disabled: the batch loops then pay one ``is None``
@@ -208,49 +211,72 @@ class CorePipeline:
 
     def process_batch(self, mbufs) -> None:
         """Run a burst of packets (one receive queue's share of a DPDK
-        burst) through the pipeline.
+        burst) through the pipeline: the headers are decoded in bulk
+        (:func:`~repro.packet.columnar.decode_mbufs`), the packet filter
+        runs once over the columns as mask predicates, and the rows go
+        through :meth:`process_batch_rows`."""
+        if type(mbufs) is not list and type(mbufs) is not tuple:
+            mbufs = list(mbufs)
+        cols = decode_mbufs(mbufs, self.config.columnar)
+        pf_batch = self._pf_batch
+        self.process_batch_rows(zip(
+            mbufs, repeat(None), repeat(cols), range(len(mbufs)),
+            pf_batch(cols) if pf_batch is not None else repeat(None)))
+
+    def process_batch_rows(self, rows) -> None:
+        """The per-row loop, over one burst of ``(mbuf, queue, cols, i,
+        verdict)`` rows as :func:`~repro.packet.columnar.ingress_rows`
+        yields them: the frame, the column batch it was decoded into,
+        its row there and the batch filter's verdict on it (the queue
+        is not read). The sequential backend decodes and filters each
+        ingress burst *once*, so nothing happens twice here.
+
+        A verdict is ``(node << 1) | terminal`` (negative: no match)
+        and only meaningful where ``cols.fast[i]``; slow rows, and every
+        row when the filter is not batch-expressible (verdict ``None``),
+        run the scalar ``packet_filter`` here instead. Fast rows key
+        conntrack straight off their columns either way.
 
         The hot path: every per-packet attribute lookup, bound method,
-        and stage-dict access is hoisted out of the inner loop. Charges
-        are still applied per packet (not ``cost * n``) so cycle totals
-        are bit-for-bit identical to packet-at-a-time processing — the
+        and stage-dict access is hoisted out of the loop. Capture and
+        packet-filter charges are still added per packet (not ``cost *
+        n``), in locals settled when the burst ends, so cycle totals
+        are bit-for-bit identical whatever the burst shape — the
         parallel backend's determinism guarantee depends on that.
         """
-        if self._pf_batch is not None:
-            return self._process_batch_columnar(mbufs)
         stats = self.stats
         ledger = stats.ledger
-        invocations = ledger.invocations
         cycles = ledger.cycles
         model = ledger.model
         capture_cost = model.capture
         filter_cost = model.packet_filter
-        capture_stage = Stage.CAPTURE
-        filter_stage = Stage.PACKET_FILTER
+        capture_cycles = cycles[_CAPTURE]
+        filter_cycles = cycles[_PACKET_FILTER]
         packet_filter = self._filter.packet_filter
         fast_path = not self._needs_conntrack
         deliver = self._deliver
         stateful = self._stateful
+        stateful_columnar = self._stateful_columnar
         now = self._now
         ov_next = self._ov_next
         spans = self._spans
+        span_tok = span_nodes = None
         if spans is not None:
             span_tok = spans.start(stats)
-            span_nodes = {} if span_tok[0] else None
-        else:
-            span_tok = None
-            span_nodes = None
+            if span_tok[0]:
+                span_nodes = {}
         packets = 0
         wire_bytes = 0
         # Funnel survivor counters, accumulated in locals and folded
         # into stats once per batch (telemetry stays near-free on the
-        # hot path). The fast path satisfies the whole filter at the
-        # packet layer, so its packets survive every funnel layer.
+        # hot path). The fast path — and a non-transport frame
+        # delivered from the slow-row adapter — satisfies the whole
+        # filter at the packet layer, so it survives every funnel layer.
         pf_packets = 0
         pf_bytes = 0
         fast_packets = 0
         fast_bytes = 0
-        for mbuf in mbufs:
+        for mbuf, _queue, cols, i, verdict in rows:
             ts = mbuf.timestamp
             if ts > now:
                 now = ts
@@ -258,34 +284,48 @@ class CorePipeline:
             if ts >= ov_next:
                 # Controller tick: clocked on the per-core virtual
                 # packet stream, so transitions are identical across
-                # backends and batch boundaries.
+                # backends and batch boundaries. It reads the ledger's
+                # busy time, so the burst's charges so far are settled.
+                cycles[_CAPTURE] = capture_cycles
+                cycles[_PACKET_FILTER] = filter_cycles
                 self._overload_tick(ts)
                 ov_next = self._ov_next
             packets += 1
-            frame_bytes = len(mbuf.data)
+            frame_bytes = cols.wire[i]
             wire_bytes += frame_bytes
-            invocations[capture_stage] += 1
-            cycles[capture_stage] += capture_cost
-            invocations[filter_stage] += 1
-            cycles[filter_stage] += filter_cost
-            result = packet_filter(mbuf)
-            if not result.matched:
+            capture_cycles += capture_cost
+            filter_cycles += filter_cost
+            fast_row = cols.fast[i]
+            if not fast_row or verdict is None:
+                result = packet_filter(mbuf)
+                if not result.matched:
+                    continue
+                verdict = (result.node << 1) | result.terminal
+            elif verdict < 0:
                 continue
             pf_packets += 1
             pf_bytes += frame_bytes
             if span_nodes is not None:
-                node = result.node
+                node = verdict >> 1
                 span_nodes[node] = span_nodes.get(node, 0) + 1
             if fast_path:
-                # Packet subscription with a packet-only filter:
-                # Section 5.1 fast path, the callback runs right after
-                # the filter.
+                # Packet subscription with a packet-only filter: §5.1
+                # fast path, the callback runs right after the filter.
                 deliver(RawPacket(mbuf=mbuf))
                 fast_packets += 1
                 fast_bytes += frame_bytes
                 continue
-            stateful(mbuf, result)
-            now = self._now  # _stateful may not move it, expiry may
+            if fast_row:
+                stateful_columnar(mbuf, cols, i, verdict >> 1,
+                                  bool(verdict & 1))
+            elif stateful(mbuf, verdict >> 1, bool(verdict & 1)):
+                fast_packets += 1
+                fast_bytes += frame_bytes
+            now = self._now  # the state machine may not move it, expiry may
+        cycles[_CAPTURE] = capture_cycles
+        cycles[_PACKET_FILTER] = filter_cycles
+        ledger.invocations[_CAPTURE] += packets
+        ledger.invocations[_PACKET_FILTER] += packets
         stats.packets += packets
         stats.bytes += wire_bytes
         if self._overload is not None:
@@ -298,359 +338,98 @@ class CorePipeline:
             stats.sessf_packets += fast_packets
             stats.sessf_bytes += fast_bytes
         # Settle the constant-cost stage histograms once per burst
-        # (capture and the packet filter bypass ``charge`` above), then
-        # close the burst span.
-        ledger.observe_batched(capture_stage, packets)
-        ledger.observe_batched(filter_stage, packets)
-        if span_tok is not None:
-            spans.finish(stats, self._now, span_tok, span_nodes)
-
-    def _process_batch_columnar(self, mbufs) -> None:
-        """Columnar variant of :meth:`process_batch`.
-
-        Headers are decoded for the whole burst in bulk
-        (:func:`~repro.packet.columnar.decode_mbufs`) and the packet
-        filter runs once per batch as mask predicates, yielding one
-        encoded verdict per row. Fast rows then flow through
-        :meth:`_stateful_columnar`, which keys conntrack straight off
-        the columns; rows the columnar decoder cannot express (VLAN,
-        fragments, IP options/extensions, truncation) take the exact
-        scalar path. Per-packet charge ordering, counters, and virtual-clock
-        movement are identical to the scalar loop — bit-exact stats are
-        the acceptance gate for this path.
-        """
-        if type(mbufs) is not list and type(mbufs) is not tuple:
-            mbufs = list(mbufs)
-        cols = decode_mbufs(mbufs)
-        verdicts = self._pf_batch(cols)
-        fast_rows = cols.fast
-        stats = self.stats
-        ledger = stats.ledger
-        invocations = ledger.invocations
-        cycles = ledger.cycles
-        model = ledger.model
-        capture_cost = model.capture
-        filter_cost = model.packet_filter
-        capture_stage = Stage.CAPTURE
-        filter_stage = Stage.PACKET_FILTER
-        packet_filter = self._filter.packet_filter
-        fast_path = not self._needs_conntrack
-        deliver = self._deliver
-        stateful = self._stateful
-        stateful_columnar = self._stateful_columnar
-        now = self._now
-        ov_next = self._ov_next
-        spans = self._spans
-        if spans is not None:
-            span_tok = spans.start(stats)
-            span_nodes = {} if span_tok[0] else None
-        else:
-            span_tok = None
-            span_nodes = None
-        packets = 0
-        wire_bytes = 0
-        pf_packets = 0
-        pf_bytes = 0
-        fast_packets = 0
-        fast_bytes = 0
-        wire_col = cols.wire
-        for i, mbuf in enumerate(mbufs):
-            ts = mbuf.timestamp
-            if ts > now:
-                now = ts
-                self._now = ts
-            if ts >= ov_next:
-                self._overload_tick(ts)
-                ov_next = self._ov_next
-            packets += 1
-            frame_bytes = wire_col[i]
-            wire_bytes += frame_bytes
-            invocations[capture_stage] += 1
-            cycles[capture_stage] += capture_cost
-            invocations[filter_stage] += 1
-            cycles[filter_stage] += filter_cost
-            if fast_rows[i]:
-                verdict = verdicts[i]
-                if verdict < 0:
-                    continue
-                pf_packets += 1
-                pf_bytes += frame_bytes
-                if span_nodes is not None:
-                    node = verdict >> 1
-                    span_nodes[node] = span_nodes.get(node, 0) + 1
-                if fast_path:
-                    deliver(RawPacket(mbuf=mbuf))
-                    fast_packets += 1
-                    fast_bytes += frame_bytes
-                    continue
-                stateful_columnar(mbuf, cols, i, verdict >> 1,
-                                  bool(verdict & 1))
-                now = self._now
-                continue
-            result = packet_filter(mbuf)
-            if not result.matched:
-                continue
-            pf_packets += 1
-            pf_bytes += frame_bytes
-            if span_nodes is not None:
-                node = result.node
-                span_nodes[node] = span_nodes.get(node, 0) + 1
-            if fast_path:
-                deliver(RawPacket(mbuf=mbuf))
-                fast_packets += 1
-                fast_bytes += frame_bytes
-                continue
-            stateful(mbuf, result)
-            now = self._now
-        stats.packets += packets
-        stats.bytes += wire_bytes
-        if self._overload is not None:
-            self._overload.ledger.packets_seen += packets
-        stats.pf_packets += pf_packets
-        stats.pf_bytes += pf_bytes
-        if fast_packets:
-            stats.connf_packets += fast_packets
-            stats.connf_bytes += fast_bytes
-            stats.sessf_packets += fast_packets
-            stats.sessf_bytes += fast_bytes
-        ledger.observe_batched(capture_stage, packets)
-        ledger.observe_batched(filter_stage, packets)
-        if span_tok is not None:
-            spans.finish(stats, self._now, span_tok, span_nodes)
-
-    def process_batch_rows(self, row_mbufs, row_cols, row_idx,
-                           row_verdicts) -> None:
-        """Like :meth:`_process_batch_columnar`, but over pre-decoded
-        ingress rows (four parallel lists).
-
-        The sequential backend decodes each ingress burst and evaluates
-        the batch filter *once*, shares the columns with NIC dispatch,
-        and hands this pipeline parallel lists of (mbuf, column batch,
-        row index, verdict) — so the pipeline must not decode or
-        filter again. Verdicts are only meaningful for rows with
-        ``cols.fast[i]`` set; slow rows run the scalar filter here,
-        exactly as in the batch variant. Per-packet charge ordering,
-        counters, and clock movement match the scalar loop bit for bit.
-        """
-        stats = self.stats
-        ledger = stats.ledger
-        invocations = ledger.invocations
-        cycles = ledger.cycles
-        model = ledger.model
-        capture_cost = model.capture
-        filter_cost = model.packet_filter
-        capture_stage = Stage.CAPTURE
-        filter_stage = Stage.PACKET_FILTER
-        packet_filter = self._filter.packet_filter
-        fast_path = not self._needs_conntrack
-        deliver = self._deliver
-        stateful = self._stateful
-        stateful_columnar = self._stateful_columnar
-        now = self._now
-        ov_next = self._ov_next
-        spans = self._spans
-        if spans is not None:
-            span_tok = spans.start(stats)
-            span_nodes = {} if span_tok[0] else None
-        else:
-            span_tok = None
-            span_nodes = None
-        packets = 0
-        wire_bytes = 0
-        pf_packets = 0
-        pf_bytes = 0
-        fast_packets = 0
-        fast_bytes = 0
-        for mbuf, cols, i, verdict in zip(row_mbufs, row_cols,
-                                          row_idx, row_verdicts):
-            ts = mbuf.timestamp
-            if ts > now:
-                now = ts
-                self._now = ts
-            if ts >= ov_next:
-                self._overload_tick(ts)
-                ov_next = self._ov_next
-            packets += 1
-            frame_bytes = cols.wire[i]
-            wire_bytes += frame_bytes
-            invocations[capture_stage] += 1
-            cycles[capture_stage] += capture_cost
-            invocations[filter_stage] += 1
-            cycles[filter_stage] += filter_cost
-            if cols.fast[i]:
-                if verdict < 0:
-                    continue
-                pf_packets += 1
-                pf_bytes += frame_bytes
-                if span_nodes is not None:
-                    node = verdict >> 1
-                    span_nodes[node] = span_nodes.get(node, 0) + 1
-                if fast_path:
-                    deliver(RawPacket(mbuf=mbuf))
-                    fast_packets += 1
-                    fast_bytes += frame_bytes
-                    continue
-                stateful_columnar(mbuf, cols, i, verdict >> 1,
-                                  bool(verdict & 1))
-                now = self._now
-                continue
-            result = packet_filter(mbuf)
-            if not result.matched:
-                continue
-            pf_packets += 1
-            pf_bytes += frame_bytes
-            if span_nodes is not None:
-                node = result.node
-                span_nodes[node] = span_nodes.get(node, 0) + 1
-            if fast_path:
-                deliver(RawPacket(mbuf=mbuf))
-                fast_packets += 1
-                fast_bytes += frame_bytes
-                continue
-            stateful(mbuf, result)
-            now = self._now
-        stats.packets += packets
-        stats.bytes += wire_bytes
-        if self._overload is not None:
-            self._overload.ledger.packets_seen += packets
-        stats.pf_packets += pf_packets
-        stats.pf_bytes += pf_bytes
-        if fast_packets:
-            stats.connf_packets += fast_packets
-            stats.connf_bytes += fast_bytes
-            stats.sessf_packets += fast_packets
-            stats.sessf_bytes += fast_bytes
-        ledger.observe_batched(capture_stage, packets)
-        ledger.observe_batched(filter_stage, packets)
+        # (capture and the packet filter bypass ``charge``), then close
+        # the burst span.
+        ledger.observe_batched(_CAPTURE, packets)
+        ledger.observe_batched(_PACKET_FILTER, packets)
         if span_tok is not None:
             spans.finish(stats, self._now, span_tok, span_nodes)
 
     def process_batch_rows_shared(self, mbufs, cols, verdicts,
                                   wire_total, ts_sorted) -> None:
-        """Multi-tenant fan-out fast path over one shared column batch.
+        """Multi-tenant fan-out entrance over one shared column batch.
 
-        Semantically identical to ``process_batch_rows(mbufs,
-        [cols]*n, range(n), verdicts)``, but rejected fast rows — the
-        overwhelming majority under a selective tenant filter — are
-        accounted in bulk instead of per row, which is where an
-        N-tenant multiplexer otherwise spends most of its cycles. The
-        caller amortizes ``wire_total`` (sum of ``cols.wire``) and
+        Same outcome as running every row of the burst through
+        :meth:`process_batch_rows`, but rejected fast rows — the
+        overwhelming majority under a selective tenant filter, where an
+        N-tenant multiplexer otherwise spends most of its cycles — are
+        accounted in bulk; only the survivors take the loop. The caller
+        amortizes ``wire_total`` (sum of ``cols.wire``) and
         ``ts_sorted`` (row timestamps nondecreasing) across tenants.
 
-        Falls back to the per-row variant whenever something genuinely
-        needs per-row observation: the overload ladder (tick cadence
-        and per-row seen accounting), span profiling, or
-        out-of-order row timestamps (the running ``now`` max must see
-        every row, matched or not).
+        Every row takes the loop when something needs per-row
+        observation: the overload ladder (tick cadence, per-row seen
+        accounting), span profiling, or out-of-order timestamps (the
+        running ``now`` max must see every row, matched or not).
         """
         n = cols.n
         if n == 0:
             return
         if self._overload is not None or self._spans is not None \
                 or not ts_sorted:
-            self.process_batch_rows(mbufs, [cols] * n,
-                                    list(range(n)), verdicts)
+            self.process_batch_rows(zip(
+                mbufs, repeat(None), repeat(cols), range(n), verdicts))
             return
-        stats = self.stats
-        ledger = stats.ledger
-        model = ledger.model
-        capture_stage = Stage.CAPTURE
-        filter_stage = Stage.PACKET_FILTER
-        ledger.invocations[capture_stage] += n
-        ledger.invocations[filter_stage] += n
-        # Cycle charges replay the per-row accumulation order exactly:
-        # float addition is not associative, and these sums feed
-        # byte-compared report fields (stage_cycles, zero-loss Gbps).
-        cycles = ledger.cycles
-        capture_cost = model.capture
-        filter_cost = model.packet_filter
-        c_cap = cycles[capture_stage]
-        c_flt = cycles[filter_stage]
-        for _ in range(n):
-            c_cap += capture_cost
-            c_flt += filter_cost
-        cycles[capture_stage] = c_cap
-        cycles[filter_stage] = c_flt
         fast = cols.fast
         wires = cols.wire
-        packet_filter = self._filter.packet_filter
-        fast_path = not self._needs_conntrack
-        deliver = self._deliver
-        stateful = self._stateful
-        stateful_columnar = self._stateful_columnar
-        pf_packets = 0
-        pf_bytes = 0
-        fast_packets = 0
-        fast_bytes = 0
-        for i in [i for i, v in enumerate(verdicts)
-                  if v >= 0 or not fast[i]]:
-            mbuf = mbufs[i]
-            ts = mbuf.timestamp
-            if ts > self._now:
-                self._now = ts
-            frame_bytes = wires[i]
-            if fast[i]:
-                verdict = verdicts[i]
-                pf_packets += 1
-                pf_bytes += frame_bytes
-                if fast_path:
-                    deliver(RawPacket(mbuf=mbuf))
-                    fast_packets += 1
-                    fast_bytes += frame_bytes
-                    continue
-                stateful_columnar(mbuf, cols, i, verdict >> 1,
-                                  bool(verdict & 1))
-            else:
-                result = packet_filter(mbuf)
-                if not result.matched:
-                    continue
-                pf_packets += 1
-                pf_bytes += frame_bytes
-                if fast_path:
-                    deliver(RawPacket(mbuf=mbuf))
-                    fast_packets += 1
-                    fast_bytes += frame_bytes
-                    continue
-                stateful(mbuf, result)
-        # Rows are ts-sorted, so the burst's clock high-water mark is
-        # the last row's — matched or not (the per-row loop advances
-        # `now` on rejected rows too).
+        survivors = [(mbufs[i], None, cols, i, v)
+                     for i, v in enumerate(verdicts)
+                     if v >= 0 or not fast[i]]
+        rejected = n - len(survivors)
+        stats = self.stats
+        ledger = stats.ledger
+        ledger.invocations[_CAPTURE] += rejected
+        ledger.invocations[_PACKET_FILTER] += rejected
+        # Cycle charges replay the per-row accumulation exactly: float
+        # addition is not associative, and these sums feed byte-compared
+        # report fields (stage_cycles, zero-loss Gbps). Nothing but this
+        # burst's rows adds to the two stages, all by the same constant,
+        # so charging the rejected rows first reaches the same sums.
+        cycles = ledger.cycles
+        capture_cost = ledger.model.capture
+        filter_cost = ledger.model.packet_filter
+        c_cap = cycles[_CAPTURE]
+        c_flt = cycles[_PACKET_FILTER]
+        for _ in range(rejected):
+            c_cap += capture_cost
+            c_flt += filter_cost
+        cycles[_CAPTURE] = c_cap
+        cycles[_PACKET_FILTER] = c_flt
+        ledger.observe_batched(_CAPTURE, rejected)
+        ledger.observe_batched(_PACKET_FILTER, rejected)
+        if survivors:  # the loop counts these itself
+            wire_total -= sum([wires[row[3]] for row in survivors])
+            self.process_batch_rows(survivors)
+        stats.packets += rejected
+        stats.bytes += wire_total
+        # Rows are ts-sorted: the burst's clock high-water mark is the
+        # last row's, matched or not (the loop advances `now` on both).
         last_ts = mbufs[n - 1].timestamp
         if last_ts > self._now:
             self._now = last_ts
-        stats.packets += n
-        stats.bytes += wire_total
-        stats.pf_packets += pf_packets
-        stats.pf_bytes += pf_bytes
-        if fast_packets:
-            stats.connf_packets += fast_packets
-            stats.connf_bytes += fast_bytes
-            stats.sessf_packets += fast_packets
-            stats.sessf_bytes += fast_bytes
-        ledger.observe_batched(capture_stage, n)
-        ledger.observe_batched(filter_stage, n)
 
     # ------------------------------------------------------------------
     # stateful processing
     # ------------------------------------------------------------------
     def _stateful_columnar(self, mbuf: Mbuf, cols, i: int,
                            node: int, terminal: bool) -> None:
-        """Columnar variant of :meth:`_stateful` for fast rows.
+        """The connection state machine (Figure 4), over row ``i`` of
+        ``cols`` — a fast row of a decoded burst, or the one-row batch
+        :meth:`_stateful` builds for a slow one.
 
-        The connection key is assembled straight from the decoded
-        columns — no :func:`parse_stack`, no header views, and no
-        :class:`FiveTuple`: a packet flows from the originator when its
-        source sorts first in the key exactly if the creating packet's
-        did. Connections that still probe, parse, or stream slice their
-        payload at the row's ``payload_off``; pure TRACK-state flows
-        never touch it.
+        The connection key is assembled straight from the columns — no
+        :func:`parse_stack`, no header views, and no ``FiveTuple``: a
+        packet flows from the originator when its source sorts first in
+        the key exactly if the creating packet's did. Accounting needs
+        only the payload *length*; connections that still probe, parse,
+        or stream slice the bytes at the row's ``payload_off``.
         """
         stats = self.stats
         ledger = stats.ledger
         if ledger.hist is None:
             # ``charge`` unrolled: two dict updates instead of a method
             # call plus a ``Stage.value`` descriptor read — the single
-            # hottest line of the columnar path. Telemetry runs keep
+            # hottest line of the stateful path. Telemetry runs keep
             # the real call so stage histograms stay identical.
             ledger.invocations[_CONN_TRACK] += 1
             ledger.cycles[_CONN_TRACK] += self._ct_cost
@@ -675,6 +454,15 @@ class CorePipeline:
             block = self._ov_block
             shed_map = self._ov_shed
             if block or shed_map:
+                # Overload ladder admission gate. Rung 1 refuses new
+                # connections whose only use is packet-level delivery
+                # (their packets already matched the packet filter — the
+                # conntrack/probe work is pure overhead under pressure);
+                # rung 2+ refuses all new connections. Established flows
+                # are never touched here, so their results stay
+                # bit-exact — and once a flow's start is refused, the
+                # rest of it is too, so no half-seen flow ever surfaces
+                # as a record.
                 tag = shed_map.get(key)
                 if tag is None and block and (
                         block == 2 or self._level is Level.PACKET):
@@ -686,9 +474,15 @@ class CorePipeline:
                     stats.conns_shed += 1
                     self._overload.ledger.record_shed(
                         tag[0], tag[1], wire)
+                    # Keep the timer wheel advancing on shed packets:
+                    # admitted connections must expire at exactly the
+                    # same virtual times as in an unshedded run.
                     self._maybe_expire()
                     return
             if self._shedding:
+                # memory_policy="shed": while this core is over its
+                # memory share, refuse to create new flow state
+                # (existing flows keep being processed).
                 stats.conns_shed += 1
                 return
             conn = table.create_with_key(key, src_first, now)
@@ -718,6 +512,8 @@ class CorePipeline:
                 self._deliver(RawPacket(mbuf=mbuf,
                                         five_tuple=conn.five_tuple))
             elif self._streams_bytes and conn.matched:
+                # Byte-stream subscriptions keep the reorderer alive
+                # past the filter match: the stream IS the data.
                 off = cols.payload_off[i]
                 self._handle_stream_segments(conn, self._reassemble(
                     conn, mbuf, bytes(mbuf.data[off:off + payload_len]),
@@ -738,6 +534,11 @@ class CorePipeline:
                     self._parse(conn, segments)
         # DELETE (ignore tombstone): nothing to do.
 
+        # Funnel attribution: this packet survives the connection
+        # layer if, after processing it, its connection has passed the
+        # connection filter (or needed none) and is still live; it
+        # survives the session layer if the full filter is satisfied.
+        # Undecided (probing) and rejected connections drop here.
         if conn.state is not _DELETE and \
                 conn.conn_term_node is not None:
             stats.connf_packets += 1
@@ -750,123 +551,35 @@ class CorePipeline:
             self._finalize(conn, delivered_by="termination")
         self._maybe_expire()
 
-    def _stateful(self, mbuf: Mbuf, result) -> None:
-        stats = self.stats
-        ledger = stats.ledger
-        ledger.charge(Stage.CONN_TRACK)
+    def _stateful(self, mbuf: Mbuf, node: int, terminal: bool) -> bool:
+        """Slow-row adapter: a frame the burst decode cannot express
+        (VLAN, IP options/extensions, fragment, ICMP, truncation) is
+        parsed layer by layer and handed on as a one-row batch. True
+        when it was delivered without a connection instead."""
         stack = mbuf.stack
         if stack is None:  # match-all filters skip the layer walk
             stack = parse_stack(mbuf)
-        five_tuple = FiveTuple.from_stack(stack)
-        if five_tuple is None:
-            # Non-transport traffic cannot be tracked; packet-level
-            # subscriptions with a satisfied filter still get it —
-            # the full filter was satisfied, so the packet survives
-            # the remaining funnel layers.
-            if result.terminal and self._level is Level.PACKET:
+        ip = stack.ip
+        transport = stack.transport
+        if ip is None or transport is None:
+            # Non-transport traffic cannot be tracked (the lookup is
+            # still charged); a packet-level subscription whose whole
+            # filter is satisfied gets it all the same.
+            self.stats.ledger.charge(_CONN_TRACK)
+            if terminal and self._level is Level.PACKET:
                 self._deliver(RawPacket(mbuf=mbuf))
-                wire = len(mbuf.data)
-                stats.connf_packets += 1
-                stats.connf_bytes += wire
-                stats.sessf_packets += 1
-                stats.sessf_bytes += wire
-            return
-        block = self._ov_block
-        shed_map = self._ov_shed
-        if (block or shed_map) and self.table.lookup(five_tuple) is None:
-            # Overload ladder admission gate. Rung 1 refuses new
-            # connections whose only use is packet-level delivery
-            # (their packets already matched the packet filter — the
-            # conntrack/probe work is pure overhead under pressure);
-            # rung 2+ refuses all new connections. Established flows
-            # are never touched here, so their results stay bit-exact —
-            # and once a flow's start is refused, the rest of it is
-            # too, so no half-seen flow ever surfaces as a record.
-            key = five_tuple.canonical()
-            tag = shed_map.get(key)
-            if tag is None and block and (
-                    block == 2 or self._level is Level.PACKET):
-                ctl = self._overload
-                tag = (ctl.rung, "packet_filter" if block == 1
-                       else "connection_filter")
-                shed_map[key] = tag
-            if tag is not None:
-                stats.conns_shed += 1
-                self._overload.ledger.record_shed(
-                    tag[0], tag[1], len(mbuf.data))
-                # Keep the timer wheel advancing on shed packets:
-                # admitted connections must expire at exactly the same
-                # virtual times as in an unshedded run.
-                self._maybe_expire()
-                return
-        if self._shedding and self.table.lookup(five_tuple) is None:
-            # memory_policy="shed": while this core is over its memory
-            # share, refuse to create new flow state (existing flows
-            # keep being processed).
-            stats.conns_shed += 1
-            return
-        conn, created = self.table.get_or_create(five_tuple, self._now)
-        if created:
-            stats.conns_created += 1
-            if self._tracer is not None:
-                self._tracer.record(conn, self._now, "created")
-            self._init_connection(conn, result.node, result.terminal)
-        from_orig = five_tuple.src_is_first() == conn.orig_first
-        # Only the payload *length* is needed for accounting; the bytes
-        # are sliced lazily below, and only for connections that still
-        # probe/parse/stream (TRACK-state flows skip the copy).
-        payload_len = stack.l4_payload_len()
+                return True
+            return False
         tcp = stack.tcp
-        flags = tcp.flags_raw() if tcp is not None else None
-        seq = tcp.seq_no() if tcp is not None else None
-        newly_established = conn.record_packet(
-            from_orig, len(mbuf.data), payload_len, self._now, flags, seq
-        )
-        if not created or conn.established:  # else armed by the create
-            self.table.touch(conn, self._now, newly_established)
-
-        state = conn.state
-        if state is ConnState.TRACK:
-            if self._level is Level.PACKET and conn.matched:
-                self._deliver(RawPacket(mbuf=mbuf,
-                                        five_tuple=conn.five_tuple))
-            elif self._streams_bytes and conn.matched:
-                # Byte-stream subscriptions keep the reorderer alive
-                # past the filter match: the stream IS the data.
-                segments = self._reassemble(conn, mbuf, stack.l4_payload(),
-                                            from_orig, seq, flags)
-                self._handle_stream_segments(conn, segments)
-        elif state in (ConnState.PROBE, ConnState.PARSE):
-            if self._buffers_packets and not conn.matched:
-                conn.buffer_packet(mbuf)
-            segments = self._reassemble(conn, mbuf, stack.l4_payload(),
-                                        from_orig, seq, flags)
-            if self._streams_bytes:
-                self._handle_stream_segments(conn, segments)
-            if segments:
-                if conn.state is ConnState.PROBE:
-                    self._probe(conn, segments)
-                elif conn.state is ConnState.PARSE:
-                    self._parse(conn, segments)
-        # DELETE (ignore tombstone): nothing to do.
-
-        # Funnel attribution: this packet survives the connection
-        # layer if, after processing it, its connection has passed the
-        # connection filter (or needed none) and is still live; it
-        # survives the session layer if the full filter is satisfied.
-        # Undecided (probing) and rejected connections drop here.
-        if conn.state is not ConnState.DELETE and \
-                conn.conn_term_node is not None:
-            wire = len(mbuf.data)
-            stats.connf_packets += 1
-            stats.connf_bytes += wire
-            if conn.matched:
-                stats.sessf_packets += 1
-                stats.sessf_bytes += wire
-
-        if conn.terminated and conn.state is not ConnState.DELETE:
-            self._finalize(conn, delivered_by="termination")
-        self._maybe_expire()
+        self._stateful_columnar(mbuf, ColumnarBatch(
+            1, (len(mbuf.data),), (True,), (0,), (ip.next_protocol(),),
+            (ip.src_addr_bytes(),), (ip.dst_addr_bytes(),),
+            (transport.src_port(),), (transport.dst_port(),),
+            (stack.l4_payload_len(),),
+            (tcp.flags_raw() if tcp is not None else 0,),
+            (tcp.seq_no() if tcp is not None else 0,), (0,),
+            (transport.payload_offset(),)), 0, node, terminal)
+        return False
 
     def _init_connection(self, conn: Connection, node: int,
                          terminal: bool) -> None:
@@ -926,8 +639,8 @@ class CorePipeline:
     # -- reassembly ----------------------------------------------------------
     def _reassemble(self, conn: Connection, mbuf: Mbuf, payload: bytes,
                     from_orig: bool, seq, flags) -> List[StreamSegment]:
-        """Row-shaped: both state machines hold ``from_orig``/``seq``/
-        ``flags`` already (from the stack or from the burst's columns)."""
+        """Row-shaped: the state machine holds ``from_orig``/``seq``/
+        ``flags`` already, from the row's columns."""
         if conn.key[4] == PROTO_UDP:
             if not payload:
                 return []

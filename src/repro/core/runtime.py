@@ -11,7 +11,6 @@ memory samples).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
 if TYPE_CHECKING:  # avoid a config<->core import cycle at runtime
@@ -21,7 +20,7 @@ from repro.core.pipeline import CorePipeline
 from repro.core.stats import AggregateStats, CoreStats
 from repro.core.subscription import Subscription
 from repro.nic.device import SimNic
-from repro.packet.columnar import columnar_dispatch, decode_mbufs
+from repro.packet.columnar import HELD, ingress_rows
 from repro.packet.mbuf import Mbuf
 from repro.resilience.faults import FaultReport, PacketFaultInjector, \
     build_fault_report
@@ -225,159 +224,61 @@ class Runtime:
     ) -> RuntimeReport:
         oom_at: Optional[float] = None
         failfast_at: Optional[float] = None
+        config = self.config
         # Fail-fast can only trip under the failfast policy or a ladder
         # allowed to climb to rung 4; skip the per-batch poll otherwise.
-        ff_possible = self.config.overload_policy == "failfast" or (
-            self.config.overload_policy == "ladder"
-            and self.config.overload_max_rung >= 4)
-        batch_size = self.config.parallel_batch_size
+        ff_possible = config.overload_policy == "failfast" or (
+            config.overload_policy == "ladder"
+            and config.overload_max_rung >= 4)
+        batch_size = config.parallel_batch_size
         pipelines = self.pipelines
-        nics = self.nics
-        nic0 = nics[0]
-        num_nics = len(nics)
-        frag = self.fragment_reassembler
         # The evict/shed policies keep cores under their share of the
         # limit themselves (at sample cadence, inside the pipelines);
         # only the historical "record" policy stops the run.
-        memory_limit = self.config.memory_limit_bytes \
-            if self.config.memory_policy == "record" else None
-        # Per-queue pending batches: packets are routed immediately
+        memory_limit = config.memory_limit_bytes \
+            if config.memory_policy == "record" else None
+        # Per-queue pending rows: packets are routed immediately
         # (preserving per-flow arrival order even across ports) but run
         # through the pipeline in bursts, amortizing per-packet
         # dispatch overhead exactly like the parallel backend's IPC
         # batches.
-        pending: List[List[Mbuf]] = [[] for _ in pipelines]
+        pending: List[list] = [[] for _ in pipelines]
+
+        def flush() -> None:
+            """Run every queued burst through its pipeline (sample
+            points, table swaps and end-of-trace must see fully current
+            pipeline state)."""
+            for pipeline, rows in zip(pipelines, pending):
+                if rows:
+                    pipeline.process_batch_rows(rows)
+                    rows.clear()
+
         # Monitoring is O(samples), not O(packets): the next virtual
         # deadline is tracked here and only compared per packet.
         next_monitor_ts: Optional[float] = \
             None if monitor is not None else float("inf")
         first = self._first_ts is None
-        # Columnar ingress: bulk-decode header columns per burst and let
-        # the NICs hash/dispatch fast rows without a per-packet stack
-        # parse. Requires every NIC's hardware filter to compile to a
-        # column admit check, and no fragment reassembly (frag.push can
-        # rewrite frames between decode and dispatch). The scalar loop
-        # below is untouched — columnar=False measures the old path.
-        use_columnar = (self.config.columnar and frag is None
-                        and all(n.supports_columnar() for n in nics))
-        # When the filter is batch-expressible the sequential backend
-        # goes one step further than columnar dispatch: each ingress
-        # burst is decoded and filtered exactly *once*, the columns are
-        # shared with NIC dispatch, and the pipelines consume
-        # ``(mbuf, cols, i, verdict)`` rows — no second decode, no
-        # second filter pass. Every pipeline holds the same compiled
-        # filter, so one verdict vector is valid for all queues.
-        pf_batch = pipelines[0]._pf_batch if use_columnar else None
-        if pf_batch is not None:
-            # Pending rows per queue as four parallel lists (mbufs,
-            # column batches, row indices, verdicts): appending to
-            # lists costs no per-packet tuple, keeping the reject
-            # path's allocation budget where the scalar loop left it.
-            rows_pending = [([], [], [], []) for _ in pipelines]
-
-            def flush_rows() -> None:
-                for q, queued in enumerate(rows_pending):
-                    if queued[0]:
-                        pipelines[q].process_batch_rows(*queued)
-                        for lst in queued:
-                            lst.clear()
-
-            it = iter(traffic)
-            stop = False
-            while not stop:
-                chunk = list(islice(it, batch_size))
-                if not chunk:
-                    break
-                cols = decode_mbufs(chunk)
-                verdicts = pf_batch(cols)
-                for i, mbuf in enumerate(chunk):
-                    ts = mbuf.timestamp
-                    if first:
-                        first = False
-                        if self._first_ts is None:
-                            self._first_ts = ts
-                            self._last_memory_sample = ts
-                    if ts > self._last_ts:
-                        self._last_ts = ts
-                    port = mbuf.port
-                    nic = nics[port] if 0 < port < num_nics else nic0
-                    queue = nic.receive_columnar(mbuf, cols, i)
-                    if queue is not None:
-                        q_mbufs, q_cols, q_idx, q_verd = \
-                            rows_pending[queue]
-                        q_mbufs.append(mbuf)
-                        q_cols.append(cols)
-                        q_idx.append(i)
-                        q_verd.append(verdicts[i])
-                        if len(q_mbufs) >= batch_size:
-                            pipelines[queue].process_batch_rows(
-                                q_mbufs, q_cols, q_idx, q_verd)
-                            q_mbufs.clear()
-                            q_cols.clear()
-                            q_idx.clear()
-                            q_verd.clear()
-                            if ff_possible and \
-                                    pipelines[queue].overload_failfast_at \
-                                    is not None:
-                                failfast_at = \
-                                    pipelines[queue].overload_failfast_at
-                                stop = True
-                                break
-                    if next_monitor_ts is None or ts >= next_monitor_ts:
-                        flush_rows()
-                        monitor.observe(self, ts)
-                        next_monitor_ts = ts + monitor.interval
-                    if ts - self._last_memory_sample \
-                            >= memory_sample_interval:
-                        flush_rows()
-                        self._last_memory_sample = ts
-                        self._sample_memory(ts)
-                        if memory_limit is not None and \
-                                self.memory_bytes > memory_limit:
-                            oom_at = ts
-                            stop = True
-                            break
-            flush_rows()
-            traffic = ()  # fully consumed (or aborted) above
-        elif use_columnar:
-            for mbuf, queue in columnar_dispatch(traffic, nics,
-                                                 batch_size):
-                ts = mbuf.timestamp
-                if first:
-                    first = False
-                    if self._first_ts is None:
-                        self._first_ts = ts
-                        self._last_memory_sample = ts
-                if ts > self._last_ts:
-                    self._last_ts = ts
-                if queue is not None:
-                    queued = pending[queue]
-                    queued.append(mbuf)
-                    if len(queued) >= batch_size:
-                        pipelines[queue].process_batch(queued)
-                        queued.clear()
-                        if ff_possible and \
-                                pipelines[queue].overload_failfast_at \
-                                is not None:
-                            failfast_at = \
-                                pipelines[queue].overload_failfast_at
-                            break
-                if next_monitor_ts is None or ts >= next_monitor_ts:
-                    self._flush_pending(pending)
-                    monitor.observe(self, ts)
-                    next_monitor_ts = ts + monitor.interval
-                if ts - self._last_memory_sample \
-                        >= memory_sample_interval:
-                    self._flush_pending(pending)
-                    self._last_memory_sample = ts
-                    self._sample_memory(ts)
-                    if memory_limit is not None and \
-                            self.memory_bytes > memory_limit:
-                        oom_at = ts
-                        break
-            traffic = ()  # fully consumed (or aborted) above
-        for mbuf in traffic:
-            ts = mbuf.timestamp
+        # Each ingress burst is decoded exactly *once* and — when the
+        # filter is batch-expressible — filtered once: the columns are
+        # shared with NIC dispatch and ride each row into its pipeline,
+        # which decodes and filters nothing again. Every pipeline holds
+        # the same compiled filter, so one verdict vector is valid for
+        # all queues.
+        ingress = ingress_rows(
+            traffic, self.nics, batch_size, self.fragment_reassembler,
+            config.columnar, pipelines[0]._pf_batch)
+        # Multi-tenant live reconfiguration, duck-typed exactly as the
+        # parallel feeder does it: when virtual time reaches a
+        # scheduled event, flush every pending burst (pre-event packets
+        # classify under the old table), publish, and have every
+        # pipeline adopt the new epoch(s) — so the first packet with
+        # ``timestamp >= event.time`` observes the new table on both
+        # backends. The NICs never reconfigure mid-run.
+        publish_due = getattr(self, "publish_tenancy_events", None)
+        next_event_ts: Optional[float] = \
+            self.next_reconfigure_ts if publish_due is not None else None
+        for row in ingress:  # (mbuf, queue, cols, i, verdict)
+            ts = row[0].timestamp
             if first:
                 first = False
                 if self._first_ts is None:
@@ -385,41 +286,43 @@ class Runtime:
                     self._last_memory_sample = ts
             if ts > self._last_ts:
                 self._last_ts = ts
-            if frag is not None:
-                mbuf = frag.push(mbuf)
-                if mbuf is None:
-                    continue  # fragment held pending completion
-            port = mbuf.port
-            nic = nics[port] if 0 < port < num_nics else nic0
-            queue = nic.receive(mbuf)
+            if next_event_ts is not None and ts >= next_event_ts:
+                flush()
+                for epoch, actions in publish_due(ts):
+                    for pipeline in pipelines:
+                        pipeline.apply_epoch(epoch, actions)
+                next_event_ts = self.next_reconfigure_ts
+            queue = row[1]
+            if queue is HELD:
+                continue  # fragment held pending completion
             if queue is not None:
-                queued = pending[queue]
-                queued.append(mbuf)
-                if len(queued) >= batch_size:
-                    pipelines[queue].process_batch(queued)
-                    queued.clear()
+                rows = pending[queue]
+                rows.append(row)
+                if len(rows) >= batch_size:
+                    pipelines[queue].process_batch_rows(rows)
+                    rows.clear()
                     if ff_possible and \
                             pipelines[queue].overload_failfast_at \
                             is not None:
                         # Sustained overload under the fail-fast policy:
                         # abort rather than silently corrupt results
-                        # (PAPER §7), like the OOM cutoff above.
+                        # (PAPER §7), like the OOM cutoff below.
                         failfast_at = \
                             pipelines[queue].overload_failfast_at
                         break
             if next_monitor_ts is None or ts >= next_monitor_ts:
-                self._flush_pending(pending)
+                flush()
                 monitor.observe(self, ts)
                 next_monitor_ts = ts + monitor.interval
             if ts - self._last_memory_sample >= memory_sample_interval:
-                self._flush_pending(pending)
+                flush()
                 self._last_memory_sample = ts
                 self._sample_memory(ts)
                 if memory_limit is not None and \
                         self.memory_bytes > memory_limit:
                     oom_at = ts
                     break
-        self._flush_pending(pending)
+        flush()
         if ff_possible and failfast_at is None:
             # A trip on the final (or a monitor-flushed) partial batch.
             trips = [p.overload_failfast_at for p in pipelines
@@ -440,37 +343,26 @@ class Runtime:
         if hasattr(self.executor, "finalize") and self._first_ts is not None:
             self.executor.finalize(
                 max(self._last_ts - self._first_ts, 1e-9),
-                self.config.cost_model.cpu_hz,
+                config.cost_model.cpu_hz,
             )
         for pipeline in pipelines:
             pipeline.fold_fault_counters()
         core_stats = {p.core_id: p.stats for p in pipelines}
-        faults = build_fault_report(self.config, core_stats,
-                                    packet_injector)
+        faults = build_fault_report(config, core_stats, packet_injector)
         overload = None
-        if self.config.overload_policy != "off":
+        if config.overload_policy != "off":
             from repro.overload import merge_ledgers
             overload = merge_ledgers(
-                p.stats.overload for p in pipelines)
+                stats.overload for stats in core_stats.values())
         spans = None
-        if self.config.span_sample > 0 or \
-                self.config.flight_recorder_depth > 0:
+        if config.span_sample > 0 or config.flight_recorder_depth > 0:
             from repro.telemetry.spans import build_span_report
             spans = build_span_report(
-                [p.stats for p in pipelines], None,
-                self.config.cost_model.cpu_hz,
+                list(core_stats.values()), None, config.cost_model.cpu_hz,
                 nic=[n.stats.to_dict() for n in self.nics])
         return RuntimeReport(stats=self.aggregate(), oom_at=oom_at,
                              faults=faults, core_stats=core_stats,
                              overload=overload, spans=spans)
-
-    def _flush_pending(self, pending: List[List[Mbuf]]) -> None:
-        """Run every queued batch through its pipeline (sample points
-        and end-of-trace must see fully current pipeline state)."""
-        for queue, queued in enumerate(pending):
-            if queued:
-                self.pipelines[queue].process_batch(queued)
-                queued.clear()
 
     def run_pcap(self, path, **kwargs) -> RuntimeReport:
         """Offline mode (Appendix B): stream a capture file through the

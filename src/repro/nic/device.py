@@ -107,7 +107,7 @@ class SimNic:
         self._hash_cache = _RssHashCache(rss_key, hash_cache_size)
         # Fast-row admit check over decoded columns: True (admit all),
         # a closure, or None when the rule set is not column-expressible
-        # (receive_columnar then must not be used for this NIC).
+        # (receive_columnar then hands every row to receive).
         self._col_admit = compile_hw_admit(None)
 
     # -- configuration -----------------------------------------------------
@@ -115,12 +115,6 @@ class SimNic:
         """Install (or clear, with None) the validated flow-rule set."""
         self.hardware_filter = hw
         self._col_admit = compile_hw_admit(hw)
-
-    def supports_columnar(self) -> bool:
-        """True when ingress can take the columnar fast path (the
-        installed hardware filter, if any, compiles to a column
-        admit check)."""
-        return self._col_admit is not None
 
     def set_sink_fraction(self, fraction: float) -> None:
         """Drop ``fraction`` of four-tuples at the NIC, flow-consistently.
@@ -183,16 +177,18 @@ class SimNic:
         contiguous frame slice (addresses and ports are adjacent in a
         plain IP+transport header, so ``frame[26:38]`` / ``frame[22:58]``
         is value-equal to :func:`~repro.nic.rss.rss_input_bytes` — the
-        hash cache behaves identically). Slow rows delegate to
-        :meth:`receive`. Counter updates match :meth:`receive` exactly.
+        hash cache behaves identically). Slow rows — and every row of a
+        port whose flow rules do not compile to a column admit check —
+        delegate to :meth:`receive`. Counter updates match
+        :meth:`receive` exactly.
         """
-        if not cols.fast[i]:
+        admit = self._col_admit
+        if admit is None or not cols.fast[i]:
             return self.receive(mbuf)
         stats = self.stats
         frame_bytes = cols.wire[i]
         stats.received_packets += 1
         stats.received_bytes += frame_bytes
-        admit = self._col_admit
         if admit is not True and not admit(cols, i):
             stats.hw_dropped_packets += 1
             stats.hw_dropped_bytes += frame_bytes

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import struct
 from itertools import islice
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, \
+    Sequence, Tuple
 
 from repro.packet.mbuf import Mbuf
 
@@ -137,8 +138,15 @@ class ColumnarBatch:
 _EMPTY: Tuple = ()
 
 
-def decode_mbufs(mbufs: Sequence[Mbuf]) -> ColumnarBatch:
+def decode_mbufs(mbufs: Sequence[Mbuf],
+                 columnar: bool = True) -> ColumnarBatch:
     """Bulk-decode a burst of mbufs into field columns.
+
+    ``columnar=False`` is ``RuntimeConfig.columnar``'s one meaning — no
+    row of a decoded burst is fast: the batch carries ``wire`` and an
+    all-False ``fast`` and nothing else, so every consumer takes its
+    per-packet ``parse_stack`` path (the reference the parity tests
+    compare the columns against).
 
     The gather loop is the only unconditional per-packet Python in the
     decode: one slice (zero-copy for memoryview-backed frames) per
@@ -149,9 +157,10 @@ def decode_mbufs(mbufs: Sequence[Mbuf]) -> ColumnarBatch:
     shared columns for rows whose EtherType says so.
     """
     n = len(mbufs)
-    if n == 0:
+    if n == 0 or not columnar:
         e = _EMPTY
-        return ColumnarBatch(0, e, e, e, e, e, e, e, e, e, e, e, e, e)
+        return ColumnarBatch(n, [len(m.data) for m in mbufs], [False] * n,
+                             e, e, e, e, e, e, e, e, e, e, e)
     pad = _PAD
     width = _WIDTH
     parts: List[bytes] = []
@@ -247,32 +256,66 @@ def decode_mbufs(mbufs: Sequence[Mbuf]) -> ColumnarBatch:
                          tcp_seq, ip_total_len, payload_off)
 
 
-def columnar_dispatch(mbufs: Iterable[Mbuf], nics: Sequence,
-                      chunk_size: int = 256
-                      ) -> Iterator[Tuple[Mbuf, object]]:
-    """Chunked NIC ingress: decode a burst, dispatch packets one by one.
+#: Queue value :func:`ingress_rows` yields for a fragment the
+#: reassembler is holding: the frame reached no NIC, but its timestamp
+#: still moves the run's clock and can fire a scheduled table swap.
+HELD = object()
 
-    Yields ``(mbuf, queue)`` exactly as the legacy per-packet
-    ``nic.receive`` loop would produce them, but header decode is
-    amortized over ``chunk_size`` packets via :func:`decode_mbufs` and
-    each NIC consumes the columns through ``receive_columnar``. The
-    generator is lazy per packet — ``receive_columnar`` runs when the
-    consumer pulls the next item — so per-packet bookkeeping
-    interleaves with NIC state updates in the same order as the scalar
-    loop (monitor snapshots and failure injection observe identical
-    intermediate states).
+
+def ingress_rows(mbufs: Iterable[Mbuf], nics: Sequence,
+                 chunk_size: int = 256, frag=None, columnar: bool = True,
+                 classify: Optional[Callable] = None
+                 ) -> Iterator[Tuple[Mbuf, object, ColumnarBatch, int,
+                                     Optional[int]]]:
+    """The ingress path of both backends: frames in, routed rows out.
+
+    Pulls ``chunk_size`` frames, passes them through the IPv4 fragment
+    reassembler ``frag`` when one is configured (before the decode: a
+    completed datagram is a new frame), decodes the burst once
+    (:func:`decode_mbufs`), runs the batch packet filter ``classify``
+    over the columns once when there is one, and yields a row
+    ``(mbuf, queue, cols, i, verdict)`` per frame: the receive queue
+    its port's NIC dispatched it to (``None`` when the NIC dropped it),
+    the row of ``cols`` that describes it, and that row's verdict
+    (``None`` without ``classify``). A row is what
+    ``CorePipeline.process_batch_rows`` consumes, so nothing downstream
+    decodes or filters the frame again.
+    ``SimNic.receive_columnar`` itself falls back to the per-packet
+    ``receive`` for slow rows and for flow rules that are not
+    column-expressible, so only those rows pay for a stack parse. A
+    fragment the reassembler keeps is yielded with queue ``HELD``, in
+    its place in the stream.
+
+    The generator is lazy per frame — the NIC runs when the consumer
+    pulls the next row — so the consumer's bookkeeping interleaves with
+    NIC state in arrival order (monitor snapshots and failure injection
+    observe the same intermediate states whatever the chunk size).
     """
     num_nics = len(nics)
     nic0 = nics[0]
+    no_verdicts = [None] * chunk_size
     it = iter(mbufs)
     while True:
         chunk = list(islice(it, chunk_size))
         if not chunk:
             return
-        cols = decode_mbufs(chunk)
-        i = 0
-        for m in chunk:
+        held = ()
+        if frag is not None:
+            # A held fragment keeps its place (and a row nobody reads)
+            # so that row indices stay the frames' positions.
+            held = set()
+            for i, m in enumerate(chunk):
+                pushed = frag.push(m)
+                if pushed is None:
+                    held.add(i)
+                else:
+                    chunk[i] = pushed
+        cols = decode_mbufs(chunk, columnar)
+        verdicts = classify(cols) if classify is not None else no_verdicts
+        for i, m in enumerate(chunk):
+            if held and i in held:
+                yield m, HELD, cols, i, None
+                continue
             port = m.port
             nic = nics[port] if 0 < port < num_nics else nic0
-            yield m, nic.receive_columnar(m, cols, i)
-            i += 1
+            yield m, nic.receive_columnar(m, cols, i), cols, i, verdicts[i]

@@ -210,8 +210,9 @@ class TenantCorePipeline:
         self._win_bytes: Dict[str, float] = {}
         self._downgraded: set = set()
         self._mux_now = 0.0
-        #: The base sequential loop peeks at ``_pf_batch`` to pick its
-        #: rows mode; the multiplexer manages columns itself.
+        #: The sequential ingest loop asks its pipelines for a batch
+        #: filter to run per ingress burst; the multiplexer classifies
+        #: for itself.
         self._pf_batch = None
         for name in active:
             self._activate(name)
@@ -435,8 +436,7 @@ class TenantCorePipeline:
                     sel = sels[name]
                     vec = verdicts[t]
                     self._pipes[name].process_batch_rows(
-                        [mbufs[i] for i in sel], [cols] * len(sel),
-                        sel, [vec[i] for i in sel])
+                        [(mbufs[i], None, cols, i, vec[i]) for i in sel])
         else:
             # Scalar / mixed fallback: each tenant pipeline runs its own
             # preferred path (a tenant whose trie *is* batch-expressible
@@ -452,6 +452,12 @@ class TenantCorePipeline:
 
     def process_packet(self, mbuf) -> None:
         self.process_batch((mbuf,))
+
+    def process_batch_rows(self, rows) -> None:
+        """What the sequential ingest loop calls. The shared classifier
+        wants one column batch per burst and ingress rows come from
+        several, so the multiplexer decodes its burst again."""
+        self.process_batch([row[0] for row in rows])
 
     # -- lifecycle forwarding -------------------------------------------
     def advance_time(self, now: float) -> None:

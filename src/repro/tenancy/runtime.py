@@ -8,22 +8,23 @@ fans verdicts out per tenant. The table is versioned — ``subscribe``/
 ``unsubscribe`` build the successor epoch and publish it — and swaps
 land atomically on burst boundaries:
 
-- **Sequential backend**: the feeder loop below checks scheduled
-  reconfiguration events *before* routing each packet; when one is due
-  it flushes every pending per-queue batch (old-epoch packets classify
-  under the old table), applies the event, and calls ``apply_epoch`` on
-  every pipeline. The first packet with ``timestamp >= event.time``
+- **Sequential backend**: the ingest loop
+  (:meth:`repro.core.runtime.Runtime._run_sequential`) discovers this
+  runtime's :attr:`next_reconfigure_ts` / :meth:`publish_tenancy_events`
+  surface and checks it *before* routing each packet; when an event is
+  due it flushes every pending per-queue burst (old-epoch packets
+  classify under the old table), publishes, and calls ``apply_epoch``
+  on every pipeline. The first packet with ``timestamp >= event.time``
   therefore observes the new epoch — exactly the parallel feeder's
   contract, which is what keeps the two backends byte-identical per
   tenant even across a mid-run swap.
 - **Parallel backend**: :func:`repro.core.parallel.run_parallel`
-  discovers this runtime's :meth:`tenant_wire_state` /
-  :meth:`publish_tenancy_events` surface, ships the wire table to each
-  worker, and broadcasts each new epoch on an empty stamped
-  :class:`~repro.packet.batch.PackedBatch` after flushing pending
-  batches. Epoch bumps ride the supervised redo log, so a worker crash
-  inside the swap window replays the bump to the restarted worker
-  (``apply_epoch`` is idempotent on the epoch number).
+  discovers the same surface plus :meth:`tenant_wire_state`, ships the
+  wire table to each worker, and broadcasts each new epoch on an empty
+  stamped :class:`~repro.packet.batch.PackedBatch` after flushing
+  pending batches. Epoch bumps ride the supervised redo log, so a
+  worker crash inside the swap window replays the bump to the restarted
+  worker (``apply_epoch`` is idempotent on the epoch number).
 
 The hardware plane never reconfigures: the union flow-rule set over
 *every* tenant the run will ever know — dormant late joiners included —
@@ -35,20 +36,16 @@ reconfiguration schedule over the same tenant universe.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, \
-    Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from repro.config import RuntimeConfig
     from repro.core.stats import AggregateStats
-    from repro.resilience.faults import PacketFaultInjector
 
 from repro.core.runtime import Runtime, RuntimeReport
 from repro.core.subscription import Subscription
 from repro.errors import TenancyError
 from repro.filter import compile_filter
-from repro.packet.columnar import columnar_dispatch
-from repro.packet.mbuf import Mbuf
 from repro.tenancy.pipeline import TenantCorePipeline, TenantStatsBundle
 from repro.tenancy.shared import union_hardware
 from repro.tenancy.spec import ReconfigureEvent, TenantSpec, check_events
@@ -143,7 +140,7 @@ class TenantRuntime(Runtime):
         for pipeline in self.pipelines:
             pipeline.apply_epoch(epoch, (action,))
 
-    # -- the feeder protocol (duck-typed by run_parallel) --------------
+    # -- the ingest protocol (duck-typed by both backends' loops) ------
     @property
     def next_reconfigure_ts(self) -> Optional[float]:
         """Virtual time of the next scheduled event, or None."""
@@ -177,178 +174,6 @@ class TenantRuntime(Runtime):
             "active": list(self.table.active),
             "epoch": self.table.epoch,
         }
-
-    # -- sequential backend with live swaps ----------------------------
-    def _run_sequential(
-        self,
-        traffic: Iterable[Mbuf],
-        drain: bool,
-        memory_sample_interval: float,
-        monitor,
-        packet_injector: Optional["PacketFaultInjector"] = None,
-    ) -> RuntimeReport:
-        if not self._events:
-            # No swaps scheduled: the base loop (including its columnar
-            # fast paths) is already exactly right.
-            return super()._run_sequential(
-                traffic, drain, memory_sample_interval, monitor,
-                packet_injector=packet_injector)
-        config = self.config
-        batch_size = config.parallel_batch_size
-        pipelines = self.pipelines
-        nics = self.nics
-        nic0 = nics[0]
-        num_nics = len(nics)
-        frag = self.fragment_reassembler
-        memory_limit = config.memory_limit_bytes \
-            if config.memory_policy == "record" else None
-        ff_possible = config.overload_policy == "failfast" or (
-            config.overload_policy == "ladder"
-            and config.overload_max_rung >= 4)
-        pending: List[List[Mbuf]] = [[] for _ in pipelines]
-        next_monitor_ts: Optional[float] = \
-            None if monitor is not None else float("inf")
-        first = self._first_ts is None
-        oom_at: Optional[float] = None
-        failfast_at: Optional[float] = None
-        next_event_ts = self.next_reconfigure_ts
-        use_columnar = (config.columnar and frag is None
-                        and all(n.supports_columnar() for n in nics))
-        if use_columnar:
-            # Columnar ingress, mirroring the base loop's dispatch
-            # branch: the NICs hash fast rows from shared header
-            # columns, no per-packet stack parse. NIC receive is
-            # epoch-independent (the union hardware plane never changes
-            # mid-run), so the swap check only has to run before
-            # *routing*, exactly like the scalar loop below.
-            for mbuf, queue in columnar_dispatch(traffic, nics,
-                                                 batch_size):
-                ts = mbuf.timestamp
-                if first:
-                    first = False
-                    if self._first_ts is None:
-                        self._first_ts = ts
-                        self._last_memory_sample = ts
-                if ts > self._last_ts:
-                    self._last_ts = ts
-                if next_event_ts is not None and ts >= next_event_ts:
-                    self._flush_pending(pending)
-                    for epoch, actions in \
-                            self.publish_tenancy_events(ts):
-                        for pipeline in pipelines:
-                            pipeline.apply_epoch(epoch, actions)
-                    next_event_ts = self.next_reconfigure_ts
-                if queue is not None:
-                    queued = pending[queue]
-                    queued.append(mbuf)
-                    if len(queued) >= batch_size:
-                        pipelines[queue].process_batch(queued)
-                        queued.clear()
-                        if ff_possible and \
-                                pipelines[queue].overload_failfast_at \
-                                is not None:
-                            failfast_at = \
-                                pipelines[queue].overload_failfast_at
-                            break
-                if next_monitor_ts is None or ts >= next_monitor_ts:
-                    self._flush_pending(pending)
-                    monitor.observe(self, ts)
-                    next_monitor_ts = ts + monitor.interval
-                if ts - self._last_memory_sample \
-                        >= memory_sample_interval:
-                    self._flush_pending(pending)
-                    self._last_memory_sample = ts
-                    self._sample_memory(ts)
-                    if memory_limit is not None and \
-                            self.memory_bytes > memory_limit:
-                        oom_at = ts
-                        break
-            traffic = ()  # fully consumed (or aborted) above
-        for mbuf in traffic:
-            ts = mbuf.timestamp
-            if first:
-                first = False
-                if self._first_ts is None:
-                    self._first_ts = ts
-                    self._last_memory_sample = ts
-            if ts > self._last_ts:
-                self._last_ts = ts
-            if next_event_ts is not None and ts >= next_event_ts:
-                # Swap before this packet: flush every pending batch so
-                # pre-event packets classify under the old table, then
-                # publish and adopt the new epoch(s). Mirrors the
-                # parallel feeder's flush + bump broadcast exactly.
-                self._flush_pending(pending)
-                for epoch, actions in self.publish_tenancy_events(ts):
-                    for pipeline in pipelines:
-                        pipeline.apply_epoch(epoch, actions)
-                next_event_ts = self.next_reconfigure_ts
-            if frag is not None:
-                mbuf = frag.push(mbuf)
-                if mbuf is None:
-                    continue  # fragment held pending completion
-            port = mbuf.port
-            nic = nics[port] if 0 < port < num_nics else nic0
-            queue = nic.receive(mbuf)
-            if queue is not None:
-                queued = pending[queue]
-                queued.append(mbuf)
-                if len(queued) >= batch_size:
-                    pipelines[queue].process_batch(queued)
-                    queued.clear()
-                    if ff_possible and \
-                            pipelines[queue].overload_failfast_at \
-                            is not None:
-                        failfast_at = \
-                            pipelines[queue].overload_failfast_at
-                        break
-            if next_monitor_ts is None or ts >= next_monitor_ts:
-                self._flush_pending(pending)
-                monitor.observe(self, ts)
-                next_monitor_ts = ts + monitor.interval
-            if ts - self._last_memory_sample >= memory_sample_interval:
-                self._flush_pending(pending)
-                self._last_memory_sample = ts
-                self._sample_memory(ts)
-                if memory_limit is not None and \
-                        self.memory_bytes > memory_limit:
-                    oom_at = ts
-                    break
-        self._flush_pending(pending)
-        if ff_possible and failfast_at is None:
-            trips = [p.overload_failfast_at for p in pipelines
-                     if p.overload_failfast_at is not None]
-            if trips:
-                failfast_at = min(trips)
-        if oom_at is None and failfast_at is None:
-            for pipeline in pipelines:
-                pipeline.advance_time(self._last_ts)
-            self._sample_memory(self._last_ts)
-            if drain:
-                for pipeline in pipelines:
-                    pipeline.drain()
-        if monitor is not None:
-            monitor.finalize(self._last_ts, self)
-        for pipeline in pipelines:
-            pipeline.fold_fault_counters()
-        core_stats = {p.core_id: p.stats for p in pipelines}
-        from repro.resilience.faults import build_fault_report
-        faults = build_fault_report(config, core_stats, packet_injector)
-        overload = None
-        if config.overload_policy != "off":
-            from repro.overload import merge_ledgers
-            overload = merge_ledgers(
-                stats.overload for stats in core_stats.values())
-        spans = None
-        if config.span_sample > 0 or config.flight_recorder_depth > 0:
-            from repro.telemetry.spans import build_span_report
-            spans = build_span_report(
-                [core_stats[c] for c in sorted(core_stats)], None,
-                config.cost_model.cpu_hz,
-                nic=[n.stats.to_dict() for n in self.nics])
-        return RuntimeReport(stats=self.aggregate(), oom_at=oom_at,
-                             faults=faults, core_stats=core_stats,
-                             overload=overload, spans=spans)
 
     # -- per-tenant reporting ------------------------------------------
     def nic_ingress(self) -> Tuple[int, int, int, int]:

@@ -309,3 +309,35 @@ class TestNoReparse:
         scalar_mbufs, scalar_digest = run(columnar=False)
         assert all(m.stack is not None for m in scalar_mbufs)
         assert digest == scalar_digest
+
+    def test_unbatchable_filter_decodes_each_burst_once(self, traces,
+                                                        monkeypatch):
+        """``ipv4.ttl`` has no column, so the packet filter runs per
+        packet — but the rows still carry the ingress decode: nothing
+        decodes a burst a second time, fast rows key conntrack off
+        their columns, and the stats equal the scalar path's."""
+        import repro.core.pipeline as pipeline_mod
+        import repro.packet.columnar as columnar_mod
+        decodes = []
+
+        def counting(mbufs, columnar=True):
+            decodes.append(len(mbufs))
+            return decode_mbufs(mbufs, columnar)
+
+        monkeypatch.setattr(columnar_mod, "decode_mbufs", counting)
+        monkeypatch.setattr(pipeline_mod, "decode_mbufs", counting)
+
+        def run(columnar):
+            mbufs = [Mbuf(*row) for row in traces["campus"]]
+            runtime = Runtime(
+                RuntimeConfig(cores=2, columnar=columnar),
+                filter_str="ipv4.ttl > 5 and tcp", datatype="connection",
+                callback=None)
+            assert runtime.pipelines[0]._pf_batch is None
+            stats = runtime.run(iter(mbufs)).stats
+            return mbufs, json.dumps(stats.to_dict(), sort_keys=True)
+
+        mbufs, digest = run(columnar=True)
+        assert sum(decodes) == len(mbufs)
+        assert len(decodes) == -(-len(mbufs) // 256)
+        assert digest == run(columnar=False)[1]

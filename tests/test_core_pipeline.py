@@ -11,7 +11,9 @@ from repro import (
     Subscription,
     TimeoutConfig,
 )
+from repro.core.pipeline import CorePipeline
 from repro.errors import ConfigError, SubscriptionError
+from repro.packet.columnar import decode_mbufs
 from repro.traffic import (
     FlowSpec,
     dns_flow,
@@ -21,6 +23,7 @@ from repro.traffic import (
     tls_flow,
     udp_flow,
 )
+from tests.test_stats_golden import trace as golden_trace
 
 
 def run_subscription(packets, filter_str, datatype, config=None, **kwargs):
@@ -291,3 +294,69 @@ class TestConfigValidation:
     def test_unknown_datatype(self):
         with pytest.raises(SubscriptionError):
             Subscription("", "flowlets", lambda x: None)
+
+
+class TestBurstShapeDoesNotMatter:
+    """``CorePipeline`` has one per-row loop; however a trace is cut
+    into bursts — one frame at a time, bursts of 7, one burst of 256,
+    or rows whose columns come from several decoded batches — the core
+    counts the same and delivers the same objects in the same order."""
+
+    @staticmethod
+    def _describe(obj):
+        if isinstance(obj, RawPacket):
+            return ("packet", bytes(obj.mbuf.data), obj.mbuf.timestamp)
+        return repr(obj)
+
+    @classmethod
+    def _run(cls, feed, filter_str, datatype):
+        # Plain, VLAN, QinQ, IPv4-options, fragment and ICMP frames of
+        # the same flows (see tests/test_stats_golden.py).
+        mbufs = golden_trace("mixed_burst")
+        got = []
+        pipeline = CorePipeline(
+            0, Subscription(filter_str, datatype,
+                            lambda obj: got.append(cls._describe(obj))),
+            RuntimeConfig(cores=1))
+        feed(pipeline, mbufs)
+        pipeline.advance_time(mbufs[-1].timestamp + 600.0)
+        pipeline.drain()
+        return pipeline.stats.to_dict(), got
+
+    @staticmethod
+    def _one_at_a_time(pipeline, mbufs):
+        for mbuf in mbufs:
+            pipeline.process_packet(mbuf)
+
+    @staticmethod
+    def _bursts_of(size):
+        def feed(pipeline, mbufs):
+            for start in range(0, len(mbufs), size):
+                pipeline.process_batch(mbufs[start:start + size])
+        return feed
+
+    @staticmethod
+    def _rows_across_batches(pipeline, mbufs):
+        """Bursts of 16 rows, each drawn from four 5-frame decodes."""
+        pf_batch = pipeline._pf_batch
+        rows = []
+        for start in range(0, len(mbufs), 5):
+            chunk = mbufs[start:start + 5]
+            cols = decode_mbufs(chunk)
+            rows.extend(zip(chunk, [None] * len(chunk),
+                            [cols] * len(chunk), range(len(chunk)),
+                            pf_batch(cols)))
+        for start in range(0, len(rows), 16):
+            pipeline.process_batch_rows(rows[start:start + 16])
+
+    @pytest.mark.parametrize("filter_str,datatype", [
+        ("icmp or tls", "packet"),
+        ("ipv4", "connection"),
+        ("tcp", "byte_stream"),
+    ])
+    def test_same_stats_same_delivery_order(self, filter_str, datatype):
+        want = self._run(self._one_at_a_time, filter_str, datatype)
+        assert want[1], "nothing was delivered"
+        for feed in (self._bursts_of(7), self._bursts_of(256),
+                     self._rows_across_batches):
+            assert self._run(feed, filter_str, datatype) == want

@@ -1,8 +1,14 @@
 """Tests for multi-port ingest (the paper's dual-NIC stress setup)."""
 
+import json
+
 import pytest
 
 from repro import Runtime, RuntimeConfig
+from repro.filter import compile_filter
+from repro.filter.hardware import p4_capabilities
+from repro.packet import Mbuf
+from repro.packet.columnar import decode_mbufs
 from repro.traffic import (
     CampusTrafficGenerator,
     FlowSpec,
@@ -66,6 +72,36 @@ class TestMultiPortRuntime:
                           ports=2)
         runtime.run(iter(doubled))
         assert [h.sni() for h in got] == ["twice.example.com"]
+
+    def test_unexpressible_port_does_not_slow_the_other(self):
+        """Port 1's flow rules match on ``ipv4.ttl``, which has no
+        column, so its rows take the per-packet ``receive``; port 0's
+        fast rows are still served from their columns and never get a
+        ``PacketStack``. Stats equal the all-scalar run's."""
+        traffic = CampusTrafficGenerator(seed=66).packets(duration=0.2,
+                                                          gbps=0.05)
+        rows = [(m.data, m.timestamp, m.port)
+                for m in duplicate_across_ports(traffic, ports=2)]
+        hw = compile_filter("ipv4.ttl > 5 and tcp",
+                            nic=p4_capabilities()).hardware
+
+        def run(columnar):
+            mbufs = [Mbuf(*row) for row in rows]
+            runtime = Runtime(RuntimeConfig(cores=4, columnar=columnar),
+                              filter_str="tcp", datatype="connection",
+                              callback=None, ports=2)
+            runtime.nics[1].install_hardware_filter(hw)
+            stats = runtime.run(iter(mbufs)).stats
+            return mbufs, json.dumps(stats.to_dict(), sort_keys=True)
+
+        mbufs, digest = run(columnar=True)
+        assert digest == run(columnar=False)[1]
+        fast = decode_mbufs([Mbuf(m.data) for m in mbufs]).fast
+        by_port = {port: [m for m, f in zip(mbufs, fast)
+                          if f and m.port == port] for port in (0, 1)}
+        assert len(by_port[0]) == len(by_port[1]) > 0.9 * len(traffic)
+        assert all(m.stack is None for m in by_port[0])
+        assert all(m.stack is not None for m in by_port[1])
 
     def test_single_port_unchanged(self):
         got = []
