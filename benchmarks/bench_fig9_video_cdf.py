@@ -13,6 +13,7 @@ both downstream CDFs span roughly 0.1 MB to several GB.
 from __future__ import annotations
 
 import random
+import zlib
 
 import pytest
 
@@ -64,8 +65,8 @@ def run_figure9():
             datatype="connection",
             callback=aggregator,
         )
-        traffic = _video_traffic(hash(service) % 1000, sni_template,
-                                 mean_chunk)
+        traffic = _video_traffic(zlib.crc32(service.encode()) % 1000,
+                                 sni_template, mean_chunk)
         runtime.run(iter(traffic))
         aggregator.finish()
         sessions[service] = aggregator

@@ -1,48 +1,33 @@
-"""Multi-tenant shared-filter benchmark: classify once, fan out N ways.
+"""Multi-tenant shared-filter check: classify once, fan out N ways.
 
-The acceptance harness for :mod:`repro.tenancy`. It measures, on the
-campus workload, and writes to ``BENCH_tenancy.json`` at the repo root:
+The equivalence harness for :mod:`repro.tenancy`, on the campus
+workload:
 
-1. **Shared-table throughput** at N=8 tenants (one
-   :class:`~repro.tenancy.runtime.TenantRuntime` decoding and
-   classifying each burst once against the merged trie) vs **N
-   independent evaluations** (eight plain :class:`~repro.Runtime`
-   passes over the same traffic, one per subscription — what a user
-   without the shared table would run). The tentpole target is >= 2x.
-2. **Per-tenant equivalence**: with the hardware plane disabled (so a
+1. **Per-tenant equivalence**: with the hardware plane disabled (so a
    solo run sees the same ingress as the shared link), every tenant's
-   aggregate stats out of the shared run are byte-identical to its solo
-   run. Asserted unconditionally — this is the invariant that makes
-   the shared fast path safe.
-3. **Single-tenant overhead**: a one-tenant TenantRuntime vs the plain
-   Runtime on the same subscription, so a regression of the multiplexer
-   on the N=1 hot path shows up in the JSON.
-4. **Live-reconfiguration overhead**: the same shared run with a
-   mid-stream drop+add epoch swap, vs static.
+   aggregate stats out of the shared run — one
+   :class:`~repro.tenancy.runtime.TenantRuntime` decoding and
+   classifying each burst once against the merged trie — are
+   byte-identical to its solo run through a plain
+   :class:`~repro.Runtime`. This is the invariant that makes the
+   shared fast path safe.
+2. **Live reconfiguration**: the same shared run with a mid-stream
+   drop+add epoch swap ends at epoch 2.
 
-Timing assertions are environment-sensitive, so they are gated behind
-``BENCH_TENANCY_ASSERT_SPEEDUP=1``; the equivalence checks run
-unconditionally. Env knobs: ``BENCH_TENANCY_DURATION`` (default 0.3
-virtual seconds), ``BENCH_TENANCY_GBPS`` (default 0.3),
-``BENCH_TENANCY_ROUNDS`` (default 3 timing rounds, best taken).
+Speed is measured by the ``tenants8`` workload of ``benchmarks/perf``.
+Env knobs: ``BENCH_TENANCY_DURATION`` (default 0.3 virtual seconds),
+``BENCH_TENANCY_GBPS`` (default 0.3).
 """
 
 from __future__ import annotations
 
-import json
 import os
-import time
-from pathlib import Path
 
 from _util import emit, table
 from repro import Runtime, RuntimeConfig
 from repro.tenancy import ReconfigureEvent, TenantRuntime, TenantSpec
 from repro.traffic import CampusTrafficGenerator
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-JSON_PATH = REPO_ROOT / "BENCH_tenancy.json"
-
-SPEEDUP_TARGET = 2.0
 CORES = 4
 
 #: The N=8 tenant set: shared tcp/udp trie prefixes with per-tenant
@@ -69,28 +54,23 @@ def _gbps() -> float:
     return float(os.environ.get("BENCH_TENANCY_GBPS", "0.3"))
 
 
-def _rounds() -> int:
-    return int(os.environ.get("BENCH_TENANCY_ROUNDS", "3"))
-
-
 def _make_traffic():
     return list(CampusTrafficGenerator(seed=42).packets(
         duration=_duration(), gbps=_gbps()))
 
 
 def _reset(traffic) -> None:
-    """Clear per-run scratch state so reruns over the same mbuf list
-    measure the full parse cost, not a warm cache."""
+    """Clear per-run scratch state so every run over the same mbuf
+    list starts from untouched frames."""
     for mbuf in traffic:
         mbuf.stack = None
         mbuf.queue = None
         mbuf.pkt_term_node = None
 
 
-def _specs(subset=None):
-    rows = TENANTS if subset is None else TENANTS[:subset]
+def _specs():
     return [TenantSpec(name, flt, datatype)
-            for name, flt, datatype in rows]
+            for name, flt, datatype in TENANTS]
 
 
 def _shared_run(traffic, specs, events=(), **overrides):
@@ -98,9 +78,7 @@ def _shared_run(traffic, specs, events=(), **overrides):
     runtime = TenantRuntime(
         RuntimeConfig(cores=CORES, **overrides), specs,
         events=list(events))
-    start = time.perf_counter()
-    report = runtime.run(iter(traffic))
-    return runtime, report, time.perf_counter() - start
+    return runtime, runtime.run(iter(traffic))
 
 
 def _solo_run(traffic, flt, datatype, **overrides):
@@ -108,132 +86,45 @@ def _solo_run(traffic, flt, datatype, **overrides):
     runtime = Runtime(
         RuntimeConfig(cores=CORES, **overrides),
         filter_str=flt, datatype=datatype, callback=None)
-    start = time.perf_counter()
-    report = runtime.run(iter(traffic))
-    return report, time.perf_counter() - start
-
-
-def _best(fn, rounds):
-    elapsed = [fn() for _ in range(rounds)]
-    return min(elapsed), elapsed
+    return runtime.run(iter(traffic))
 
 
 def run_tenancy():
     traffic = _make_traffic()
-    rounds = _rounds()
-    n = len(TENANTS)
     results = {
-        "workload": {
-            "generator": "campus",
-            "seed": 42,
-            "duration_s": _duration(),
-            "gbps": _gbps(),
-            "packets": len(traffic),
-            "tenants": [{"name": name, "filter": flt,
-                         "datatype": datatype}
-                        for name, flt, datatype in TENANTS],
-        },
-        "cores": CORES,
-        "speedup_target": SPEEDUP_TARGET,
+        "duration_s": _duration(),
+        "gbps": _gbps(),
+        "packets": len(traffic),
     }
-
-    # 1. shared table vs N independent evaluations --------------------
-    shared_best, shared_all = _best(
-        lambda: _shared_run(traffic, _specs())[2], rounds)
-
-    def _independent_round() -> float:
-        return sum(_solo_run(traffic, flt, datatype)[1]
-                   for _name, flt, datatype in TENANTS)
-
-    indep_best, indep_all = _best(_independent_round, rounds)
-    results["shared"] = {
-        "tenants": n,
-        "rounds": rounds,
-        "elapsed_s": [round(e, 4) for e in shared_all],
-        "best_elapsed_s": shared_best,
-        "pkts_per_sec": len(traffic) / shared_best,
-    }
-    results["independent"] = {
-        "tenants": n,
-        "rounds": rounds,
-        "elapsed_s": [round(e, 4) for e in indep_all],
-        "best_elapsed_s": indep_best,
-        "pkts_per_sec_per_run": len(traffic) * n / indep_best,
-    }
-    results["speedup_vs_independent"] = indep_best / shared_best
-
-    # 2. per-tenant equivalence (hardware plane off so a solo run sees
-    # the shared link's exact ingress) ---------------------------------
-    runtime, report, _ = _shared_run(traffic, _specs(),
-                                     hardware_filter=False)
+    # Hardware plane off so a solo run sees the shared link's exact
+    # ingress.
+    runtime, report = _shared_run(traffic, _specs(),
+                                  hardware_filter=False)
     shared_tenants = {
         name: stats.to_dict()
         for name, stats in runtime.aggregate_tenants(report).items()}
-    equivalence = {}
-    for name, flt, datatype in TENANTS:
-        solo_report, _ = _solo_run(traffic, flt, datatype,
-                                   hardware_filter=False)
-        equivalence[name] = \
-            shared_tenants[name] == solo_report.stats.to_dict()
-    results["equivalence"] = equivalence
+    results["equivalence"] = {
+        name: shared_tenants[name] == _solo_run(
+            traffic, flt, datatype,
+            hardware_filter=False).stats.to_dict()
+        for name, flt, datatype in TENANTS}
 
-    # 3. single-tenant overhead of the multiplexer ---------------------
-    name, flt, datatype = TENANTS[0]
-    solo_best, _ = _best(lambda: _solo_run(traffic, flt, datatype)[1],
-                         rounds)
-    one_best, _ = _best(
-        lambda: _shared_run(traffic, _specs(subset=1))[2], rounds)
-    results["single_tenant"] = {
-        "filter": flt,
-        "plain_best_elapsed_s": solo_best,
-        "tenant_best_elapsed_s": one_best,
-        "overhead_ratio": one_best / solo_best,
-    }
-
-    # 4. live-reconfiguration overhead ---------------------------------
-    # The late joiner's filter is as narrow as the dropped tenant's so
-    # the overhead number measures the swap machinery, not extra load.
     mid = traffic[len(traffic) // 2].timestamp
     swap_specs = _specs() + [TenantSpec("late", "tcp.dst_port = 8443",
                                         "connection", start=False)]
     events = [ReconfigureEvent(mid, "drop", "udp_all"),
               ReconfigureEvent(mid, "add", "late")]
-    swap_best, _ = _best(
-        lambda: _shared_run(traffic, swap_specs, events)[2], rounds)
-    swap_runtime, swap_report, _ = _shared_run(traffic, swap_specs,
-                                               events)
-    results["reconfigure"] = {
-        "events": len(events),
-        "final_epoch": swap_runtime.table.epoch,
-        "best_elapsed_s": swap_best,
-        "overhead_vs_static": swap_best / shared_best,
-    }
+    swap_runtime, _report = _shared_run(traffic, swap_specs, events)
+    results["final_epoch"] = swap_runtime.table.epoch
     return results
 
 
 def report(results) -> None:
-    shared = results["shared"]
-    indep = results["independent"]
     lines = [
-        f"workload: campus seed=42 duration="
-        f"{results['workload']['duration_s']}s "
-        f"gbps={results['workload']['gbps']} "
-        f"({results['workload']['packets']} packets), "
-        f"{shared['tenants']} tenants on {results['cores']} cores",
-        "",
-        f"shared table best-of-{shared['rounds']}: "
-        f"{shared['best_elapsed_s']:.3f}s "
-        f"({shared['pkts_per_sec']:,.0f} pkts/s)",
-        f"independent x{indep['tenants']} best-of-{indep['rounds']}: "
-        f"{indep['best_elapsed_s']:.3f}s",
-        f"speedup: {results['speedup_vs_independent']:.2f}x "
-        f"(target >= {results['speedup_target']:.1f}x)",
-        "",
-        f"single-tenant multiplexer overhead: "
-        f"{results['single_tenant']['overhead_ratio']:.2f}x plain",
-        f"mid-run swap overhead: "
-        f"{results['reconfigure']['overhead_vs_static']:.2f}x static "
-        f"(final epoch {results['reconfigure']['final_epoch']})",
+        f"workload: campus seed=42 duration={results['duration_s']}s "
+        f"gbps={results['gbps']} ({results['packets']} packets), "
+        f"{len(TENANTS)} tenants on {CORES} cores",
+        f"mid-run drop+add swap: final epoch {results['final_epoch']}",
         "",
     ]
     lines.extend(table(
@@ -241,8 +132,6 @@ def report(results) -> None:
         [[name, flt, results["equivalence"][name]]
          for name, flt, _datatype in TENANTS]))
     emit("tenancy", lines)
-    JSON_PATH.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"(json written to {JSON_PATH})")
 
 
 def test_tenancy(benchmark):
@@ -253,11 +142,7 @@ def test_tenancy(benchmark):
     # path, never a semantic change.
     for name, ok in results["equivalence"].items():
         assert ok, f"tenant {name} diverged from its solo run"
-    assert results["reconfigure"]["final_epoch"] == 2
-    # Timing is hardware-sensitive: asserted only when explicitly asked
-    # (the committed BENCH_tenancy.json carries the measured numbers).
-    if os.environ.get("BENCH_TENANCY_ASSERT_SPEEDUP") == "1":
-        assert results["speedup_vs_independent"] >= SPEEDUP_TARGET
+    assert results["final_epoch"] == 2
 
 
 if __name__ == "__main__":

@@ -16,7 +16,8 @@ per-stage averages (the Netflix connection-record workload).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left
+from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 
@@ -40,6 +41,11 @@ class Stage(enum.Enum):
     __hash__ = object.__hash__
 
 
+def to_centi(cycles: float) -> int:
+    """Cycles → the ledger's integer unit, centi-cycles (1/100 cycle)."""
+    return round(cycles * 100)
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Per-invocation cycle costs for each pipeline stage.
@@ -49,6 +55,15 @@ class CostModel:
     application-layer parsing 2122.9, session filter 702.3. The
     callback cost is supplied per subscription (the paper busy-loops a
     configurable number of cycles to emulate analysis complexity).
+
+    **Unit and rounding.** Costs are written in cycles; the ledger
+    counts in integer *centi-cycles* and rounds every cost **once**,
+    when a :class:`CycleLedger` (or a callback executor, for
+    ``callback_cycles`` / ``enqueue_cycles``) is constructed —
+    ``160.0 → 16000``, ``102.9 → 10290``, ``0.75 → 75``. An overridden
+    cost finer than 0.01 cycle is rounded to the nearest centi-cycle
+    there, never per charge; every total is then an exact integer and is
+    converted back to float cycles by one division where it is reported.
     """
 
     #: Kernel-bypass receive cost per packet (descriptor ring poll, mbuf
@@ -64,7 +79,8 @@ class CostModel:
     reassembly_copy_per_byte: float = 0.75
     parsing: float = 2122.9
     session_filter: float = 702.3
-    #: Default per-callback cycles when the subscription specifies none.
+    #: Per-delivery cycles charged on top of the subscription's own
+    #: callback cost (``RuntimeConfig.callback_cycles``).
     callback: float = 0.0
     #: CPU frequency used to convert cycles into (virtual) seconds.
     cpu_hz: float = 3.0e9
@@ -81,104 +97,81 @@ class CostModel:
 #: conn-track (~42) up to multi-segment parses and 12K-cycle callbacks.
 CYCLE_HIST_BOUNDS = (50.0, 100.0, 200.0, 400.0, 800.0, 1600.0, 3200.0,
                      6400.0, 12800.0, 25600.0)
+_HIST_BOUNDS_CENTI = tuple(to_centi(b) for b in CYCLE_HIST_BOUNDS)
 
 
-def _hist_index(value: float) -> int:
-    for i, bound in enumerate(CYCLE_HIST_BOUNDS):
-        if value <= bound:
-            return i
-    return len(CYCLE_HIST_BOUNDS)
+def hist_index(centi: int) -> int:
+    """Bucket of one invocation costing ``centi`` centi-cycles."""
+    return bisect_left(_HIST_BOUNDS_CENTI, centi)
 
 
 class CycleLedger:
-    """Per-core counters: invocations and cycles per stage.
+    """Per-core virtual clock, exact: integers only.
 
-    With ``record_hist=True`` every explicit charge additionally lands
-    in a fixed-bucket per-stage histogram (``hist``) — the telemetry
-    subsystem's per-invocation cost distribution. Disabled ledgers
-    carry ``hist=None`` and skip the bucketing entirely. The batched
-    hot path (capture / packet filter in ``process_batch``) bypasses
-    ``charge``; those stages have constant per-invocation cost, so the
-    exporter synthesizes their single-bucket histograms from the
-    invocation counts.
+    A stage's cycles are ``invocations[stage] × cost[stage]`` —
+    computed when read, so charging a fixed-cost stage is one integer
+    count — plus ``extra[stage]``, the centi-cycles that are not a
+    function of the count: the buffered-reassembly ablation's per-byte
+    copy and each subscription's per-delivery callback cost. Integer
+    sums are associative, so any burst shape, worker count or merge
+    order yields the same totals; floats appear only where a total is
+    reported (one division).
+
+    With ``record_hist=True`` every :meth:`charge_extra` also lands in
+    a fixed-bucket per-stage histogram (``hist``). Fixed-cost charges
+    are not bucketed: all of them fall in the model-cost bucket, which
+    ``Runtime.aggregate`` fills in from the counts.
     """
 
-    __slots__ = ("model", "invocations", "cycles", "hist")
+    __slots__ = ("model", "cost", "invocations", "extra", "hist")
 
     def __init__(self, model: CostModel = CostModel(),
                  record_hist: bool = False) -> None:
         self.model = model
+        #: Centi-cycles per invocation: rounded now, never per charge.
+        self.cost: Dict[Stage, int] = {
+            s: to_centi(model.cost_of(s)) for s in Stage}
         self.invocations: Dict[Stage, int] = {s: 0 for s in Stage}
-        self.cycles: Dict[Stage, float] = {s: 0.0 for s in Stage}
+        self.extra: Dict[Stage, int] = {s: 0 for s in Stage}
         self.hist: Optional[Dict[Stage, list]] = (
             {s: [0] * (len(CYCLE_HIST_BOUNDS) + 1) for s in Stage}
             if record_hist else None
         )
 
     def charge(self, stage: Stage, invocations: int = 1) -> None:
-        """Charge ``invocations`` runs of ``stage`` at the model cost."""
+        """Count ``invocations`` runs of ``stage`` at the model cost."""
         self.invocations[stage] += invocations
-        cost = self.model.cost_of(stage)
-        self.cycles[stage] += cost * invocations
+
+    def charge_extra(self, stage: Stage, centi: int) -> None:
+        """Count one run of ``stage`` costing the model cost plus
+        ``centi`` centi-cycles (callbacks, the per-byte copy)."""
+        self.invocations[stage] += 1
+        self.extra[stage] += centi
         if self.hist is not None:
-            self.hist[stage][_hist_index(cost)] += invocations
+            self.hist[stage][bisect_left(
+                _HIST_BOUNDS_CENTI, self.cost[stage] + centi)] += 1
 
-    def charge_cycles(self, stage: Stage, cycles: float,
-                      invocations: int = 1) -> None:
-        """Charge an explicit cycle amount (callbacks, ablations)."""
-        self.invocations[stage] += invocations
-        self.cycles[stage] += cycles
-        if self.hist is not None and invocations:
-            self.hist[stage][_hist_index(cycles / invocations)] += \
-                invocations
-
-    def observe_batched(self, stage: Stage, invocations: int) -> None:
-        """Record histogram observations for a *batched* stage.
-
-        The per-row loop (``CorePipeline.process_batch_rows``) and
-        the tenant fan-out prelude charge capture and the packet filter
-        outside ``charge`` and settle the histogram here, once per
-        burst: the stages have constant per-invocation cost, so
-        ``invocations`` observations all land in the model-cost
-        bucket. Keeps histogram totals in parity with the ledger (see
-        :meth:`check_hist_parity`).
-        """
-        if self.hist is not None and invocations:
-            cost = self.model.cost_of(stage)
-            self.hist[stage][_hist_index(cost)] += invocations
-
-    def check_hist_parity(self) -> None:
-        """Assert per-stage histogram totals match the ledger.
-
-        Every invocation charged while ``record_hist`` was on must
-        appear in exactly one histogram bucket, whatever the burst
-        shape. Raises ``AssertionError`` naming the stages that
-        disagree.
-        """
-        if self.hist is None:
-            return
-        bad = []
-        for stage in Stage:
-            total = sum(self.hist[stage])
-            if total != self.invocations[stage]:
-                bad.append("%s: hist=%d ledger=%d" %
-                           (stage.value, total, self.invocations[stage]))
-        assert not bad, \
-            "cycle-histogram/ledger parity broken: " + "; ".join(bad)
+    def centi_cycles(self, stage: Stage) -> int:
+        return self.invocations[stage] * self.cost[stage] + \
+            self.extra[stage]
 
     @property
-    def total_cycles(self) -> float:
-        return sum(self.cycles.values())
+    def total_centi_cycles(self) -> int:
+        return sum(map(self.centi_cycles, Stage))
+
+    def cycles(self, stage: Stage) -> float:
+        return self.centi_cycles(stage) / 100
 
     @property
     def busy_seconds(self) -> float:
         """Virtual seconds of CPU time consumed on this core."""
-        return self.total_cycles / self.model.cpu_hz
+        return self.total_centi_cycles / (100 * self.model.cpu_hz)
 
     def merge(self, other: "CycleLedger") -> None:
+        """Integer sums (both ledgers must share a cost model)."""
         for stage in Stage:
             self.invocations[stage] += other.invocations[stage]
-            self.cycles[stage] += other.cycles[stage]
+            self.extra[stage] += other.extra[stage]
         if self.hist is not None and other.hist is not None:
             for stage in Stage:
                 mine, theirs = self.hist[stage], other.hist[stage]
@@ -191,7 +184,7 @@ class CycleLedger:
         return {
             stage.value: {
                 "invocations": self.invocations[stage],
-                "cycles": self.cycles[stage],
+                "cycles": self.cycles(stage),
             }
             for stage in Stage
         }

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+from repro.core.cycles import to_centi
+
 
 @dataclass
 class ExecutorStats:
@@ -27,7 +29,12 @@ class ExecutorStats:
 
     delivered: int = 0
     dropped: int = 0
-    worker_cycles: float = 0.0
+    #: Centi-cycles one delivery costs the worker pool (0: inline).
+    centi_per_delivery: int = 0
+
+    @property
+    def worker_cycles(self) -> float:
+        return self.delivered * self.centi_per_delivery / 100
 
     def worker_busy_seconds(self, cpu_hz: float, workers: int) -> float:
         return self.worker_cycles / cpu_hz / max(workers, 1)
@@ -42,14 +49,16 @@ class InlineExecutor:
                  callback_cycles: float) -> None:
         self._callback = callback
         self.callback_cycles = callback_cycles
+        #: Cycles the RX core pays per delivery.
+        self.rx_cycles = callback_cycles
         self.stats = ExecutorStats()
 
     def submit(self, obj: Any) -> float:
-        """Deliver one result; returns cycles to charge the RX core."""
+        """Deliver one result; returns ``rx_cycles``."""
         self.stats.delivered += 1
         if self._callback is not None:
             self._callback(obj)
-        return self.callback_cycles
+        return self.rx_cycles
 
     def record_suppressed(self) -> float:
         """Account a delivery whose user callback was skipped (callback
@@ -57,7 +66,7 @@ class InlineExecutor:
         :meth:`submit`, so quarantined runs keep baseline-equal
         accounting — only the user function is withheld."""
         self.stats.delivered += 1
-        return self.callback_cycles
+        return self.rx_cycles
 
 
 class QueuedExecutor:
@@ -85,21 +94,21 @@ class QueuedExecutor:
         self.callback_cycles = callback_cycles
         self.workers = workers
         self.enqueue_cycles = enqueue_cycles
-        self.stats = ExecutorStats()
+        self.rx_cycles = enqueue_cycles
+        self.stats = ExecutorStats(
+            centi_per_delivery=to_centi(callback_cycles))
 
     def submit(self, obj: Any) -> float:
         self.stats.delivered += 1
-        self.stats.worker_cycles += self.callback_cycles
         if self._callback is not None:
             self._callback(obj)
-        return self.enqueue_cycles
+        return self.rx_cycles
 
     def record_suppressed(self) -> float:
         """Account a delivery whose user callback was skipped (callback
         quarantine); same charges as :meth:`submit`."""
         self.stats.delivered += 1
-        self.stats.worker_cycles += self.callback_cycles
-        return self.enqueue_cycles
+        return self.rx_cycles
 
     def finalize(self, duration: float, cpu_hz: float) -> None:
         """Convert any worker-pool overload into dropped deliveries."""

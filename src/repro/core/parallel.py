@@ -34,9 +34,9 @@ Design, mirroring the paper's data path:
 Determinism: for a fixed traffic source, the parallel backend produces
 **identical** filter/connection/session/callback counts — and
 bit-identical stage cycle totals — to the sequential backend, because
-RSS sharding makes per-core work order-independent and
-``process_batch`` charges costs per packet regardless of batch
-boundaries.
+RSS sharding makes per-core work order-independent and the cycle
+ledger is integer: its sums do not depend on batch boundaries or
+merge order.
 
 Caveats (documented deviations):
 

@@ -36,7 +36,7 @@ from repro.conntrack.conn import ConnState, Connection
 from repro.conntrack.table import ConnTable
 from repro.errors import CallbackError, ProtocolError, \
     ResourceExhaustedError
-from repro.core.cycles import Stage
+from repro.core.cycles import Stage, to_centi
 from repro.core.datatypes import (
     ConnectionRecord,
     Level,
@@ -61,11 +61,11 @@ FILTER_SATISFIED = -1
 
 # Enum members hoisted to module scope: the stateful path runs
 # once per matched packet, and member access on an Enum class costs a
-# class-dict lookup (plus a descriptor for ``Stage.value`` inside
-# ``charge``) that adds up at 100k+ pkts/s.
+# class-dict lookup that adds up at 100k+ pkts/s.
 _CAPTURE = Stage.CAPTURE
 _PACKET_FILTER = Stage.PACKET_FILTER
 _CONN_TRACK = Stage.CONN_TRACK
+_CALLBACK = Stage.CALLBACK
 _TRACK = ConnState.TRACK
 _DELETE = ConnState.DELETE
 _PROBE_OR_PARSE = (ConnState.PROBE, ConnState.PARSE)
@@ -112,9 +112,6 @@ class CorePipeline:
         #: verdict ``None`` and runs the scalar filter in the loop.
         self._pf_batch = (subscription.filter.packet_filter_batch
                           if config.columnar else None)
-        #: Conn-track stage cost, hoisted for the unrolled charge (see
-        #: :meth:`_stateful_columnar`).
-        self._ct_cost = self.stats.ledger.model.conn_track
         # -- burst span recorder (repro.telemetry.spans) ----------------
         # None when disabled: the batch loops then pay one ``is None``
         # check per burst and the per-packet loops stay untouched (the
@@ -150,12 +147,11 @@ class CorePipeline:
         self._isolate = config.callback_error_policy == "isolate"
         self._error_budget = config.callback_error_budget
         self._quarantined = False
-        # Cycles to charge the RX core for a delivery whose callback
-        # raised (the stage work up to the user function still ran).
-        self._cb_error_cycles = (
-            self._executor.enqueue_cycles
-            if self._executor.name == "queued"
-            else self._executor.callback_cycles)
+        #: Centi-cycles the RX core pays per delivery, rounded once.
+        self._rx_centi = to_centi(self._executor.rx_cycles)
+        #: Centi-cycles the buffered-reassembly ablation pays per byte.
+        self._copy_centi = to_centi(
+            config.cost_model.reassembly_copy_per_byte)
         if config.memory_limit_bytes is not None and \
                 config.memory_policy != "record":
             # Degradation policies enforce each core's share of the
@@ -237,21 +233,12 @@ class CorePipeline:
         run the scalar ``packet_filter`` here instead. Fast rows key
         conntrack straight off their columns either way.
 
-        The hot path: every per-packet attribute lookup, bound method,
-        and stage-dict access is hoisted out of the loop. Capture and
-        packet-filter charges are still added per packet (not ``cost *
-        n``), in locals settled when the burst ends, so cycle totals
-        are bit-for-bit identical whatever the burst shape — the
-        parallel backend's determinism guarantee depends on that.
+        The hot path: every per-packet attribute lookup and bound
+        method is hoisted out of the loop. Capture and the packet
+        filter cost the ledger one count per burst.
         """
         stats = self.stats
-        ledger = stats.ledger
-        cycles = ledger.cycles
-        model = ledger.model
-        capture_cost = model.capture
-        filter_cost = model.packet_filter
-        capture_cycles = cycles[_CAPTURE]
-        filter_cycles = cycles[_PACKET_FILTER]
+        invocations = stats.ledger.invocations
         packet_filter = self._filter.packet_filter
         fast_path = not self._needs_conntrack
         deliver = self._deliver
@@ -266,6 +253,7 @@ class CorePipeline:
             if span_tok[0]:
                 span_nodes = {}
         packets = 0
+        ticked = 0  # packets already in the ledger (overload ticks)
         wire_bytes = 0
         # Funnel survivor counters, accumulated in locals and folded
         # into stats once per batch (telemetry stays near-free on the
@@ -285,16 +273,15 @@ class CorePipeline:
                 # Controller tick: clocked on the per-core virtual
                 # packet stream, so transitions are identical across
                 # backends and batch boundaries. It reads the ledger's
-                # busy time, so the burst's charges so far are settled.
-                cycles[_CAPTURE] = capture_cycles
-                cycles[_PACKET_FILTER] = filter_cycles
+                # busy time, so the rows so far are counted in first.
+                invocations[_CAPTURE] += packets - ticked
+                invocations[_PACKET_FILTER] += packets - ticked
+                ticked = packets
                 self._overload_tick(ts)
                 ov_next = self._ov_next
             packets += 1
             frame_bytes = cols.wire[i]
             wire_bytes += frame_bytes
-            capture_cycles += capture_cost
-            filter_cycles += filter_cost
             fast_row = cols.fast[i]
             if not fast_row or verdict is None:
                 result = packet_filter(mbuf)
@@ -322,10 +309,8 @@ class CorePipeline:
                 fast_packets += 1
                 fast_bytes += frame_bytes
             now = self._now  # the state machine may not move it, expiry may
-        cycles[_CAPTURE] = capture_cycles
-        cycles[_PACKET_FILTER] = filter_cycles
-        ledger.invocations[_CAPTURE] += packets
-        ledger.invocations[_PACKET_FILTER] += packets
+        invocations[_CAPTURE] += packets - ticked
+        invocations[_PACKET_FILTER] += packets - ticked
         stats.packets += packets
         stats.bytes += wire_bytes
         if self._overload is not None:
@@ -337,11 +322,6 @@ class CorePipeline:
             stats.connf_bytes += fast_bytes
             stats.sessf_packets += fast_packets
             stats.sessf_bytes += fast_bytes
-        # Settle the constant-cost stage histograms once per burst
-        # (capture and the packet filter bypass ``charge``), then close
-        # the burst span.
-        ledger.observe_batched(_CAPTURE, packets)
-        ledger.observe_batched(_PACKET_FILTER, packets)
         if span_tok is not None:
             spans.finish(stats, self._now, span_tok, span_nodes)
 
@@ -377,26 +357,9 @@ class CorePipeline:
                      if v >= 0 or not fast[i]]
         rejected = n - len(survivors)
         stats = self.stats
-        ledger = stats.ledger
-        ledger.invocations[_CAPTURE] += rejected
-        ledger.invocations[_PACKET_FILTER] += rejected
-        # Cycle charges replay the per-row accumulation exactly: float
-        # addition is not associative, and these sums feed byte-compared
-        # report fields (stage_cycles, zero-loss Gbps). Nothing but this
-        # burst's rows adds to the two stages, all by the same constant,
-        # so charging the rejected rows first reaches the same sums.
-        cycles = ledger.cycles
-        capture_cost = ledger.model.capture
-        filter_cost = ledger.model.packet_filter
-        c_cap = cycles[_CAPTURE]
-        c_flt = cycles[_PACKET_FILTER]
-        for _ in range(rejected):
-            c_cap += capture_cost
-            c_flt += filter_cost
-        cycles[_CAPTURE] = c_cap
-        cycles[_PACKET_FILTER] = c_flt
-        ledger.observe_batched(_CAPTURE, rejected)
-        ledger.observe_batched(_PACKET_FILTER, rejected)
+        invocations = stats.ledger.invocations
+        invocations[_CAPTURE] += rejected
+        invocations[_PACKET_FILTER] += rejected
         if survivors:  # the loop counts these itself
             wire_total -= sum([wires[row[3]] for row in survivors])
             self.process_batch_rows(survivors)
@@ -425,16 +388,7 @@ class CorePipeline:
         or stream slice the bytes at the row's ``payload_off``.
         """
         stats = self.stats
-        ledger = stats.ledger
-        if ledger.hist is None:
-            # ``charge`` unrolled: two dict updates instead of a method
-            # call plus a ``Stage.value`` descriptor read — the single
-            # hottest line of the stateful path. Telemetry runs keep
-            # the real call so stage histograms stay identical.
-            ledger.invocations[_CONN_TRACK] += 1
-            ledger.cycles[_CONN_TRACK] += self._ct_cost
-        else:
-            ledger.charge(_CONN_TRACK)
+        stats.ledger.invocations[_CONN_TRACK] += 1
         now = self._now
         wire = cols.wire[i]
         sip = cols.src_ip[i]
@@ -650,15 +604,11 @@ class CorePipeline:
         pdu = L4Pdu(mbuf, payload, seq, flags, from_orig, mbuf.timestamp)
         # Every segment of a connection still being probed/parsed goes
         # through the reorderer (sequence tracking examines ACKs too).
-        model = self.stats.ledger.model
         if self.config.reassembler == "buffered":
             # Traditional design additionally memcpys every payload
             # byte into the stream buffer.
-            self.stats.ledger.charge_cycles(
-                Stage.REASSEMBLY,
-                model.reassembly +
-                model.reassembly_copy_per_byte * len(payload),
-            )
+            self.stats.ledger.charge_extra(
+                Stage.REASSEMBLY, self._copy_centi * len(payload))
             segments = conn.reassembler.push(pdu)
             dropped = conn.reassembler.drain_truncations()
             if dropped:
@@ -983,26 +933,23 @@ class CorePipeline:
 
     # -- delivery ---------------------------------------------------------------
     def _deliver(self, obj) -> None:
+        # Every delivery is counted and charged alike — suppressed
+        # after quarantine (baseline-equal accounting; only the user
+        # function is withheld) or raising (the stage work up to the
+        # user function still ran).
         stats = self.stats
-        if self._quarantined:
-            # Post-quarantine deliveries are still counted and charged
-            # exactly like real ones (baseline-equal accounting); only
-            # the user function is withheld.
-            rx_cycles = self._executor.record_suppressed()
-            stats.callbacks_suppressed += 1
-        else:
-            try:
-                if self._injector is not None:
-                    self._injector.on_deliver()
-                rx_cycles = self._executor.submit(obj)
-            except Exception as exc:
-                stats.ledger.charge_cycles(Stage.CALLBACK,
-                                           self._cb_error_cycles)
-                stats.callbacks += 1
-                self._on_callback_error(exc)
-                return
-        stats.ledger.charge_cycles(Stage.CALLBACK, rx_cycles)
+        stats.ledger.charge_extra(_CALLBACK, self._rx_centi)
         stats.callbacks += 1
+        if self._quarantined:
+            self._executor.record_suppressed()
+            stats.callbacks_suppressed += 1
+            return
+        try:
+            if self._injector is not None:
+                self._injector.on_deliver()
+            self._executor.submit(obj)
+        except Exception as exc:
+            self._on_callback_error(exc)
 
     def _on_callback_error(self, exc: Exception) -> None:
         """A delivery's callback (real or injected) raised."""

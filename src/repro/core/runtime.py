@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
 if TYPE_CHECKING:  # avoid a config<->core import cycle at runtime
     from repro.config import RuntimeConfig
-from repro.core.cycles import Stage
+from repro.core.cycles import Stage, hist_index, to_centi
 from repro.core.pipeline import CorePipeline
 from repro.core.stats import AggregateStats, CoreStats
 from repro.core.subscription import Subscription
@@ -401,7 +401,7 @@ class Runtime:
         duration = (self._last_ts - self._first_ts) \
             if self._first_ts is not None else 0.0
         stage_invocations = {stage: 0 for stage in Stage}
-        stage_cycles = {stage: 0.0 for stage in Stage}
+        stage_centi = {stage: 0 for stage in Stage}
         if ingress is not None:
             ingress_packets, ingress_bytes, hw_dropped, sink_dropped = \
                 ingress
@@ -413,9 +413,6 @@ class Runtime:
                              for n in self.nics)
             sink_dropped = sum(n.stats.sink_dropped_packets
                                for n in self.nics)
-        # Hardware filtering is charged zero CPU cycles but counts one
-        # "invocation" per ingress packet (Figure 7's first bar).
-        stage_invocations[Stage.HARDWARE_FILTER] = ingress_packets
         per_core_busy: List[float] = []
         callbacks = sessions_parsed = sessions_matched = 0
         conns_created = conns_delivered = 0
@@ -435,10 +432,11 @@ class Runtime:
         reasm_hist = None
         trace_events = []
         for stats in core_stats:
+            ledger = stats.ledger
             for stage in Stage:
-                stage_invocations[stage] += stats.ledger.invocations[stage]
-                stage_cycles[stage] += stats.ledger.cycles[stage]
-            per_core_busy.append(stats.ledger.busy_seconds)
+                stage_invocations[stage] += ledger.invocations[stage]
+                stage_centi[stage] += ledger.centi_cycles(stage)
+            per_core_busy.append(ledger.busy_seconds)
             callbacks += stats.callbacks
             sessions_parsed += stats.sessions_parsed
             sessions_matched += stats.sessions_matched
@@ -491,6 +489,16 @@ class Runtime:
                 for i, count in enumerate(stats.reasm_hist):
                     reasm_hist[i] += count
         memory_samples.sort(key=lambda s: s[0])
+        # Hardware filtering is charged zero CPU cycles but counts one
+        # "invocation" per ingress packet (Figure 7's first bar).
+        stage_invocations[Stage.HARDWARE_FILTER] = ingress_packets
+        if stage_cycle_hist is not None:
+            # Only explicit-cost charges are bucketed per invocation;
+            # every other invocation cost exactly the model's constant.
+            cost_model = self.config.cost_model
+            for stage, buckets in stage_cycle_hist.items():
+                buckets[hist_index(to_centi(cost_model.cost_of(stage)))] \
+                    += stage_invocations[stage] - sum(buckets)
         return AggregateStats(
             cores=self.config.cores,
             cost_model=self.config.cost_model,
@@ -507,7 +515,8 @@ class Runtime:
             conns_created=conns_created,
             conns_delivered=conns_delivered,
             stage_invocations=stage_invocations,
-            stage_cycles=stage_cycles,
+            stage_cycles={stage: centi / 100
+                          for stage, centi in stage_centi.items()},
             per_core_busy_seconds=per_core_busy,
             memory_samples=memory_samples,
             pf_packets=pf_packets,

@@ -248,6 +248,8 @@ class AggregateStats:
     conns_created: int
     conns_delivered: int
     stage_invocations: Dict[Stage, int]
+    #: Cycles and busy seconds are each an exact integer centi-cycle
+    #: total (see :class:`CycleLedger`) divided once, by the aggregator.
     stage_cycles: Dict[Stage, float]
     per_core_busy_seconds: List[float]
     memory_samples: List[Tuple[float, int, int]]

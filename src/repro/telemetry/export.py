@@ -21,7 +21,7 @@ from typing import IO, List, Optional, Union
 from repro.core.cycles import CYCLE_HIST_BOUNDS, Stage
 from repro.core.stats import REASM_HIST_BOUNDS, AggregateStats
 from repro.telemetry.funnel import build_funnel
-from repro.telemetry.registry import MetricsRegistry, bucket_index
+from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.trace import trace_event_dicts
 
 
@@ -107,15 +107,7 @@ def build_registry(stats: AggregateStats,
             "Per-invocation cycle cost distribution per stage",
             buckets=CYCLE_HIST_BOUNDS, label_names=("stage",))
         for stage in Stage:
-            counts = list(stats.stage_cycle_hist[stage])
-            # The batched hot path (capture, packet filter) bypasses
-            # ledger.charge(); those stages have constant per-invocation
-            # cost, so synthesize the missing observations into the
-            # bucket that constant falls in.
-            deficit = stats.stage_invocations[stage] - sum(counts)
-            if deficit > 0:
-                cost = stats.cost_model.cost_of(stage)
-                counts[bucket_index(CYCLE_HIST_BOUNDS, cost)] += deficit
+            counts = stats.stage_cycle_hist[stage]
             if sum(counts):
                 hist.load(counts, stats.stage_cycles[stage],
                           labels=(stage.value,))
@@ -624,26 +616,17 @@ def write_impairment(sink: Union[str, Path, IO[str]], ledger,
 
 
 def check_cycle_hist(stats: AggregateStats) -> None:
-    """Assert histogram/ledger parity on an aggregate (the cross-core
-    analogue of :meth:`repro.core.cycles.CycleLedger.check_hist_parity`).
-
-    Every stage's histogram totals must equal its ledger invocation
-    count — the batched hot paths settle their buckets through
-    ``observe_batched`` — except HARDWARE_FILTER, whose zero-cost
-    admits are charged but some seeds never populate (total ≤
-    invocations there).
-    """
+    """Assert histogram/ledger parity on an aggregate: every stage's
+    histogram totals must equal its invocation count (explicit-cost
+    charges are bucketed as they happen, ``Runtime.aggregate`` puts
+    the fixed-cost rest in the model-cost bucket)."""
     if stats.stage_cycle_hist is None:
         return
     bad = []
     for stage in Stage:
         total = sum(stats.stage_cycle_hist[stage])
         want = stats.stage_invocations[stage]
-        if stage is Stage.HARDWARE_FILTER:
-            if total > want:
-                bad.append("%s: hist=%d > ledger=%d"
-                           % (stage.value, total, want))
-        elif total != want:
+        if total != want:
             bad.append("%s: hist=%d ledger=%d"
                        % (stage.value, total, want))
     assert not bad, \

@@ -151,12 +151,11 @@ class SpanRecorder:
         k = self.sample_every
         sampled = k > 0 and self.bursts % k == 0
         ledger = stats.ledger
-        inv, cyc = ledger.invocations, ledger.cycles
         return (
             sampled,
             time.perf_counter_ns(),
-            tuple(inv[s] for s in _STAGES),
-            tuple(cyc[s] for s in _STAGES),
+            tuple(map(ledger.invocations.__getitem__, _STAGES)),
+            tuple(map(ledger.centi_cycles, _STAGES)),
             (stats.packets, stats.pf_packets, stats.connf_packets,
              stats.sessf_packets, stats.callbacks, stats.conns_created),
         )
@@ -165,18 +164,18 @@ class SpanRecorder:
                node_counts: Optional[Dict[int, int]] = None) -> None:
         """Close the burst opened by ``token``: build the span tree,
         feed the flight ring, and (on sampled bursts) the profiler."""
-        sampled, wall0, inv0, cyc0, ctr0 = token
+        sampled, wall0, inv0, centi0, ctr0 = token
         ledger = stats.ledger
-        inv, cyc = ledger.invocations, ledger.cycles
+        inv = ledger.invocations
         wall_ns = time.perf_counter_ns() - wall0
         stages = []
-        total_cycles = 0.0
+        total_centi = 0
         for i, stage in enumerate(_STAGES):
             d_inv = inv[stage] - inv0[i]
-            d_cyc = cyc[stage] - cyc0[i]
-            if d_inv or d_cyc:
-                stages.append([stage.value, d_inv, d_cyc])
-                total_cycles += d_cyc
+            d_centi = ledger.centi_cycles(stage) - centi0[i]
+            if d_inv or d_centi:
+                stages.append([stage.value, d_inv, d_centi / 100])
+                total_centi += d_centi
         tree = {
             "core": self.core_id,
             "seq": self.bursts,
@@ -189,7 +188,7 @@ class SpanRecorder:
                 "callback": stats.callbacks - ctr0[4],
             },
             "conns_created": stats.conns_created - ctr0[5],
-            "cycles": total_cycles,
+            "cycles": total_centi / 100,
             "stages": stages,
             "ctx": list(self.ctx) if self.ctx is not None else None,
             "wall_ns": wall_ns,

@@ -6,7 +6,7 @@ predicate text (per-layer predicate dedup): common prefixes — the
 *once* per packet, and each merged node carries the list of tenants for
 which it is a report node. One walk therefore yields every tenant's
 verdict, which is what makes classification cost sublinear in tenant
-count (the ``bench_tenancy.py`` acceptance benchmark).
+count (the ``tenants8`` workload of ``benchmarks/perf``).
 
 Correctness contract (pinned by ``tests/test_tenancy_fuzz.py``): for
 every tenant, the verdict fanned out of the shared walk is *identical*

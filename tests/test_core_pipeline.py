@@ -1,9 +1,16 @@
 """Integration tests for the runtime pipeline (Figure 4 behaviours)."""
 
+import itertools
+import json
+import zlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     ConnectionRecord,
+    CycleLedger,
     RawPacket,
     Runtime,
     RuntimeConfig,
@@ -13,6 +20,7 @@ from repro import (
 )
 from repro.core.pipeline import CorePipeline
 from repro.errors import ConfigError, SubscriptionError
+from repro.packet import Mbuf
 from repro.packet.columnar import decode_mbufs
 from repro.traffic import (
     FlowSpec,
@@ -23,6 +31,7 @@ from repro.traffic import (
     tls_flow,
     udp_flow,
 )
+from repro.traffic.flows import merge_flows
 from tests.test_stats_golden import trace as golden_trace
 
 
@@ -360,3 +369,89 @@ class TestBurstShapeDoesNotMatter:
         for feed in (self._bursts_of(7), self._bursts_of(256),
                      self._rows_across_batches):
             assert self._run(feed, filter_str, datatype) == want
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_merge_order_does_not_matter(self, workers):
+        """Aggregating the workers' per-core snapshots in any order
+        gives the same report bytes: cycle totals are integer sums."""
+        runtime = Runtime(
+            RuntimeConfig(cores=workers, parallel=True,
+                          callback_cycles=1234.56),
+            filter_str=r"tls.sni ~ '.*\.com$'", datatype="tls_handshake",
+            callback=None)
+        report = runtime.run(iter(golden_trace("small_campus")))
+        cores = list(report.core_stats.values())
+        assert len(cores) == workers
+        want = json.dumps(report.stats.to_dict(), sort_keys=True)
+        assert report.stats.stage_cycles[Stage.CALLBACK] > 0
+        for order in itertools.permutations(cores):
+            got = runtime.aggregate(core_stats=list(order))
+            assert json.dumps(got.to_dict(), sort_keys=True) == want
+
+    @staticmethod
+    def _keyed_trace():
+        """Interleaved TLS and HTTP flows as ``(frame, ts, flow key)``
+        rows — a core is chosen per flow, as RSS would."""
+        flows = [
+            tls_flow(spec(i), f"host{i}.{'com' if i % 3 else 'net'}",
+                     start_ts=0.003 * i, appdata_bytes=6000)
+            for i in range(12)
+        ] + [http_flow(spec(20 + i, dport=80), start_ts=0.004 * i)
+             for i in range(4)]
+        mbufs = merge_flows(flows)
+        cols = decode_mbufs(mbufs)
+        assert all(cols.fast)
+        return [
+            (bytes(m.data), m.timestamp, repr(sorted(
+                [(cols.src_ip[i], cols.src_port[i]),
+                 (cols.dst_ip[i], cols.dst_port[i])])).encode())
+            for i, m in enumerate(mbufs)]
+
+    @staticmethod
+    def _merged_ledger(shares, burst_sizes, merge_order):
+        """Run each share through its own pipeline in bursts of the
+        given sizes (cycled), then merge the ledgers in ``merge_order``."""
+        config = RuntimeConfig(cores=1, reassembler="buffered",
+                               callback_cycles=77.77)
+        subscription = Subscription(r"tls.sni ~ '.*\.com$'",
+                                    "tls_handshake", None)
+        ledgers = []
+        for share in shares:
+            pipeline = CorePipeline(0, subscription, config)
+            sizes = itertools.cycle(burst_sizes)
+            start = 0
+            while start < len(share):
+                size = next(sizes)
+                pipeline.process_batch(
+                    [Mbuf(data, ts) for data, ts, _key
+                     in share[start:start + size]])
+                start += size
+            pipeline.advance_time(600.0)
+            pipeline.drain()
+            ledgers.append(pipeline.stats.ledger)
+        merged = CycleLedger(config.cost_model)
+        for index in merge_order:
+            merged.merge(ledgers[index])
+        return merged
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), cores=st.integers(1, 4),
+           salt=st.integers(0, 2**32 - 1),
+           burst_sizes=st.lists(st.integers(1, 300), min_size=1,
+                                max_size=6))
+    def test_any_burst_sizes_any_core_partition(self, data, cores, salt,
+                                                burst_sizes):
+        """Cut the trace into random bursts, spread its flows over a
+        random number of cores, merge in a random order: the ledger is
+        the one a single pipeline fed one frame at a time ends with."""
+        keyed = self._keyed_trace()
+        whole = self._merged_ledger([keyed], [1], [0])
+        shares = [[] for _ in range(cores)]
+        for row in keyed:
+            shares[zlib.crc32(row[2], salt) % cores].append(row)
+        order = data.draw(st.permutations(range(cores)))
+        merged = self._merged_ledger(shares, burst_sizes, order)
+        assert merged.snapshot() == whole.snapshot()
+        assert merged.extra == whole.extra
+        assert merged.extra[Stage.REASSEMBLY] > 0 < \
+            merged.extra[Stage.CALLBACK]

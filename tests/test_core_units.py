@@ -35,25 +35,42 @@ class TestCycleLedger:
         ledger = CycleLedger()
         ledger.charge(Stage.PACKET_FILTER, invocations=10)
         assert ledger.invocations[Stage.PACKET_FILTER] == 10
-        assert ledger.cycles[Stage.PACKET_FILTER] == pytest.approx(1029.0)
+        assert ledger.centi_cycles(Stage.PACKET_FILTER) == 102_900
+        assert ledger.cycles(Stage.PACKET_FILTER) == 1029.0
 
     def test_charge_cycles_explicit(self):
         ledger = CycleLedger()
-        ledger.charge_cycles(Stage.CALLBACK, 12345.0)
-        assert ledger.cycles[Stage.CALLBACK] == 12345.0
+        ledger.charge_extra(Stage.CALLBACK, 1_234_500)
+        assert ledger.cycles(Stage.CALLBACK) == 12345.0
         assert ledger.invocations[Stage.CALLBACK] == 1
+
+    def test_explicit_cost_adds_to_the_model_cost(self):
+        ledger = CycleLedger()
+        ledger.charge_extra(Stage.REASSEMBLY, 75 * 1000)
+        assert ledger.centi_cycles(Stage.REASSEMBLY) == 35_380 + 75_000
+
+    def test_costs_round_once_to_centi_cycles(self):
+        ledger = CycleLedger(CostModel(conn_track=1 / 3, parsing=3e7))
+        assert ledger.cost[Stage.CONN_TRACK] == 33
+        assert ledger.cost[Stage.PARSING] == 3_000_000_000
+        assert ledger.cost[Stage.PACKET_FILTER] == 10_290
+        ledger.charge(Stage.CONN_TRACK, 3)
+        assert ledger.centi_cycles(Stage.CONN_TRACK) == 99
 
     def test_busy_seconds(self):
         ledger = CycleLedger(CostModel(cpu_hz=1e9))
-        ledger.charge_cycles(Stage.CALLBACK, 5e8)
-        assert ledger.busy_seconds == pytest.approx(0.5)
+        ledger.charge_extra(Stage.CALLBACK, 5 * 10**10)
+        assert ledger.busy_seconds == 0.5
 
     def test_merge(self):
         a, b = CycleLedger(), CycleLedger()
         a.charge(Stage.CONN_TRACK, 3)
         b.charge(Stage.CONN_TRACK, 4)
+        b.charge_extra(Stage.CALLBACK, 250)
         a.merge(b)
         assert a.invocations[Stage.CONN_TRACK] == 7
+        assert a.centi_cycles(Stage.CONN_TRACK) == 7 * 4160
+        assert a.centi_cycles(Stage.CALLBACK) == 250
 
     def test_snapshot_shape(self):
         snap = CycleLedger().snapshot()

@@ -15,8 +15,8 @@ The contracts under test (ISSUE 7):
   overload rung escalation, callback quarantine, and worker
   crash/restart;
 - cycle-histogram totals equal ledger invocation counts on the scalar
-  and columnar paths (the batched stages settle their buckets through
-  ``observe_batched``).
+  and columnar paths (fixed-cost stages get their one bucket from the
+  counts, in ``Runtime.aggregate``).
 """
 
 import json
@@ -24,7 +24,7 @@ import json
 import pytest
 
 from repro import Runtime, RuntimeConfig
-from repro.core.cycles import CostModel, CycleLedger, Stage
+from repro.core.cycles import CostModel, Stage, hist_index, to_centi
 from repro.core.stats import CoreStats
 from repro.errors import ConfigError
 from repro.telemetry.spans import (
@@ -77,8 +77,7 @@ class TestSpanRecorder:
         assert tree["ts"] == 1.5
         parsing = [row for row in tree["stages"]
                    if row[0] == Stage.PARSING.value]
-        assert parsing == [[Stage.PARSING.value, 3,
-                            3 * CostModel().parsing]]
+        assert parsing == [[Stage.PARSING.value, 3, 3 * 212_290 / 100]]
 
     def test_sampling_cadence_is_by_burst_ordinal(self):
         stats = self._stats()
@@ -389,23 +388,32 @@ class TestCycleHistParity:
         runtime = Runtime(config, filter_str="tcp",
                           datatype="connection", callback=None)
         report = runtime.run(iter(_campus(duration=0.3)))
-        for pipeline in runtime.pipelines:
-            pipeline.stats.ledger.check_hist_parity()
         check_cycle_hist(report.stats)
         assert report.stats.processed_packets > 0
 
-    def test_observe_batched_settles_constant_stages(self):
-        ledger = CycleLedger(CostModel(), record_hist=True)
-        ledger.invocations[Stage.CAPTURE] = 100
-        ledger.observe_batched(Stage.CAPTURE, 100)
-        ledger.check_hist_parity()
-        assert sum(ledger.hist[Stage.CAPTURE]) == 100
+    def test_aggregate_fills_fixed_cost_buckets_from_counts(self):
+        runtime = Runtime(RuntimeConfig(cores=2, telemetry=True),
+                          filter_str="tcp", datatype="connection",
+                          callback=None)
+        stats = runtime.run(iter(_campus(duration=0.3))).stats
+        for pipeline in runtime.pipelines:  # nothing bucketed per charge
+            assert not any(pipeline.stats.ledger.hist[Stage.CAPTURE])
+        for stage in (Stage.CAPTURE, Stage.HARDWARE_FILTER,
+                      Stage.CONN_TRACK):
+            buckets = stats.stage_cycle_hist[stage]
+            bucket = hist_index(to_centi(CostModel().cost_of(stage)))
+            assert buckets[bucket] == sum(buckets) == \
+                stats.stage_invocations[stage] > 0
 
     def test_parity_assertion_fires_on_mismatch(self):
-        ledger = CycleLedger(CostModel(), record_hist=True)
-        ledger.invocations[Stage.CAPTURE] = 5  # no hist observations
+        from repro.telemetry.export import check_cycle_hist
+        runtime = Runtime(RuntimeConfig(cores=1, telemetry=True),
+                          filter_str="tcp", datatype="connection",
+                          callback=None)
+        stats = runtime.run(iter(_campus(duration=0.1))).stats
+        stats.stage_invocations[Stage.CAPTURE] += 5  # no observations
         with pytest.raises(AssertionError):
-            ledger.check_hist_parity()
+            check_cycle_hist(stats)
 
 
 # ---------------------------------------------------------------------------

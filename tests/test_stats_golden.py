@@ -4,11 +4,21 @@ Each digest is a sha256 over everything deterministic a run reports —
 ``AggregateStats.to_dict()``, every tenant's, the overload, tenant and
 impairment ledgers, and the span NDJSON bytes (the shape of
 ``benchmarks/perf/measure.py::_digest``, widened to the ledgers and
-spans). **All digests below were recorded on the parent commit 63857fd
-(PR 19), before ``core/pipeline.py``, either run loop or the parallel
-feeder were edited, and have never been regenerated** (a case added
-later is recorded on a clean checkout of that commit), by running this
-file as a script:
+spans). The digests were first recorded on commit 63857fd (PR 19),
+before ``core/pipeline.py``, either run loop or the parallel feeder were
+edited, and licensed PR 20's deletions unmodified. **They were
+re-recorded once, on the commit that made the cycle ledger integer
+centi-cycles (parent 38a3d0f)**: every cycle-derived float
+(``stage_cycles``, ``cycles_per_ingress_packet``, ``max_zero_loss_gbps``,
+span ``cycles`` / stage self-times / profile and hottest-node cycles)
+moved in its last bits, because a total is now one exact integer divided
+once instead of a float summed packet by packet. The protocol: the exact
+payload hashed here was dumped for all 18 cases x 4 variants on the
+parent and on the change; every int/str/bool field was equal, every
+float that moved sat under one of those keys, and the largest relative
+change was 5.6e-13 (a per-burst span stage delta; 1.4e-13 on any
+``stats`` field). A case added later is recorded the same way, by
+running this file as a script:
 
     PYTHONPATH=src:. python tests/test_stats_golden.py
 
@@ -29,7 +39,7 @@ import json
 import pytest
 
 from repro import Runtime, RuntimeConfig
-from repro.core.cycles import CostModel
+from repro.core.cycles import CostModel, Stage, to_centi
 from repro.filter import compile_filter
 from repro.filter.hardware import p4_capabilities
 from repro.netem import ImpairmentConfig
@@ -297,44 +307,44 @@ def digest(build, variant) -> str:
         f"{hashlib.sha256(blob.encode()).hexdigest()}"
 
 
-#: Recorded on the parent commit 63857fd; see the module docstring.
+#: Re-recorded once for the integer cycle ledger; see the module docstring.
 GOLDEN = {
     'campus_conn':
-        '24164:9282511cc4fab94ff109a2fee4e12fc9e7acbcf43fa2bcde59f0cc6395c3fb3c',
+        '24164:6048db9c666c57a844840700d0c8d197a59329b3ef909e306f604032bb92bbb6',
     'campus_pkt':
-        '24164:49f7b64d22bc2179248c4cbfc51232fc3817cd46a10670317d46e38b64c249fe',
+        '24164:9d980e03df6460e5fc66586e40f4815b532a488c7ab6853c2b52dab2acba24fa',
     'sessions_tls':
-        '17718:93a033d518ec13a810dc51da3bd4f6ec02eb996a8f243280e5e611359cc51bd4',
+        '17718:f11dba63b1cab5565e3d0456e5ff07e6a9aa8e3bd62bf0c209d144f3968e608b',
     'bulk_stream':
-        '7675:a6a740dfa9acbc4ad9b15430390384cc09f968e3e35ee4ed9cbb2e4e8ba860ef',
+        '7675:299af76f95cafb1d4aed077ed2f4064f468a890fcdc883b6fc030ed9715f6778',
     'scan_conn':
-        '6250:0dbcf05aa7e4260352a9b88bb5bc3e0ead1de7395d436b3071819288d8f20ea9',
+        '6250:cbde145a9ac617d1c4ad7d041c59099b109872d3a245147384114cc7c054fce5',
     'tenants8':
-        '24164:ce47fd02a4b89c0d6945759fb7833fc24c145a27faf9f333dfc211ce907be2fe',
+        '24164:464551e29cf184242f24e2cca7a87931e0bf342ba81de6ff39e25d6753c2eb3b',
     'netem':
-        '14487:72dd4ea2f43cef849051c1a190ff824917ff1a8761cb533c67499a2418cba27c',
+        '14487:ef524a8991a02f4c8afb1ba388bb78b0b9be18de09ecb97c6427e809128899d9',
     'overload_ladder':
-        '18947:ddebee96c2a105eb7720b7dc65bc3eed3ab84f1957cf5f0bf8596347d171d5ba',
+        '18947:49f653182201f98df52f7d875a9cbe371493c391001f25ef03c271b3a6eefd63',
     'spans_k1':
-        '14483:eed84297df7a319388290b12ad47af49d88a8800a505a12191d336e22632dfb6',
+        '14483:55d1f301302f4b841ddfa6c0015f59d88d0e8dd796d3987174cf3b7273068a7a',
     'tenancy_swap':
-        '14483:c41adbbf2856e42dfbd02959b7a90008d93a16f0d060346037c398fef6f28edd',
+        '14483:c3742784c80b48cb21e47311846843d6b36c89d25d4aef05dd613be9a1f218e2',
     'tenants_mixed_burst':
-        '82:cdfd2cc1fc0951c3275de99ee22ce3980e51329e51f29c784a2d0b7955e5b43c',
+        '82:e5e33c736bcafc579d2e54ee995cc576fbd4d38c3c553f18e69a70048729044c',
     'fragments_held_tail':
-        '72:7e00db2ed7835fc780b443fa7a3dd2735514416cf58c12193e7339e7c013cc92',
+        '72:e8fc97356d975fab44a3ca2302ffb6d813deb82c5f771d41eb8556b665705381',
     'mixed_burst[packet]':
-        '82:a553b14287a73fadf9d7dd0039e1cb636083413aca5b9350ea7160e62d1b42c1',
+        '82:2212675faa64ced22be29091eda86fcea0db258fc5427e9f1ee0a2c13403694e',
     'mixed_burst[connection]':
-        '82:716d688d7331ee901e3923a6c679f69200b418eae671ae17fd009af447b0a9f3',
+        '82:1785bb29d3ee9e6c54c01252f1da2ca450ded527d43201dbb28289b045fdc718',
     'mixed_burst[byte_stream]':
-        '82:c312801e0cf04506a3b3d7120d129971e63ea649be4ac172cef52726604a905f',
+        '82:f3b0b8d63a2473132bf07fefc1f584ccd950b2847342c13326cef0c0afe980a4',
     'mixed_burst[tls]':
-        '82:3dbc5577c7e22833537499c470e0a318c2c55e94f5131c760834ea365ed764f6',
+        '82:807820862afff81c6bf6aa6afe19d80fd1e9fc153bb30bd0b9b4ae668f0a982d',
     'hw_not_column_expressible':
-        '14483:738a64fdf04acb7f90cdb6e17f3b61ebaaab68cbc3bffe7a4f74d6a61b7fded7',
+        '14483:0464146e200d1aa1734edf266451b6bb45fb65535342d02a5cd61dc851b448a4',
     'filter_not_batch_expressible':
-        '14483:64ce730f5b78ed6d3cef33d9b4872dcd24ed2d46a80fd633ab744cc4fdf8cf77',
+        '14483:9ab8d982f1d208799db8a270b1ef67b4d46b79f9d363419aed60256d1cd980aa',
 }
 
 
@@ -342,6 +352,67 @@ GOLDEN = {
 @pytest.mark.parametrize("name", list(CASES))
 def test_run_digest_matches_parent_commit(name, variant):
     assert digest(CASES[name], VARIANTS[variant]) == GOLDEN[name]
+
+
+# -- cycles are counts x costs, exactly --------------------------------------
+#: Every golden case, plus the one ablation whose reassembly cost is
+#: not a function of its invocation count (the per-byte copy).
+EXACT_CASES = {
+    **CASES,
+    "bulk_stream[buffered]": _single(
+        "bulk", "tcp.port = 443", "byte_stream", reassembler="buffered",
+        callback_cycles=1234.56),
+}
+
+
+def _assert_counts_times_costs(stats, ledgers, config):
+    """``stats`` aggregates ``ledgers``: every reported cycle figure
+    is one integer (invocations x the centi-cycle cost, plus the
+    accumulated integer extra) divided once."""
+    model = config.cost_model
+    for stage in Stage:
+        extra = sum(ledger.extra[stage] for ledger in ledgers)
+        if stage is Stage.CALLBACK:
+            assert extra == stats.callbacks * to_centi(
+                config.callback_cycles)
+        elif stage is not Stage.REASSEMBLY or \
+                config.reassembler != "buffered":
+            assert extra == 0, stage
+        centi = stats.stage_invocations[stage] * \
+            to_centi(model.cost_of(stage)) + extra
+        assert sum(ledger.centi_cycles(stage)
+                   for ledger in ledgers) == centi, stage
+        assert stats.stage_cycles[stage] == centi / 100, stage
+    # The counts are ones the funnel keeps anyway.
+    assert stats.stage_invocations[Stage.CAPTURE] == \
+        stats.stage_invocations[Stage.PACKET_FILTER] == \
+        stats.processed_packets
+    assert stats.stage_invocations[Stage.HARDWARE_FILTER] == \
+        stats.ingress_packets
+    assert stats.stage_invocations[Stage.SESSION_FILTER] == \
+        stats.sessions_parsed
+    assert stats.stage_invocations[Stage.CALLBACK] == stats.callbacks
+    assert stats.per_core_busy_seconds == [
+        ledger.total_centi_cycles / (100 * model.cpu_hz)
+        for ledger in ledgers]
+
+
+@pytest.mark.parametrize("variant", ["seq", "par2"])
+@pytest.mark.parametrize("name", list(EXACT_CASES))
+def test_cycles_are_counts_times_costs(name, variant):
+    runtime, mbufs = EXACT_CASES[name](VARIANTS[variant])
+    report = runtime.run(iter(mbufs))
+    cores = [report.core_stats[c] for c in sorted(report.core_stats)]
+    _assert_counts_times_costs(
+        report.stats, [core.ledger for core in cores], runtime.config)
+    if name == "bulk_stream[buffered]":
+        assert sum(core.ledger.extra[Stage.REASSEMBLY]
+                   for core in cores) > 0
+    if isinstance(runtime, TenantRuntime):
+        for tenant, stats in runtime.aggregate_tenants(report).items():
+            _assert_counts_times_costs(
+                stats, [core.per_tenant[tenant].ledger for core in cores
+                        if tenant in core.per_tenant], runtime.config)
 
 
 if __name__ == "__main__":
