@@ -113,20 +113,16 @@ class StatsMonitor:
         received_packets = sum(n.stats.received_packets
                                for n in runtime.nics)
         received_bytes = sum(n.stats.received_bytes for n in runtime.nics)
-        callbacks = sum(p.stats.callbacks for p in runtime.pipelines)
-        pf = sum(p.stats.pf_packets for p in runtime.pipelines)
-        connf = sum(p.stats.connf_packets for p in runtime.pipelines)
-        sessf = sum(p.stats.sessf_packets for p in runtime.pipelines)
-        busiest = max(
-            (p.stats.ledger.busy_seconds for p in runtime.pipelines),
-            default=0.0,
-        )
-        # Pipelines without the overload ladder lack these attributes
-        # (and so do older parallel views) — default to quiet.
-        rung = max((getattr(p, "overload_rung", 0)
-                    for p in runtime.pipelines), default=0)
-        shed = sum(getattr(p, "overload_shed_packets", 0)
-                   for p in runtime.pipelines)
+        # One ``stats`` read per pipeline: a tenant core builds and
+        # merges a fresh bundle on every read.
+        stats = [p.stats for p in runtime.pipelines]
+        callbacks = sum(s.callbacks for s in stats)
+        pf = sum(s.pf_packets for s in stats)
+        connf = sum(s.connf_packets for s in stats)
+        sessf = sum(s.sessf_packets for s in stats)
+        busiest = max((s.ledger.busy_seconds for s in stats), default=0.0)
+        rung = max((p.overload_rung for p in runtime.pipelines), default=0)
+        shed = sum(p.overload_shed_packets for p in runtime.pipelines)
         sample = MonitorSample(
             timestamp=now,
             interval=elapsed,

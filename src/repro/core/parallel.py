@@ -171,13 +171,14 @@ class _WorkerSpec:
 
     core_id: int
     config: "RuntimeConfig"
-    filter_str: str
-    datatype: type
-    callback: Optional[Callable]
-    identify_services: bool
+    #: The subscription to recompile (unread when ``tenancy`` is set).
+    filter_str: str = ""
+    datatype: object = "packet"
+    callback: Optional[Callable] = None
+    identify_services: bool = False
     #: Virtual seconds between progress reports to the parent, or None
     #: for "never" (no monitor attached and no memory limit).
-    progress_interval: Optional[float]
+    progress_interval: Optional[float] = None
     #: The run's fault plan (workers fire their own worker_crash/
     #: worker_hang faults; core-scoped faults are consumed by the
     #: pipeline's own injector).
@@ -342,7 +343,7 @@ class _WorkerState:
                     self.spec.core_id,
                     now,
                     stats.callbacks,
-                    len(pipeline.table),
+                    pipeline.live_connections,
                     pipeline.memory_bytes,
                     stats.ledger.busy_seconds,
                     stats.pf_packets,
@@ -459,19 +460,6 @@ def _worker_main(spec: _WorkerSpec, in_queue, out_queue) -> None:
 # ---------------------------------------------------------------------------
 # parent-side views: enough runtime surface for StatsMonitor.observe()
 # ---------------------------------------------------------------------------
-class _TableView:
-    """Stands in for a worker's ConnTable in monitor snapshots."""
-
-    __slots__ = ("live", "memory_bytes")
-
-    def __init__(self) -> None:
-        self.live = 0
-        self.memory_bytes = 0
-
-    def __len__(self) -> int:
-        return self.live
-
-
 class _LedgerView:
     __slots__ = ("busy_seconds",)
 
@@ -494,12 +482,14 @@ class _StatsView:
 class _CoreView:
     """Last-reported state of one worker, shaped like a CorePipeline."""
 
-    __slots__ = ("stats", "table", "overload_rung",
-                 "overload_shed_packets", "overload_failfast_at")
+    __slots__ = ("stats", "live_connections", "memory_bytes",
+                 "overload_rung", "overload_shed_packets",
+                 "overload_failfast_at")
 
     def __init__(self) -> None:
         self.stats = _StatsView()
-        self.table = _TableView()
+        self.live_connections = 0
+        self.memory_bytes = 0
         self.overload_rung = 0
         self.overload_shed_packets = 0
         self.overload_failfast_at: Optional[float] = None
@@ -514,8 +504,8 @@ class _CoreView:
         self.stats.pf_packets = pf_packets
         self.stats.connf_packets = connf_packets
         self.stats.sessf_packets = sessf_packets
-        self.table.live = live
-        self.table.memory_bytes = memory_bytes
+        self.live_connections = live
+        self.memory_bytes = memory_bytes
         self.overload_rung = overload_rung
         self.overload_shed_packets = overload_shed
         if overload_failfast_at is not None:
@@ -531,11 +521,11 @@ class _RuntimeView:
 
     @property
     def live_connections(self) -> int:
-        return sum(view.table.live for view in self.pipelines)
+        return sum(view.live_connections for view in self.pipelines)
 
     @property
     def memory_bytes(self) -> int:
-        return sum(view.table.memory_bytes for view in self.pipelines)
+        return sum(view.memory_bytes for view in self.pipelines)
 
     @property
     def overload_failfast_at(self) -> Optional[float]:
@@ -581,9 +571,7 @@ class _WorkerPool:
         # wire dict; every worker spec carries it, and the feeder
         # appends each published epoch bump so restart() can rebuild a
         # crashed worker at the table state it last acknowledged.
-        state_fn = getattr(runtime, "tenant_wire_state", None)
-        self._tenancy_base: Optional[dict] = \
-            state_fn() if state_fn is not None else None
+        self._tenancy_base: Optional[dict] = runtime.tenant_wire_state()
         self.tenancy_bumps: List[Tuple[int, tuple]] = []
         # Prefer fork where available: workers start fast and
         # subscriptions with closure callbacks are inherited rather
@@ -621,17 +609,19 @@ class _WorkerPool:
             ]
         self.processes = []
         self.specs: List[_WorkerSpec] = []
+        rebuild = {"tenancy": self._tenancy_base} \
+            if subscription is None else {
+                "filter_str": subscription.filter.text,
+                "datatype": subscription.datatype,
+                "callback": subscription.callback,
+                "identify_services": subscription.identify_services}
         for core_id in range(config.cores):
             spec = _WorkerSpec(
                 core_id=core_id,
                 config=config,
-                filter_str=subscription.filter.text,
-                datatype=subscription.datatype,
-                callback=subscription.callback,
-                identify_services=subscription.identify_services,
                 progress_interval=progress_interval,
                 fault_plan=config.fault_plan,
-                tenancy=self._tenancy_base,
+                **rebuild,
                 shm=self.transport.spec_args(core_id)
                 if self.transport is not None else None,
             )
@@ -1266,9 +1256,7 @@ def run_parallel(
     # applies the event to the parent's table, and broadcasts the new
     # epoch on an empty stamped batch to every queue. Per-queue FIFO
     # then guarantees each worker swaps on exactly that burst boundary.
-    publish_due = getattr(runtime, "publish_tenancy_events", None)
-    next_event_ts: Optional[float] = \
-        runtime.next_reconfigure_ts if publish_due is not None else None
+    next_event_ts: Optional[float] = runtime.next_reconfigure_ts
 
     def send_bump(epoch_no: int, actions: tuple) -> None:
         pool.tenancy_bumps.append((epoch_no, actions))
@@ -1329,7 +1317,8 @@ def run_parallel(
                     if queued:
                         dispatch(qid, queued)
                         pending[qid] = []
-                for epoch_no, actions in publish_due(ts):
+                for epoch_no, actions in \
+                        runtime.publish_tenancy_events(ts):
                     send_bump(epoch_no, actions)
                 next_event_ts = runtime.next_reconfigure_ts
             if queue is HELD:

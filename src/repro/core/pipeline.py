@@ -199,6 +199,10 @@ class CorePipeline:
         """The pipeline's virtual clock (latest packet timestamp seen)."""
         return self._now
 
+    @property
+    def live_connections(self) -> int:
+        return len(self.table)
+
     # ------------------------------------------------------------------
     # packet entry point
     # ------------------------------------------------------------------
@@ -325,51 +329,23 @@ class CorePipeline:
         if span_tok is not None:
             spans.finish(stats, self._now, span_tok, span_nodes)
 
-    def process_batch_rows_shared(self, mbufs, cols, verdicts,
-                                  wire_total, ts_sorted) -> None:
-        """Multi-tenant fan-out entrance over one shared column batch.
-
-        Same outcome as running every row of the burst through
-        :meth:`process_batch_rows`, but rejected fast rows — the
-        overwhelming majority under a selective tenant filter, where an
-        N-tenant multiplexer otherwise spends most of its cycles — are
-        accounted in bulk; only the survivors take the loop. The caller
-        amortizes ``wire_total`` (sum of ``cols.wire``) and
-        ``ts_sorted`` (row timestamps nondecreasing) across tenants.
-
-        Every row takes the loop when something needs per-row
-        observation: the overload ladder (tick cadence, per-row seen
-        accounting), span profiling, or out-of-order timestamps (the
-        running ``now`` max must see every row, matched or not).
-        """
-        n = cols.n
-        if n == 0:
-            return
-        if self._overload is not None or self._spans is not None \
-                or not ts_sorted:
-            self.process_batch_rows(zip(
-                mbufs, repeat(None), repeat(cols), range(n), verdicts))
-            return
-        fast = cols.fast
-        wires = cols.wire
-        survivors = [(mbufs[i], None, cols, i, v)
-                     for i, v in enumerate(verdicts)
-                     if v >= 0 or not fast[i]]
-        rejected = n - len(survivors)
+    def count_refused(self, packets: int, wire_bytes: int,
+                      now: float) -> None:
+        """Account ``packets`` rows of a burst (``wire_bytes`` in all,
+        the burst ending at virtual time ``now``) that a classifier
+        shared with other pipelines refused on this one's behalf —
+        what :meth:`process_batch_rows` does with a fast row whose
+        verdict is negative, once for all of them. Call it after the
+        burst's other rows went through the loop: they must not see
+        the clock already at the burst's end."""
         stats = self.stats
         invocations = stats.ledger.invocations
-        invocations[_CAPTURE] += rejected
-        invocations[_PACKET_FILTER] += rejected
-        if survivors:  # the loop counts these itself
-            wire_total -= sum([wires[row[3]] for row in survivors])
-            self.process_batch_rows(survivors)
-        stats.packets += rejected
-        stats.bytes += wire_total
-        # Rows are ts-sorted: the burst's clock high-water mark is the
-        # last row's, matched or not (the loop advances `now` on both).
-        last_ts = mbufs[n - 1].timestamp
-        if last_ts > self._now:
-            self._now = last_ts
+        invocations[_CAPTURE] += packets
+        invocations[_PACKET_FILTER] += packets
+        stats.packets += packets
+        stats.bytes += wire_bytes
+        if now > self._now:
+            self._now = now
 
     # ------------------------------------------------------------------
     # stateful processing

@@ -15,9 +15,10 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
 if TYPE_CHECKING:  # avoid a config<->core import cycle at runtime
     from repro.config import RuntimeConfig
-from repro.core.cycles import Stage, hist_index, to_centi
+from repro.core.cycles import Stage, hist_index
 from repro.core.pipeline import CorePipeline
-from repro.core.stats import AggregateStats, CoreStats
+from repro.core.stats import AGGREGATE_NAMES, COUNTERS, AggregateStats, \
+    CoreStats
 from repro.core.subscription import Subscription
 from repro.nic.device import SimNic
 from repro.packet.columnar import HELD, ingress_rows
@@ -98,7 +99,6 @@ class Runtime:
         identify_services: bool = False,
         ports: int = 1,
     ) -> None:
-        self.config = config
         if subscription is None:
             subscription = Subscription(
                 filter_str,
@@ -109,19 +109,6 @@ class Runtime:
                 identify_services=identify_services,
             )
         self.subscription = subscription
-        # The paper's testbed tapped two 100GbE links through two NICs
-        # whose queues feed the same cores; `ports` models that. Port
-        # *i* of every frame selects its NIC; symmetric RSS keeps flow
-        # affinity regardless of which port a flow arrives on.
-        self.nics: List[SimNic] = [
-            SimNic(num_queues=config.cores) for _ in range(max(ports, 1))
-        ]
-        self.nic = self.nics[0]  # single-port convenience alias
-        for nic in self.nics:
-            if config.hardware_filter:
-                nic.install_hardware_filter(subscription.filter.hardware)
-            if config.sink_fraction > 0:
-                nic.set_sink_fraction(config.sink_fraction)
         if config.callback_execution == "queued":
             from repro.core.executor import QueuedExecutor
             self.executor = QueuedExecutor(
@@ -133,10 +120,31 @@ class Runtime:
             from repro.core.executor import InlineExecutor
             self.executor = InlineExecutor(subscription.callback,
                                            config.callback_cycles)
-        self.pipelines: List[CorePipeline] = [
+        self._deploy(config, ports, subscription.filter.hardware, [
             CorePipeline(core, subscription, config, executor=self.executor)
             for core in range(config.cores)
+        ])
+
+    def _deploy(self, config: "RuntimeConfig", ports: int, hardware,
+                pipelines: list) -> None:
+        """What every kind of runtime is made of: the NICs with their
+        flow rules installed (once), one pipeline per core, and the
+        run's clocks."""
+        self.config = config
+        # The paper's testbed tapped two 100GbE links through two NICs
+        # whose queues feed the same cores; `ports` models that. Port
+        # *i* of every frame selects its NIC; symmetric RSS keeps flow
+        # affinity regardless of which port a flow arrives on.
+        self.nics: List[SimNic] = [
+            SimNic(num_queues=config.cores) for _ in range(max(ports, 1))
         ]
+        self.nic = self.nics[0]  # single-port convenience alias
+        for nic in self.nics:
+            if config.hardware_filter:
+                nic.install_hardware_filter(hardware)
+            if config.sink_fraction > 0:
+                nic.set_sink_fraction(config.sink_fraction)
+        self.pipelines = pipelines
         if config.reassemble_fragments:
             from repro.packet.fragments import FragmentReassembler
             self.fragment_reassembler = FragmentReassembler()
@@ -145,6 +153,18 @@ class Runtime:
         self._first_ts: Optional[float] = None
         self._last_ts = 0.0
         self._last_memory_sample = 0.0
+
+    # -- table swaps: a plain runtime schedules none --------------------
+    #: Virtual time of the next scheduled reconfiguration, or None.
+    next_reconfigure_ts: Optional[float] = None
+
+    def publish_tenancy_events(self, ts: float) -> list:
+        """The ``(epoch, actions)`` bumps due at virtual time ``ts``."""
+        return []
+
+    def tenant_wire_state(self) -> Optional[dict]:
+        """The tenant table parallel workers rebuild, or None."""
+        return None
 
     # ------------------------------------------------------------------
     def run(
@@ -267,16 +287,14 @@ class Runtime:
         ingress = ingress_rows(
             traffic, self.nics, batch_size, self.fragment_reassembler,
             config.columnar, pipelines[0]._pf_batch)
-        # Multi-tenant live reconfiguration, duck-typed exactly as the
-        # parallel feeder does it: when virtual time reaches a
-        # scheduled event, flush every pending burst (pre-event packets
-        # classify under the old table), publish, and have every
-        # pipeline adopt the new epoch(s) — so the first packet with
-        # ``timestamp >= event.time`` observes the new table on both
-        # backends. The NICs never reconfigure mid-run.
-        publish_due = getattr(self, "publish_tenancy_events", None)
-        next_event_ts: Optional[float] = \
-            self.next_reconfigure_ts if publish_due is not None else None
+        # Live reconfiguration, exactly as the parallel feeder does it:
+        # when virtual time reaches a scheduled event, flush every
+        # pending burst (pre-event packets classify under the old
+        # table), publish, and have every pipeline adopt the new
+        # epoch(s) — so the first packet with ``timestamp >=
+        # event.time`` observes the new table on both backends. The
+        # NICs never reconfigure mid-run.
+        next_event_ts = self.next_reconfigure_ts
         for row in ingress:  # (mbuf, queue, cols, i, verdict)
             ts = row[0].timestamp
             if first:
@@ -288,7 +306,7 @@ class Runtime:
                 self._last_ts = ts
             if next_event_ts is not None and ts >= next_event_ts:
                 flush()
-                for epoch, actions in publish_due(ts):
+                for epoch, actions in self.publish_tenancy_events(ts):
                     for pipeline in pipelines:
                         pipeline.apply_epoch(epoch, actions)
                 next_event_ts = self.next_reconfigure_ts
@@ -381,7 +399,17 @@ class Runtime:
 
     @property
     def live_connections(self) -> int:
-        return sum(len(p.table) for p in self.pipelines)
+        return sum(p.live_connections for p in self.pipelines)
+
+    def nic_ingress(self):
+        """The link's ingress totals: ``(packets, bytes, hw_dropped,
+        sink_dropped)`` over every port."""
+        return (
+            sum(n.stats.received_packets for n in self.nics),
+            sum(n.stats.received_bytes for n in self.nics),
+            sum(n.stats.hw_dropped_packets for n in self.nics),
+            sum(n.stats.sink_dropped_packets for n in self.nics),
+        )
 
     def aggregate(self, core_stats=None, ingress=None) -> AggregateStats:
         """Merge per-core stats into the report structure.
@@ -390,8 +418,7 @@ class Runtime:
             core_stats: Per-core :class:`CoreStats` to merge instead of
                 this process's pipelines' — the parallel backend passes
                 the snapshots returned by its worker processes.
-            ingress: Optional ``(packets, bytes, hw_dropped,
-                sink_dropped)`` override of the NIC ingress totals — the
+            ingress: Optional override of :meth:`nic_ingress` — the
                 multi-tenant runtime aggregates one tenant's core stats
                 against the shared link's ingress, which the NIC cannot
                 attribute per tenant.
@@ -400,152 +427,43 @@ class Runtime:
             core_stats = [pipeline.stats for pipeline in self.pipelines]
         duration = (self._last_ts - self._first_ts) \
             if self._first_ts is not None else 0.0
-        stage_invocations = {stage: 0 for stage in Stage}
-        stage_centi = {stage: 0 for stage in Stage}
-        if ingress is not None:
-            ingress_packets, ingress_bytes, hw_dropped, sink_dropped = \
-                ingress
-        else:
-            ingress_packets = sum(n.stats.received_packets
-                                  for n in self.nics)
-            ingress_bytes = sum(n.stats.received_bytes for n in self.nics)
-            hw_dropped = sum(n.stats.hw_dropped_packets
-                             for n in self.nics)
-            sink_dropped = sum(n.stats.sink_dropped_packets
-                               for n in self.nics)
-        per_core_busy: List[float] = []
-        callbacks = sessions_parsed = sessions_matched = 0
-        conns_created = conns_delivered = 0
-        processed_packets = processed_bytes = 0
-        pf_packets = pf_bytes = connf_packets = connf_bytes = 0
-        sessf_packets = sessf_bytes = 0
-        probe_giveups = conns_discarded = conns_expired = 0
-        callback_errors = callbacks_suppressed = quarantined_cores = 0
-        parser_exceptions = conns_evicted = conns_shed = 0
-        reasm_truncations = reasm_truncated_bytes = 0
-        reasm_dup = reasm_overlap = reasm_stale = reasm_overflow = 0
-        reasm_grows = reasm_shrinks = 0
-        fault_counters: Dict[str, int] = {}
-        reasm_peak = reasm_occ_sum = 0
-        memory_samples = []
-        stage_cycle_hist = None
-        reasm_hist = None
-        trace_events = []
+        ingress_packets, ingress_bytes, hw_dropped, sink_dropped = \
+            ingress if ingress is not None else self.nic_ingress()
+        cost_model = self.config.cost_model
+        merged = CoreStats(cost_model)
         for stats in core_stats:
-            ledger = stats.ledger
-            for stage in Stage:
-                stage_invocations[stage] += ledger.invocations[stage]
-                stage_centi[stage] += ledger.centi_cycles(stage)
-            per_core_busy.append(ledger.busy_seconds)
-            callbacks += stats.callbacks
-            sessions_parsed += stats.sessions_parsed
-            sessions_matched += stats.sessions_matched
-            conns_created += stats.conns_created
-            conns_delivered += stats.conns_delivered
-            processed_packets += stats.packets
-            processed_bytes += stats.bytes
-            pf_packets += stats.pf_packets
-            pf_bytes += stats.pf_bytes
-            connf_packets += stats.connf_packets
-            connf_bytes += stats.connf_bytes
-            sessf_packets += stats.sessf_packets
-            sessf_bytes += stats.sessf_bytes
-            probe_giveups += stats.probe_giveups
-            conns_discarded += stats.conns_discarded
-            conns_expired += stats.conns_expired
-            callback_errors += stats.callback_errors
-            callbacks_suppressed += stats.callbacks_suppressed
-            quarantined_cores += stats.callback_quarantined
-            parser_exceptions += stats.parser_exceptions
-            conns_evicted += stats.conns_evicted
-            conns_shed += stats.conns_shed
-            reasm_truncations += stats.reasm_truncations
-            reasm_truncated_bytes += stats.reasm_truncated_bytes
-            reasm_dup += stats.reasm_dup_segments
-            reasm_overlap += stats.reasm_overlap_segments
-            reasm_stale += stats.reasm_stale_retransmits
-            reasm_overflow += stats.reasm_overflow_drops
-            reasm_grows += stats.reasm_window_grows
-            reasm_shrinks += stats.reasm_window_shrinks
-            for kind, count in stats.fault_counters.items():
-                fault_counters[kind] = fault_counters.get(kind, 0) + count
-            if stats.reasm_peak_bytes > reasm_peak:
-                reasm_peak = stats.reasm_peak_bytes
-            reasm_occ_sum += stats.reasm_occ_sum
-            memory_samples.extend(stats.memory_samples)
-            trace_events.extend(stats.trace_events)
-            if stats.ledger.hist is not None:
-                if stage_cycle_hist is None:
-                    stage_cycle_hist = {stage: [0] * len(buckets)
-                                        for stage, buckets
-                                        in stats.ledger.hist.items()}
-                for stage, buckets in stats.ledger.hist.items():
-                    merged = stage_cycle_hist[stage]
-                    for i, count in enumerate(buckets):
-                        merged[i] += count
-            if stats.reasm_hist is not None:
-                if reasm_hist is None:
-                    reasm_hist = [0] * len(stats.reasm_hist)
-                for i, count in enumerate(stats.reasm_hist):
-                    reasm_hist[i] += count
-        memory_samples.sort(key=lambda s: s[0])
+            merged.merge(stats)
+        ledger = merged.ledger
+        stage_cycles = {stage: ledger.cycles(stage) for stage in Stage}
         # Hardware filtering is charged zero CPU cycles but counts one
         # "invocation" per ingress packet (Figure 7's first bar).
-        stage_invocations[Stage.HARDWARE_FILTER] = ingress_packets
-        if stage_cycle_hist is not None:
+        ledger.invocations[Stage.HARDWARE_FILTER] = ingress_packets
+        if ledger.hist is not None:
             # Only explicit-cost charges are bucketed per invocation;
             # every other invocation cost exactly the model's constant.
-            cost_model = self.config.cost_model
-            for stage, buckets in stage_cycle_hist.items():
-                buckets[hist_index(to_centi(cost_model.cost_of(stage)))] \
-                    += stage_invocations[stage] - sum(buckets)
+            for stage, buckets in ledger.hist.items():
+                buckets[hist_index(ledger.cost[stage])] += \
+                    ledger.invocations[stage] - sum(buckets)
         return AggregateStats(
             cores=self.config.cores,
-            cost_model=self.config.cost_model,
+            cost_model=cost_model,
             duration=max(duration, 1e-9),
             ingress_packets=ingress_packets,
             ingress_bytes=ingress_bytes,
             hw_dropped_packets=hw_dropped,
             sink_dropped_packets=sink_dropped,
-            processed_packets=processed_packets,
-            processed_bytes=processed_bytes,
-            callbacks=callbacks,
-            sessions_parsed=sessions_parsed,
-            sessions_matched=sessions_matched,
-            conns_created=conns_created,
-            conns_delivered=conns_delivered,
-            stage_invocations=stage_invocations,
-            stage_cycles={stage: centi / 100
-                          for stage, centi in stage_centi.items()},
-            per_core_busy_seconds=per_core_busy,
-            memory_samples=memory_samples,
-            pf_packets=pf_packets,
-            pf_bytes=pf_bytes,
-            connf_packets=connf_packets,
-            connf_bytes=connf_bytes,
-            sessf_packets=sessf_packets,
-            sessf_bytes=sessf_bytes,
-            probe_giveups=probe_giveups,
-            conns_discarded=conns_discarded,
-            conns_expired=conns_expired,
-            callback_errors=callback_errors,
-            callbacks_suppressed=callbacks_suppressed,
-            quarantined_cores=quarantined_cores,
-            parser_exceptions=parser_exceptions,
-            conns_evicted=conns_evicted,
-            conns_shed=conns_shed,
-            reasm_truncations=reasm_truncations,
-            reasm_truncated_bytes=reasm_truncated_bytes,
-            reasm_dup_segments=reasm_dup,
-            reasm_overlap_segments=reasm_overlap,
-            reasm_stale_retransmits=reasm_stale,
-            reasm_overflow_drops=reasm_overflow,
-            reasm_window_grows=reasm_grows,
-            reasm_window_shrinks=reasm_shrinks,
-            fault_counters=fault_counters,
-            stage_cycle_hist=stage_cycle_hist,
-            reasm_hist=reasm_hist,
-            reasm_occ_sum=reasm_occ_sum,
-            reasm_peak_bytes=reasm_peak,
-            trace_events=trace_events,
+            stage_invocations=ledger.invocations,
+            stage_cycles=stage_cycles,
+            per_core_busy_seconds=[stats.ledger.busy_seconds
+                                   for stats in core_stats],
+            memory_samples=sorted(merged.memory_samples,
+                                  key=lambda s: s[0]),
+            fault_counters=merged.fault_counters,
+            stage_cycle_hist=ledger.hist,
+            reasm_hist=merged.reasm_hist,
+            reasm_occ_sum=merged.reasm_occ_sum,
+            reasm_peak_bytes=merged.reasm_peak_bytes,
+            trace_events=merged.trace_events,
+            **{AGGREGATE_NAMES.get(name, name): getattr(merged, name)
+               for name in COUNTERS},
         )

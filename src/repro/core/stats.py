@@ -18,68 +18,68 @@ from repro.core.cycles import CostModel, CycleLedger, Stage
 REASM_HIST_BOUNDS = (1024, 4096, 16384, 65536, 262144, 1048576, 4194304)
 
 
+#: Every additive integer counter a core keeps, declared once:
+#: :class:`CoreStats` zeroes, snapshots and merges them by iterating
+#: this tuple, and ``Runtime.aggregate`` hands the merged values to
+#: :class:`AggregateStats` under the same names (except
+#: :data:`AGGREGATE_NAMES`).
+COUNTERS = (
+    "packets", "bytes", "callbacks", "sessions_parsed",
+    "sessions_matched", "conns_created", "conns_delivered",
+    "probe_giveups",
+    # Filter-funnel survivors: packets and wire bytes surviving the
+    # software packet filter, the connection-filter layer, and the full
+    # filter respectively; see repro.telemetry.funnel for the exact
+    # semantics.
+    "pf_packets", "pf_bytes", "connf_packets", "connf_bytes",
+    "sessf_packets", "sessf_bytes",
+    # Connections the filter rejected (or that had nothing more to
+    # deliver) and connections harvested by the timer wheels.
+    "conns_discarded", "conns_expired",
+    # Resilience (repro.resilience): callback exceptions absorbed by
+    # the "isolate" policy, deliveries whose user callback was skipped
+    # post-quarantine, whether this core's callback is quarantined,
+    # parser exceptions absorbed at the probe/parse boundary, and
+    # memory-policy actions (evictions / refused new connections).
+    "callback_errors", "callbacks_suppressed", "callback_quarantined",
+    "parser_exceptions", "conns_evicted", "conns_shed",
+    # BufferedReassembler per-direction buffer overflows: segments
+    # dropped (truncating the reconstructed stream) and their payload
+    # bytes. Zero under the lazy reassembler, which never copies into a
+    # bounded buffer.
+    "reasm_truncations", "reasm_truncated_bytes",
+    # Lazy-reassembler discard accounting (repro.stream.reassembly
+    # mirrors its rare-path counters here so impairment runs can
+    # distinguish link loss from dup-discard): fresh full retransmits
+    # of delivered data, partial overlaps (trimmed), held segments
+    # wholly superseded before their flush slot, and out-of-order ring
+    # overflows; then adaptive out-of-order window resizes
+    # (config.ooo_adaptive).
+    "reasm_dup_segments", "reasm_overlap_segments",
+    "reasm_stale_retransmits", "reasm_overflow_drops",
+    "reasm_window_grows", "reasm_window_shrinks",
+)
+#: The counters a whole-runtime report names differently.
+AGGREGATE_NAMES = {"packets": "processed_packets",
+                   "bytes": "processed_bytes",
+                   "callback_quarantined": "quarantined_cores"}
+#: Counters ``AggregateStats.to_dict`` reports as ``filter_funnel``
+#: rows rather than under their own keys.
+_FUNNEL_COUNTERS = frozenset(
+    name for name in COUNTERS
+    if name == "bytes" or name.startswith(("pf_", "connf_", "sessf_")))
+
+
 class CoreStats:
     """Counters for one processing core."""
 
     def __init__(self, cost_model: CostModel,
                  telemetry: bool = False) -> None:
         self.ledger = CycleLedger(cost_model, record_hist=telemetry)
-        self.packets = 0
-        self.bytes = 0
-        self.callbacks = 0
-        self.sessions_parsed = 0
-        self.sessions_matched = 0
-        self.conns_created = 0
-        self.conns_delivered = 0
-        self.probe_giveups = 0
-        # Filter-funnel survivor counters (always on — plain integer
-        # increments, same cost class as the counters above). Packets
-        # and wire bytes surviving the software packet filter, the
-        # connection-filter layer, and the full filter respectively;
-        # see repro.telemetry.funnel for the exact semantics.
-        self.pf_packets = 0
-        self.pf_bytes = 0
-        self.connf_packets = 0
-        self.connf_bytes = 0
-        self.sessf_packets = 0
-        self.sessf_bytes = 0
-        #: Connections the filter rejected (or that had nothing more to
-        #: deliver) and connections harvested by the timer wheels.
-        self.conns_discarded = 0
-        self.conns_expired = 0
-        # Resilience counters (repro.resilience): callback exceptions
-        # absorbed by the "isolate" policy, deliveries whose user
-        # callback was skipped post-quarantine, whether this core's
-        # callback is quarantined, parser exceptions absorbed at the
-        # probe/parse boundary, and memory-policy actions (evictions /
-        # refused new connections).
-        self.callback_errors = 0
-        self.callbacks_suppressed = 0
-        self.callback_quarantined = 0
-        self.parser_exceptions = 0
-        self.conns_evicted = 0
-        self.conns_shed = 0
+        for name in COUNTERS:
+            setattr(self, name, 0)
         #: Injected-fault counts by kind (repro.resilience.faults).
         self.fault_counters: Dict[str, int] = {}
-        #: BufferedReassembler per-direction buffer overflows: segments
-        #: dropped (truncating the reconstructed stream) and their
-        #: payload bytes. Always-on plain counters; zero under the lazy
-        #: reassembler, which never copies into a bounded buffer.
-        self.reasm_truncations = 0
-        self.reasm_truncated_bytes = 0
-        #: Lazy-reassembler discard accounting (repro.stream.reassembly
-        #: mirrors its rare-path counters here so impairment runs can
-        #: distinguish link loss from dup-discard): fresh full
-        #: retransmits of delivered data, partial overlaps (trimmed),
-        #: held segments wholly superseded before their flush slot, and
-        #: out-of-order ring overflows.
-        self.reasm_dup_segments = 0
-        self.reasm_overlap_segments = 0
-        self.reasm_stale_retransmits = 0
-        self.reasm_overflow_drops = 0
-        #: Adaptive out-of-order window resizes (config.ooo_adaptive).
-        self.reasm_window_grows = 0
-        self.reasm_window_shrinks = 0
         #: The core's overload loss ledger (repro.overload), attached
         #: by the pipeline when an overload policy is active; None
         #: otherwise. Travels with the snapshot like every counter.
@@ -131,43 +131,13 @@ class CoreStats:
         by a worker fault are *bit-identical* to a fault-free run, and
         available to callers via ``RuntimeReport.core_stats``.
         """
-        return {
-            "packets": self.packets,
-            "bytes": self.bytes,
-            "callbacks": self.callbacks,
-            "sessions_parsed": self.sessions_parsed,
-            "sessions_matched": self.sessions_matched,
-            "conns_created": self.conns_created,
-            "conns_delivered": self.conns_delivered,
-            "probe_giveups": self.probe_giveups,
-            "pf_packets": self.pf_packets,
-            "pf_bytes": self.pf_bytes,
-            "connf_packets": self.connf_packets,
-            "connf_bytes": self.connf_bytes,
-            "sessf_packets": self.sessf_packets,
-            "sessf_bytes": self.sessf_bytes,
-            "conns_discarded": self.conns_discarded,
-            "conns_expired": self.conns_expired,
-            "callback_errors": self.callback_errors,
-            "callbacks_suppressed": self.callbacks_suppressed,
-            "callback_quarantined": self.callback_quarantined,
-            "parser_exceptions": self.parser_exceptions,
-            "conns_evicted": self.conns_evicted,
-            "conns_shed": self.conns_shed,
-            "fault_counters": dict(sorted(self.fault_counters.items())),
-            "reasm_truncations": self.reasm_truncations,
-            "reasm_truncated_bytes": self.reasm_truncated_bytes,
-            "reasm_dup_segments": self.reasm_dup_segments,
-            "reasm_overlap_segments": self.reasm_overlap_segments,
-            "reasm_stale_retransmits": self.reasm_stale_retransmits,
-            "reasm_overflow_drops": self.reasm_overflow_drops,
-            "reasm_window_grows": self.reasm_window_grows,
-            "reasm_window_shrinks": self.reasm_window_shrinks,
-            "overload": (self.overload.to_dict()
-                         if self.overload is not None else None),
-            "memory_samples": list(self.memory_samples),
-            "cycles": self.ledger.snapshot(),
-        }
+        out = {name: getattr(self, name) for name in COUNTERS}
+        out["fault_counters"] = dict(sorted(self.fault_counters.items()))
+        out["overload"] = (self.overload.to_dict()
+                           if self.overload is not None else None)
+        out["memory_samples"] = list(self.memory_samples)
+        out["cycles"] = self.ledger.snapshot()
+        return out
 
     def merge(self, other: "CoreStats") -> None:
         """Fold another core's counters into this one.
@@ -178,39 +148,11 @@ class CoreStats:
         the parent merges them into the aggregate report.
         """
         self.ledger.merge(other.ledger)
-        self.packets += other.packets
-        self.bytes += other.bytes
-        self.callbacks += other.callbacks
-        self.sessions_parsed += other.sessions_parsed
-        self.sessions_matched += other.sessions_matched
-        self.conns_created += other.conns_created
-        self.conns_delivered += other.conns_delivered
-        self.probe_giveups += other.probe_giveups
-        self.pf_packets += other.pf_packets
-        self.pf_bytes += other.pf_bytes
-        self.connf_packets += other.connf_packets
-        self.connf_bytes += other.connf_bytes
-        self.sessf_packets += other.sessf_packets
-        self.sessf_bytes += other.sessf_bytes
-        self.conns_discarded += other.conns_discarded
-        self.conns_expired += other.conns_expired
-        self.callback_errors += other.callback_errors
-        self.callbacks_suppressed += other.callbacks_suppressed
-        self.callback_quarantined += other.callback_quarantined
-        self.parser_exceptions += other.parser_exceptions
-        self.conns_evicted += other.conns_evicted
-        self.conns_shed += other.conns_shed
+        for name in COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         for kind, count in other.fault_counters.items():
             self.fault_counters[kind] = \
                 self.fault_counters.get(kind, 0) + count
-        self.reasm_truncations += other.reasm_truncations
-        self.reasm_truncated_bytes += other.reasm_truncated_bytes
-        self.reasm_dup_segments += other.reasm_dup_segments
-        self.reasm_overlap_segments += other.reasm_overlap_segments
-        self.reasm_stale_retransmits += other.reasm_stale_retransmits
-        self.reasm_overflow_drops += other.reasm_overflow_drops
-        self.reasm_window_grows += other.reasm_window_grows
-        self.reasm_window_shrinks += other.reasm_window_shrinks
         if other.overload is not None:
             if self.overload is None:
                 from repro.overload.ledger import LossLedger
@@ -394,19 +336,13 @@ class AggregateStats:
 
     def to_dict(self) -> Dict:
         """JSON-serializable summary (for tooling and the CLI)."""
-        return {
+        out = {
             "cores": self.cores,
             "duration_s": self.duration,
             "ingress_packets": self.ingress_packets,
             "ingress_bytes": self.ingress_bytes,
             "hw_dropped_packets": self.hw_dropped_packets,
             "sink_dropped_packets": self.sink_dropped_packets,
-            "processed_packets": self.processed_packets,
-            "callbacks": self.callbacks,
-            "sessions_parsed": self.sessions_parsed,
-            "sessions_matched": self.sessions_matched,
-            "conns_created": self.conns_created,
-            "conns_delivered": self.conns_delivered,
             "offered_rate_gbps": self.offered_rate_gbps,
             "max_zero_loss_gbps": self.max_zero_loss_gbps(),
             "loss_fraction": self.loss_fraction,
@@ -421,27 +357,15 @@ class AggregateStats:
             },
             "peak_memory_bytes": self.peak_memory_bytes,
             "peak_live_connections": self.peak_live_connections,
-            "probe_giveups": self.probe_giveups,
-            "conns_discarded": self.conns_discarded,
-            "conns_expired": self.conns_expired,
-            "callback_errors": self.callback_errors,
-            "callbacks_suppressed": self.callbacks_suppressed,
-            "quarantined_cores": self.quarantined_cores,
-            "parser_exceptions": self.parser_exceptions,
-            "conns_evicted": self.conns_evicted,
-            "conns_shed": self.conns_shed,
             "fault_counters": dict(sorted(self.fault_counters.items())),
-            "reasm_truncations": self.reasm_truncations,
-            "reasm_truncated_bytes": self.reasm_truncated_bytes,
-            "reasm_dup_segments": self.reasm_dup_segments,
-            "reasm_overlap_segments": self.reasm_overlap_segments,
-            "reasm_stale_retransmits": self.reasm_stale_retransmits,
-            "reasm_overflow_drops": self.reasm_overflow_drops,
-            "reasm_window_grows": self.reasm_window_grows,
-            "reasm_window_shrinks": self.reasm_window_shrinks,
             "filter_funnel": [layer.to_dict()
                               for layer in self.filter_funnel()],
         }
+        for name in COUNTERS:
+            if name not in _FUNNEL_COUNTERS:
+                name = AGGREGATE_NAMES.get(name, name)
+                out[name] = getattr(self, name)
+        return out
 
     def describe(self) -> str:
         lines = [

@@ -2,13 +2,27 @@
 
 One :class:`TenantCorePipeline` replaces the single
 :class:`~repro.core.pipeline.CorePipeline` on each receive queue of a
-multi-tenant run. It decodes each burst *once*, classifies it *once*
-against the table's :class:`~repro.tenancy.shared.SharedFilter`, and
-fans the per-tenant verdict vectors out to fully independent per-tenant
-``CorePipeline`` instances via ``process_batch_rows`` — so every tenant
-keeps its own conntrack table, cycle ledger, stats, callback
-quarantine, and (tenant-scoped) fault injector, and a noisy or crashing
-tenant cannot perturb another tenant's counters by even one bit.
+multi-tenant run and has one data path,
+:meth:`TenantCorePipeline.process_batch_rows`. Nothing is decoded
+here: the rows arrive pointing at the column batches the ingress
+decoded (one ``decode_mbufs`` per ingress chunk on the sequential
+backend; on a parallel worker the ``process_batch`` adapter decodes the
+burst it was sent, as ``CorePipeline.process_batch`` does). The one
+classification happens here, per burst: the table's
+:class:`~repro.tenancy.shared.SharedFilter` walks the merged trie once
+over the burst's own rows of each column batch, under the epoch in
+force when the burst runs, and every tenant's fully independent
+``CorePipeline`` gets rows that point at those same columns with its own
+verdict — so every tenant keeps its own conntrack table, cycle ledger,
+stats, callback quarantine, and (tenant-scoped) fault injector, and a
+noisy or crashing tenant cannot perturb another tenant's counters by
+even one bit. A tenant's loop runs only the rows it does not refuse;
+the rest are counted in bulk (``CorePipeline.count_refused``) unless an
+overload ladder, a span recorder, out-of-order timestamps or metering
+make every row observable (see ``process_batch_rows``). Rows the
+classifier has no say on — slow rows, ``config.columnar=False``, a
+table with a predicate no column expresses — carry verdict ``None``
+and the tenant's loop runs its scalar filter on them.
 
 Isolation knobs enforced here, before rows reach a tenant's pipeline:
 
@@ -37,6 +51,8 @@ admission epoch, untouched by the swap.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pipeline import CorePipeline
@@ -55,6 +71,11 @@ _WINDOW_S = 1.0
 #: tenant-granular analogue of rung 3's heavy-connection breaker).
 _QUOTA_RUNG = 1
 _PRESSURE_RUNG = 3
+#: The column batch of an ingress row ``(mbuf, queue, cols, i, verdict)``.
+_row_cols = itemgetter(2)
+#: Equal to no verdict: stands in for ``NO_MATCH`` when a tenant's loop
+#: must see the rows it refuses too.
+_REFUSE_NONE = object()
 
 
 def build_tenant_subscription(spec: TenantSpec, config,
@@ -147,27 +168,15 @@ class TenantStatsBundle(CoreStats):
         return out
 
 
-class _TableView:
-    """Duck-typed stand-in for ``pipeline.table``: the worker progress
-    loop only ever takes ``len()`` of it."""
-
-    __slots__ = ("_mux",)
-
-    def __init__(self, mux: "TenantCorePipeline") -> None:
-        self._mux = mux
-
-    def __len__(self) -> int:
-        return sum(len(tp.table) for tp in self._mux.pipelines())
-
-
 class TenantCorePipeline:
     """The per-core data path of a multi-tenant run.
 
     Exposes the same surface the sequential loop and the parallel
     ``_worker_main`` drive on a :class:`CorePipeline` — ``process_batch``,
-    ``advance_time``, ``drain``, ``sample_memory``, ``set_span_ctx``,
-    ``fold_fault_counters``, ``stats``, ``table``, ``now``,
-    ``memory_bytes``, the overload properties — plus the tenancy
+    ``process_batch_rows``, ``advance_time``, ``drain``,
+    ``sample_memory``, ``set_span_ctx``, ``fold_fault_counters``,
+    ``stats``, ``live_connections``, ``now``, ``memory_bytes``, the
+    overload properties — plus the tenancy
     verbs: :meth:`apply_epoch` and the ``epoch`` attribute.
     """
 
@@ -199,8 +208,11 @@ class TenantCorePipeline:
         #: Quota / pressure ledgers, created lazily at first shed so an
         #: unmetered tenant's snapshot carries no extra state at all.
         self._tenant_shed: Dict[str, LossLedger] = {}
-        self._use_columnar = bool(config.columnar)
-        pressure = getattr(config, "tenancy_pressure_mbps", None)
+        #: An overload ladder or a span recorder observes every row a
+        #: tenant is offered (see :meth:`process_batch_rows`).
+        self._observed = config.overload_policy != "off" or \
+            config.span_sample > 0 or config.flight_recorder_depth > 0
+        pressure = config.tenancy_pressure_mbps
         self._pressure_share = (
             pressure * 1e6 / 8.0 * _WINDOW_S / config.cores
             if pressure is not None else None)
@@ -336,52 +348,51 @@ class TenantCorePipeline:
             self._win_used[name] = 0.0
         self._window = new_window
 
-    def _meter_rows(self, mbufs, cols,
-                    verdicts=None) -> Dict[str, List[int]]:
-        """One pass over the burst deciding, per active tenant, which
-        rows its pipeline receives. Shed rows are charged to the
-        tenant's private ledger (``packets_seen`` counts only sheds
-        there — the tenant pipeline's own ledger counts what it was
-        fed, so the merged seen == analyzed + shed invariant holds).
+    def _meter(self, group, cols, vecs, feeds) -> None:
+        """One pass over a burst's rows from one column batch deciding,
+        per active tenant, which its pipeline receives. Shed rows are
+        charged to the tenant's private ledger (``packets_seen`` counts
+        only sheds there — the tenant pipeline's own ledger counts what
+        it was fed, so the merged seen == analyzed + shed invariant
+        holds).
 
         Quota and pressure charge a tenant only for rows its *own*
-        packet filter matches (per the shared verdicts; rows the batch
-        verdict cannot cover fall back to one scalar classify). Rows
-        irrelevant to a tenant ride through unmetered — the tenant's
-        pipeline refuses them exactly as it would solo, so co-tenant
-        traffic can never eat a tenant's budget or mark it "heavy".
+        packet filter matches (per the shared verdicts; rows they leave
+        unclassified fall back to one scalar classify). Rows irrelevant
+        to a tenant ride through unmetered — the tenant's pipeline
+        refuses them exactly as it would solo, so co-tenant traffic can
+        never eat a tenant's budget or mark it "heavy".
         """
-        sels: Dict[str, List[int]] = {n: [] for n in self._active}
         window = self._window
-        wires = cols.wire if cols is not None else None
-        fast = cols.fast if cols is not None else None
+        wires = cols.wire
         track_pressure = self._pressure_share is not None
         quota_share = self._quota_share
-        for i, mbuf in enumerate(mbufs):
-            ts = mbuf.timestamp
-            w = int(ts)
+        tenants = list(zip(self._active, vecs, feeds))
+        for mbuf, _queue, _cols, i, _verdict in group:
+            w = int(mbuf.timestamp)
             if w > window:
                 self._rollover(w)
                 window = w
-            wire = wires[i] if wires is not None else len(mbuf.data)
+            wire = wires[i]
             scalar_fan = None
-            for t, name in enumerate(self._active):
-                if verdicts is not None and fast is not None \
-                        and fast[i]:
-                    relevant = verdicts[t][i] != NO_MATCH
-                else:
+            for t, (name, vec, feed) in enumerate(tenants):
+                verdict = vec[i]
+                if verdict is None:
                     if scalar_fan is None:
                         scalar_fan = self._shared.classify(mbuf)
                     relevant = scalar_fan[t].matched
-                if not relevant:
-                    sels[name].append(i)
-                    continue
-                if name in self._downgraded:
-                    ledger = self._shed_ledger(name)
-                    ledger.packets_seen += 1
-                    ledger.record_shed(_PRESSURE_RUNG,
-                                       "tenant_pressure", wire)
                 else:
+                    relevant = verdict != NO_MATCH
+                if relevant:
+                    if track_pressure:
+                        self._win_bytes[name] = \
+                            self._win_bytes.get(name, 0.0) + wire
+                    if name in self._downgraded:
+                        ledger = self._shed_ledger(name)
+                        ledger.packets_seen += 1
+                        ledger.record_shed(_PRESSURE_RUNG,
+                                           "tenant_pressure", wire)
+                        continue
                     share = quota_share.get(name)
                     if share is not None:
                         used = self._win_used[name]
@@ -390,74 +401,91 @@ class TenantCorePipeline:
                             ledger.packets_seen += 1
                             ledger.record_shed(_QUOTA_RUNG,
                                                "tenant_quota", wire)
-                        else:
-                            self._win_used[name] = used + wire
-                            sels[name].append(i)
-                    else:
-                        sels[name].append(i)
-                if track_pressure:
-                    self._win_bytes[name] = \
-                        self._win_bytes.get(name, 0.0) + wire
-        return sels
+                            continue
+                        self._win_used[name] = used + wire
+                feed.append((mbuf, None, cols, i, verdict))
 
     # -- the data path --------------------------------------------------
     def process_batch(self, mbufs) -> None:
+        """What a parallel worker calls: decode the burst, then its
+        rows — the adapter :meth:`CorePipeline.process_batch` is."""
         if type(mbufs) is not list and type(mbufs) is not tuple:
             mbufs = list(mbufs)
-        if not mbufs:
-            return
-        ts = mbufs[-1].timestamp
-        if ts > self._mux_now:
-            self._mux_now = ts
-        active = self._active
-        if not active:
-            return
-        shared = self._shared
-        if self._use_columnar and shared.batch_supported:
-            cols = decode_mbufs(mbufs)
-            verdicts = shared.classify_batch(cols)
-            n = cols.n
-            if not self._metered:
-                # Amortize across the fan-out what every tenant would
-                # otherwise recompute: total wire bytes and whether row
-                # timestamps are nondecreasing (the compact row path
-                # needs sortedness to keep per-row clock semantics).
-                wire_total = sum(cols.wire)
-                stamps = [m.timestamp for m in mbufs]
-                ts_sorted = all(a <= b for a, b in
-                                zip(stamps, stamps[1:]))
-                for t, name in enumerate(active):
-                    self._pipes[name].process_batch_rows_shared(
-                        mbufs, cols, verdicts[t], wire_total,
-                        ts_sorted)
-            else:
-                sels = self._meter_rows(mbufs, cols, verdicts)
-                for t, name in enumerate(active):
-                    sel = sels[name]
-                    vec = verdicts[t]
-                    self._pipes[name].process_batch_rows(
-                        [(mbufs[i], None, cols, i, vec[i]) for i in sel])
-        else:
-            # Scalar / mixed fallback: each tenant pipeline runs its own
-            # preferred path (a tenant whose trie *is* batch-expressible
-            # still goes columnar internally, exactly as it would solo).
-            if not self._metered:
-                for name in active:
-                    self._pipes[name].process_batch(mbufs)
-            else:
-                sels = self._meter_rows(mbufs, None)
-                for name in active:
-                    self._pipes[name].process_batch(
-                        [mbufs[i] for i in sels[name]])
+        cols = decode_mbufs(mbufs, self.config.columnar)
+        self.process_batch_rows(
+            [(mbuf, None, cols, i, None) for i, mbuf in enumerate(mbufs)])
 
     def process_packet(self, mbuf) -> None:
         self.process_batch((mbuf,))
 
     def process_batch_rows(self, rows) -> None:
-        """What the sequential ingest loop calls. The shared classifier
-        wants one column batch per burst and ingress rows come from
-        several, so the multiplexer decodes its burst again."""
-        self.process_batch([row[0] for row in rows])
+        """The one data path: a burst of ``(mbuf, queue, cols, i,
+        verdict)`` rows as :func:`~repro.packet.columnar.ingress_rows`
+        yields them (queue and verdict unread — the ingress runs no
+        classifier for a tenant table, which can change between a
+        chunk's decode and the burst). Each column batch the burst
+        draws on is classified once, for the burst's own rows, by the
+        table in force now; every tenant then gets rows that point at
+        those same columns, with its own verdict: ``None`` where the
+        classifier has no say (a slow row, ``config.columnar=False``, a
+        table that is not batch-expressible), which is where the
+        tenant's loop runs its scalar filter.
+
+        A tenant's loop sees only the rows it does not refuse — the
+        rest are counted in one call — unless refusing in bulk would
+        change what the tenant computes:
+
+        * an overload ladder ticks on the timestamp of *every* row it
+          is offered and reads the cycles charged so far when it does;
+        * a span recorder opens one span per burst, refused rows and
+          empty bursts included;
+        * out-of-order timestamps: the tenant's clock is a running
+          maximum, so a refused row can move the time a later one is
+          processed at;
+        * metering: the burst may end on a row this tenant was never
+          offered, so its end is not this tenant's clock.
+        """
+        if not rows:
+            return
+        n = len(rows)
+        last_ts = rows[-1][0].timestamp
+        if last_ts > self._mux_now:
+            self._mux_now = last_ts
+        active = self._active
+        if not active:
+            return
+        bulk = not (self._observed or self._metered)
+        if bulk:
+            stamps = [row[0].timestamp for row in rows]
+            bulk = stamps == sorted(stamps)
+        refuse = NO_MATCH if bulk else _REFUSE_NONE
+        shared = self._shared
+        feeds: List[list] = [[] for _ in active]
+        wire_total = 0
+        for cols, group in groupby(rows, _row_cols):
+            group = list(group)
+            idxs = [row[3] for row in group]
+            vecs = shared.classify_batch(cols, idxs)
+            if vecs is None:
+                vecs = [[None] * cols.n] * len(active)
+            if self._metered:
+                self._meter(group, cols, vecs, feeds)
+                continue
+            wire = cols.wire
+            wire_total += sum([wire[i] for i in idxs])
+            for feed, vec in zip(feeds, vecs):
+                feed += [(row[0], None, cols, i, vec[i])
+                         for row, i in zip(group, idxs)
+                         if vec[i] != refuse]
+        for name, feed in zip(active, feeds):
+            pipeline = self._pipes[name]
+            if feed or not bulk:
+                pipeline.process_batch_rows(feed)
+            if bulk and len(feed) < n:
+                pipeline.count_refused(
+                    n - len(feed),
+                    wire_total - sum([row[2].wire[row[3]] for row in feed]),
+                    last_ts)
 
     # -- lifecycle forwarding -------------------------------------------
     def advance_time(self, now: float) -> None:
@@ -496,8 +524,8 @@ class TenantCorePipeline:
         return sum(tp.memory_bytes for tp in self.pipelines())
 
     @property
-    def table(self) -> _TableView:
-        return _TableView(self)
+    def live_connections(self) -> int:
+        return sum(tp.live_connections for tp in self.pipelines())
 
     @property
     def overload_rung(self) -> int:

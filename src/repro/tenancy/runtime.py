@@ -9,9 +9,8 @@ fans verdicts out per tenant. The table is versioned — ``subscribe``/
 land atomically on burst boundaries:
 
 - **Sequential backend**: the ingest loop
-  (:meth:`repro.core.runtime.Runtime._run_sequential`) discovers this
-  runtime's :attr:`next_reconfigure_ts` / :meth:`publish_tenancy_events`
-  surface and checks it *before* routing each packet; when an event is
+  (:meth:`repro.core.runtime.Runtime._run_sequential`) checks
+  :attr:`next_reconfigure_ts` *before* routing each packet; when an event is
   due it flushes every pending per-queue burst (old-epoch packets
   classify under the old table), publishes, and calls ``apply_epoch``
   on every pipeline. The first packet with ``timestamp >= event.time``
@@ -19,7 +18,7 @@ land atomically on burst boundaries:
   contract, which is what keeps the two backends byte-identical per
   tenant even across a mid-run swap.
 - **Parallel backend**: :func:`repro.core.parallel.run_parallel`
-  discovers the same surface plus :meth:`tenant_wire_state`, ships the
+  reads the same surface plus :meth:`tenant_wire_state`, ships the
   wire table to each worker, and broadcasts each new epoch on an empty
   stamped :class:`~repro.packet.batch.PackedBatch` after flushing
   pending batches. Epoch bumps ride the supervised redo log, so a
@@ -43,7 +42,6 @@ if TYPE_CHECKING:
     from repro.core.stats import AggregateStats
 
 from repro.core.runtime import Runtime, RuntimeReport
-from repro.core.subscription import Subscription
 from repro.errors import TenancyError
 from repro.filter import compile_filter
 from repro.tenancy.pipeline import TenantCorePipeline, TenantStatsBundle
@@ -73,30 +71,22 @@ class TenantRuntime(Runtime):
         #: same-timestamp events: schedule order breaks the tie).
         self._events: List[ReconfigureEvent] = sorted(
             events, key=lambda e: e.time)
-        # The base constructor wires NICs/executor/bookkeeping around a
-        # synthetic match-all subscription; its pipelines and hardware
-        # filter are replaced below.
-        super().__init__(
-            config,
-            subscription=Subscription(
-                "", "packet", None, filter_mode=config.filter_mode,
-                nic=config.nic),
-            ports=ports,
-        )
+        #: Subscriptions and callback executors are per tenant, inside
+        #: the pipelines; the runtime itself has neither.
+        self.subscription = self.executor = None
         # One immutable hardware plane for the whole tenant universe:
         # dormant tenants are compiled in up front so activating them
         # later never touches the NIC.
-        self._union_hw = union_hardware([
-            compile_filter(spec.filter, mode=config.filter_mode)
-            for spec in table.specs])
-        if config.hardware_filter:
-            for nic in self.nics:
-                nic.install_hardware_filter(self._union_hw)
-        self.pipelines = [
+        self._deploy(config, ports, self._union_hardware(config), [
             TenantCorePipeline(core, table.specs, table.active, config,
                                epoch=table.epoch)
             for core in range(config.cores)
-        ]
+        ])
+
+    def _union_hardware(self, config):
+        return union_hardware([
+            compile_filter(spec.filter, mode=config.filter_mode)
+            for spec in self.table.specs])
 
     # -- live reconfiguration ------------------------------------------
     def subscribe(self, spec: TenantSpec) -> int:
@@ -119,12 +109,10 @@ class TenantRuntime(Runtime):
         known = self.table.by_name.get(spec.name)
         self.table = self.table.subscribe(spec)
         if known is None or known.filter != spec.filter:
-            self._union_hw = union_hardware([
-                compile_filter(s.filter, mode=self.config.filter_mode)
-                for s in self.table.specs])
             if self.config.hardware_filter:
+                hardware = self._union_hardware(self.config)
                 for nic in self.nics:
-                    nic.install_hardware_filter(self._union_hw)
+                    nic.install_hardware_filter(hardware)
         self._sync_local()
         return self.table.epoch
 
@@ -140,7 +128,7 @@ class TenantRuntime(Runtime):
         for pipeline in self.pipelines:
             pipeline.apply_epoch(epoch, (action,))
 
-    # -- the ingest protocol (duck-typed by both backends' loops) ------
+    # -- the ingest protocol (overrides Runtime's "none scheduled") ----
     @property
     def next_reconfigure_ts(self) -> Optional[float]:
         """Virtual time of the next scheduled event, or None."""
@@ -176,16 +164,6 @@ class TenantRuntime(Runtime):
         }
 
     # -- per-tenant reporting ------------------------------------------
-    def nic_ingress(self) -> Tuple[int, int, int, int]:
-        """The shared link's ingress totals — every tenant's
-        :class:`AggregateStats` is framed against the same link."""
-        return (
-            sum(n.stats.received_packets for n in self.nics),
-            sum(n.stats.received_bytes for n in self.nics),
-            sum(n.stats.hw_dropped_packets for n in self.nics),
-            sum(n.stats.sink_dropped_packets for n in self.nics),
-        )
-
     def _per_tenant_stats(self, report: RuntimeReport
                           ) -> Dict[str, List]:
         per: Dict[str, List] = {}
@@ -203,6 +181,7 @@ class TenantRuntime(Runtime):
         bundles. Every tenant that was active at any point appears —
         including tenants dropped mid-run, whose drained stats are
         frozen at their last admitted epoch."""
+        # Every tenant is framed against the same, shared link.
         ingress = self.nic_ingress()
         return {
             name: self.aggregate(core_stats=stats_list, ingress=ingress)

@@ -341,3 +341,40 @@ class TestNoReparse:
         assert sum(decodes) == len(mbufs)
         assert len(decodes) == -(-len(mbufs) // 256)
         assert digest == run(columnar=False)[1]
+
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    def test_tenant_table_decodes_each_chunk_once(self, traces,
+                                                  monkeypatch, cores):
+        """The multiplexer classifies and fans out the rows the ingress
+        decoded: a sequential multi-tenant run calls ``decode_mbufs``
+        once per ingress chunk, however its bursts are cut."""
+        import repro.core.pipeline as pipeline_mod
+        import repro.packet.columnar as columnar_mod
+        import repro.tenancy.pipeline as tenancy_mod
+        from repro.tenancy import TenantRuntime, TenantSpec
+        decodes = []
+
+        def counting(mbufs, columnar=True):
+            decodes.append(len(mbufs))
+            return decode_mbufs(mbufs, columnar)
+
+        for mod in (columnar_mod, pipeline_mod, tenancy_mod):
+            monkeypatch.setattr(mod, "decode_mbufs", counting)
+
+        def run(columnar):
+            mbufs = [Mbuf(*row) for row in traces["campus"]]
+            runtime = TenantRuntime(
+                RuntimeConfig(cores=cores, columnar=columnar),
+                [TenantSpec("web", "tcp.dst_port = 443", "connection"),
+                 TenantSpec("dns", "udp", "packet"),
+                 TenantSpec("all", "", "packet")])
+            report = runtime.run(iter(mbufs), memory_sample_interval=0.01)
+            return mbufs, json.dumps(
+                {name: stats.to_dict() for name, stats
+                 in runtime.aggregate_tenants(report).items()},
+                sort_keys=True)
+
+        mbufs, digest = run(columnar=True)
+        assert decodes == [256] * (len(mbufs) // 256) + \
+            [len(mbufs) % 256][:len(mbufs) % 256]
+        assert digest == run(columnar=False)[1]

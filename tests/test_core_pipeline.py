@@ -370,6 +370,56 @@ class TestBurstShapeDoesNotMatter:
                      self._rows_across_batches):
             assert self._run(feed, filter_str, datatype) == want
 
+    @pytest.mark.parametrize("quota", [None, 0.01],
+                             ids=["unmetered", "metered"])
+    def test_tenant_multiplexer_same_stats_same_delivery_order(self,
+                                                               quota):
+        """The multiplexer has one data path too: ``process_batch`` in
+        256s, or ``process_batch_rows`` with 16-row bursts whose rows
+        point into four different decodes. Tenants take turns per
+        burst, so it is each tenant's own delivery order that holds."""
+        from repro.tenancy import TenantSpec
+        from repro.tenancy.pipeline import TenantCorePipeline
+
+        def run(feed):
+            mbufs = golden_trace("mixed_burst")
+            got = {}
+
+            def tenant(name, filter_str, datatype, **kw):
+                return TenantSpec(
+                    name, filter_str, datatype, callback=lambda obj:
+                    got.setdefault(name, []).append(self._describe(obj)),
+                    **kw)
+
+            specs = [tenant("web", "tcp.dst_port = 443", "connection",
+                            quota_mbps=quota),
+                     tenant("plain", "tcp.dst_port = 80", "byte_stream"),
+                     tenant("pings", "icmp", "packet"),
+                     tenant("udp_all", "udp", "packet")]
+            mux = TenantCorePipeline(
+                0, specs, [spec.name for spec in specs],
+                RuntimeConfig(cores=1))
+            feed(mux, mbufs)
+            mux.advance_time(mbufs[-1].timestamp + 600.0)
+            mux.drain()
+            return mux.stats.to_dict(), got
+
+        def rows_across_batches(mux, mbufs):
+            rows = []
+            for start in range(0, len(mbufs), 5):
+                chunk = mbufs[start:start + 5]
+                cols = decode_mbufs(chunk)
+                rows.extend((m, None, cols, i, None)
+                            for i, m in enumerate(chunk))
+            for start in range(0, len(rows), 16):
+                mux.process_batch_rows(rows[start:start + 16])
+
+        want = run(self._bursts_of(256))
+        assert set(want[1]) == {"web", "plain", "pings", "udp_all"}
+        assert bool(want[0].get("tenant_shed")) == (quota is not None)
+        assert run(rows_across_batches) == want
+        assert run(self._bursts_of(7)) == want
+
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_merge_order_does_not_matter(self, workers):
         """Aggregating the workers' per-core snapshots in any order

@@ -75,6 +75,31 @@ class TestStatsMonitor:
         assert len(lines) == len(monitor.samples)
         assert all("conns=" in line for line in lines)
 
+    def test_one_stats_read_per_pipeline_per_snapshot(self, monkeypatch):
+        """A tenant core builds and merges a fresh bundle on every
+        ``stats`` read, so a snapshot reads each pipeline's once."""
+        from repro.tenancy import TenantRuntime, TenantSpec
+        from repro.tenancy.pipeline import TenantCorePipeline
+        reads = []
+        stats = TenantCorePipeline.stats
+        monkeypatch.setattr(
+            TenantCorePipeline, "stats",
+            property(lambda self: reads.append(self.core_id)
+                     or stats.fget(self)))
+        runtime = TenantRuntime(RuntimeConfig(cores=2), [
+            TenantSpec("web", "tcp.dst_port = 443", "connection"),
+            TenantSpec("dns", "udp", "packet")])
+        monitor = StatsMonitor(interval=0.1)
+        traffic = list(CampusTrafficGenerator(seed=17).packets(
+            duration=0.3, gbps=0.05))
+        for mbuf in traffic:
+            runtime.nic.receive(mbuf)
+        monitor.observe(runtime, 0.0)
+        del reads[:]
+        monitor.observe(runtime, 1.0)
+        assert len(monitor.samples) == 1
+        assert sorted(reads) == [0, 1]
+
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             StatsMonitor(interval=0)

@@ -17,8 +17,11 @@ payload hashed here was dumped for all 18 cases x 4 variants on the
 parent and on the change; every int/str/bool field was equal, every
 float that moved sat under one of those keys, and the largest relative
 change was 5.6e-13 (a per-burst span stage delta; 1.4e-13 on any
-``stats`` field). A case added later is recorded the same way, by
-running this file as a script:
+``stats`` field). The seven ``tenants_*`` cases after
+``filter_not_batch_expressible`` (metered, not batch-expressible, spans,
+ladder) were added by PR 22 and recorded on its parent, 14bf723, before
+the multiplexer was edited. A case added later is recorded the same way,
+by running this file as a script:
 
     PYTHONPATH=src:. python tests/test_stats_golden.py
 
@@ -242,6 +245,19 @@ def _unexpressible_hw(variant):
 #: ~10 ms of virtual work per stateful packet: the burst overloads.
 _HEAVY = CostModel(conn_track=3e7)
 
+#: Quota and pressure both shed on ``small_campus`` at these budgets.
+_METERED = [
+    TenantSpec("web", "tcp.port = 443", "connection", quota_mbps=2.0),
+    TenantSpec("dns", "udp", "packet", quota_mbps=0.05),
+    TenantSpec("all", "tcp", "connection"),
+]
+#: ``ipv4.ttl`` has no column: the table is not batch-expressible.
+_UNEXPRESSIBLE = [
+    TenantSpec("web", "tcp.dst_port = 443", "connection"),
+    TenantSpec("ttl", "ipv4.ttl > 5", "packet"),
+    TenantSpec("dns", "udp", "packet"),
+]
+
 CASES = {
     "campus_conn": _single("campus", "tcp", "connection"),
     "campus_pkt": _single("campus", "", "packet"),
@@ -284,6 +300,36 @@ CASES = {
     "hw_not_column_expressible": _unexpressible_hw,
     "filter_not_batch_expressible": _single(
         "small_campus", "ipv4.ttl > 5 and tcp", "connection"),
+    # -- the multiplexer's other branches (recorded on 14bf723) --------
+    "tenants_metered": _tenants(
+        "small_campus", _METERED, tenancy_pressure_mbps=4.0),
+    "tenants_mixed_burst_metered": _tenants(
+        "mixed_burst",
+        [TenantSpec("web", "tcp.dst_port = 443", "connection",
+                    quota_mbps=0.01),
+         TenantSpec("plain", "tcp.dst_port = 80", "byte_stream"),
+         TenantSpec("pings", "icmp", "packet", quota_mbps=0.002),
+         TenantSpec("udp_all", "udp", "packet")],
+        tenancy_pressure_mbps=0.2),
+    "tenants_unexpressible": _tenants("small_campus", _UNEXPRESSIBLE),
+    "tenants_unexpressible_metered": _tenants(
+        "small_campus",
+        [TenantSpec("web", "tcp.dst_port = 443", "connection"),
+         TenantSpec("ttl", "ipv4.ttl > 5", "packet", quota_mbps=2.0),
+         TenantSpec("dns", "udp", "packet", quota_mbps=0.05)],
+        tenancy_pressure_mbps=4.0),
+    "tenants_spans_k1": _tenants(
+        "small_campus", _METERED[:1] + _UNEXPRESSIBLE[1:],
+        span_sample=1, flight_recorder_depth=4),
+    "tenants_overload_ladder": _tenants(
+        "burst", [("conn", "", "connection"), ("dns", "udp", "packet"),
+                  ("web", "tcp.port = 443", "tls_handshake")],
+        overload_policy="ladder", overload_target_lag=0.02,
+        cost_model=_HEAVY),
+    "tenants_spans_ladder": _tenants(
+        "burst", [("conn", "tcp", "connection"), ("dns", "udp", "packet")],
+        overload_policy="ladder", overload_target_lag=0.02,
+        cost_model=_HEAVY, span_sample=1),
 }
 
 
@@ -345,6 +391,21 @@ GOLDEN = {
         '14483:0464146e200d1aa1734edf266451b6bb45fb65535342d02a5cd61dc851b448a4',
     'filter_not_batch_expressible':
         '14483:9ab8d982f1d208799db8a270b1ef67b4d46b79f9d363419aed60256d1cd980aa',
+    # Recorded on 14bf723 (PR 21), before PR 22 touched the multiplexer.
+    'tenants_metered':
+        '14483:eb44145239214cda4ebdc7aa6f6c4620c90ab254c41e58e1b8e96a0ca6b635d2',
+    'tenants_mixed_burst_metered':
+        '82:12e026a2818cb692062a3aab52299c604bedabf0e6f6a945277ef50240f0d0f9',
+    'tenants_unexpressible':
+        '14483:8a9fc5aeb9272c32b97d1227a4322c3f4dcc63ad8efb199817721aa110925e64',
+    'tenants_unexpressible_metered':
+        '14483:7986cdd82ab294bf7250ddbdaeb554e902643eee9b8c693d38f0592f2bd2b1f4',
+    'tenants_spans_k1':
+        '14483:f9996e5ff17588fb095860da50f24680805333c4c8120efd47f6455ed99b38fc',
+    'tenants_overload_ladder':
+        '18947:03291b630a480b54c3ee3ecbdfcab94b6c4bc9351f2747e09b635b4c66da239e',
+    'tenants_spans_ladder':
+        '18947:2a3ad31d47152cb59b55ced2b7bcb765d5c799b308a7bdf45bbf5aa2f2a4af5b',
 }
 
 

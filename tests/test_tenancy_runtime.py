@@ -95,6 +95,30 @@ class TestLiveReconfigDeterminism:
         for bundle in report.core_stats.values():
             assert bundle.epoch == 2
 
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    def test_event_strictly_inside_an_ingress_chunk(self, traffic, cores):
+        """The ingress decodes 256-frame chunks; a swap due in the
+        middle of one must still land between two packets. The rows
+        before it classify under the old table, the rows after under
+        the new one — the multiplexer classifies when a burst runs,
+        not when its chunk was decoded."""
+        k = 3 * 256 + 100
+        before, after = traffic[k - 1].timestamp, traffic[k].timestamp
+        assert before < after
+        at = (before + after) / 2
+        events = [ReconfigureEvent(at, "drop", "dns"),
+                  ReconfigureEvent(at, "add", "late")]
+        seq, _, _ = _run(traffic, _specs(), events, cores=cores)
+        scalar, _, _ = _run(traffic, _specs(), events, cores=cores,
+                            columnar=False)
+        par, _, _ = _run(traffic, _specs(), events, cores=cores,
+                         parallel=True)
+        assert seq == scalar == par
+        # The chunk's packets partition at the event, not at its edges.
+        assert seq["dns"]["processed_packets"] + \
+            seq["late"]["processed_packets"] == \
+            seq["web"]["processed_packets"]
+
     def test_drop_then_readd_same_tenant(self, traffic):
         """A tenant can leave and rejoin; the rejoin starts a fresh
         pipeline while the dropped incarnation drains frozen."""
