@@ -60,12 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(overrides --cores; 0 = sequential)")
     parser.add_argument("--batch-size", type=int, default=256,
                         help="packets per dispatch batch (both backends)")
-    parser.add_argument("--ipc", default="auto",
-                        choices=["auto", "shm", "queue"],
-                        help="parallel feeder->worker transport: shared-"
-                             "memory mempool + descriptor rings, pickled "
-                             "bounded queues, or auto (shm where the "
-                             "platform supports it; default)")
     parser.add_argument("--mode", default="codegen",
                         choices=["codegen", "interp"],
                         help="filter execution backend")
@@ -350,11 +344,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("error: --burst-intensity must be >= 1.0 (it multiplies "
               "the baseline arrival rate)", file=sys.stderr)
         return 2
-    if args.ipc != "auto" and args.parallel <= 0:
-        print("error: --ipc has no effect without --parallel: the "
-              "transport only carries feeder->worker batches; add "
-              "--parallel N or drop --ipc", file=sys.stderr)
-        return 2
     if args.trace_sample is not None and not args.trace_out:
         print("error: --trace-sample has no effect without --trace-out: "
               "connection tracing is off; add --trace-out PATH or drop "
@@ -509,7 +498,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             cores=args.parallel if args.parallel > 0 else args.cores,
             parallel=args.parallel > 0,
             parallel_batch_size=args.batch_size,
-            ipc_transport=args.ipc,
             filter_mode=args.mode,
             hardware_filter=not args.no_hardware_filter,
             sink_fraction=args.sink_fraction,

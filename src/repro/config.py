@@ -92,37 +92,20 @@ class RuntimeConfig:
     #: extension headers, fragments, ICMP, truncation). The parity
     #: tests and benchmarks compare the columns against it.
     columnar: bool = True
-    #: Packets per dispatch batch. Batches amortize the per-message
-    #: IPC + pickle cost in the parallel backend (DPDK-burst style)
-    #: and per-packet dispatch overhead in the sequential backend.
+    #: Packets per dispatch batch. Batches amortize the per-burst
+    #: ring cost in the parallel backend (DPDK-burst style) and
+    #: per-packet dispatch overhead in the sequential backend.
     parallel_batch_size: int = 256
-    #: Bounded depth (in batches) of each worker's input queue; the
-    #: feeder blocks when a worker falls this far behind (backpressure
-    #: instead of unbounded buffering). Under the shm transport this is
-    #: also the descriptor-ring size and the mempool slot count per
-    #: core — ring capacity and slot availability are one condition.
+    #: Depth (in batches) of each worker's descriptor ring, which is
+    #: also its mempool slot count (:mod:`repro.core.shm`): the feeder
+    #: blocks when a worker falls this far behind (backpressure instead
+    #: of unbounded buffering).
     parallel_queue_depth: int = 8
-    #: Feeder→worker transport for the parallel backend. "auto" uses
-    #: the shared-memory mempool + descriptor rings
-    #: (:mod:`repro.core.shm`) wherever the interpreter provides
-    #: ``multiprocessing.shared_memory`` and falls back to the pickled
-    #: bounded queues otherwise; "shm" / "queue" force one or the
-    #: other ("shm" fails loudly on platforms without shared memory).
-    ipc_transport: str = "auto"
-    #: Bytes per shared-memory batch slot; None sizes slots from the
-    #: adaptive-batch clamp at a generous ~2 KiB per frame. Bursts that
-    #: do not fit a slot fall back (per batch) to the pickled control
-    #: channel, so undersizing costs speed, never correctness.
+    #: Bytes per shared-memory batch slot; None sizes slots from
+    #: ``parallel_batch_size`` at a generous ~2 KiB per frame. Bursts
+    #: that do not fit a slot fall back (per batch) to the pickled
+    #: control channel, so undersizing costs speed, never correctness.
     ipc_slot_bytes: Optional[int] = None
-    #: Let the shm feeder grow each queue's batch size toward
-    #: ``ipc_max_batch`` while its ring runs deep and shrink back when
-    #: it runs shallow. Stats are batch-size invariant, so this is a
-    #: pure latency/throughput trade; it is automatically disabled
-    #: under supervision and span tracing, which pin batch boundaries.
-    ipc_adaptive_batch: bool = True
-    #: Upper clamp for adaptive batch growth (None = 4x
-    #: ``parallel_batch_size``; hard ceiling 65535 rows per slot).
-    ipc_max_batch: Optional[int] = None
     #: Enable the extended telemetry recorders: per-stage cycle
     #: histograms, reassembly-buffer occupancy histograms, and parallel
     #: backend health metrics. The filter-funnel counters are always on
@@ -269,19 +252,10 @@ class RuntimeConfig:
             raise ConfigError("parallel_batch_size must be >= 1")
         if self.parallel_queue_depth < 1:
             raise ConfigError("parallel_queue_depth must be >= 1")
-        if self.ipc_transport not in ("auto", "shm", "queue"):
-            raise ConfigError(
-                f"unknown ipc_transport {self.ipc_transport!r} "
-                f"(choose auto, shm, or queue)")
         if self.ipc_slot_bytes is not None and self.ipc_slot_bytes < 4096:
             raise ConfigError("ipc_slot_bytes must be >= 4096 (one "
                               "page; a slot must hold at least a small "
                               "batch header + frames)")
-        if self.ipc_max_batch is not None and \
-                self.ipc_max_batch < self.parallel_batch_size:
-            raise ConfigError("ipc_max_batch must be >= "
-                              "parallel_batch_size (it is the adaptive "
-                              "growth ceiling, not a second batch size)")
         if not 0.0 <= self.trace_sample <= 1.0:
             raise ConfigError("trace_sample must be in [0, 1]")
         if self.span_sample < 0:

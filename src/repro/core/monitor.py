@@ -9,8 +9,9 @@ fixed virtual-time cadence and renders the paper's suggested signals —
 ingress rate, implied packet loss, callback rate, live connections,
 resident memory, and the filter funnel's per-interval survivors.
 
-Both backends feed it: the sequential runtime passes itself, the
-parallel backend passes a view assembled from worker progress reports.
+Both backends feed it one :class:`CoreProgress` record per core: the
+sequential runtime builds them from its own pipelines, the parallel
+backend's workers build the same record and send it as is.
 At end of run the runtime calls :meth:`StatsMonitor.finalize` so the
 final partial interval is recorded rather than silently dropped.
 """
@@ -18,7 +19,39 @@ final partial interval is recorded rather than silently dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional
+
+
+class CoreProgress(NamedTuple):
+    """What one core reports about itself mid-run: everything the
+    monitor, the OOM cutoff and the fail-fast cutoff read."""
+
+    callbacks: int = 0
+    live_connections: int = 0
+    memory_bytes: int = 0
+    busy_seconds: float = 0.0
+    pf_packets: int = 0
+    connf_packets: int = 0
+    sessf_packets: int = 0
+    #: Overload ladder: current rung, packets shed so far, and the
+    #: virtual time this core tripped fail-fast (None if it has not).
+    overload_rung: int = 0
+    shed_packets: int = 0
+    failfast_at: Optional[float] = None
+
+    @classmethod
+    def of(cls, pipeline) -> "CoreProgress":
+        """The record of a ``CorePipeline`` or ``TenantCorePipeline``.
+        One ``stats`` read: a tenant core builds and merges a fresh
+        bundle on every read."""
+        stats = pipeline.stats
+        shed = stats.overload
+        return cls(stats.callbacks, pipeline.live_connections,
+                   pipeline.memory_bytes, stats.ledger.busy_seconds,
+                   stats.pf_packets, stats.connf_packets,
+                   stats.sessf_packets, pipeline.overload_rung,
+                   shed.packets_shed if shed is not None else 0,
+                   pipeline.overload_failfast_at)
 
 
 @dataclass(frozen=True)
@@ -93,7 +126,8 @@ class StatsMonitor:
         self._last_shed = 0
 
     def observe(self, runtime, now: float) -> None:
-        """Called by the runtime; snapshots when the interval elapsed."""
+        """Called by the runtime; snapshots when the interval elapsed.
+        ``runtime`` is anything with ``nics`` and ``core_progress()``."""
         if self._last_ts is None:
             self._last_ts = now
             return
@@ -113,16 +147,13 @@ class StatsMonitor:
         received_packets = sum(n.stats.received_packets
                                for n in runtime.nics)
         received_bytes = sum(n.stats.received_bytes for n in runtime.nics)
-        # One ``stats`` read per pipeline: a tenant core builds and
-        # merges a fresh bundle on every read.
-        stats = [p.stats for p in runtime.pipelines]
-        callbacks = sum(s.callbacks for s in stats)
-        pf = sum(s.pf_packets for s in stats)
-        connf = sum(s.connf_packets for s in stats)
-        sessf = sum(s.sessf_packets for s in stats)
-        busiest = max((s.ledger.busy_seconds for s in stats), default=0.0)
-        rung = max((p.overload_rung for p in runtime.pipelines), default=0)
-        shed = sum(p.overload_shed_packets for p in runtime.pipelines)
+        cores = runtime.core_progress()
+        callbacks = sum(c.callbacks for c in cores)
+        pf = sum(c.pf_packets for c in cores)
+        connf = sum(c.connf_packets for c in cores)
+        sessf = sum(c.sessf_packets for c in cores)
+        busiest = max((c.busy_seconds for c in cores), default=0.0)
+        shed = sum(c.shed_packets for c in cores)
         sample = MonitorSample(
             timestamp=now,
             interval=elapsed,
@@ -131,13 +162,13 @@ class StatsMonitor:
             interval_gbps=(received_bytes - self._last_bytes) * 8
             / elapsed / 1e9,
             callbacks=callbacks - self._last_callbacks,
-            live_connections=runtime.live_connections,
-            memory_bytes=runtime.memory_bytes,
+            live_connections=sum(c.live_connections for c in cores),
+            memory_bytes=sum(c.memory_bytes for c in cores),
             busy_fraction=(busiest - self._last_busy) / elapsed,
             pf_packets=pf - self._last_pf,
             connf_packets=connf - self._last_connf,
             sessf_packets=sessf - self._last_sessf,
-            overload_rung=rung,
+            overload_rung=max((c.overload_rung for c in cores), default=0),
             shed_packets=shed - self._last_shed,
         )
         self.samples.append(sample)

@@ -6,7 +6,7 @@ a single CPU no matter what ``config.cores`` says. This module makes
 the paper's Section 5 scaling claim *real*: one OS worker process per
 simulated core, each running its own shared-nothing
 :class:`~repro.core.pipeline.CorePipeline` + connection table, fed by
-the parent over bounded queues.
+the parent over bounded shared-memory rings.
 
 Design, mirroring the paper's data path:
 
@@ -15,14 +15,13 @@ Design, mirroring the paper's data path:
   redirection-table lookup, so both backends route every packet to the
   same queue/core. Per-flow arrival order is preserved because routing
   is per packet, in stream order.
-- **Batching** amortizes IPC and pickle cost the same way Retina
-  amortizes per-packet overhead with DPDK bursts: packets travel in
-  ``config.parallel_batch_size``-packet batches packed into flat
-  buffers (:class:`~repro.packet.batch.PackedBatch` — one frames blob
-  plus offset/timestamp/port arrays, so serialization is O(bytes)
-  rather than O(objects)); workers rebuild zero-copy mbuf views and
-  process them with :meth:`CorePipeline.process_batch`.
-- **Backpressure**: each worker's input queue holds at most
+- **Batching** amortizes IPC cost the same way Retina amortizes
+  per-packet overhead with DPDK bursts: packets travel in
+  ``config.parallel_batch_size``-packet batches laid out flat (the
+  :class:`~repro.packet.batch.PackedBatch` wire layout — one frames
+  blob plus offset/timestamp/port arrays); workers rebuild zero-copy
+  mbuf views and process them with :meth:`CorePipeline.process_batch`.
+- **Backpressure**: each worker's ring holds at most
   ``config.parallel_queue_depth`` batches; the feeder blocks instead of
   buffering unboundedly (the analogue of a finite RX descriptor ring).
 - **Shared-nothing merge**: workers never share state; each returns a
@@ -46,50 +45,44 @@ Caveats (documented deviations):
 - Callbacks execute inside the worker processes: their side effects
   (prints, appended lists) live in the worker's address space, not the
   parent's. Counts still aggregate exactly.
-- The OOM cutoff compares worker-reported memory at progress cadence,
-  so ``oom_at`` in parallel mode is approximate (sequential checks
-  synchronously at every sample point).
+- The OOM and fail-fast cutoffs compare worker-reported
+  :class:`~repro.core.monitor.CoreProgress` records at progress
+  cadence, so ``oom_at`` in parallel mode is approximate (sequential
+  checks synchronously at every sample point).
 
 Memory sampling is parent-clocked: the parent tells every worker to
-sample (``_SAMPLE``) at the same global virtual deadlines the
-sequential backend uses, and per-queue FIFO ordering guarantees the
-worker has processed exactly the batches dispatched before the
-deadline. The resulting memory series — and therefore the peak
-memory/connection figures — are identical between backends.
+sample at the same global virtual deadlines the sequential backend
+uses, and per-core FIFO ordering guarantees the worker has processed
+exactly the batches dispatched before the deadline. The resulting
+memory series — and therefore the peak memory/connection figures — are
+identical between backends.
 
-Two IPC transports implement the feeder→worker path
-(``config.ipc_transport``):
-
-- **"queue"** — the original pickled ``multiprocessing.Queue`` path:
-  one pickle + pipe write + unpickle per batch.
-- **"shm"** (default where available) — the shared-memory mempool +
-  descriptor-ring transport (:mod:`repro.core.shm`): the feeder writes
-  each burst's flat-buffer wire layout straight into a pre-allocated
-  shared slot and publishes an 8-byte descriptor on a per-core SPSC
-  ring; the worker maps the slot back with zero-copy ``memoryview``
-  blobs and returns the slot by publishing a cumulative consumed
-  counter (credit-based recycling). Everything that is not a hot batch
-  — memory samples, FINISH, tenancy epoch bumps, bursts too large for
-  a slot — rides a CTRL descriptor whose payload stays on the retained
-  pickle queue, so the strict per-core total order (which the
-  parent-clocked sampling and epoch-swap boundaries rely on) is
-  preserved across both channels. Worker acks coalesce (cumulative
-  seqs, flushed on ring-idle/every few batches — and always *before* a
-  planned fault fires, which keeps the supervisor's replay set, and
-  therefore post-crash stats, byte-identical to the queue transport).
-  On top of the ring, the feeder adapts its batch size at
-  deterministic burst-ordinal resize points: toward
-  ``ipc_max_batch`` while the ring runs deep, back toward the
-  configured size when it drains (AggregateStats are batch-size
-  invariant, so adaptation never changes results).
+There is one feeder→worker data path, the shared-memory mempool +
+descriptor ring of :mod:`repro.core.shm`: the feeder writes each
+burst's flat wire layout straight into a pre-allocated shared slot and
+publishes an 8-byte descriptor on a per-core SPSC ring; the worker maps
+the slot back with zero-copy ``memoryview`` blobs and returns the slot
+by publishing a cumulative consumed counter (credit-based recycling).
+Memory samples are payload-less descriptors. Everything else — FINISH,
+tenancy epoch bumps, bursts too large for a slot — rides a CTRL
+descriptor whose payload travels on a per-core pickle queue, so the
+strict per-core total order (which the parent-clocked sampling and
+epoch-swap boundaries rely on) holds across both channels. Worker acks
+coalesce (cumulative seqs, flushed on ring-idle, every few batches, and
+always *before* a planned fault fires, which keeps the supervisor's
+replay set — and therefore post-crash stats — deterministic). A host
+that cannot create the segments cannot run this backend; the sequential
+one produces the same ``AggregateStats`` by contract.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import faulthandler
 import multiprocessing as mp
 import os
 import queue as queue_mod
+import sys
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -102,6 +95,7 @@ if TYPE_CHECKING:
     from repro.resilience.faults import PacketFaultInjector
 
 from repro.core import shm as shm_mod
+from repro.core.monitor import CoreProgress
 from repro.core.pipeline import CorePipeline
 from repro.core.stats import CoreStats
 from repro.core.subscription import Subscription
@@ -112,13 +106,11 @@ from repro.packet.mbuf import Mbuf
 from repro.resilience.faults import FaultPlan, build_fault_report
 from repro.resilience.supervisor import WorkerSupervisor
 
-#: Message tags on the worker input queues.
+#: Message tags on the per-core control queues: a batch that could not
+#: ride a slot — ``(_BATCH, seq, PackedBatch)``, seq -1 when
+#: unsupervised — and ``(_FINISH, last_ts, drain)``.
 _BATCH = 0
 _FINISH = 1
-_SAMPLE = 2
-#: Supervised batch: carries a per-core sequence number the worker
-#: acknowledges after processing (heartbeat + redo-log trim signal).
-_BATCH_SEQ = 3
 #: Message tags on the shared result queue.
 _PROGRESS = "progress"
 _DONE = "done"
@@ -126,19 +118,16 @@ _ERROR = "error"
 _ACK = "ack"
 _CRASHED = "crashed"
 
-#: How long to wait on a stuck queue before checking worker liveness.
+#: How long to wait on a silent result queue before checking worker
+#: liveness.
 _POLL_TIMEOUT = 5.0
 #: How long an injected worker_hang sleeps — "forever" as far as the
 #: supervisor's heartbeat deadline is concerned.
 _HANG_SLEEP = 3600.0
-#: Shm transport: a worker flushes its coalesced cumulative ack at
-#: latest every this many supervised batches (it also flushes whenever
-#: the ring runs empty, before a planned fault fires, and at FINISH).
+#: A worker flushes its coalesced cumulative ack at latest every this
+#: many supervised batches (it also flushes whenever the ring runs
+#: empty, before a planned fault fires, and at FINISH).
 _ACK_COALESCE = 8
-#: Shm transport: the adaptive batch sizer reconsiders a queue's batch
-#: size every this many dispatched bursts (deterministic resize points
-#: on the per-queue burst ordinal).
-_RESIZE_INTERVAL = 16
 
 
 class ParallelExecutionError(RetinaError):
@@ -195,10 +184,10 @@ class _WorkerSpec:
     #: (``{"specs": [wire dicts], "active": [names], "epoch": int}``)
     #: so this spec stays picklable without importing repro.tenancy.
     tenancy: Optional[dict] = None
-    #: Shared-memory transport attachment — ``(segment_name, ring_size,
-    #: slot_bytes)`` — or None for the pickled-queue transport. Plain
-    #: strings/ints so the spec stays picklable under spawn.
-    shm: Optional[Tuple[str, int, int]] = None
+    #: The core's ring attachment — ``(segment_name, ring_size,
+    #: slot_bytes)``. Plain strings/ints so the spec stays picklable
+    #: under spawn.
+    shm: Tuple[str, int, int] = ("", 0, 0)
 
 
 def _tenancy_state(base: dict, bumps, epoch: int) -> dict:
@@ -244,35 +233,25 @@ def _fire_worker_fault(spec: _WorkerSpec, out_queue, plan_index: int,
     os._exit(1)
 
 
-class _WorkerState:
-    """One worker's message handler, shared by both transports.
+class _Worker:
+    """One worker's handlers for what arrives in ring order.
 
-    ``handle`` is the exact per-message body the queue transport always
-    ran; the shm consume loop feeds it the same message shapes. The one
-    transport-sensitive piece is acking: the queue transport flushes an
-    ack per supervised batch (``ack_every=1`` — byte-identical legacy
-    behavior), the shm transport coalesces cumulative acks
-    (``RedoLog.ack`` trims every seq ≤ the acked one) and flushes on
-    ring-idle, every ``_ACK_COALESCE`` batches, at FINISH, and —
-    crucially for determinism — right *before* a planned worker fault
-    fires, so the parent's redo log holds exactly the unprocessed tail
-    when the crash announcement lands.
+    Acks are cumulative (``RedoLog.ack`` trims every seq ≤ the acked
+    one) and coalesced: flushed on ring-idle, every ``_ACK_COALESCE``
+    batches, at FINISH, and — crucially for determinism — right
+    *before* a planned worker fault fires, so the parent's redo log
+    holds exactly the unprocessed tail when the crash announcement
+    lands.
     """
 
-    __slots__ = ("spec", "pipeline", "out_queue", "tenancy", "plan",
-                 "progress_interval", "next_progress", "ack_every",
+    __slots__ = ("spec", "pipeline", "out_queue", "next_progress",
                  "pending_ack", "unflushed")
 
-    def __init__(self, spec: _WorkerSpec, pipeline, out_queue,
-                 tenancy: Optional[dict], ack_every: int) -> None:
+    def __init__(self, spec: _WorkerSpec, pipeline, out_queue) -> None:
         self.spec = spec
         self.pipeline = pipeline
         self.out_queue = out_queue
-        self.tenancy = tenancy
-        self.plan = spec.fault_plan
-        self.progress_interval = spec.progress_interval
         self.next_progress: Optional[float] = None
-        self.ack_every = ack_every
         self.pending_ack = -1
         self.unflushed = 0
 
@@ -289,131 +268,100 @@ class _WorkerState:
         self.pending_ack = -1
         self.unflushed = 0
 
-    def handle(self, message) -> bool:
-        """Process one message; True means FINISH (the worker exits)."""
-        tag = message[0]
+    def on_batch(self, batch: PackedBatch, seq: int) -> None:
+        """One burst; ``seq`` is its supervised sequence number (the
+        worker acknowledges it after processing: heartbeat + redo-log
+        trim signal), or -1."""
+        spec = self.spec
         pipeline = self.pipeline
-        if tag == _BATCH or tag == _BATCH_SEQ:
-            if tag == _BATCH_SEQ:
-                _, seq, batch = message
-                plan = self.plan
-                if plan is not None:
-                    fault = plan.worker_fault_at(
-                        self.spec.core_id, seq,
-                        self.spec.suppressed_faults)
-                    if fault is not None:
-                        self.flush_acks()
-                        _fire_worker_fault(self.spec, self.out_queue,
-                                           fault[0], fault[1].kind)
-            else:
-                seq = None
-                batch = message[1]
-            if type(batch) is PackedBatch:
-                # Flat-buffer IPC: one blob + offset arrays crossed
-                # the boundary; rebuild zero-copy mbuf views here.
-                if batch.trace_ctx is not None:
-                    # Span context stamped by the feeder: the burst
-                    # tree this batch produces records it, stitching
-                    # worker spans into the parent's trace.
-                    pipeline.set_span_ctx(batch.trace_ctx)
-                if batch.epoch is not None and self.tenancy is not None:
-                    # Epoch bump: swap the filter table before this
-                    # batch's packets (the feeder flushed everything
-                    # older first, so per-queue FIFO makes the swap
-                    # land on the exact burst boundary). Idempotent
-                    # on the epoch number — replays after a restart
-                    # are no-ops.
-                    pipeline.apply_epoch(*batch.epoch)
-                batch = batch.unpack()
-            pipeline.process_batch(batch)
-            if seq is not None:
-                self.pending_ack = seq
-                self.unflushed += 1
-                if self.unflushed >= self.ack_every:
-                    self.flush_acks()
+        if seq >= 0 and spec.fault_plan is not None:
+            fault = spec.fault_plan.worker_fault_at(
+                spec.core_id, seq, spec.suppressed_faults)
+            if fault is not None:
+                self.flush_acks()
+                _fire_worker_fault(spec, self.out_queue, fault[0],
+                                   fault[1].kind)
+        if batch.trace_ctx is not None:
+            # Span context stamped by the feeder: the burst tree this
+            # batch produces records it, stitching worker spans into
+            # the parent's trace.
+            pipeline.set_span_ctx(batch.trace_ctx)
+        if batch.epoch is not None and spec.tenancy is not None:
+            # Epoch bump: swap the filter table before this batch's
+            # packets (the feeder flushed everything older first, so
+            # per-core FIFO makes the swap land on the exact burst
+            # boundary). Idempotent on the epoch number — replays after
+            # a restart are no-ops.
+            pipeline.apply_epoch(*batch.epoch)
+        # The blob (a zero-copy view into the slot) crossed the
+        # boundary; rebuild mbuf views over it here.
+        pipeline.process_batch(batch.unpack())
+        if seq >= 0:
+            self.pending_ack = seq
+            self.unflushed += 1
+            if self.unflushed >= _ACK_COALESCE:
+                self.flush_acks()
+        interval = spec.progress_interval
+        if interval is not None:
             now = pipeline.now
-            progress_interval = self.progress_interval
-            if progress_interval is not None and (
-                    self.next_progress is None
-                    or now >= self.next_progress):
-                self.next_progress = now + progress_interval
-                stats = pipeline.stats
-                self.out_queue.put((
-                    _PROGRESS,
-                    self.spec.core_id,
-                    now,
-                    stats.callbacks,
-                    pipeline.live_connections,
-                    pipeline.memory_bytes,
-                    stats.ledger.busy_seconds,
-                    stats.pf_packets,
-                    stats.connf_packets,
-                    stats.sessf_packets,
-                    pipeline.overload_rung,
-                    pipeline.overload_shed_packets,
-                    pipeline.overload_failfast_at,
-                ))
-            return False
-        if tag == _SAMPLE:
-            # Parent-clocked sample point: every batch dispatched
-            # before the deadline is already processed (strict per-core
-            # order on either transport), so this records exactly what
-            # the sequential backend's _sample_memory would.
-            pipeline.sample_memory()
-            return False
-        # _FINISH
-        _, last_ts, do_drain = message
+            if self.next_progress is None or now >= self.next_progress:
+                self.next_progress = now + interval
+                self.out_queue.put((_PROGRESS, spec.core_id,
+                                    CoreProgress.of(pipeline)))
+
+    def finish(self, last_ts: Optional[float], do_drain: bool) -> None:
         self.flush_acks()
+        pipeline = self.pipeline
         if last_ts is not None:
             pipeline.advance_time(last_ts)
             pipeline.sample_memory()
             if do_drain:
                 pipeline.drain()
         pipeline.fold_fault_counters()
-        self.out_queue.put((_DONE, self.spec.core_id, pipeline.stats))
-        return True
+        self.out_queue.put((_DONE, self.spec.core_id, pipeline.stats,
+                            CoreProgress.of(pipeline),
+                            time.process_time()))
 
 
-def _worker_loop_shm(spec: _WorkerSpec, state: _WorkerState,
-                     in_queue) -> None:
-    """Shm-transport consume loop: poll the descriptor ring in ordinal
-    order, map batch slots zero-copy, pull CTRL payloads from the
-    pickle queue (the descriptor pins their position in the total
-    order), and publish cumulative consumed credits so the feeder can
-    recycle slots."""
-    channel = shm_mod.ShmWorkerChannel(*spec.shm)
-    try:
-        ordinal = 0
-        wait = channel.wait_descriptor
-        mark = channel.mark_consumed
-        handle = state.handle
-        flush = state.flush_acks
-        while True:
-            kind, slot, _rows = wait(ordinal, on_idle=flush)
-            if kind == shm_mod.KIND_BATCH:
-                batch, seq = channel.read_batch(slot)
-                if seq < 0:
-                    finish = handle((_BATCH, batch))
-                else:
-                    finish = handle((_BATCH_SEQ, seq, batch))
-            elif kind == shm_mod.KIND_SAMPLE:
-                finish = handle((_SAMPLE,))
-            else:  # KIND_CTRL: payload rides the pickle queue
-                finish = handle(in_queue.get())
-            # Credit return *after* processing: the slot (and the
-            # memoryviews the batch borrowed from it) must stay intact
-            # until the burst is fully consumed.
-            ordinal += 1
-            mark(ordinal)
-            if finish:
+def _consume(channel: shm_mod.ShmWorkerChannel, worker: _Worker,
+             in_queue) -> None:
+    """Poll the descriptor ring in ordinal order until FINISH: map
+    batch slots zero-copy, pull CTRL payloads from the pickle queue
+    (the descriptor pins their position in the total order), and
+    publish cumulative consumed credits so the feeder can recycle
+    slots."""
+    ordinal = 0
+    while True:
+        kind, slot, _rows = channel.wait_descriptor(
+            ordinal, on_idle=worker.flush_acks)
+        if kind == shm_mod.KIND_BATCH:
+            worker.on_batch(*channel.read_batch(slot))
+        elif kind == shm_mod.KIND_SAMPLE:
+            # Parent-clocked sample point: every batch dispatched
+            # before the deadline is already processed (strict per-core
+            # order), so this records exactly what the sequential
+            # backend's _sample_memory would.
+            worker.pipeline.sample_memory()
+        else:  # KIND_CTRL: payload rides the pickle queue
+            tag, first, second = in_queue.get()
+            if tag == _FINISH:
+                worker.finish(first, second)
                 return
-    finally:
-        channel.close()
+            worker.on_batch(second, first)
+        # Credit return *after* processing: the slot (and the
+        # memoryviews the batch borrowed from it) must stay intact
+        # until the burst is fully consumed.
+        ordinal += 1
+        channel.mark_consumed(ordinal)
 
 
 def _worker_main(spec: _WorkerSpec, in_queue, out_queue) -> None:
     """Worker process entry point: one core's shared-nothing pipeline."""
     try:
+        # A wedged worker dumps every stack on a fatal signal. The
+        # inherited sys.stderr may be a capture object with no
+        # descriptor, so name the real one.
+        faulthandler.enable(sys.__stderr__)
         config = spec.config.with_(parallel=False)
         tenancy = spec.tenancy
         if tenancy is not None:
@@ -442,115 +390,41 @@ def _worker_main(spec: _WorkerSpec, in_queue, out_queue) -> None:
             pipeline = CorePipeline(
                 spec.core_id, subscription, config,
                 initial_overload_rung=spec.initial_overload_rung)
-        state = _WorkerState(
-            spec, pipeline, out_queue, tenancy,
-            ack_every=_ACK_COALESCE if spec.shm is not None else 1)
-        if spec.shm is not None:
-            _worker_loop_shm(spec, state, in_queue)
-            return
-        handle = state.handle
-        get = in_queue.get
-        while True:
-            if handle(get()):
-                return
+        channel = shm_mod.ShmWorkerChannel(*spec.shm)
+        try:
+            _consume(channel, _Worker(spec, pipeline, out_queue), in_queue)
+        except shm_mod.FeederGone:
+            # Orphaned (the feeder was killed): nobody will read the
+            # result queue or unlink the segment. Do the latter and
+            # leave without flushing the former.
+            channel.unlink()
+            os._exit(1)
+        finally:
+            channel.close()
     except BaseException:
         out_queue.put((_ERROR, spec.core_id, traceback.format_exc()))
-
-
-# ---------------------------------------------------------------------------
-# parent-side views: enough runtime surface for StatsMonitor.observe()
-# ---------------------------------------------------------------------------
-class _LedgerView:
-    __slots__ = ("busy_seconds",)
-
-    def __init__(self) -> None:
-        self.busy_seconds = 0.0
-
-
-class _StatsView:
-    __slots__ = ("callbacks", "ledger", "pf_packets", "connf_packets",
-                 "sessf_packets")
-
-    def __init__(self) -> None:
-        self.callbacks = 0
-        self.ledger = _LedgerView()
-        self.pf_packets = 0
-        self.connf_packets = 0
-        self.sessf_packets = 0
-
-
-class _CoreView:
-    """Last-reported state of one worker, shaped like a CorePipeline."""
-
-    __slots__ = ("stats", "live_connections", "memory_bytes",
-                 "overload_rung", "overload_shed_packets",
-                 "overload_failfast_at")
-
-    def __init__(self) -> None:
-        self.stats = _StatsView()
-        self.live_connections = 0
-        self.memory_bytes = 0
-        self.overload_rung = 0
-        self.overload_shed_packets = 0
-        self.overload_failfast_at: Optional[float] = None
-
-    def update(self, callbacks: int, live: int, memory_bytes: int,
-               busy_seconds: float, pf_packets: int = 0,
-               connf_packets: int = 0, sessf_packets: int = 0,
-               overload_rung: int = 0, overload_shed: int = 0,
-               overload_failfast_at: Optional[float] = None) -> None:
-        self.stats.callbacks = callbacks
-        self.stats.ledger.busy_seconds = busy_seconds
-        self.stats.pf_packets = pf_packets
-        self.stats.connf_packets = connf_packets
-        self.stats.sessf_packets = sessf_packets
-        self.live_connections = live
-        self.memory_bytes = memory_bytes
-        self.overload_rung = overload_rung
-        self.overload_shed_packets = overload_shed
-        if overload_failfast_at is not None:
-            self.overload_failfast_at = overload_failfast_at
-
-
-class _RuntimeView:
-    """What ``StatsMonitor.observe`` reads, backed by worker reports."""
-
-    def __init__(self, nics, views: List[_CoreView]) -> None:
-        self.nics = nics
-        self.pipelines = views
-
-    @property
-    def live_connections(self) -> int:
-        return sum(view.live_connections for view in self.pipelines)
-
-    @property
-    def memory_bytes(self) -> int:
-        return sum(view.memory_bytes for view in self.pipelines)
-
-    @property
-    def overload_failfast_at(self) -> Optional[float]:
-        trips = [view.overload_failfast_at for view in self.pipelines
-                 if view.overload_failfast_at is not None]
-        return min(trips) if trips else None
 
 
 # ---------------------------------------------------------------------------
 # parent-side orchestration
 # ---------------------------------------------------------------------------
 class _WorkerPool:
-    """The fleet of per-core processes plus their queues.
+    """The fleet of per-core processes plus their rings and queues.
 
     Usable as a context manager: on an exception inside the ``with``
     block the pool terminates every worker before the exception
-    propagates, and the queues are closed either way — no leaked
-    children, no feeder threads blocking interpreter exit.
+    propagates, and the queues and segments are released either way —
+    no leaked children, no feeder threads blocking interpreter exit.
     """
 
     def __init__(self, runtime: "Runtime",
                  progress_interval: Optional[float]) -> None:
         config = runtime.config
         subscription = runtime.subscription
-        self.views = [_CoreView() for _ in range(config.cores)]
+        #: What ``StatsMonitor.observe`` reads (it is handed the pool):
+        #: the link's NICs and each worker's last-reported record.
+        self.nics = runtime.nics
+        self.progress: List[CoreProgress] = [CoreProgress()] * config.cores
         #: Set by run_parallel in supervised mode; _handle feeds acks
         #: into it so every drain path keeps the redo logs trimmed.
         self.supervisor: Optional[WorkerSupervisor] = None
@@ -562,11 +436,11 @@ class _WorkerPool:
         # dependent, so it never feeds the deterministic exports).
         self._health: Optional[List[dict]] = (
             [{"batches": 0, "packets": 0, "ipc_bytes": 0,
-              "queue_highwater": 0, "batch_occupancy_max": 0}
+              "batch_occupancy_max": 0, "cpu_seconds": 0.0}
              for _ in range(config.cores)]
             if config.telemetry else None
         )
-        self.feeder_block_seconds = 0.0
+        self._cpu_from = time.process_time()
         # Multi-tenant runtimes expose their filter table as a plain
         # wire dict; every worker spec carries it, and the feeder
         # appends each published epoch bump so restart() can rebuild a
@@ -579,60 +453,36 @@ class _WorkerPool:
         # requires the callback to be picklable.
         methods = mp.get_all_start_methods()
         self._ctx = mp.get_context("fork" if "fork" in methods else None)
-        # Transport resolution: "auto" prefers the shared-memory ring
-        # transport wherever the interpreter ships
-        # multiprocessing.shared_memory; "queue" forces the legacy
-        # pickled-queue path; "shm" demands the rings and fails loudly
-        # when the platform cannot host them.
-        mode = config.ipc_transport
-        self.transport: Optional[shm_mod.ShmTransport] = None
-        if mode == "shm" and not shm_mod.shm_available():
+        layout = shm_mod.default_layout(config)
+        try:
+            self.transport = shm_mod.ShmTransport(config.cores, layout)
+        except OSError as exc:
             raise ParallelExecutionError(
-                "ipc_transport='shm' requested but "
-                "multiprocessing.shared_memory is unavailable on this "
-                "platform; use --ipc queue (or auto)")
-        if mode != "queue" and shm_mod.shm_available():
-            self.transport = shm_mod.ShmTransport(
-                config.cores, shm_mod.default_layout(config))
+                f"cannot create the feeder->worker shared-memory "
+                f"segments ({config.cores} x {layout.total_bytes} bytes: "
+                f"{exc}); the parallel backend has no other transport — "
+                f"run without --parallel (parallel=False): the "
+                f"sequential backend produces the same AggregateStats"
+            ) from exc
         self.out_queue = self._ctx.Queue()
-        if self.transport is not None:
-            # Under shm the in_queues carry only control payloads whose
-            # positions are pinned by CTRL descriptors in the ring; the
-            # ring itself is the backpressure bound, so the control
-            # queue stays unbounded.
-            self.in_queues = [self._ctx.Queue()
-                              for _ in range(config.cores)]
-        else:
-            self.in_queues = [
-                self._ctx.Queue(maxsize=config.parallel_queue_depth)
-                for _ in range(config.cores)
-            ]
-        self.processes = []
-        self.specs: List[_WorkerSpec] = []
+        # The control channel: payloads whose positions are pinned by
+        # CTRL descriptors in the ring. The ring itself is the
+        # backpressure bound, so these stay unbounded.
+        self.in_queues = [self._ctx.Queue() for _ in range(config.cores)]
         rebuild = {"tenancy": self._tenancy_base} \
             if subscription is None else {
                 "filter_str": subscription.filter.text,
                 "datatype": subscription.datatype,
                 "callback": subscription.callback,
                 "identify_services": subscription.identify_services}
-        for core_id in range(config.cores):
-            spec = _WorkerSpec(
-                core_id=core_id,
-                config=config,
-                progress_interval=progress_interval,
-                fault_plan=config.fault_plan,
-                **rebuild,
-                shm=self.transport.spec_args(core_id)
-                if self.transport is not None else None,
-            )
-            self.specs.append(spec)
-            process = self._ctx.Process(
-                target=_worker_main,
-                args=(spec, self.in_queues[core_id], self.out_queue),
-                daemon=True,
-                name=f"repro-core-{core_id}",
-            )
-            self.processes.append(process)
+        self.specs: List[_WorkerSpec] = [
+            _WorkerSpec(core_id=core_id, config=config,
+                        progress_interval=progress_interval,
+                        fault_plan=config.fault_plan, **rebuild,
+                        shm=self.transport.spec_args(core_id))
+            for core_id in range(config.cores)]
+        self.processes = [self._process(core_id)
+                          for core_id in range(config.cores)]
         try:
             for process in self.processes:
                 process.start()
@@ -644,197 +494,112 @@ class _WorkerPool:
                 f"'spawn' start method the subscription callback must be "
                 f"picklable (a module-level function or None)") from exc
 
-    def send(self, core_id: int, message) -> None:
-        """Blocking put with liveness checks (bounded-queue backpressure
-        must not deadlock on a dead worker)."""
-        if self.transport is not None:
-            self._send_shm(core_id, message)
-            return
-        in_queue = self.in_queues[core_id]
-        tag = message[0]
-        if self._health is not None and \
-                (tag == _BATCH or tag == _BATCH_SEQ):
-            batch = message[1] if tag == _BATCH else message[2]
+    def _process(self, core_id: int, suffix: str = ""):
+        return self._ctx.Process(
+            target=_worker_main,
+            args=(self.specs[core_id], self.in_queues[core_id],
+                  self.out_queue),
+            daemon=True, name=f"repro-core-{core_id}{suffix}")
+
+    def core_progress(self) -> List[CoreProgress]:
+        return self.progress
+
+    # -- the feeder->worker sends ---------------------------------------
+    def _ring(self, core_id: int, send, *args):
+        """One ring operation on ``core_id``'s channel. The capacity
+        wait inside it polls the worker, so a worker that died with its
+        ring full surfaces as an error instead of a deadlock."""
+        try:
+            return send(*args, self.processes[core_id].is_alive)
+        except shm_mod.WorkerGone:
+            # Surface the worker's own traceback if it sent one before
+            # dying; fall back to the generic error.
+            self.drain_progress()
+            raise ParallelExecutionError(
+                f"worker {core_id} died with its ring full")
+
+    def _account(self, core_id: int, packets: int, ipc_bytes: int) -> None:
+        if self._health is not None:
             row = self._health[core_id]
             row["batches"] += 1
-            occupancy = len(batch)
-            row["packets"] += occupancy
-            if type(batch) is PackedBatch:
-                row["ipc_bytes"] += batch.nbytes
-            else:  # object batch (legacy path): count frame bytes only
-                row["ipc_bytes"] += sum(len(m.data) for m in batch)
-            if occupancy > row["batch_occupancy_max"]:
-                row["batch_occupancy_max"] = occupancy
-            try:
-                depth = in_queue.qsize()
-            except NotImplementedError:  # macOS has no queue qsize
-                depth = 0
-            if depth > row["queue_highwater"]:
-                row["queue_highwater"] = depth
-        self._blocking_put(core_id, in_queue, message)
+            row["packets"] += packets
+            row["ipc_bytes"] += ipc_bytes
+            if packets > row["batch_occupancy_max"]:
+                row["batch_occupancy_max"] = packets
 
-    def _blocking_put(self, core_id: int, in_queue, message) -> None:
-        try:
-            in_queue.put_nowait(message)
+    def send_batch(self, core_id: int, mbufs: List[Mbuf],
+                   ctx: Optional[tuple]) -> None:
+        """The hot path: write the burst straight into a mempool slot —
+        no PackedBatch, no pickle; the only serialized IPC is the
+        8-byte ring descriptor. ``ctx`` is the span context, riding the
+        slot header. A burst that exceeds the slot size (jumbo-heavy)
+        is packed and takes the control channel."""
+        if self._ring(core_id, self.transport.channels[core_id].send_mbufs,
+                      mbufs, core_id, ctx):
+            self._account(core_id, len(mbufs), 8)
             return
-        except queue_mod.Full:
-            pass
-        # The poll-timeout loop owns the backpressure stopwatch: every
-        # blocked put is measured, wall-to-wall, exactly once —
-        # feeder_block_seconds used to count only the slice a
-        # telemetry-enabled batch send happened to wrap, undercounting
-        # whenever control messages (or telemetry-off runs) hit a full
-        # queue.
-        blocked_from = time.monotonic()
-        try:
-            while True:
-                try:
-                    in_queue.put(message, timeout=_POLL_TIMEOUT)
-                    return
-                except queue_mod.Full:
-                    if not self.processes[core_id].is_alive():
-                        # Surface the worker's own traceback if it sent
-                        # one before dying; fall back to generic error.
-                        self.drain_progress()
-                        raise ParallelExecutionError(
-                            f"worker {core_id} died with its queue full")
-        finally:
-            self.feeder_block_seconds += time.monotonic() - blocked_from
+        packed = PackedBatch.pack(mbufs, core_id)
+        packed.trace_ctx = ctx
+        self.send_packed(core_id, -1, packed)
 
-    def _on_feeder_block(self, seconds: float) -> None:
-        """Ring-capacity waits feed the same backpressure counter the
-        bounded queues use."""
-        self.feeder_block_seconds += seconds
+    def send_packed(self, core_id: int, seq: int,
+                    packed: PackedBatch) -> None:
+        """A batch that exists packed: supervised dispatch and redo-log
+        replay (the slot gets the identical wire contents the log
+        preserved, under the batch's original ``seq``) and tenancy
+        epoch bumps. The epoch stamp does not ride slot headers, so a
+        stamped batch crosses on the control channel, like an oversize
+        one."""
+        if packed.epoch is None and self._ring(
+                core_id, self.transport.channels[core_id].send_packed,
+                packed, seq):
+            self._account(core_id, len(packed), 8)
+            return
+        self.send_ctrl(core_id, (_BATCH, seq, packed))
+        self._account(core_id, len(packed), 8 + packed.nbytes)
 
-    def _note_batch(self, core_id: int, channel,
-                    occupancy: int) -> Optional[dict]:
-        """Per-batch health accounting on the shm path; returns the
-        worker's health row (or None with telemetry off) so the caller
-        can add the transport-dependent ipc_bytes charge."""
-        if self._health is None:
-            return None
-        row = self._health[core_id]
-        row["batches"] += 1
-        row["packets"] += occupancy
-        if occupancy > row["batch_occupancy_max"]:
-            row["batch_occupancy_max"] = occupancy
-        depth = channel.depth()
-        if depth > row["queue_highwater"]:
-            row["queue_highwater"] = depth
-        return row
+    def send_sample(self, core_id: int) -> None:
+        """A payload-less parent-clocked memory-sample point."""
+        self._ring(core_id, self.transport.channels[core_id].send_sample)
 
-    def send_mbufs(self, core_id: int, mbufs,
-                   trace_ctx: Optional[tuple]) -> None:
-        """Zero-copy fast path (shm transport, unsupervised): write the
-        burst straight into a mempool slot — no PackedBatch, no pickle;
-        the only serialized IPC is the 8-byte ring descriptor. Bursts
-        that exceed the slot size fall back to a packed batch on the
-        control channel."""
-        channel = self.transport.channels[core_id]
-        alive = self.processes[core_id].is_alive
-        row = self._note_batch(core_id, channel, len(mbufs))
-        try:
-            if channel.send_mbufs(mbufs, core_id, trace_ctx, alive,
-                                  self._on_feeder_block):
-                if row is not None:
-                    row["ipc_bytes"] += 8  # one descriptor word
-                return
-            # Jumbo-heavy burst: pack it and pin its ring position with
-            # a CTRL descriptor while the payload crosses pickled.
-            packed = PackedBatch.pack(mbufs, core_id)
-            packed.trace_ctx = trace_ctx
-            self.in_queues[core_id].put((_BATCH, packed))
-            channel.send_ctrl(alive, self._on_feeder_block)
-            if row is not None:
-                row["ipc_bytes"] += 8 + packed.nbytes
-        except shm_mod.WorkerGone:
-            self.drain_progress()
-            raise ParallelExecutionError(
-                f"worker {core_id} died with its ring full")
-
-    def _send_shm(self, core_id: int, message) -> None:
-        """Dispatch over the shared-memory ring. Batches are written in
-        place into a slot (descriptor-only IPC); memory samples are
-        descriptor-only by design; everything else — FINISH, tenancy
-        epoch bumps, batches that do not fit a slot — takes a CTRL
-        descriptor that pins the pickled payload's position in the
-        per-core total order."""
-        channel = self.transport.channels[core_id]
-        alive = self.processes[core_id].is_alive
-        tag = message[0]
-        try:
-            if tag == _BATCH or tag == _BATCH_SEQ:
-                if tag == _BATCH_SEQ:
-                    seq, batch = message[1], message[2]
-                else:
-                    seq, batch = -1, message[1]
-                row = self._note_batch(core_id, channel, len(batch))
-                if type(batch) is PackedBatch and batch.epoch is None \
-                        and channel.send_packed(batch, seq, alive,
-                                                self._on_feeder_block):
-                    if row is not None:
-                        row["ipc_bytes"] += 8  # one descriptor word
-                    return
-                # Epoch-stamped (the stamp does not ride slot headers)
-                # or oversize batch: control-channel fallback.
-                self.in_queues[core_id].put(message)
-                channel.send_ctrl(alive, self._on_feeder_block)
-                if row is not None:
-                    row["ipc_bytes"] += 8 + (
-                        batch.nbytes if type(batch) is PackedBatch
-                        else sum(len(m.data) for m in batch))
-                return
-            if tag == _SAMPLE:
-                channel.send_sample(alive, self._on_feeder_block)
-                return
-            # _FINISH (and any future control tag): payload first, then
-            # the ordering descriptor.
-            self.in_queues[core_id].put(message)
-            channel.send_ctrl(alive, self._on_feeder_block)
-        except shm_mod.WorkerGone:
-            self.drain_progress()
-            raise ParallelExecutionError(
-                f"worker {core_id} died with its ring full")
+    def send_ctrl(self, core_id: int, message: tuple) -> None:
+        """Payload onto the pickle queue first, then the descriptor
+        that pins its position in the core's total order."""
+        self.in_queues[core_id].put(message)
+        self._ring(core_id, self.transport.channels[core_id].send_ctrl)
 
     def backend_health(self) -> Optional[dict]:
         """Volatile health snapshot, or None when telemetry is off."""
         if self._health is None:
             return None
+        channels = self.transport.channels
         ipc_bytes = sum(row["ipc_bytes"] for row in self._health)
         ipc_packets = sum(row["packets"] for row in self._health)
-        health = {
-            "transport": "shm" if self.transport is not None
-            else "queue",
-            "feeder_block_seconds": self.feeder_block_seconds,
+        # Ring capacity is the one condition the feeder ever blocks on.
+        blocked = sum(ch.slot_starvation_seconds for ch in channels)
+        return {
+            "transport": "shm",
+            "feeder_block_seconds": blocked,
+            # The serial stage's CPU, beside each worker's below: their
+            # ratio bounds what any worker count can buy.
+            "feeder_cpu_seconds": time.process_time() - self._cpu_from,
             "ipc_bytes": ipc_bytes,
             "ipc_packets": ipc_packets,
             "ipc_bytes_per_packet": (ipc_bytes / ipc_packets)
             if ipc_packets else 0.0,
-            "workers": [{"worker": core_id, **row}
-                        for core_id, row in enumerate(self._health)],
+            "ring_size": self.transport.layout.ring_size,
+            "slot_bytes": self.transport.layout.slot_bytes,
+            "ring_highwater": max(ch.ring_highwater for ch in channels),
+            "slot_starvation_waits": sum(ch.slot_starvation_waits
+                                         for ch in channels),
+            "slot_starvation_seconds": blocked,
+            "workers": [{"worker": core_id, **row,
+                         "ring_highwater": ch.ring_highwater,
+                         "slot_starvation_waits": ch.slot_starvation_waits,
+                         "slot_bytes_written": ch.slot_bytes_written}
+                        for core_id, (row, ch)
+                        in enumerate(zip(self._health, channels))],
         }
-        if self.transport is not None:
-            # Ring/mempool telemetry: per-worker occupancy high-water
-            # (same key the queue transport uses for its depth) plus
-            # slot-starvation pressure, and pool-level aggregates the
-            # Prometheus exporter surfaces.
-            channels = self.transport.channels
-            for core_id, channel in enumerate(channels):
-                worker = health["workers"][core_id]
-                worker["ring_highwater"] = channel.ring_highwater
-                worker["slot_starvation_waits"] = \
-                    channel.slot_starvation_waits
-                worker["slot_bytes_written"] = \
-                    channel.slot_bytes_written
-            health["ring_size"] = self.transport.layout.ring_size
-            health["slot_bytes"] = self.transport.layout.slot_bytes
-            health["ring_highwater"] = max(
-                channel.ring_highwater for channel in channels)
-            health["slot_starvation_waits"] = sum(
-                channel.slot_starvation_waits for channel in channels)
-            health["slot_starvation_seconds"] = sum(
-                channel.slot_starvation_seconds for channel in channels)
-        return health
 
     def drain_progress(self) -> None:
         """Consume any pending reports without blocking; raises if a
@@ -878,11 +643,8 @@ class _WorkerPool:
                 results: Optional[Dict[int, CoreStats]]) -> Optional[int]:
         tag = message[0]
         if tag == _PROGRESS:
-            (_, core_id, _, callbacks, live, memory_bytes, busy,
-             pf, connf, sessf, rung, shed, failfast_at) = message
-            self.views[core_id].update(callbacks, live, memory_bytes,
-                                       busy, pf, connf, sessf,
-                                       rung, shed, failfast_at)
+            _, core_id, record = message
+            self.progress[core_id] = record
             return None
         if tag == _ACK:
             _, core_id, seq, rung, epoch = message
@@ -906,61 +668,51 @@ class _WorkerPool:
                 f"worker {core_id} failed:\n{worker_traceback}",
                 core_id=core_id,
                 partial_stats=dict(results) if results else {})
-        # _DONE
-        _, core_id, stats = message
+        # _DONE: the final record is exact, so the monitor's tail
+        # sample is not built from a stale progress report.
+        _, core_id, stats, record, cpu_seconds = message
+        self.progress[core_id] = record
+        if self._health is not None:
+            self._health[core_id]["cpu_seconds"] = cpu_seconds
         if results is not None:
             results[core_id] = stats
         return core_id
 
     def restart(self, core_id: int,
                 suppressed: Tuple[int, ...]) -> None:
-        """Replace a dead worker with a fresh process on a fresh input
-        queue (anything unread in the old queue is covered by the
-        supervisor's redo log). ``suppressed`` lists the plan indices
-        of worker faults that already fired, so the restarted worker
-        does not re-fire them."""
+        """Replace a dead worker (supervised runs only) with a fresh
+        process on a fresh control queue and a re-armed ring.
+        ``suppressed`` lists the plan indices of worker faults that
+        already fired, so the restarted worker does not re-fire
+        them."""
         old_queue = self.in_queues[core_id]
         old_queue.cancel_join_thread()
         old_queue.close()
-        # Re-seed the replacement at the rung its predecessor last
-        # acknowledged: a crash mid-overload must not silently reopen
-        # the admission gate.
-        rung = self.supervisor.last_rung(core_id) \
-            if self.supervisor is not None else 0
+        supervisor = self.supervisor
         # Multi-tenant cores restart at the table state they last
         # acknowledged; bumps past that epoch are still in the redo log
         # and re-apply (idempotently) during replay.
         tenancy = self.specs[core_id].tenancy
-        if tenancy is not None and self.supervisor is not None:
+        if tenancy is not None:
             tenancy = _tenancy_state(
                 self._tenancy_base, self.tenancy_bumps,
-                self.supervisor.last_epoch(core_id))
-        spec = dataclasses.replace(self.specs[core_id],
-                                   suppressed_faults=tuple(suppressed),
-                                   initial_overload_rung=rung,
-                                   tenancy=tenancy)
-        self.specs[core_id] = spec
-        if self.transport is not None:
-            in_queue = self._ctx.Queue()
-            # Fresh ordinal space for the replacement: zero the ring and
-            # credit counter, reclaim every in-flight slot (the dead
-            # worker will never retire them; the redo log owns their
-            # contents and replays them into fresh slots). The old
-            # control queue was discarded above — its unread CTRL
-            # payloads matched ring entries that no longer exist.
-            self.transport.reset_core(core_id)
-        else:
-            in_queue = self._ctx.Queue(
-                maxsize=spec.config.parallel_queue_depth)
-        self.in_queues[core_id] = in_queue
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(spec, in_queue, self.out_queue),
-            daemon=True,
-            name=f"repro-core-{core_id}-restart",
-        )
-        self.processes[core_id] = process
-        process.start()
+                supervisor.last_epoch(core_id))
+        # Re-seed the replacement at the rung its predecessor last
+        # acknowledged: a crash mid-overload must not silently reopen
+        # the admission gate.
+        self.specs[core_id] = dataclasses.replace(
+            self.specs[core_id], suppressed_faults=tuple(suppressed),
+            initial_overload_rung=supervisor.last_rung(core_id),
+            tenancy=tenancy)
+        # Fresh ordinal space for the replacement: zero the ring and
+        # credit counter, reclaim every in-flight slot (the dead worker
+        # will never retire them; the redo log owns their contents and
+        # replays them into fresh slots). The old control queue's
+        # unread payloads matched ring entries that no longer exist.
+        self.in_queues[core_id] = self._ctx.Queue()
+        self.transport.reset_core(core_id)
+        self.processes[core_id] = self._process(core_id, "-restart")
+        self.processes[core_id].start()
 
     def terminate(self) -> None:
         for process in self.processes:
@@ -971,9 +723,9 @@ class _WorkerPool:
                 process.join(timeout=_POLL_TIMEOUT)
 
     def close(self) -> None:
-        # The input queues' feeder threads may hold buffered batches a
-        # dead worker will never read; never block interpreter exit on
-        # flushing them.
+        # The control queues' feeder threads may hold buffered payloads
+        # a dead worker will never read; never block interpreter exit
+        # on flushing them.
         if self._closed:
             return
         self._closed = True
@@ -982,12 +734,11 @@ class _WorkerPool:
             in_queue.close()
         self.out_queue.cancel_join_thread()
         self.out_queue.close()
-        if self.transport is not None:
-            # Unlink the segments (workers are gone or exiting; their
-            # mappings die with them). The transport object stays so
-            # backend_health() can still read its volatile counters
-            # after the pool context exits.
-            self.transport.close()
+        # Unlink the segments (workers are gone or exiting; their
+        # mappings die with them). The transport object stays so
+        # backend_health() can still read its volatile counters after
+        # the pool context exits.
+        self.transport.close()
 
     def __enter__(self) -> "_WorkerPool":
         return self
@@ -1066,15 +817,24 @@ def _recover_core(pool: _WorkerPool, sup: WorkerSupervisor, core: int,
         fault = None
         if sup.plan is not None:
             fault = sup.plan.worker_fault_at(core, seq, suppressed)
-        pool.send(core, (_BATCH_SEQ, seq, batch))
+        pool.send_packed(core, seq, batch)
         if fault is not None:
-            next_index, spec = fault
-            _await_planned_fault(pool, sup, core, next_index, spec.kind)
-            _recover_core(pool, sup, core, next_index, finish=finish,
-                          hung=spec.kind == "worker_hang")
+            _recover_planned(pool, sup, core, fault, finish=finish)
             return
     if finish is not None:
-        pool.send(core, finish)
+        pool.send_ctrl(core, finish)
+
+
+def _recover_planned(pool: _WorkerPool, sup: WorkerSupervisor, core: int,
+                     fault, finish=None) -> None:
+    """The batch just sent to ``core`` carries the planned ``fault``
+    (``(plan_index, spec)``): pause the core's dispatch until the fault
+    manifests and recovery completes, so the replay set (and the whole
+    fault report) is deterministic."""
+    plan_index, spec = fault
+    _await_planned_fault(pool, sup, core, plan_index, spec.kind)
+    _recover_core(pool, sup, core, plan_index, finish=finish,
+                  hung=spec.kind == "worker_hang")
 
 
 def _gather_supervised(pool: _WorkerPool, sup: WorkerSupervisor,
@@ -1154,101 +914,40 @@ def run_parallel(
             cores, plan, config.max_worker_restarts,
             config.redo_log_batches, config.worker_heartbeat_timeout)
         pool.supervisor = supervisor
-    view_runtime = _RuntimeView(runtime.nics, pool.views)
 
-    send = pool.send
     pack = PackedBatch.pack
-    shm_on = pool.transport is not None
-    # Span context stamping: when burst span tracing is on, every packed
-    # batch carries (queue, seq) so the worker's burst trees stitch into
-    # the parent's trace. Supervised dispatch reuses the supervisor's
+    # Span context stamping: when burst span tracing is on, every batch
+    # carries (queue, seq) so the worker's burst trees stitch into the
+    # parent's trace. Supervised dispatch reuses the supervisor's
     # sequence numbers; unsupervised dispatch counts its own.
     spans_on = config.span_sample > 0 or config.flight_recorder_depth > 0
-    if supervisor is None:
-        if shm_on:
-            # Zero-copy fast path: mbufs are written straight into a
-            # mempool slot — no PackedBatch object, no pickle. The span
-            # context rides the slot header when tracing is on.
-            send_mbufs = pool.send_mbufs
-            if spans_on:
-                span_seq = [0] * cores
+    span_seq = [0] * cores
 
-                def dispatch(queue_id: int, batch: List[Mbuf]) -> None:
-                    ctx = (queue_id, span_seq[queue_id])
-                    span_seq[queue_id] += 1
-                    send_mbufs(queue_id, batch, ctx)
-            else:
-                def dispatch(queue_id: int, batch: List[Mbuf]) -> None:
-                    send_mbufs(queue_id, batch, None)
-        elif spans_on:
-            span_seq = [0] * cores
-
-            def dispatch(queue_id: int, batch: List[Mbuf]) -> None:
-                packed = pack(batch, queue_id)
-                packed.trace_ctx = (queue_id, span_seq[queue_id])
-                span_seq[queue_id] += 1
-                send(queue_id, (_BATCH, packed))
-        else:
-            def dispatch(queue_id: int, batch: List[Mbuf]) -> None:
-                send(queue_id, (_BATCH, pack(batch, queue_id)))
-    else:
-        def dispatch(queue_id: int, batch: List[Mbuf]) -> None:
-            if supervisor.is_lost(queue_id):
-                return  # dead RX queue: its share of traffic is lost
-            # The redo log stores the *packed* batch, so a replay after
-            # a crash re-sends the identical flat buffer (same span
-            # context too: a replayed burst keeps its original seq).
-            packed = pack(batch, queue_id)
-            seq, fault = supervisor.on_dispatch(queue_id, packed)
-            if spans_on:
-                packed.trace_ctx = (queue_id, seq)
-            send(queue_id, (_BATCH_SEQ, seq, packed))
-            if fault is not None:
-                # Planned fault: pause this core's dispatch until the
-                # fault manifests and recovery completes, so the replay
-                # set (and the whole fault report) is deterministic.
-                plan_index, spec = fault
-                _await_planned_fault(pool, supervisor, queue_id,
-                                     plan_index, spec.kind)
-                _recover_core(pool, supervisor, queue_id, plan_index,
-                              hung=spec.kind == "worker_hang")
+    def send_logged(queue_id: int, packed: PackedBatch,
+                    stamp: bool) -> None:
+        """Supervised send. The redo log stores the *packed* batch, so
+        a replay after a crash re-sends the identical flat buffer (same
+        span context too: a replayed burst keeps its original seq)."""
+        seq, fault = supervisor.on_dispatch(queue_id, packed)
+        if stamp:
+            packed.trace_ctx = (queue_id, seq)
+        pool.send_packed(queue_id, seq, packed)
+        if fault is not None:
+            _recover_planned(pool, supervisor, queue_id, fault)
 
     def skip_core(queue_id: int) -> bool:
+        # A dead RX queue: its share of traffic is lost.
         return supervisor is not None and supervisor.is_lost(queue_id)
 
-    # Adaptive batch sizing (shm transport only): grow a queue's batch
-    # size toward the clamp while its ring runs deep (the worker is the
-    # bottleneck — bigger bursts amortize per-batch overhead), shrink
-    # back toward the configured size when the ring runs shallow
-    # (latency pressure: small bursts reach the worker sooner). Resizes
-    # happen only at burst ordinals divisible by _RESIZE_INTERVAL and
-    # stats are batch-size invariant, so the volatile depth signal never
-    # leaks into AggregateStats. Disabled under supervision (planned
-    # fault seqs are pinned to batch contents) and span tracing (span
-    # trees key on burst boundaries).
-    sizes = [batch_size] * cores
-    if (shm_on and config.ipc_adaptive_batch
-            and supervisor is None and not spans_on):
-        max_batch = shm_mod.max_adaptive_batch(config)
-        channels = pool.transport.channels
-        ring_size = pool.transport.layout.ring_size
-        grow_at = ring_size - max(1, ring_size // 4)
-        shrink_at = max(1, ring_size // 4)
-        bursts = [0] * cores
-        inner_dispatch = dispatch
-
-        def dispatch(queue_id: int, batch: List[Mbuf]) -> None:
-            inner_dispatch(queue_id, batch)
-            n = bursts[queue_id] + 1
-            bursts[queue_id] = n
-            if n % _RESIZE_INTERVAL:
-                return
-            depth = channels[queue_id].depth()
-            size = sizes[queue_id]
-            if depth >= grow_at and size < max_batch:
-                sizes[queue_id] = min(size * 2, max_batch)
-            elif depth <= shrink_at and size > batch_size:
-                sizes[queue_id] = max(size // 2, batch_size)
+    def dispatch(queue_id: int, batch: List[Mbuf]) -> None:
+        if supervisor is None:
+            ctx = None
+            if spans_on:
+                ctx = (queue_id, span_seq[queue_id])
+                span_seq[queue_id] += 1
+            pool.send_batch(queue_id, batch, ctx)
+        elif not skip_core(queue_id):
+            send_logged(queue_id, pack(batch, queue_id), spans_on)
 
     # Multi-tenant live reconfiguration: the runtime exposes scheduled
     # events; when virtual time reaches one, the feeder flushes every
@@ -1266,27 +965,27 @@ def run_parallel(
             packed = pack([], queue_id)
             packed.epoch = (epoch_no, actions)
             if supervisor is None:
-                send(queue_id, (_BATCH, packed))
-                continue
-            # Bumps ride the supervised sequence space like any batch:
-            # redo-logged (a crash mid-swap replays the bump) and able
-            # to carry a planned worker fault at their own seq, which
-            # is how the crash-during-swap tests pin the fault to the
-            # swap window deterministically.
-            seq, fault = supervisor.on_dispatch(queue_id, packed)
-            send(queue_id, (_BATCH_SEQ, seq, packed))
-            if fault is not None:
-                plan_index, fspec = fault
-                _await_planned_fault(pool, supervisor, queue_id,
-                                     plan_index, fspec.kind)
-                _recover_core(pool, supervisor, queue_id, plan_index,
-                              hung=fspec.kind == "worker_hang")
+                pool.send_packed(queue_id, -1, packed)
+            else:
+                # Bumps ride the supervised sequence space like any
+                # batch: redo-logged (a crash mid-swap replays the
+                # bump) and able to carry a planned worker fault at
+                # their own seq, which is how the crash-during-swap
+                # tests pin the fault to the swap window.
+                send_logged(queue_id, packed, False)
 
     oom_at: Optional[float] = None
     failfast_at: Optional[float] = None
     with pool:
         nics = runtime.nics
         pending: List[List[Mbuf]] = [[] for _ in range(cores)]
+
+        def flush() -> None:
+            for queue_id, queued in enumerate(pending):
+                if queued:
+                    dispatch(queue_id, queued)
+                    pending[queue_id] = []
+
         next_monitor_ts: Optional[float] = \
             None if monitor is not None else float("inf")
         next_memory_ts = float("inf")
@@ -1313,10 +1012,7 @@ def run_parallel(
                 runtime._last_ts = ts
             if next_event_ts is not None and ts >= next_event_ts:
                 # Swap before this packet: flush, publish, bump.
-                for qid, queued in enumerate(pending):
-                    if queued:
-                        dispatch(qid, queued)
-                        pending[qid] = []
+                flush()
                 for epoch_no, actions in \
                         runtime.publish_tenancy_events(ts):
                     send_bump(epoch_no, actions)
@@ -1326,12 +1022,12 @@ def run_parallel(
             if queue is not None:
                 queued = pending[queue]
                 queued.append(mbuf)
-                if len(queued) >= sizes[queue]:
+                if len(queued) >= batch_size:
                     dispatch(queue, queued)
                     pending[queue] = []
             if next_monitor_ts is None or ts >= next_monitor_ts:
                 pool.drain_progress()
-                monitor.observe(view_runtime, ts)
+                monitor.observe(pool, ts)
                 next_monitor_ts = ts + monitor.interval
             if ts >= next_memory_ts:
                 next_memory_ts = ts + memory_sample_interval
@@ -1340,41 +1036,38 @@ def run_parallel(
                 # pending batch, then tell each worker to sample.
                 # Per-queue FIFO makes this equivalent to the
                 # sequential backend's flush-then-_sample_memory.
-                for queue, queued in enumerate(pending):
-                    if queued:
-                        dispatch(queue, queued)
-                        pending[queue] = []
+                flush()
                 for queue in range(cores):
                     if not skip_core(queue):
-                        send(queue, (_SAMPLE,))
+                        pool.send_sample(queue)
                 if memory_limit is not None:
                     pool.drain_progress()
-                    if view_runtime.memory_bytes > memory_limit:
+                    if sum(core.memory_bytes
+                           for core in pool.progress) > memory_limit:
                         oom_at = ts
                         break
             if ts >= next_ff_ts:
                 next_ff_ts = ts + config.overload_eval_interval
                 # A tripped worker reports failfast_at in its progress
-                # tuple; stop feeding traffic as soon as any core says
+                # record; stop feeding traffic as soon as any core says
                 # so (approximate cutoff, like oom_at).
                 pool.drain_progress()
-                tripped = view_runtime.overload_failfast_at
-                if tripped is not None:
-                    failfast_at = tripped
+                tripped = [core.failfast_at for core in pool.progress
+                           if core.failfast_at is not None]
+                if tripped:
+                    failfast_at = min(tripped)
                     break
         # Ship the stragglers, then tell every worker to wrap up. On
         # OOM or failfast the workers neither advance time nor drain,
         # matching the sequential backend's early exit.
         if oom_at is None and failfast_at is None:
-            for queue, queued in enumerate(pending):
-                if queued:
-                    dispatch(queue, queued)
+            flush()
             finish = (_FINISH, runtime._last_ts, drain)
         else:
             finish = (_FINISH, None, False)
         for queue in range(cores):
             if not skip_core(queue):
-                send(queue, finish)
+                pool.send_ctrl(queue, finish)
         if supervisor is None:
             core_stats = pool.gather()
         else:
@@ -1383,22 +1076,9 @@ def run_parallel(
     stats = runtime.aggregate(
         core_stats=[core_stats[c] for c in sorted(core_stats)])
     if monitor is not None:
-        # Refresh the views from the workers' final exact snapshots so
-        # the tail sample isn't built from stale progress reports, then
-        # flush the final partial interval.
-        for core_id in sorted(core_stats):
-            final = core_stats[core_id]
-            last_sample = final.memory_samples[-1] \
-                if final.memory_samples else (0.0, 0, 0)
-            ledger = final.overload
-            pool.views[core_id].update(
-                final.callbacks, last_sample[1], last_sample[2],
-                final.ledger.busy_seconds, final.pf_packets,
-                final.connf_packets, final.sessf_packets,
-                ledger.current_rung if ledger is not None else 0,
-                ledger.packets_shed if ledger is not None else 0,
-                ledger.failfast_at if ledger is not None else None)
-        monitor.finalize(runtime._last_ts, view_runtime)
+        # Flush the final partial interval (every gathered core's
+        # record is its exact final one by now).
+        monitor.finalize(runtime._last_ts, pool)
     overload = None
     if config.overload_policy != "off":
         from repro.overload import merge_ledgers

@@ -1049,11 +1049,6 @@ class CorePipeline:
         """The ladder's current rung (0 when the policy is off)."""
         return self._overload.rung if self._overload is not None else 0
 
-    @property
-    def overload_shed_packets(self) -> int:
-        return (self._overload.ledger.packets_shed
-                if self._overload is not None else 0)
-
     def set_span_ctx(self, ctx) -> None:
         """Stamp the IPC span context for the next burst (the parallel
         worker loop calls this with the ``(queue, seq)`` that rode the

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 if TYPE_CHECKING:  # avoid a config<->core import cycle at runtime
     from repro.config import RuntimeConfig
 from repro.core.cycles import Stage, hist_index
+from repro.core.monitor import CoreProgress
 from repro.core.pipeline import CorePipeline
 from repro.core.stats import AGGREGATE_NAMES, COUNTERS, AggregateStats, \
     CoreStats
@@ -34,9 +35,10 @@ class RuntimeReport:
     stats: AggregateStats
     #: Virtual timestamp at which the memory limit was exceeded, or None.
     oom_at: Optional[float] = None
-    #: Parallel-backend health snapshot (queue high-water marks, batch
-    #: occupancy, feeder block time) when ``config.telemetry`` is on;
-    #: None otherwise. Volatile — excluded from deterministic exports.
+    #: Parallel-backend health snapshot (ring high-water marks, batch
+    #: occupancy, feeder block time, feeder and per-worker CPU seconds)
+    #: when ``config.telemetry`` is on; None otherwise. Volatile —
+    #: excluded from deterministic exports.
     backend_health: Optional[dict] = None
     #: Resilience outcome (injections, policy actions, supervisor
     #: recovery), or None when nothing was configured and nothing
@@ -392,6 +394,10 @@ class Runtime:
     def _sample_memory(self, now: float) -> None:
         for pipeline in self.pipelines:
             pipeline.sample_memory()
+
+    def core_progress(self) -> List[CoreProgress]:
+        """One record per core: what ``monitor`` reads at a snapshot."""
+        return [CoreProgress.of(p) for p in self.pipelines]
 
     @property
     def memory_bytes(self) -> int:

@@ -3,8 +3,8 @@
 Retina's 100GbE numbers rest on DPDK's zero-copy mempools and lockless
 rings: the NIC DMA-writes bursts into pre-allocated mbuf slots and the
 core pipelines consume descriptors, never copies. This module is the
-reproduction's process-boundary analogue, replacing the pickled
-``multiprocessing.Queue`` hot path of PR 1/5:
+reproduction's process-boundary analogue, and the parallel backend's
+only feeder→worker data path:
 
 - a **mempool** of fixed pre-allocated batch slots per core inside one
   ``multiprocessing.shared_memory`` segment — the feeder writes the
@@ -22,10 +22,10 @@ reproduction's process-boundary analogue, replacing the pickled
   descriptor it retires; a slot returns to the feeder's free pool
   exactly when the counter passes the entry that carried it;
 - an ordered **control path** for everything that is not a hot batch
-  (memory samples, FINISH, epoch bumps, oversize fallback batches): a
-  CTRL descriptor keeps the event's exact position in the ring order
-  while its payload rides the retained pickle queue, so the strict
-  per-core FIFO the parent-clocked memory sampling and tenancy epoch
+  (FINISH, epoch bumps, oversize fallback batches): a CTRL descriptor
+  keeps the event's exact position in the ring order while its payload
+  rides a pickle queue, so the strict per-core FIFO the parent-clocked
+  memory sampling (a payload-less SAMPLE descriptor) and tenancy epoch
   swaps rely on survives the split into two channels.
 
 Descriptor word layout (little-endian u64)::
@@ -42,9 +42,11 @@ of ordinal ``i - ring_size`` and is rejected, so the ring needs no
 explicit clear between laps.
 
 Everything here is deliberately dependency-free and importable by
-worker processes; platforms without ``multiprocessing.shared_memory``
-(or without a usable ``/dev/shm``) fall back to the queue transport
-(``RuntimeConfig.ipc_transport = "auto"``).
+worker processes. There is no second transport: on a platform without
+``multiprocessing.shared_memory`` (or without a usable ``/dev/shm``)
+:class:`ShmTransport` raises ``OSError`` and the pool reports that the
+parallel backend cannot run there (the sequential backend produces the
+same ``AggregateStats``).
 """
 
 from __future__ import annotations
@@ -122,29 +124,16 @@ def default_layout(config) -> ShmLayout:
     """Size the pool from the runtime config.
 
     One slot per ring entry — ring capacity and slot availability are
-    then the same backpressure condition, and the bound matches the
-    queue transport's ``parallel_queue_depth`` (in batches). Slots are
-    sized for the largest adaptive batch at a generous ~2 KiB/frame;
+    then the same backpressure condition, ``parallel_queue_depth``
+    batches deep. Slots hold one batch at a generous ~2 KiB/frame;
     bursts that still do not fit (jumbo-heavy traffic) fall back to the
     control channel per batch. tmpfs commits pages on first write, so
     unwritten slot capacity costs address space, not memory.
     """
     slot_bytes = config.ipc_slot_bytes
     if slot_bytes is None:
-        slot_bytes = max(65536, max_adaptive_batch(config) * 2048)
+        slot_bytes = max(65536, config.parallel_batch_size * 2048)
     return ShmLayout(config.parallel_queue_depth, slot_bytes)
-
-
-def max_adaptive_batch(config) -> int:
-    """Upper clamp for adaptive batch growth (and slot sizing).
-
-    Bounded by the descriptor's u16 row field; defaults to 4x the
-    configured batch size.
-    """
-    limit = config.ipc_max_batch
-    if limit is None:
-        limit = 4 * config.parallel_batch_size
-    return min(max(limit, config.parallel_batch_size), 0xFFFF)
 
 
 class ShmFeederChannel:
@@ -191,18 +180,13 @@ class ShmFeederChannel:
                 free.append(in_flight.popleft()[1])
         return consumed
 
-    def depth(self) -> int:
-        """Ring entries published but not yet retired by the worker —
-        the adaptive batch sizer's pressure signal."""
-        return self.ordinal - self._refresh_consumed()
-
-    def _wait_capacity(self, alive: Callable[[], bool],
-                       on_block: Callable[[float], None]) -> None:
-        """Block until the ring (== slot pool) has room.
+    def _wait_capacity(self, alive: Callable[[], bool]) -> None:
+        """Block until the ring (== slot pool) has room — the
+        transport's one backpressure condition, accounted in
+        ``slot_starvation_waits`` / ``slot_starvation_seconds``.
 
         ``alive`` is polled so a dead worker surfaces as an error
-        instead of a deadlock; ``on_block`` receives the seconds spent
-        blocked (feeder backpressure accounting).
+        instead of a deadlock.
         """
         ring_size = self.layout.ring_size
         if self.ordinal - self._refresh_consumed() < ring_size:
@@ -219,9 +203,8 @@ class ShmFeederChannel:
                     if not alive():
                         raise WorkerGone()
         finally:
-            blocked = time.monotonic() - blocked_from
-            self.slot_starvation_seconds += blocked
-            on_block(blocked)
+            self.slot_starvation_seconds += \
+                time.monotonic() - blocked_from
 
     # -- publishing ----------------------------------------------------
     def _publish(self, kind: int, slot: int, rows: int) -> None:
@@ -236,13 +219,13 @@ class ShmFeederChannel:
             self.ring_highwater = depth
 
     def send_mbufs(self, mbufs: Sequence, queue_id: int,
-                   trace_ctx: Optional[tuple], alive, on_block) -> bool:
+                   trace_ctx: Optional[tuple], alive) -> bool:
         """Write a burst straight into a free slot and publish it.
 
         Returns False when the burst does not fit a slot (the caller
         falls back to the control channel).
         """
-        self._wait_capacity(alive, on_block)
+        self._wait_capacity(alive)
         slot = self._free[0]
         written = slot_write_mbufs(
             self._buf, self.layout.slot_offset(slot),
@@ -255,12 +238,11 @@ class ShmFeederChannel:
         self._publish(KIND_BATCH, slot, len(mbufs))
         return True
 
-    def send_packed(self, batch: PackedBatch, seq: int, alive,
-                    on_block) -> bool:
+    def send_packed(self, batch: PackedBatch, seq: int, alive) -> bool:
         """Publish an already-packed batch (supervised dispatch and
         redo-log replay — the slot gets the identical wire contents the
         log preserved, under the batch's original seq)."""
-        self._wait_capacity(alive, on_block)
+        self._wait_capacity(alive)
         slot = self._free[0]
         written = slot_write_packed(
             self._buf, self.layout.slot_offset(slot),
@@ -273,16 +255,16 @@ class ShmFeederChannel:
         self._publish(KIND_BATCH, slot, len(batch))
         return True
 
-    def send_ctrl(self, alive, on_block) -> None:
+    def send_ctrl(self, alive) -> None:
         """Publish a control descriptor; the payload must already be on
         (or about to enter) the pickle control queue. The descriptor
         pins the payload's position in the per-core total order."""
-        self._wait_capacity(alive, on_block)
+        self._wait_capacity(alive)
         self._publish(KIND_CTRL, 0, 0)
 
-    def send_sample(self, alive, on_block) -> None:
+    def send_sample(self, alive) -> None:
         """Publish a payload-less parent-clocked memory-sample point."""
-        self._wait_capacity(alive, on_block)
+        self._wait_capacity(alive)
         self._publish(KIND_SAMPLE, 0, 0)
 
     # -- lifecycle -----------------------------------------------------
@@ -316,6 +298,11 @@ class WorkerGone(Exception):
     translates it into its usual ParallelExecutionError."""
 
 
+class FeederGone(Exception):
+    """Raised out of a descriptor wait when the feeder process died:
+    nothing will ever be published again, so the worker exits."""
+
+
 class ShmWorkerChannel:
     """Worker-side consumer: attach by name, poll descriptors, map
     slots, publish consumed credits."""
@@ -325,6 +312,8 @@ class ShmWorkerChannel:
         self._shm = _shared_memory.SharedMemory(name)
         self._buf = self._shm.buf
         self.layout = ShmLayout(ring_size, slot_bytes)
+        #: The feeder: a worker re-parented away from it is orphaned.
+        self._feeder_pid = os.getppid()
 
     def wait_descriptor(self, ordinal: int,
                         on_idle: Optional[Callable[[], None]] = None
@@ -333,13 +322,16 @@ class ShmWorkerChannel:
         returns ``(kind, slot, rows)``. ``on_idle`` fires once when the
         first poll misses (the ring is momentarily empty) — the worker
         hooks its coalesced-ack flush there, so acks drain whenever the
-        feeder is not saturating the core."""
+        feeder is not saturating the core. A long wait re-checks the
+        feeder's liveness on the cadence the feeder checks the worker's
+        and raises :class:`FeederGone` once it is dead."""
         buf = self._buf
         offset = _RING_BASE + 8 * (ordinal % self.layout.ring_size)
         tag = ordinal & _TAG_MASK
         unpack_from = _U64.unpack_from
         spins = 0
         sleep = _WAIT_SLEEP / 4
+        next_liveness = 0.0
         while True:
             word = unpack_from(buf, offset)[0]
             if (word >> 60) and (word & _TAG_MASK) == tag:
@@ -352,6 +344,11 @@ class ShmWorkerChannel:
                 time.sleep(sleep)
                 if sleep < 0.002:
                     sleep *= 2
+                now = time.monotonic()
+                if now >= next_liveness:
+                    next_liveness = now + _LIVENESS_EVERY
+                    if os.getppid() != self._feeder_pid:
+                        raise FeederGone()
 
     def read_batch(self, slot: int) -> Tuple[PackedBatch, int]:
         """Map the slot back to a batch; the blob is a zero-copy view
@@ -363,6 +360,15 @@ class ShmWorkerChannel:
         """Publish the cumulative credit: every descriptor below
         ``ordinal`` is fully processed and its slot may be recycled."""
         _U64.pack_into(self._buf, 0, ordinal)
+
+    def unlink(self) -> None:
+        """Remove the segment's name. The feeder owns that on every
+        normal exit; an orphaned worker does it for the feeder that no
+        longer can."""
+        try:
+            self._shm.unlink()
+        except FileNotFoundError:
+            pass
 
     def close(self) -> None:
         # Slot memoryviews may still be referenced from pipeline
@@ -386,6 +392,9 @@ class ShmTransport:
     def __init__(self, cores: int, layout: ShmLayout) -> None:
         self.layout = layout
         self.channels: List[ShmFeederChannel] = []
+        if not shm_available():
+            raise OSError("multiprocessing.shared_memory is unavailable "
+                          "on this platform")
         try:
             for core_id in range(cores):
                 self.channels.append(ShmFeederChannel(core_id, layout))

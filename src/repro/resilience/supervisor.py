@@ -65,13 +65,12 @@ class RedoLog:
     def ack(self, seq: int) -> None:
         """Acknowledge every batch up to and including ``seq``.
 
-        Cumulative by design, which is what lets the shm transport
-        coalesce worker acks (one ack per ``_ACK_COALESCE`` batches,
-        flushed on ring-idle, at FINISH, and always before a planned
-        fault fires): acking the highest processed seq trims the same
-        prefix the queue transport's one-ack-per-batch cadence would,
-        so ``pending`` — the replay set after a crash — is identical
-        under either transport.
+        Cumulative by design, which is what lets workers coalesce
+        their acks (one per ``_ACK_COALESCE`` batches, flushed on
+        ring-idle, at FINISH, and always before a planned fault fires):
+        acking the highest processed seq trims the same prefix an ack
+        per batch would, so ``pending`` — the replay set after a
+        crash — does not depend on the ack cadence.
         """
         for entry_seq in list(self._entries):
             if entry_seq <= seq:

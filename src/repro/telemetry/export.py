@@ -352,19 +352,20 @@ def build_registry(stats: AggregateStats,
     if backend_health is not None:
         reg.gauge("repro_feeder_block_seconds",
                   "Wall-clock seconds the feeder spent blocked on full "
-                  "worker queues", volatile=True) \
+                  "worker rings", volatile=True) \
             .set(backend_health.get("feeder_block_seconds", 0.0))
         reg.counter("repro_ipc_bytes_total",
-                    "Flat-buffer bytes shipped feeder->workers",
+                    "Serialized bytes shipped feeder->workers "
+                    "(descriptors, plus control-channel batches)",
                     volatile=True) \
             .inc(backend_health.get("ipc_bytes", 0))
         reg.gauge("repro_ipc_bytes_per_packet",
                   "Average serialized IPC bytes per dispatched packet "
-                  "(flat-buffer batches: frames blob + offset/ts/port "
-                  "arrays)", volatile=True) \
+                  "(8-byte descriptors; frames are written in place)",
+                  volatile=True) \
             .set(backend_health.get("ipc_bytes_per_packet", 0.0))
         qhw = reg.gauge("repro_worker_queue_highwater",
-                        "Per-worker input queue depth high-water mark "
+                        "Per-worker input ring depth high-water mark "
                         "(batches)", label_names=("worker",),
                         volatile=True)
         batches = reg.counter("repro_worker_batches_total",
@@ -373,32 +374,29 @@ def build_registry(stats: AggregateStats,
         occ = reg.gauge("repro_worker_batch_occupancy_max",
                         "Largest batch (packets) each worker received",
                         label_names=("worker",), volatile=True)
+        rhw = reg.gauge("repro_worker_ring_highwater",
+                        "Per-worker descriptor-ring occupancy "
+                        "high-water mark (entries)",
+                        label_names=("worker",), volatile=True)
+        starv = reg.counter("repro_worker_slot_starvation_total",
+                            "Times the feeder blocked waiting for "
+                            "a free mempool slot, per worker",
+                            label_names=("worker",), volatile=True)
         for row in backend_health.get("workers", ()):
             worker = str(row["worker"])
-            qhw.set(row.get("queue_highwater", 0), labels=(worker,))
+            # The ring is the worker's input queue: one depth, kept
+            # under the older family name too.
+            qhw.set(row.get("ring_highwater", 0), labels=(worker,))
+            rhw.set(row.get("ring_highwater", 0), labels=(worker,))
             batches.inc(row.get("batches", 0), labels=(worker,))
             occ.set(row.get("batch_occupancy_max", 0), labels=(worker,))
-        if "ring_highwater" in backend_health:
-            # Shared-memory transport only: ring/mempool pressure. The
-            # families are absent entirely on queue-transport runs.
-            rhw = reg.gauge("repro_worker_ring_highwater",
-                            "Per-worker descriptor-ring occupancy "
-                            "high-water mark (entries)",
-                            label_names=("worker",), volatile=True)
-            starv = reg.counter("repro_worker_slot_starvation_total",
-                                "Times the feeder blocked waiting for "
-                                "a free mempool slot, per worker",
-                                label_names=("worker",), volatile=True)
-            for row in backend_health.get("workers", ()):
-                worker = str(row["worker"])
-                rhw.set(row.get("ring_highwater", 0), labels=(worker,))
-                starv.inc(row.get("slot_starvation_waits", 0),
-                          labels=(worker,))
-            reg.gauge("repro_slot_starvation_seconds",
-                      "Wall-clock seconds the feeder spent blocked on "
-                      "slot/ring exhaustion across all workers",
-                      volatile=True) \
-                .set(backend_health.get("slot_starvation_seconds", 0.0))
+            starv.inc(row.get("slot_starvation_waits", 0),
+                      labels=(worker,))
+        reg.gauge("repro_slot_starvation_seconds",
+                  "Wall-clock seconds the feeder spent blocked on "
+                  "slot/ring exhaustion across all workers",
+                  volatile=True) \
+            .set(backend_health.get("slot_starvation_seconds", 0.0))
 
     # -- multi-tenant breakdown (repro.tenancy) ----------------------------
     if tenancy is not None:

@@ -536,13 +536,6 @@ class TenantCorePipeline:
         return rung
 
     @property
-    def overload_shed_packets(self) -> int:
-        shed = sum(tp.overload_shed_packets for tp in self.pipelines())
-        shed += sum(ledger.packets_shed
-                    for ledger in self._tenant_shed.values())
-        return shed
-
-    @property
     def overload_failfast_at(self) -> Optional[float]:
         tripped = [tp.overload_failfast_at for tp in self.pipelines()
                    if tp.overload_failfast_at is not None]

@@ -1,6 +1,6 @@
-"""Shared-memory ring transport (ISSUE 10).
+"""Shared-memory ring transport (ISSUE 10; the only one since ISSUE 23).
 
-Three layers under test:
+Four layers under test:
 
 - **Slot codec** — ``slot_write_mbufs`` / ``slot_write_packed`` /
   ``slot_read`` round-trip the full PackedBatch wire layout inside a
@@ -11,13 +11,23 @@ Three layers under test:
   live-slot guarantee when the ring is smaller than the in-flight batch
   count (satellite: slot exhaustion + wraparound, 1/2/4 workers, crash
   mid-flight).
-- **End-to-end determinism** — AggregateStats byte-identical shm vs
-  queue vs sequential, with spans/tenancy/netem/overload riding the
-  batches, and supervised crash replay byte-identical under either
-  transport.
+- **End-to-end determinism** — AggregateStats byte-identical to the
+  sequential backend at 1/2/4 workers, with spans/tenancy/netem/overload
+  riding the batches; supervised crash replay repeatable and isolated
+  (its digests are pinned in ``tests/test_stats_golden.py``, recorded
+  where the since-deleted pickled-queue transport agreed with the ring).
+- **Failure edges** — an unusable ``/dev/shm`` is a
+  ``ParallelExecutionError`` with a remedy, and a killed feeder leaves
+  no worker and no segment behind.
 """
 
+import glob
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -142,10 +152,6 @@ def _alive():
     return True
 
 
-def _no_block(_seconds):
-    pass
-
-
 class _SimConsumer:
     """Drives a ShmWorkerChannel against an in-process feeder so ring
     behavior is testable without real worker processes."""
@@ -192,9 +198,7 @@ class TestRingMechanics:
             for i in range(25):
                 mbufs = traffic[i * 4:(i + 1) * 4]
                 sent.append([bytes(m.data) for m in mbufs])
-                while not tiny_channel.send_mbufs(
-                        mbufs, 0, None, _alive, _no_block):
-                    raise AssertionError("burst did not fit")
+                assert tiny_channel.send_mbufs(mbufs, 0, None, _alive)
                 consumer.consume_one()
             assert [payload for _, payload, _ in consumer.batches] == sent
         finally:
@@ -208,14 +212,14 @@ class TestRingMechanics:
             first = [bytes(m.data) for m in traffic[0:4]]
             second = [bytes(m.data) for m in traffic[4:8]]
             assert tiny_channel.send_mbufs(traffic[0:4], 0, None,
-                                           _alive, _no_block)
+                                           _alive)
             assert tiny_channel.send_mbufs(traffic[4:8], 0, None,
-                                           _alive, _no_block)
+                                           _alive)
             # Ring full: a dead-worker poll must surface, proving the
             # feeder waited instead of clobbering slot 0.
             with pytest.raises(shm.WorkerGone):
                 tiny_channel.send_mbufs(traffic[8:12], 0, None,
-                                        lambda: False, _no_block)
+                                        lambda: False)
             assert tiny_channel.slot_starvation_waits == 1
             assert tiny_channel.slot_starvation_seconds > 0
             # The in-flight payloads survived the blocked attempt.
@@ -225,7 +229,7 @@ class TestRingMechanics:
             assert consumer.batches[1][1] == second
             # Credits returned: the third burst now goes through.
             assert tiny_channel.send_mbufs(traffic[8:12], 0, None,
-                                           _alive, _no_block)
+                                           _alive)
             consumer.consume_one()
             assert consumer.batches[2][1] == \
                 [bytes(m.data) for m in traffic[8:12]]
@@ -237,10 +241,10 @@ class TestRingMechanics:
         """A consumed-but-uncredited descriptor keeps its slot out of
         the free pool."""
         assert tiny_channel.send_mbufs(traffic[0:2], 0, None,
-                                       _alive, _no_block)
+                                       _alive)
         assert len(tiny_channel._free) == 1
         assert tiny_channel.send_mbufs(traffic[2:4], 0, None,
-                                       _alive, _no_block)
+                                       _alive)
         assert len(tiny_channel._free) == 0
         consumer = _SimConsumer(tiny_channel)
         try:
@@ -255,27 +259,27 @@ class TestRingMechanics:
         consumer = _SimConsumer(tiny_channel)
         try:
             assert tiny_channel.send_mbufs(traffic[0:2], 0, None,
-                                           _alive, _no_block)
-            tiny_channel.send_sample(_alive, _no_block)
+                                           _alive)
+            tiny_channel.send_sample(_alive)
             assert consumer.consume_one() == shm.KIND_BATCH
             assert consumer.consume_one() == shm.KIND_SAMPLE
-            tiny_channel.send_ctrl(_alive, _no_block)
+            tiny_channel.send_ctrl(_alive)
             assert consumer.consume_one() == shm.KIND_CTRL
         finally:
             consumer.close()
 
     def test_reset_rearms_ordinal_space(self, tiny_channel, traffic):
         assert tiny_channel.send_mbufs(traffic[0:2], 0, None,
-                                       _alive, _no_block)
+                                       _alive)
         assert tiny_channel.send_mbufs(traffic[2:4], 0, None,
-                                       _alive, _no_block)
+                                       _alive)
         tiny_channel.reset()
         assert tiny_channel.ordinal == 0
         assert len(tiny_channel._free) == 2
         consumer = _SimConsumer(tiny_channel)
         try:
             assert tiny_channel.send_mbufs(traffic[4:6], 0, None,
-                                           _alive, _no_block)
+                                           _alive)
             consumer.consume_one()
             assert consumer.batches[0][1] == \
                 [bytes(m.data) for m in traffic[4:6]]
@@ -284,13 +288,13 @@ class TestRingMechanics:
 
     def test_ring_highwater_tracks_depth(self, tiny_channel, traffic):
         assert tiny_channel.ring_highwater == 0
-        tiny_channel.send_mbufs(traffic[0:2], 0, None, _alive, _no_block)
-        tiny_channel.send_mbufs(traffic[2:4], 0, None, _alive, _no_block)
+        tiny_channel.send_mbufs(traffic[0:2], 0, None, _alive)
+        tiny_channel.send_mbufs(traffic[2:4], 0, None, _alive)
         assert tiny_channel.ring_highwater == 2
 
 
 # ---------------------------------------------------------------------------
-# transport equivalence: shm vs queue vs sequential
+# transport equivalence: the ring against the sequential backend
 # ---------------------------------------------------------------------------
 
 class TestTransportEquivalence:
@@ -298,10 +302,8 @@ class TestTransportEquivalence:
         for cores in (1, 2, 4):
             seq = _run(traffic, parallel=False,
                        cores=cores).stats.to_dict()
-            for ipc in ("shm", "queue"):
-                par = _run(traffic, cores=cores,
-                           ipc_transport=ipc).stats.to_dict()
-                assert par == seq, f"{ipc} diverged at {cores} cores"
+            par = _run(traffic, cores=cores).stats.to_dict()
+            assert par == seq, f"ring diverged at {cores} cores"
 
     def test_tiny_ring_forces_starvation_and_stays_identical(
             self, traffic):
@@ -310,37 +312,30 @@ class TestTransportEquivalence:
         for cores in (1, 2, 4):
             baseline = _run(traffic, parallel=False, cores=cores,
                             parallel_batch_size=32).stats.to_dict()
-            par = _run(traffic, cores=cores, ipc_transport="shm",
-                       parallel_queue_depth=2,
+            par = _run(traffic, cores=cores, parallel_queue_depth=2,
                        parallel_batch_size=32).stats.to_dict()
             assert par == baseline, f"tiny ring diverged at {cores}"
 
     def test_oversize_batches_fall_back_to_ctrl(self, traffic):
         """Slots too small for any burst: every batch takes the CTRL
         fallback and the run still matches byte-for-byte."""
-        baseline = _run(traffic, parallel=False,
-                        cores=2).stats.to_dict()
-        par = _run(traffic, cores=2, ipc_transport="shm",
-                   ipc_slot_bytes=4096,
-                   parallel_batch_size=256).stats.to_dict()
-        assert par == baseline
-
-    def test_adaptive_sizing_stats_invariant(self, traffic):
-        fixed = _run(traffic, cores=2, ipc_transport="shm",
-                     ipc_adaptive_batch=False).stats.to_dict()
-        adaptive = _run(traffic, cores=2, ipc_transport="shm",
-                        ipc_adaptive_batch=True,
-                        parallel_batch_size=16,
-                        ipc_max_batch=512).stats.to_dict()
-        assert adaptive == fixed
+        for cores in (1, 2, 4):
+            baseline = _run(traffic, parallel=False,
+                            cores=cores).stats.to_dict()
+            par = _run(traffic, cores=cores, ipc_slot_bytes=4096,
+                       parallel_batch_size=256, telemetry=True)
+            assert par.stats.to_dict() == baseline
+            # Whole flat buffers crossed pickled, not 8-byte descriptors.
+            assert par.backend_health["ipc_bytes_per_packet"] > 50
 
     def test_spans_identical_across_transports(self, traffic):
-        kwargs = dict(cores=2, span_sample=1, flight_recorder_depth=4)
-        via_shm = _run(traffic, ipc_transport="shm", **kwargs)
-        via_queue = _run(traffic, ipc_transport="queue", **kwargs)
-        assert via_shm.stats.to_dict() == via_queue.stats.to_dict()
-        assert via_shm.spans is not None
-        assert via_shm.spans.to_dict() == via_queue.spans.to_dict()
+        kwargs = dict(span_sample=1, flight_recorder_depth=4)
+        for cores in (1, 2, 4):
+            seq = _run(traffic, parallel=False, cores=cores, **kwargs)
+            par = _run(traffic, cores=cores, **kwargs)
+            assert par.stats.to_dict() == seq.stats.to_dict()
+            assert par.spans is not None
+            assert par.spans.to_dict() == seq.spans.to_dict()
 
     def test_netem_identical_across_transports(self, traffic):
         from repro.config import ImpairmentConfig
@@ -348,10 +343,10 @@ class TestTransportEquivalence:
         impair = ImpairmentConfig(seed=7, loss_rate=0.05,
                                   reorder_rate=0.05,
                                   duplicate_rate=0.02)
-        seq = _run(traffic, parallel=False, impairment=impair)
-        for ipc in ("shm", "queue"):
-            par = _run(traffic, cores=4, ipc_transport=ipc,
+        for cores in (1, 2, 4):
+            seq = _run(traffic, parallel=False, cores=cores,
                        impairment=impair)
+            par = _run(traffic, cores=cores, impairment=impair)
             assert par.stats.to_dict() == seq.stats.to_dict()
             assert par.impairment.to_dict() == seq.impairment.to_dict()
 
@@ -359,9 +354,9 @@ class TestTransportEquivalence:
         kwargs = dict(filter_str="tcp", datatype="connection",
                       overload_policy="ladder",
                       overload_target_lag=0.0001)
-        seq = _run(traffic, parallel=False, **kwargs)
-        for ipc in ("shm", "queue"):
-            par = _run(traffic, cores=4, ipc_transport=ipc, **kwargs)
+        for cores in (1, 2, 4):
+            seq = _run(traffic, parallel=False, cores=cores, **kwargs)
+            par = _run(traffic, cores=cores, **kwargs)
             assert par.stats.to_dict() == seq.stats.to_dict()
             assert par.overload.to_dict() == seq.overload.to_dict()
 
@@ -378,46 +373,37 @@ class TestTransportEquivalence:
         ]}))
         events = [parse_reconfigure("0.2:drop:beta")]
 
-        def run(parallel, ipc="auto"):
-            config = RuntimeConfig(cores=2, parallel=parallel,
-                                   ipc_transport=ipc)
+        def run(parallel, cores):
+            config = RuntimeConfig(cores=cores, parallel=parallel)
             runtime = TenantRuntime(config, specs, events=events)
             return runtime.run(iter(traffic))
 
-        seq = run(False)
-        via_shm = run(True, "shm")
-        via_queue = run(True, "queue")
-        assert via_shm.stats.to_dict() == seq.stats.to_dict()
-        assert via_queue.stats.to_dict() == seq.stats.to_dict()
+        for cores in (1, 2, 4):
+            assert run(True, cores).stats.to_dict() == \
+                run(False, cores).stats.to_dict()
 
 
 # ---------------------------------------------------------------------------
-# supervised crash replay (slot contents replayed byte-identically)
+# supervised crash replay (slot contents replayed byte-identically; the
+# post-crash digests are pinned in tests/test_stats_golden.py)
 # ---------------------------------------------------------------------------
 
 class TestSupervisedReplay:
-    def _crash_run(self, traffic, ipc, cores=2, depth=8):
+    def _crash_run(self, traffic, cores=2, depth=8):
         plan = FaultPlan(seed=1, faults=(
             FaultSpec(kind="worker_crash", at_batch=1, core=1),))
-        return _run(traffic, cores=cores, ipc_transport=ipc,
-                    fault_plan=plan, supervise=True,
+        return _run(traffic, cores=cores, fault_plan=plan, supervise=True,
                     parallel_queue_depth=depth)
-
-    def test_crash_replay_matches_queue_transport(self, traffic):
-        via_shm = self._crash_run(traffic, "shm")
-        via_queue = self._crash_run(traffic, "queue")
-        assert via_shm.stats.to_dict() == via_queue.stats.to_dict()
-        assert via_shm.faults.to_dict() == via_queue.faults.to_dict()
-        assert via_shm.faults.worker_restarts == 1
 
     def test_crash_replay_deterministic_and_isolated(self, traffic):
         """Same crash, run twice: byte-identical; and cores the fault
-        never touched match a fault-free shm run bit-for-bit."""
-        one = self._crash_run(traffic, "shm", cores=4)
-        two = self._crash_run(traffic, "shm", cores=4)
+        never touched match a fault-free run bit-for-bit."""
+        one = self._crash_run(traffic, cores=4)
+        two = self._crash_run(traffic, cores=4)
         assert one.stats.to_dict() == two.stats.to_dict()
         assert one.faults.to_dict() == two.faults.to_dict()
-        clean = _run(traffic, cores=4, ipc_transport="shm")
+        assert one.faults.worker_restarts == 1
+        clean = _run(traffic, cores=4)
         for core in (0, 2, 3):
             assert one.core_stats[core].to_dict() == \
                 clean.core_stats[core].to_dict(), f"core {core} diverged"
@@ -425,21 +411,23 @@ class TestSupervisedReplay:
     def test_crash_mid_flight_on_tiny_ring(self, traffic):
         """Satellite: crash while the 2-deep ring is saturated, at
         1/2/4 workers — restart resets the ring, the redo log replays
-        into fresh slots, and the outcome is byte-identical to the
-        queue transport under the identical crash."""
+        into fresh slots, and the outcome repeats exactly and leaves
+        every other core as a fault-free run has it."""
         for cores in (1, 2, 4):
             plan = FaultPlan(seed=1, faults=(
                 FaultSpec(kind="worker_crash", at_batch=2, core=0),))
-            kwargs = dict(cores=cores, fault_plan=plan, supervise=True,
-                          parallel_queue_depth=2,
+            kwargs = dict(cores=cores, parallel_queue_depth=2,
                           parallel_batch_size=32)
-            via_shm = _run(traffic, ipc_transport="shm", **kwargs)
-            via_queue = _run(traffic, ipc_transport="queue", **kwargs)
-            assert via_shm.stats.to_dict() == \
-                via_queue.stats.to_dict(), \
+            one = _run(traffic, fault_plan=plan, supervise=True, **kwargs)
+            two = _run(traffic, fault_plan=plan, supervise=True, **kwargs)
+            assert one.stats.to_dict() == two.stats.to_dict(), \
                 f"crash on tiny ring diverged at {cores} workers"
-            assert via_shm.faults.to_dict() == via_queue.faults.to_dict()
-            assert via_shm.faults.worker_restarts == 1
+            assert one.faults.to_dict() == two.faults.to_dict()
+            assert one.faults.worker_restarts == 1
+            clean = _run(traffic, **kwargs)
+            for core in range(1, cores):
+                assert one.core_stats[core].to_dict() == \
+                    clean.core_stats[core].to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +436,7 @@ class TestSupervisedReplay:
 
 class TestHealthAndConfig:
     def test_backend_health_reports_shm(self, traffic):
-        report = _run(traffic, cores=2, ipc_transport="shm",
-                      telemetry=True)
+        report = _run(traffic, cores=2, telemetry=True)
         health = report.backend_health
         assert health["transport"] == "shm"
         assert health["ring_size"] >= 1
@@ -462,54 +449,133 @@ class TestHealthAndConfig:
         # per packet for any realistic batch size.
         assert 0 < health["ipc_bytes_per_packet"] < 2.0
 
-    def test_backend_health_reports_queue(self, traffic):
-        report = _run(traffic, cores=2, ipc_transport="queue",
-                      telemetry=True)
-        health = report.backend_health
-        assert health["transport"] == "queue"
-        assert "ring_highwater" not in health
-        # The queue transport ships the whole flat buffer per batch.
-        assert health["ipc_bytes_per_packet"] > 50
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_backend_health_reports_cpu_seconds(self, traffic, cores):
+        """The two costs the serial-stage ceiling is made of."""
+        health = _run(traffic, cores=cores, telemetry=True).backend_health
+        assert health["feeder_cpu_seconds"] > 0
+        assert len(health["workers"]) == cores
+        assert all(row["cpu_seconds"] > 0 for row in health["workers"])
 
     def test_prometheus_ring_families_gated(self, traffic):
+        """Present on every parallel run, behind the volatile gate."""
         from repro.telemetry.export import render_metrics
 
-        def render(ipc):
-            report = _run(traffic, cores=2, ipc_transport=ipc,
-                          telemetry=True)
-            return render_metrics(report.stats, report.backend_health,
-                                  include_volatile=True)
-
-        shm_text = render("shm")
-        queue_text = render("queue")
-        assert "repro_worker_ring_highwater" in shm_text
-        assert "repro_worker_slot_starvation_total" in shm_text
-        assert "repro_slot_starvation_seconds" in shm_text
-        assert "repro_worker_ring_highwater" not in queue_text
-        assert "repro_slot_starvation_seconds" not in queue_text
+        report = _run(traffic, cores=2, telemetry=True)
+        verbose = render_metrics(report.stats, report.backend_health,
+                                 include_volatile=True)
+        assert "repro_worker_ring_highwater" in verbose
+        assert "repro_worker_slot_starvation_total" in verbose
+        assert "repro_slot_starvation_seconds" in verbose
+        default = render_metrics(report.stats, report.backend_health)
+        assert "repro_worker_ring_highwater" not in default
+        assert "repro_slot_starvation_seconds" not in default
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            RuntimeConfig(ipc_transport="carrier-pigeon")
-        with pytest.raises(ConfigError):
             RuntimeConfig(ipc_slot_bytes=100)
         with pytest.raises(ConfigError):
-            RuntimeConfig(parallel_batch_size=256, ipc_max_batch=8)
-        RuntimeConfig(ipc_transport="queue", ipc_slot_bytes=8192,
-                      ipc_max_batch=1024)
+            RuntimeConfig(parallel_queue_depth=0)
+        RuntimeConfig(ipc_slot_bytes=8192)
 
-    def test_cli_rejects_ipc_without_parallel(self, capsys):
-        from repro.cli import main
+    def test_unusable_dev_shm_is_a_parallel_execution_error(
+            self, traffic, monkeypatch):
+        """No second transport: the error names the segments asked for
+        and the remedy."""
+        def refuse(*args, **kwargs):
+            raise OSError(28, "No space left on device")
 
-        assert main(["--ipc", "shm", "--duration", "0.1"]) == 2
-        err = capsys.readouterr().err
-        assert "--ipc" in err and "--parallel" in err
+        monkeypatch.setattr(shm._shared_memory, "SharedMemory", refuse)
+        layout = shm.default_layout(RuntimeConfig())
+        with pytest.raises(ParallelExecutionError) as excinfo:
+            _run(traffic, cores=2)
+        message = str(excinfo.value)
+        assert f"2 x {layout.total_bytes} bytes" in message
+        assert "No space left on device" in message
+        assert "without --parallel" in message
 
     def test_cli_ipc_smoke(self, capsys, tmp_path):
         from repro.cli import main
 
         out = tmp_path / "stats.json"
-        rc = main(["--ipc", "shm", "--parallel", "2",
+        rc = main(["--parallel", "2",
                    "--duration", "0.1", "--json-stats", str(out)])
         assert rc == 0
         assert json.loads(out.read_text())["ingress_packets"] > 0
+
+
+# ---------------------------------------------------------------------------
+# a killed feeder leaves nothing behind
+# ---------------------------------------------------------------------------
+
+_FEEDER = """
+import itertools, sys
+from repro import Runtime, RuntimeConfig
+from repro.traffic import CampusTrafficGenerator
+
+mbufs = list(CampusTrafficGenerator(seed=21).packets(duration=0.2, gbps=0.1))
+runtime = Runtime(RuntimeConfig(cores=2, parallel=True), filter_str="tcp",
+                  datatype="connection", callback=None)
+
+def endless():
+    for n in itertools.count():
+        if n == 1:
+            print("feeding", flush=True)
+        yield from mbufs
+
+runtime.run(endless())
+"""
+
+
+def _children(pid):
+    out = subprocess.run(["ps", "-o", "pid=", "--ppid", str(pid)],
+                         capture_output=True, text=True).stdout
+    return [int(p) for p in out.split()]
+
+
+def _running(pid):
+    """False once ``pid`` has exited (a zombie waiting for init to reap
+    it has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm") or
+                    not os.path.isdir("/proc/self"),
+                    reason="needs /dev/shm and /proc")
+def test_workers_do_not_outlive_a_killed_feeder():
+    import repro
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(repro.__file__)))
+    feeder = subprocess.Popen([sys.executable, "-c", _FEEDER], env=env,
+                              stdout=subprocess.PIPE, text=True)
+    workers, segments = [], []
+    try:
+        assert feeder.stdout.readline().strip() == "feeding"
+        # The resource tracker is a child too; the workers are the forks.
+        workers = _children(feeder.pid)
+        assert len(workers) >= 2
+        segments = glob.glob(f"/dev/shm/rpr{feeder.pid:x}c*")
+        assert len(segments) == 2
+        feeder.kill()
+        feeder.wait(timeout=10)
+        deadline = time.monotonic() + 2.0
+        while time.monotonic() < deadline and (
+                any(_running(pid) for pid in workers)
+                or any(os.path.exists(path) for path in segments)):
+            time.sleep(0.05)
+        assert [pid for pid in workers if _running(pid)] == []
+        assert [path for path in segments if os.path.exists(path)] == []
+    finally:
+        feeder.kill()
+        feeder.wait(timeout=10)
+        for pid in workers:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+        for path in segments:
+            if os.path.exists(path):
+                os.unlink(path)

@@ -20,7 +20,11 @@ change was 5.6e-13 (a per-burst span stage delta; 1.4e-13 on any
 ``stats`` field). The seven ``tenants_*`` cases after
 ``filter_not_batch_expressible`` (metered, not batch-expressible, spans,
 ladder) were added by PR 22 and recorded on its parent, 14bf723, before
-the multiplexer was edited. A case added later is recorded the same way,
+the multiplexer was edited; the three ``GOLDEN_SUPERVISED`` cases
+(planned worker crash / hang under supervision, fault report included)
+were added by PR 23 and recorded on its parent, a42ba2c, where the shm
+ring and the since-deleted pickled-queue transport both produced them.
+A case added later is recorded the same way,
 by running this file as a script:
 
     PYTHONPATH=src:. python tests/test_stats_golden.py
@@ -41,7 +45,7 @@ import json
 
 import pytest
 
-from repro import Runtime, RuntimeConfig
+from repro import FaultPlan, FaultSpec, Runtime, RuntimeConfig
 from repro.core.cycles import CostModel, Stage, to_centi
 from repro.filter import compile_filter
 from repro.filter.hardware import p4_capabilities
@@ -333,7 +337,33 @@ CASES = {
 }
 
 
-def digest(build, variant) -> str:
+def _supervised(kind, at_batch, core, **config):
+    """A planned worker fault under supervision, spans on: the digest
+    covers the post-recovery stats, the fault report and the span bytes
+    (the supervisor's restart events land in the flight dumps)."""
+    plan = FaultPlan(seed=1, faults=(
+        FaultSpec(kind=kind, at_batch=at_batch, core=core),))
+    return _single("small_campus", "tcp", "connection", fault_plan=plan,
+                   supervise=True, span_sample=1, flight_recorder_depth=4,
+                   **config)
+
+
+#: Parallel-only (the sequential backend skips worker faults), so these
+#: run under the two-worker variants alone.
+SUPERVISED_CASES = {
+    "worker_crash": _supervised("worker_crash", 1, 1),
+    "worker_hang": _supervised("worker_hang", 1, 0,
+                               worker_heartbeat_timeout=0.5),
+    # The 2-deep ring is saturated when the worker dies: restart resets
+    # the ring and the redo log replays into fresh slots.
+    "worker_crash_on_tiny_ring": _supervised(
+        "worker_crash", 2, 0, parallel_queue_depth=2,
+        parallel_batch_size=32),
+}
+SUPERVISED_VARIANTS = ("par2", "par2-scalar")
+
+
+def digest(build, variant, faults=False) -> str:
     runtime, mbufs = build(variant)
     report = runtime.run(iter(mbufs))
     tenants = ledgers = {}
@@ -341,6 +371,7 @@ def digest(build, variant) -> str:
         tenants = runtime.aggregate_tenants(report)
         ledgers = runtime.tenant_ledgers(report)
     blob = json.dumps({
+        **({"faults": report.faults.to_dict()} if faults else {}),
         "stats": report.stats.to_dict(),
         "tenants": {n: t.to_dict() for n, t in sorted(tenants.items())},
         "tenant_ledgers": {n: l.to_dict()
@@ -408,11 +439,31 @@ GOLDEN = {
         '18947:2a3ad31d47152cb59b55ced2b7bcb765d5c799b308a7bdf45bbf5aa2f2a4af5b',
 }
 
+#: Recorded on a42ba2c (PR 22), before PR 23 made the shm ring the only
+#: feeder->worker transport: there the shm and pickled-queue transports
+#: both produced these, twice each, on both variants.
+GOLDEN_SUPERVISED = {
+    'worker_crash':
+        '14483:2f16190c19ccb6392e034c50bb4241a0c442830216c8b504512a8b154d27a70f',
+    'worker_hang':
+        '14483:3d5e4f51852ea0ef6a8552f247efb1423dca4b9aefcf39d7027e91fc993a1054',
+    'worker_crash_on_tiny_ring':
+        '14483:51f289e72d7e095d1693ca8fd4ba26fac881037298bf67000f411f83821fcb7a',
+}
+
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
 @pytest.mark.parametrize("name", list(CASES))
 def test_run_digest_matches_parent_commit(name, variant):
     assert digest(CASES[name], VARIANTS[variant]) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("variant", SUPERVISED_VARIANTS)
+@pytest.mark.parametrize("name", list(SUPERVISED_CASES))
+def test_supervised_digest_matches_parent_commit(name, variant):
+    report_digest = digest(SUPERVISED_CASES[name], VARIANTS[variant],
+                           faults=True)
+    assert report_digest == GOLDEN_SUPERVISED[name]
 
 
 # -- cycles are counts x costs, exactly --------------------------------------
@@ -482,4 +533,10 @@ if __name__ == "__main__":
         got = {v: digest(build, config) for v, config in VARIANTS.items()}
         assert len(set(got.values())) == 1, (case, got)
         print(f"    {case!r}:\n        {got['seq']!r},")
+    print("}\nGOLDEN_SUPERVISED = {")
+    for case, build in SUPERVISED_CASES.items():
+        got = {v: digest(build, VARIANTS[v], faults=True)
+               for v in SUPERVISED_VARIANTS}
+        assert len(set(got.values())) == 1, (case, got)
+        print(f"    {case!r}:\n        {got['par2']!r},")
     print("}")
