@@ -17,8 +17,10 @@ repo root:
   delivered vs baseline, callback completeness, penalty CDF quantiles;
 - the mitigation cell: quarantined/shed counts, disable cycles, and
   recovery-time quantiles;
-- the conservation invariant (offered + duplicated == delivered +
-  dropped) is asserted on every cell — the ledger referees.
+- packet conservation (``repro.telemetry.check``: offered + duplicated
+  == delivered + dropped on the link, and one counted fate for every
+  delivered packet) is asserted on every cell — the fate check
+  referees.
 
 Interpretation notes:
 
@@ -41,8 +43,8 @@ from pathlib import Path
 
 from _util import emit, table
 from repro import Runtime, RuntimeConfig
-from repro.netem import GilbertElliott, ImpairmentConfig, \
-    check_impairment_accounting
+from repro.netem import GilbertElliott, ImpairmentConfig
+from repro.telemetry import check
 from repro.traffic import CampusTrafficGenerator
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -141,7 +143,7 @@ def run_linkpenalty():
             cell["config"] = None
         else:
             ledger = report.impairment
-            check_impairment_accounting(report)  # the referee
+            check(report)  # the referee: every packet has one fate
             penalties = _penalty_cdf(baseline_conns, conns)
             wiped = sum(1 for p in penalties if p >= 1.0)
             cell.update({

@@ -15,8 +15,9 @@ root:
 - per intensity: arrivals, packets analyzed / shed (per rung and per
   funnel layer), max rung reached, rung transition count, goodput
   retained (fraction of arrivals analyzed), callbacks delivered;
-- the accounting invariant (analyzed + shed == seen) is asserted on
-  every cell — the ledger is the benchmark's own referee.
+- packet conservation (``repro.telemetry.check``: every offered packet
+  has one counted fate, shed ones under their rung) is asserted on
+  every cell — the fate check is the benchmark's own referee.
 
 Interpretation notes:
 
@@ -41,6 +42,7 @@ from _util import emit, table
 from repro import Runtime, RuntimeConfig
 from repro.core.cycles import CostModel
 from repro.overload import RUNG_NAMES
+from repro.telemetry import check
 from repro.traffic import BurstTrafficGenerator, BurstWindow
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -99,8 +101,7 @@ def run_overload_burst():
         seen = ledger.packets_seen
         shed = ledger.packets_shed
         analyzed = ledger.packets_analyzed
-        # The ledger referees its own benchmark.
-        assert analyzed + shed == seen, (analyzed, shed, seen)
+        check(report)  # the referee: every packet has one fate
         results["intensities"][str(intensity)] = {
             "packets": len(traffic),
             "packets_seen": seen,

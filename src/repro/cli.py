@@ -14,7 +14,11 @@ Examples::
 
     python -m repro --subscriptions tenants.json \\
         --reconfigure-at 0.5:drop:dns --reconfigure-at 0.5:add:late \\
-        --synthetic campus --duration 1.0 --tenants-out tenants-stats.json
+        --synthetic campus --duration 1.0 --report-dir run1
+    python -m repro.telemetry.bundle run1  # re-check, print the fates
+
+``--report-dir DIR`` is the only output path: it turns the recorders on
+and writes the run bundle (docs/OBSERVABILITY.md, "Run bundle").
 """
 
 from __future__ import annotations
@@ -71,40 +75,25 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="print at most N deliveries (0: none)")
     parser.add_argument("--monitor", action="store_true",
                         help="emit periodic throughput/loss/memory lines")
-    parser.add_argument("--json-stats", metavar="PATH",
-                        help="write the run's aggregate stats as JSON")
-    parser.add_argument("--metrics-out", metavar="PATH",
-                        help="write Prometheus-text metrics (funnel, "
-                             "stage histograms, connection outcomes)")
-    parser.add_argument("--trace-out", metavar="PATH",
-                        help="write sampled connection-lifecycle traces "
-                             "as NDJSON")
-    parser.add_argument("--trace-sample", type=float, default=None,
+    bundle = parser.add_argument_group(
+        "run bundle", "the run's one output (see docs/OBSERVABILITY.md)")
+    bundle.add_argument("--report-dir", metavar="DIR",
+                        help="turn the recorders on and write the run "
+                             "bundle there: manifest, stats, packet "
+                             "fates, metrics, traces, spans and every "
+                             "ledger the run kept")
+    bundle.add_argument("--trace-sample", type=float, default=None,
                         metavar="F",
-                        help="fraction of connections traced when "
-                             "--trace-out is set (default: 0.01)")
-    spans = parser.add_argument_group(
-        "spans", "burst span tracing, flight recorder and hot-path "
-        "profiler (see docs/OBSERVABILITY.md)")
-    spans.add_argument("--spans-out", metavar="PATH",
-                       help="write sampled burst span trees as Chrome "
-                            "trace-event JSON (load in Perfetto)")
-    spans.add_argument("--spans-ndjson", metavar="PATH",
-                       help="write burst spans, trigger events and the "
-                            "profile summary as NDJSON")
-    spans.add_argument("--flight-out", metavar="PATH",
-                       help="write the flight-recorder dump (last N "
-                            "bursts per core around each trigger) as "
-                            "JSON")
-    spans.add_argument("--span-sample", type=int, default=None,
-                       metavar="K",
-                       help="profile every Kth burst per core "
-                            "(default: 1 when a span output is set)")
-    spans.add_argument("--flight-recorder-depth", type=int, default=None,
-                       metavar="N",
-                       help="bursts retained per core in the flight "
-                            "ring (default: 8 when --flight-out is "
-                            "set)")
+                        help="fraction of connections traced "
+                             "(default: 0.01)")
+    bundle.add_argument("--span-sample", type=int, default=None,
+                        metavar="K",
+                        help="profile every Kth burst per core "
+                             "(default: 1)")
+    bundle.add_argument("--flight-recorder-depth", type=int,
+                        default=None, metavar="N",
+                        help="bursts retained per core in the flight "
+                             "ring (default: 8)")
     tenancy = parser.add_argument_group(
         "tenancy", "multi-tenant subscriptions and live "
         "reconfiguration (see docs/MULTITENANT.md)")
@@ -117,9 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="schedule a live reconfiguration at "
                               "virtual time T: <vt>:<add|drop>:<name> "
                               "(repeatable; requires --subscriptions)")
-    tenancy.add_argument("--tenants-out", metavar="PATH",
-                         help="write per-tenant aggregate stats and "
-                              "shed ledgers as JSON")
     resilience = parser.add_argument_group(
         "resilience", "fault injection, supervision and degradation "
         "(see docs/RESILIENCE.md)")
@@ -147,8 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
     resilience.add_argument("--supervise", action="store_true",
                             help="supervise parallel workers: restart "
                                  "crashed/hung cores with batch replay")
-    resilience.add_argument("--faults-out", metavar="PATH",
-                            help="write the run's fault report as JSON")
     overload = parser.add_argument_group(
         "overload", "closed-loop overload control "
         "(see docs/OVERLOAD.md)")
@@ -162,8 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="virtual seconds a core may lag the "
                                "arrival clock before climbing the "
                                "ladder (default: 0.05)")
-    overload.add_argument("--overload-out", metavar="PATH",
-                          help="write the loss ledger as NDJSON")
     netem = parser.add_argument_group(
         "netem", "seeded link impairment and degraded-link mitigation "
         "(see docs/SCENARIOS.md)")
@@ -227,19 +209,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="let the reassembler widen/narrow its "
                             "out-of-order window with observed reorder "
                             "depth")
-    netem.add_argument("--impair-out", metavar="PATH",
-                       help="write the impairment ledger as NDJSON")
     parser.add_argument("--describe-filter", metavar="FILTER",
                         help="print a filter's decomposition and exit")
     return parser
-
-
-def _load_fault_plan(spec: Optional[str]):
-    """Parse --fault-plan: inline JSON (starts with '{') or a file."""
-    if not spec:
-        return None
-    from repro.resilience import FaultPlan
-    return FaultPlan.from_json(spec)
 
 
 def _render(obj) -> str:
@@ -256,6 +228,11 @@ def _render(obj) -> str:
     if hasattr(obj, "mbuf"):
         return f"{name}: {len(obj.mbuf)}B @ {obj.timestamp:.6f}"
     return f"{name}: {obj!r}"
+
+
+def _fail(message, code: int = 2) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -275,50 +252,41 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     # Conflicting-flag validation, with errors that say what to change
     # instead of just what is wrong.
+    fault_plan = None
+    if args.fault_plan:  # inline JSON (starts with '{') or a file
+        from repro.resilience import FaultPlan
+        try:
+            fault_plan = FaultPlan.from_json(args.fault_plan)
+        except RetinaError as exc:
+            return _fail(exc)
     if args.overload_policy != "off" and \
             args.memory_policy in ("evict", "shed"):
-        print(f"error: --overload-policy {args.overload_policy} "
-              f"conflicts with --memory-policy {args.memory_policy}: "
-              f"the overload ladder already owns admission control "
-              f"under memory pressure; drop --memory-policy (keeping "
-              f"the default 'record') or use --overload-policy off",
-              file=sys.stderr)
-        return 2
+        return _fail(
+            f"--overload-policy {args.overload_policy} conflicts with "
+            f"--memory-policy {args.memory_policy}: the overload ladder "
+            f"already owns admission control under memory pressure; drop "
+            f"--memory-policy (keeping the default 'record') or use "
+            f"--overload-policy off")
     if args.subscriptions and args.filter_str:
-        print("error: --subscriptions conflicts with --filter: tenant "
-              "filters live in the subscriptions file (one per "
-              "tenant); move the filter into a tenant entry or drop "
-              "--subscriptions", file=sys.stderr)
-        return 2
+        return _fail(
+            "--subscriptions conflicts with --filter: tenant filters "
+            "live in the subscriptions file (one per tenant); move the "
+            "filter into a tenant entry or drop --subscriptions")
     if args.reconfigure_at and not args.subscriptions:
-        print("error: --reconfigure-at has no effect without "
-              "--subscriptions: live reconfiguration swaps tenants in "
-              "a multi-tenant filter table; add --subscriptions PATH "
-              "or drop --reconfigure-at", file=sys.stderr)
-        return 2
-    if args.tenants_out and not args.subscriptions:
-        print("error: --tenants-out has no effect without "
-              "--subscriptions: per-tenant stats only exist on a "
-              "multi-tenant run; add --subscriptions PATH or drop "
-              "--tenants-out", file=sys.stderr)
-        return 2
-    if args.subscriptions and args.fault_plan:
-        try:
-            plan_probe = _load_fault_plan(args.fault_plan)
-        except RetinaError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        return _fail(
+            "--reconfigure-at has no effect without --subscriptions: "
+            "live reconfiguration swaps tenants in a multi-tenant filter "
+            "table; add --subscriptions PATH or drop --reconfigure-at")
+    if args.subscriptions and fault_plan is not None:
         from repro.resilience.faults import WORKER_FAULT_KINDS
-        if plan_probe is not None and any(
-                s.kind not in WORKER_FAULT_KINDS
-                for s in plan_probe.faults):
-            print("error: --subscriptions conflicts with non-worker "
-                  "--fault-plan entries: pipeline-level faults "
-                  "(callback_error/parser_error/corrupt_packet/...) "
-                  "cannot be attributed to one tenant from a run-level "
-                  "plan; keep only worker_crash/worker_hang entries",
-                  file=sys.stderr)
-            return 2
+        if any(s.kind not in WORKER_FAULT_KINDS
+               for s in fault_plan.faults):
+            return _fail(
+                "--subscriptions conflicts with non-worker --fault-plan "
+                "entries: pipeline-level faults (callback_error/"
+                "parser_error/corrupt_packet/...) cannot be attributed "
+                "to one tenant from a run-level plan; keep only "
+                "worker_crash/worker_hang entries")
     tenancy_specs = None
     tenancy_events = []
     if args.subscriptions:
@@ -328,50 +296,33 @@ def main(argv: Optional[List[str]] = None) -> int:
             tenancy_events = [parse_reconfigure(text)
                               for text in args.reconfigure_at]
         except RetinaError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _fail(exc)
     if args.supervise and args.parallel <= 0:
-        print("error: --supervise requires --parallel N: supervision "
-              "restarts worker *processes*, which only exist on the "
-              "parallel backend; add --parallel 2 (or more) or drop "
-              "--supervise", file=sys.stderr)
-        return 2
+        return _fail(
+            "--supervise requires --parallel N: supervision restarts "
+            "worker *processes*, which only exist on the parallel "
+            "backend; add --parallel 2 (or more) or drop --supervise")
     if args.overload_target_lag <= 0:
-        print("error: --overload-target-lag must be positive "
-              "(virtual seconds of tolerated backlog)", file=sys.stderr)
-        return 2
+        return _fail("--overload-target-lag must be positive (virtual "
+                     "seconds of tolerated backlog)")
     if args.burst_intensity < 1.0:
-        print("error: --burst-intensity must be >= 1.0 (it multiplies "
-              "the baseline arrival rate)", file=sys.stderr)
-        return 2
-    if args.trace_sample is not None and not args.trace_out:
-        print("error: --trace-sample has no effect without --trace-out: "
-              "connection tracing is off; add --trace-out PATH or drop "
-              "--trace-sample", file=sys.stderr)
-        return 2
-    span_output = bool(args.spans_out or args.spans_ndjson
-                       or args.flight_out)
+        return _fail("--burst-intensity must be >= 1.0 (it multiplies "
+                     "the baseline arrival rate)")
     if args.span_sample is not None and args.span_sample <= 0:
-        print("error: --span-sample must be >= 1 (profile every Kth "
-              "burst per core; use --span-sample 1 to profile every "
-              "burst)", file=sys.stderr)
-        return 2
-    if args.span_sample is not None and not span_output:
-        print("error: --span-sample has no effect without a span "
-              "output: add --spans-out, --spans-ndjson or --flight-out, "
-              "or drop --span-sample", file=sys.stderr)
-        return 2
+        return _fail("--span-sample must be >= 1 (profile every Kth "
+                     "burst per core; use --span-sample 1 to profile "
+                     "every burst)")
     if args.flight_recorder_depth is not None and \
             args.flight_recorder_depth <= 0:
-        print("error: --flight-recorder-depth must be >= 1 (bursts "
-              "retained per core in the flight ring)", file=sys.stderr)
-        return 2
-    if args.flight_recorder_depth is not None and not args.flight_out:
-        print("error: --flight-recorder-depth has no effect without "
-              "--flight-out: the ring is only dumped there; add "
-              "--flight-out PATH or drop --flight-recorder-depth",
-              file=sys.stderr)
-        return 2
+        return _fail("--flight-recorder-depth must be >= 1 (bursts "
+                     "retained per core in the flight ring)")
+    for flag in ("trace_sample", "span_sample", "flight_recorder_depth"):
+        if getattr(args, flag) is not None and not args.report_dir:
+            flag = "--" + flag.replace("_", "-")
+            return _fail(
+                f"{flag} has no effect without --report-dir: the "
+                f"recorders only run for the bundle; add --report-dir "
+                f"DIR or drop {flag}")
     impair_models = bool(args.impair_loss or args.impair_burst
                          or args.impair_corrupt or args.impair_reorder
                          or args.impair_dup or args.impair_jitter)
@@ -379,61 +330,45 @@ def main(argv: Optional[List[str]] = None) -> int:
                   or args.impair_record or args.impair_quarantine
                   or args.impair_disable_threshold > 0)
     if args.impair_trace and impair_models:
-        print("error: --impair-trace conflicts with the impairment "
-              "model flags (--impair-loss/--impair-burst/"
-              "--impair-corrupt/--impair-reorder/--impair-dup/"
-              "--impair-jitter): a replay trace already fixes every "
-              "per-packet decision; drop the model flags or the trace",
-              file=sys.stderr)
-        return 2
+        return _fail(
+            "--impair-trace conflicts with the impairment model flags "
+            "(--impair-loss/--impair-burst/--impair-corrupt/"
+            "--impair-reorder/--impair-dup/--impair-jitter): a replay "
+            "trace already fixes every per-packet decision; drop the "
+            "model flags or the trace")
     if args.impair_record and args.impair_trace:
-        print("error: --impair-record with --impair-trace would "
-              "re-record the replayed trace verbatim; drop one of them",
-              file=sys.stderr)
-        return 2
+        return _fail("--impair-record with --impair-trace would "
+                     "re-record the replayed trace verbatim; drop one "
+                     "of them")
     if args.impair_corrupt_silent and not (args.impair_corrupt
                                            or args.impair_trace):
-        print("error: --impair-corrupt-silent has no effect without "
-              "--impair-corrupt (corrupt_silent only changes how "
-              "flipped bits are checksummed); add --impair-corrupt F "
-              "or drop --impair-corrupt-silent", file=sys.stderr)
-        return 2
+        return _fail(
+            "--impair-corrupt-silent has no effect without "
+            "--impair-corrupt (corrupt_silent only changes how flipped "
+            "bits are checksummed); add --impair-corrupt F or drop "
+            "--impair-corrupt-silent")
     if args.impair_reorder_depth is not None and not args.impair_reorder:
-        print("error: --impair-reorder-depth has no effect without "
-              "--impair-reorder: no packets are displaced; add "
-              "--impair-reorder F or drop --impair-reorder-depth",
-              file=sys.stderr)
-        return 2
+        return _fail(
+            "--impair-reorder-depth has no effect without "
+            "--impair-reorder: no packets are displaced; add "
+            "--impair-reorder F or drop --impair-reorder-depth")
     if (args.impair_disable_window is not None
             or args.impair_repair_time is not None) and \
             args.impair_disable_threshold <= 0:
-        print("error: --impair-disable-window/--impair-repair-time "
-              "have no effect without --impair-disable-threshold: the "
-              "disable-and-repair policy is off; add "
-              "--impair-disable-threshold N or drop them",
-              file=sys.stderr)
-        return 2
-    if args.impair_out and not impair_any:
-        print("error: --impair-out has no effect without an impairment "
-              "or mitigation flag: no ledger is kept; add an "
-              "--impair-* flag (e.g. --impair-loss) or drop "
-              "--impair-out", file=sys.stderr)
-        return 2
-    if impair_any and args.fault_plan:
-        try:
-            plan_probe = _load_fault_plan(args.fault_plan)
-        except RetinaError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if plan_probe is not None and plan_probe.has_packet_faults:
-            print("error: --impair-* flags conflict with --fault-plan "
-                  "packet-corruption entries (corrupt_packet/"
-                  "truncate_packet): two uncoordinated layers mutating "
-                  "the same frames make loss attribution ambiguous; "
-                  "move the corruption into the impairment layer "
-                  "(--impair-corrupt) or strip packet faults from the "
-                  "plan", file=sys.stderr)
-            return 2
+        return _fail(
+            "--impair-disable-window/--impair-repair-time have no "
+            "effect without --impair-disable-threshold: the "
+            "disable-and-repair policy is off; add "
+            "--impair-disable-threshold N or drop them")
+    if impair_any and fault_plan is not None \
+            and fault_plan.has_packet_faults:
+        return _fail(
+            "--impair-* flags conflict with --fault-plan "
+            "packet-corruption entries (corrupt_packet/truncate_packet): "
+            "two uncoordinated layers mutating the same frames make loss "
+            "attribution ambiguous; move the corruption into the "
+            "impairment layer (--impair-corrupt) or strip packet faults "
+            "from the plan")
 
     if args.pcap:
         from repro.traffic.pcap import iter_pcap
@@ -465,7 +400,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             printed += 1
 
     try:
-        fault_plan = _load_fault_plan(args.fault_plan)
+        if args.report_dir:
+            from repro.telemetry.bundle import prepare
+            prepare(args.report_dir)
         impairment = None
         if impair_any:
             from repro.netem import GilbertElliott, ImpairmentConfig
@@ -478,22 +415,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                 corrupt_rate=args.impair_corrupt,
                 corrupt_silent=args.impair_corrupt_silent,
                 reorder_rate=args.impair_reorder,
-                reorder_depth=(args.impair_reorder_depth
-                               if args.impair_reorder_depth is not None
-                               else 8),
                 duplicate_rate=args.impair_dup,
                 jitter_s=args.impair_jitter,
                 trace_path=args.impair_trace,
                 record_path=args.impair_record,
                 quarantine=args.impair_quarantine,
                 disable_threshold=args.impair_disable_threshold,
-                disable_window=(args.impair_disable_window
-                                if args.impair_disable_window is not None
-                                else 256),
-                repair_time=(args.impair_repair_time
-                             if args.impair_repair_time is not None
-                             else 0.5),
-            )
+                # The config's own default unless the flag was given.
+                **{field: getattr(args, "impair_" + field) for field
+                   in ("reorder_depth", "disable_window", "repair_time")
+                   if getattr(args, "impair_" + field) is not None})
         config = RuntimeConfig(
             cores=args.parallel if args.parallel > 0 else args.cores,
             parallel=args.parallel > 0,
@@ -501,17 +432,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             filter_mode=args.mode,
             hardware_filter=not args.no_hardware_filter,
             sink_fraction=args.sink_fraction,
-            telemetry=bool(args.metrics_out or args.trace_out),
-            trace_sample=(args.trace_sample if args.trace_sample
-                          is not None else 0.01)
-            if args.trace_out else 0.0,
-            span_sample=(args.span_sample if args.span_sample is not None
-                         else 1) if (args.spans_out or args.spans_ndjson)
-            else (args.span_sample or 0),
-            flight_recorder_depth=(
-                args.flight_recorder_depth
-                if args.flight_recorder_depth is not None
-                else 8) if args.flight_out else 0,
+            **({"telemetry": True,
+                "trace_sample": 0.01 if args.trace_sample is None
+                else args.trace_sample,
+                "span_sample": args.span_sample or 1,
+                "flight_recorder_depth": args.flight_recorder_depth or 8}
+               if args.report_dir else {}),
             fault_plan=fault_plan,
             callback_error_policy=args.callback_errors,
             callback_error_budget=args.callback_error_budget,
@@ -531,53 +457,29 @@ def main(argv: Optional[List[str]] = None) -> int:
             runtime = Runtime(config, filter_str=args.filter_str,
                               datatype=args.datatype, callback=callback)
     except RetinaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc)
 
     monitor = StatsMonitor(emit=print) if args.monitor else None
     try:
         report = runtime.run(traffic, monitor=monitor)
     except RetinaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc, 1)
     print()
     print(report.stats.describe())
-    tenancy_payload = None
-    if tenancy_specs is not None:
-        tenants = runtime.aggregate_tenants(report)
-        ledgers = runtime.tenant_ledgers(report)
-        tenancy_payload = {"epoch": runtime.table.epoch,
-                           "active": list(runtime.table.active),
-                           "tenants": tenants, "shed": ledgers}
-        print(f"tenants: {len(tenants)} seen, epoch "
-              f"{runtime.table.epoch}, active "
-              f"{','.join(runtime.table.active) or '(none)'}")
-        for name in sorted(tenants):
-            stats = tenants[name]
+    if report.tenancy is not None:
+        tenancy = report.tenancy
+        print(f"tenants: {len(tenancy['tenants'])} seen, epoch "
+              f"{tenancy['epoch']}, active "
+              f"{','.join(tenancy['active']) or '(none)'}")
+        for name in sorted(tenancy["tenants"]):
+            stats = tenancy["tenants"][name]
             line = (f"  {name}: processed={stats.processed_packets} "
                     f"callbacks={stats.callbacks} "
                     f"conns={stats.conns_delivered}")
-            shed = ledgers.get(name)
+            shed = tenancy["shed"].get(name)
             if shed is not None and shed.packets_shed:
                 line += f" shed={shed.packets_shed}"
             print(line)
-        if args.tenants_out:
-            import json
-            payload = {
-                "epoch": runtime.table.epoch,
-                "active": list(runtime.table.active),
-                "tenants": {
-                    name: {
-                        "stats": stats.to_dict(),
-                        "shed": (ledgers[name].to_dict()
-                                 if name in ledgers else None),
-                    }
-                    for name, stats in tenants.items()
-                },
-            }
-            with open(args.tenants_out, "w") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-            print(f"(per-tenant stats written to {args.tenants_out})")
     if report.impairment is not None:
         print(report.impairment.describe())
     if report.overload is not None:
@@ -591,59 +493,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         if faults.degraded:
             line += f" DEGRADED lost_cores={faults.lost_cores}"
         print(line)
-    if args.faults_out:
-        import json
-        payload = (report.faults.to_dict()
-                   if report.faults is not None else {})
-        with open(args.faults_out, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        print(f"(fault report written to {args.faults_out})")
-    if args.json_stats:
-        import json
-        with open(args.json_stats, "w") as handle:
-            json.dump(report.stats.to_dict(), handle, indent=2)
-        print(f"(stats written to {args.json_stats})")
-    if args.metrics_out:
-        from repro.telemetry import export
-        export.write_metrics(args.metrics_out, report.stats,
-                             backend_health=report.backend_health,
-                             faults=report.faults,
-                             overload=report.overload,
-                             impairment=report.impairment,
-                             tenancy=tenancy_payload)
-        print(f"(metrics written to {args.metrics_out})")
-    if args.trace_out:
-        from repro.telemetry import export
-        events = export.write_trace(args.trace_out, report.stats)
-        print(f"({events} trace events written to {args.trace_out})")
-    if span_output:
-        from repro.telemetry import export
-        if report.spans is None:
-            print("(no span data recorded)", file=sys.stderr)
-        else:
-            if args.spans_out:
-                n = export.write_chrome_trace(args.spans_out,
-                                              report.spans)
-                print(f"({n} span events written to {args.spans_out})")
-            if args.spans_ndjson:
-                n = export.write_spans(args.spans_ndjson, report.spans)
-                print(f"({n} span records written to "
-                      f"{args.spans_ndjson})")
-            if args.flight_out:
-                n = export.write_flight(args.flight_out, report.spans)
-                print(f"({n} flight dumps written to {args.flight_out})")
-    if args.overload_out and report.overload is not None:
-        from repro.telemetry import export
-        records = export.write_overload(args.overload_out,
-                                        report.overload)
-        print(f"({records} overload records written to "
-              f"{args.overload_out})")
-    if args.impair_out and report.impairment is not None:
-        from repro.telemetry import export
-        records = export.write_impairment(args.impair_out,
-                                          report.impairment)
-        print(f"({records} impairment records written to "
-              f"{args.impair_out})")
+    if args.report_dir:
+        from repro.telemetry.bundle import write_bundle
+        try:
+            manifest = write_bundle(args.report_dir, report, config=config,
+                                    argv=sys.argv[1:] if argv is None
+                                    else list(argv))
+        except (OSError, RetinaError) as exc:
+            return _fail(f"--report-dir {args.report_dir}: {exc}", 1)
+        print(f"(run bundle written to {args.report_dir}: "
+              f"{', '.join(manifest['files'])})")
     if args.impair_record and report.impairment is not None:
         print(f"(impairment trace recorded to {args.impair_record})")
     if report.failed_fast:

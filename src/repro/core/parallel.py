@@ -103,7 +103,7 @@ from repro.errors import RetinaError
 from repro.packet.batch import PackedBatch
 from repro.packet.columnar import HELD, ingress_rows
 from repro.packet.mbuf import Mbuf
-from repro.resilience.faults import FaultPlan, build_fault_report
+from repro.resilience.faults import FaultPlan
 from repro.resilience.supervisor import WorkerSupervisor
 
 #: Message tags on the per-core control queues: a batch that could not
@@ -880,8 +880,6 @@ def run_parallel(
     injection counts feed the fault report (the traffic iterable is
     already wrapped by :meth:`Runtime.run`).
     """
-    from repro.core.runtime import RuntimeReport
-
     config = runtime.config
     cores = config.cores
     batch_size = config.parallel_batch_size
@@ -1073,38 +1071,9 @@ def run_parallel(
         else:
             core_stats = _gather_supervised(pool, supervisor, finish)
 
-    stats = runtime.aggregate(
-        core_stats=[core_stats[c] for c in sorted(core_stats)])
     if monitor is not None:
         # Flush the final partial interval (every gathered core's
         # record is its exact final one by now).
         monitor.finalize(runtime._last_ts, pool)
-    overload = None
-    if config.overload_policy != "off":
-        from repro.overload import merge_ledgers
-
-        overload = merge_ledgers(
-            core_stats[c].overload for c in sorted(core_stats))
-        if overload is not None and overload.failfast_at is not None:
-            # The workers' exact trip times override the parent's
-            # progress-cadence approximation.
-            failfast_at = overload.failfast_at
-    faults = build_fault_report(
-        config, core_stats, packet_injector,
-        supervisor.summary() if supervisor is not None else None)
-    spans = None
-    if spans_on:
-        from repro.telemetry.spans import build_span_report
-
-        # Parent-side supervisor events (worker crash/restart) join the
-        # workers' own trigger events; each synthesizes a flight dump
-        # from that core's surviving ring.
-        spans = build_span_report(
-            [core_stats[c] for c in sorted(core_stats)],
-            supervisor.failure_events if supervisor is not None else None,
-            config.cost_model.cpu_hz,
-            nic=[n.stats.to_dict() for n in runtime.nics])
-    return RuntimeReport(stats=stats, oom_at=oom_at,
-                         backend_health=pool.backend_health(),
-                         faults=faults, core_stats=core_stats,
-                         overload=overload, spans=spans)
+    return runtime.report(core_stats, oom_at, packet_injector,
+                          supervisor, pool.backend_health())

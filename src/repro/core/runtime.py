@@ -37,8 +37,8 @@ class RuntimeReport:
     oom_at: Optional[float] = None
     #: Parallel-backend health snapshot (ring high-water marks, batch
     #: occupancy, feeder block time, feeder and per-worker CPU seconds)
-    #: when ``config.telemetry`` is on; None otherwise. Volatile —
-    #: excluded from deterministic exports.
+    #: when ``config.telemetry`` is on; None otherwise. Volatile — in
+    #: a run bundle it is in the manifest and nowhere else.
     backend_health: Optional[dict] = None
     #: Resilience outcome (injections, policy actions, supervisor
     #: recovery), or None when nothing was configured and nothing
@@ -50,16 +50,13 @@ class RuntimeReport:
     #: Merged overload loss ledger (:class:`repro.overload.LossLedger`)
     #: when an overload policy was active; None otherwise. Attributes
     #: every shed packet / downgraded connection to a ladder rung and
-    #: filter-funnel layer, so degraded output always carries a precise
-    #: statement of what was *not* analyzed.
+    #: filter-funnel layer.
     overload: Optional[object] = None
     #: Link-impairment ledger (:class:`repro.netem.ImpairmentLedger`)
     #: when ``config.impairment`` was enabled; None otherwise. Every
     #: packet the impaired link dropped, corrupted, duplicated or
-    #: displaced is attributed here by cause and ingress link, so
-    #: ``offered + duplicated == delivered + lost + quarantined +
-    #: link_shed`` holds exactly and chains with the overload ledger's
-    #: ``seen == analyzed + shed``.
+    #: displaced is attributed here by cause and ingress link
+    #: (:func:`repro.telemetry.check` chains it with every later fate).
     impairment: Optional[object] = None
     #: Merged burst-span report (:class:`repro.telemetry.spans
     #: .SpanReport`) when span tracing / the flight recorder / the
@@ -69,6 +66,16 @@ class RuntimeReport:
     #: Span data lives here — never on ``stats`` — so
     #: ``AggregateStats`` stays byte-identical with spans on or off.
     spans: Optional[object] = None
+    #: The per-tenant breakdown of a multi-tenant run, filled by
+    #: :class:`repro.tenancy.TenantRuntime` (None on a plain runtime):
+    #: ``epoch`` and ``active`` at the end of the run; by tenant name
+    #: ``tenants`` (:class:`AggregateStats`), ``ladders`` (its
+    #: pipelines' :class:`repro.overload.LossLedger` or None),
+    #: ``metered`` (the multiplexer's quota/pressure ledger, metered
+    #: tenants only), ``shed`` (the two merged) and ``not_subscribed``
+    #: (packets that came while it was out of the table); ``offered``
+    #: is what the multiplexers were handed.
+    tenancy: Optional[dict] = None
 
     @property
     def out_of_memory(self) -> bool:
@@ -367,22 +374,40 @@ class Runtime:
             )
         for pipeline in pipelines:
             pipeline.fold_fault_counters()
-        core_stats = {p.core_id: p.stats for p in pipelines}
-        faults = build_fault_report(config, core_stats, packet_injector)
-        overload = None
+        return self.report({p.core_id: p.stats for p in pipelines},
+                           oom_at, packet_injector)
+
+    def report(self, core_stats: Dict[int, CoreStats],
+               oom_at: Optional[float], packet_injector,
+               supervisor=None,
+               backend_health: Optional[dict] = None) -> RuntimeReport:
+        """A finished run's report from its per-core stats: where both
+        backends end. ``supervisor`` is the parallel backend's, whose
+        restart events join the spans and the fault report."""
+        config = self.config
+        cores = [core_stats[core] for core in sorted(core_stats)]
+        overload = spans = None
         if config.overload_policy != "off":
             from repro.overload import merge_ledgers
-            overload = merge_ledgers(
-                stats.overload for stats in core_stats.values())
-        spans = None
+            overload = merge_ledgers(stats.overload for stats in cores)
         if config.span_sample > 0 or config.flight_recorder_depth > 0:
             from repro.telemetry.spans import build_span_report
+            # Parent-side supervisor events (worker crash/restart) join
+            # the workers' own trigger events; each synthesizes a
+            # flight dump from that core's surviving ring.
             spans = build_span_report(
-                list(core_stats.values()), None, config.cost_model.cpu_hz,
+                cores,
+                supervisor.failure_events if supervisor is not None
+                else None,
+                config.cost_model.cpu_hz,
                 nic=[n.stats.to_dict() for n in self.nics])
-        return RuntimeReport(stats=self.aggregate(), oom_at=oom_at,
-                             faults=faults, core_stats=core_stats,
-                             overload=overload, spans=spans)
+        return RuntimeReport(
+            stats=self.aggregate(core_stats=cores), oom_at=oom_at,
+            backend_health=backend_health,
+            faults=build_fault_report(
+                config, core_stats, packet_injector,
+                supervisor.summary() if supervisor is not None else None),
+            core_stats=core_stats, overload=overload, spans=spans)
 
     def run_pcap(self, path, **kwargs) -> RuntimeReport:
         """Offline mode (Appendix B): stream a capture file through the

@@ -12,7 +12,6 @@ from repro.netem.impair import (
 from repro.netem.ledger import (
     DROP_CAUSES,
     ImpairmentLedger,
-    check_impairment_accounting,
 )
 from repro.netem.model import (
     GilbertElliott,
@@ -31,7 +30,6 @@ __all__ = [
     "ImpairmentConfig",
     "ImpairmentLedger",
     "ImpairmentTrace",
-    "check_impairment_accounting",
     "corrupt_frame",
     "fix_checksums",
     "frame_checksums_ok",

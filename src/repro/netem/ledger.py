@@ -7,9 +7,9 @@ cause and by ingress link, and the conservation invariant
 
     offered + duplicated == delivered + lost + quarantined + link_shed
 
-holds exactly. Combined with the NIC's ``ingress == delivered`` and
-the overload ledger's ``seen == analyzed + shed``, a degraded run's
-books balance end to end: ``seen == analyzed + shed + impaired``.
+holds exactly. It is the first edge of the run's one conservation
+check (:func:`repro.telemetry.funnel.check_fates`), which chains it
+with the NIC's ``ingress == delivered`` and every later fate.
 """
 
 from __future__ import annotations
@@ -100,27 +100,20 @@ class ImpairmentLedger:
 
     def check(self) -> None:
         """Assert the link-layer conservation invariant."""
-        wire = self.offered + self.duplicated
-        accounted = self.delivered + self.dropped_total
-        if wire != accounted:
-            raise AssertionError(
-                f"impairment ledger out of balance: offered "
-                f"{self.offered} + duplicated {self.duplicated} = "
-                f"{wire} on the wire, but delivered {self.delivered} + "
-                f"dropped {self.dropped_total} = {accounted}")
+        from repro.telemetry.funnel import check_fates, link_counters
+        check_fates({"link": link_counters(self)})
+
+    def totals(self) -> Dict[str, int]:
+        """The link-wide scalar counters, by name."""
+        return {name: getattr(self, name) for name in (
+            "offered", "offered_bytes", "delivered", "delivered_bytes",
+            "duplicated", "corrupted", "corrupted_silent", "reordered",
+            "delayed")}
 
     def to_dict(self) -> Dict:
         """Deterministic JSON-friendly snapshot."""
         return {
-            "offered": self.offered,
-            "offered_bytes": self.offered_bytes,
-            "delivered": self.delivered,
-            "delivered_bytes": self.delivered_bytes,
-            "duplicated": self.duplicated,
-            "corrupted": self.corrupted,
-            "corrupted_silent": self.corrupted_silent,
-            "reordered": self.reordered,
-            "delayed": self.delayed,
+            **self.totals(),
             "dropped": dict(self.dropped),
             "dropped_bytes": dict(self.dropped_bytes),
             "per_link": {str(port): dict(link) for port, link
@@ -148,32 +141,3 @@ class ImpairmentLedger:
             parts.append(f"  link disables: {len(disables)} "
                          f"on links {links}")
         return "\n".join(parts)
-
-
-def check_impairment_accounting(report) -> None:
-    """Assert the end-to-end conservation chain for one run.
-
-    ``offered + duplicated`` packets hit the wire; the impairment
-    ledger accounts each as delivered or dropped-with-cause; every
-    delivered packet is an ingress packet at the NIC; and — when an
-    overload policy ran — the loss ledger accounts each seen packet as
-    analyzed or shed. Raises AssertionError on any leak.
-    """
-    ledger = report.impairment
-    if ledger is None:
-        raise AssertionError("run has no impairment ledger")
-    ledger.check()
-    ingress = report.stats.ingress_packets
-    if ledger.delivered != ingress:
-        raise AssertionError(
-            f"delivered {ledger.delivered} != NIC ingress {ingress}: "
-            f"packets leaked between the link and the NIC")
-    if report.overload is not None:
-        overload = report.overload
-        seen = overload.packets_seen
-        analyzed = overload.packets_analyzed
-        shed = overload.packets_shed
-        if seen != analyzed + shed:
-            raise AssertionError(
-                f"loss ledger out of balance: seen {seen} != analyzed "
-                f"{analyzed} + shed {shed}")

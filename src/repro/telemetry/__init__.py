@@ -9,16 +9,19 @@ that telemetry first-class:
 * :mod:`repro.telemetry.registry` — a dependency-free process-local
   metrics registry (counters, gauges, fixed-bucket histograms) with a
   no-op twin for zero-overhead disabled runs;
-* :mod:`repro.telemetry.funnel` — the filter-funnel table: packets and
-  bytes surviving each of the four filter layers (NIC hardware filter,
-  software packet filter, connection filter, session filter);
+* :mod:`repro.telemetry.funnel` — the filter-funnel table (packets and
+  bytes surviving each of the four filter layers), the packet-fate
+  table (the one terminal state of every offered packet) and the run's
+  one conservation check;
 * :mod:`repro.telemetry.trace` — a sampled connection-lifecycle tracer
   whose output is deterministic across backends and worker counts;
 * :mod:`repro.telemetry.spans` — burst span trees, the flight
   recorder, and the continuous hot-path profiler (see
   docs/OBSERVABILITY.md);
-* :mod:`repro.telemetry.export` — Prometheus-text and NDJSON exporters
-  (imported lazily; ``from repro.telemetry import export``).
+* :mod:`repro.telemetry.export` — Prometheus-text and NDJSON renderers
+  (imported lazily; ``from repro.telemetry import export``);
+* :mod:`repro.telemetry.bundle` — the run bundle ``--report-dir``
+  writes and ``python -m repro.telemetry.bundle DIR`` re-checks.
 
 Both execution backends (sequential and parallel) produce byte-identical
 metric exports and trace samples for the same traffic, because every
@@ -26,7 +29,7 @@ telemetry counter lives in per-core :class:`~repro.core.stats.CoreStats`
 and merges through the same deterministic aggregation path.
 """
 
-from repro.telemetry.funnel import FunnelLayer, build_funnel, check_funnel, \
+from repro.telemetry.funnel import FunnelLayer, build_funnel, check, \
     funnel_table
 from repro.telemetry.registry import (
     Counter,
@@ -62,7 +65,7 @@ __all__ = [
     "NULL_RECORDER",
     "FunnelLayer",
     "build_funnel",
-    "check_funnel",
+    "check",
     "funnel_table",
     "ConnectionTracer",
     "TRACE_EVENTS",

@@ -1,22 +1,23 @@
-"""Telemetry exporters: Prometheus text and NDJSON trace streams.
+"""Telemetry renderers: Prometheus text and NDJSON line streams.
 
-``build_registry`` turns one run's merged :class:`AggregateStats` into a
-:class:`~repro.telemetry.registry.MetricsRegistry`; ``write_metrics``
-and ``write_trace`` put the two export formats on disk for the CLI's
-``--metrics-out`` / ``--trace-out`` flags.
+``build_registry`` turns one finished run — a
+:class:`~repro.core.runtime.RuntimeReport` — into a
+:class:`~repro.telemetry.registry.MetricsRegistry`; ``render_metrics``
+is its Prometheus text, and ``trace_lines`` / ``overload_lines`` /
+``impairment_lines`` are the NDJSON streams. Nothing here touches the
+file system: :mod:`repro.telemetry.bundle` writes all of it, once.
 
-Both exports are deterministic: metric families render in sorted order,
-volatile (machine-dependent) backend-health metrics are excluded unless
-asked for, and trace events are sorted into their canonical order — so
-the sequential and parallel backends produce byte-identical files for
-the same traffic.
+Every rendering is deterministic: metric families render in sorted
+order, volatile (machine-dependent) backend-health metrics are excluded
+unless asked for, and trace events are sorted into their canonical
+order — so the sequential and parallel
+backends produce byte-identical output for the same traffic.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
-from typing import IO, List, Optional, Union
+from typing import List
 
 from repro.core.cycles import CYCLE_HIST_BOUNDS, Stage
 from repro.core.stats import REASM_HIST_BOUNDS, AggregateStats
@@ -25,59 +26,35 @@ from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.trace import trace_event_dicts
 
 
-def build_registry(stats: AggregateStats,
-                   backend_health: Optional[dict] = None,
-                   faults: Optional[object] = None,
-                   overload: Optional[object] = None,
-                   impairment: Optional[object] = None,
-                   tenancy: Optional[dict] = None,
-                   ) -> MetricsRegistry:
-    """Populate a metrics registry from one run's aggregate stats.
+def build_registry(report) -> MetricsRegistry:
+    """Populate a metrics registry from one run's report.
 
-    ``backend_health`` is the parallel backend's (volatile) health
-    snapshot — per-worker queue-depth high-water marks, batch occupancy,
-    and feeder block time. Its metrics are registered ``volatile=True``
-    so the default rendering stays identical across backends.
-
-    ``faults`` is the run's :class:`repro.resilience.FaultReport` (or
-    None). Resilience metric families render only when the run had
-    resilience activity, so plain runs keep their pre-resilience
-    byte-identical output.
-
-    ``overload`` is the run's merged :class:`repro.overload.LossLedger`
-    (or None). Like the resilience families, overload families render
-    only when the ladder was armed, and truncation families only when a
-    reassembly buffer actually overflowed.
-
-    ``impairment`` is the run's :class:`repro.netem.ImpairmentLedger`
-    (or None). Impairment families render only when the link was
-    impaired, so clean runs keep byte-identical output.
-
-    ``tenancy`` carries a multi-tenant run's per-tenant breakdown:
-    ``{"epoch": int, "active": [names], "tenants": {name:
-    AggregateStats}, "shed": {name: LossLedger}}``. The
-    ``repro_tenant_*`` / ``repro_tenancy_*`` families render only when
-    it is given, so single-tenant runs — including a multi-tenant
-    binary run with the flag off — keep byte-identical output.
+    Families of a subsystem render only when the run used it — the
+    resilience families when there was resilience activity, the
+    ``repro_overload_*`` families when a ladder was armed, truncation
+    families when a reassembly buffer overflowed, ``repro_impair_*``
+    on an impaired link, ``repro_tenant_*`` / ``repro_tenancy_*`` on a
+    multi-tenant run — so a plain run's text does not change when a
+    subsystem it does not use grows a family. ``report.backend_health``
+    (wall-clock and scheduling noise) registers ``volatile=True``, so
+    the default rendering — the bundle's ``metrics.prom`` — stays
+    identical across backends.
     """
+    stats = report.stats
+    faults = report.faults
+    overload = report.overload
+    impairment = report.impairment
+    tenancy = report.tenancy
     reg = MetricsRegistry()
 
     # -- the filter funnel -------------------------------------------------
-    fpkts = reg.counter("repro_funnel_packets_total",
-                        "Packets entering/surviving each filter layer",
-                        label_names=("layer", "edge"))
+    _pipeline_families(reg, "repro_", (), [((), stats)])
     fbytes = reg.counter("repro_funnel_bytes_total",
                          "Bytes entering/surviving each filter layer",
                          label_names=("layer", "edge"))
-    fdrop = reg.counter("repro_funnel_dropped_packets_total",
-                        "Packets discarded at each filter layer",
-                        label_names=("layer",))
     for layer in build_funnel(stats):
-        fpkts.inc(layer.packets_in, labels=(layer.layer, "in"))
-        fpkts.inc(layer.packets_out, labels=(layer.layer, "out"))
         fbytes.inc(layer.bytes_in, labels=(layer.layer, "in"))
         fbytes.inc(layer.bytes_out, labels=(layer.layer, "out"))
-        fdrop.inc(layer.dropped_packets, labels=(layer.layer,))
 
     # -- traffic totals ----------------------------------------------------
     pkts = reg.counter("repro_packets_total",
@@ -123,13 +100,6 @@ def build_registry(stats: AggregateStats,
         .set(stats.reasm_peak_bytes)
 
     # -- connections, sessions, delivery -----------------------------------
-    conns = reg.counter("repro_connections_total",
-                        "Connection lifecycle outcomes",
-                        label_names=("event",))
-    conns.inc(stats.conns_created, labels=("created",))
-    conns.inc(stats.conns_delivered, labels=("delivered",))
-    conns.inc(stats.conns_discarded, labels=("discarded",))
-    conns.inc(stats.conns_expired, labels=("expired",))
     reg.counter("repro_probe_giveups_total",
                 "Connections whose protocol probe hit the byte limit") \
         .inc(stats.probe_giveups)
@@ -138,8 +108,6 @@ def build_registry(stats: AggregateStats,
                            label_names=("outcome",))
     sessions.inc(stats.sessions_parsed, labels=("parsed",))
     sessions.inc(stats.sessions_matched, labels=("matched",))
-    reg.counter("repro_callbacks_total", "Subscription callback runs") \
-        .inc(stats.callbacks)
 
     # -- run-level gauges --------------------------------------------------
     reg.gauge("repro_run_duration_seconds",
@@ -349,98 +317,35 @@ def build_registry(stats: AggregateStats,
             adapt.inc(stats.reasm_window_shrinks, labels=("shrink",))
 
     # -- parallel backend health (volatile: wall-clock/schedule noise) -----
-    if backend_health is not None:
-        reg.gauge("repro_feeder_block_seconds",
-                  "Wall-clock seconds the feeder spent blocked on full "
-                  "worker rings", volatile=True) \
-            .set(backend_health.get("feeder_block_seconds", 0.0))
-        reg.counter("repro_ipc_bytes_total",
-                    "Serialized bytes shipped feeder->workers "
-                    "(descriptors, plus control-channel batches)",
-                    volatile=True) \
-            .inc(backend_health.get("ipc_bytes", 0))
-        reg.gauge("repro_ipc_bytes_per_packet",
-                  "Average serialized IPC bytes per dispatched packet "
-                  "(8-byte descriptors; frames are written in place)",
-                  volatile=True) \
-            .set(backend_health.get("ipc_bytes_per_packet", 0.0))
-        qhw = reg.gauge("repro_worker_queue_highwater",
-                        "Per-worker input ring depth high-water mark "
-                        "(batches)", label_names=("worker",),
-                        volatile=True)
-        batches = reg.counter("repro_worker_batches_total",
-                              "Batches dispatched to each worker",
-                              label_names=("worker",), volatile=True)
-        occ = reg.gauge("repro_worker_batch_occupancy_max",
-                        "Largest batch (packets) each worker received",
-                        label_names=("worker",), volatile=True)
-        rhw = reg.gauge("repro_worker_ring_highwater",
-                        "Per-worker descriptor-ring occupancy "
-                        "high-water mark (entries)",
-                        label_names=("worker",), volatile=True)
-        starv = reg.counter("repro_worker_slot_starvation_total",
-                            "Times the feeder blocked waiting for "
-                            "a free mempool slot, per worker",
-                            label_names=("worker",), volatile=True)
-        for row in backend_health.get("workers", ()):
-            worker = str(row["worker"])
-            # The ring is the worker's input queue: one depth, kept
-            # under the older family name too.
-            qhw.set(row.get("ring_highwater", 0), labels=(worker,))
-            rhw.set(row.get("ring_highwater", 0), labels=(worker,))
-            batches.inc(row.get("batches", 0), labels=(worker,))
-            occ.set(row.get("batch_occupancy_max", 0), labels=(worker,))
-            starv.inc(row.get("slot_starvation_waits", 0),
-                      labels=(worker,))
-        reg.gauge("repro_slot_starvation_seconds",
-                  "Wall-clock seconds the feeder spent blocked on "
-                  "slot/ring exhaustion across all workers",
-                  volatile=True) \
-            .set(backend_health.get("slot_starvation_seconds", 0.0))
+    health = report.backend_health
+    if health is not None:
+        def load(kind, name, text, label_names=()):
+            family = getattr(reg, kind)(name, text, label_names,
+                                        volatile=True)
+            return family.inc if kind == "counter" else family.set
+
+        for kind, name, key, text in _HEALTH_FAMILIES:
+            load(kind, name, text)(health.get(key, 0))
+        for kind, name, key, text in _WORKER_HEALTH_FAMILIES:
+            put = load(kind, name, text, ("worker",))
+            for row in health.get("workers", ()):
+                put(row.get(key, 0), labels=(str(row["worker"]),))
 
     # -- multi-tenant breakdown (repro.tenancy) ----------------------------
     if tenancy is not None:
         reg.gauge("repro_tenancy_epoch",
                   "Filter-table epoch at the end of the run") \
-            .set(tenancy.get("epoch", 0))
-        active = set(tenancy.get("active", ()))
-        tenants = tenancy.get("tenants", {})
-        shed_ledgers = tenancy.get("shed", {})
+            .set(tenancy["epoch"])
+        tenants = sorted(tenancy["tenants"].items())
         tactive = reg.gauge("repro_tenant_active",
                             "1 when the tenant is subscribed at the "
                             "final epoch", label_names=("tenant",))
-        tfun = reg.counter("repro_tenant_funnel_packets_total",
-                           "Per-tenant packets entering/surviving each "
-                           "filter layer",
-                           label_names=("tenant", "layer", "edge"))
-        tdrop = reg.counter(
-            "repro_tenant_funnel_dropped_packets_total",
-            "Per-tenant packets discarded at each filter layer",
-            label_names=("tenant", "layer"))
-        tcb = reg.counter("repro_tenant_callbacks_total",
-                          "Per-tenant subscription callback runs",
-                          label_names=("tenant",))
-        tconn = reg.counter("repro_tenant_connections_total",
-                            "Per-tenant connection lifecycle outcomes",
-                            label_names=("tenant", "event"))
-        for name in sorted(tenants):
-            tstats = tenants[name]
-            tactive.set(1 if name in active else 0, labels=(name,))
-            for layer in build_funnel(tstats):
-                tfun.inc(layer.packets_in,
-                         labels=(name, layer.layer, "in"))
-                tfun.inc(layer.packets_out,
-                         labels=(name, layer.layer, "out"))
-                tdrop.inc(layer.dropped_packets,
-                          labels=(name, layer.layer))
-            tcb.inc(tstats.callbacks, labels=(name,))
-            tconn.inc(tstats.conns_created, labels=(name, "created"))
-            tconn.inc(tstats.conns_delivered,
-                      labels=(name, "delivered"))
-            tconn.inc(tstats.conns_discarded,
-                      labels=(name, "discarded"))
-            tconn.inc(tstats.conns_expired, labels=(name, "expired"))
-        if shed_ledgers:
+        for name, _ in tenants:
+            tactive.set(1 if name in tenancy["active"] else 0,
+                        labels=(name,))
+        _pipeline_families(reg, "repro_tenant_", ("tenant",),
+                           [((name,), tstats) for name, tstats in tenants])
+        if tenancy["shed"]:
             tshed = reg.counter(
                 "repro_tenant_shed_packets_total",
                 "Packets shed by per-tenant quota/pressure metering",
@@ -449,8 +354,7 @@ def build_registry(stats: AggregateStats,
                 "repro_tenant_shed_bytes_total",
                 "Bytes shed by per-tenant quota/pressure metering",
                 label_names=("tenant",))
-            for name in sorted(shed_ledgers):
-                ledger = shed_ledgers[name]
+            for name, ledger in sorted(tenancy["shed"].items()):
                 for layer in sorted(ledger.layer_packets):
                     tshed.inc(ledger.layer_packets[layer],
                               labels=(name, layer))
@@ -458,53 +362,79 @@ def build_registry(stats: AggregateStats,
     return reg
 
 
-def render_metrics(stats: AggregateStats,
-                   backend_health: Optional[dict] = None,
-                   include_volatile: bool = False,
-                   faults: Optional[object] = None,
-                   overload: Optional[object] = None,
-                   impairment: Optional[object] = None,
-                   tenancy: Optional[dict] = None) -> str:
-    """The run's metrics in the Prometheus text exposition format."""
-    return build_registry(stats, backend_health, faults=faults,
-                          overload=overload, impairment=impairment,
-                          tenancy=tenancy) \
-        .render_prometheus(include_volatile=include_volatile)
+#: ``report.backend_health`` as metric families, every one of them
+#: ``volatile``: (kind, family, health key, help). The second table is
+#: per worker, behind a ``worker`` label.
+_HEALTH_FAMILIES = (
+    ("gauge", "repro_feeder_block_seconds", "feeder_block_seconds",
+     "Wall-clock seconds the feeder spent blocked on full worker rings"),
+    ("counter", "repro_ipc_bytes_total", "ipc_bytes",
+     "Serialized bytes shipped feeder->workers (descriptors, plus "
+     "control-channel batches)"),
+    ("gauge", "repro_ipc_bytes_per_packet", "ipc_bytes_per_packet",
+     "Average serialized IPC bytes per dispatched packet (8-byte "
+     "descriptors; frames are written in place)"),
+    ("gauge", "repro_slot_starvation_seconds", "slot_starvation_seconds",
+     "Wall-clock seconds the feeder spent blocked on slot/ring "
+     "exhaustion across all workers"),
+)
+_WORKER_HEALTH_FAMILIES = (
+    ("counter", "repro_worker_batches_total", "batches",
+     "Batches dispatched to each worker"),
+    ("gauge", "repro_worker_batch_occupancy_max", "batch_occupancy_max",
+     "Largest batch (packets) each worker received"),
+    ("gauge", "repro_worker_ring_highwater", "ring_highwater",
+     "Per-worker descriptor-ring occupancy high-water mark (entries)"),
+    ("counter", "repro_worker_slot_starvation_total",
+     "slot_starvation_waits",
+     "Times the feeder blocked waiting for a free mempool slot, per "
+     "worker"),
+)
 
 
-def write_metrics(path: Union[str, Path], stats: AggregateStats,
-                  backend_health: Optional[dict] = None,
-                  include_volatile: bool = False,
-                  faults: Optional[object] = None,
-                  overload: Optional[object] = None,
-                  impairment: Optional[object] = None,
-                  tenancy: Optional[dict] = None) -> None:
-    Path(path).write_text(
-        render_metrics(stats, backend_health, include_volatile,
-                       faults=faults, overload=overload,
-                       impairment=impairment, tenancy=tenancy))
+def _pipeline_families(reg, prefix: str, scope: tuple, views) -> None:
+    """The funnel, callback and connection families of ``views`` —
+    ``(label values, stats)`` pairs: the run's own under ``repro_``,
+    the tenants' under ``repro_tenant_`` behind a ``tenant`` label."""
+    fpkts = reg.counter(prefix + "funnel_packets_total",
+                        "Packets entering/surviving each filter layer",
+                        label_names=scope + ("layer", "edge"))
+    fdrop = reg.counter(prefix + "funnel_dropped_packets_total",
+                        "Packets discarded at each filter layer",
+                        label_names=scope + ("layer",))
+    callbacks = reg.counter(prefix + "callbacks_total",
+                            "Subscription callback runs",
+                            label_names=scope)
+    conns = reg.counter(prefix + "connections_total",
+                        "Connection lifecycle outcomes",
+                        label_names=scope + ("event",))
+    for labels, stats in views:
+        for layer in build_funnel(stats):
+            fpkts.inc(layer.packets_in, labels=labels + (layer.layer, "in"))
+            fpkts.inc(layer.packets_out,
+                      labels=labels + (layer.layer, "out"))
+            fdrop.inc(layer.dropped_packets, labels=labels + (layer.layer,))
+        callbacks.inc(stats.callbacks, labels=labels)
+        for event in ("created", "delivered", "discarded", "expired"):
+            conns.inc(getattr(stats, "conns_" + event),
+                      labels=labels + (event,))
+
+
+def render_metrics(report, include_volatile: bool = False) -> str:
+    """The run's metrics in the Prometheus text exposition format —
+    without the volatile backend-health families unless asked, so the
+    default text is identical across backends and worker counts."""
+    return build_registry(report).render_prometheus(include_volatile)
+
+
+def _ndjson(records) -> List[str]:
+    return [json.dumps(record, separators=(",", ":"), sort_keys=True)
+            for record in records]
 
 
 def trace_lines(stats: AggregateStats) -> List[str]:
     """The run's sampled trace as NDJSON lines (canonical order)."""
-    return [json.dumps(record, separators=(",", ":"), sort_keys=True)
-            for record in trace_event_dicts(stats.trace_events)]
-
-
-def write_trace(sink: Union[str, Path, IO[str]], stats: AggregateStats,
-                batch_size: int = 256) -> int:
-    """Write the sampled connection traces as an NDJSON event stream.
-
-    Reuses the analysis log writer's buffering so multi-thousand-event
-    traces do not pay one write syscall per line. Returns the number of
-    events written.
-    """
-    from repro.analysis.logwriter import BufferedLineWriter
-    lines = trace_lines(stats)
-    with BufferedLineWriter(sink, batch_size=batch_size) as writer:
-        for line in lines:
-            writer.write_line(line)
-    return len(lines)
+    return _ndjson(trace_event_dicts(stats.trace_events))
 
 
 def overload_lines(ledger) -> List[str]:
@@ -530,31 +460,12 @@ def overload_lines(ledger) -> List[str]:
                         "from": RUNG_NAMES[from_rung],
                         "to": RUNG_NAMES[to_rung],
                         "reason": reason, "core": core})
-    records.append({"event": "summary",
-                    "packets_seen": ledger.packets_seen,
-                    "packets_analyzed": ledger.packets_analyzed,
-                    "packets_shed": ledger.packets_shed,
-                    "bytes_shed": ledger.bytes_shed,
-                    "conns_downgraded": ledger.conns_downgraded,
-                    "reasm_truncations": ledger.reasm_truncations,
-                    "max_rung_seen": ledger.max_rung_seen,
-                    "failfast_at": ledger.failfast_at})
-    return [json.dumps(record, separators=(",", ":"), sort_keys=True)
-            for record in records]
-
-
-def write_overload(sink: Union[str, Path, IO[str]], ledger,
-                   batch_size: int = 256) -> int:
-    """Write the loss ledger as an NDJSON stream (``--overload-out``).
-
-    Returns the number of records written.
-    """
-    from repro.analysis.logwriter import BufferedLineWriter
-    lines = overload_lines(ledger)
-    with BufferedLineWriter(sink, batch_size=batch_size) as writer:
-        for line in lines:
-            writer.write_line(line)
-    return len(lines)
+    records.append({"event": "summary", **{
+        name: getattr(ledger, name) for name in (
+            "packets_seen", "packets_analyzed", "packets_shed",
+            "bytes_shed", "conns_downgraded", "reasm_truncations",
+            "max_rung_seen", "failfast_at")}})
+    return _ndjson(records)
 
 
 def impairment_lines(ledger) -> List[str]:
@@ -565,17 +476,7 @@ def impairment_lines(ledger) -> List[str]:
     lifecycle event in virtual-time order, then one summary line
     restating the conservation invariant.
     """
-    records: List[dict] = []
-    records.append({"event": "totals",
-                    "offered": ledger.offered,
-                    "offered_bytes": ledger.offered_bytes,
-                    "delivered": ledger.delivered,
-                    "delivered_bytes": ledger.delivered_bytes,
-                    "duplicated": ledger.duplicated,
-                    "corrupted": ledger.corrupted,
-                    "corrupted_silent": ledger.corrupted_silent,
-                    "reordered": ledger.reordered,
-                    "delayed": ledger.delayed})
+    records: List[dict] = [{"event": "totals", **ledger.totals()}]
     for cause in sorted(ledger.dropped):
         if ledger.dropped[cause]:
             records.append({"event": "drop", "cause": cause,
@@ -595,76 +496,4 @@ def impairment_lines(ledger) -> List[str]:
                     "goodput_fraction": round(ledger.goodput_fraction, 9),
                     "balanced": ledger.offered + ledger.duplicated ==
                     ledger.delivered + ledger.dropped_total})
-    return [json.dumps(record, separators=(",", ":"), sort_keys=True)
-            for record in records]
-
-
-def write_impairment(sink: Union[str, Path, IO[str]], ledger,
-                     batch_size: int = 256) -> int:
-    """Write the impairment ledger as an NDJSON stream (``--impair-out``).
-
-    Returns the number of records written.
-    """
-    from repro.analysis.logwriter import BufferedLineWriter
-    lines = impairment_lines(ledger)
-    with BufferedLineWriter(sink, batch_size=batch_size) as writer:
-        for line in lines:
-            writer.write_line(line)
-    return len(lines)
-
-
-def check_cycle_hist(stats: AggregateStats) -> None:
-    """Assert histogram/ledger parity on an aggregate: every stage's
-    histogram totals must equal its invocation count (explicit-cost
-    charges are bucketed as they happen, ``Runtime.aggregate`` puts
-    the fixed-cost rest in the model-cost bucket)."""
-    if stats.stage_cycle_hist is None:
-        return
-    bad = []
-    for stage in Stage:
-        total = sum(stats.stage_cycle_hist[stage])
-        want = stats.stage_invocations[stage]
-        if total != want:
-            bad.append("%s: hist=%d ledger=%d"
-                       % (stage.value, total, want))
-    assert not bad, \
-        "cycle-histogram/ledger parity broken: " + "; ".join(bad)
-
-
-# -- span exports (repro.telemetry.spans) ----------------------------------
-def write_spans(sink: Union[str, Path, IO[str]], report,
-                batch_size: int = 256) -> int:
-    """Write a :class:`~repro.telemetry.spans.SpanReport` as an NDJSON
-    stream (``--spans-ndjson``). Returns the number of records."""
-    from repro.analysis.logwriter import BufferedLineWriter
-    count = 0
-    with BufferedLineWriter(sink, batch_size=batch_size) as writer:
-        for line in report.ndjson_lines():
-            writer.write_line(line)
-            count += 1
-    return count
-
-
-def write_chrome_trace(sink: Union[str, Path, IO[str]], report) -> int:
-    """Write a span report as Chrome trace-event JSON
-    (``--spans-out``; load in Perfetto or chrome://tracing). Returns
-    the number of trace events."""
-    trace = report.chrome_trace()
-    text = json.dumps(trace, separators=(",", ":"), sort_keys=True)
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        Path(sink).write_text(text)
-    return len(trace["traceEvents"])
-
-
-def write_flight(sink: Union[str, Path, IO[str]], report) -> int:
-    """Write the flight-recorder dump (``--flight-out``) as
-    deterministic JSON. Returns the number of triggered dumps."""
-    dump = report.flight_dump()
-    text = json.dumps(dump, indent=1, sort_keys=True)
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        Path(sink).write_text(text)
-    return len(dump["dumps"])
+    return _ndjson(records)

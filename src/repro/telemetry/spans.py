@@ -312,10 +312,11 @@ NULL_SPAN_RECORDER = NullSpanRecorder()
 class SpanReport:
     """Merged cross-core span data attached to ``RuntimeReport.spans``.
 
-    Everything reachable from :meth:`to_dict`, :meth:`ndjson_lines`
-    and :meth:`flight_dump` is deterministic (virtual time only);
-    :meth:`chrome_trace` additionally carries the volatile wall/IPC
-    fields in span args, which is fine for a viewer artifact.
+    Everything reachable from :meth:`to_dict`, :meth:`ndjson_lines`,
+    :meth:`flight_dump` and :meth:`chrome_trace` is deterministic
+    (virtual time only): each is a file of the run bundle, which is
+    byte-identical across backends. The volatile ``wall_ns`` and IPC
+    ``ctx`` stay on the trees in :attr:`cores`.
     """
 
     def __init__(self, cores: List[Dict], events: List[Dict],
@@ -369,7 +370,7 @@ class SpanReport:
 
     # -- deterministic views -----------------------------------------------
     def to_dict(self) -> Dict:
-        """Deterministic summary for ``--json-stats`` style tooling."""
+        """Deterministic summary (counts, events, profile, hottest)."""
         return {
             "cores": [
                 {
@@ -447,8 +448,7 @@ class SpanReport:
         burst becomes an "X" (complete) event with its stage spans laid
         end-to-end beneath it. Timestamps are virtual microseconds
         (burst virtual time; durations are cycles at ``cpu_hz``), so
-        the trace itself is deterministic; wall time and IPC context
-        ride along in ``args``.
+        the trace is deterministic.
         """
         return {"traceEvents": chrome_trace_events(self),
                 "displayTimeUnit": "ms"}
@@ -480,8 +480,6 @@ def chrome_trace_events(report: SpanReport) -> List[Dict]:
                 "packets_in": tree["packets_in"],
                 "out": tree["out"],
                 "cycles": tree["cycles"],
-                "ctx": tree["ctx"],
-                "wall_ns": tree["wall_ns"],
             },
         })
         offset = start

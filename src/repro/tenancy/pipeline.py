@@ -124,6 +124,11 @@ class TenantStatsBundle(CoreStats):
       unmetered run's snapshot is byte-identical to a plain run's).
     * ``epoch``: the filter-table epoch this core had adopted when the
       snapshot was taken.
+    * ``offered``: packets the multiplexer was handed, and
+      ``not_subscribed``: tenant name → those it was handed while the
+      tenant was out of the table (before an ``add``, after a
+      ``drop``) — what the fate table needs to account, per tenant,
+      for every packet of the shared link.
     """
 
     def __init__(self, cost_model, telemetry: bool = False) -> None:
@@ -131,6 +136,8 @@ class TenantStatsBundle(CoreStats):
         self.per_tenant: Dict[str, CoreStats] = {}
         self.tenant_shed: Dict[str, LossLedger] = {}
         self.epoch = 0
+        self.offered = 0
+        self.not_subscribed: Dict[str, int] = {}
 
     def merge(self, other: CoreStats) -> None:
         super().merge(other)
@@ -149,6 +156,10 @@ class TenantStatsBundle(CoreStats):
                 mine.merge(ledger)
             if other.epoch > self.epoch:
                 self.epoch = other.epoch
+            self.offered += other.offered
+            for name, packets in other.not_subscribed.items():
+                self.not_subscribed[name] = \
+                    self.not_subscribed.get(name, 0) + packets
 
     def to_dict(self) -> Dict:
         out = super().to_dict()
@@ -157,6 +168,9 @@ class TenantStatsBundle(CoreStats):
         # snapshot must stay byte-identical to a non-tenancy run.
         if len(self.per_tenant) > 1 or self.tenant_shed:
             out["epoch"] = self.epoch
+            out["offered"] = self.offered
+            out["not_subscribed"] = dict(sorted(
+                self.not_subscribed.items()))
             out["tenants"] = {
                 name: stats.to_dict()
                 for name, stats in sorted(self.per_tenant.items())
@@ -222,6 +236,12 @@ class TenantCorePipeline:
         self._win_bytes: Dict[str, float] = {}
         self._downgraded: set = set()
         self._mux_now = 0.0
+        #: Packets handed to this multiplexer so far, and per tenant
+        #: how many of them came while it was out of the table: plus
+        #: the count at each ``add``, minus the count at each ``drop``
+        #: (so a dropped tenant's is short by the count at the end).
+        self._offered = 0
+        self._away: Dict[str, int] = {}
         #: The sequential ingest loop asks its pipelines for a batch
         #: filter to run per ingress burst; the multiplexer classifies
         #: for itself.
@@ -242,6 +262,7 @@ class TenantCorePipeline:
             self.core_id, sub, tenant_config(spec, self.config),
             initial_overload_rung=self._initial_rung)
         self._active.append(name)
+        self._away[name] = self._away.get(name, 0) + self._offered
 
     def _rebuild(self) -> None:
         """Recompile the shared classifier and metering plan for the
@@ -284,6 +305,7 @@ class TenantCorePipeline:
                         f"epoch {epoch} drops unknown tenant {name!r}")
                 self._draining.append((name, self._pipes.pop(name)))
                 self._active.remove(name)
+                self._away[name] -= self._offered
                 self._win_used.pop(name, None)
                 self._downgraded.discard(name)
             else:
@@ -352,9 +374,8 @@ class TenantCorePipeline:
         """One pass over a burst's rows from one column batch deciding,
         per active tenant, which its pipeline receives. Shed rows are
         charged to the tenant's private ledger (``packets_seen`` counts
-        only sheds there — the tenant pipeline's own ledger counts what
-        it was fed, so the merged seen == analyzed + shed invariant
-        holds).
+        only sheds there; ``TenantRuntime.tenant_ledgers`` adds what
+        the tenant's pipelines were fed, on every core).
 
         Quota and pressure charge a tenant only for rows its *own*
         packet filter matches (per the shared verdicts; rows they leave
@@ -448,6 +469,7 @@ class TenantCorePipeline:
         if not rows:
             return
         n = len(rows)
+        self._offered += n
         last_ts = rows[-1][0].timestamp
         if last_ts > self._mux_now:
             self._mux_now = last_ts
@@ -568,14 +590,15 @@ class TenantCorePipeline:
             snap = LossLedger(self.core_id)
             snap.merge(ledger)
             bundle.tenant_shed[name] = snap
+            # The core's ledger states everything not analyzed on it; a
+            # tenant's own (``per_tenant``) stays its pipeline's ladder.
             if bundle.overload is None:
                 bundle.overload = LossLedger(core_id=-1)
             bundle.overload.merge(ledger)
-            tenant_stats = bundle.per_tenant.get(name)
-            if tenant_stats is not None:
-                if tenant_stats.overload is None:
-                    tenant_stats.overload = LossLedger(core_id=-1)
-                tenant_stats.overload.merge(ledger)
+        bundle.offered = self._offered
+        for name in bundle.per_tenant:
+            bundle.not_subscribed[name] = self._away[name] + (
+                0 if name in self._pipes else self._offered)
         if contributed > 1:
             bundle.memory_samples = _combine_memory_samples(
                 bundle.memory_samples)

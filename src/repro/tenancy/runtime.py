@@ -164,6 +164,32 @@ class TenantRuntime(Runtime):
         }
 
     # -- per-tenant reporting ------------------------------------------
+    def run(self, traffic, **kwargs) -> RuntimeReport:
+        """As :meth:`Runtime.run`, with the per-tenant breakdown on
+        ``report.tenancy`` — exporters and the fate table read it there
+        and need no runtime."""
+        report = super().run(traffic, **kwargs)
+        merged = self._merged(report)
+        report.tenancy = {
+            "epoch": self.table.epoch,
+            "active": list(self.table.active),
+            "tenants": self.aggregate_tenants(report),
+            "shed": self._ledgers(merged),
+            "ladders": {name: stats.overload for name, stats
+                        in merged.per_tenant.items()},
+            "metered": merged.tenant_shed,
+            "offered": merged.offered,
+            "not_subscribed": merged.not_subscribed,
+        }
+        return report
+
+    def _merged(self, report: RuntimeReport) -> TenantStatsBundle:
+        """Every core's bundle folded into one."""
+        merged = TenantStatsBundle(self.config.cost_model)
+        for core_id in sorted(report.core_stats or {}):
+            merged.merge(report.core_stats[core_id])
+        return merged
+
     def _per_tenant_stats(self, report: RuntimeReport
                           ) -> Dict[str, List]:
         per: Dict[str, List] = {}
@@ -192,12 +218,21 @@ class TenantRuntime(Runtime):
     def tenant_ledgers(self, report: RuntimeReport) -> Dict[str, object]:
         """Per-tenant merged loss ledgers (pipeline overload sheds plus
         quota/pressure sheds charged by the multiplexer); tenants with
-        no ledger activity are absent."""
+        no ledger activity are absent. ``packets_seen`` is every packet
+        the tenant was offered: what its pipelines were fed on every
+        core — ladder or not, shedding or not — plus what the
+        multiplexer shed before them."""
+        return self._ledgers(self._merged(report))
+
+    @staticmethod
+    def _ledgers(merged: TenantStatsBundle) -> Dict[str, object]:
         from repro.overload import merge_ledgers
         out: Dict[str, object] = {}
-        for name, stats_list in self._per_tenant_stats(report).items():
-            merged = merge_ledgers(
-                stats.overload for stats in stats_list)
-            if merged is not None:
-                out[name] = merged
+        for name, stats in merged.per_tenant.items():
+            mux = merged.tenant_shed.get(name)
+            ledger = merge_ledgers([stats.overload, mux])
+            if ledger is not None:
+                ledger.packets_seen = stats.packets + (
+                    mux.packets_shed if mux is not None else 0)
+                out[name] = ledger
         return out

@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Runtime, RuntimeConfig
-from repro.netem import GilbertElliott, ImpairmentConfig, \
-    check_impairment_accounting
+from repro.netem import GilbertElliott, ImpairmentConfig
 from repro.packet.mbuf import Mbuf
 from repro.stream import L4Pdu, LazyReassembler
+from repro.telemetry import check
 from repro.traffic import CampusTrafficGenerator
 
 
@@ -142,7 +142,7 @@ class TestConntrackUnderImpairment:
         assert sorted(h.sni() for h in impaired) == \
             sorted(h.sni() for h in clean)
         assert len(clean) > 0
-        check_impairment_accounting(report)
+        check(report)
 
     def test_seeded_loss_keeps_books_balanced(self):
         impair = ImpairmentConfig(
@@ -152,7 +152,7 @@ class TestConntrackUnderImpairment:
         report, _ = _run(impair)
         ledger = report.impairment
         assert ledger.dropped_total > 0
-        check_impairment_accounting(report)
+        check(report)
 
 
 FUZZ_IMPAIR = ImpairmentConfig(
@@ -175,8 +175,8 @@ class TestWorkerCountDeterminism:
             assert seq.stats.to_dict() == par.stats.to_dict(), \
                 f"backends diverged at {cores} workers"
             assert seq.impairment.to_dict() == par.impairment.to_dict()
-            check_impairment_accounting(seq)
-            check_impairment_accounting(par)
+            check(seq)
+            check(par)
             if reference is None:
                 reference = seq.impairment.to_dict()
             else:

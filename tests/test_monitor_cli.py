@@ -199,17 +199,19 @@ class TestFlagValidation:
         assert code == 2
         assert "--burst-intensity" in capsys.readouterr().err
 
+    # The three recorder rate knobs are only valid with the bundle
+    # (``--report-dir``) that switches the recorders on.
     def test_trace_sample_without_trace_out(self, capsys):
         code = main(["--synthetic", "campus", "--duration", "0.1",
                      "--trace-sample", "0.5"])
         assert code == 2
         err = capsys.readouterr().err
         assert "--trace-sample" in err
-        assert "--trace-out" in err  # the remediation
+        assert "--report-dir" in err  # the remediation
 
     def test_nonpositive_span_sample(self, tmp_path, capsys):
         code = main(["--synthetic", "campus", "--duration", "0.1",
-                     "--spans-out", str(tmp_path / "s.json"),
+                     "--report-dir", str(tmp_path / "run"),
                      "--span-sample", "0"])
         assert code == 2
         assert "--span-sample must be >= 1" in capsys.readouterr().err
@@ -220,15 +222,16 @@ class TestFlagValidation:
         assert code == 2
         err = capsys.readouterr().err
         assert "--span-sample" in err
-        assert "--spans-out" in err  # the remediation
+        assert "--report-dir" in err  # the remediation
 
     def test_nonpositive_flight_depth(self, tmp_path, capsys):
         code = main(["--synthetic", "campus", "--duration", "0.1",
-                     "--flight-out", str(tmp_path / "f.json"),
+                     "--report-dir", str(tmp_path / "run"),
                      "--flight-recorder-depth", "-1"])
         assert code == 2
         assert "--flight-recorder-depth must be >= 1" in \
             capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_flight_depth_without_flight_out(self, capsys):
         code = main(["--synthetic", "campus", "--duration", "0.1",
@@ -236,42 +239,25 @@ class TestFlagValidation:
         assert code == 2
         err = capsys.readouterr().err
         assert "--flight-recorder-depth" in err
-        assert "--flight-out" in err  # the remediation
+        assert "--report-dir" in err  # the remediation
 
     def test_span_flags_compatible_combo(self, tmp_path, capsys):
+        import json
         code = main(["--synthetic", "campus", "--duration", "0.1",
                      "--gbps", "0.02", "--print-limit", "0",
-                     "--spans-out", str(tmp_path / "s.json"),
-                     "--flight-out", str(tmp_path / "f.json"),
+                     "--report-dir", str(tmp_path),
                      "--span-sample", "2",
                      "--flight-recorder-depth", "4"])
         assert code == 0
-        assert (tmp_path / "s.json").exists()
-        assert (tmp_path / "f.json").exists()
+        assert (tmp_path / "spans.json").exists()
+        config = json.loads(
+            (tmp_path / "manifest.json").read_text())["config"]
+        assert config["span_sample"] == 2
+        assert config["flight_recorder_depth"] == 4
+        assert config["trace_sample"] == 0.01  # the default it turns on
 
 
 class TestOverloadCli:
-    def test_burst_ladder_run(self, tmp_path, capsys):
-        """End-to-end CLI: burst traffic under the ladder, loss ledger
-        summary printed and NDJSON/metrics artifacts written."""
-        import json
-        ledger_out = tmp_path / "overload.ndjson"
-        metrics_out = tmp_path / "metrics.prom"
-        code = main(["--synthetic", "burst", "--duration", "0.3",
-                     "--gbps", "0.02", "--seed", "3",
-                     "--print-limit", "0", "--datatype", "connection",
-                     "--overload-policy", "ladder",
-                     "--overload-out", str(ledger_out),
-                     "--metrics-out", str(metrics_out)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "overload:" in out
-        assert "overload records written" in out
-        lines = [json.loads(l) for l in
-                 ledger_out.read_text().splitlines() if l]
-        assert any(r.get("event") == "summary" for r in lines)
-        assert "repro_overload_failfast 0" in metrics_out.read_text()
-
     def test_off_policy_prints_no_overload(self, capsys):
         code = main(["--synthetic", "burst", "--duration", "0.2",
                      "--gbps", "0.02", "--print-limit", "0"])
@@ -335,14 +321,6 @@ class TestImpairFlagValidation:
         err = capsys.readouterr().err
         assert "--impair-disable-threshold" in err
 
-    def test_impair_out_without_impairment(self, tmp_path, capsys):
-        code = main(self.BASE + ["--impair-out",
-                                 str(tmp_path / "i.ndjson")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--impair-out" in err
-        assert "--impair-loss" in err  # the remediation
-
     def test_bad_rate_rejected(self, capsys):
         code = main(self.BASE + ["--impair-loss", "1.5"])
         assert code == 2
@@ -360,56 +338,23 @@ class TestImpairFlagValidation:
 
 
 class TestImpairCli:
-    def test_degraded_link_run_end_to_end(self, tmp_path, capsys):
-        """A seeded Gilbert-Elliott scenario with quarantine and
-        disable-and-repair: ledger summary printed, NDJSON and metrics
-        artifacts written and balanced."""
-        import json
-        impair_out = tmp_path / "impair.ndjson"
-        metrics_out = tmp_path / "metrics.prom"
-        code = main(["--synthetic", "campus", "--duration", "0.15",
-                     "--gbps", "0.05", "--seed", "3",
-                     "--print-limit", "0", "--datatype", "connection",
-                     "--impair-burst", "0.02,0.3",
-                     "--impair-corrupt", "0.05",
-                     "--impair-quarantine",
-                     "--impair-disable-threshold", "3",
-                     "--impair-disable-window", "64",
-                     "--impair-repair-time", "0.02",
-                     "--impair-adaptive-reassembly",
-                     "--impair-out", str(impair_out),
-                     "--metrics-out", str(metrics_out)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "impairment:" in out
-        assert "impairment records written" in out
-        lines = [json.loads(l) for l in
-                 impair_out.read_text().splitlines() if l]
-        assert lines[0]["event"] == "totals"
-        summary = lines[-1]
-        assert summary["event"] == "summary"
-        assert summary["balanced"] is True
-        assert "repro_impair_offered_packets_total" in \
-            metrics_out.read_text()
-
     def test_record_and_replay_round_trip(self, tmp_path, capsys):
-        import json
         trace = tmp_path / "link.trace"
-        stats_a = tmp_path / "a.json"
-        stats_b = tmp_path / "b.json"
         base = ["--synthetic", "campus", "--duration", "0.1",
                 "--gbps", "0.05", "--print-limit", "0",
                 "--datatype", "connection"]
         assert main(base + ["--impair-loss", "0.1",
                             "--impair-corrupt", "0.05",
                             "--impair-record", str(trace),
-                            "--json-stats", str(stats_a)]) == 0
+                            "--report-dir", str(tmp_path / "a")]) == 0
         assert trace.read_text().startswith("#repro-impair-trace")
         assert main(base + ["--impair-trace", str(trace),
                             "--impair-seed", "999",
-                            "--json-stats", str(stats_b)]) == 0
-        assert json.loads(stats_a.read_text()) == \
-            json.loads(stats_b.read_text())
+                            "--report-dir", str(tmp_path / "b")]) == 0
+        # (impairment.ndjson restates each run's own link config.)
+        for name in ("stats.json", "fates.json"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes(), name
 
     def test_clean_run_prints_no_impairment(self, capsys):
         code = main(["--synthetic", "campus", "--duration", "0.1",
@@ -421,12 +366,11 @@ class TestImpairCli:
 class TestJsonStats:
     def test_json_stats_written(self, tmp_path, capsys):
         import json
-        out = tmp_path / "stats.json"
         code = main(["--synthetic", "campus", "--duration", "0.2",
                      "--gbps", "0.05", "--print-limit", "0",
-                     "--json-stats", str(out)])
+                     "--report-dir", str(tmp_path)])
         assert code == 0
-        payload = json.loads(out.read_text())
+        payload = json.loads((tmp_path / "stats.json").read_text())
         assert payload["ingress_packets"] > 0
         assert "max_zero_loss_gbps" in payload
         assert set(payload["stage_invocations"]) >= {"capture",
@@ -448,24 +392,6 @@ class TestTenancyCli:
         path.write_text(json.dumps({"tenants": entries}))
         return str(path)
 
-    def test_multitenant_reconfigure_run(self, tmp_path, capsys):
-        import json
-        out = tmp_path / "tenants.json"
-        code = main(["--subscriptions", self._subs(tmp_path),
-                     "--synthetic", "campus", "--duration", "0.3",
-                     "--gbps", "0.05", "--print-limit", "0",
-                     "--reconfigure-at", "0.15:drop:dns",
-                     "--reconfigure-at", "0.15:add:late",
-                     "--tenants-out", str(out)])
-        assert code == 0
-        stdout = capsys.readouterr().out
-        assert "tenants: 3 seen, epoch 2" in stdout
-        payload = json.loads(out.read_text())
-        assert payload["epoch"] == 2
-        assert payload["active"] == ["web", "late"]
-        assert set(payload["tenants"]) == {"web", "dns", "late"}
-        assert payload["tenants"]["web"]["stats"]["callbacks"] > 0
-
     def test_subscriptions_conflicts_with_filter(self, tmp_path,
                                                  capsys):
         code = main(["--subscriptions", self._subs(tmp_path),
@@ -480,13 +406,6 @@ class TestTenancyCli:
         assert code == 2
         assert "--reconfigure-at has no effect without" in \
             capsys.readouterr().err
-
-    def test_tenants_out_requires_subscriptions(self, tmp_path,
-                                                capsys):
-        code = main(["--synthetic", "campus",
-                     "--tenants-out", str(tmp_path / "t.json")])
-        assert code == 2
-        assert "--tenants-out has no effect" in capsys.readouterr().err
 
     def test_malformed_reconfigure_spec(self, tmp_path, capsys):
         code = main(["--subscriptions", self._subs(tmp_path),

@@ -8,7 +8,6 @@ disabled, byte-identical across backends and worker counts).
 """
 
 import dataclasses
-import io
 import json
 from random import Random
 
@@ -19,12 +18,12 @@ from repro.errors import ConfigError
 from repro.netem import (CLEAN, Decision, GilbertElliott,
                          GilbertElliottChain, ImpairedLink,
                          ImpairmentConfig, ImpairmentLedger,
-                         ImpairmentTrace, check_impairment_accounting,
-                         corrupt_frame, fix_checksums,
+                         ImpairmentTrace, corrupt_frame, fix_checksums,
                          frame_checksums_ok)
 from repro.packet.batch import PackedBatch
 from repro.packet.builder import build_tcp_packet, build_udp_packet
 from repro.packet.mbuf import Mbuf
+from repro.telemetry import check
 from repro.traffic import CampusTrafficGenerator
 
 
@@ -379,7 +378,7 @@ class TestRuntimeIntegration:
     def test_ledger_attached_and_balanced(self):
         report = _run(IMPAIR)
         assert report.impairment is not None
-        check_impairment_accounting(report)
+        check(report)
         assert report.impairment.delivered == \
             report.stats.ingress_packets
 
@@ -397,7 +396,7 @@ class TestRuntimeIntegration:
                 # The link runs parent-side: the ledger cannot depend
                 # on the worker count at all.
                 assert seq.impairment.to_dict() == baseline
-        check_impairment_accounting(par)
+        check(par)
 
     def test_columnar_and_mbuf_paths_agree(self):
         col = _run(IMPAIR, columnar=True)
@@ -406,19 +405,18 @@ class TestRuntimeIntegration:
 
     def test_overload_chain_balances(self):
         report = _run(IMPAIR, overload_policy="ladder")
-        check_impairment_accounting(report)
+        check(report)
 
     def test_export_families_render(self):
         from repro.telemetry.export import (impairment_lines,
                                             render_metrics)
         report = _run(IMPAIR)
-        text = render_metrics(report.stats,
-                              impairment=report.impairment)
+        text = render_metrics(report)
         assert "repro_impair_offered_packets_total" in text
         assert 'cause="quarantine"' in text or \
             report.impairment.dropped["quarantine"] == 0
         assert "repro_impair_goodput_fraction" in text
-        clean = render_metrics(_run(None).stats)
+        clean = render_metrics(_run(None))
         assert "repro_impair" not in clean
         lines = [json.loads(line) for line in
                  impairment_lines(report.impairment)]
@@ -426,13 +424,15 @@ class TestRuntimeIntegration:
         assert lines[-1]["event"] == "summary"
         assert lines[-1]["balanced"] is True
 
-    def test_write_impairment_stream(self):
-        from repro.telemetry.export import write_impairment
+    def test_write_impairment_stream(self, tmp_path):
+        from repro.telemetry.bundle import write_bundle
+        from repro.telemetry.export import impairment_lines
         report = _run(IMPAIR)
-        sink = io.StringIO()
-        count = write_impairment(sink, report.impairment)
-        written = [l for l in sink.getvalue().splitlines() if l]
-        assert len(written) == count >= 2
+        write_bundle(tmp_path, report)
+        written = (tmp_path / "impairment.ndjson").read_text()
+        assert written.splitlines() == \
+            impairment_lines(report.impairment)
+        assert written.count("\n") >= 2
 
 
 class TestAdaptiveReassembly:

@@ -4,7 +4,6 @@ burst traffic generator, failfast, cross-backend parity, and the
 reassembly-truncation accounting.
 """
 
-import io
 
 import pytest
 
@@ -21,6 +20,8 @@ from repro.overload import (
     LossLedger,
     merge_ledgers,
 )
+from repro.telemetry import check
+from repro.telemetry.funnel import RUN, fate_counters, fate_table
 from repro.traffic import (
     BurstTrafficGenerator,
     BurstWindow,
@@ -122,15 +123,15 @@ class TestLadderEngages:
         assert ov.packets_shed > 0
         assert ov.max_rung_seen >= 1
         assert ov.transitions
-        # Every packet is either analyzed or attributed to a rung.
-        assert ov.packets_seen == ov.packets_analyzed + ov.packets_shed
-        assert sum(ov.shed_packets) == ov.packets_shed
-        assert ov.packets_seen == report.stats.processed_packets
-        # Every shed packet also carries a funnel-layer attribution.
-        assert sum(ov.layer_packets.values()) == ov.packets_shed
-        # conns_shed mirrors the refused-packet count (the same
-        # convention as memory_policy="shed").
-        assert report.stats.conns_shed == ov.packets_shed
+        # Every packet the ledger saw is a processed one, every shed
+        # one is attributed to a rung and to a funnel layer, and none
+        # is left for ``memory_shed`` (conns_shed mirrors the refused-
+        # packet count, the same convention as memory_policy="shed").
+        check(report)
+        fates = fate_table(fate_counters(report))[RUN]["fates"]
+        assert "memory_shed" not in fates
+        assert ov.packets_shed == sum(
+            n for state, n in fates.items() if state.startswith("shed_"))
 
     def test_ladder_completes_where_failfast_aborts(self):
         ladder = run(burst_traffic())
@@ -384,10 +385,10 @@ class TestTruncation:
                      cost_model=CostModel())
         stats = report.stats
         assert "repro_reassembly_truncations" not in \
-            export.render_metrics(stats)
+            export.render_metrics(report)
         stats.reasm_truncations = 3
         stats.reasm_truncated_bytes = 4096
-        text = export.render_metrics(stats)
+        text = export.render_metrics(report)
         assert "repro_reassembly_truncations_total 3" in text
         assert "repro_reassembly_truncated_bytes_total 4096" in text
 
@@ -439,8 +440,7 @@ class TestLossLedger:
     def test_to_dict_and_describe(self):
         report = run(burst_traffic())
         payload = report.overload.to_dict()
-        assert payload["packets_seen"] == \
-            payload["packets_analyzed"] + payload["packets_shed"]
+        assert payload["packets_seen"] == report.stats.processed_packets
         assert payload["shed_by_rung"]
         assert payload["transitions"]
         assert set(payload["shed_by_rung"]) <= set(RUNG_NAMES)
@@ -490,8 +490,7 @@ class TestExports:
     def test_prometheus_families(self):
         from repro.telemetry import export
         report = run(burst_traffic(), telemetry=True)
-        text = export.render_metrics(report.stats,
-                                     overload=report.overload)
+        text = export.render_metrics(report)
         assert "repro_overload_shed_packets_total" in text
         assert "repro_overload_shed_layer_packets_total" in text
         assert "repro_overload_rung_transitions_total" in text
@@ -505,8 +504,7 @@ class TestExports:
         light = CampusTrafficGenerator(seed=3).packets(duration=0.3,
                                                        gbps=0.05)
         report = run(light, policy="off", cost_model=CostModel())
-        text = export.render_metrics(report.stats,
-                                     overload=report.overload)
+        text = export.render_metrics(report)
         assert "repro_overload" not in text
         assert "repro_reassembly_truncations" not in text
 
@@ -514,16 +512,13 @@ class TestExports:
         import json
         from repro.telemetry import export
         report = run(burst_traffic())
-        sink = io.StringIO()
-        count = export.write_overload(sink, report.overload)
         lines = [json.loads(line) for line in
-                 sink.getvalue().splitlines()]
-        assert len(lines) == count
+                 export.overload_lines(report.overload)]
         events = {line["event"] for line in lines}
         assert {"shed", "transition", "summary"} <= events
         summary = lines[-1]
-        assert summary["packets_seen"] == \
-            summary["packets_analyzed"] + summary["packets_shed"]
+        assert summary["packets_seen"] == report.stats.processed_packets
+        assert summary["packets_shed"] == report.overload.packets_shed > 0
 
     def test_stats_dict_roundtrips_overload(self):
         import json

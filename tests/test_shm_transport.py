@@ -457,19 +457,25 @@ class TestHealthAndConfig:
         assert len(health["workers"]) == cores
         assert all(row["cpu_seconds"] > 0 for row in health["workers"])
 
-    def test_prometheus_ring_families_gated(self, traffic):
-        """Present on every parallel run, behind the volatile gate."""
+    def test_prometheus_ring_families_gated(self, traffic, tmp_path):
+        """Present on every parallel run, behind the volatile gate —
+        so never in a bundle's ``metrics.prom``, whose manifest holds
+        the same numbers."""
+        from repro.telemetry.bundle import write_bundle
         from repro.telemetry.export import render_metrics
 
         report = _run(traffic, cores=2, telemetry=True)
-        verbose = render_metrics(report.stats, report.backend_health,
-                                 include_volatile=True)
+        verbose = render_metrics(report, include_volatile=True)
         assert "repro_worker_ring_highwater" in verbose
         assert "repro_worker_slot_starvation_total" in verbose
         assert "repro_slot_starvation_seconds" in verbose
-        default = render_metrics(report.stats, report.backend_health)
+        assert "repro_worker_queue_highwater" not in verbose
+        default = render_metrics(report)
         assert "repro_worker_ring_highwater" not in default
         assert "repro_slot_starvation_seconds" not in default
+        health = write_bundle(tmp_path, report)["backend_health"]
+        assert "slot_starvation_seconds" in health
+        assert (tmp_path / "metrics.prom").read_text() == default
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -497,11 +503,14 @@ class TestHealthAndConfig:
     def test_cli_ipc_smoke(self, capsys, tmp_path):
         from repro.cli import main
 
-        out = tmp_path / "stats.json"
         rc = main(["--parallel", "2",
-                   "--duration", "0.1", "--json-stats", str(out)])
+                   "--duration", "0.1", "--report-dir", str(tmp_path)])
         assert rc == 0
-        assert json.loads(out.read_text())["ingress_packets"] > 0
+        stats = json.loads((tmp_path / "stats.json").read_text())
+        assert stats["ingress_packets"] > 0
+        health = json.loads(
+            (tmp_path / "manifest.json").read_text())["backend_health"]
+        assert health["transport"] == "shm"
 
 
 # ---------------------------------------------------------------------------

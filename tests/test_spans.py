@@ -264,11 +264,11 @@ class TestChromeTrace:
 
     def test_trace_is_valid_json(self, tmp_path):
         report = _run(_campus(duration=0.2), parallel=False, cores=2)
-        from repro.telemetry.export import write_chrome_trace
-        path = tmp_path / "trace.json"
-        n = write_chrome_trace(path, report.spans)
-        loaded = json.loads(path.read_text())
-        assert len(loaded["traceEvents"]) == n > 0
+        from repro.telemetry.bundle import write_bundle
+        write_bundle(tmp_path, report)
+        loaded = json.loads((tmp_path / "spans.json").read_text())
+        assert loaded == report.spans.chrome_trace()
+        assert loaded["traceEvents"]
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +382,14 @@ class TestPackedBatchCtx:
 class TestCycleHistParity:
     @pytest.mark.parametrize("columnar", [True, False])
     def test_parity_holds_on_both_paths(self, columnar):
-        from repro.telemetry.export import check_cycle_hist
+        from repro.telemetry import check
         config = RuntimeConfig(cores=2, telemetry=True,
                                columnar=columnar)
         runtime = Runtime(config, filter_str="tcp",
                           datatype="connection", callback=None)
         report = runtime.run(iter(_campus(duration=0.3)))
-        check_cycle_hist(report.stats)
+        check(report)  # histogram totals == invocations, per stage
+        assert report.stats.stage_cycle_hist is not None
         assert report.stats.processed_packets > 0
 
     def test_aggregate_fills_fixed_cost_buckets_from_counts(self):
@@ -406,14 +407,15 @@ class TestCycleHistParity:
                 stats.stage_invocations[stage] > 0
 
     def test_parity_assertion_fires_on_mismatch(self):
-        from repro.telemetry.export import check_cycle_hist
+        from repro.telemetry import check
         runtime = Runtime(RuntimeConfig(cores=1, telemetry=True),
                           filter_str="tcp", datatype="connection",
                           callback=None)
-        stats = runtime.run(iter(_campus(duration=0.1))).stats
-        stats.stage_invocations[Stage.CAPTURE] += 5  # no observations
-        with pytest.raises(AssertionError):
-            check_cycle_hist(stats)
+        report = runtime.run(iter(_campus(duration=0.1)))
+        report.stats.stage_invocations[Stage.PARSING] += 5  # unobserved
+        with pytest.raises(AssertionError,
+                           match=r"cycle histogram \(parsing\)"):
+            check(report)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,18 @@ the multiplexer was edited; the three ``GOLDEN_SUPERVISED`` cases
 (planned worker crash / hang under supervision, fault report included)
 were added by PR 23 and recorded on its parent, a42ba2c, where the shm
 ring and the since-deleted pickled-queue transport both produced them.
+**Four of the tenancy cases were re-recorded once more, on the child of
+ce5c236 (PR 24)**, which made a metered tenant's ledger count every
+packet the tenant was offered instead of only those it shed. Same
+protocol: the payload was dumped for all 25 cases x 4 variants on both
+sides; the 84 payloads of the other 21 cases were equal in every field,
+and in ``tenants_metered``, ``tenants_mixed_burst_metered``,
+``tenants_unexpressible_metered`` and ``tenants_spans_k1`` the only
+fields that moved were ``tenant_ledgers.<tenant>.packets_seen`` (e.g.
+1444 -> 14483, the link's dispatched packets) and the
+``packets_analyzed`` derived from it (0 -> the tenant's processed
+packets). Every case now also runs the fate check
+(``repro.telemetry.check``) on every variant.
 A case added later is recorded the same way,
 by running this file as a script:
 
@@ -52,6 +64,7 @@ from repro.filter.hardware import p4_capabilities
 from repro.netem import ImpairmentConfig
 from repro.packet import Mbuf
 from repro.packet.fragments import fragment_ipv4
+from repro.telemetry import check
 from repro.tenancy import ReconfigureEvent, TenantRuntime, TenantSpec
 from repro.traffic import (
     BurstTrafficGenerator,
@@ -366,6 +379,7 @@ SUPERVISED_VARIANTS = ("par2", "par2-scalar")
 def digest(build, variant, faults=False) -> str:
     runtime, mbufs = build(variant)
     report = runtime.run(iter(mbufs))
+    check(report)  # every offered packet has exactly one counted fate
     tenants = ledgers = {}
     if isinstance(runtime, TenantRuntime):
         tenants = runtime.aggregate_tenants(report)
@@ -423,16 +437,20 @@ GOLDEN = {
     'filter_not_batch_expressible':
         '14483:9ab8d982f1d208799db8a270b1ef67b4d46b79f9d363419aed60256d1cd980aa',
     # Recorded on 14bf723 (PR 21), before PR 22 touched the multiplexer.
+    # The four with a quota-metered tenant (tenants_metered,
+    # tenants_mixed_burst_metered, tenants_unexpressible_metered,
+    # tenants_spans_k1) were re-recorded on ce5c236's child; see the
+    # module docstring.
     'tenants_metered':
-        '14483:eb44145239214cda4ebdc7aa6f6c4620c90ab254c41e58e1b8e96a0ca6b635d2',
+        '14483:6464daa2ef8aaea39e1371302fe448c5672b72bc252fc142336329823587c645',
     'tenants_mixed_burst_metered':
-        '82:12e026a2818cb692062a3aab52299c604bedabf0e6f6a945277ef50240f0d0f9',
+        '82:d5954a409abeba7ef359a157bf66a8522a5f741e85f0756390ca427e173c6d1f',
     'tenants_unexpressible':
         '14483:8a9fc5aeb9272c32b97d1227a4322c3f4dcc63ad8efb199817721aa110925e64',
     'tenants_unexpressible_metered':
-        '14483:7986cdd82ab294bf7250ddbdaeb554e902643eee9b8c693d38f0592f2bd2b1f4',
+        '14483:31ed39993aea14cfe6cbc6582b070e83dd0c6e4dbc565f405ccd4811525d6359',
     'tenants_spans_k1':
-        '14483:f9996e5ff17588fb095860da50f24680805333c4c8120efd47f6455ed99b38fc',
+        '14483:ab94c10809ff7112b1811e025da15de352eb0f28b5826f95b63da5d44fb64619',
     'tenants_overload_ladder':
         '18947:03291b630a480b54c3ee3ecbdfcab94b6c4bc9351f2747e09b635b4c66da239e',
     'tenants_spans_ladder':

@@ -11,6 +11,7 @@ The load-bearing guarantees under test:
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -21,7 +22,7 @@ from repro.telemetry import (
     MetricsRegistry,
     NULL_RECORDER,
     build_funnel,
-    check_funnel,
+    check,
     stable_sample_hash,
 )
 from repro.telemetry import export
@@ -170,9 +171,9 @@ class TestFunnel:
     @pytest.mark.parametrize("filter_str", _FILTERS)
     def test_funnel_invariant_over_corpus(self, traffic, filter_str):
         """Every filter in the corpus yields a monotone funnel."""
-        stats = _run(traffic, filter_str=filter_str).stats
-        layers = build_funnel(stats)
-        check_funnel(layers)  # raises on violation
+        report = _run(traffic, filter_str=filter_str)
+        check(report)  # raises on a layer that lets more out than in
+        layers = build_funnel(report.stats)
         assert [l.layer for l in layers] == [
             "nic_hardware", "packet_filter", "connection_filter",
             "session_filter"]
@@ -276,18 +277,18 @@ class TestTracer:
 class TestExport:
     def test_prometheus_identical_across_backends(self, traffic):
         for cores in (1, 2, 4):
-            seq = _run(traffic, cores=cores, telemetry=True).stats
+            seq = _run(traffic, cores=cores, telemetry=True)
             par = _run(traffic, cores=cores, parallel=True,
-                       telemetry=True).stats
+                       telemetry=True)
             assert export.render_metrics(seq) == \
                 export.render_metrics(par), \
                 f"metrics diverged at {cores} workers"
 
     def test_funnel_metrics_match_stats(self, traffic):
-        stats = _run(traffic).stats
-        reg = export.build_registry(stats)
+        report = _run(traffic)
+        reg = export.build_registry(report)
         samples = dict(reg.get("repro_funnel_packets_total").samples())
-        for layer in build_funnel(stats):
+        for layer in build_funnel(report.stats):
             key = f'repro_funnel_packets_total{{layer="{layer.layer}"' \
                   f',edge="out"}}'
             assert samples[key] == layer.packets_out
@@ -296,9 +297,10 @@ class TestExport:
         """Histogram _count equals stage invocations — including the
         capture/packet-filter stages whose constant-cost observations
         the exporter synthesizes."""
-        stats = _run(traffic, telemetry=True).stats
+        report = _run(traffic, telemetry=True)
+        stats = report.stats
         assert stats.stage_cycle_hist is not None
-        text = export.render_metrics(stats)
+        text = export.render_metrics(report)
         inv = {s.value: n for s, n in stats.stage_invocations.items()}
         for stage in ("capture", "packet_filter", "conn_track"):
             if not inv[stage]:
@@ -308,34 +310,40 @@ class TestExport:
             assert needle in text, f"{stage}: missing {needle!r}"
 
     def test_disabled_telemetry_omits_histograms(self, traffic):
-        stats = _run(traffic).stats
-        assert stats.stage_cycle_hist is None
-        assert stats.reasm_hist is None
+        report = _run(traffic)
+        assert report.stats.stage_cycle_hist is None
+        assert report.stats.reasm_hist is None
         assert "repro_stage_cost_cycles" not in \
-            export.render_metrics(stats)
+            export.render_metrics(report)
         # The funnel itself is always on.
         assert "repro_funnel_packets_total" in \
-            export.render_metrics(stats)
+            export.render_metrics(report)
 
-    def test_backend_health_is_volatile(self, traffic):
+    def test_backend_health_is_volatile(self, traffic, tmp_path):
+        """Wall-clock and scheduling noise renders only on request: a
+        bundle's metrics never have it, its manifest does."""
+        from repro.telemetry.bundle import write_bundle
         report = _run(traffic, parallel=True, telemetry=True)
         assert report.backend_health is not None
         assert len(report.backend_health["workers"]) == 4
-        default = export.render_metrics(report.stats,
-                                        report.backend_health)
-        assert "repro_worker_queue_highwater" not in default
-        verbose = export.render_metrics(report.stats,
-                                        report.backend_health,
-                                        include_volatile=True)
-        assert "repro_worker_queue_highwater" in verbose
+        default = export.render_metrics(report)
+        assert "repro_worker" not in default
+        assert "repro_feeder" not in default
+        verbose = export.render_metrics(report, include_volatile=True)
+        assert 'repro_worker_ring_highwater{worker="3"}' in verbose
+        assert "repro_worker_batches_total" in verbose
         assert "repro_feeder_block_seconds" in verbose
+        assert "repro_ipc_bytes_per_packet" in verbose
+        manifest = write_bundle(tmp_path, report)
+        assert manifest["backend_health"] == report.backend_health
+        assert (tmp_path / "metrics.prom").read_text() == default
 
     def test_write_trace_ndjson(self, traffic, tmp_path):
+        from repro.telemetry.bundle import write_bundle
         report = _run(traffic, trace_sample=1.0)
-        path = tmp_path / "trace.ndjson"
-        count = export.write_trace(path, report.stats)
-        lines = path.read_text().splitlines()
-        assert len(lines) == count > 0
+        assert "trace.ndjson" in write_bundle(tmp_path, report)["files"]
+        lines = (tmp_path / "trace.ndjson").read_text().splitlines()
+        assert lines == export.trace_lines(report.stats) != []
         for line in lines:
             record = json.loads(line)
             assert {"ts", "conn", "i", "event"} <= set(record)
@@ -451,27 +459,25 @@ class TestSustainedLoss:
 class TestCliTelemetry:
     def test_metrics_and_trace_flags(self, tmp_path, capsys):
         from repro.cli import main
-        metrics = tmp_path / "metrics.prom"
-        trace = tmp_path / "trace.ndjson"
         rc = main(["--filter", "tcp", "--datatype", "connection",
                    "--synthetic", "campus", "--duration", "0.2",
                    "--gbps", "0.05", "--print-limit", "0",
-                   "--metrics-out", str(metrics),
-                   "--trace-out", str(trace),
+                   "--report-dir", str(tmp_path),
                    "--trace-sample", "1.0"])
         assert rc == 0
-        text = metrics.read_text()
+        text = (tmp_path / "metrics.prom").read_text()
         assert "repro_funnel_packets_total" in text
         assert "repro_stage_cost_cycles_bucket" in text
-        assert trace.read_text().count("\n") > 0
+        assert (tmp_path / "trace.ndjson").read_text().count("\n") > 0
         out = capsys.readouterr().out
-        assert "metrics written" in out and "trace events written" in out
+        assert "run bundle written" in out
+        assert "metrics.prom" in out and "trace.ndjson" in out
 
     def test_invalid_trace_sample_rejected(self, tmp_path, capsys):
         from repro.cli import main
         rc = main(["--synthetic", "campus", "--duration", "0.1",
                    "--print-limit", "0",
-                   "--trace-out", str(tmp_path / "t"),
+                   "--report-dir", str(tmp_path / "t"),
                    "--trace-sample", "1.5"])
         assert rc == 2
         assert "trace_sample" in capsys.readouterr().err
@@ -493,30 +499,27 @@ class TestTenantExport:
         renders the exact bytes of the plain Runtime: the shared
         classifier and multiplexer must not perturb any family."""
         from repro.tenancy import TenantSpec
-        plain = _run(traffic, filter_str="tcp.dst_port = 443",
-                     cores=2).stats
+        plain = _run(traffic, filter_str="tcp.dst_port = 443", cores=2)
         _, report = self._tenant_run(
             traffic,
             [TenantSpec("solo", "tcp.dst_port = 443", "connection")])
-        assert export.render_metrics(report.stats) == \
+        assert export.render_metrics(replace(report, tenancy=None)) == \
             export.render_metrics(plain)
 
     def test_tenant_families_gated_on_payload(self, traffic):
-        """repro_tenant_* families appear only when the tenancy payload
-        is passed; the merged families stay byte-identical around it."""
+        """repro_tenant_* families appear only with the breakdown a
+        ``TenantRuntime`` puts on the report; the merged families stay
+        byte-identical around it."""
         from repro.tenancy import TenantSpec
         specs = [TenantSpec("web", "tcp.dst_port = 443", "connection"),
                  TenantSpec("hog", "", "packet", quota_mbps=0.05)]
         runtime, report = self._tenant_run(traffic, specs)
-        base = export.render_metrics(report.stats)
+        base = export.render_metrics(replace(report, tenancy=None))
         assert "repro_tenant" not in base
-        payload = {
-            "epoch": runtime.table.epoch,
-            "active": list(runtime.table.active),
-            "tenants": runtime.aggregate_tenants(report),
-            "shed": runtime.tenant_ledgers(report),
-        }
-        text = export.render_metrics(report.stats, tenancy=payload)
+        assert set(report.tenancy["tenants"]) == {"web", "hog"}
+        assert report.tenancy["shed"].keys() == \
+            runtime.tenant_ledgers(report).keys() == {"hog"}
+        text = export.render_metrics(report)
         assert 'repro_tenant_callbacks_total{tenant="web"}' in text
         assert 'repro_tenant_funnel_packets_total{tenant="hog"' in text
         assert 'repro_tenant_shed_packets_total{tenant="hog"' \
@@ -533,14 +536,7 @@ class TestTenantExport:
                  TenantSpec("dns", "udp", "packet")]
         texts = []
         for parallel in (False, True):
-            runtime, report = self._tenant_run(traffic, specs,
-                                               parallel=parallel)
-            payload = {
-                "epoch": runtime.table.epoch,
-                "active": list(runtime.table.active),
-                "tenants": runtime.aggregate_tenants(report),
-                "shed": runtime.tenant_ledgers(report),
-            }
-            texts.append(export.render_metrics(report.stats,
-                                               tenancy=payload))
+            _, report = self._tenant_run(traffic, specs,
+                                         parallel=parallel)
+            texts.append(export.render_metrics(report))
         assert texts[0] == texts[1]
