@@ -11,7 +11,8 @@ from repro.errors import ConfigError
 from repro.filter.hardware import NicCapabilities, connectx5_capabilities
 from repro.netem.model import ImpairmentConfig
 from repro.resilience.faults import FaultPlan
-from repro.stream.reassembly import DEFAULT_OOO_CAPACITY
+from repro.stream.reassembly import ADAPTIVE_MAX_CAPACITY, \
+    ADAPTIVE_MIN_CAPACITY, DEFAULT_OOO_CAPACITY
 
 
 @dataclass
@@ -30,14 +31,13 @@ class RuntimeConfig:
     #: Out-of-order ring capacity per flow direction.
     ooo_capacity: int = DEFAULT_OOO_CAPACITY
     #: Adaptive out-of-order window (repro.stream.reassembly): the
-    #: per-direction ring grows (×2, up to ``ooo_max_capacity``)
+    #: per-direction ring grows (×2, up to ``ADAPTIVE_MAX_CAPACITY``)
     #: instead of dropping when observed reorder depth exceeds it, and
-    #: shrinks (÷2, down to ``ooo_min_capacity``) after a long fully
-    #: in-order streak. Off by default — the fixed ring is the paper's
-    #: design; the adaptive window is the degraded-link mitigation.
+    #: shrinks (÷2, down to ``ADAPTIVE_MIN_CAPACITY``) after a long
+    #: fully in-order streak. Off by default — the fixed ring is the
+    #: paper's design; the adaptive window is the degraded-link
+    #: mitigation.
     ooo_adaptive: bool = False
-    ooo_min_capacity: int = 64
-    ooo_max_capacity: int = 4096
     #: NIC capability profile used to validate hardware rules.
     nic: NicCapabilities = field(default_factory=connectx5_capabilities)
     #: Install the hardware filter (Section 6.1 disables it).
@@ -70,9 +70,6 @@ class RuntimeConfig:
     #: default — like Retina (and kernel-bypass pipelines generally),
     #: non-first fragments simply fail port-based filters.
     reassemble_fragments: bool = False
-    #: Give up probing a connection after this many payload bytes
-    #: without any parser matching.
-    probe_byte_limit: int = 4096
     #: Memory ceiling for the Figure 8 OOM experiment (bytes); None
     #: disables the check.
     memory_limit_bytes: Optional[int] = None
@@ -169,10 +166,6 @@ class RuntimeConfig:
     #: Wall-clock seconds without progress before a live-but-silent
     #: worker is treated as hung (supervised mode only).
     worker_heartbeat_timeout: float = 5.0
-    #: Bound (in batches) of each core's redo log; in-flight batches
-    #: beyond this cannot be replayed after a crash and are counted as
-    #: ``unreplayable_batches`` in the fault report.
-    redo_log_batches: int = 64
     # -- overload control (repro.overload) ------------------------------
     #: What a core does when it cannot keep up with arrivals: "off"
     #: (keep absorbing load, the historical behavior), "ladder" (the
@@ -228,19 +221,14 @@ class RuntimeConfig:
             raise ConfigError(f"unknown filter_mode {self.filter_mode!r}")
         if self.ooo_capacity < 0:
             raise ConfigError("ooo_capacity must be >= 0")
-        if self.ooo_min_capacity < 1:
-            raise ConfigError("ooo_min_capacity must be >= 1")
-        if self.ooo_max_capacity < self.ooo_min_capacity:
-            raise ConfigError(
-                "ooo_max_capacity must be >= ooo_min_capacity")
         if self.ooo_adaptive and not (
-                self.ooo_min_capacity <= self.ooo_capacity
-                <= self.ooo_max_capacity):
+                ADAPTIVE_MIN_CAPACITY <= self.ooo_capacity
+                <= ADAPTIVE_MAX_CAPACITY):
             raise ConfigError(
                 f"with ooo_adaptive, ooo_capacity "
-                f"({self.ooo_capacity}) must start inside "
-                f"[ooo_min_capacity, ooo_max_capacity] = "
-                f"[{self.ooo_min_capacity}, {self.ooo_max_capacity}]")
+                f"({self.ooo_capacity}) must start inside the adaptive "
+                f"window's bounds [{ADAPTIVE_MIN_CAPACITY}, "
+                f"{ADAPTIVE_MAX_CAPACITY}]")
         if self.reassembler not in ("lazy", "buffered"):
             raise ConfigError(f"unknown reassembler {self.reassembler!r}")
         if self.callback_execution not in ("inline", "queued"):
@@ -279,8 +267,6 @@ class RuntimeConfig:
             raise ConfigError("max_worker_restarts must be >= 0")
         if self.worker_heartbeat_timeout <= 0:
             raise ConfigError("worker_heartbeat_timeout must be > 0")
-        if self.redo_log_batches < 1:
-            raise ConfigError("redo_log_batches must be >= 1")
         if self.overload_policy not in ("off", "ladder", "failfast"):
             raise ConfigError(
                 f"unknown overload_policy {self.overload_policy!r} "

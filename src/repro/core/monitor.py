@@ -19,6 +19,7 @@ final partial interval is recorded rather than silently dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, List, NamedTuple, Optional
 
 
@@ -38,6 +39,9 @@ class CoreProgress(NamedTuple):
     overload_rung: int = 0
     shed_packets: int = 0
     failfast_at: Optional[float] = None
+    #: The core's virtual clock: the latest packet timestamp it
+    #: processed (its busy seconds cover arrivals up to here).
+    now: float = 0.0
 
     @classmethod
     def of(cls, pipeline) -> "CoreProgress":
@@ -51,7 +55,7 @@ class CoreProgress(NamedTuple):
                    stats.pf_packets, stats.connf_packets,
                    stats.sessf_packets, pipeline.overload_rung,
                    shed.packets_shed if shed is not None else 0,
-                   pipeline.overload_failfast_at)
+                   pipeline.overload_failfast_at, pipeline.now)
 
 
 @dataclass(frozen=True)
@@ -66,7 +70,9 @@ class MonitorSample:
     callbacks: int
     live_connections: int
     memory_bytes: int
-    busy_fraction: float  # busiest core's cycle demand / capacity
+    #: The busiest core's cycle demand over the arrival time of the
+    #: packets it processed since the last snapshot (capacity = 1.0).
+    busy_fraction: float
     # Filter-funnel survivors this interval: packets past the software
     # packet filter, the connection filter, and the full filter.
     pf_packets: int = 0
@@ -102,8 +108,25 @@ class MonitorSample:
         return line
 
 
+class _Totals(NamedTuple):
+    """The cumulative counters a snapshot differences."""
+
+    packets: int = 0
+    bytes: int = 0
+    callbacks: int = 0
+    pf: int = 0
+    connf: int = 0
+    sessf: int = 0
+    shed: int = 0
+
+
 class StatsMonitor:
-    """Periodic pipeline snapshots with optional live emission."""
+    """Periodic pipeline snapshots with optional live emission.
+
+    An observer: a snapshot reads per-core state as of the last burst
+    the ingest loop dispatched (packets still queued for a burst count
+    in a later interval) and never changes the run.
+    """
 
     def __init__(
         self,
@@ -115,74 +138,79 @@ class StatsMonitor:
         self.interval = interval
         self._emit = emit
         self.samples: List[MonitorSample] = []
-        self._last_ts: Optional[float] = None
-        self._last_packets = 0
-        self._last_bytes = 0
-        self._last_callbacks = 0
-        self._last_busy = 0.0
-        self._last_pf = 0
-        self._last_connf = 0
-        self._last_sessf = 0
-        self._last_shed = 0
+        #: ``(virtual time, totals, per-core (busy seconds, clock))``
+        #: of the last snapshot, and of the one before it.
+        self._base: Optional[tuple] = None
+        self._prev: Optional[tuple] = None
 
     def observe(self, runtime, now: float) -> None:
         """Called by the runtime; snapshots when the interval elapsed.
         ``runtime`` is anything with ``nics`` and ``core_progress()``."""
-        if self._last_ts is None:
-            self._last_ts = now
+        if self._base is None:
+            self._base = (now, _Totals(), None)
             return
-        if now - self._last_ts < self.interval:
+        if now - self._base[0] < self.interval:
             return
         self._snapshot(runtime, now)
 
     def finalize(self, now: float, runtime) -> None:
         """End of run: record the final partial interval (if any time
-        elapsed since the last snapshot), whatever its length."""
-        if self._last_ts is None or now <= self._last_ts:
+        elapsed since the last snapshot), whatever its length. A last
+        snapshot taken at the end time itself predates the bursts that
+        ran after it, so it is taken again over its own interval."""
+        if self._base is None or now < self._base[0]:
             return
+        if now == self._base[0]:
+            if not self.samples:
+                return
+            self.samples.pop()
+            self._base = self._prev
         self._snapshot(runtime, now)
 
     def _snapshot(self, runtime, now: float) -> None:
-        elapsed = now - self._last_ts
-        received_packets = sum(n.stats.received_packets
-                               for n in runtime.nics)
-        received_bytes = sum(n.stats.received_bytes for n in runtime.nics)
+        since, base, clocks = self._base
+        elapsed = now - since
         cores = runtime.core_progress()
-        callbacks = sum(c.callbacks for c in cores)
-        pf = sum(c.pf_packets for c in cores)
-        connf = sum(c.connf_packets for c in cores)
-        sessf = sum(c.sessf_packets for c in cores)
-        busiest = max((c.busy_seconds for c in cores), default=0.0)
-        shed = sum(c.shed_packets for c in cores)
+        totals = _Totals(
+            sum(n.stats.received_packets for n in runtime.nics),
+            sum(n.stats.received_bytes for n in runtime.nics),
+            sum(c.callbacks for c in cores),
+            sum(c.pf_packets for c in cores),
+            sum(c.connf_packets for c in cores),
+            sum(c.sessf_packets for c in cores),
+            sum(c.shed_packets for c in cores))
+        delta = _Totals(*(a - b for a, b in zip(totals, base)))
+        # Load is demand over the arrival time it served: a core's
+        # state moves a burst at a time, so its busy seconds are read
+        # against its own clock. Until some core moves, the last
+        # measured load stands.
+        loads = [(c.busy_seconds - busy) / (c.now - clock)
+                 for c, (busy, clock) in zip(
+                     cores, clocks or repeat((0.0, since)))
+                 if c.now > clock]
+        busy_fraction = max(loads) if loads else (
+            self.samples[-1].busy_fraction if self.samples else 0.0)
         sample = MonitorSample(
             timestamp=now,
             interval=elapsed,
-            ingress_packets=received_packets - self._last_packets,
-            ingress_bytes=received_bytes - self._last_bytes,
-            interval_gbps=(received_bytes - self._last_bytes) * 8
-            / elapsed / 1e9,
-            callbacks=callbacks - self._last_callbacks,
+            ingress_packets=delta.packets,
+            ingress_bytes=delta.bytes,
+            interval_gbps=delta.bytes * 8 / elapsed / 1e9,
+            callbacks=delta.callbacks,
             live_connections=sum(c.live_connections for c in cores),
             memory_bytes=sum(c.memory_bytes for c in cores),
-            busy_fraction=(busiest - self._last_busy) / elapsed,
-            pf_packets=pf - self._last_pf,
-            connf_packets=connf - self._last_connf,
-            sessf_packets=sessf - self._last_sessf,
+            busy_fraction=busy_fraction,
+            pf_packets=delta.pf,
+            connf_packets=delta.connf,
+            sessf_packets=delta.sessf,
             overload_rung=max((c.overload_rung for c in cores), default=0),
-            shed_packets=shed - self._last_shed,
+            shed_packets=delta.shed,
         )
         self.samples.append(sample)
         if self._emit is not None:
             self._emit(sample.format())
-        self._last_ts = now
-        self._last_packets = received_packets
-        self._last_bytes = received_bytes
-        self._last_callbacks = callbacks
-        self._last_busy = busiest
-        self._last_pf = pf
-        self._last_connf = connf
-        self._last_sessf = sessf
-        self._last_shed = shed
+        self._prev, self._base = self._base, (
+            now, totals, [(c.busy_seconds, c.now) for c in cores])
 
     # -- feedback signals (Section 5.3's tuning loop) ------------------------
     @property

@@ -8,34 +8,38 @@ simulated core, each running its own shared-nothing
 :class:`~repro.core.pipeline.CorePipeline` + connection table, fed by
 the parent over bounded shared-memory rings.
 
-Design, mirroring the paper's data path:
+There is one ingest loop, :meth:`Runtime.run`; :class:`WorkerPool` is
+its worker backend, as the runtime's own pipelines are its sequential
+one. The loop routes every frame (the parent's :class:`SimNic`
+computes the symmetric-RSS hash and the redirection-table lookup, per
+packet, in stream order), cuts per-queue bursts of
+``config.parallel_batch_size`` rows, and decides every table swap and
+memory sample point; the pool only carries each burst, sample point,
+epoch bump and the end of the run to the right worker. Per-core FIFO
+then makes each worker see exactly the bursts and sample points the
+sequential backend's pipeline would — so both backends produce
+identical stats, memory series and span trees by construction, and the
+cycle ledger's integer sums do not depend on merge order.
 
-- **Sharding** happens in the parent exactly where the NIC does it:
-  :meth:`SimNic.receive` computes the symmetric-RSS hash and the
-  redirection-table lookup, so both backends route every packet to the
-  same queue/core. Per-flow arrival order is preserved because routing
-  is per packet, in stream order.
-- **Batching** amortizes IPC cost the same way Retina amortizes
-  per-packet overhead with DPDK bursts: packets travel in
-  ``config.parallel_batch_size``-packet batches laid out flat (the
-  :class:`~repro.packet.batch.PackedBatch` wire layout — one frames
-  blob plus offset/timestamp/port arrays); workers rebuild zero-copy
-  mbuf views and process them with :meth:`CorePipeline.process_batch`.
-- **Backpressure**: each worker's ring holds at most
-  ``config.parallel_queue_depth`` batches; the feeder blocks instead of
-  buffering unboundedly (the analogue of a finite RX descriptor ring).
-- **Shared-nothing merge**: workers never share state; each returns a
-  picklable :class:`~repro.core.stats.CoreStats` snapshot at the end,
-  and the parent merges them through ``Runtime.aggregate()`` so
-  reports, memory series, and derived metrics are built by the exact
-  same code as the sequential backend.
-
-Determinism: for a fixed traffic source, the parallel backend produces
-**identical** filter/connection/session/callback counts — and
-bit-identical stage cycle totals — to the sequential backend, because
-RSS sharding makes per-core work order-independent and the cycle
-ledger is integer: its sums do not depend on batch boundaries or
-merge order.
+There is one feeder→worker data path, the shared-memory mempool +
+descriptor ring of :mod:`repro.core.shm`: the feeder writes each
+burst's flat wire layout (:class:`~repro.packet.batch.PackedBatch`)
+straight into a pre-allocated shared slot and publishes an 8-byte
+descriptor on a per-core SPSC ring; the worker maps the slot back with
+zero-copy ``memoryview`` blobs and returns the slot by publishing a
+cumulative consumed counter (credit-based recycling). A full ring
+blocks the feeder (the analogue of a finite RX descriptor ring).
+Memory samples are payload-less descriptors. Everything else — FINISH,
+tenancy epoch bumps, bursts too large for a slot — rides a CTRL
+descriptor whose payload travels on a per-core pickle queue, so the
+strict per-core total order holds across both channels. Worker acks
+coalesce (cumulative seqs, flushed on ring-idle, every few batches, and
+always *before* a planned fault fires, which keeps the supervisor's
+replay set — and therefore post-crash stats — deterministic). Workers
+share nothing; each returns a :class:`~repro.core.stats.CoreStats`
+snapshot that the parent merges through ``Runtime.report()``. A host
+that cannot create the segments cannot run this backend; the
+sequential one produces the same ``AggregateStats`` by contract.
 
 Caveats (documented deviations):
 
@@ -45,34 +49,10 @@ Caveats (documented deviations):
 - Callbacks execute inside the worker processes: their side effects
   (prints, appended lists) live in the worker's address space, not the
   parent's. Counts still aggregate exactly.
-- The OOM and fail-fast cutoffs compare worker-reported
+- The monitor and the OOM and fail-fast cutoffs read worker-reported
   :class:`~repro.core.monitor.CoreProgress` records at progress
-  cadence, so ``oom_at`` in parallel mode is approximate (sequential
-  checks synchronously at every sample point).
-
-Memory sampling is parent-clocked: the parent tells every worker to
-sample at the same global virtual deadlines the sequential backend
-uses, and per-core FIFO ordering guarantees the worker has processed
-exactly the batches dispatched before the deadline. The resulting
-memory series — and therefore the peak memory/connection figures — are
-identical between backends.
-
-There is one feeder→worker data path, the shared-memory mempool +
-descriptor ring of :mod:`repro.core.shm`: the feeder writes each
-burst's flat wire layout straight into a pre-allocated shared slot and
-publishes an 8-byte descriptor on a per-core SPSC ring; the worker maps
-the slot back with zero-copy ``memoryview`` blobs and returns the slot
-by publishing a cumulative consumed counter (credit-based recycling).
-Memory samples are payload-less descriptors. Everything else — FINISH,
-tenancy epoch bumps, bursts too large for a slot — rides a CTRL
-descriptor whose payload travels on a per-core pickle queue, so the
-strict per-core total order (which the parent-clocked sampling and
-epoch-swap boundaries rely on) holds across both channels. Worker acks
-coalesce (cumulative seqs, flushed on ring-idle, every few batches, and
-always *before* a planned fault fires, which keeps the supervisor's
-replay set — and therefore post-crash stats — deterministic). A host
-that cannot create the segments cannot run this backend; the sequential
-one produces the same ``AggregateStats`` by contract.
+  cadence, so ``oom_at`` and the fail-fast stop are approximate here
+  (the sequential backend reads its pipelines synchronously).
 """
 
 from __future__ import annotations
@@ -86,13 +66,12 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, \
-    Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, \
+    Tuple
 
 if TYPE_CHECKING:
     from repro.config import RuntimeConfig
-    from repro.core.runtime import Runtime, RuntimeReport
-    from repro.resilience.faults import PacketFaultInjector
+    from repro.core.runtime import Runtime
 
 from repro.core import shm as shm_mod
 from repro.core.monitor import CoreProgress
@@ -101,8 +80,6 @@ from repro.core.stats import CoreStats
 from repro.core.subscription import Subscription
 from repro.errors import RetinaError
 from repro.packet.batch import PackedBatch
-from repro.packet.columnar import HELD, ingress_rows
-from repro.packet.mbuf import Mbuf
 from repro.resilience.faults import FaultPlan
 from repro.resilience.supervisor import WorkerSupervisor
 
@@ -128,6 +105,10 @@ _HANG_SLEEP = 3600.0
 #: many supervised batches (it also flushes whenever the ring runs
 #: empty, before a planned fault fires, and at FINISH).
 _ACK_COALESCE = 8
+#: Bound (in batches) of each core's redo log; in-flight batches beyond
+#: it cannot be replayed after a crash and are counted as
+#: ``unreplayable_batches`` in the fault report.
+_REDO_LOG_BATCHES = 64
 
 
 class ParallelExecutionError(RetinaError):
@@ -166,7 +147,7 @@ class _WorkerSpec:
     callback: Optional[Callable] = None
     identify_services: bool = False
     #: Virtual seconds between progress reports to the parent, or None
-    #: for "never" (no monitor attached and no memory limit).
+    #: for "never" (no monitor, no memory limit, no fail-fast).
     progress_interval: Optional[float] = None
     #: The run's fault plan (workers fire their own worker_crash/
     #: worker_hang faults; core-scoped faults are consumed by the
@@ -340,7 +321,7 @@ def _consume(channel: shm_mod.ShmWorkerChannel, worker: _Worker,
             # Parent-clocked sample point: every batch dispatched
             # before the deadline is already processed (strict per-core
             # order), so this records exactly what the sequential
-            # backend's _sample_memory would.
+            # backend's sample point would.
             worker.pipeline.sample_memory()
         else:  # KIND_CTRL: payload rides the pickle queue
             tag, first, second = in_queue.get()
@@ -408,25 +389,59 @@ def _worker_main(spec: _WorkerSpec, in_queue, out_queue) -> None:
 # ---------------------------------------------------------------------------
 # parent-side orchestration
 # ---------------------------------------------------------------------------
-class _WorkerPool:
-    """The fleet of per-core processes plus their rings and queues.
+class WorkerPool:
+    """The worker backend of :meth:`Runtime.run`'s ingest loop: one
+    process per core plus their rings and queues, and the supervisor
+    of a supervised run.
 
-    Usable as a context manager: on an exception inside the ``with``
-    block the pool terminates every worker before the exception
-    propagates, and the queues and segments are released either way —
-    no leaked children, no feeder threads blocking interpreter exit.
+    The loop calls it once per burst, sample point, epoch bump and at
+    the end of the run — the same calls it makes on the runtime itself
+    for the sequential backend — and hands it to the monitor. Usable as a
+    context manager: on an exception inside the ``with`` block the
+    pool terminates every worker before the exception propagates, and
+    the queues and segments are released either way — no leaked
+    children, no feeder threads blocking interpreter exit.
     """
 
-    def __init__(self, runtime: "Runtime",
-                 progress_interval: Optional[float]) -> None:
+    #: The feeder only routes: each worker decodes and filters its own
+    #: bursts, so ingress runs no batch packet filter here.
+    _classify = None
+
+    def __init__(self, runtime: "Runtime", monitor,
+                 memory_interval: Optional[float]) -> None:
+        """``memory_interval`` is the sample cadence when the loop
+        checks memory against a limit (None otherwise)."""
         config = runtime.config
         subscription = runtime.subscription
         #: What ``StatsMonitor.observe`` reads (it is handed the pool):
         #: the link's NICs and each worker's last-reported record.
         self.nics = runtime.nics
         self.progress: List[CoreProgress] = [CoreProgress()] * config.cores
-        #: Set by run_parallel in supervised mode; _handle feeds acks
-        #: into it so every drain path keeps the redo logs trimmed.
+        # Fail-fast can only trip under the failfast policy or a ladder
+        # allowed to climb to rung 4; then every burst reads the
+        # workers' reports.
+        self._failfast = config.overload_policy == "failfast" or (
+            config.overload_policy == "ladder"
+            and config.overload_max_rung >= 4)
+        # Progress reports are only needed for live monitoring and the
+        # OOM and fail-fast cutoffs; without any, workers skip the
+        # reporting IPC entirely.
+        needs = [interval for interval in (
+            monitor.interval if monitor is not None else None,
+            memory_interval,
+            config.overload_eval_interval if self._failfast else None)
+            if interval is not None]
+        progress_interval = min(needs) if needs else None
+        # Span context stamping: when burst span tracing is on, every
+        # batch carries (queue, seq) so the worker's burst trees stitch
+        # into the parent's trace. Supervised dispatch reuses the
+        # supervisor's sequence numbers; unsupervised dispatch counts
+        # its own.
+        self._spans_on = config.span_sample > 0 or \
+            config.flight_recorder_depth > 0
+        self._span_seq = [0] * config.cores
+        #: Set in supervised mode; _handle feeds acks into it so every
+        #: drain path keeps the redo logs trimmed.
         self.supervisor: Optional[WorkerSupervisor] = None
         #: (core_id, plan_index) crash announcements not yet consumed
         #: by recovery.
@@ -493,6 +508,11 @@ class _WorkerPool:
                 f"could not start worker processes ({exc}); under the "
                 f"'spawn' start method the subscription callback must be "
                 f"picklable (a module-level function or None)") from exc
+        plan = config.fault_plan
+        if config.supervise or (plan is not None and plan.has_worker_faults):
+            self.supervisor = WorkerSupervisor(
+                config.cores, plan, config.max_worker_restarts,
+                _REDO_LOG_BATCHES, config.worker_heartbeat_timeout)
 
     def _process(self, core_id: int, suffix: str = ""):
         return self._ctx.Process(
@@ -502,7 +522,100 @@ class _WorkerPool:
             daemon=True, name=f"repro-core-{core_id}{suffix}")
 
     def core_progress(self) -> List[CoreProgress]:
+        """Each worker's last-reported record (as fresh as its progress
+        cadence: the monitor and the cutoffs are approximate here)."""
+        self.drain_progress()
         return self.progress
+
+    @property
+    def memory_bytes(self) -> int:
+        return sum(core.memory_bytes for core in self.core_progress())
+
+    # -- the ingest loop's calls -----------------------------------------
+    def _lost(self, core_id: int) -> bool:
+        """A lost core's RX queue is dead: its share of traffic is lost."""
+        return self.supervisor is not None and \
+            self.supervisor.is_lost(core_id)
+
+    def _burst(self, queue: int, rows: list) -> Optional[float]:
+        """Dispatch one burst of ingress rows to its worker; returns
+        the earliest fail-fast trip any worker has reported, or None."""
+        mbufs = [row[0] for row in rows]
+        if self.supervisor is not None:
+            if not self._lost(queue):
+                self._send_logged(queue, PackedBatch.pack(mbufs, queue),
+                                  self._spans_on)
+        else:
+            ctx = None
+            if self._spans_on:
+                ctx = (queue, self._span_seq[queue])
+                self._span_seq[queue] += 1
+            # The hot path: the burst goes straight into a mempool slot
+            # — no PackedBatch, no pickle; the only serialized IPC is
+            # the 8-byte ring descriptor, and ``ctx`` rides the slot
+            # header. A burst that exceeds the slot size (jumbo-heavy)
+            # is packed and takes the control channel.
+            if self._ring(queue, self.transport.channels[queue].send_mbufs,
+                          mbufs, queue, ctx):
+                self._account(queue, len(mbufs), 8)
+            else:
+                packed = PackedBatch.pack(mbufs, queue)
+                packed.trace_ctx = ctx
+                self.send_packed(queue, -1, packed)
+        if not self._failfast:
+            return None
+        tripped = [core.failfast_at for core in self.core_progress()
+                   if core.failfast_at is not None]
+        return min(tripped) if tripped else None
+
+    def _send_logged(self, queue: int, packed: PackedBatch,
+                     stamp: bool) -> None:
+        """Supervised send. The redo log stores the *packed* batch, so
+        a replay after a crash re-sends the identical flat buffer (same
+        span context too: a replayed burst keeps its original seq)."""
+        seq, fault = self.supervisor.on_dispatch(queue, packed)
+        if stamp:
+            packed.trace_ctx = (queue, seq)
+        self.send_packed(queue, seq, packed)
+        if fault is not None:
+            _recover_planned(self, self.supervisor, queue, fault)
+
+    def _bump(self, epoch: int, actions: tuple) -> None:
+        """Broadcast a table epoch on an empty stamped batch to every
+        queue; per-queue FIFO makes each worker swap on exactly that
+        burst boundary."""
+        self.tenancy_bumps.append((epoch, actions))
+        for queue in range(len(self.processes)):
+            if self._lost(queue):
+                continue
+            packed = PackedBatch.pack([], queue)
+            packed.epoch = (epoch, actions)
+            if self.supervisor is None:
+                self.send_packed(queue, -1, packed)
+            else:
+                # Bumps ride the supervised sequence space like any
+                # batch: redo-logged (a crash mid-swap replays the
+                # bump) and able to carry a planned worker fault at
+                # their own seq, which is how the crash-during-swap
+                # tests pin the fault to the swap window.
+                self._send_logged(queue, packed, False)
+
+    def _sample_point(self) -> None:
+        """A payload-less parent-clocked memory-sample point for every
+        live worker."""
+        for queue in range(len(self.processes)):
+            if not self._lost(queue):
+                self._ring(queue, self.transport.channels[queue].send_sample)
+
+    def _finish(self, last_ts: Optional[float], drain: bool):
+        """Tell every live worker to wrap up (``last_ts`` None: after a
+        cutoff, neither advance time nor drain) and gather the final
+        stats: ``(core_stats, supervisor, backend_health)``."""
+        finish = (_FINISH, last_ts, drain)
+        for queue in range(len(self.processes)):
+            if not self._lost(queue):
+                self.send_ctrl(queue, finish)
+        return self.gather(finish), self.supervisor, self.backend_health()
 
     # -- the feeder->worker sends ---------------------------------------
     def _ring(self, core_id: int, send, *args):
@@ -527,21 +640,6 @@ class _WorkerPool:
             if packets > row["batch_occupancy_max"]:
                 row["batch_occupancy_max"] = packets
 
-    def send_batch(self, core_id: int, mbufs: List[Mbuf],
-                   ctx: Optional[tuple]) -> None:
-        """The hot path: write the burst straight into a mempool slot —
-        no PackedBatch, no pickle; the only serialized IPC is the
-        8-byte ring descriptor. ``ctx`` is the span context, riding the
-        slot header. A burst that exceeds the slot size (jumbo-heavy)
-        is packed and takes the control channel."""
-        if self._ring(core_id, self.transport.channels[core_id].send_mbufs,
-                      mbufs, core_id, ctx):
-            self._account(core_id, len(mbufs), 8)
-            return
-        packed = PackedBatch.pack(mbufs, core_id)
-        packed.trace_ctx = ctx
-        self.send_packed(core_id, -1, packed)
-
     def send_packed(self, core_id: int, seq: int,
                     packed: PackedBatch) -> None:
         """A batch that exists packed: supervised dispatch and redo-log
@@ -557,10 +655,6 @@ class _WorkerPool:
             return
         self.send_ctrl(core_id, (_BATCH, seq, packed))
         self._account(core_id, len(packed), 8 + packed.nbytes)
-
-    def send_sample(self, core_id: int) -> None:
-        """A payload-less parent-clocked memory-sample point."""
-        self._ring(core_id, self.transport.channels[core_id].send_sample)
 
     def send_ctrl(self, core_id: int, message: tuple) -> None:
         """Payload onto the pickle queue first, then the descriptor
@@ -611,32 +705,44 @@ class _WorkerPool:
                 return
             self._handle(message, None)
 
-    def gather(self, skip: Optional[Set[int]] = None
-               ) -> Dict[int, CoreStats]:
-        """Block until every worker (minus ``skip``) reported its final
-        stats; returns ``{core_id: CoreStats}``."""
+    def gather(self, finish: tuple) -> Dict[int, CoreStats]:
+        """Block until every live worker reported its final stats;
+        returns ``{core_id: CoreStats}``. A worker that dies before
+        reporting is an error — or, under supervision, recovered
+        (restart + replay + ``finish`` again) or declared lost."""
+        sup = self.supervisor
         results: Dict[int, CoreStats] = {}
-        remaining = set(range(len(self.processes))) - (skip or set())
+        remaining = {core for core in range(len(self.processes))
+                     if not self._lost(core)}
         while remaining:
             try:
-                message = self.out_queue.get(timeout=_POLL_TIMEOUT)
+                message = self.out_queue.get(
+                    timeout=_POLL_TIMEOUT if sup is None else 0.25)
             except queue_mod.Empty:
-                dead = [core_id for core_id in remaining
-                        if not self.processes[core_id].is_alive()]
-                if dead:
+                dead = [core for core in remaining
+                        if not self.processes[core].is_alive()]
+                if dead and sup is None:
                     self.terminate()
                     self.close()
                     raise ParallelExecutionError(
                         f"worker(s) {dead} exited without reporting "
                         f"stats", core_id=dead[0],
                         partial_stats=dict(results))
+                for core in dead:
+                    _recover_core(self, sup, core, None, finish=finish)
+                    if sup.is_lost(core):
+                        remaining.discard(core)
                 continue
             core_id = self._handle(message, results)
             if core_id is not None:
                 remaining.discard(core_id)
-        for core_id, process in enumerate(self.processes):
-            if skip is None or core_id not in skip:
-                process.join(timeout=_POLL_TIMEOUT)
+            while self.crashed:  # planned crashes: supervised runs only
+                core, plan_index = self.crashed.pop()
+                _recover_core(self, sup, core, plan_index, finish=finish)
+                if sup.is_lost(core):
+                    remaining.discard(core)
+        for process in self.processes:
+            process.join(timeout=_POLL_TIMEOUT)
         return results
 
     def _handle(self, message,
@@ -740,7 +846,7 @@ class _WorkerPool:
         # the pool context exits.
         self.transport.close()
 
-    def __enter__(self) -> "_WorkerPool":
+    def __enter__(self) -> "WorkerPool":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -750,7 +856,7 @@ class _WorkerPool:
         return False
 
 
-def _await_planned_fault(pool: _WorkerPool, sup: WorkerSupervisor,
+def _await_planned_fault(pool: WorkerPool, sup: WorkerSupervisor,
                          core: int, plan_index: int, kind: str) -> None:
     """Block until the planned fault just triggered on ``core``
     manifests, draining (and handling) other workers' messages
@@ -780,7 +886,7 @@ def _await_planned_fault(pool: _WorkerPool, sup: WorkerSupervisor,
         pool._handle(message, None)
 
 
-def _recover_core(pool: _WorkerPool, sup: WorkerSupervisor, core: int,
+def _recover_core(pool: WorkerPool, sup: WorkerSupervisor, core: int,
                   plan_index: Optional[int],
                   finish=None, hung: bool = False) -> None:
     """Reap a crashed/hung worker and either restart it (backoff,
@@ -825,7 +931,7 @@ def _recover_core(pool: _WorkerPool, sup: WorkerSupervisor, core: int,
         pool.send_ctrl(core, finish)
 
 
-def _recover_planned(pool: _WorkerPool, sup: WorkerSupervisor, core: int,
+def _recover_planned(pool: WorkerPool, sup: WorkerSupervisor, core: int,
                      fault, finish=None) -> None:
     """The batch just sent to ``core`` carries the planned ``fault``
     (``(plan_index, spec)``): pause the core's dispatch until the fault
@@ -836,244 +942,3 @@ def _recover_planned(pool: _WorkerPool, sup: WorkerSupervisor, core: int,
     _recover_core(pool, sup, core, plan_index, finish=finish,
                   hung=spec.kind == "worker_hang")
 
-
-def _gather_supervised(pool: _WorkerPool, sup: WorkerSupervisor,
-                       finish) -> Dict[int, CoreStats]:
-    """Supervised final gather: workers that die before reporting are
-    recovered (restart + replay + re-finish) or declared lost."""
-    results: Dict[int, CoreStats] = {}
-    remaining = {core for core in range(len(pool.processes))
-                 if not sup.is_lost(core)}
-    while remaining:
-        try:
-            message = pool.out_queue.get(timeout=0.25)
-        except queue_mod.Empty:
-            for core in list(remaining):
-                if not pool.processes[core].is_alive():
-                    _recover_core(pool, sup, core, None, finish=finish)
-                    if sup.is_lost(core):
-                        remaining.discard(core)
-            continue
-        core_id = pool._handle(message, results)
-        if core_id is not None:
-            remaining.discard(core_id)
-        while pool.crashed:
-            core, plan_index = pool.crashed.pop()
-            _recover_core(pool, sup, core, plan_index, finish=finish)
-            if sup.is_lost(core):
-                remaining.discard(core)
-    return results
-
-
-def run_parallel(
-    runtime: "Runtime",
-    traffic: Iterable[Mbuf],
-    drain: bool = True,
-    memory_sample_interval: float = 1.0,
-    monitor=None,
-    packet_injector: Optional["PacketFaultInjector"] = None,
-) -> "RuntimeReport":
-    """Execute ``runtime``'s subscription over ``traffic`` on one OS
-    process per core. See the module docstring for the contract.
-
-    ``packet_injector`` is the parent-side fault injector whose
-    injection counts feed the fault report (the traffic iterable is
-    already wrapped by :meth:`Runtime.run`).
-    """
-    config = runtime.config
-    cores = config.cores
-    batch_size = config.parallel_batch_size
-    # The evict/shed policies are enforced inside the workers at sample
-    # cadence; only the historical "record" policy stops the run here.
-    memory_limit = config.memory_limit_bytes \
-        if config.memory_policy == "record" else None
-    plan = config.fault_plan
-
-    # Progress reports are only needed for live monitoring and the OOM
-    # check; without either, workers skip the reporting IPC entirely.
-    progress_needs = []
-    if monitor is not None:
-        progress_needs.append(monitor.interval)
-    if memory_limit is not None:
-        progress_needs.append(memory_sample_interval)
-    # Failfast is parent-enforced at progress cadence (approximate,
-    # like oom_at — see the module docstring's caveats).
-    ff_possible = config.overload_policy == "failfast" or (
-        config.overload_policy == "ladder"
-        and config.overload_max_rung >= 4)
-    if ff_possible:
-        progress_needs.append(config.overload_eval_interval)
-    progress_interval = min(progress_needs) if progress_needs else None
-
-    pool = _WorkerPool(runtime, progress_interval)
-    supervisor: Optional[WorkerSupervisor] = None
-    if config.supervise or (plan is not None and plan.has_worker_faults):
-        supervisor = WorkerSupervisor(
-            cores, plan, config.max_worker_restarts,
-            config.redo_log_batches, config.worker_heartbeat_timeout)
-        pool.supervisor = supervisor
-
-    pack = PackedBatch.pack
-    # Span context stamping: when burst span tracing is on, every batch
-    # carries (queue, seq) so the worker's burst trees stitch into the
-    # parent's trace. Supervised dispatch reuses the supervisor's
-    # sequence numbers; unsupervised dispatch counts its own.
-    spans_on = config.span_sample > 0 or config.flight_recorder_depth > 0
-    span_seq = [0] * cores
-
-    def send_logged(queue_id: int, packed: PackedBatch,
-                    stamp: bool) -> None:
-        """Supervised send. The redo log stores the *packed* batch, so
-        a replay after a crash re-sends the identical flat buffer (same
-        span context too: a replayed burst keeps its original seq)."""
-        seq, fault = supervisor.on_dispatch(queue_id, packed)
-        if stamp:
-            packed.trace_ctx = (queue_id, seq)
-        pool.send_packed(queue_id, seq, packed)
-        if fault is not None:
-            _recover_planned(pool, supervisor, queue_id, fault)
-
-    def skip_core(queue_id: int) -> bool:
-        # A dead RX queue: its share of traffic is lost.
-        return supervisor is not None and supervisor.is_lost(queue_id)
-
-    def dispatch(queue_id: int, batch: List[Mbuf]) -> None:
-        if supervisor is None:
-            ctx = None
-            if spans_on:
-                ctx = (queue_id, span_seq[queue_id])
-                span_seq[queue_id] += 1
-            pool.send_batch(queue_id, batch, ctx)
-        elif not skip_core(queue_id):
-            send_logged(queue_id, pack(batch, queue_id), spans_on)
-
-    # Multi-tenant live reconfiguration: the runtime exposes scheduled
-    # events; when virtual time reaches one, the feeder flushes every
-    # pending batch (so pre-event packets classify under the old table),
-    # applies the event to the parent's table, and broadcasts the new
-    # epoch on an empty stamped batch to every queue. Per-queue FIFO
-    # then guarantees each worker swaps on exactly that burst boundary.
-    next_event_ts: Optional[float] = runtime.next_reconfigure_ts
-
-    def send_bump(epoch_no: int, actions: tuple) -> None:
-        pool.tenancy_bumps.append((epoch_no, actions))
-        for queue_id in range(cores):
-            if skip_core(queue_id):
-                continue
-            packed = pack([], queue_id)
-            packed.epoch = (epoch_no, actions)
-            if supervisor is None:
-                pool.send_packed(queue_id, -1, packed)
-            else:
-                # Bumps ride the supervised sequence space like any
-                # batch: redo-logged (a crash mid-swap replays the
-                # bump) and able to carry a planned worker fault at
-                # their own seq, which is how the crash-during-swap
-                # tests pin the fault to the swap window.
-                send_logged(queue_id, packed, False)
-
-    oom_at: Optional[float] = None
-    failfast_at: Optional[float] = None
-    with pool:
-        nics = runtime.nics
-        pending: List[List[Mbuf]] = [[] for _ in range(cores)]
-
-        def flush() -> None:
-            for queue_id, queued in enumerate(pending):
-                if queued:
-                    dispatch(queue_id, queued)
-                    pending[queue_id] = []
-
-        next_monitor_ts: Optional[float] = \
-            None if monitor is not None else float("inf")
-        next_memory_ts = float("inf")
-        next_ff_ts = float("inf")
-        first = runtime._first_ts is None
-        # The same ingress generator as the sequential backend: header
-        # columns are decoded per burst so RSS dispatch skips the
-        # per-packet stack parse wherever a row allows it. Worker-side
-        # processing never sees the columns, so the shards (and all
-        # counters) are byte-identical whichever rows were fast.
-        for mbuf, queue, _cols, _i, _verdict in ingress_rows(
-                traffic, nics, batch_size, runtime.fragment_reassembler,
-                config.columnar):
-            ts = mbuf.timestamp
-            if first:
-                first = False
-                if runtime._first_ts is None:
-                    runtime._first_ts = ts
-                    runtime._last_memory_sample = ts
-                    next_memory_ts = ts + memory_sample_interval
-                if ff_possible:
-                    next_ff_ts = ts + config.overload_eval_interval
-            if ts > runtime._last_ts:
-                runtime._last_ts = ts
-            if next_event_ts is not None and ts >= next_event_ts:
-                # Swap before this packet: flush, publish, bump.
-                flush()
-                for epoch_no, actions in \
-                        runtime.publish_tenancy_events(ts):
-                    send_bump(epoch_no, actions)
-                next_event_ts = runtime.next_reconfigure_ts
-            if queue is HELD:
-                continue  # fragment held pending completion
-            if queue is not None:
-                queued = pending[queue]
-                queued.append(mbuf)
-                if len(queued) >= batch_size:
-                    dispatch(queue, queued)
-                    pending[queue] = []
-            if next_monitor_ts is None or ts >= next_monitor_ts:
-                pool.drain_progress()
-                monitor.observe(pool, ts)
-                next_monitor_ts = ts + monitor.interval
-            if ts >= next_memory_ts:
-                next_memory_ts = ts + memory_sample_interval
-                runtime._last_memory_sample = ts
-                # Parent-clocked sample point: flush every queue's
-                # pending batch, then tell each worker to sample.
-                # Per-queue FIFO makes this equivalent to the
-                # sequential backend's flush-then-_sample_memory.
-                flush()
-                for queue in range(cores):
-                    if not skip_core(queue):
-                        pool.send_sample(queue)
-                if memory_limit is not None:
-                    pool.drain_progress()
-                    if sum(core.memory_bytes
-                           for core in pool.progress) > memory_limit:
-                        oom_at = ts
-                        break
-            if ts >= next_ff_ts:
-                next_ff_ts = ts + config.overload_eval_interval
-                # A tripped worker reports failfast_at in its progress
-                # record; stop feeding traffic as soon as any core says
-                # so (approximate cutoff, like oom_at).
-                pool.drain_progress()
-                tripped = [core.failfast_at for core in pool.progress
-                           if core.failfast_at is not None]
-                if tripped:
-                    failfast_at = min(tripped)
-                    break
-        # Ship the stragglers, then tell every worker to wrap up. On
-        # OOM or failfast the workers neither advance time nor drain,
-        # matching the sequential backend's early exit.
-        if oom_at is None and failfast_at is None:
-            flush()
-            finish = (_FINISH, runtime._last_ts, drain)
-        else:
-            finish = (_FINISH, None, False)
-        for queue in range(cores):
-            if not skip_core(queue):
-                pool.send_ctrl(queue, finish)
-        if supervisor is None:
-            core_stats = pool.gather()
-        else:
-            core_stats = _gather_supervised(pool, supervisor, finish)
-
-    if monitor is not None:
-        # Flush the final partial interval (every gathered core's
-        # record is its exact final one by now).
-        monitor.finalize(runtime._last_ts, pool)
-    return runtime.report(core_stats, oom_at, packet_injector,
-                          supervisor, pool.backend_health())

@@ -53,11 +53,16 @@ from repro.protocols.base import ParseResult, ProbeResult, Session
 from repro.resilience.faults import CoreFaultInjector
 from repro.stream.buffered import BufferedReassembler
 from repro.stream.pdu import L4Pdu, StreamSegment
-from repro.stream.reassembly import LazyReassembler
+from repro.stream.reassembly import ADAPTIVE_MAX_CAPACITY, \
+    ADAPTIVE_MIN_CAPACITY, LazyReassembler
 
 #: Sentinel for "filter already satisfied before the session layer":
 #: the session filter is skipped and sessions match unconditionally.
 FILTER_SATISFIED = -1
+
+#: Give up probing a connection after this many payload bytes without
+#: any parser matching.
+PROBE_BYTE_LIMIT = 4096
 
 # Enum members hoisted to module scope: the stateful path runs
 # once per matched packet, and member access on an Enum class costs a
@@ -557,13 +562,13 @@ class CorePipeline:
         else:
             # The stats sink mirrors the reorderer's rare-path discard
             # counters (dup/overlap/stale/overflow) onto the per-core
-            # funnel telemetry; the adaptive window knobs come from
-            # config (off by default — the fixed ring is the paper's).
+            # funnel telemetry; the adaptive window is a config switch
+            # (off by default — the fixed ring is the paper's).
             conn.reassembler = LazyReassembler(
                 self.config.ooo_capacity,
                 adaptive=self.config.ooo_adaptive,
-                min_capacity=self.config.ooo_min_capacity,
-                max_capacity=self.config.ooo_max_capacity,
+                min_capacity=ADAPTIVE_MIN_CAPACITY,
+                max_capacity=ADAPTIVE_MAX_CAPACITY,
                 stats=self.stats)
 
     # -- reassembly ----------------------------------------------------------
@@ -648,8 +653,8 @@ class CorePipeline:
                 return
             context.candidates = still_unsure
             if not context.candidates or \
-                    context.bytes_probed > self.config.probe_byte_limit:
-                if context.bytes_probed > self.config.probe_byte_limit:
+                    context.bytes_probed > PROBE_BYTE_LIMIT:
+                if context.bytes_probed > PROBE_BYTE_LIMIT:
                     self.stats.probe_giveups += 1
                 self._on_service_resolved(conn, None)
                 return

@@ -10,6 +10,7 @@ memory samples).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
@@ -161,7 +162,7 @@ class Runtime:
             self.fragment_reassembler = None
         self._first_ts: Optional[float] = None
         self._last_ts = 0.0
-        self._last_memory_sample = 0.0
+        self._next_memory_sample = float("inf")
 
     # -- table swaps: a plain runtime schedules none --------------------
     #: Virtual time of the next scheduled reconfiguration, or None.
@@ -185,11 +186,15 @@ class Runtime:
     ) -> RuntimeReport:
         """Process a traffic source to completion.
 
-        With ``config.parallel`` set, the per-core pipelines execute on
-        real OS worker processes (see :mod:`repro.core.parallel`);
-        otherwise they run batched on the calling thread. Both backends
-        produce identical filter/connection/session/callback counts for
-        the same traffic.
+        One ingest loop serves both backends. It routes every frame,
+        queues per-queue bursts of ``config.parallel_batch_size`` rows,
+        and owns every virtual-time decision: table swaps, monitor
+        snapshots, memory sample points, the OOM and fail-fast cutoffs
+        and the end of the run. A backend only runs what the loop hands
+        it — this runtime's own pipelines on the calling thread, or,
+        with ``config.parallel``, one OS worker process per core
+        (:class:`repro.core.parallel.WorkerPool`) — so both see the
+        same bursts and sample points and report identical stats.
 
         Args:
             traffic: Mbufs — or :class:`~repro.packet.batch.PackedBatch`
@@ -200,8 +205,11 @@ class Runtime:
                 samples (Figure 8's time series).
             monitor: Optional
                 :class:`~repro.core.monitor.StatsMonitor` receiving
-                periodic snapshots (Section 5.3's live feedback).
+                periodic snapshots (Section 5.3's live feedback). It
+                only observes: it reads per-core state as of the last
+                dispatched burst and never changes the run.
         """
+        config = self.config
         # Accept batched sources: a traffic iterable may yield
         # PackedBatch chunks (a generator's flat-buffer output) instead
         # of — or mixed with — individual mbufs. Plain mbuf lists pass
@@ -211,7 +219,7 @@ class Runtime:
         # impaired stream is identical across backends and worker
         # counts. Batched sources keep their shape: the link performs
         # PackedBatch surgery rather than flattening.
-        impairment = self.config.impairment
+        impairment = config.impairment
         link = None
         if impairment is not None and impairment.enabled:
             from repro.netem import ImpairedLink
@@ -222,167 +230,170 @@ class Runtime:
         # Packet faults are injected here — in the feeding process,
         # before RSS dispatch — so the mutated stream is identical
         # across backends and worker counts.
-        plan = self.config.fault_plan
+        plan = config.fault_plan
         injector: Optional[PacketFaultInjector] = None
         if plan is not None and plan.has_packet_faults:
             injector = PacketFaultInjector(plan)
             traffic = injector.wrap(traffic)
-        if self.config.parallel:
-            from repro.core.parallel import run_parallel
-            report = run_parallel(
-                self, traffic, drain=drain,
-                memory_sample_interval=memory_sample_interval,
-                monitor=monitor, packet_injector=injector)
-        else:
-            report = self._run_sequential(traffic, drain,
-                                          memory_sample_interval,
-                                          monitor,
-                                          packet_injector=injector)
-        if link is not None:
-            link.close()  # flush a recorded trace even on an abort
-            report.impairment = link.ledger
-        return report
-
-    def _run_sequential(
-        self,
-        traffic: Iterable[Mbuf],
-        drain: bool,
-        memory_sample_interval: float,
-        monitor,
-        packet_injector: Optional[PacketFaultInjector] = None,
-    ) -> RuntimeReport:
-        oom_at: Optional[float] = None
-        failfast_at: Optional[float] = None
-        config = self.config
-        # Fail-fast can only trip under the failfast policy or a ladder
-        # allowed to climb to rung 4; skip the per-batch poll otherwise.
-        ff_possible = config.overload_policy == "failfast" or (
-            config.overload_policy == "ladder"
-            and config.overload_max_rung >= 4)
-        batch_size = config.parallel_batch_size
-        pipelines = self.pipelines
         # The evict/shed policies keep cores under their share of the
         # limit themselves (at sample cadence, inside the pipelines);
         # only the historical "record" policy stops the run.
         memory_limit = config.memory_limit_bytes \
             if config.memory_policy == "record" else None
+        if config.parallel:
+            from repro.core.parallel import WorkerPool
+            backend_context = WorkerPool(
+                self, monitor,
+                memory_sample_interval if memory_limit is not None
+                else None)
+        else:
+            backend_context = nullcontext(self)
+        oom_at: Optional[float] = None
+        failfast_at: Optional[float] = None
+        batch_size = config.parallel_batch_size
         # Per-queue pending rows: packets are routed immediately
-        # (preserving per-flow arrival order even across ports) but run
-        # through the pipeline in bursts, amortizing per-packet
-        # dispatch overhead exactly like the parallel backend's IPC
-        # batches.
-        pending: List[list] = [[] for _ in pipelines]
+        # (preserving per-flow arrival order even across ports) but
+        # handed to the backend in bursts, amortizing per-packet
+        # dispatch overhead (and, for workers, the IPC).
+        pending: List[list] = [[] for _ in range(config.cores)]
+        with backend_context as backend:
+            burst = backend._burst
 
-        def flush() -> None:
-            """Run every queued burst through its pipeline (sample
-            points, table swaps and end-of-trace must see fully current
-            pipeline state)."""
-            for pipeline, rows in zip(pipelines, pending):
-                if rows:
-                    pipeline.process_batch_rows(rows)
-                    rows.clear()
+            def flush() -> None:
+                """Hand every queued burst to the backend (sample
+                points, table swaps and the end of the run must see
+                fully current per-core state)."""
+                for queue, rows in enumerate(pending):
+                    if rows:
+                        burst(queue, rows)
+                        rows.clear()
 
-        # Monitoring is O(samples), not O(packets): the next virtual
-        # deadline is tracked here and only compared per packet.
-        next_monitor_ts: Optional[float] = \
-            None if monitor is not None else float("inf")
-        first = self._first_ts is None
-        # Each ingress burst is decoded exactly *once* and — when the
-        # filter is batch-expressible — filtered once: the columns are
-        # shared with NIC dispatch and ride each row into its pipeline,
-        # which decodes and filters nothing again. Every pipeline holds
-        # the same compiled filter, so one verdict vector is valid for
-        # all queues.
-        ingress = ingress_rows(
-            traffic, self.nics, batch_size, self.fragment_reassembler,
-            config.columnar, pipelines[0]._pf_batch)
-        # Live reconfiguration, exactly as the parallel feeder does it:
-        # when virtual time reaches a scheduled event, flush every
-        # pending burst (pre-event packets classify under the old
-        # table), publish, and have every pipeline adopt the new
-        # epoch(s) — so the first packet with ``timestamp >=
-        # event.time`` observes the new table on both backends. The
-        # NICs never reconfigure mid-run.
-        next_event_ts = self.next_reconfigure_ts
-        for row in ingress:  # (mbuf, queue, cols, i, verdict)
-            ts = row[0].timestamp
-            if first:
-                first = False
-                if self._first_ts is None:
+            # Monitoring is O(samples), not O(packets): the next
+            # virtual deadline is tracked here and only compared per
+            # packet.
+            next_monitor_ts: Optional[float] = \
+                None if monitor is not None else float("inf")
+            next_sample = self._next_memory_sample
+            first = self._first_ts is None
+            # Live reconfiguration: when virtual time reaches a
+            # scheduled event, flush every pending burst (pre-event
+            # packets classify under the old table), publish, and have
+            # every core adopt the new epoch(s) — so the first packet
+            # with ``timestamp >= event.time`` observes the new table.
+            # The NICs never reconfigure mid-run.
+            next_event_ts = self.next_reconfigure_ts
+            for row in ingress_rows(  # (mbuf, queue, cols, i, verdict)
+                    traffic, self.nics, batch_size,
+                    self.fragment_reassembler, config.columnar,
+                    backend._classify):
+                ts = row[0].timestamp
+                if first:
+                    first = False
                     self._first_ts = ts
-                    self._last_memory_sample = ts
-            if ts > self._last_ts:
-                self._last_ts = ts
-            if next_event_ts is not None and ts >= next_event_ts:
-                flush()
-                for epoch, actions in self.publish_tenancy_events(ts):
-                    for pipeline in pipelines:
-                        pipeline.apply_epoch(epoch, actions)
-                next_event_ts = self.next_reconfigure_ts
-            queue = row[1]
-            if queue is HELD:
-                continue  # fragment held pending completion
-            if queue is not None:
-                rows = pending[queue]
-                rows.append(row)
-                if len(rows) >= batch_size:
-                    pipelines[queue].process_batch_rows(rows)
-                    rows.clear()
-                    if ff_possible and \
-                            pipelines[queue].overload_failfast_at \
-                            is not None:
-                        # Sustained overload under the fail-fast policy:
-                        # abort rather than silently corrupt results
-                        # (PAPER §7), like the OOM cutoff below.
-                        failfast_at = \
-                            pipelines[queue].overload_failfast_at
+                    next_sample = ts + memory_sample_interval
+                if ts > self._last_ts:
+                    self._last_ts = ts
+                if next_event_ts is not None and ts >= next_event_ts:
+                    flush()
+                    for epoch, actions in self.publish_tenancy_events(ts):
+                        backend._bump(epoch, actions)
+                    next_event_ts = self.next_reconfigure_ts
+                queue = row[1]
+                if queue is HELD:
+                    continue  # fragment held pending completion
+                if queue is not None:
+                    rows = pending[queue]
+                    rows.append(row)
+                    if len(rows) >= batch_size:
+                        failfast_at = burst(queue, rows)
+                        rows.clear()
+                        if failfast_at is not None:
+                            # Sustained overload under the fail-fast
+                            # policy: abort rather than silently corrupt
+                            # results (PAPER §7), like the OOM cutoff.
+                            break
+                if next_monitor_ts is None or ts >= next_monitor_ts:
+                    monitor.observe(backend, ts)
+                    next_monitor_ts = ts + monitor.interval
+                if ts >= next_sample:
+                    # Parent-clocked sample point: every core samples
+                    # after exactly the bursts routed before it.
+                    next_sample = ts + memory_sample_interval
+                    flush()
+                    backend._sample_point()
+                    if memory_limit is not None and \
+                            backend.memory_bytes > memory_limit:
+                        oom_at = ts
                         break
-            if next_monitor_ts is None or ts >= next_monitor_ts:
-                flush()
-                monitor.observe(self, ts)
-                next_monitor_ts = ts + monitor.interval
-            if ts - self._last_memory_sample >= memory_sample_interval:
-                flush()
-                self._last_memory_sample = ts
-                self._sample_memory(ts)
-                if memory_limit is not None and \
-                        self.memory_bytes > memory_limit:
-                    oom_at = ts
-                    break
-        flush()
-        if ff_possible and failfast_at is None:
-            # A trip on the final (or a monitor-flushed) partial batch.
-            trips = [p.overload_failfast_at for p in pipelines
-                     if p.overload_failfast_at is not None]
-            if trips:
-                failfast_at = min(trips)
-        if oom_at is None and failfast_at is None:
+            self._next_memory_sample = next_sample
+            flush()
+            # On a cutoff the cores neither advance time nor drain.
+            core_stats, supervisor, health = backend._finish(
+                self._last_ts if oom_at is None and failfast_at is None
+                else None, drain)
+            if monitor is not None:
+                # Record the final partial interval — a run ending
+                # between interval boundaries must not silently drop
+                # its tail.
+                monitor.finalize(self._last_ts, backend)
+        report = self.report(core_stats, oom_at, injector, supervisor,
+                             health)
+        if link is not None:
+            link.close()  # flush a recorded trace even on an abort
+            report.impairment = link.ledger
+        return report
+
+    # -- the loop's sequential backend (WorkerPool is its parallel one)
+    @property
+    def _classify(self):
+        """The batch packet filter ingress runs once per burst: every
+        pipeline holds the same compiled filter, so one verdict vector
+        serves all queues, and the rows carry it into the pipelines."""
+        return self.pipelines[0]._pf_batch
+
+    def _burst(self, queue: int, rows: list) -> Optional[float]:
+        """Run one burst through its core's pipeline; returns the
+        virtual time that core tripped fail-fast, or None."""
+        pipeline = self.pipelines[queue]
+        pipeline.process_batch_rows(rows)
+        return pipeline.overload_failfast_at
+
+    def _bump(self, epoch: int, actions: tuple) -> None:
+        for pipeline in self.pipelines:
+            pipeline.apply_epoch(epoch, actions)
+
+    def _sample_point(self) -> None:
+        for pipeline in self.pipelines:
+            pipeline.sample_memory()
+
+    def _finish(self, last_ts: Optional[float], drain: bool):
+        """End of run: ``(core_stats, supervisor, backend_health)``.
+        ``last_ts`` is None after a cutoff; a trip on a burst the loop
+        did not check (a flushed partial one) is a cutoff too."""
+        pipelines = self.pipelines
+        if last_ts is not None and all(
+                p.overload_failfast_at is None for p in pipelines):
             for pipeline in pipelines:
-                pipeline.advance_time(self._last_ts)
-            self._sample_memory(self._last_ts)
+                pipeline.advance_time(last_ts)
+            self._sample_point()
             if drain:
                 for pipeline in pipelines:
                     pipeline.drain()
-        if monitor is not None:
-            # Flush the final partial interval — a run ending between
-            # interval boundaries must not silently drop its tail.
-            monitor.finalize(self._last_ts, self)
         if hasattr(self.executor, "finalize") and self._first_ts is not None:
             self.executor.finalize(
                 max(self._last_ts - self._first_ts, 1e-9),
-                config.cost_model.cpu_hz,
+                self.config.cost_model.cpu_hz,
             )
         for pipeline in pipelines:
             pipeline.fold_fault_counters()
-        return self.report({p.core_id: p.stats for p in pipelines},
-                           oom_at, packet_injector)
+        return {p.core_id: p.stats for p in pipelines}, None, None
 
     def report(self, core_stats: Dict[int, CoreStats],
                oom_at: Optional[float], packet_injector,
                supervisor=None,
                backend_health: Optional[dict] = None) -> RuntimeReport:
         """A finished run's report from its per-core stats: where both
-        backends end. ``supervisor`` is the parallel backend's, whose
+        backends end. ``supervisor`` is the worker backend's, whose
         restart events join the spans and the fault report."""
         config = self.config
         cores = [core_stats[core] for core in sorted(core_stats)]
@@ -416,10 +427,6 @@ class Runtime:
         return self.run(iter_pcap(path), **kwargs)
 
     # ------------------------------------------------------------------
-    def _sample_memory(self, now: float) -> None:
-        for pipeline in self.pipelines:
-            pipeline.sample_memory()
-
     def core_progress(self) -> List[CoreProgress]:
         """One record per core: what ``monitor`` reads at a snapshot."""
         return [CoreProgress.of(p) for p in self.pipelines]

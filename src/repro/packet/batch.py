@@ -48,16 +48,14 @@ _F_TRACE = 4         # trace_ctx fields are meaningful
 
 def _rebuild(blob: bytes, lengths: bytes, length_code: str,
              timestamps: bytes, ports: Union[int, bytes],
-             queue: Optional[int],
-             trace_ctx: Optional[tuple] = None,
-             epoch: Optional[tuple] = None) -> "PackedBatch":
+             queue: Optional[int], trace_ctx: Optional[tuple],
+             epoch: Optional[tuple]) -> "PackedBatch":
     """Unpickle helper: reconstruct the arrays from the wire fields.
 
     The wire carries per-frame *lengths* (u16 unless a frame exceeds
     64 KiB) and either a scalar port (uniform batch, the common case)
     or the raw port array; offsets and the in-memory port array are
-    rebuilt here. ``trace_ctx`` and ``epoch`` default to None so older
-    pickles still rebuild.
+    rebuilt here.
     """
     lens = array(length_code)
     lens.frombytes(lengths)
@@ -69,10 +67,7 @@ def _rebuild(blob: bytes, lengths: bytes, length_code: str,
     else:
         pt = array("H")
         pt.frombytes(ports)
-    batch = PackedBatch(blob, offsets, ts, pt, queue)
-    batch.trace_ctx = trace_ctx
-    batch.epoch = epoch
-    return batch
+    return PackedBatch(blob, offsets, ts, pt, queue, trace_ctx, epoch)
 
 
 class PackedBatch:
@@ -243,15 +238,6 @@ class PackedBatch:
         # Flat buffers only; unpickling rebuilds the arrays with
         # frombytes. No per-packet object graph ever hits the pickler.
         lengths, code, ports = self._wire_fields()
-        if self.trace_ctx is None and self.epoch is None:
-            return (_rebuild, (self.blob, lengths.tobytes(), code,
-                               self.timestamps.tobytes(), ports,
-                               self.queue))
-        if self.epoch is None:
-            # Span-only batches keep the pre-tenancy 7-field tuple.
-            return (_rebuild, (self.blob, lengths.tobytes(), code,
-                               self.timestamps.tobytes(), ports,
-                               self.queue, self.trace_ctx))
         return (_rebuild, (self.blob, lengths.tobytes(), code,
                            self.timestamps.tobytes(), ports, self.queue,
                            self.trace_ctx, self.epoch))

@@ -33,6 +33,10 @@ def seq_diff(a: int, b: int) -> int:
 
 #: In-order segments on one direction before an adaptive window shrinks.
 ADAPTIVE_SHRINK_STREAK = 512
+#: The runtime's adaptive window bounds (segments per direction): it
+#: never shrinks below the floor nor grows past the ceiling.
+ADAPTIVE_MIN_CAPACITY = 64
+ADAPTIVE_MAX_CAPACITY = 4096
 
 
 class FlowDirectionState:

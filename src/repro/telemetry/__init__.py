@@ -40,8 +40,6 @@ from repro.telemetry.registry import (
     NULL_RECORDER,
 )
 from repro.telemetry.spans import (
-    NULL_SPAN_RECORDER,
-    NullSpanRecorder,
     SPAN_HIST_BOUNDS,
     SpanRecorder,
     SpanReport,
@@ -72,8 +70,6 @@ __all__ = [
     "sort_trace_events",
     "stable_sample_hash",
     "SpanRecorder",
-    "NullSpanRecorder",
-    "NULL_SPAN_RECORDER",
     "SPAN_HIST_BOUNDS",
     "SpanReport",
     "build_span_report",

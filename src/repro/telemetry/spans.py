@@ -50,8 +50,6 @@ from repro.core.cycles import Stage
 __all__ = [
     "SPAN_HIST_BOUNDS",
     "SpanRecorder",
-    "NullSpanRecorder",
-    "NULL_SPAN_RECORDER",
     "SpanReport",
     "build_span_report",
     "chrome_trace_events",
@@ -279,34 +277,6 @@ class SpanRecorder:
             },
             "wall_ns": self.wall_ns,
         }
-
-
-class NullSpanRecorder:
-    """Inert stand-in with the recorder's surface (the no-op path).
-
-    The pipeline's disabled path stores ``None`` and never calls into
-    a recorder at all; this class exists so code holding a recorder
-    unconditionally (tests, embedders) can swap one in without
-    branching.
-    """
-
-    __slots__ = ()
-    ctx = None
-
-    def start(self, stats):  # pragma: no cover - trivial
-        return None
-
-    def finish(self, stats, now, token, node_counts=None):
-        return None
-
-    def trigger(self, event, detail, ts):
-        return None
-
-    def snapshot(self):
-        return None
-
-
-NULL_SPAN_RECORDER = NullSpanRecorder()
 
 
 class SpanReport:

@@ -8,22 +8,22 @@ fans verdicts out per tenant. The table is versioned — ``subscribe``/
 ``unsubscribe`` build the successor epoch and publish it — and swaps
 land atomically on burst boundaries:
 
-- **Sequential backend**: the ingest loop
-  (:meth:`repro.core.runtime.Runtime._run_sequential`) checks
-  :attr:`next_reconfigure_ts` *before* routing each packet; when an event is
-  due it flushes every pending per-queue burst (old-epoch packets
-  classify under the old table), publishes, and calls ``apply_epoch``
-  on every pipeline. The first packet with ``timestamp >= event.time``
-  therefore observes the new epoch — exactly the parallel feeder's
-  contract, which is what keeps the two backends byte-identical per
-  tenant even across a mid-run swap.
-- **Parallel backend**: :func:`repro.core.parallel.run_parallel`
-  reads the same surface plus :meth:`tenant_wire_state`, ships the
-  wire table to each worker, and broadcasts each new epoch on an empty
-  stamped :class:`~repro.packet.batch.PackedBatch` after flushing
-  pending batches. Epoch bumps ride the supervised redo log, so a
-  worker crash inside the swap window replays the bump to the restarted
-  worker (``apply_epoch`` is idempotent on the epoch number).
+- The one ingest loop (:meth:`repro.core.runtime.Runtime.run`) checks
+  :attr:`next_reconfigure_ts` *before* routing each packet; when an
+  event is due it flushes every pending per-queue burst (old-epoch
+  packets classify under the old table), publishes
+  (:meth:`publish_tenancy_events`), and hands each new epoch to the
+  backend. The first packet with ``timestamp >= event.time`` therefore
+  observes the new epoch on either backend, which keeps the two
+  byte-identical per tenant even across a mid-run swap.
+- The sequential backend calls ``apply_epoch`` on every pipeline. The
+  parallel one (:class:`repro.core.parallel.WorkerPool`) ships the
+  wire table of :meth:`tenant_wire_state` to each worker and
+  broadcasts each new epoch on an empty stamped
+  :class:`~repro.packet.batch.PackedBatch`. Epoch bumps ride the
+  supervised redo log, so a worker crash inside the swap window
+  replays the bump to the restarted worker (``apply_epoch`` is
+  idempotent on the epoch number).
 
 The hardware plane never reconfigures: the union flow-rule set over
 *every* tenant the run will ever know — dormant late joiners included —

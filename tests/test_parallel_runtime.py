@@ -16,7 +16,8 @@ from repro import Runtime, RuntimeConfig
 from repro.core.monitor import StatsMonitor
 from repro.core.parallel import ParallelExecutionError
 from repro.errors import ConfigError
-from repro.traffic import CampusTrafficGenerator
+from repro.traffic import CampusTrafficGenerator, FlowSpec
+from repro.traffic.flows import single_syn
 
 
 def _campus(seed=21, duration=0.4, gbps=0.1):
@@ -104,6 +105,44 @@ class TestParallelEquivalence:
         assert par.memory_samples == seq.memory_samples
         timestamps = [t for t, _, _ in par.memory_samples]
         assert timestamps == sorted(timestamps)
+
+
+def _syn(port, ts):
+    return single_syn(FlowSpec("10.0.0.1", "10.0.0.2", port, 80), ts)
+
+
+class TestOneIngestLoop:
+    """Both backends run under the one ingest loop of ``Runtime.run``,
+    so the virtual-time decisions it makes cannot differ between them."""
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_sample_deadline_is_one_expression(self, parallel):
+        """1.4 - 0.4 is one ulp short of 1.0, yet the deadline 0.4 + 1.0
+        is exactly 1.4: the sample is taken there, on either backend,
+        with the first SYN's connection and the 50 half-open ones of
+        0.5 s live (the first SYN is retransmitted at 1.4 and 6.0)."""
+        traffic = _syn(1000, 0.4) + [
+            m for port in range(2000, 2050) for m in _syn(port, 0.5)] + \
+            _syn(1000, 1.4) + _syn(1000, 6.0)
+        stats = _run(traffic, parallel=parallel, cores=1).stats
+        assert (1.4, 51, 26112) in stats.memory_samples
+        assert stats.peak_memory_bytes == 26112
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_monitor_does_not_change_the_run(self, parallel):
+        """A monitor only observes: burst boundaries — and so span
+        trees, flight dumps and stats — are the same without one."""
+        traffic = list(CampusTrafficGenerator(seed=7).packets(
+            duration=0.3, gbps=0.05))
+        runs = [_run(traffic, parallel=parallel, cores=2, span_sample=1,
+                     flight_recorder_depth=4, monitor=monitor)
+                for monitor in (None, StatsMonitor(interval=0.05))]
+        plain, watched = runs
+        assert list(plain.spans.ndjson_lines()) == \
+            list(watched.spans.ndjson_lines())
+        assert json.dumps(plain.spans.flight_dump(), sort_keys=True) == \
+            json.dumps(watched.spans.flight_dump(), sort_keys=True)
+        assert plain.stats.to_dict() == watched.stats.to_dict()
 
 
 class TestParallelBackendBehavior:

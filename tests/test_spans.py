@@ -28,7 +28,6 @@ from repro.core.cycles import CostModel, Stage, hist_index, to_centi
 from repro.core.stats import CoreStats
 from repro.errors import ConfigError
 from repro.telemetry.spans import (
-    NULL_SPAN_RECORDER,
     SpanRecorder,
     SpanReport,
     build_span_report,
@@ -109,11 +108,6 @@ class TestSpanRecorder:
         assert "wall_ns" in tree and tree["ctx"] == [0, 7]
         public = tree_public(tree)
         assert "wall_ns" not in public and "ctx" not in public
-
-    def test_null_recorder_is_inert(self):
-        assert NULL_SPAN_RECORDER.start(None) is None
-        assert NULL_SPAN_RECORDER.finish(None, 0.0, None) is None
-        assert NULL_SPAN_RECORDER.snapshot() is None
 
     def test_snapshot_is_json_roundtrippable(self):
         stats = self._stats()
@@ -364,16 +358,6 @@ class TestPackedBatchCtx:
         clone = pickle.loads(pickle.dumps(batch))
         assert clone.trace_ctx == (1, 42)
         assert clone.queue == 1 and len(clone) == 1
-
-    def test_none_ctx_keeps_wire_format(self):
-        """trace_ctx=None pickles to the pre-span 6-field wire tuple,
-        so span-off IPC pays nothing."""
-        from repro.packet.batch import PackedBatch
-        from repro.packet.mbuf import Mbuf
-        batch = PackedBatch.pack([Mbuf(b"\x00" * 60, 0.5, 0)])
-        assert len(batch.__reduce__()[1]) == 6
-        batch.trace_ctx = (0, 0)
-        assert len(batch.__reduce__()[1]) == 7
 
 
 # ---------------------------------------------------------------------------
