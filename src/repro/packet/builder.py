@@ -19,7 +19,8 @@ from typing import Optional, Union
 from repro.packet.ethernet import ETHERTYPE_IPV4, ETHERTYPE_IPV6
 from repro.packet.ipv4 import PROTO_ICMP, PROTO_TCP, PROTO_UDP
 
-IPAddr = Union[str, ipaddress.IPv4Address, ipaddress.IPv6Address]
+#: Text and ``ipaddress`` forms are parsed; packed 4/16 ``bytes`` used as is.
+IPAddr = Union[str, bytes, ipaddress.IPv4Address, ipaddress.IPv6Address]
 
 _DEFAULT_SRC_MAC = bytes.fromhex("02aabbccdd01")
 _DEFAULT_DST_MAC = bytes.fromhex("02aabbccdd02")
@@ -58,7 +59,11 @@ def checksum16(data) -> int:
 
 
 def _ip_bytes(addr: IPAddr) -> bytes:
-    return ipaddress.ip_address(addr).packed
+    if not isinstance(addr, bytes):
+        return ipaddress.ip_address(addr).packed
+    if len(addr) not in (4, 16):
+        raise ValueError(f"packed address of {len(addr)} bytes, not 4/16")
+    return addr
 
 
 class Direction:

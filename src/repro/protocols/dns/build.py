@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import ipaddress
 import struct
-from typing import Optional
+from typing import Union
 
 QTYPE = {"A": 1, "NS": 2, "CNAME": 5, "SOA": 6, "PTR": 12, "MX": 15,
          "TXT": 16, "AAAA": 28, "HTTPS": 65}
@@ -38,20 +38,22 @@ def build_dns_query(
 
 def build_dns_response(
     name: str,
-    address: str = "93.184.216.34",
+    address: Union[str, bytes] = "93.184.216.34",
     qtype: str = "A",
     txn_id: int = 0x1234,
     rcode: int = 0,
     ttl: int = 300,
 ) -> bytes:
-    """Build a response with one answer (for rcode 0) to a query."""
+    """Build a response with one answer (for rcode 0) to a query;
+    ``address`` is text or already packed."""
     ancount = 1 if rcode == 0 else 0
     flags = 0x8180 | (rcode & 0x000F)
     header = struct.pack("!HHHHHH", txn_id, flags, 1, ancount, 0, 0)
     question = encode_name(name) + struct.pack("!HH", QTYPE[qtype], 1)
     message = header + question
     if ancount:
-        rdata = ipaddress.ip_address(address).packed
+        rdata = address if isinstance(address, bytes) \
+            else ipaddress.ip_address(address).packed
         answer = (
             b"\xc0\x0c"  # compression pointer to the question name
             + struct.pack("!HHIH", QTYPE[qtype], 1, ttl, len(rdata))

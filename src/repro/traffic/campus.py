@@ -11,6 +11,7 @@ timestamp-sorted stream of :class:`~repro.packet.mbuf.Mbuf`.
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional
 
@@ -28,13 +29,14 @@ from repro.traffic.flows import (
     dns_flow,
     http_flow,
     merge_flows,
-    ping_flow,
     quic_flow,
     single_syn,
     ssh_flow,
     tls_flow,
     udp_flow,
 )
+
+_PACK_8H = struct.Struct("!8H").pack
 
 
 @dataclass
@@ -81,41 +83,33 @@ class CampusProfile:
 
 
 class CampusTrafficGenerator:
-    """Deterministic (seeded) campus-mix traffic source."""
+    """Deterministic (seeded) campus-mix traffic source.
 
-    def __init__(
-        self,
-        seed: int = 0,
-        profile: Optional[CampusProfile] = None,
-        client_subnet: str = "10.{a}.{b}.{c}",
-        server_subnet: str = "171.64.{b}.{c}",
-    ) -> None:
+    Address plan, drawn as packed bytes (never as text): IPv4 clients
+    ``10.a.b.c`` (a 1-31, c 1-254) → servers ``171.64.b.c`` (c 1-254);
+    IPv6 clients ``2607:f6d0:a:b::c`` (a, c ≠ 0) → servers
+    ``2607:f010:d::e`` (e ≠ 0).
+    """
+
+    def __init__(self, seed: int = 0,
+                 profile: Optional[CampusProfile] = None) -> None:
         self.rng = random.Random(seed)
         self.profile = profile or CampusProfile()
-        self._client_subnet = client_subnet
-        self._server_subnet = server_subnet
-        self._flow_counter = 0
 
     # -- addressing -----------------------------------------------------------
     def _fresh_spec(self, server_port: int) -> FlowSpec:
-        rng = self.rng
-        self._flow_counter += 1
-        if rng.random() < self.profile.ipv6_fraction:
-            client = (f"2607:f6d0:{rng.randrange(1, 0xffff):x}:"
-                      f"{rng.randrange(0xffff):x}::"
-                      f"{rng.randrange(1, 0xffff):x}")
-            server = (f"2607:f010:{rng.randrange(0xffff):x}::"
-                      f"{rng.randrange(1, 0xffff):x}")
+        randrange = self.rng.randrange
+        if self.rng.random() < self.profile.ipv6_fraction:
+            client = _PACK_8H(0x2607, 0xf6d0, randrange(1, 0xffff),
+                              randrange(0xffff), 0, 0, 0,
+                              randrange(1, 0xffff))
+            server = _PACK_8H(0x2607, 0xf010, randrange(0xffff), 0, 0, 0,
+                              0, randrange(1, 0xffff))
         else:
-            client = self._client_subnet.format(
-                a=rng.randrange(1, 32), b=rng.randrange(256),
-                c=rng.randrange(1, 255),
-            )
-            server = self._server_subnet.format(
-                b=rng.randrange(256), c=rng.randrange(1, 255),
-            )
-        return FlowSpec(client, server,
-                        rng.randrange(16384, 65535), server_port)
+            client = bytes((10, randrange(1, 32), randrange(256),
+                            randrange(1, 255)))
+            server = bytes((171, 64, randrange(256), randrange(1, 255)))
+        return FlowSpec(client, server, randrange(16384, 65535), server_port)
 
     # -- one connection ---------------------------------------------------------
     def _one_connection(self, start_ts: float) -> List[Mbuf]:

@@ -16,7 +16,7 @@ from itertools import accumulate, chain
 from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence
 
-from repro.packet.builder import Direction
+from repro.packet.builder import Direction, IPAddr
 from repro.packet.mbuf import Mbuf
 from repro.packet.tcp import TcpFlags
 from repro.protocols.dns.build import build_dns_query, build_dns_response
@@ -44,10 +44,10 @@ DEFAULT_MSS = 1448
 
 @dataclass
 class FlowSpec:
-    """Addressing for one flow."""
+    """Addressing for one flow (text or packed addresses)."""
 
-    client_ip: str
-    server_ip: str
+    client_ip: IPAddr
+    server_ip: IPAddr
     client_port: int
     server_port: int
 
@@ -304,7 +304,7 @@ def dns_flow(
     spec: FlowSpec,
     name: str = "example.com",
     qtype: str = "A",
-    answer: str = "93.184.216.34",
+    answer: IPAddr = bytes((93, 184, 216, 34)),
     rcode: int = 0,
     txn_id: int = 0x1234,
     start_ts: float = 0.0,
@@ -386,8 +386,9 @@ def ping_flow(
 
 def single_syn(spec: FlowSpec, start_ts: float = 0.0) -> List[Mbuf]:
     """An unanswered SYN — the scanner population (65% of campus
-    connections, Table 2)."""
-    return TcpFlow(spec, start_ts=start_ts).syn().build()
+    connections, Table 2): the first frame of a :class:`TcpFlow`."""
+    return [Mbuf(spec.upstream().tcp_frame(b"", 1000, 9_000_000, _SYN),
+                 timestamp=start_ts)]
 
 
 _TIMESTAMP = attrgetter("timestamp")

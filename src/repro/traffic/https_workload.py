@@ -10,6 +10,7 @@ request rate matches the sweep point.
 
 from __future__ import annotations
 
+import ipaddress
 import random
 from dataclasses import dataclass
 from typing import List
@@ -37,17 +38,15 @@ class HttpsWorkloadGenerator:
         response + teardown), spread across the client pool.
         """
         rng = random.Random(self.seed)
+        server = ipaddress.ip_address(self.server_ip).packed
         total_requests = max(1, int(requests_per_second * duration))
         flows: List[List[Mbuf]] = []
         for i in range(total_requests):
             start = (i / requests_per_second) if requests_per_second else 0.0
             client = i % self.parallel_clients
-            spec = FlowSpec(
-                client_ip=f"192.168.{1 + client // 250}.{1 + client % 250}",
-                server_ip=self.server_ip,
-                client_port=20000 + (i % 40000),
-                server_port=443,
-            )
+            spec = FlowSpec(bytes((192, 168, 1 + client // 250,
+                                   1 + client % 250)),
+                            server, 20000 + (i % 40000), 443)
             flows.append(tls_flow(
                 spec, self.sni, start_ts=start,
                 client_random=rng.randbytes(32),

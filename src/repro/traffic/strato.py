@@ -13,7 +13,6 @@ originals do.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.packet.mbuf import Mbuf
@@ -42,7 +41,7 @@ def stratosphere_trace(name: str, duration: float = 60.0) -> List[Mbuf]:
         raise KeyError(
             f"unknown trace {name!r}; known: {trace_names()}") from None
     rng = random.Random(seed)
-    host_ip = f"192.168.1.{10 + seed % 100}"
+    host_ip = bytes((192, 168, 1, 10 + seed % 100))
     flows: List[List[Mbuf]] = []
     port = 30000
     for _ in range(n_flows):
@@ -52,7 +51,7 @@ def stratosphere_trace(name: str, duration: float = 60.0) -> List[Mbuf]:
         roll = rng.random()
         if roll < 0.22:
             flows.append(dns_flow(
-                FlowSpec(host_ip, "192.168.1.1", port, 53),
+                FlowSpec(host_ip, bytes((192, 168, 1, 1)), port, 53),
                 name=domain, txn_id=rng.randrange(1 << 16),
                 qtype=rng.choice(("A", "AAAA")), start_ts=start,
             ))
@@ -78,11 +77,11 @@ def stratosphere_trace(name: str, duration: float = 60.0) -> List[Mbuf]:
     return merge_flows(flows)
 
 
-def _server_ip(rng: random.Random) -> str:
+def _server_ip(rng: random.Random) -> bytes:
     # Mix of CDN-looking space plus the odd Netflix prefix so the
     # 32-predicate Appendix B filter has something to match.
     if rng.random() < 0.06:
-        return f"23.246.{rng.randrange(64)}.{rng.randrange(1, 255)}"
-    return (f"{rng.choice((13, 31, 52, 104, 142, 151, 172))}."
-            f"{rng.randrange(256)}.{rng.randrange(256)}."
-            f"{rng.randrange(1, 255)}")
+        return bytes((23, 246, rng.randrange(64), rng.randrange(1, 255)))
+    return bytes((rng.choice((13, 31, 52, 104, 142, 151, 172)),
+                  rng.randrange(256), rng.randrange(256),
+                  rng.randrange(1, 255)))
