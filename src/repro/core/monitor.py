@@ -45,9 +45,8 @@ class CoreProgress(NamedTuple):
 
     @classmethod
     def of(cls, pipeline) -> "CoreProgress":
-        """The record of a ``CorePipeline`` or ``TenantCorePipeline``.
-        One ``stats`` read: a tenant core builds and merges a fresh
-        bundle on every read."""
+        """The record of one core's multiplexer. One ``stats`` read:
+        it builds and merges a fresh bundle on every read."""
         stats = pipeline.stats
         shed = stats.overload
         return cls(stats.callbacks, pipeline.live_connections,

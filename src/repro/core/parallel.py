@@ -4,9 +4,10 @@ The sequential backend models Retina's per-core pipelines faithfully
 but executes them on one thread, so wall-clock throughput is bounded by
 a single CPU no matter what ``config.cores`` says. This module makes
 the paper's Section 5 scaling claim *real*: one OS worker process per
-simulated core, each running its own shared-nothing
-:class:`~repro.core.pipeline.CorePipeline` + connection table, fed by
-the parent over bounded shared-memory rings.
+simulated core, each running its own shared-nothing multiplexer
+(:class:`~repro.tenancy.pipeline.TenantCorePipeline`, rebuilt from the
+runtime's wire table) and connection tables, fed by the parent over
+bounded shared-memory rings.
 
 There is one ingest loop, :meth:`Runtime.run`; :class:`WorkerPool` is
 its worker backend, as the runtime's own pipelines are its sequential
@@ -43,9 +44,9 @@ sequential one produces the same ``AggregateStats`` by contract.
 
 Caveats (documented deviations):
 
-- Worker processes rebuild their subscription from the filter text and
-  data type; custom parser/field registries on a hand-built
-  ``Subscription`` are not shipped to workers.
+- Worker processes rebuild every subscription from the wire table's
+  filter text and data type; custom parser/field registries on a
+  hand-built ``Subscription`` are not shipped to workers.
 - Callbacks execute inside the worker processes: their side effects
   (prints, appended lists) live in the worker's address space, not the
   parent's. Counts still aggregate exactly.
@@ -66,8 +67,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, \
-    Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:
     from repro.config import RuntimeConfig
@@ -75,13 +75,13 @@ if TYPE_CHECKING:
 
 from repro.core import shm as shm_mod
 from repro.core.monitor import CoreProgress
-from repro.core.pipeline import CorePipeline
 from repro.core.stats import CoreStats
-from repro.core.subscription import Subscription
 from repro.errors import RetinaError
 from repro.packet.batch import PackedBatch
 from repro.resilience.faults import FaultPlan
 from repro.resilience.supervisor import WorkerSupervisor
+from repro.tenancy.pipeline import TenantCorePipeline
+from repro.tenancy.spec import TenantSpec
 
 #: Message tags on the per-core control queues: a batch that could not
 #: ride a slot — ``(_BATCH, seq, PackedBatch)``, seq -1 when
@@ -133,7 +133,7 @@ class _WorkerSpec:
     """Everything a worker needs to rebuild its shard of the runtime.
 
     Must be picklable under the ``spawn`` start method; under ``fork``
-    it is simply inherited. The subscription is reconstructed in the
+    it is simply inherited. The subscriptions are recompiled in the
     worker (compiled filters hold generated code objects that do not
     pickle), which also guarantees each shard gets genuinely private
     state.
@@ -141,11 +141,9 @@ class _WorkerSpec:
 
     core_id: int
     config: "RuntimeConfig"
-    #: The subscription to recompile (unread when ``tenancy`` is set).
-    filter_str: str = ""
-    datatype: object = "packet"
-    callback: Optional[Callable] = None
-    identify_services: bool = False
+    #: The filter table to rebuild: ``Runtime.tenant_wire_state``'s
+    #: plain dict, so this spec stays picklable.
+    tenancy: dict
     #: Virtual seconds between progress reports to the parent, or None
     #: for "never" (no monitor, no memory limit, no fail-fast).
     progress_interval: Optional[float] = None
@@ -160,11 +158,6 @@ class _WorkerSpec:
     #: last acknowledged a batch — set on restart so a crash
     #: mid-overload does not silently reopen the admission gate.
     initial_overload_rung: int = 0
-    #: Multi-tenant table state for the worker to rebuild, or None for
-    #: the ordinary single-subscription pipeline. A plain dict
-    #: (``{"specs": [wire dicts], "active": [names], "epoch": int}``)
-    #: so this spec stays picklable without importing repro.tenancy.
-    tenancy: Optional[dict] = None
     #: The core's ring attachment — ``(segment_name, ring_size,
     #: slot_bytes)``. Plain strings/ints so the spec stays picklable
     #: under spawn.
@@ -190,7 +183,7 @@ def _tenancy_state(base: dict, bumps, epoch: int) -> dict:
             else:  # drop
                 active = [n for n in active if n != name]
         applied = epoch_no
-    return {"specs": specs, "active": active, "epoch": applied}
+    return {**base, "specs": specs, "active": active, "epoch": applied}
 
 
 def _fire_worker_fault(spec: _WorkerSpec, out_queue, plan_index: int,
@@ -244,8 +237,7 @@ class _Worker:
         # filter-table epoch so the supervisor can hand both to a
         # restarted worker.
         self.out_queue.put((_ACK, self.spec.core_id, self.pending_ack,
-                            pipeline.overload_rung,
-                            getattr(pipeline, "epoch", 0)))
+                            pipeline.overload_rung, pipeline.epoch))
         self.pending_ack = -1
         self.unflushed = 0
 
@@ -267,7 +259,7 @@ class _Worker:
             # batch produces records it, stitching worker spans into
             # the parent's trace.
             pipeline.set_span_ctx(batch.trace_ctx)
-        if batch.epoch is not None and spec.tenancy is not None:
+        if batch.epoch is not None:
             # Epoch bump: swap the filter table before this batch's
             # packets (the feeder flushed everything older first, so
             # per-core FIFO makes the swap land on the exact burst
@@ -343,36 +335,18 @@ def _worker_main(spec: _WorkerSpec, in_queue, out_queue) -> None:
         # inherited sys.stderr may be a capture object with no
         # descriptor, so name the real one.
         faulthandler.enable(sys.__stderr__)
-        config = spec.config.with_(parallel=False)
-        tenancy = spec.tenancy
-        if tenancy is not None:
-            # Multi-tenant shard: rebuild the tenant multiplexer from
-            # the wire-dict table state (lazy import keeps repro.tenancy
-            # out of single-tenant workers entirely).
-            from repro.tenancy.pipeline import TenantCorePipeline
-            from repro.tenancy.spec import TenantSpec
-
-            pipeline = TenantCorePipeline(
-                spec.core_id,
-                [TenantSpec.from_wire(w) for w in tenancy["specs"]],
-                list(tenancy["active"]),
-                config,
-                epoch=tenancy["epoch"],
-                initial_overload_rung=spec.initial_overload_rung)
-        else:
-            subscription = Subscription(
-                spec.filter_str,
-                spec.datatype,
-                spec.callback,
-                filter_mode=config.filter_mode,
-                nic=config.nic,
-                identify_services=spec.identify_services,
-            )
-            pipeline = CorePipeline(
-                spec.core_id, subscription, config,
-                initial_overload_rung=spec.initial_overload_rung)
+        # Attach before compiling: the channel reads the feeder's pid,
+        # which a feeder killed meanwhile has already passed on.
         channel = shm_mod.ShmWorkerChannel(*spec.shm)
         try:
+            table = spec.tenancy
+            pipeline = TenantCorePipeline(
+                spec.core_id,
+                [TenantSpec.from_wire(w) for w in table["specs"]],
+                table["active"], spec.config.with_(parallel=False),
+                epoch=table["epoch"],
+                initial_overload_rung=spec.initial_overload_rung,
+                pressure_mbps=table["pressure_mbps"])
             _consume(channel, _Worker(spec, pipeline, out_queue), in_queue)
         except shm_mod.FeederGone:
             # Orphaned (the feeder was killed): nobody will read the
@@ -412,7 +386,6 @@ class WorkerPool:
         """``memory_interval`` is the sample cadence when the loop
         checks memory against a limit (None otherwise)."""
         config = runtime.config
-        subscription = runtime.subscription
         #: What ``StatsMonitor.observe`` reads (it is handed the pool):
         #: the link's NICs and each worker's last-reported record.
         self.nics = runtime.nics
@@ -456,11 +429,11 @@ class WorkerPool:
             if config.telemetry else None
         )
         self._cpu_from = time.process_time()
-        # Multi-tenant runtimes expose their filter table as a plain
-        # wire dict; every worker spec carries it, and the feeder
-        # appends each published epoch bump so restart() can rebuild a
-        # crashed worker at the table state it last acknowledged.
-        self._tenancy_base: Optional[dict] = runtime.tenant_wire_state()
+        # The runtime's filter table as a plain wire dict: every worker
+        # spec carries it, and the feeder appends each published epoch
+        # bump so restart() can rebuild a crashed worker at the table
+        # state it last acknowledged.
+        self._tenancy_base = runtime.tenant_wire_state()
         self.tenancy_bumps: List[Tuple[int, tuple]] = []
         # Prefer fork where available: workers start fast and
         # subscriptions with closure callbacks are inherited rather
@@ -484,16 +457,11 @@ class WorkerPool:
         # CTRL descriptors in the ring. The ring itself is the
         # backpressure bound, so these stay unbounded.
         self.in_queues = [self._ctx.Queue() for _ in range(config.cores)]
-        rebuild = {"tenancy": self._tenancy_base} \
-            if subscription is None else {
-                "filter_str": subscription.filter.text,
-                "datatype": subscription.datatype,
-                "callback": subscription.callback,
-                "identify_services": subscription.identify_services}
         self.specs: List[_WorkerSpec] = [
             _WorkerSpec(core_id=core_id, config=config,
+                        tenancy=self._tenancy_base,
                         progress_interval=progress_interval,
-                        fault_plan=config.fault_plan, **rebuild,
+                        fault_plan=config.fault_plan,
                         shm=self.transport.spec_args(core_id))
             for core_id in range(config.cores)]
         self.processes = [self._process(core_id)
@@ -795,21 +763,16 @@ class WorkerPool:
         old_queue.cancel_join_thread()
         old_queue.close()
         supervisor = self.supervisor
-        # Multi-tenant cores restart at the table state they last
-        # acknowledged; bumps past that epoch are still in the redo log
-        # and re-apply (idempotently) during replay.
-        tenancy = self.specs[core_id].tenancy
-        if tenancy is not None:
-            tenancy = _tenancy_state(
-                self._tenancy_base, self.tenancy_bumps,
-                supervisor.last_epoch(core_id))
-        # Re-seed the replacement at the rung its predecessor last
-        # acknowledged: a crash mid-overload must not silently reopen
-        # the admission gate.
+        # Re-seed the replacement at the table state and the rung its
+        # predecessor last acknowledged: bumps past that epoch are
+        # still in the redo log and re-apply (idempotently) during
+        # replay, and a crash mid-overload must not silently reopen the
+        # admission gate.
         self.specs[core_id] = dataclasses.replace(
             self.specs[core_id], suppressed_faults=tuple(suppressed),
             initial_overload_rung=supervisor.last_rung(core_id),
-            tenancy=tenancy)
+            tenancy=_tenancy_state(self._tenancy_base, self.tenancy_bumps,
+                                   supervisor.last_epoch(core_id)))
         # Fresh ordinal space for the replacement: zero the ring and
         # credit counter, reclaim every in-flight slot (the dead worker
         # will never retire them; the redo log owns their contents and

@@ -6,19 +6,26 @@ source — any iterable of :class:`~repro.packet.mbuf.Mbuf` in timestamp
 order — and produces an :class:`AggregateStats` report with the
 paper's metrics (offered rate, zero-loss ceiling, per-stage fractions,
 memory samples).
+
+The subscription is deployed as a one-entry filter table
+(:class:`~repro.tenancy.table.FilterTable`), and every core runs the
+table's multiplexer (:class:`~repro.tenancy.pipeline
+.TenantCorePipeline`). :class:`repro.tenancy.TenantRuntime` is only a
+constructor for a table of named tenants: the table's scheduled and
+live swaps and the per-tenant reporting all live here.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, \
+    Optional, Tuple
 
 if TYPE_CHECKING:  # avoid a config<->core import cycle at runtime
     from repro.config import RuntimeConfig
 from repro.core.cycles import Stage, hist_index
 from repro.core.monitor import CoreProgress
-from repro.core.pipeline import CorePipeline
 from repro.core.stats import AGGREGATE_NAMES, COUNTERS, AggregateStats, \
     CoreStats
 from repro.core.subscription import Subscription
@@ -67,8 +74,8 @@ class RuntimeReport:
     #: Span data lives here — never on ``stats`` — so
     #: ``AggregateStats`` stays byte-identical with spans on or off.
     spans: Optional[object] = None
-    #: The per-tenant breakdown of a multi-tenant run, filled by
-    #: :class:`repro.tenancy.TenantRuntime` (None on a plain runtime):
+    #: The per-tenant breakdown of a run over named tenants (a
+    #: :class:`repro.tenancy.TenantRuntime`; None for one subscription):
     #: ``epoch`` and ``active`` at the end of the run; by tenant name
     #: ``tenants`` (:class:`AggregateStats`), ``ladders`` (its
     #: pipelines' :class:`repro.overload.LossLedger` or None),
@@ -97,7 +104,7 @@ class RuntimeReport:
 
 
 class Runtime:
-    """One deployed subscription over a simulated NIC and CPU cores."""
+    """Deployed subscriptions over a simulated NIC and CPU cores."""
 
     def __init__(
         self,
@@ -109,6 +116,7 @@ class Runtime:
         identify_services: bool = False,
         ports: int = 1,
     ) -> None:
+        from repro.tenancy.spec import TenantSpec
         if subscription is None:
             subscription = Subscription(
                 filter_str,
@@ -130,17 +138,36 @@ class Runtime:
             from repro.core.executor import InlineExecutor
             self.executor = InlineExecutor(subscription.callback,
                                            config.callback_cycles)
-        self._deploy(config, ports, subscription.filter.hardware, [
-            CorePipeline(core, subscription, config, executor=self.executor)
-            for core in range(config.cores)
-        ])
+        # The one-entry table. The run-level fault plan is the entry's
+        # own: its pipelines' injectors are the run's.
+        entry = TenantSpec(
+            "subscription", subscription.filter.text,
+            subscription.datatype, subscription.callback,
+            identify_services=subscription.identify_services,
+            fault_plan=config.fault_plan)
+        self._deploy(config, ports, [entry], (),
+                     subscription.filter.hardware,
+                     {entry.name: (entry, subscription, self.executor)})
 
-    def _deploy(self, config: "RuntimeConfig", ports: int, hardware,
-                pipelines: list) -> None:
-        """What every kind of runtime is made of: the NICs with their
-        flow rules installed (once), one pipeline per core, and the
-        run's clocks."""
+    def _deploy(self, config: "RuntimeConfig", ports: int, specs,
+                events, hardware, compiled: dict) -> None:
+        """What every runtime is made of: the filter table and its
+        schedule, the NICs with their flow rules installed (once), one
+        multiplexer per core, and the run's clocks. ``compiled`` is the
+        multiplexers' shared compile cache (see ``TenantCorePipeline``)."""
+        from repro.tenancy.pipeline import TenantCorePipeline
+        from repro.tenancy.spec import check_events
+        from repro.tenancy.table import FilterTable
         self.config = config
+        self.table = FilterTable(specs)
+        check_events(events, self.table.specs)
+        #: Scheduled events still to fire, earliest first (stable for
+        #: same-timestamp events: schedule order breaks the tie).
+        self._events = sorted(events, key=lambda e: e.time)
+        #: Pressure meters named tenants against each other; one
+        #: subscription has nobody to be heavier than.
+        self._pressure_mbps = config.tenancy_pressure_mbps \
+            if self.subscription is None else None
         # The paper's testbed tapped two 100GbE links through two NICs
         # whose queues feed the same cores; `ports` models that. Port
         # *i* of every frame selects its NIC; symmetric RSS keeps flow
@@ -149,12 +176,19 @@ class Runtime:
             SimNic(num_queues=config.cores) for _ in range(max(ports, 1))
         ]
         self.nic = self.nics[0]  # single-port convenience alias
+        if config.hardware_filter and hardware is None:
+            hardware = self._union_hardware()
         for nic in self.nics:
             if config.hardware_filter:
                 nic.install_hardware_filter(hardware)
             if config.sink_fraction > 0:
                 nic.set_sink_fraction(config.sink_fraction)
-        self.pipelines = pipelines
+        self.pipelines = [
+            TenantCorePipeline(core, self.table.specs, self.table.active,
+                               config, epoch=self.table.epoch,
+                               pressure_mbps=self._pressure_mbps,
+                               compiled=compiled)
+            for core in range(config.cores)]
         if config.reassemble_fragments:
             from repro.packet.fragments import FragmentReassembler
             self.fragment_reassembler = FragmentReassembler()
@@ -164,17 +198,73 @@ class Runtime:
         self._last_ts = 0.0
         self._next_memory_sample = float("inf")
 
-    # -- table swaps: a plain runtime schedules none --------------------
-    #: Virtual time of the next scheduled reconfiguration, or None.
-    next_reconfigure_ts: Optional[float] = None
+    def _union_hardware(self):
+        """The union flow-rule set of every tenant the table knows."""
+        from repro.filter import compile_filter
+        from repro.tenancy.shared import union_hardware
+        return union_hardware([
+            compile_filter(spec.filter, mode=self.config.filter_mode)
+            for spec in self.table.specs])
 
-    def publish_tenancy_events(self, ts: float) -> list:
-        """The ``(epoch, actions)`` bumps due at virtual time ``ts``."""
-        return []
+    # -- live reconfiguration ------------------------------------------
+    def subscribe(self, spec) -> int:
+        """Activate tenant ``spec`` on every local pipeline now;
+        returns the new epoch. A swap that must land at a virtual time
+        — or on worker processes — is a scheduled
+        :class:`~repro.tenancy.spec.ReconfigureEvent`, which only names
+        tenants declared up front. A tenant the table has never known,
+        or a new filter under a known name, grows the union flow-rule
+        set: the one case a swap reinstalls the NICs' rules."""
+        known = self.table.by_name.get(spec.name)
+        self.table = self.table.subscribe(spec)
+        if known is None or known.filter != spec.filter:
+            if self.config.hardware_filter:
+                hardware = self._union_hardware()
+                for nic in self.nics:
+                    nic.install_hardware_filter(hardware)
+        self._sync_local()
+        return self.table.epoch
 
-    def tenant_wire_state(self) -> Optional[dict]:
-        """The tenant table parallel workers rebuild, or None."""
-        return None
+    def unsubscribe(self, name: str) -> int:
+        """Deactivate tenant ``name``; its in-flight connections keep
+        draining under their admission epoch. Returns the new epoch."""
+        self.table = self.table.unsubscribe(name)
+        self._sync_local()
+        return self.table.epoch
+
+    def _sync_local(self) -> None:
+        epoch, action = self.table.actions[-1]
+        self._bump(epoch, (action,))
+
+    # -- the ingest loop's table protocol ------------------------------
+    @property
+    def next_reconfigure_ts(self) -> Optional[float]:
+        """Virtual time of the next scheduled reconfiguration, or None."""
+        return self._events[0].time if self._events else None
+
+    def publish_tenancy_events(self, ts: float) -> List[Tuple[int, tuple]]:
+        """Apply every scheduled event due at virtual time ``ts`` to
+        the live table; returns the ``(epoch, actions)`` bumps to
+        broadcast (one bump per event, in schedule order)."""
+        bumps: List[Tuple[int, tuple]] = []
+        while self._events and self._events[0].time <= ts:
+            event = self._events.pop(0)  # names a known tenant
+            self.table = self.table.unsubscribe(event.name) \
+                if event.action == "drop" else \
+                self.table.subscribe(self.table.by_name[event.name])
+            epoch, action = self.table.actions[-1]
+            bumps.append((epoch, (action,)))
+        return bumps
+
+    def tenant_wire_state(self) -> dict:
+        """The table as the plain wire dict parallel workers rebuild
+        their multiplexers from."""
+        return {
+            "specs": [spec.to_wire() for spec in self.table.specs],
+            "active": list(self.table.active),
+            "epoch": self.table.epoch,
+            "pressure_mbps": self._pressure_mbps,
+        }
 
     # ------------------------------------------------------------------
     def run(
@@ -341,15 +431,17 @@ class Runtime:
         if link is not None:
             link.close()  # flush a recorded trace even on an abort
             report.impairment = link.ledger
+        if self.subscription is None:
+            report.tenancy = self._tenancy(report)
         return report
 
     # -- the loop's sequential backend (WorkerPool is its parallel one)
     @property
     def _classify(self):
-        """The batch packet filter ingress runs once per burst: every
-        pipeline holds the same compiled filter, so one verdict vector
-        serves all queues, and the rows carry it into the pipelines."""
-        return self.pipelines[0]._pf_batch
+        """The batch packet filter ingress runs once per chunk: every
+        core holds the same table, so one verdict vector serves all
+        queues, and the rows carry it into the pipelines."""
+        return self.pipelines[0].classify
 
     def _burst(self, queue: int, rows: list) -> Optional[float]:
         """Run one burst through its core's pipeline; returns the
@@ -413,7 +505,7 @@ class Runtime:
                 config.cost_model.cpu_hz,
                 nic=[n.stats.to_dict() for n in self.nics])
         return RuntimeReport(
-            stats=self.aggregate(core_stats=cores), oom_at=oom_at,
+            stats=self.aggregate(cores), oom_at=oom_at,
             backend_health=backend_health,
             faults=build_fault_report(
                 config, core_stats, packet_injector,
@@ -449,24 +541,15 @@ class Runtime:
             sum(n.stats.sink_dropped_packets for n in self.nics),
         )
 
-    def aggregate(self, core_stats=None, ingress=None) -> AggregateStats:
-        """Merge per-core stats into the report structure.
-
-        Args:
-            core_stats: Per-core :class:`CoreStats` to merge instead of
-                this process's pipelines' — the parallel backend passes
-                the snapshots returned by its worker processes.
-            ingress: Optional override of :meth:`nic_ingress` — the
-                multi-tenant runtime aggregates one tenant's core stats
-                against the shared link's ingress, which the NIC cannot
-                attribute per tenant.
-        """
-        if core_stats is None:
-            core_stats = [pipeline.stats for pipeline in self.pipelines]
+    def aggregate(self, core_stats) -> AggregateStats:
+        """Merge per-core :class:`CoreStats` — the whole run's, or one
+        tenant's — into the report structure, framed against the
+        shared link's ingress (which the NIC cannot attribute per
+        tenant)."""
         duration = (self._last_ts - self._first_ts) \
             if self._first_ts is not None else 0.0
         ingress_packets, ingress_bytes, hw_dropped, sink_dropped = \
-            ingress if ingress is not None else self.nic_ingress()
+            self.nic_ingress()
         cost_model = self.config.cost_model
         merged = CoreStats(cost_model)
         for stats in core_stats:
@@ -505,3 +588,63 @@ class Runtime:
             **{AGGREGATE_NAMES.get(name, name): getattr(merged, name)
                for name in COUNTERS},
         )
+
+    # -- per-tenant reporting ------------------------------------------
+    def _tenancy(self, report: RuntimeReport) -> dict:
+        """``report.tenancy``: exporters and the fate table read the
+        per-tenant breakdown there and need no runtime."""
+        merged = self._merged(report)
+        return {
+            "epoch": self.table.epoch,
+            "active": list(self.table.active),
+            "tenants": self.aggregate_tenants(report),
+            "shed": self._ledgers(merged),
+            "ladders": {name: stats.overload for name, stats
+                        in merged.per_tenant.items()},
+            "metered": merged.tenant_shed,
+            "offered": merged.offered,
+            "not_subscribed": merged.not_subscribed,
+        }
+
+    def _merged(self, report: RuntimeReport):
+        """Every core's bundle folded into one."""
+        from repro.tenancy.pipeline import TenantStatsBundle
+        merged = TenantStatsBundle(self.config.cost_model)
+        for core_id in sorted(report.core_stats or {}):
+            merged.merge(report.core_stats[core_id])
+        return merged
+
+    def aggregate_tenants(self, report: RuntimeReport
+                          ) -> Dict[str, AggregateStats]:
+        """Per-tenant :class:`AggregateStats` from a run's core
+        bundles. Every tenant that was active at any point appears —
+        including tenants dropped mid-run, whose drained stats are
+        frozen at their last admitted epoch."""
+        per: Dict[str, List[CoreStats]] = {}
+        for core_id in sorted(report.core_stats or {}):
+            bundle = report.core_stats[core_id]
+            for name in sorted(bundle.per_tenant):
+                per.setdefault(name, []).append(bundle.per_tenant[name])
+        return {name: self.aggregate(stats) for name, stats in per.items()}
+
+    def tenant_ledgers(self, report: RuntimeReport) -> Dict[str, object]:
+        """Per-tenant merged loss ledgers (pipeline overload sheds plus
+        quota/pressure sheds charged by the multiplexer); tenants with
+        no ledger activity are absent. ``packets_seen`` is every packet
+        the tenant was offered: what its pipelines were fed on every
+        core — ladder or not, shedding or not — plus what the
+        multiplexer shed before them."""
+        return self._ledgers(self._merged(report))
+
+    @staticmethod
+    def _ledgers(merged) -> Dict[str, object]:
+        from repro.overload import merge_ledgers
+        out: Dict[str, object] = {}
+        for name, stats in merged.per_tenant.items():
+            mux = merged.tenant_shed.get(name)
+            ledger = merge_ledgers([stats.overload, mux])
+            if ledger is not None:
+                ledger.packets_seen = stats.packets + (
+                    mux.packets_shed if mux is not None else 0)
+                out[name] = ledger
+        return out

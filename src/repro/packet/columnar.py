@@ -106,11 +106,14 @@ class ColumnarBatch:
     meaningful where ``fast[i]`` is True. ``payload_off`` is the frame
     offset of the first byte above TCP/UDP, so a fast row's L4 payload
     is ``data[payload_off:payload_off + payload_len]``.
+    ``verdicts_by`` names the batch packet filter whose verdicts the
+    ingress rows over this batch carry (None: they carry none).
     """
 
     __slots__ = ("n", "wire", "fast", "ethertype", "proto", "src_ip",
                  "dst_ip", "src_port", "dst_port", "payload_len",
-                 "tcp_flags", "tcp_seq", "ip_total_len", "payload_off")
+                 "tcp_flags", "tcp_seq", "ip_total_len", "payload_off",
+                 "verdicts_by")
 
     def __init__(self, n: int, wire: Sequence[int], fast: Sequence[bool],
                  ethertype: Sequence[int], proto: Sequence[int],
@@ -133,6 +136,7 @@ class ColumnarBatch:
         self.tcp_seq = tcp_seq
         self.ip_total_len = ip_total_len
         self.payload_off = payload_off
+        self.verdicts_by = None
 
 
 _EMPTY: Tuple = ()

@@ -107,10 +107,10 @@ class _CoreState:
         #: restarted worker is re-seeded at this rung so a crash cannot
         #: silently reopen the admission gate mid-overload.
         self.last_rung = 0
-        #: Filter-table epoch carried on the core's last ack (0 for
-        #: single-tenant pipelines). A restarted multi-tenant worker is
-        #: rebuilt at this table state; epoch bumps still in the redo
-        #: log re-apply idempotently during replay.
+        #: Filter-table epoch carried on the core's last ack (0 until a
+        #: table swap). A restarted worker is rebuilt at this table
+        #: state; epoch bumps still in the redo log re-apply
+        #: idempotently during replay.
         self.last_epoch = 0
 
 

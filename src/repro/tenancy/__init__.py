@@ -1,16 +1,16 @@
-"""Multi-tenant subscription runtime (ROADMAP item 1).
+"""Multi-tenant subscriptions.
 
 Retina's future work names concurrent subscriptions as the step beyond
-the single-experiment model. This package turns the runtime into a
-service: N named subscriptions compile into one *shared* decomposed
-filter (:class:`SharedFilter` — a common-prefix trie merge across
-tenants with per-layer predicate dedup, so each packet is classified
-once and verdicts fan out to per-tenant subscription sets), the active
-set lives in a versioned, atomically swappable :class:`FilterTable`
-(``subscribe``/``unsubscribe`` on a live runtime publish a new epoch
-that every worker adopts at a burst boundary), and each tenant gets its
-own conntrack, stats, loss ledger, quota, and callback quarantine so a
-noisy or crashing tenant cannot perturb the rest.
+the single-experiment model. Every runtime deploys a versioned,
+atomically swappable :class:`FilterTable` — a plain subscription is a
+one-entry table — and :class:`TenantRuntime` fills it with N named
+tenants. Their filters merge into one :class:`SharedFilter` (a
+common-prefix trie with per-layer predicate dedup, so each packet is
+classified once and verdicts fan out per tenant); ``subscribe``/
+``unsubscribe`` publish a new epoch that every worker adopts at a burst
+boundary; and each tenant gets its own conntrack, stats, loss ledger,
+quota and callback quarantine, so a noisy or crashing tenant cannot
+perturb the rest.
 
 See docs/MULTITENANT.md for the epoch-swap protocol, quota semantics,
 and the isolation guarantees the test suite pins down.

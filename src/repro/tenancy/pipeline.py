@@ -1,52 +1,46 @@
-"""Per-core multi-tenant pipeline multiplexer.
+"""Per-core pipeline multiplexer: a filter table over tenant pipelines.
 
-One :class:`TenantCorePipeline` replaces the single
-:class:`~repro.core.pipeline.CorePipeline` on each receive queue of a
-multi-tenant run and has one data path,
-:meth:`TenantCorePipeline.process_batch_rows`. Nothing is decoded
-here: the rows arrive pointing at the column batches the ingress
-decoded (one ``decode_mbufs`` per ingress chunk on the sequential
-backend; on a parallel worker the ``process_batch`` adapter decodes the
-burst it was sent, as ``CorePipeline.process_batch`` does). The one
-classification happens here, per burst: the table's
-:class:`~repro.tenancy.shared.SharedFilter` walks the merged trie once
-over the burst's own rows of each column batch, under the epoch in
-force when the burst runs, and every tenant's fully independent
-``CorePipeline`` gets rows that point at those same columns with its own
-verdict — so every tenant keeps its own conntrack table, cycle ledger,
-stats, callback quarantine, and (tenant-scoped) fault injector, and a
-noisy or crashing tenant cannot perturb another tenant's counters by
-even one bit. A tenant's loop runs only the rows it does not refuse;
-the rest are counted in bulk (``CorePipeline.count_refused``) unless an
-overload ladder, a span recorder, out-of-order timestamps or metering
-make every row observable (see ``process_batch_rows``). Rows the
-classifier has no say on — slow rows, ``config.columnar=False``, a
-table with a predicate no column expresses — carry verdict ``None``
-and the tenant's loop runs its scalar filter on them.
+Every runtime runs one :class:`TenantCorePipeline` per receive queue
+over the table it deploys (a plain subscription is a one-entry table).
+Each tenant behind it is a fully independent
+:class:`~repro.core.pipeline.CorePipeline` — its own conntrack table,
+cycle ledger, stats, callback quarantine and tenant-scoped fault
+injector — so a noisy or crashing tenant cannot perturb another
+tenant's counters by even one bit. Nothing is decoded here: rows arrive
+pointing at the column batches the ingress decoded (a parallel worker's
+``process_batch`` decodes the burst it was sent).
 
-Isolation knobs enforced here, before rows reach a tenant's pipeline:
+While one unmetered tenant is alone in the table, the multiplexer is a
+pass-through: rows reach that tenant's pipeline untouched, carrying the
+verdicts its own batch filter computed once per ingress chunk
+(:meth:`TenantCorePipeline.classify`). Each chunk is stamped with the
+epoch and filter that classified it, and a verdict stamped under an
+earlier table (a chunk that straddled a swap) is dropped, so that row
+runs the tenant's scalar filter. Otherwise the table's
+:class:`~repro.tenancy.shared.SharedFilter` classifies each burst when
+it runs, once per column batch it draws on, under the epoch in force,
+and every tenant gets rows that point at the same columns with its own
+verdict (``None`` where the classifier has no say: a slow row,
+``config.columnar=False``, a predicate no column expresses).
+
+Isolation knobs enforced here, before rows reach a tenant's pipeline,
+both on virtual time, so deterministic across backends and worker
+counts at a fixed ``config.cores``:
 
 * **Quotas** — a tenant with ``quota_mbps`` gets a per-core byte budget
   per virtual-second window; over-budget rows are shed and charged to
   that tenant's private loss ledger (rung 1, layer ``tenant_quota``).
-* **Pressure downgrade** — when ``config.tenancy_pressure_mbps`` is set
-  and a window's aggregate tenant load exceeds the per-core share, the
-  *heaviest* tenants (by offered bytes *matching their own filter*,
-  ties by name) are shed for the
-  next window (rung 3, layer ``tenant_pressure``) until the remainder
-  fits — heaviest-tenant-first, mirroring the overload ladder's
-  downgrade rung.
-
-Both are driven by virtual time, so they are deterministic across
-backends and worker counts at a fixed ``config.cores``.
+* **Pressure downgrade** — on a table of named tenants with
+  ``config.tenancy_pressure_mbps`` set, when a window's aggregate load
+  exceeds the per-core share the *heaviest* tenants (by offered bytes
+  *matching their own filter*, ties by name) are shed for the next
+  window (rung 3, layer ``tenant_pressure``) until the rest fits.
 
 Epoch swaps (:meth:`TenantCorePipeline.apply_epoch`) are idempotent on
-the epoch number, so a replayed bump batch after a supervised worker
-restart is a no-op when the restarted worker was already seeded at (or
-past) that epoch. A dropped tenant's pipeline moves to the draining
-set: it receives no further rows but keeps expiring, sampling, and
-finally draining — its admitted connections deliver under their
-admission epoch, untouched by the swap.
+the epoch number, so a replayed bump after a supervised worker restart
+is a no-op. A dropped tenant's pipeline moves to the draining set: it
+receives no further rows but keeps expiring, sampling and finally
+draining under its admission epoch.
 """
 
 from __future__ import annotations
@@ -58,11 +52,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.pipeline import CorePipeline
 from repro.core.stats import CoreStats
 from repro.core.subscription import Subscription
-from repro.errors import TenancyError
 from repro.filter.batch import NO_MATCH
 from repro.overload.ledger import LossLedger
 from repro.packet.columnar import decode_mbufs
-from repro.tenancy.spec import TenantSpec, count_callback
+from repro.tenancy.shared import SharedFilter
+from repro.tenancy.spec import TenantSpec
 
 #: One virtual second: the quota / pressure accounting window.
 _WINDOW_S = 1.0
@@ -78,17 +72,15 @@ _row_cols = itemgetter(2)
 _REFUSE_NONE = object()
 
 
-def build_tenant_subscription(spec: TenantSpec, config,
-                              nic_caps=None) -> Subscription:
+def build_tenant_subscription(spec: TenantSpec, config) -> Subscription:
     """Compile one tenant's spec into a Subscription (the tenant's own
     filter object also feeds the table's SharedFilter, so verdict node
     ids line up with the connection/session sub-filters for free)."""
     return Subscription(
         spec.filter,
         spec.datatype,
-        spec.callback if spec.callback is not None else count_callback,
+        spec.callback,
         filter_mode=config.filter_mode,
-        nic=nic_caps,
         identify_services=spec.identify_services,
     )
 
@@ -110,12 +102,9 @@ def tenant_config(spec: TenantSpec, config):
 
 
 class TenantStatsBundle(CoreStats):
-    """One core's merged stats plus the per-tenant breakdown.
-
-    Subclasses :class:`CoreStats` so everything that consumes a
-    per-core snapshot — the parallel ack/progress/monitor protocol,
-    ``Runtime.aggregate``, the crash-recovery comparisons — works
-    unchanged on a multi-tenant core. The extras ride along:
+    """One core's merged stats (the :class:`CoreStats` face every
+    consumer of a per-core snapshot reads) plus the per-tenant
+    breakdown:
 
     * ``per_tenant``: tenant name → that tenant's merged CoreStats
       (re-added tenants merge their drained and live pipelines).
@@ -139,27 +128,26 @@ class TenantStatsBundle(CoreStats):
         self.offered = 0
         self.not_subscribed: Dict[str, int] = {}
 
-    def merge(self, other: CoreStats) -> None:
+    def merge(self, other: "TenantStatsBundle") -> None:
         super().merge(other)
-        if isinstance(other, TenantStatsBundle):
-            for name, stats in other.per_tenant.items():
-                mine = self.per_tenant.get(name)
-                if mine is None:
-                    mine = CoreStats(stats.ledger.model)
-                    self.per_tenant[name] = mine
-                mine.merge(stats)
-            for name, ledger in other.tenant_shed.items():
-                mine = self.tenant_shed.get(name)
-                if mine is None:
-                    mine = LossLedger(core_id=-1)
-                    self.tenant_shed[name] = mine
-                mine.merge(ledger)
-            if other.epoch > self.epoch:
-                self.epoch = other.epoch
-            self.offered += other.offered
-            for name, packets in other.not_subscribed.items():
-                self.not_subscribed[name] = \
-                    self.not_subscribed.get(name, 0) + packets
+        for name, stats in other.per_tenant.items():
+            mine = self.per_tenant.get(name)
+            if mine is None:
+                mine = CoreStats(stats.ledger.model)
+                self.per_tenant[name] = mine
+            mine.merge(stats)
+        for name, ledger in other.tenant_shed.items():
+            mine = self.tenant_shed.get(name)
+            if mine is None:
+                mine = LossLedger(core_id=-1)
+                self.tenant_shed[name] = mine
+            mine.merge(ledger)
+        if other.epoch > self.epoch:
+            self.epoch = other.epoch
+        self.offered += other.offered
+        for name, packets in other.not_subscribed.items():
+            self.not_subscribed[name] = \
+                self.not_subscribed.get(name, 0) + packets
 
     def to_dict(self) -> Dict:
         out = super().to_dict()
@@ -183,36 +171,32 @@ class TenantStatsBundle(CoreStats):
 
 
 class TenantCorePipeline:
-    """The per-core data path of a multi-tenant run.
+    """The per-core data path of every run.
 
-    Exposes the same surface the sequential loop and the parallel
-    ``_worker_main`` drive on a :class:`CorePipeline` — ``process_batch``,
-    ``process_batch_rows``, ``advance_time``, ``drain``,
-    ``sample_memory``, ``set_span_ctx``, ``fold_fault_counters``,
-    ``stats``, ``live_connections``, ``now``, ``memory_bytes``, the
-    overload properties — plus the tenancy
-    verbs: :meth:`apply_epoch` and the ``epoch`` attribute.
+    Exposes the surface of a :class:`CorePipeline` that the ingest loop,
+    the workers and the monitor drive, plus the table verbs:
+    :meth:`apply_epoch`, :meth:`classify`, ``epoch`` and ``solo``.
+
+    ``pressure_mbps`` is the run's pressure budget (None: none).
+    ``compiled`` maps tenant name to ``(spec, Subscription, executor)``
+    (executor None: an inline one per pipeline), compiled once per
+    runtime and shared — not copied — by its multiplexers, so every
+    core's pass-through trusts the same verdicts.
     """
 
     def __init__(self, core_id: int, specs: Sequence[TenantSpec],
                  active: Sequence[str], config, epoch: int = 0,
-                 initial_overload_rung: int = 0, nic_caps=None) -> None:
+                 initial_overload_rung: int = 0,
+                 pressure_mbps: Optional[float] = None,
+                 compiled: Optional[dict] = None) -> None:
         self.core_id = core_id
         self.config = config
         self.epoch = epoch
-        self._nic_caps = nic_caps
+        self._compiled = compiled if compiled is not None else {}
         self._initial_rung = initial_overload_rung
-        self._known: Dict[str, TenantSpec] = {}
-        for spec in specs:
-            if spec.name in self._known:
-                raise TenancyError(
-                    f"duplicate tenant {spec.name!r} on core {core_id}")
-            self._known[spec.name] = spec
-        for name in active:
-            if name not in self._known:
-                raise TenancyError(
-                    f"active tenant {name!r} unknown on core {core_id}")
-        self._subs: Dict[str, Subscription] = {}
+        #: Every spec this core knows, by name (the filter table that
+        #: feeds them, and every epoch's actions, validated them).
+        self._known = {spec.name: spec for spec in specs}
         self._pipes: Dict[str, CorePipeline] = {}
         self._active: List[str] = []
         #: Dropped tenants' pipelines: no further rows, but they keep
@@ -226,10 +210,9 @@ class TenantCorePipeline:
         #: tenant is offered (see :meth:`process_batch_rows`).
         self._observed = config.overload_policy != "off" or \
             config.span_sample > 0 or config.flight_recorder_depth > 0
-        pressure = config.tenancy_pressure_mbps
         self._pressure_share = (
-            pressure * 1e6 / 8.0 * _WINDOW_S / config.cores
-            if pressure is not None else None)
+            pressure_mbps * 1e6 / 8.0 * _WINDOW_S / config.cores
+            if pressure_mbps is not None else None)
         # -- metering state (virtual-second windows) -------------------
         self._window = 0
         self._win_used: Dict[str, float] = {}
@@ -242,10 +225,6 @@ class TenantCorePipeline:
         #: (so a dropped tenant's is short by the count at the end).
         self._offered = 0
         self._away: Dict[str, int] = {}
-        #: The sequential ingest loop asks its pipelines for a batch
-        #: filter to run per ingress burst; the multiplexer classifies
-        #: for itself.
-        self._pf_batch = None
         for name in active:
             self._activate(name)
         self._rebuild()
@@ -253,27 +232,22 @@ class TenantCorePipeline:
     # -- construction / swaps ------------------------------------------
     def _activate(self, name: str) -> None:
         spec = self._known[name]
-        sub = self._subs.get(name)
-        if sub is None:
-            sub = build_tenant_subscription(spec, self.config,
-                                            self._nic_caps)
-            self._subs[name] = sub
+        compiled = self._compiled.get(name)
+        if compiled is None or compiled[0] != spec:
+            compiled = (spec, build_tenant_subscription(spec, self.config),
+                        None)
+            self._compiled[name] = compiled
+        _spec, sub, executor = compiled
         self._pipes[name] = CorePipeline(
             self.core_id, sub, tenant_config(spec, self.config),
-            initial_overload_rung=self._initial_rung)
+            executor=executor, initial_overload_rung=self._initial_rung)
         self._active.append(name)
         self._away[name] = self._away.get(name, 0) + self._offered
 
     def _rebuild(self) -> None:
-        """Recompile the shared classifier and metering plan for the
-        current active set (one rebuild per epoch swap)."""
-        from repro.tenancy.shared import SharedFilter
+        """The metering plan, the pass-through and the shared classifier
+        for the current active set (one rebuild per epoch swap)."""
         names = self._active
-        if names:
-            self._shared = SharedFilter(
-                names, [self._subs[n].filter for n in names])
-        else:
-            self._shared = None
         self._quota_share: Dict[str, float] = {}
         for name in names:
             quota = self._known[name].quota_bytes_per_sec
@@ -283,6 +257,21 @@ class TenantCorePipeline:
                 self._win_used.setdefault(name, 0.0)
         self._metered = bool(self._quota_share) or \
             self._pressure_share is not None
+        #: The lone active tenant's pipeline while nothing is metered —
+        #: all this multiplexer then runs — or None.
+        self.solo = self._pipes[names[0]] \
+            if len(names) == 1 and not self._metered else None
+        #: What a chunk's ingress verdicts must be stamped with for the
+        #: pass-through to trust them: this epoch and the solo filter.
+        self._verdict_key = (self.epoch, self.solo.sub.filter) \
+            if self.solo is not None else None
+        self._shared = SharedFilter(
+            names, [self._pipes[n].sub.filter for n in names]) \
+            if names and self.solo is None else None
+        #: Every tenant pipeline by name — active first (in active
+        #: order), then draining (in drop order) — and the pipelines.
+        self._named = [(n, self._pipes[n]) for n in names] + self._draining
+        self._all = [tp for _name, tp in self._named]
 
     def apply_epoch(self, epoch: int, actions) -> None:
         """Adopt filter-table epoch ``epoch`` by applying its actions.
@@ -297,40 +286,15 @@ class TenantCorePipeline:
             if kind == "add":
                 spec = TenantSpec.from_wire(wire)
                 self._known[spec.name] = spec
-                self._subs.pop(spec.name, None)  # spec may have changed
                 self._activate(spec.name)
-            elif kind == "drop":
-                if name not in self._pipes:
-                    raise TenancyError(
-                        f"epoch {epoch} drops unknown tenant {name!r}")
+            else:  # drop
                 self._draining.append((name, self._pipes.pop(name)))
                 self._active.remove(name)
                 self._away[name] -= self._offered
                 self._win_used.pop(name, None)
                 self._downgraded.discard(name)
-            else:
-                raise TenancyError(f"unknown epoch action {kind!r}")
-        self._rebuild()
         self.epoch = epoch
-
-    # -- views ----------------------------------------------------------
-    def pipelines(self):
-        """Every tenant pipeline, active first (in active order), then
-        draining (in drop order)."""
-        for name in self._active:
-            yield self._pipes[name]
-        for _name, tp in self._draining:
-            yield tp
-
-    def _named_pipelines(self):
-        for name in self._active:
-            yield name, self._pipes[name]
-        for name, tp in self._draining:
-            yield name, tp
-
-    @property
-    def active_tenants(self) -> List[str]:
-        return list(self._active)
+        self._rebuild()
 
     # -- metering -------------------------------------------------------
     def _shed_ledger(self, name: str) -> LossLedger:
@@ -374,7 +338,7 @@ class TenantCorePipeline:
         """One pass over a burst's rows from one column batch deciding,
         per active tenant, which its pipeline receives. Shed rows are
         charged to the tenant's private ledger (``packets_seen`` counts
-        only sheds there; ``TenantRuntime.tenant_ledgers`` adds what
+        only sheds there; ``Runtime.tenant_ledgers`` adds what
         the tenant's pipelines were fed, on every core).
 
         Quota and pressure charge a tenant only for rows its *own*
@@ -427,49 +391,68 @@ class TenantCorePipeline:
                 feed.append((mbuf, None, cols, i, verdict))
 
     # -- the data path --------------------------------------------------
-    def process_batch(self, mbufs) -> None:
-        """What a parallel worker calls: decode the burst, then its
-        rows — the adapter :meth:`CorePipeline.process_batch` is."""
-        if type(mbufs) is not list and type(mbufs) is not tuple:
-            mbufs = list(mbufs)
+    def classify(self, cols) -> list:
+        """The ingress's batch packet filter for one decoded chunk.
+        While the multiplexer is a pass-through, the lone tenant's own
+        filter classifies the chunk, which is stamped with the key its
+        verdicts hold under; otherwise every row carries ``None`` and
+        each burst is classified when it runs."""
+        solo = self.solo
+        pf_batch = solo._pf_batch if solo is not None else None
+        if pf_batch is None:
+            return [None] * cols.n
+        cols.verdicts_by = self._verdict_key
+        return pf_batch(cols)
+
+    def process_batch(self, mbufs: list) -> None:
+        """What a parallel worker calls with the burst it was sent: the
+        pass-through tenant's own ``process_batch`` (decode + batch
+        filter), or the decode and then its rows."""
+        if not mbufs:
+            return
+        if self.solo is not None:
+            self._offered += len(mbufs)
+            self.solo.process_batch(mbufs)
+            return
         cols = decode_mbufs(mbufs, self.config.columnar)
         self.process_batch_rows(
             [(mbuf, None, cols, i, None) for i, mbuf in enumerate(mbufs)])
 
-    def process_packet(self, mbuf) -> None:
-        self.process_batch((mbuf,))
-
     def process_batch_rows(self, rows) -> None:
         """The one data path: a burst of ``(mbuf, queue, cols, i,
         verdict)`` rows as :func:`~repro.packet.columnar.ingress_rows`
-        yields them (queue and verdict unread — the ingress runs no
-        classifier for a tenant table, which can change between a
-        chunk's decode and the burst). Each column batch the burst
-        draws on is classified once, for the burst's own rows, by the
-        table in force now; every tenant then gets rows that point at
-        those same columns, with its own verdict: ``None`` where the
-        classifier has no say (a slow row, ``config.columnar=False``, a
-        table that is not batch-expressible), which is where the
-        tenant's loop runs its scalar filter.
+        yields them. A pass-through hands them to the lone tenant as
+        they are, minus verdicts stamped under an earlier table (a swap
+        flushes every pending burst, so the chunk in flight at the swap
+        is the first one a later burst draws on). Otherwise each column
+        batch the burst draws on is classified here, for the burst's
+        own rows, and every tenant gets those rows with its own
+        verdict.
 
         A tenant's loop sees only the rows it does not refuse — the
         rest are counted in one call — unless refusing in bulk would
-        change what the tenant computes:
-
-        * an overload ladder ticks on the timestamp of *every* row it
-          is offered and reads the cycles charged so far when it does;
-        * a span recorder opens one span per burst, refused rows and
-          empty bursts included;
-        * out-of-order timestamps: the tenant's clock is a running
-          maximum, so a refused row can move the time a later one is
-          processed at;
-        * metering: the burst may end on a row this tenant was never
-          offered, so its end is not this tenant's clock.
+        change what the tenant computes: an overload ladder ticks on
+        *every* offered row's timestamp and reads the cycles charged so
+        far; a span recorder opens one span per burst, refused rows and
+        empty bursts included; with out-of-order timestamps a refused
+        row can move the tenant's running-maximum clock; and under
+        metering the burst may end on a row this tenant was never
+        offered.
         """
         if not rows:
             return
         n = len(rows)
         self._offered += n
+        solo = self.solo
+        if solo is not None:  # its clock covers the burst: ours need not
+            key = self._verdict_key
+            stamp = rows[0][2].verdicts_by
+            if stamp is not None and stamp != key:
+                rows = [row if row[2].verdicts_by == key
+                        else (row[0], row[1], row[2], row[3], None)
+                        for row in rows]
+            solo.process_batch_rows(rows)
+            return
         last_ts = rows[-1][0].timestamp
         if last_ts > self._mux_now:
             self._mux_now = last_ts
@@ -513,59 +496,50 @@ class TenantCorePipeline:
     def advance_time(self, now: float) -> None:
         if now > self._mux_now:
             self._mux_now = now
-        for tp in self.pipelines():
+        for tp in self._all:
             tp.advance_time(now)
 
     def drain(self) -> None:
-        for tp in self.pipelines():
+        for tp in self._all:
             tp.drain()
 
     def sample_memory(self) -> None:
-        for tp in self.pipelines():
+        for tp in self._all:
             tp.sample_memory()
 
     def set_span_ctx(self, ctx) -> None:
-        for tp in self.pipelines():
+        for tp in self._all:
             tp.set_span_ctx(ctx)
 
     def fold_fault_counters(self) -> None:
-        for tp in self.pipelines():
+        for tp in self._all:
             tp.fold_fault_counters()
 
     # -- monitoring surface ---------------------------------------------
     @property
     def now(self) -> float:
-        now = self._mux_now
-        for tp in self.pipelines():
-            if tp.now > now:
-                now = tp.now
-        return now
+        return max([self._mux_now] + [tp.now for tp in self._all])
 
     @property
     def memory_bytes(self) -> int:
-        return sum(tp.memory_bytes for tp in self.pipelines())
+        return sum(tp.memory_bytes for tp in self._all)
 
     @property
     def live_connections(self) -> int:
-        return sum(tp.live_connections for tp in self.pipelines())
+        return sum(tp.live_connections for tp in self._all)
 
     @property
     def overload_rung(self) -> int:
-        rung = 0
-        for tp in self.pipelines():
-            if tp.overload_rung > rung:
-                rung = tp.overload_rung
-        return rung
+        return max([0] + [tp.overload_rung for tp in self._all])
 
     @property
     def overload_failfast_at(self) -> Optional[float]:
-        tripped = [tp.overload_failfast_at for tp in self.pipelines()
-                   if tp.overload_failfast_at is not None]
-        return min(tripped) if tripped else None
-
-    @property
-    def _shedding(self) -> bool:
-        return any(tp._shedding for tp in self.pipelines())
+        tripped = None  # read per burst: a loop, not a list
+        for tp in self._all:
+            at = tp.overload_failfast_at
+            if at is not None and (tripped is None or at < tripped):
+                tripped = at
+        return tripped
 
     @property
     def stats(self) -> TenantStatsBundle:
@@ -573,10 +547,9 @@ class TenantCorePipeline:
         face, the per-tenant breakdown underneath."""
         bundle = TenantStatsBundle(self.config.cost_model,
                                    telemetry=self.config.telemetry)
-        contributed = 0
-        for name, tp in self._named_pipelines():
+        for name, tp in self._named:
             tp_stats = tp.stats
-            bundle.merge(tp_stats)
+            CoreStats.merge(bundle, tp_stats)  # the whole-core face
             mine = bundle.per_tenant.get(name)
             if mine is None:
                 mine = CoreStats(self.config.cost_model,
@@ -585,7 +558,6 @@ class TenantCorePipeline:
             mine.merge(tp_stats)
             if bundle.spans is None and tp_stats.spans is not None:
                 bundle.spans = tp_stats.spans
-            contributed += 1
         for name, ledger in self._tenant_shed.items():
             snap = LossLedger(self.core_id)
             snap.merge(ledger)
@@ -599,7 +571,7 @@ class TenantCorePipeline:
         for name in bundle.per_tenant:
             bundle.not_subscribed[name] = self._away[name] + (
                 0 if name in self._pipes else self._offered)
-        if contributed > 1:
+        if len(self._named) > 1:
             bundle.memory_samples = _combine_memory_samples(
                 bundle.memory_samples)
         bundle.epoch = self.epoch

@@ -151,14 +151,11 @@ class SharedFilter:
                       else FilterResult.no_match()
                       for match_all in self._match_all]
         self._root = _MergedNode(None)
-        self.tenant_report_nodes = 0
         self.tenant_packet_nodes = 0
         for idx, compiled in enumerate(filters):
-            if self._match_all[idx]:
-                continue
-            order = _ladder_order(compiled.trie)
-            self.tenant_report_nodes += len(order)
-            self._merge(idx, compiled.trie.root, self._root, order)
+            if not self._match_all[idx]:
+                self._merge(idx, compiled.trie.root, self._root,
+                            _ladder_order(compiled.trie))
         self.shared_packet_nodes = self._prepare_batch()
         #: One decoded-column walk yields every tenant's verdict iff
         #: every tenant's own trie is batch-expressible (the same
@@ -166,7 +163,6 @@ class SharedFilter:
         self.batch_supported = all(
             trie_batch_supported(compiled.trie, registry)
             for compiled in filters)
-        self.hardware = union_hardware(filters)
 
     # -- construction --------------------------------------------------
     def _merge(self, idx: int, src: TrieNode, dst: _MergedNode,
@@ -309,12 +305,3 @@ class SharedFilter:
                     out[i] = verdict
         for child in node.children:
             self._walk_batch(child, cols, idxs, outs, ranks)
-
-    # -- introspection -------------------------------------------------
-    def describe(self) -> str:
-        lines = [f"shared filter over {len(self.names)} tenants "
-                 f"({self.tenant_packet_nodes} tenant packet nodes "
-                 f"merged into {self.shared_packet_nodes})"]
-        for name, compiled in zip(self.names, self.filters):
-            lines.append(f"  {name}: {compiled.text or '<match-all>'}")
-        return "\n".join(lines)

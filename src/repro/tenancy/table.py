@@ -1,16 +1,18 @@
 """The versioned, atomically swappable filter table.
 
 A :class:`FilterTable` is an *immutable* snapshot of the tenant set at
-one epoch: the ordered specs, which of them are active, and the
-compiled :class:`~repro.tenancy.shared.SharedFilter` over the active
-set. ``subscribe``/``unsubscribe`` never mutate a table — they build
-the successor table at ``epoch + 1`` and record the action, so a swap
-is a single reference assignment (atomic in CPython) and every action
-ever applied can be replayed onto a freshly restarted worker
-(``actions_since`` seeds the supervisor's restart path).
+one epoch: the ordered specs and which of them are active. Every
+runtime deploys one — a plain subscription is a one-entry table.
+``subscribe``/``unsubscribe`` never mutate a table — they build the
+successor table at ``epoch + 1`` and record the action, so a swap is a
+single reference assignment (atomic in CPython) and every action ever
+applied can be replayed onto a freshly restarted worker
+(``core/parallel.py::_tenancy_state`` seeds the supervisor's restart
+path from the published bumps).
 
-Tables compile lazily: workers that receive an epoch bump rebuild
-their own shared filter from the action stream, so the feeder process
+The table compiles nothing: each core's multiplexer
+(:class:`~repro.tenancy.pipeline.TenantCorePipeline`) builds its own
+shared classifier for the active set it adopts, so the feeder process
 never pays compilation for filters only workers evaluate.
 """
 
@@ -19,8 +21,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import TenancyError
-from repro.filter import compile_filter
-from repro.tenancy.shared import SharedFilter
 from repro.tenancy.spec import TenantSpec
 
 #: One reconfiguration action on the wire: ``(action, name, wire_spec)``
@@ -52,7 +52,6 @@ class FilterTable:
             raise TenancyError("a filter table needs >= 1 tenant spec")
         #: Every ``(epoch, action)`` applied since epoch 0, newest last.
         self.actions: List[Tuple[int, WireAction]] = list(actions)
-        self._shared: Optional[SharedFilter] = None
 
     # -- swaps ---------------------------------------------------------
     def subscribe(self, spec: TenantSpec) -> "FilterTable":
@@ -85,41 +84,3 @@ class FilterTable:
             self.specs, epoch=self.epoch + 1,
             active=[n for n in self.active if n != name],
             actions=self.actions + [(self.epoch + 1, action)])
-
-    def apply_action(self, action: WireAction) -> "FilterTable":
-        kind, name, wire = action
-        if kind == "add":
-            return self.subscribe(TenantSpec.from_wire(wire))
-        if kind == "drop":
-            return self.unsubscribe(name)
-        raise TenancyError(f"unknown table action {kind!r}")
-
-    def actions_since(self, epoch: int) -> List[Tuple[int, WireAction]]:
-        """Actions a worker restarted at table state ``epoch`` must
-        replay to catch up to this table."""
-        return [(e, a) for e, a in self.actions if e > epoch]
-
-    # -- views ---------------------------------------------------------
-    def active_specs(self) -> List[TenantSpec]:
-        return [self.by_name[name] for name in self.active]
-
-    def shared(self, filter_mode: str = "codegen",
-               nic=None) -> SharedFilter:
-        """The compiled shared classifier over the active tenants
-        (compiled on first use, cached — the table is immutable)."""
-        if self._shared is None:
-            active = self.active_specs()
-            self._shared = SharedFilter(
-                [spec.name for spec in active],
-                [compile_filter(spec.filter, mode=filter_mode, nic=nic)
-                 for spec in active])
-        return self._shared
-
-    def describe(self) -> str:
-        rows = [f"epoch {self.epoch}: "
-                f"{len(self.active)}/{len(self.specs)} tenants active"]
-        for spec in self.specs:
-            state = "active" if spec.name in self.active else "dormant"
-            rows.append(f"  {spec.name} [{state}]: "
-                        f"{spec.filter or '<match-all>'}")
-        return "\n".join(rows)

@@ -333,7 +333,7 @@ class TestNoReparse:
                 RuntimeConfig(cores=2, columnar=columnar),
                 filter_str="ipv4.ttl > 5 and tcp", datatype="connection",
                 callback=None)
-            assert runtime.pipelines[0]._pf_batch is None
+            assert runtime.pipelines[0].solo._pf_batch is None
             stats = runtime.run(iter(mbufs)).stats
             return mbufs, json.dumps(stats.to_dict(), sort_keys=True)
 

@@ -37,7 +37,7 @@ def test_single_syn_flow_costs_at_most_700_live_bytes():
     assert len(rows) == FLOWS
     runtime = Runtime(RuntimeConfig(cores=1), filter_str="tcp",
                       datatype="connection", callback=None)
-    table = runtime.pipelines[0].table
+    table = runtime.pipelines[0].solo.table
     memo = runtime.nic._hash_cache
     seen = {"memo_peak": 0}
 

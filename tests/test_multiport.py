@@ -55,7 +55,7 @@ class TestMultiPortRuntime:
                           datatype="packet", callback=None, ports=2)
         runtime.run(iter(doubled))
         active = [i for i, p in enumerate(runtime.pipelines)
-                  if p.stats.packets]
+                  if p.solo.stats.packets]
         assert len(active) == 1  # one flow → one core, both ports
 
     def test_duplicated_tls_still_parses(self):

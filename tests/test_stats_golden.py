@@ -35,7 +35,10 @@ fields that moved were ``tenant_ledgers.<tenant>.packets_seen`` (e.g.
 1444 -> 14483, the link's dispatched packets) and the
 ``packets_analyzed`` derived from it (0 -> the tenant's processed
 packets). Every case now also runs the fate check
-(``repro.telemetry.check``) on every variant.
+(``repro.telemetry.check``) on every variant. The two one-entry-table
+cases (``tenant_solo``; ``tenants_solo_multi_solo``, whose two swaps
+fall inside one ingress chunk) were recorded on 2d35b3b, before
+``Runtime`` itself ran a one-entry table through the multiplexer.
 A case added later is recorded the same way,
 by running this file as a script:
 
@@ -247,6 +250,19 @@ def _mid_run_swap(mbufs):
             ReconfigureEvent(mid, "add", "dns")]
 
 
+def _solo_multi_solo(mbufs):
+    """``add b`` then ``drop a``, both strictly inside one ingress chunk:
+    the chunk is decoded while ``a`` is alone and its tail runs while
+    ``b`` is, so no verdict computed for ``a`` may reach ``b``."""
+    chunk = RuntimeConfig().parallel_batch_size
+    base = len(mbufs) // 2 // chunk * chunk
+    cuts = [k for k in range(base + 1, base + chunk)
+            if mbufs[k - 1].timestamp < mbufs[k].timestamp]
+    add, drop = cuts[len(cuts) // 3], cuts[2 * len(cuts) // 3]
+    return [ReconfigureEvent(mbufs[add].timestamp, "add", "b"),
+            ReconfigureEvent(mbufs[drop].timestamp, "drop", "a")]
+
+
 def _unexpressible_hw(variant):
     """Software filter batch-expressible, flow rules not (``ipv4.ttl``
     has no column): every ingress row takes ``SimNic.receive``."""
@@ -347,6 +363,13 @@ CASES = {
         "burst", [("conn", "tcp", "connection"), ("dns", "udp", "packet")],
         overload_policy="ladder", overload_target_lag=0.02,
         cost_model=_HEAVY, span_sample=1),
+    # -- a one-entry table (recorded on 2d35b3b) ------------------------
+    "tenant_solo": _tenants("campus", [("solo", "tcp", "connection")]),
+    "tenants_solo_multi_solo": _tenants(
+        "small_campus",
+        [TenantSpec("a", "tcp.dst_port = 443", "connection"),
+         TenantSpec("b", "tcp", "connection", start=False)],
+        events=_solo_multi_solo),
 }
 
 
@@ -455,6 +478,12 @@ GOLDEN = {
         '18947:03291b630a480b54c3ee3ecbdfcab94b6c4bc9351f2747e09b635b4c66da239e',
     'tenants_spans_ladder':
         '18947:2a3ad31d47152cb59b55ced2b7bcb765d5c799b308a7bdf45bbf5aa2f2a4af5b',
+    # Recorded on 2d35b3b, before a plain subscription became a
+    # one-entry filter table.
+    'tenant_solo':
+        '24164:5c991305545d99cef11251f2e8f84bfb90f2eee2589104a3d201b4d9828ee815',
+    'tenants_solo_multi_solo':
+        '14483:c4cfa2c5df70d40bff3fbc321c617317f0e40a354edb95de77e7da65012fbbc1',
 }
 
 #: Recorded on a42ba2c (PR 22), before PR 23 made the shm ring the only

@@ -494,17 +494,35 @@ class TestTenantExport:
         report = runtime.run(iter(traffic))
         return runtime, report
 
-    def test_single_tenant_metrics_byte_identical(self, traffic):
-        """A one-tenant TenantRuntime without the tenancy payload
-        renders the exact bytes of the plain Runtime: the shared
-        classifier and multiplexer must not perturb any family."""
+    def test_single_tenant_metrics_byte_identical(self, traffic,
+                                                  tmp_path):
+        """A one-tenant TenantRuntime's run bundle, with its tenant
+        artifacts set aside, is the plain Runtime's byte for byte on
+        the sequential backend and on two workers: the multiplexer must
+        not perturb any file."""
+        from repro.telemetry.bundle import write_bundle
         from repro.tenancy import TenantSpec
-        plain = _run(traffic, filter_str="tcp.dst_port = 443", cores=2)
-        _, report = self._tenant_run(
-            traffic,
-            [TenantSpec("solo", "tcp.dst_port = 443", "connection")])
-        assert export.render_metrics(replace(report, tenancy=None)) == \
-            export.render_metrics(plain)
+        recorders = dict(telemetry=True, trace_sample=0.2, span_sample=1,
+                         flight_recorder_depth=4)
+        for parallel in (False, True):
+            plain = _run(traffic, filter_str="tcp.dst_port = 443",
+                         cores=2, parallel=parallel, **recorders)
+            _, solo = self._tenant_run(
+                traffic,
+                [TenantSpec("solo", "tcp.dst_port = 443", "connection")],
+                parallel=parallel, **recorders)
+            bundles = []
+            for name, report in (("plain", plain),
+                                 ("solo", replace(solo, tenancy=None))):
+                directory = tmp_path / f"{name}-{parallel}"
+                write_bundle(directory, report)
+                bundles.append({
+                    path.name: path.read_bytes()
+                    for path in directory.iterdir()
+                    if path.name != "manifest.json"})
+            assert {"stats.json", "fates.json", "metrics.prom",
+                    "trace.ndjson", "spans.ndjson"} <= set(bundles[0])
+            assert bundles[1] == bundles[0]
 
     def test_tenant_families_gated_on_payload(self, traffic):
         """repro_tenant_* families appear only with the breakdown a

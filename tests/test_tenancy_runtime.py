@@ -18,7 +18,7 @@ Pins the robustness contract of :mod:`repro.tenancy`:
 
 import pytest
 
-from repro import RuntimeConfig
+from repro import Runtime, RuntimeConfig
 from repro.errors import TenancyError
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.telemetry import check
@@ -255,6 +255,20 @@ class TestTenantFaultIsolation:
         assert got["light"] == base["light"]
         assert "light" not in ledgers or \
             ledgers["light"].packets_shed == 0
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_pressure_leaves_a_plain_runtime_alone(self, traffic,
+                                                   parallel):
+        """A runtime built from one subscription is a one-entry table
+        too, but pressure ranks named tenants against each other: the
+        budget that sheds the heavy tenant above sheds nothing here."""
+        def plain(**pressure):
+            config = RuntimeConfig(cores=2, parallel=parallel, **pressure)
+            report = Runtime(config, filter_str="", datatype="packet").run(
+                iter(traffic))
+            assert report.tenancy is None
+            return report.stats.to_dict()
+        assert plain(tenancy_pressure_mbps=0.1) == plain()
 
     def test_shed_accounting_identical_across_backends(self, traffic):
         """Quota and pressure ledgers are part of the determinism
