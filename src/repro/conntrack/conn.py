@@ -47,6 +47,22 @@ class TcpConnState(enum.Enum):
     CLOSED = "closed"         # both FINs or RST
 
 
+# Members hoisted to module scope, as ``core/pipeline.py`` does: an
+# attribute read on an Enum class is several times a global read, and
+# ``record_packet`` reads them on every TCP packet.
+_PROBE = ConnState.PROBE
+_SYN_SENT = TcpConnState.SYN_SENT
+_ESTABLISHED = TcpConnState.ESTABLISHED
+_CLOSING = TcpConnState.CLOSING
+_CLOSED = TcpConnState.CLOSED
+
+#: Sequence-number space, half of it, and the forward jump past which a
+#: segment is a desync or an injection rather than data in flight.
+_SEQ_MOD = 1 << 32
+_SEQ_HALF = 1 << 31
+_SEQ_JUMP = 4_000_000
+
+
 #: Baseline bytes of state per tracked connection, used for the
 #: Figure 8 memory model. Chosen to be of the order of Retina's real
 #: per-connection footprint (struct + hash-table slot + reassembly and
@@ -85,11 +101,8 @@ class Connection:
         self.key = key
         self.orig_first = orig_first
         self._five_tuple: Optional[FiveTuple] = None
-        self.state = ConnState.PROBE
-        self.tcp_state = (
-            TcpConnState.SYN_SENT if key[4] == 6 else
-            TcpConnState.ESTABLISHED
-        )
+        self.state = _PROBE
+        self.tcp_state = _SYN_SENT if key[4] == 6 else _ESTABLISHED
         #: Deadlines owned by the two timer wheels (``None``: unarmed).
         self.timer_establish: Optional[float] = None
         self.timer_inactive: Optional[float] = None
@@ -139,22 +152,12 @@ class Connection:
         #: analysis-visible symptoms.
         self.weirds: Mapping[str, int] = _NO_WEIRDS
 
-    def make_five_tuple(self) -> FiveTuple:
-        """A fresh originator-to-responder five-tuple, not cached (for
-        a record that outlives the connection)."""
-        a_ip, a_port, b_ip, b_port, protocol = self.key
-        if self.orig_first:
-            tup = FiveTuple(a_ip, b_ip, a_port, b_port, protocol)
-        else:
-            tup = FiveTuple(b_ip, a_ip, b_port, a_port, protocol)
-        object.__setattr__(tup, "_canonical", self.key)
-        return tup
-
     @property
     def five_tuple(self) -> FiveTuple:
         tup = self._five_tuple
         if tup is None:
-            tup = self._five_tuple = self.make_five_tuple()
+            tup = self._five_tuple = FiveTuple.from_key(self.key,
+                                                        self.orig_first)
         return tup
 
     # -- accessors used by the connection filter ---------------------------
@@ -164,15 +167,15 @@ class Connection:
 
     @property
     def established(self) -> bool:
-        return self.tcp_state in (TcpConnState.ESTABLISHED,
-                                  TcpConnState.CLOSING)
+        state = self.tcp_state
+        return state is _ESTABLISHED or state is _CLOSING
 
     @property
     def is_single_syn(self) -> bool:
         """An unanswered SYN: one originator packet, no response."""
         return (
             self.key[4] == 6
-            and self.tcp_state is TcpConnState.SYN_SENT
+            and self.tcp_state is _SYN_SENT
             and self.pkts_resp == 0
             and self.pkts_orig <= 1
         )
@@ -196,7 +199,13 @@ class Connection:
         seq: Optional[int] = None,
     ) -> bool:
         """Update counters and TCP liveness; returns True if the packet
-        newly established the connection (timer migration point)."""
+        newly established the connection (timer migration point).
+
+        For a TCP packet (``tcp_flags`` given) this also records the
+        Zeek-style weirds the packet shows, counts a late data segment
+        (out of order or retransmitted) against ``seq`` when given, and
+        steps the coarse TCP state machine, in that order.
+        """
         self.last_ts = now
         if from_orig:
             self.pkts_orig += 1
@@ -208,95 +217,87 @@ class Connection:
             self.payload_bytes_resp += payload_bytes
         if tcp_flags is None:
             return False
-        self._check_weird(from_orig, payload_bytes, tcp_flags)
+        flags = tcp_flags
+        state = self.tcp_state
+
+        # Weirds.
+        if flags & _SYN:
+            if flags & _FIN:
+                self.weird("syn_and_fin")
+            if payload_bytes > 0:
+                self.weird("data_on_syn")
+        if state is _SYN_SENT:
+            if flags & _FIN and not (flags & _SYN):
+                self.weird("fin_without_handshake")
+            elif payload_bytes > 0 and from_orig and \
+                    not (flags & _SYN) and self.pkts_orig <= 1:
+                self.weird("data_before_established")
+        elif state is _CLOSED and payload_bytes > 0:
+            self.weird("data_after_close")
+
+        # Per-direction sequence high-water mark: cheap enough to run
+        # in every state, including TRACK, where the reassembler is gone.
         if seq is not None:
-            self._track_sequence(from_orig, seq, payload_bytes, tcp_flags)
-        return self._track_tcp(from_orig, tcp_flags, now)
+            expected = self._next_seq_orig if from_orig \
+                else self._next_seq_resp
+            end = seq + payload_bytes
+            if flags & _SYN_OR_FIN:
+                end += 1
+            end %= _SEQ_MOD
+            if expected is None:
+                expected = end
+            elif payload_bytes > 0 and \
+                    (diff := (seq - expected) % _SEQ_MOD) >= _SEQ_HALF:
+                # Below the highest seen: late. The mark stays.
+                if from_orig:
+                    self.ooo_orig += 1
+                else:
+                    self.ooo_resp += 1
+            else:
+                # ``diff`` is bound whenever there is payload.
+                if payload_bytes > 0 and diff > _SEQ_JUMP:
+                    self.weird("large_seq_jump")
+                if (end - expected) % _SEQ_MOD < _SEQ_HALF:
+                    expected = end
+            if from_orig:
+                self._next_seq_orig = expected
+            else:
+                self._next_seq_resp = expected
+
+        # TCP liveness.
+        if flags & _RST:
+            self.tcp_state = _CLOSED
+            self.history += "R"
+            return False
+        if flags & _SYN:
+            if not flags & _ACK:
+                self.history += "S"
+                if self.syn_ts is None:
+                    self.syn_ts = now
+                return False
+            self.history += "SA"
+            if state is not _SYN_SENT:
+                return False
+        elif flags & _FIN:
+            self.history += "F"
+            if state is _CLOSING:
+                self.tcp_state = _CLOSED
+            elif state is not _CLOSED:
+                self.tcp_state = _CLOSING
+            return False
+        elif state is not _SYN_SENT or from_orig:
+            # Only a responder's plain data/ACK proves bidirectionality
+            # (it handles taps that miss the SYN-ACK).
+            return False
+        self.tcp_state = _ESTABLISHED
+        self.established_ts = now
+        return True
 
     def weird(self, name: str) -> None:
         """Record one protocol anomaly on this connection."""
         if self.weirds is _NO_WEIRDS:
             self.weirds = {}
         self.weirds[name] = self.weirds.get(name, 0) + 1
-
-    def _check_weird(self, from_orig: bool, payload_bytes: int,
-                     flags: int) -> None:
-        if flags & _SYN and flags & _FIN:
-            self.weird("syn_and_fin")
-        if flags & _SYN and payload_bytes > 0:
-            self.weird("data_on_syn")
-        if self.tcp_state is TcpConnState.SYN_SENT:
-            if flags & _FIN and not (flags & _SYN):
-                self.weird("fin_without_handshake")
-            elif payload_bytes > 0 and from_orig and \
-                    not (flags & _SYN) and self.pkts_orig <= 1:
-                self.weird("data_before_established")
-        if self.tcp_state is TcpConnState.CLOSED and payload_bytes > 0:
-            self.weird("data_after_close")
-
-    def _track_sequence(self, from_orig: bool, seq: int,
-                        payload_bytes: int, flags: int) -> None:
-        """Count late (out-of-order or retransmitted) data segments."""
-        span = payload_bytes
-        if flags & _SYN_OR_FIN:
-            span += 1
-        expected = self._next_seq_orig if from_orig else self._next_seq_resp
-        if expected is not None and payload_bytes > 0:
-            diff = (seq - expected) % (1 << 32)
-            if diff >= (1 << 31):  # seq below the highest seen: late
-                if from_orig:
-                    self.ooo_orig += 1
-                else:
-                    self.ooo_resp += 1
-                return  # do not move the high-water mark backwards
-            if diff > 4_000_000:
-                # A forward jump far beyond any plausible in-flight
-                # window: sequence desync or injected segment.
-                self.weird("large_seq_jump")
-        end = (seq + span) % (1 << 32)
-        if expected is None:
-            new_expected = end
-        else:
-            ahead = (end - expected) % (1 << 32)
-            new_expected = end if ahead < (1 << 31) else expected
-        if from_orig:
-            self._next_seq_orig = new_expected
-        else:
-            self._next_seq_resp = new_expected
-
-    def _track_tcp(self, from_orig: bool, flags: int,
-                   now: float) -> bool:
-        newly_established = False
-        if flags & _RST:
-            self.tcp_state = TcpConnState.CLOSED
-            self.history += "R"
-            return False
-        if flags & _SYN:
-            if flags & _ACK:
-                self.history += "SA"
-                if self.tcp_state is TcpConnState.SYN_SENT:
-                    self.tcp_state = TcpConnState.ESTABLISHED
-                    self.established_ts = now
-                    newly_established = True
-            else:
-                self.history += "S"
-                if self.syn_ts is None:
-                    self.syn_ts = now
-            return newly_established
-        if flags & _FIN:
-            self.history += "F"
-            if self.tcp_state is TcpConnState.CLOSING:
-                self.tcp_state = TcpConnState.CLOSED
-            elif self.tcp_state is not TcpConnState.CLOSED:
-                self.tcp_state = TcpConnState.CLOSING
-            return False
-        # A plain data/ACK packet from the responder also proves
-        # bidirectionality (handles taps that miss the SYN-ACK).
-        if self.tcp_state is TcpConnState.SYN_SENT and not from_orig:
-            self.tcp_state = TcpConnState.ESTABLISHED
-            self.established_ts = now
-            newly_established = True
-        return newly_established
 
     def buffer_packet(self, mbuf: Mbuf) -> None:
         """Hold a packet until the filter fully matches (Figure 4a)."""
@@ -325,7 +326,7 @@ class Connection:
 
     @property
     def terminated(self) -> bool:
-        return self.tcp_state is TcpConnState.CLOSED
+        return self.tcp_state is _CLOSED
 
     def __repr__(self) -> str:
         return (

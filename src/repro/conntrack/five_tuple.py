@@ -58,6 +58,19 @@ class FiveTuple:
         stack._five_tuple = tup
         return tup
 
+    @classmethod
+    def from_key(cls, key: Tuple, orig_first: bool) -> "FiveTuple":
+        """The originator-to-responder tuple of a canonical ``key``,
+        whose originator is the key's first endpoint iff
+        ``orig_first``; its :meth:`canonical` is ``key`` itself."""
+        a_ip, a_port, b_ip, b_port, protocol = key
+        if orig_first:
+            tup = cls(a_ip, b_ip, a_port, b_port, protocol)
+        else:
+            tup = cls(b_ip, a_ip, b_port, a_port, protocol)
+        object.__setattr__(tup, "_canonical", key)
+        return tup
+
     def canonical(self) -> Tuple:
         """Direction-insensitive hashable key (computed once, cached)."""
         try:

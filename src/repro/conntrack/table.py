@@ -24,6 +24,10 @@ from repro.conntrack.five_tuple import FiveTuple
 from repro.conntrack.timerwheel import ConnectionTimers
 from repro.errors import ResourceExhaustedError
 
+# Hoisted: an attribute read on an Enum class is several times a global
+# read, and every connection's removal writes one.
+_DELETE = ConnState.DELETE
+
 
 @dataclass(frozen=True)
 class TimeoutConfig:
@@ -81,9 +85,9 @@ class ConnTable:
                         now: float) -> Connection:
         """Insert a new connection whose canonical key is already known
         (the caller has missed on :meth:`lookup_key`); ``orig_first``
-        says whether its originator is the key's first endpoint."""
-        conn = Connection(key, orig_first, now)
-        self._conns[key] = conn
+        says whether its originator is the key's first endpoint. It is
+        born armed: one deadline write and one wheel-slot append."""
+        conn = self._conns[key] = Connection(key, orig_first, now)
         self._timers.on_new_connection(conn, now)
         self.created += 1
         return conn
@@ -120,7 +124,7 @@ class ConnTable:
         if self._conns.pop(conn.key, None) is not None:
             self._timers.on_remove(conn)
             self.removed += 1
-            conn.state = ConnState.DELETE
+            conn.state = _DELETE
 
     def expire(self, now: float) -> List[Connection]:
         """Harvest connections whose timers fired.
@@ -138,7 +142,7 @@ class ConnTable:
                 self.expired_inactive += 1
             else:
                 self.expired_establish += 1
-            conn.state = ConnState.DELETE
+            conn.state = _DELETE
             self.removed += 1
             expired.append(conn)
         return expired
@@ -148,7 +152,7 @@ class ConnTable:
         conns = list(self._conns.values())
         for conn in conns:
             self._timers.on_remove(conn)
-            conn.state = ConnState.DELETE
+            conn.state = _DELETE
         self._conns.clear()
         self.removed += len(conns)
         return conns
@@ -185,7 +189,7 @@ class ConnTable:
             remaining -= conn.memory_bytes
             del self._conns[conn.key]
             self._timers.on_remove(conn)
-            conn.state = ConnState.DELETE
+            conn.state = _DELETE
             self.removed += 1
             self.evicted += 1
             victims.append(conn)

@@ -55,16 +55,24 @@ class TimerWheel:
         previous = getattr(item, attr)
         setattr(item, attr, fire_at)
         if previous is None or fire_at < previous:
-            self._insert_entry(item, fire_at)
+            self.insert(item, fire_at)
 
     def cancel(self, item: object) -> None:
         """Unschedule ``item``; its wheel entries become inert."""
         setattr(item, self.attr, None)
 
-    def _insert_entry(self, item: object, fire_at: float) -> None:
-        target_tick = max(int(fire_at / self.tick), self._current_tick)
-        horizon = self._current_tick + self.num_slots - 1
-        slot_tick = min(target_tick, horizon)
+    def insert(self, item: object, fire_at: float) -> None:
+        """File one entry for ``item`` in ``fire_at``'s slot (never a
+        past one; beyond the horizon, the last). For an owner that reads
+        and writes the deadline attribute itself: it has written
+        ``fire_at`` there and found, as :meth:`schedule` would, that the
+        item needs a fresh entry."""
+        current = self._current_tick
+        slot_tick = int(fire_at / self.tick)
+        if slot_tick < current:
+            slot_tick = current
+        elif slot_tick - current >= self.num_slots:
+            slot_tick = current + self.num_slots - 1
         self._slots[slot_tick % self.num_slots].append(item)
 
     def advance(self, now: float) -> List[object]:
@@ -91,7 +99,7 @@ class TimerWheel:
                     else:
                         # Rescheduled or beyond-horizon: re-aim at its
                         # (possibly capped) future slot.
-                        self._insert_entry(item, deadline)
+                        self.insert(item, deadline)
                 slot[:] = remaining
             if self._current_tick == target_tick:
                 break
@@ -129,53 +137,67 @@ class ConnectionTimers:
             if inactivity_timeout is not None else None
         )
 
-    def on_new_connection(self, conn: object, now: float) -> None:
-        if self._establish_wheel is not None:
-            self._establish_wheel.schedule(conn, now + self.establish_timeout)
-        elif self._inactivity_wheel is not None:
-            self._inactivity_wheel.schedule(conn,
-                                            now + self.inactivity_timeout)
+    # The tiers' deadline attributes are read and written here directly
+    # (not through ``TimerWheel.schedule``'s attribute-by-name access):
+    # this is the per-packet path. A tier that is disabled never writes
+    # its attribute, so clearing it unconditionally is a no-op there.
+    def _arm_establish(self, conn, fire_at: float) -> None:
+        previous = conn.timer_establish
+        conn.timer_establish = fire_at
+        if previous is None or fire_at < previous:
+            self._establish_wheel.insert(conn, fire_at)
 
-    def on_established(self, conn: object, now: float) -> None:
+    def _arm_inactive(self, conn, fire_at: float) -> None:
+        previous = conn.timer_inactive
+        conn.timer_inactive = fire_at
+        if previous is None or fire_at < previous:
+            self._inactivity_wheel.insert(conn, fire_at)
+
+    def on_new_connection(self, conn, now: float) -> None:
+        """Arm a connection that was never scheduled: its first tier's
+        deadline is written and its one wheel entry filed."""
+        wheel = self._establish_wheel
+        if wheel is not None:
+            conn.timer_establish = fire_at = now + self.establish_timeout
+        else:
+            wheel = self._inactivity_wheel
+            if wheel is None:
+                return
+            conn.timer_inactive = fire_at = now + self.inactivity_timeout
+        wheel.insert(conn, fire_at)
+
+    def on_established(self, conn, now: float) -> None:
         """Migrate from the establishment tier to the inactivity tier."""
-        if self._establish_wheel is not None:
-            self._establish_wheel.cancel(conn)
+        conn.timer_establish = None
         if self._inactivity_wheel is not None:
-            self._inactivity_wheel.schedule(conn,
-                                            now + self.inactivity_timeout)
+            self._arm_inactive(conn, now + self.inactivity_timeout)
 
-    def on_activity(self, conn: object, now: float,
-                    established: bool) -> None:
+    def on_activity(self, conn, now: float, established: bool) -> None:
         """Refresh the connection's deadline after a packet."""
         if established or self._establish_wheel is None:
             if self._inactivity_wheel is not None:
-                self._inactivity_wheel.schedule(
-                    conn, now + self.inactivity_timeout)
+                self._arm_inactive(conn, now + self.inactivity_timeout)
         else:
-            self._establish_wheel.schedule(conn,
-                                           now + self.establish_timeout)
+            self._arm_establish(conn, now + self.establish_timeout)
 
-    def schedule_removal(self, conn: object, now: float,
+    def schedule_removal(self, conn, now: float,
                          linger: float = 5.0) -> bool:
         """Schedule a closed connection's tombstone for removal after a
         short linger (TIME_WAIT-like: absorbs the trailing ACK of a FIN
         handshake without re-creating the connection). Returns False if
         no timer tier is enabled (caller should remove immediately)."""
         if self._establish_wheel is not None:
-            if self._inactivity_wheel is not None:
-                self._inactivity_wheel.cancel(conn)
-            self._establish_wheel.schedule(conn, now + linger)
+            conn.timer_inactive = None
+            self._arm_establish(conn, now + linger)
             return True
         if self._inactivity_wheel is not None:
-            self._inactivity_wheel.schedule(conn, now + linger)
+            self._arm_inactive(conn, now + linger)
             return True
         return False
 
-    def on_remove(self, conn: object) -> None:
-        if self._establish_wheel is not None:
-            self._establish_wheel.cancel(conn)
-        if self._inactivity_wheel is not None:
-            self._inactivity_wheel.cancel(conn)
+    def on_remove(self, conn) -> None:
+        conn.timer_establish = None
+        conn.timer_inactive = None
 
     def advance(self, now: float) -> List[object]:
         """Collect every connection whose deadline has passed."""

@@ -9,7 +9,8 @@ probed, and how the connection should be treated after a filter match.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Tuple, Type
 
 from repro.conntrack.conn import Connection
@@ -47,61 +48,129 @@ class RawPacket:
         return self.mbuf.timestamp
 
 
-@dataclass
+#: ``ConnectionRecord``'s fields in order: its constructor's positions,
+#: its ``repr`` and its equality, as a dataclass over them would have.
+_RECORD_FIELDS = (
+    "five_tuple", "first_ts", "last_ts", "syn_ts", "established_ts",
+    "pkts_orig", "pkts_resp", "bytes_orig", "bytes_resp",
+    "payload_bytes_orig", "payload_bytes_resp", "ooo_orig", "ooo_resp",
+    "history", "service", "terminated_gracefully", "weirds",
+)
+_record_values = attrgetter(*_RECORD_FIELDS)
+
+
 class ConnectionRecord:
-    """A terminated (or expired) connection's summary record."""
+    """A terminated (or expired) connection's summary record.
+
+    Slotted, with a dataclass's keyword constructor, value equality and
+    ``repr`` over :data:`_RECORD_FIELDS`. A record made by
+    :meth:`from_connection` keeps the connection's canonical key and
+    builds its :attr:`five_tuple` on first read, caching it on the
+    record (a subscriber that never reads it never pays for it).
+    """
 
     level = Level.CONNECTION
-    app_parsers = ()  # class metadata, not a dataclass field
+    app_parsers = ()
     name = "connection"
 
-    five_tuple: FiveTuple = None
-    first_ts: float = 0.0
-    last_ts: float = 0.0
-    syn_ts: Optional[float] = None
-    established_ts: Optional[float] = None
-    pkts_orig: int = 0
-    pkts_resp: int = 0
-    bytes_orig: int = 0
-    bytes_resp: int = 0
-    payload_bytes_orig: int = 0
-    payload_bytes_resp: int = 0
-    ooo_orig: int = 0
-    ooo_resp: int = 0
-    history: str = ""
-    service: Optional[str] = None
-    terminated_gracefully: bool = False
-    #: Protocol anomalies observed ("weirds"), name → count.
-    weirds: Dict[str, int] = field(default_factory=dict)
+    __slots__ = ("_five_tuple", "_key", "_orig_first") + _RECORD_FIELDS[1:]
+
+    def __init__(
+        self,
+        five_tuple: Optional[FiveTuple] = None,
+        first_ts: float = 0.0,
+        last_ts: float = 0.0,
+        syn_ts: Optional[float] = None,
+        established_ts: Optional[float] = None,
+        pkts_orig: int = 0,
+        pkts_resp: int = 0,
+        bytes_orig: int = 0,
+        bytes_resp: int = 0,
+        payload_bytes_orig: int = 0,
+        payload_bytes_resp: int = 0,
+        ooo_orig: int = 0,
+        ooo_resp: int = 0,
+        history: str = "",
+        service: Optional[str] = None,
+        terminated_gracefully: bool = False,
+        weirds: Optional[Dict[str, int]] = None,
+    ) -> None:
+        self._five_tuple = five_tuple
+        self._key = None
+        self._orig_first = True
+        self.first_ts = first_ts
+        self.last_ts = last_ts
+        self.syn_ts = syn_ts
+        self.established_ts = established_ts
+        self.pkts_orig = pkts_orig
+        self.pkts_resp = pkts_resp
+        self.bytes_orig = bytes_orig
+        self.bytes_resp = bytes_resp
+        self.payload_bytes_orig = payload_bytes_orig
+        self.payload_bytes_resp = payload_bytes_resp
+        self.ooo_orig = ooo_orig
+        self.ooo_resp = ooo_resp
+        self.history = history
+        self.service = service
+        self.terminated_gracefully = terminated_gracefully
+        #: Protocol anomalies observed ("weirds"), name → count.
+        self.weirds = {} if weirds is None else weirds
 
     @classmethod
     def from_connection(cls, conn: Connection) -> "ConnectionRecord":
+        # Filled slot by slot, without the keyword constructor: this
+        # runs once per delivered connection. The connection's key
+        # stands in for the five-tuple (caching one on every
+        # connection of a drain would hold them all live at once).
+        record = object.__new__(cls)
+        record._five_tuple = None
+        record._key = conn.key
+        record._orig_first = conn.orig_first
+        record.first_ts = conn.first_ts
+        record.last_ts = conn.last_ts
+        record.syn_ts = conn.syn_ts
+        record.established_ts = conn.established_ts
+        record.pkts_orig = conn.pkts_orig
+        record.pkts_resp = conn.pkts_resp
+        record.bytes_orig = conn.bytes_orig
+        record.bytes_resp = conn.bytes_resp
+        record.payload_bytes_orig = conn.payload_bytes_orig
+        record.payload_bytes_resp = conn.payload_bytes_resp
         # OOO counts come from the connection's lightweight sequence
         # tracker, which runs in every state (the reassembler only
         # exists while probing/parsing).
-        ooo_orig = conn.ooo_orig
-        ooo_resp = conn.ooo_resp
-        return cls(
-            # Not ``conn.five_tuple``: caching one on every connection
-            # of a drain would hold them all live at once.
-            five_tuple=conn.make_five_tuple(),
-            first_ts=conn.first_ts,
-            last_ts=conn.last_ts,
-            syn_ts=conn.syn_ts,
-            established_ts=conn.established_ts,
-            pkts_orig=conn.pkts_orig,
-            pkts_resp=conn.pkts_resp,
-            bytes_orig=conn.bytes_orig,
-            bytes_resp=conn.bytes_resp,
-            payload_bytes_orig=conn.payload_bytes_orig,
-            payload_bytes_resp=conn.payload_bytes_resp,
-            ooo_orig=ooo_orig,
-            ooo_resp=ooo_resp,
-            history=conn.history,
-            service=conn.service_name,
-            terminated_gracefully=conn.terminated,
-            weirds=dict(conn.weirds),
-        )
+        record.ooo_orig = conn.ooo_orig
+        record.ooo_resp = conn.ooo_resp
+        record.history = conn.history
+        record.service = conn.service_name
+        record.terminated_gracefully = conn.terminated
+        record.weirds = dict(conn.weirds)
+        return record
+
+    @property
+    def five_tuple(self) -> Optional[FiveTuple]:
+        tup = self._five_tuple
+        if tup is None and self._key is not None:
+            tup = self._five_tuple = FiveTuple.from_key(self._key,
+                                                        self._orig_first)
+        return tup
+
+    @five_tuple.setter
+    def five_tuple(self, value: Optional[FiveTuple]) -> None:
+        self._five_tuple = value
+        self._key = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _record_values(self) == _record_values(other)
+
+    __hash__ = None  # mutable and compared by value, like a dataclass
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            f"{name}={value!r}" for name, value
+            in zip(_RECORD_FIELDS, _record_values(self))))
 
     @property
     def duration(self) -> float:

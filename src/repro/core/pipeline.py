@@ -71,9 +71,14 @@ _CAPTURE = Stage.CAPTURE
 _PACKET_FILTER = Stage.PACKET_FILTER
 _CONN_TRACK = Stage.CONN_TRACK
 _CALLBACK = Stage.CALLBACK
+_PROBE = ConnState.PROBE
+_PARSE = ConnState.PARSE
 _TRACK = ConnState.TRACK
 _DELETE = ConnState.DELETE
-_PROBE_OR_PARSE = (ConnState.PROBE, ConnState.PARSE)
+_PROBE_OR_PARSE = (_PROBE, _PARSE)
+_PACKET_LEVEL = Level.PACKET
+_CONNECTION_LEVEL = Level.CONNECTION
+_SESSION_LEVEL = Level.SESSION
 
 class _ProbeContext:
     """Candidate parsers plus segments seen while still undecided."""
@@ -400,7 +405,7 @@ class CorePipeline:
                 # as a record.
                 tag = shed_map.get(key)
                 if tag is None and block and (
-                        block == 2 or self._level is Level.PACKET):
+                        block == 2 or self._level is _PACKET_LEVEL):
                     ctl = self._overload
                     tag = (ctl.rung, "packet_filter" if block == 1
                            else "connection_filter")
@@ -443,7 +448,7 @@ class CorePipeline:
 
         state = conn.state
         if state is _TRACK:
-            if self._level is Level.PACKET and conn.matched:
+            if self._level is _PACKET_LEVEL and conn.matched:
                 self._deliver(RawPacket(mbuf=mbuf,
                                         five_tuple=conn.five_tuple))
             elif self._streams_bytes and conn.matched:
@@ -463,9 +468,9 @@ class CorePipeline:
             if self._streams_bytes:
                 self._handle_stream_segments(conn, segments)
             if segments:
-                if conn.state is ConnState.PROBE:
+                if conn.state is _PROBE:
                     self._probe(conn, segments)
-                elif conn.state is ConnState.PARSE:
+                elif conn.state is _PARSE:
                     self._parse(conn, segments)
         # DELETE (ignore tombstone): nothing to do.
 
@@ -501,7 +506,7 @@ class CorePipeline:
             # still charged); a packet-level subscription whose whole
             # filter is satisfied gets it all the same.
             self.stats.ledger.charge(_CONN_TRACK)
-            if terminal and self._level is Level.PACKET:
+            if terminal and self._level is _PACKET_LEVEL:
                 self._deliver(RawPacket(mbuf=mbuf))
                 return True
             return False
@@ -519,7 +524,7 @@ class CorePipeline:
     def _init_connection(self, conn: Connection, node: int,
                          terminal: bool) -> None:
         conn.pkt_term_node = node
-        needs_sessions = self._level is Level.SESSION
+        needs_sessions = self._level is _SESSION_LEVEL
         if terminal:
             conn.matched = True
             conn.conn_term_node = FILTER_SATISFIED
@@ -527,13 +532,13 @@ class CorePipeline:
                 self._tracer.record(conn, self._now, "matched", "packet")
             if needs_sessions or (
                 self.sub.identify_services
-                and self._level is Level.CONNECTION
+                and self._level is _CONNECTION_LEVEL
             ):
                 # Session subscriptions must parse; service-labeling
                 # connection subscriptions probe until identification.
                 self._enter_probe(conn)
             else:
-                conn.state = ConnState.TRACK
+                conn.state = _TRACK
                 if self._streams_bytes:
                     # The stream itself is the subscription data.
                     self._create_reassembler(conn)
@@ -541,7 +546,7 @@ class CorePipeline:
             self._enter_probe(conn)
 
     def _enter_probe(self, conn: Connection) -> None:
-        conn.state = ConnState.PROBE
+        conn.state = _PROBE
         if self._streams_bytes or self._probe_protocols:
             self._create_reassembler(conn)
         if not self._probe_protocols:
@@ -677,13 +682,13 @@ class CorePipeline:
             # Filter satisfied before the connection layer. Session
             # subscriptions still need parsed sessions; everything else
             # just keeps tracking.
-            if self._level is Level.SESSION and parser is not None:
-                conn.state = ConnState.PARSE
+            if self._level is _SESSION_LEVEL and parser is not None:
+                conn.state = _PARSE
                 self._parse(conn, pending)
-            elif self._level is Level.SESSION:
+            elif self._level is _SESSION_LEVEL:
                 self._discard(conn)  # can never produce a session
             else:
-                self._stop_heavy_processing(conn, ConnState.TRACK)
+                self._stop_heavy_processing(conn, _TRACK)
             return
 
         result = self._filter.connection_filter(conn, conn.pkt_term_node)
@@ -697,22 +702,22 @@ class CorePipeline:
                 self._tracer.record(conn, self._now, "matched",
                                     "connection")
             self._on_full_match(conn)
-            if self._level is Level.SESSION:
+            if self._level is _SESSION_LEVEL:
                 if parser is None:
                     self._discard(conn)
                 else:
-                    conn.state = ConnState.PARSE
+                    conn.state = _PARSE
                     self._parse(conn, pending)
             else:
                 # Packet/connection subscriptions need no parsed
                 # sessions: stop probing/reassembling, keep tracking.
-                self._stop_heavy_processing(conn, ConnState.TRACK)
+                self._stop_heavy_processing(conn, _TRACK)
             return
         # Session predicates remain: parse until sessions complete.
         if parser is None:
             self._discard(conn)
             return
-        conn.state = ConnState.PARSE
+        conn.state = _PARSE
         self._parse(conn, pending)
 
     # -- parsing ---------------------------------------------------------------
@@ -720,7 +725,7 @@ class CorePipeline:
         ledger = self.stats.ledger
         injector = self._injector
         for segment in segments:
-            if conn.state is not ConnState.PARSE:
+            if conn.state is not _PARSE:
                 break
             if not segment.payload:
                 continue
@@ -742,7 +747,7 @@ class CorePipeline:
                 break
             for session in sessions:
                 self._on_session(conn, session)
-                if conn.state is not ConnState.PARSE:
+                if conn.state is not _PARSE:
                     break
             if result is ParseResult.ERROR:
                 self._on_parse_error(conn)
@@ -762,7 +767,7 @@ class CorePipeline:
         parser = conn.parser
         if matched:
             self.stats.sessions_matched += 1
-            if self._level is Level.SESSION:
+            if self._level is _SESSION_LEVEL:
                 self._deliver(self.sub.datatype(
                     session=session, five_tuple=conn.five_tuple))
                 if self._tracer is not None:
@@ -770,7 +775,7 @@ class CorePipeline:
                                         "session")
                 next_state = parser.session_match_state()
                 if next_state == "parse":
-                    conn.state = ConnState.PARSE
+                    conn.state = _PARSE
                 else:
                     # Figure 4b: nothing more can come of this
                     # connection — deliver and drop it early (a
@@ -784,7 +789,7 @@ class CorePipeline:
                 self._on_full_match(conn)
                 self._stop_heavy_processing(
                     conn,
-                    ConnState.TRACK,
+                    _TRACK,
                 )
         else:
             next_state = parser.session_nomatch_state() if parser else \
@@ -796,14 +801,14 @@ class CorePipeline:
     def _on_parse_error(self, conn: Connection) -> None:
         """Malformed L7 data: keep the connection if already matched,
         otherwise it can no longer satisfy the filter."""
-        if conn.matched and self._level is not Level.SESSION:
-            self._stop_heavy_processing(conn, ConnState.TRACK)
+        if conn.matched and self._level is not _SESSION_LEVEL:
+            self._stop_heavy_processing(conn, _TRACK)
         else:
             self._discard(conn)
 
     def _on_full_match(self, conn: Connection) -> None:
         """The whole filter just matched mid-connection."""
-        if self._level is Level.PACKET and conn.buffered_mbufs:
+        if self._level is _PACKET_LEVEL and conn.buffered_mbufs:
             for mbuf in conn.drain_buffered():
                 self._deliver(RawPacket(mbuf=mbuf,
                                         five_tuple=conn.five_tuple))
@@ -843,7 +848,7 @@ class CorePipeline:
         conn.parser = None
         if not self._streams_bytes:
             conn.reassembler = None
-        if self._level is not Level.PACKET:
+        if self._level is not _PACKET_LEVEL:
             conn.drop_buffered()
 
     def _discard(self, conn: Connection, rejected: bool = True) -> None:
@@ -858,7 +863,7 @@ class CorePipeline:
             self.stats.conns_discarded += 1
             if self._tracer is not None:
                 self._tracer.record(conn, self._now, "discarded")
-        conn.state = ConnState.DELETE
+        conn.state = _DELETE
         conn.parser = None
         conn.reassembler = None
         conn.drop_buffered()
@@ -882,7 +887,7 @@ class CorePipeline:
     def _deliver_connection(self, conn: Connection) -> None:
         if self._streams_bytes:
             return  # chunks were delivered as they arrived
-        if (self._level is Level.CONNECTION and conn.matched
+        if (self._level is _CONNECTION_LEVEL and conn.matched
                 and not conn.delivered):
             conn.delivered = True
             self._deliver(ConnectionRecord.from_connection(conn))
@@ -1044,8 +1049,8 @@ class CorePipeline:
             ledger.record_downgrade()
             if tracer is not None:
                 tracer.record(conn, now, "downgraded")
-            if conn.matched and self._level is not Level.SESSION:
-                self._stop_heavy_processing(conn, ConnState.TRACK)
+            if conn.matched and self._level is not _SESSION_LEVEL:
+                self._stop_heavy_processing(conn, _TRACK)
             else:
                 self._discard(conn, rejected=False)
 

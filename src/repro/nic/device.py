@@ -12,7 +12,7 @@ sampling (Section 6.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import ConfigError
 from repro.filter.batch import compile_hw_admit
@@ -21,7 +21,7 @@ from repro.nic.rss import (
     SYMMETRIC_RSS_KEY,
     RedirectionTable,
     rss_input_bytes,
-    toeplitz_hash,
+    toeplitz_kernel,
 )
 from repro.packet.columnar import ETHERTYPE_IPV4
 from repro.packet.mbuf import Mbuf
@@ -67,17 +67,18 @@ class _RssHashCache(dict):
     """RSS input bytes → Toeplitz hash, bounded by clear-when-full.
 
     A hit is one C-level dict subscript; ``__missing__`` is the single
-    miss path shared by every ingress entry point.
+    miss path shared by every ingress entry point, and runs the NIC's
+    hash kernel (:func:`~repro.nic.rss.toeplitz_kernel`) directly.
     """
 
-    __slots__ = ("key", "size")
+    __slots__ = ("kernel", "size")
 
-    def __init__(self, key: bytes, size: int) -> None:
-        self.key = key
+    def __init__(self, kernel: Callable[[bytes], int], size: int) -> None:
+        self.kernel = kernel
         self.size = size
 
     def __missing__(self, data: bytes) -> int:
-        rss = toeplitz_hash(self.key, data)
+        rss = self.kernel(data)
         if len(self) >= self.size:
             self.clear()
         self[data] = rss
@@ -99,12 +100,17 @@ class SimNic:
     ) -> None:
         if num_queues < 1:
             raise ConfigError("NIC needs at least one receive queue")
+        if len(rss_key) < len(SYMMETRIC_RSS_KEY):
+            raise ConfigError(
+                f"RSS key of {len(rss_key)} bytes: the IPv6 four-tuple "
+                f"needs {len(SYMMETRIC_RSS_KEY)}")
         self.num_queues = num_queues
         self.rss_key = rss_key
         self.table = RedirectionTable(num_queues, redirection_size)
         self.hardware_filter: Optional[HardwareFilter] = None
         self.stats = NicPortStats()
-        self._hash_cache = _RssHashCache(rss_key, hash_cache_size)
+        self._hash_cache = _RssHashCache(toeplitz_kernel(rss_key),
+                                         hash_cache_size)
         # Fast-row admit check over decoded columns: True (admit all),
         # a closure, or None when the rule set is not column-expressible
         # (receive_columnar then hands every row to receive).

@@ -1,4 +1,5 @@
-"""What one tracked-but-idle flow costs in live Python bytes.
+"""What one tracked-but-idle flow costs in live Python bytes, and what
+one lone SYN's whole life costs in Python calls (the last test).
 
 A scan is the population the two-tier timers exist for (paper §5.2:
 65 % of campus connections are single unanswered SYNs), and every SYN
@@ -17,8 +18,11 @@ benchmark's 25,000 flows, where this tree reads ~625 B).
 """
 
 import gc
+import os
+import sys
 import tracemalloc
 
+import repro
 from repro import Runtime, RuntimeConfig
 from repro.conntrack import Connection
 from repro.core.datatypes import ConnectionRecord
@@ -27,6 +31,9 @@ from repro.traffic import CampusProfile, CampusTrafficGenerator
 
 FLOWS = 10_000
 MAX_BYTES_PER_CONN = 700
+
+SYNS = 2_000
+MAX_CALLS_PER_SYN = 26.2
 
 
 def test_single_syn_flow_costs_at_most_700_live_bytes():
@@ -91,3 +98,39 @@ def test_five_tuple_materialises_once_and_records_do_not_cache():
     tup = conn.five_tuple
     assert tup is conn.five_tuple and tup == record.five_tuple
     assert tup.canonical() is key
+
+
+def test_single_syn_flow_costs_at_most_26_python_calls():
+    """What one lone SYN costs in Python function calls inside
+    ``repro``, over its whole life: NIC hash miss, conntrack insert and
+    arming, first packet, and the record delivered at drain. The count
+    is deterministic for a fixed trace (like ``TestNoReparse``), so it
+    is a budget, not a timing: 2,000 SYNs at ``scan_conn``'s rate
+    through ``tcp -> connection``, ``call`` events counted with
+    ``sys.setprofile`` while ``Runtime.run`` runs.
+
+    The tree before the change that added this test made 66,241 calls
+    here (33.1 per SYN, Python 3.11); it makes 52,204 (26.1). Newer
+    Pythons inline comprehensions and only count fewer.
+    """
+    profile = CampusProfile(tcp_fraction=1.0, single_syn_fraction=1.0)
+    mbufs = [Mbuf(bytes(m.data), m.timestamp, m.port)
+             for m in CampusTrafficGenerator(7, profile).connections(
+                 SYNS, duration=0.2)]
+    runtime = Runtime(RuntimeConfig(cores=1), "tcp", "connection")
+    package = os.path.dirname(repro.__file__) + os.sep
+    calls = 0
+
+    def count(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        report = runtime.run(iter(mbufs))
+    finally:
+        sys.setprofile(None)
+    assert report.stats.conns_created == report.stats.callbacks == SYNS
+    assert calls <= MAX_CALLS_PER_SYN * SYNS, (
+        f"{calls / SYNS:.2f} Python calls per single-SYN flow")

@@ -15,7 +15,7 @@ from repro.nic import (
     rss_input_bytes,
     toeplitz_hash,
 )
-from repro.nic.rss import _toeplitz_tables
+from repro.nic.rss import _toeplitz_tables, toeplitz_kernel
 from repro.packet import Mbuf, build_tcp_packet, build_udp_packet, parse_stack
 from repro.packet.columnar import decode_mbufs
 
@@ -114,6 +114,56 @@ class TestToeplitz:
         )
         assert toeplitz_hash(SYMMETRIC_RSS_KEY, fwd) == \
             toeplitz_hash(SYMMETRIC_RSS_KEY, rev)
+
+    @settings(max_examples=200, deadline=None)
+    @given(key=st.sampled_from([SYMMETRIC_RSS_KEY + bytes.fromhex("6d5a6d5a"),
+                                bytes.fromhex("abcd") * 22]),
+           data=st.data())
+    def test_periodic_keys_fold_and_match_bit_serial(self, key, data):
+        """A 16-bit-periodic key's byte tables repeat with period two,
+        which selects the XOR fold; it agrees with the oracle on every
+        even length from 0 to 40 bytes, through the public hash and
+        through the NIC's kernel alike."""
+        tables = _toeplitz_tables(key)
+        assert tables[2] is tables[0] and tables[3] is tables[1]
+        size = data.draw(st.integers(0, 20)) * 2
+        msg = data.draw(st.binary(min_size=size, max_size=size))
+        expected = toeplitz_bit_serial(key, msg)
+        assert toeplitz_hash(key, msg) == expected
+        assert toeplitz_kernel(key)(msg) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_microsoft_key_takes_per_byte_tables(self, data):
+        key = bytes.fromhex(
+            "6d5a56da255b0ec24167253d43a38fb0"
+            "d0ca2bcbae7b30b477cb2da38030f20c"
+            "6a42b73bbeac01fa"
+        )
+        tables = _toeplitz_tables(key)
+        assert len({id(table) for table in tables}) == len(key) - 4
+        size = data.draw(st.integers(0, (len(key) - 4) // 2)) * 2
+        msg = data.draw(st.binary(min_size=size, max_size=size))
+        expected = toeplitz_bit_serial(key, msg)
+        assert toeplitz_hash(key, msg) == expected
+        assert toeplitz_kernel(key)(msg) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(addr_len=st.sampled_from([4, 16]), data=st.data())
+    def test_swapping_address_and_port_halves_keeps_the_hash(
+            self, addr_len, data):
+        """Symmetric RSS: (src, dst, sport, dport) and (dst, src, dport,
+        sport) hash alike, for both IP families, on the fold."""
+        src, dst = (data.draw(st.binary(min_size=addr_len,
+                                        max_size=addr_len))
+                    for _ in range(2))
+        sport, dport = (data.draw(st.binary(min_size=2, max_size=2))
+                        for _ in range(2))
+        kernel = toeplitz_kernel(SYMMETRIC_RSS_KEY)
+        fwd = src + dst + sport + dport
+        rev = dst + src + dport + sport
+        assert kernel(fwd) == kernel(rev) == \
+            toeplitz_bit_serial(SYMMETRIC_RSS_KEY, rev)
 
     def test_symmetry_ipv6(self):
         fwd = (
@@ -251,6 +301,13 @@ class TestSimNic:
     def test_bad_config(self):
         with pytest.raises(ConfigError):
             SimNic(num_queues=0)
+
+    def test_key_too_short_for_ipv6_is_refused_up_front(self):
+        """The NIC's hash kernel does not check lengths per miss, so a
+        key that cannot cover the 36-byte IPv6 input is refused when
+        the NIC is programmed, not at the first IPv6 packet."""
+        with pytest.raises(ConfigError):
+            SimNic(num_queues=1, rss_key=SYMMETRIC_RSS_KEY[:-2])
 
     def test_entry_points_share_one_bounded_cache(self):
         """receive, receive_columnar and rss_hash go through the same
