@@ -5,9 +5,9 @@ arithmetic on a 3 GHz Xeon: a stage that runs on fewer packets or burns
 fewer cycles leaves budget for callbacks, and the zero-loss throughput
 is the ingress rate at which per-core cycle demand meets capacity.
 Because a Python reproduction cannot move 100 Gbps of real bits, every
-pipeline stage charges a calibrated per-invocation cost to a
-:class:`CycleLedger` instead; the benchmarks convert ledger totals into
-the paper's Gbps axes.
+pipeline stage has a calibrated per-invocation cost, and a
+:class:`CycleLedger` prices the pipeline's own counts with it; the
+benchmarks convert ledger totals into the paper's Gbps axes.
 
 Default per-invocation costs are calibrated to Figure 7's measured
 per-stage averages (the Netflix connection-record workload).
@@ -58,7 +58,7 @@ class CostModel:
 
     **Unit and rounding.** Costs are written in cycles; the ledger
     counts in integer *centi-cycles* and rounds every cost **once**,
-    when a :class:`CycleLedger` (or a callback executor, for
+    when a :class:`CycleLedger` (with the executor's per-delivery
     ``callback_cycles`` / ``enqueue_cycles``) is constructed —
     ``160.0 → 16000``, ``102.9 → 10290``, ``0.75 → 75``. An overridden
     cost finer than 0.01 cycle is rounded to the nearest centi-cycle
@@ -108,48 +108,60 @@ def hist_index(centi: int) -> int:
 class CycleLedger:
     """Per-core virtual clock, exact: integers only.
 
-    A stage's cycles are ``invocations[stage] × cost[stage]`` —
-    computed when read, so charging a fixed-cost stage is one integer
-    count — plus ``extra[stage]``, the centi-cycles that are not a
-    function of the count: the buffered-reassembly ablation's per-byte
-    copy and each subscription's per-delivery callback cost. Integer
-    sums are associative, so any burst shape, worker count or merge
-    order yields the same totals; floats appear only where a total is
-    reported (one division).
+    A view over counts the core keeps anyway — ``stats.packets``
+    (capture, packet filter), ``sessions_parsed`` (session filter),
+    ``callbacks`` (callback: the model's ``callback`` plus the
+    executor's per-delivery ``rx_cycles``) — and ``counts``, the three
+    stages no counter matches once several pipelines merge. A stage's
+    cycles are its count × its centi-cycle cost, computed when read,
+    plus ``extra[stage]``: the buffered reassembler's per-byte copy.
+    Integer sums are associative, so any burst shape, worker count or
+    merge order yields the same totals; floats appear only where a
+    total is reported (one division).
 
-    With ``record_hist=True`` every :meth:`charge_extra` also lands in
+    With ``record_hist=True`` every :meth:`charge_copy` also lands in
     a fixed-bucket per-stage histogram (``hist``). Fixed-cost charges
-    are not bucketed: all of them fall in the model-cost bucket, which
+    are not bucketed: all of them fall in the cost's bucket, which
     ``Runtime.aggregate`` fills in from the counts.
     """
 
-    __slots__ = ("model", "cost", "invocations", "extra", "hist")
+    __slots__ = ("stats", "model", "cost", "copy", "counts", "extra", "hist")
 
-    def __init__(self, model: CostModel = CostModel(),
-                 record_hist: bool = False) -> None:
+    def __init__(self, stats, model: CostModel = CostModel(),
+                 rx_cycles: float = 0.0, record_hist: bool = False) -> None:
+        self.stats = stats
         self.model = model
         #: Centi-cycles per invocation: rounded now, never per charge.
         self.cost: Dict[Stage, int] = {
             s: to_centi(model.cost_of(s)) for s in Stage}
-        self.invocations: Dict[Stage, int] = {s: 0 for s in Stage}
+        self.cost[Stage.CALLBACK] += to_centi(rx_cycles)
+        self.copy = to_centi(model.reassembly_copy_per_byte)
+        self.counts: Dict[Stage, int] = dict.fromkeys(
+            (Stage.CONN_TRACK, Stage.REASSEMBLY, Stage.PARSING), 0)
         self.extra: Dict[Stage, int] = {s: 0 for s in Stage}
         self.hist: Optional[Dict[Stage, list]] = (
             {s: [0] * (len(CYCLE_HIST_BOUNDS) + 1) for s in Stage}
             if record_hist else None
         )
 
-    def charge(self, stage: Stage, invocations: int = 1) -> None:
-        """Count ``invocations`` runs of ``stage`` at the model cost."""
-        self.invocations[stage] += invocations
+    @property
+    def invocations(self) -> Dict[Stage, int]:
+        """Every stage's count, in :class:`Stage` order."""
+        stats = self.stats
+        return {Stage.CAPTURE: stats.packets, Stage.HARDWARE_FILTER: 0,
+                Stage.PACKET_FILTER: stats.packets, **self.counts,
+                Stage.SESSION_FILTER: stats.sessions_parsed,
+                Stage.CALLBACK: stats.callbacks}
 
-    def charge_extra(self, stage: Stage, centi: int) -> None:
-        """Count one run of ``stage`` costing the model cost plus
-        ``centi`` centi-cycles (callbacks, the per-byte copy)."""
-        self.invocations[stage] += 1
-        self.extra[stage] += centi
+    def charge_copy(self, nbytes: int) -> None:
+        """Count one buffered reassembly that also copied ``nbytes``
+        payload bytes (the one cost that is not a function of a count)."""
+        centi = self.copy * nbytes
+        self.counts[Stage.REASSEMBLY] += 1
+        self.extra[Stage.REASSEMBLY] += centi
         if self.hist is not None:
-            self.hist[stage][bisect_left(
-                _HIST_BOUNDS_CENTI, self.cost[stage] + centi)] += 1
+            self.hist[Stage.REASSEMBLY][bisect_left(
+                _HIST_BOUNDS_CENTI, self.cost[Stage.REASSEMBLY] + centi)] += 1
 
     def centi_cycles(self, stage: Stage) -> int:
         return self.invocations[stage] * self.cost[stage] + \
@@ -168,9 +180,12 @@ class CycleLedger:
         return self.total_centi_cycles / (100 * self.model.cpu_hz)
 
     def merge(self, other: "CycleLedger") -> None:
-        """Integer sums (both ledgers must share a cost model)."""
+        """Integer sums of the ledgers' own counts (the stats merge the
+        rest). A runtime's ledgers share one cost table: take it."""
+        self.cost = other.cost
+        for stage, count in other.counts.items():
+            self.counts[stage] += count
         for stage in Stage:
-            self.invocations[stage] += other.invocations[stage]
             self.extra[stage] += other.extra[stage]
         if self.hist is not None and other.hist is not None:
             for stage in Stage:

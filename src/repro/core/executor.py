@@ -49,24 +49,22 @@ class InlineExecutor:
                  callback_cycles: float) -> None:
         self._callback = callback
         self.callback_cycles = callback_cycles
-        #: Cycles the RX core pays per delivery.
+        #: Cycles the RX core pays per delivery (the ledger's charge).
         self.rx_cycles = callback_cycles
         self.stats = ExecutorStats()
 
-    def submit(self, obj: Any) -> float:
-        """Deliver one result; returns ``rx_cycles``."""
+    def submit(self, obj: Any) -> None:
+        """Deliver one result."""
         self.stats.delivered += 1
         if self._callback is not None:
             self._callback(obj)
-        return self.rx_cycles
 
-    def record_suppressed(self) -> float:
+    def record_suppressed(self) -> None:
         """Account a delivery whose user callback was skipped (callback
-        quarantine). Identical cycle charge and delivery count as
+        quarantine). Identical delivery count (so cycle charge) as
         :meth:`submit`, so quarantined runs keep baseline-equal
         accounting — only the user function is withheld."""
         self.stats.delivered += 1
-        return self.rx_cycles
 
 
 class QueuedExecutor:
@@ -98,17 +96,15 @@ class QueuedExecutor:
         self.stats = ExecutorStats(
             centi_per_delivery=to_centi(callback_cycles))
 
-    def submit(self, obj: Any) -> float:
+    def submit(self, obj: Any) -> None:
         self.stats.delivered += 1
         if self._callback is not None:
             self._callback(obj)
-        return self.rx_cycles
 
-    def record_suppressed(self) -> float:
+    def record_suppressed(self) -> None:
         """Account a delivery whose user callback was skipped (callback
         quarantine); same charges as :meth:`submit`."""
         self.stats.delivered += 1
-        return self.rx_cycles
 
     def finalize(self, duration: float, cpu_hz: float) -> None:
         """Convert any worker-pool overload into dropped deliveries."""

@@ -12,8 +12,10 @@ work-conserving, lazily reconstructing data path:
    session completion, with Figure 4's state transitions in between,
 7. inline callback execution.
 
-Every stage charges its calibrated cost to the core's cycle ledger —
-that ledger is this reproduction's stand-in for a 3 GHz core's time.
+The core's cycle ledger, this reproduction's stand-in for a 3 GHz
+core's time, prices the counts the pipeline keeps (packets, sessions
+parsed, deliveries) and counts only conn-tracking, reassembly and
+parsing itself.
 
 One documented deviation from the paper: where Retina deletes a
 connection the filter has rejected (or already delivered), this
@@ -36,7 +38,7 @@ from repro.conntrack.conn import ConnState, Connection
 from repro.conntrack.table import ConnTable
 from repro.errors import CallbackError, ProtocolError, \
     ResourceExhaustedError
-from repro.core.cycles import Stage, to_centi
+from repro.core.cycles import Stage
 from repro.core.datatypes import (
     ConnectionRecord,
     Level,
@@ -67,10 +69,6 @@ PROBE_BYTE_LIMIT = 4096
 # Enum members hoisted to module scope: the stateful path runs
 # once per matched packet, and member access on an Enum class costs a
 # class-dict lookup that adds up at 100k+ pkts/s.
-_CAPTURE = Stage.CAPTURE
-_PACKET_FILTER = Stage.PACKET_FILTER
-_CONN_TRACK = Stage.CONN_TRACK
-_CALLBACK = Stage.CALLBACK
 _PROBE = ConnState.PROBE
 _PARSE = ConnState.PARSE
 _TRACK = ConnState.TRACK
@@ -106,8 +104,14 @@ class CorePipeline:
         self.sub = subscription
         self.config = config
         self.table = ConnTable(config.timeouts)
+        if executor is None:
+            from repro.core.executor import InlineExecutor
+            executor = InlineExecutor(subscription.callback,
+                                      config.callback_cycles)
+        self._executor = executor
         self.stats = CoreStats(config.cost_model,
-                               telemetry=config.telemetry)
+                               telemetry=config.telemetry,
+                               rx_cycles=executor.rx_cycles)
         if config.trace_sample > 0:
             from repro.telemetry.trace import ConnectionTracer
             self._tracer = ConnectionTracer(config.trace_sample,
@@ -125,8 +129,8 @@ class CorePipeline:
         # -- burst span recorder (repro.telemetry.spans) ----------------
         # None when disabled: the batch loops then pay one ``is None``
         # check per burst and the per-packet loops stay untouched (the
-        # "no-op recorder" path). Enabled recorders snapshot the ledger
-        # and funnel counters at burst boundaries only.
+        # "no-op recorder" path). Enabled recorders snapshot the core's
+        # counters at burst boundaries only.
         if config.span_sample > 0 or config.flight_recorder_depth > 0:
             from repro.telemetry.spans import SpanRecorder
             self._spans = SpanRecorder(
@@ -140,11 +144,6 @@ class CorePipeline:
         self._needs_conntrack = subscription.needs_conntrack
         self._streams_bytes = subscription.streams_bytes
         self._buffers_packets = subscription.buffers_packets
-        if executor is None:
-            from repro.core.executor import InlineExecutor
-            executor = InlineExecutor(subscription.callback,
-                                      config.callback_cycles)
-        self._executor = executor
         self._probe_protocols = sorted(subscription.probe_protocols)
         self._now = 0.0
         self._last_expire = 0.0
@@ -157,11 +156,6 @@ class CorePipeline:
         self._isolate = config.callback_error_policy == "isolate"
         self._error_budget = config.callback_error_budget
         self._quarantined = False
-        #: Centi-cycles the RX core pays per delivery, rounded once.
-        self._rx_centi = to_centi(self._executor.rx_cycles)
-        #: Centi-cycles the buffered-reassembly ablation pays per byte.
-        self._copy_centi = to_centi(
-            config.cost_model.reassembly_copy_per_byte)
         if config.memory_limit_bytes is not None and \
                 config.memory_policy != "record":
             # Degradation policies enforce each core's share of the
@@ -249,10 +243,11 @@ class CorePipeline:
 
         The hot path: every per-packet attribute lookup and bound
         method is hoisted out of the loop. Capture and the packet
-        filter cost the ledger one count per burst.
+        filter are priced off ``stats.packets``, conn-tracking off the
+        rows the packet filter passed: each is folded in once per burst.
         """
         stats = self.stats
-        invocations = stats.ledger.invocations
+        counts = stats.ledger.counts
         packet_filter = self._filter.packet_filter
         fast_path = not self._needs_conntrack
         deliver = self._deliver
@@ -267,7 +262,7 @@ class CorePipeline:
             if span_tok[0]:
                 span_nodes = {}
         packets = 0
-        ticked = 0  # packets already in the ledger (overload ticks)
+        ticked = ticked_pf = 0  # rows, pf survivors counted in by ticks
         wire_bytes = 0
         # Funnel survivor counters, accumulated in locals and folded
         # into stats once per batch (telemetry stays near-free on the
@@ -288,9 +283,10 @@ class CorePipeline:
                 # packet stream, so transitions are identical across
                 # backends and batch boundaries. It reads the ledger's
                 # busy time, so the rows so far are counted in first.
-                invocations[_CAPTURE] += packets - ticked
-                invocations[_PACKET_FILTER] += packets - ticked
-                ticked = packets
+                stats.packets += packets - ticked
+                if not fast_path:
+                    counts[Stage.CONN_TRACK] += pf_packets - ticked_pf
+                ticked, ticked_pf = packets, pf_packets
                 self._overload_tick(ts)
                 ov_next = self._ov_next
             packets += 1
@@ -323,9 +319,9 @@ class CorePipeline:
                 fast_packets += 1
                 fast_bytes += frame_bytes
             now = self._now  # the state machine may not move it, expiry may
-        invocations[_CAPTURE] += packets - ticked
-        invocations[_PACKET_FILTER] += packets - ticked
-        stats.packets += packets
+        stats.packets += packets - ticked
+        if not fast_path:  # every row the filter passed was looked up
+            counts[Stage.CONN_TRACK] += pf_packets - ticked_pf
         stats.bytes += wire_bytes
         if self._overload is not None:
             self._overload.ledger.packets_seen += packets
@@ -349,9 +345,6 @@ class CorePipeline:
         burst's other rows went through the loop: they must not see
         the clock already at the burst's end."""
         stats = self.stats
-        invocations = stats.ledger.invocations
-        invocations[_CAPTURE] += packets
-        invocations[_PACKET_FILTER] += packets
         stats.packets += packets
         stats.bytes += wire_bytes
         if now > self._now:
@@ -374,7 +367,6 @@ class CorePipeline:
         or stream slice the bytes at the row's ``payload_off``.
         """
         stats = self.stats
-        stats.ledger.invocations[_CONN_TRACK] += 1
         now = self._now
         wire = cols.wire[i]
         sip = cols.src_ip[i]
@@ -505,7 +497,6 @@ class CorePipeline:
             # Non-transport traffic cannot be tracked (the lookup is
             # still charged); a packet-level subscription whose whole
             # filter is satisfied gets it all the same.
-            self.stats.ledger.charge(_CONN_TRACK)
             if terminal and self._level is _PACKET_LEVEL:
                 self._deliver(RawPacket(mbuf=mbuf))
                 return True
@@ -593,8 +584,7 @@ class CorePipeline:
         if self.config.reassembler == "buffered":
             # Traditional design additionally memcpys every payload
             # byte into the stream buffer.
-            self.stats.ledger.charge_extra(
-                Stage.REASSEMBLY, self._copy_centi * len(payload))
+            self.stats.ledger.charge_copy(len(payload))
             segments = conn.reassembler.push(pdu)
             dropped = conn.reassembler.drain_truncations()
             if dropped:
@@ -610,7 +600,7 @@ class CorePipeline:
                 if self._tracer is not None:
                     self._tracer.record(conn, self._now, "truncated")
             return segments
-        self.stats.ledger.charge(Stage.REASSEMBLY)
+        self.stats.ledger.counts[Stage.REASSEMBLY] += 1
         return conn.reassembler.push(pdu)
 
     # -- probing ---------------------------------------------------------------
@@ -618,14 +608,14 @@ class CorePipeline:
         context = conn.parser
         if not isinstance(context, _ProbeContext):
             return
-        ledger = self.stats.ledger
+        counts = self.stats.ledger.counts
         injector = self._injector
         for segment in segments:
             if not segment.payload:
                 continue
             context.pending.append(segment)
             context.bytes_probed += len(segment.payload)
-            ledger.charge(Stage.PARSING)
+            counts[Stage.PARSING] += 1
             # Parser isolation boundary: a ProtocolError out of probe()
             # (real or injected) resolves the connection as "no
             # service" instead of tearing the core down. The resolution
@@ -722,14 +712,14 @@ class CorePipeline:
 
     # -- parsing ---------------------------------------------------------------
     def _parse(self, conn: Connection, segments: List[StreamSegment]) -> None:
-        ledger = self.stats.ledger
+        counts = self.stats.ledger.counts
         injector = self._injector
         for segment in segments:
             if conn.state is not _PARSE:
                 break
             if not segment.payload:
                 continue
-            ledger.charge(Stage.PARSING)
+            counts[Stage.PARSING] += 1
             # Parser isolation boundary (see _probe): only the parser
             # invocation is guarded; _on_session — which can raise
             # CallbackError — runs outside the try.
@@ -754,8 +744,7 @@ class CorePipeline:
                 break
 
     def _on_session(self, conn: Connection, session: Session) -> None:
-        self.stats.ledger.charge(Stage.SESSION_FILTER)
-        self.stats.sessions_parsed += 1
+        self.stats.sessions_parsed += 1  # the session filter's count
         if conn.conn_term_node == FILTER_SATISFIED:
             matched = True
         else:
@@ -919,12 +908,11 @@ class CorePipeline:
 
     # -- delivery ---------------------------------------------------------------
     def _deliver(self, obj) -> None:
-        # Every delivery is counted and charged alike — suppressed
+        # Every delivery is counted (so charged) alike — suppressed
         # after quarantine (baseline-equal accounting; only the user
         # function is withheld) or raising (the stage work up to the
         # user function still ran).
         stats = self.stats
-        stats.ledger.charge_extra(_CALLBACK, self._rx_centi)
         stats.callbacks += 1
         if self._quarantined:
             self._executor.record_suppressed()

@@ -556,15 +556,16 @@ class Runtime:
             merged.merge(stats)
         ledger = merged.ledger
         stage_cycles = {stage: ledger.cycles(stage) for stage in Stage}
-        # Hardware filtering is charged zero CPU cycles but counts one
-        # "invocation" per ingress packet (Figure 7's first bar).
-        ledger.invocations[Stage.HARDWARE_FILTER] = ingress_packets
+        # The hardware filter runs on the NIC: no core pays for it, and
+        # it runs once per ingress packet (Figure 7's first bar).
+        stage_invocations = ledger.invocations
+        stage_invocations[Stage.HARDWARE_FILTER] = ingress_packets
         if ledger.hist is not None:
             # Only explicit-cost charges are bucketed per invocation;
-            # every other invocation cost exactly the model's constant.
+            # every other invocation cost exactly the stage's constant.
             for stage, buckets in ledger.hist.items():
                 buckets[hist_index(ledger.cost[stage])] += \
-                    ledger.invocations[stage] - sum(buckets)
+                    stage_invocations[stage] - sum(buckets)
         return AggregateStats(
             cores=self.config.cores,
             cost_model=cost_model,
@@ -573,7 +574,7 @@ class Runtime:
             ingress_bytes=ingress_bytes,
             hw_dropped_packets=hw_dropped,
             sink_dropped_packets=sink_dropped,
-            stage_invocations=ledger.invocations,
+            stage_invocations=stage_invocations,
             stage_cycles=stage_cycles,
             per_core_busy_seconds=[stats.ledger.busy_seconds
                                    for stats in core_stats],

@@ -73,9 +73,11 @@ _FUNNEL_COUNTERS = frozenset(
 class CoreStats:
     """Counters for one processing core."""
 
-    def __init__(self, cost_model: CostModel,
-                 telemetry: bool = False) -> None:
-        self.ledger = CycleLedger(cost_model, record_hist=telemetry)
+    def __init__(self, cost_model: CostModel, telemetry: bool = False,
+                 rx_cycles: float = 0.0) -> None:
+        #: A view over these counters (``rx_cycles``: per delivery).
+        self.ledger = CycleLedger(self, cost_model, rx_cycles,
+                                  record_hist=telemetry)
         for name in COUNTERS:
             setattr(self, name, 0)
         #: Injected-fault counts by kind (repro.resilience.faults).
@@ -116,10 +118,6 @@ class CoreStats:
                     return
             self.reasm_hist[-1] += 1
 
-    def record_packet(self, wire_bytes: int) -> None:
-        self.packets += 1
-        self.bytes += wire_bytes
-
     def sample_memory(self, ts: float, live_conns: int,
                       memory_bytes: int) -> None:
         self.memory_samples.append((ts, live_conns, memory_bytes))
@@ -144,8 +142,8 @@ class CoreStats:
 
         Used by the parallel backend: each worker process returns its
         pipeline's ``CoreStats`` snapshot (the whole object pickles —
-        the ledger holds only enum-keyed dicts and the cost model) and
-        the parent merges them into the aggregate report.
+        the ledger holds enum-keyed dicts, the cost model and these
+        stats) and the parent merges them into the aggregate report.
         """
         self.ledger.merge(other.ledger)
         for name in COUNTERS:

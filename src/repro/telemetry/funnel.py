@@ -143,10 +143,19 @@ def _view(stats, ledger, cores) -> dict:
     """What the table reads about one set of pipelines — the run's, or
     one tenant's: the merged counters, each core's share of them, and
     the pipelines' own ladder ledger when one was armed."""
+    ledgers = [cores[core].ledger for core in sorted(cores)]
+    cost = ledgers[0].cost if ledgers else dict.fromkeys(Stage, 0)
     view = {"ingress_packets": stats.ingress_packets,
             "hw_dropped_packets": stats.hw_dropped_packets,
             "sink_dropped_packets": stats.sink_dropped_packets,
-            "captured": stats.stage_invocations[Stage.CAPTURE],
+            # Per stage, centi-cycles summed over the cores, the
+            # report's, and the report's count x cost + the cores' extra.
+            "cycles": {stage.value: [
+                sum(ledger.centi_cycles(stage) for ledger in ledgers),
+                round(stats.stage_cycles[stage] * 100),
+                stats.stage_invocations[stage] * cost[stage]
+                + sum(ledger.extra[stage] for ledger in ledgers)]
+                for stage in Stage},
             # Per stage, cycle-histogram observations and invocations.
             "hist": {stage.value: [sum(buckets),
                                    stats.stage_invocations[stage]]
@@ -297,10 +306,12 @@ def _edges(counters: dict):
             name = AGGREGATE_NAMES.get(name, name)
             yield f"{who}: cores -> report ({name})", \
                 sum(row[i] for row in view["cores"].values()), view[name]
-        yield f"{who}: capture -> packet filter", view["captured"], \
-            view["processed_packets"]
         for stage, (observed, invoked) in view["hist"].items():
             yield f"{who}: cycle histogram ({stage})", invoked, observed
+        for stage, (cores, report, priced) in view["cycles"].items():
+            yield f"{who}: cores -> report (cycles: {stage})", cores, report
+            yield f"{who}: counts x costs -> report (cycles: {stage})", \
+                priced, report
         ladder = view.get("ladder")
         if ladder is not None:
             yield f"{who}: packet filter -> overload ladder", \

@@ -7,11 +7,11 @@ conn-track → reassembly → parsing → session filter → callback),
 carrying the stage's invocation count (packets in), its virtual-cycle
 self time, the funnel survivors the burst produced (packets out), and
 the core that ran it. Spans are recorded by *delta snapshots* at burst
-boundaries — the recorder reads the cycle ledger and funnel counters
-once before and once after the batch loop, so the per-packet hot path
-is untouched and the disabled path costs a single ``is None`` check
-per burst (the "compile-time no-op" requirement on the 145k pkts/s
-columnar path).
+boundaries — the recorder reads the core's counters (the cycle ledger
+is a view over them) once before and once after the batch loop, so the
+per-packet hot path is untouched and the disabled path costs a single
+``is None`` check per burst (the "compile-time no-op" requirement on
+the 145k pkts/s columnar path).
 
 Three consumers sit on top of the recorder:
 
@@ -85,6 +85,16 @@ def _span_hist_index(value: float) -> int:
     return len(SPAN_HIST_BOUNDS)
 
 
+def _counters(stats) -> Tuple[int, ...]:
+    """The one snapshot a burst tree is the difference of: each stage's
+    count as the cycle ledger reads it, the buffered reassembler's copy
+    cycles, then the funnel counters the stage counts leave out."""
+    ledger = stats.ledger
+    return (*ledger.invocations.values(), ledger.extra[Stage.REASSEMBLY],
+            stats.pf_packets, stats.connf_packets, stats.sessf_packets,
+            stats.conns_created)
+
+
 def tree_public(tree: Dict) -> Dict:
     """The deterministic view of a burst tree: drops wall-clock time
     and the IPC span context (both volatile — wall time varies run to
@@ -142,35 +152,31 @@ class SpanRecorder:
 
     # -- burst boundaries --------------------------------------------------
     def start(self, stats) -> Tuple:
-        """Snapshot ledgers/counters at the top of a batch. Returns the
-        token ``finish`` needs; ``token[0]`` tells the caller whether
-        this burst is profiler-sampled (so it may collect per-node
-        verdict counts, otherwise skipped entirely)."""
+        """Snapshot the core's counters at the top of a batch. Returns
+        the token ``finish`` needs; ``token[0]`` tells the caller
+        whether this burst is profiler-sampled (so it may collect
+        per-node verdict counts, otherwise skipped entirely)."""
         k = self.sample_every
         sampled = k > 0 and self.bursts % k == 0
-        ledger = stats.ledger
-        return (
-            sampled,
-            time.perf_counter_ns(),
-            tuple(map(ledger.invocations.__getitem__, _STAGES)),
-            tuple(map(ledger.centi_cycles, _STAGES)),
-            (stats.packets, stats.pf_packets, stats.connf_packets,
-             stats.sessf_packets, stats.callbacks, stats.conns_created),
-        )
+        return sampled, time.perf_counter_ns(), _counters(stats)
 
     def finish(self, stats, now: float, token: Tuple,
                node_counts: Optional[Dict[int, int]] = None) -> None:
         """Close the burst opened by ``token``: build the span tree,
         feed the flight ring, and (on sampled bursts) the profiler."""
-        sampled, wall0, inv0, centi0, ctr0 = token
-        ledger = stats.ledger
-        inv = ledger.invocations
+        sampled, wall0, before = token
         wall_ns = time.perf_counter_ns() - wall0
+        delta = [after - then
+                 for after, then in zip(_counters(stats), before)]
+        invoked = dict(zip(_STAGES, delta))
+        copy_centi, pf, connf, sessf, created = delta[len(_STAGES):]
+        cost = stats.ledger.cost
         stages = []
         total_centi = 0
-        for i, stage in enumerate(_STAGES):
-            d_inv = inv[stage] - inv0[i]
-            d_centi = ledger.centi_cycles(stage) - centi0[i]
+        for stage, d_inv in invoked.items():
+            d_centi = d_inv * cost[stage]
+            if stage is Stage.REASSEMBLY:
+                d_centi += copy_centi
             if d_inv or d_centi:
                 stages.append([stage.value, d_inv, d_centi / 100])
                 total_centi += d_centi
@@ -178,14 +184,14 @@ class SpanRecorder:
             "core": self.core_id,
             "seq": self.bursts,
             "ts": now,
-            "packets_in": stats.packets - ctr0[0],
+            "packets_in": invoked[Stage.CAPTURE],
             "out": {
-                "packet_filter": stats.pf_packets - ctr0[1],
-                "connection_filter": stats.connf_packets - ctr0[2],
-                "session_filter": stats.sessf_packets - ctr0[3],
-                "callback": stats.callbacks - ctr0[4],
+                "packet_filter": pf,
+                "connection_filter": connf,
+                "session_filter": sessf,
+                "callback": invoked[Stage.CALLBACK],
             },
-            "conns_created": stats.conns_created - ctr0[5],
+            "conns_created": created,
             "cycles": total_centi / 100,
             "stages": stages,
             "ctx": list(self.ctx) if self.ctx is not None else None,

@@ -1,5 +1,6 @@
-"""What one tracked-but-idle flow costs in live Python bytes, and what
-one lone SYN's whole life costs in Python calls (the last test).
+"""What one tracked-but-idle flow costs in live Python bytes, what one
+lone SYN's whole life costs in Python calls, and what one delivery on
+the §5.1 fast path costs in Python calls (the last two tests).
 
 A scan is the population the two-tier timers exist for (paper §5.2:
 65 % of campus connections are single unanswered SYNs), and every SYN
@@ -33,7 +34,12 @@ FLOWS = 10_000
 MAX_BYTES_PER_CONN = 700
 
 SYNS = 2_000
-MAX_CALLS_PER_SYN = 26.2
+MAX_CALLS_PER_SYN = 25.2
+
+CONNECTIONS = 400
+MAX_CALLS_PER_DELIVERY = 5.3
+CYCLES_PY = os.path.join(os.path.dirname(repro.__file__), "core",
+                         "cycles.py")
 
 
 def test_single_syn_flow_costs_at_most_700_live_bytes():
@@ -110,27 +116,65 @@ def test_single_syn_flow_costs_at_most_26_python_calls():
     ``sys.setprofile`` while ``Runtime.run`` runs.
 
     The tree before the change that added this test made 66,241 calls
-    here (33.1 per SYN, Python 3.11); it makes 52,204 (26.1). Newer
+    here (33.1 per SYN, Python 3.11); it made 52,204 (26.1), and 50,210
+    (25.1) once a delivery stopped charging the cycle ledger. Newer
     Pythons inline comprehensions and only count fewer.
     """
     profile = CampusProfile(tcp_fraction=1.0, single_syn_fraction=1.0)
     mbufs = [Mbuf(bytes(m.data), m.timestamp, m.port)
              for m in CampusTrafficGenerator(7, profile).connections(
                  SYNS, duration=0.2)]
-    runtime = Runtime(RuntimeConfig(cores=1), "tcp", "connection")
+    report, calls, _ = _count_calls(
+        Runtime(RuntimeConfig(cores=1), "tcp", "connection"), mbufs)
+    assert report.stats.conns_created == report.stats.callbacks == SYNS
+    assert calls <= MAX_CALLS_PER_SYN * SYNS, (
+        f"{calls / SYNS:.2f} Python calls per single-SYN flow")
+
+
+def test_fast_path_delivery_costs_at_most_5_3_python_calls():
+    """What one packet costs in Python calls inside ``repro`` on the
+    §5.1 fast path — match-all filter, packet subscription: decode,
+    NIC, packet filter, delivery — and that none of them is a cycle
+    ledger charge: the ledger prices ``packets`` and ``callbacks``, the
+    counts the pipeline keeps anyway, so ``core/cycles.py`` runs only a
+    fixed handful of calls per run (construction, the report).
+
+    The tree before the change that added this test made 6.29 calls
+    per packet here, 1.00 of them into ``core/cycles.py`` (26,350
+    frames, Python 3.11); it makes 5.29, and 95 calls into
+    ``core/cycles.py`` per run.
+    """
+    mbufs = [Mbuf(bytes(m.data), m.timestamp, m.port)
+             for m in CampusTrafficGenerator(7).connections(
+                 CONNECTIONS, duration=0.2)]
+    report, calls, ledger_calls = _count_calls(
+        Runtime(RuntimeConfig(cores=1), "", "packet"), mbufs)
+    packets = len(mbufs)
+    assert report.stats.callbacks == packets
+    assert calls <= MAX_CALLS_PER_DELIVERY * packets, (
+        f"{calls / packets:.2f} Python calls per delivered packet")
+    assert ledger_calls / packets < 0.005, (
+        f"{ledger_calls / packets:.2f} calls into core/cycles.py per "
+        f"delivered packet")
+
+
+def _count_calls(runtime, mbufs):
+    """``runtime.run(mbufs)``'s report, with the Python calls it made
+    inside ``repro`` and those of them into ``core/cycles.py``."""
     package = os.path.dirname(repro.__file__) + os.sep
-    calls = 0
+    calls = ledger_calls = 0
 
     def count(frame, event, _arg):
-        nonlocal calls
-        if event == "call" and frame.f_code.co_filename.startswith(package):
-            calls += 1
+        nonlocal calls, ledger_calls
+        if event == "call":
+            filename = frame.f_code.co_filename
+            if filename.startswith(package):
+                calls += 1
+                ledger_calls += filename == CYCLES_PY
 
     sys.setprofile(count)
     try:
         report = runtime.run(iter(mbufs))
     finally:
         sys.setprofile(None)
-    assert report.stats.conns_created == report.stats.callbacks == SYNS
-    assert calls <= MAX_CALLS_PER_SYN * SYNS, (
-        f"{calls / SYNS:.2f} Python calls per single-SYN flow")
+    return report, calls, ledger_calls

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro import (
     ConnectionRecord,
-    CycleLedger,
     RawPacket,
     Runtime,
     RuntimeConfig,
@@ -19,6 +18,7 @@ from repro import (
     TimeoutConfig,
 )
 from repro.core.pipeline import CorePipeline
+from repro.core.stats import CoreStats
 from repro.errors import ConfigError, SubscriptionError
 from repro.packet import Mbuf
 from repro.packet.columnar import decode_mbufs
@@ -460,7 +460,8 @@ class TestBurstShapeDoesNotMatter:
     @staticmethod
     def _merged_ledger(shares, burst_sizes, merge_order):
         """Run each share through its own pipeline in bursts of the
-        given sizes (cycled), then merge the ledgers in ``merge_order``."""
+        given sizes (cycled), then merge the stats (and with them the
+        ledgers, views over them) in ``merge_order``."""
         config = RuntimeConfig(cores=1, reassembler="buffered",
                                callback_cycles=77.77)
         subscription = Subscription(r"tls.sni ~ '.*\.com$'",
@@ -478,11 +479,11 @@ class TestBurstShapeDoesNotMatter:
                 start += size
             pipeline.advance_time(600.0)
             pipeline.drain()
-            ledgers.append(pipeline.stats.ledger)
-        merged = CycleLedger(config.cost_model)
+            ledgers.append(pipeline.stats)
+        merged = CoreStats(config.cost_model)
         for index in merge_order:
             merged.merge(ledgers[index])
-        return merged
+        return merged.ledger
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), cores=st.integers(1, 4),
@@ -504,4 +505,4 @@ class TestBurstShapeDoesNotMatter:
         assert merged.snapshot() == whole.snapshot()
         assert merged.extra == whole.extra
         assert merged.extra[Stage.REASSEMBLY] > 0 < \
-            merged.extra[Stage.CALLBACK]
+            merged.centi_cycles(Stage.CALLBACK)

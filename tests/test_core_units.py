@@ -5,13 +5,15 @@ import pytest
 
 from repro import (
     CostModel,
-    CycleLedger,
     RuntimeConfig,
     Stage,
     Subscription,
     compile_filter,
 )
-from repro.core.stats import AggregateStats
+from repro.core.pipeline import CorePipeline
+from repro.core.stats import AggregateStats, CoreStats
+from repro.overload import OverloadController
+from repro.traffic import CampusTrafficGenerator
 
 
 class TestCostModel:
@@ -30,52 +32,102 @@ class TestCostModel:
         assert model.cost_of(Stage.PACKET_FILTER) == 102.9
 
 
+def _ledger(model=CostModel(), rx_cycles=0.0):
+    return CoreStats(model, rx_cycles=rx_cycles).ledger
+
+
 class TestCycleLedger:
+    """The ledger is a view: the stats' counters are most of its counts."""
+
     def test_charge_accumulates(self):
-        ledger = CycleLedger()
-        ledger.charge(Stage.PACKET_FILTER, invocations=10)
-        assert ledger.invocations[Stage.PACKET_FILTER] == 10
+        ledger = _ledger()
+        ledger.stats.packets = 10
+        assert ledger.invocations[Stage.CAPTURE] == \
+            ledger.invocations[Stage.PACKET_FILTER] == 10
         assert ledger.centi_cycles(Stage.PACKET_FILTER) == 102_900
         assert ledger.cycles(Stage.PACKET_FILTER) == 1029.0
+        ledger.counts[Stage.CONN_TRACK] += 3
+        assert ledger.invocations[Stage.CONN_TRACK] == 3
+        ledger.stats.sessions_parsed = 2
+        assert ledger.centi_cycles(Stage.SESSION_FILTER) == 2 * 70_230
+        # The hardware filter runs on the NIC: a core counts none.
+        assert ledger.invocations[Stage.HARDWARE_FILTER] == 0
 
     def test_charge_cycles_explicit(self):
-        ledger = CycleLedger()
-        ledger.charge_extra(Stage.CALLBACK, 1_234_500)
-        assert ledger.cycles(Stage.CALLBACK) == 12345.0
-        assert ledger.invocations[Stage.CALLBACK] == 1
+        """A callback is a fixed-cost stage: the model's cost plus the
+        executor's per-delivery cycles, priced off ``callbacks``."""
+        ledger = _ledger(CostModel(callback=45.0), rx_cycles=12_300.0)
+        ledger.stats.callbacks = 2
+        assert ledger.invocations[Stage.CALLBACK] == 2
+        assert ledger.cycles(Stage.CALLBACK) == 2 * 12_345.0
+        assert ledger.extra[Stage.CALLBACK] == 0
 
     def test_explicit_cost_adds_to_the_model_cost(self):
-        ledger = CycleLedger()
-        ledger.charge_extra(Stage.REASSEMBLY, 75 * 1000)
+        ledger = _ledger()
+        ledger.charge_copy(1000)  # 0.75 cycles a byte
+        assert ledger.invocations[Stage.REASSEMBLY] == 1
         assert ledger.centi_cycles(Stage.REASSEMBLY) == 35_380 + 75_000
 
     def test_costs_round_once_to_centi_cycles(self):
-        ledger = CycleLedger(CostModel(conn_track=1 / 3, parsing=3e7))
+        ledger = _ledger(CostModel(conn_track=1 / 3, parsing=3e7,
+                                   callback=0.004), rx_cycles=0.004)
         assert ledger.cost[Stage.CONN_TRACK] == 33
         assert ledger.cost[Stage.PARSING] == 3_000_000_000
         assert ledger.cost[Stage.PACKET_FILTER] == 10_290
-        ledger.charge(Stage.CONN_TRACK, 3)
+        # Each of the callback's two parts is rounded on its own.
+        assert ledger.cost[Stage.CALLBACK] == 0
+        ledger.counts[Stage.CONN_TRACK] += 3
         assert ledger.centi_cycles(Stage.CONN_TRACK) == 99
 
     def test_busy_seconds(self):
-        ledger = CycleLedger(CostModel(cpu_hz=1e9))
-        ledger.charge_extra(Stage.CALLBACK, 5 * 10**10)
+        ledger = _ledger(CostModel(cpu_hz=1e9), rx_cycles=1e8)
+        ledger.stats.callbacks = 5
         assert ledger.busy_seconds == 0.5
 
     def test_merge(self):
-        a, b = CycleLedger(), CycleLedger()
-        a.charge(Stage.CONN_TRACK, 3)
-        b.charge(Stage.CONN_TRACK, 4)
-        b.charge_extra(Stage.CALLBACK, 250)
+        a, b = CoreStats(CostModel()), CoreStats(CostModel(),
+                                                 rx_cycles=2.5)
+        a.ledger.counts[Stage.CONN_TRACK] += 3
+        b.ledger.counts[Stage.CONN_TRACK] += 4
+        b.callbacks = 1
         a.merge(b)
-        assert a.invocations[Stage.CONN_TRACK] == 7
-        assert a.centi_cycles(Stage.CONN_TRACK) == 7 * 4160
-        assert a.centi_cycles(Stage.CALLBACK) == 250
+        assert a.ledger.invocations[Stage.CONN_TRACK] == 7
+        assert a.ledger.centi_cycles(Stage.CONN_TRACK) == 7 * 4160
+        # A merge target charges what the merged pipelines charged.
+        assert a.ledger.centi_cycles(Stage.CALLBACK) == 250
 
     def test_snapshot_shape(self):
-        snap = CycleLedger().snapshot()
+        snap = _ledger().snapshot()
         assert set(snap) == {s.value for s in Stage}
         assert snap["parsing"] == {"invocations": 0, "cycles": 0.0}
+
+    def test_overload_tick_sees_the_rows_before_it(self, monkeypatch):
+        """One burst crosses several controller ticks: at each, the
+        busy time the controller reads already prices every row before
+        the tick row — the ledger a pipeline ends with after exactly
+        those rows."""
+        mbufs = list(CampusTrafficGenerator(seed=3).packets(
+            duration=0.25, gbps=0.02))
+        sub = Subscription("tcp", "connection", None)
+        evaluate = OverloadController.evaluate
+        seen = []
+
+        def spy(ctl, now, busy_seconds, *args):
+            seen.append((now, busy_seconds))
+            return evaluate(ctl, now, busy_seconds, *args)
+
+        monkeypatch.setattr(OverloadController, "evaluate", spy)
+        pipeline = CorePipeline(
+            0, sub, RuntimeConfig(cores=1, overload_policy="ladder"))
+        pipeline.process_batch(mbufs)  # one burst
+        assert pipeline.overload_rung == 0 and len(seen) >= 4
+        stamps = [m.timestamp for m in mbufs]
+        for now, busy in seen[1:]:
+            before = stamps.index(now)
+            assert before > 0
+            reference = CorePipeline(0, sub, RuntimeConfig(cores=1))
+            reference.process_batch(mbufs[:before])
+            assert busy == reference.stats.ledger.busy_seconds > 0
 
 
 def _stats(**overrides):

@@ -66,7 +66,7 @@ class TestSpanRecorder:
         stats.packets += 10
         stats.pf_packets += 7
         stats.callbacks += 2
-        stats.ledger.charge(Stage.PARSING, 3)
+        stats.ledger.counts[Stage.PARSING] += 3
         rec.finish(stats, 1.5, token)
         assert rec.bursts == 1 and rec.bursts_sampled == 1
         (tree,) = rec.trees
