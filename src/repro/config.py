@@ -98,11 +98,6 @@ class RuntimeConfig:
     #: blocks when a worker falls this far behind (backpressure instead
     #: of unbounded buffering).
     parallel_queue_depth: int = 8
-    #: Bytes per shared-memory batch slot; None sizes slots from
-    #: ``parallel_batch_size`` at a generous ~2 KiB per frame. Bursts
-    #: that do not fit a slot fall back (per batch) to the pickled
-    #: control channel, so undersizing costs speed, never correctness.
-    ipc_slot_bytes: Optional[int] = None
     #: Enable the extended telemetry recorders: per-stage cycle
     #: histograms, reassembly-buffer occupancy histograms, and parallel
     #: backend health metrics. The filter-funnel counters are always on
@@ -236,14 +231,15 @@ class RuntimeConfig:
                 f"unknown callback_execution {self.callback_execution!r}")
         if self.callback_workers < 1:
             raise ConfigError("callback_workers must be >= 1")
-        if self.parallel_batch_size < 1:
-            raise ConfigError("parallel_batch_size must be >= 1")
-        if self.parallel_queue_depth < 1:
-            raise ConfigError("parallel_queue_depth must be >= 1")
-        if self.ipc_slot_bytes is not None and self.ipc_slot_bytes < 4096:
-            raise ConfigError("ipc_slot_bytes must be >= 4096 (one "
-                              "page; a slot must hold at least a small "
-                              "batch header + frames)")
+        # Ring descriptors (repro.core.shm) pack a burst's slot index
+        # into 16 bits; its row count is held to the same width.
+        for name, why in (
+                ("parallel_batch_size", "a burst's row count is held to "
+                                        "16 bits"),
+                ("parallel_queue_depth", "a ring descriptor's slot field "
+                                         "is 16 bits")):
+            if not 1 <= getattr(self, name) <= 0xFFFF:
+                raise ConfigError(f"{name} must be in [1, 65535]: {why}")
         if not 0.0 <= self.trace_sample <= 1.0:
             raise ConfigError("trace_sample must be in [0, 1]")
         if self.span_sample < 0:

@@ -23,17 +23,20 @@ identical stats, memory series and span trees by construction, and the
 cycle ledger's integer sums do not depend on merge order.
 
 There is one feeder→worker data path, the shared-memory mempool +
-descriptor ring of :mod:`repro.core.shm`: the feeder writes each
-burst's flat wire layout (:class:`~repro.packet.batch.PackedBatch`)
+descriptor ring of :mod:`repro.core.shm`, and one wire form, the
+burst's slot image (:mod:`repro.packet.batch`): the feeder writes it
 straight into a pre-allocated shared slot and publishes an 8-byte
-descriptor on a per-core SPSC ring; the worker maps the slot back with
-zero-copy ``memoryview`` blobs and returns the slot by publishing a
+descriptor on a per-core SPSC ring; the worker maps the slot back as
+zero-copy ``memoryview`` mbufs and returns the slot by publishing a
 cumulative consumed counter (credit-based recycling). A full ring
-blocks the feeder (the analogue of a finite RX descriptor ring).
-Memory samples are payload-less descriptors. Everything else — FINISH,
-tenancy epoch bumps, bursts too large for a slot — rides a CTRL
-descriptor whose payload travels on a per-core pickle queue, so the
-strict per-core total order holds across both channels. Worker acks
+blocks the feeder (the analogue of a finite RX descriptor ring). A
+supervised burst is imaged once into a private buffer that the redo
+log keeps, and copied verbatim into a slot on its first send and on
+every replay. Memory samples are payload-less descriptors. Everything
+else — FINISH, tenancy epoch bumps, the image of a burst too large for
+a slot — rides a CTRL descriptor whose payload travels on a per-core
+pickle queue, so the strict per-core total order holds across both
+channels. Worker acks
 coalesce (cumulative seqs, flushed on ring-idle, every few batches, and
 always *before* a planned fault fires, which keeps the supervisor's
 replay set — and therefore post-crash stats — deterministic). Workers
@@ -77,17 +80,19 @@ from repro.core import shm as shm_mod
 from repro.core.monitor import CoreProgress
 from repro.core.stats import CoreStats
 from repro.errors import RetinaError
-from repro.packet.batch import PackedBatch
+from repro.packet.batch import slot_image, slot_read, slot_rows
 from repro.resilience.faults import FaultPlan
 from repro.resilience.supervisor import WorkerSupervisor
 from repro.tenancy.pipeline import TenantCorePipeline
 from repro.tenancy.spec import TenantSpec
 
-#: Message tags on the per-core control queues: a batch that could not
-#: ride a slot — ``(_BATCH, seq, PackedBatch)``, seq -1 when
-#: unsupervised — and ``(_FINISH, last_ts, drain)``.
+#: Message tags on the per-core control queues: the image of a burst
+#: that does not fit a slot — ``(_BATCH, image)`` — a table epoch bump
+#: — ``(_EPOCH, seq, epoch, actions)``, seq -1 when unsupervised — and
+#: ``(_FINISH, last_ts, drain)``.
 _BATCH = 0
 _FINISH = 1
+_EPOCH = 2
 #: Message tags on the shared result queue.
 _PROGRESS = "progress"
 _DONE = "done"
@@ -241,10 +246,12 @@ class _Worker:
         self.pending_ack = -1
         self.unflushed = 0
 
-    def on_batch(self, batch: PackedBatch, seq: int) -> None:
-        """One burst; ``seq`` is its supervised sequence number (the
-        worker acknowledges it after processing: heartbeat + redo-log
-        trim signal), or -1."""
+    def on_batch(self, mbufs: list, seq: int, trace_ctx: Optional[tuple],
+                 epoch: Optional[tuple] = None) -> None:
+        """One burst, or an epoch bump (``epoch`` set, no mbufs);
+        ``seq`` is its supervised sequence number (the worker
+        acknowledges it after processing: heartbeat + redo-log trim
+        signal), or -1."""
         spec = self.spec
         pipeline = self.pipeline
         if seq >= 0 and spec.fault_plan is not None:
@@ -254,21 +261,18 @@ class _Worker:
                 self.flush_acks()
                 _fire_worker_fault(spec, self.out_queue, fault[0],
                                    fault[1].kind)
-        if batch.trace_ctx is not None:
+        if trace_ctx is not None:
             # Span context stamped by the feeder: the burst tree this
             # batch produces records it, stitching worker spans into
             # the parent's trace.
-            pipeline.set_span_ctx(batch.trace_ctx)
-        if batch.epoch is not None:
-            # Epoch bump: swap the filter table before this batch's
-            # packets (the feeder flushed everything older first, so
-            # per-core FIFO makes the swap land on the exact burst
-            # boundary). Idempotent on the epoch number — replays after
-            # a restart are no-ops.
-            pipeline.apply_epoch(*batch.epoch)
-        # The blob (a zero-copy view into the slot) crossed the
-        # boundary; rebuild mbuf views over it here.
-        pipeline.process_batch(batch.unpack())
+            pipeline.set_span_ctx(trace_ctx)
+        if epoch is not None:
+            # Epoch bump: swap the filter table here (the feeder
+            # flushed everything older first, so per-core FIFO makes
+            # the swap land on the exact burst boundary). Idempotent on
+            # the epoch number — replays after a restart are no-ops.
+            pipeline.apply_epoch(*epoch)
+        pipeline.process_batch(mbufs)
         if seq >= 0:
             self.pending_ack = seq
             self.unflushed += 1
@@ -316,11 +320,15 @@ def _consume(channel: shm_mod.ShmWorkerChannel, worker: _Worker,
             # backend's sample point would.
             worker.pipeline.sample_memory()
         else:  # KIND_CTRL: payload rides the pickle queue
-            tag, first, second = in_queue.get()
+            message = in_queue.get()
+            tag = message[0]
             if tag == _FINISH:
-                worker.finish(first, second)
+                worker.finish(message[1], message[2])
                 return
-            worker.on_batch(second, first)
+            if tag == _EPOCH:
+                worker.on_batch([], message[1], None, message[2:])
+            else:  # a burst's image, too large for a slot
+                worker.on_batch(*slot_read(message[1], 0))
         # Credit return *after* processing: the slot (and the
         # memoryviews the batch borrowed from it) must stay intact
         # until the burst is fully consumed.
@@ -509,64 +517,63 @@ class WorkerPool:
         """Dispatch one burst of ingress rows to its worker; returns
         the earliest fail-fast trip any worker has reported, or None."""
         mbufs = [row[0] for row in rows]
-        if self.supervisor is not None:
+        sup = self.supervisor
+        if sup is not None:
             if not self._lost(queue):
-                self._send_logged(queue, PackedBatch.pack(mbufs, queue),
-                                  self._spans_on)
+                # The image carries its seq, and its span context is
+                # that seq: a replayed burst keeps both.
+                seq = sup.next_seq(queue)
+                self._send_logged(queue, slot_image(
+                    mbufs, queue, (queue, seq) if self._spans_on else None,
+                    seq))
         else:
             ctx = None
             if self._spans_on:
                 ctx = (queue, self._span_seq[queue])
                 self._span_seq[queue] += 1
             # The hot path: the burst goes straight into a mempool slot
-            # — no PackedBatch, no pickle; the only serialized IPC is
-            # the 8-byte ring descriptor, and ``ctx`` rides the slot
+            # — no copy, no pickle; the only serialized IPC is the
+            # 8-byte ring descriptor, and ``ctx`` rides the slot
             # header. A burst that exceeds the slot size (jumbo-heavy)
-            # is packed and takes the control channel.
+            # crosses the control channel as its image.
             if self._ring(queue, self.transport.channels[queue].send_mbufs,
                           mbufs, queue, ctx):
                 self._account(queue, len(mbufs), 8)
             else:
-                packed = PackedBatch.pack(mbufs, queue)
-                packed.trace_ctx = ctx
-                self.send_packed(queue, -1, packed)
+                self.send_entry(queue, slot_image(mbufs, queue, ctx))
         if not self._failfast:
             return None
         tripped = [core.failfast_at for core in self.core_progress()
                    if core.failfast_at is not None]
         return min(tripped) if tripped else None
 
-    def _send_logged(self, queue: int, packed: PackedBatch,
-                     stamp: bool) -> None:
-        """Supervised send. The redo log stores the *packed* batch, so
-        a replay after a crash re-sends the identical flat buffer (same
-        span context too: a replayed burst keeps its original seq)."""
-        seq, fault = self.supervisor.on_dispatch(queue, packed)
-        if stamp:
-            packed.trace_ctx = (queue, seq)
-        self.send_packed(queue, seq, packed)
+    def _send_logged(self, queue: int, entry) -> None:
+        """Supervised send of a redo-log entry (see :meth:`send_entry`):
+        a replay after a crash re-sends it unchanged."""
+        _seq, fault = self.supervisor.on_dispatch(queue, entry)
+        self.send_entry(queue, entry)
         if fault is not None:
             _recover_planned(self, self.supervisor, queue, fault)
 
     def _bump(self, epoch: int, actions: tuple) -> None:
-        """Broadcast a table epoch on an empty stamped batch to every
-        queue; per-queue FIFO makes each worker swap on exactly that
-        burst boundary."""
+        """Broadcast a table epoch to every queue as a control message;
+        per-queue FIFO makes each worker swap on exactly that burst
+        boundary."""
         self.tenancy_bumps.append((epoch, actions))
+        sup = self.supervisor
         for queue in range(len(self.processes)):
             if self._lost(queue):
                 continue
-            packed = PackedBatch.pack([], queue)
-            packed.epoch = (epoch, actions)
-            if self.supervisor is None:
-                self.send_packed(queue, -1, packed)
+            if sup is None:
+                self.send_entry(queue, (_EPOCH, -1, epoch, actions))
             else:
                 # Bumps ride the supervised sequence space like any
                 # batch: redo-logged (a crash mid-swap replays the
                 # bump) and able to carry a planned worker fault at
                 # their own seq, which is how the crash-during-swap
                 # tests pin the fault to the swap window.
-                self._send_logged(queue, packed, False)
+                self._send_logged(queue, (_EPOCH, sup.next_seq(queue),
+                                          epoch, actions))
 
     def _sample_point(self) -> None:
         """A payload-less parent-clocked memory-sample point for every
@@ -608,21 +615,22 @@ class WorkerPool:
             if packets > row["batch_occupancy_max"]:
                 row["batch_occupancy_max"] = packets
 
-    def send_packed(self, core_id: int, seq: int,
-                    packed: PackedBatch) -> None:
-        """A batch that exists packed: supervised dispatch and redo-log
-        replay (the slot gets the identical wire contents the log
-        preserved, under the batch's original ``seq``) and tenancy
-        epoch bumps. The epoch stamp does not ride slot headers, so a
-        stamped batch crosses on the control channel, like an oversize
-        one."""
-        if packed.epoch is None and self._ring(
-                core_id, self.transport.channels[core_id].send_packed,
-                packed, seq):
-            self._account(core_id, len(packed), 8)
+    def send_entry(self, core_id: int, entry) -> None:
+        """Put one redo-log entry on ``core_id``'s wire. A burst's slot
+        image is copied verbatim into a free slot or, when it does not
+        fit one, crosses the control queue as the same bytes; an epoch
+        bump is its own control message."""
+        if type(entry) is tuple:
+            self.send_ctrl(core_id, entry)
+            self._account(core_id, 0, 8)
             return
-        self.send_ctrl(core_id, (_BATCH, seq, packed))
-        self._account(core_id, len(packed), 8 + packed.nbytes)
+        rows = slot_rows(entry)
+        if self._ring(core_id, self.transport.channels[core_id].send_image,
+                      entry):
+            self._account(core_id, rows, 8)
+        else:
+            self.send_ctrl(core_id, (_BATCH, entry))
+            self._account(core_id, rows, 8 + len(entry))
 
     def send_ctrl(self, core_id: int, message: tuple) -> None:
         """Payload onto the pickle queue first, then the descriptor
@@ -877,7 +885,7 @@ def _recover_core(pool: WorkerPool, sup: WorkerSupervisor, core: int,
     if backoff > 0:
         time.sleep(backoff)
     pool.restart(core, suppressed)
-    for seq, batch in replay:
+    for seq, entry in replay:
         # A replayed batch can itself carry the *next* planned fault
         # (e.g. two crashes at the same sequence number). Recover
         # synchronously here too, or the crash lands asynchronously
@@ -886,7 +894,7 @@ def _recover_core(pool: WorkerPool, sup: WorkerSupervisor, core: int,
         fault = None
         if sup.plan is not None:
             fault = sup.plan.worker_fault_at(core, seq, suppressed)
-        pool.send_packed(core, seq, batch)
+        pool.send_entry(core, entry)
         if fault is not None:
             _recover_planned(pool, sup, core, fault, finish=finish)
             return

@@ -1050,7 +1050,7 @@ class CorePipeline:
     def set_span_ctx(self, ctx) -> None:
         """Stamp the IPC span context for the next burst (the parallel
         worker loop calls this with the ``(queue, seq)`` that rode the
-        :class:`~repro.packet.batch.PackedBatch`), stitching worker
+        burst's slot image), stitching worker
         spans into the parent's trace."""
         if self._spans is not None:
             self._spans.ctx = ctx

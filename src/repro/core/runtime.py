@@ -287,8 +287,7 @@ class Runtime:
         same bursts and sample points and report identical stats.
 
         Args:
-            traffic: Mbufs — or :class:`~repro.packet.batch.PackedBatch`
-                chunks of them — in non-decreasing timestamp order.
+            traffic: Mbufs in non-decreasing timestamp order.
             drain: Deliver still-live matched connections at the end
                 (set False to model an ongoing live capture).
             memory_sample_interval: Virtual seconds between memory
@@ -300,23 +299,16 @@ class Runtime:
                 dispatched burst and never changes the run.
         """
         config = self.config
-        # Accept batched sources: a traffic iterable may yield
-        # PackedBatch chunks (a generator's flat-buffer output) instead
-        # of — or mixed with — individual mbufs. Plain mbuf lists pass
-        # through untouched, keeping the hot loop generator-free.
         # The impaired link wraps the source first — the physical link
         # precedes everything — and in this (parent) process, so the
         # impaired stream is identical across backends and worker
-        # counts. Batched sources keep their shape: the link performs
-        # PackedBatch surgery rather than flattening.
+        # counts.
         impairment = config.impairment
         link = None
         if impairment is not None and impairment.enabled:
             from repro.netem import ImpairedLink
             link = ImpairedLink(impairment)
             traffic = link.wrap(traffic)
-        from repro.packet.batch import iter_mbufs
-        traffic = iter_mbufs(traffic)
         # Packet faults are injected here — in the feeding process,
         # before RSS dispatch — so the mutated stream is identical
         # across backends and worker counts.

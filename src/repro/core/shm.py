@@ -7,12 +7,12 @@ reproduction's process-boundary analogue, and the parallel backend's
 only feeder→worker data path:
 
 - a **mempool** of fixed pre-allocated batch slots per core inside one
-  ``multiprocessing.shared_memory`` segment — the feeder writes the
-  full :class:`~repro.packet.batch.PackedBatch` wire layout in place
-  (:func:`~repro.packet.batch.slot_write_mbufs` /
-  ``slot_write_packed``) and the worker maps it back read-only with
-  ``memoryview`` blobs (:func:`~repro.packet.batch.slot_read`) — no
-  pickle, no pipe copy, on either side;
+  ``multiprocessing.shared_memory`` segment — the feeder lays a burst's
+  slot image down in place (:func:`~repro.packet.batch.slot_write_mbufs`,
+  or a verbatim copy of an image the supervisor's redo log already
+  holds) and the worker maps it back as ``memoryview``-backed mbufs
+  (:func:`~repro.packet.batch.slot_read`) — no pickle, no pipe copy,
+  on either side;
 - a per-core **SPSC descriptor ring** whose entries are a single
   aligned 8-byte word packing (kind, slot index, row count, seq tag),
   so publication is one store and the consumer can never observe a
@@ -22,11 +22,12 @@ only feeder→worker data path:
   descriptor it retires; a slot returns to the feeder's free pool
   exactly when the counter passes the entry that carried it;
 - an ordered **control path** for everything that is not a hot batch
-  (FINISH, epoch bumps, oversize fallback batches): a CTRL descriptor
-  keeps the event's exact position in the ring order while its payload
-  rides a pickle queue, so the strict per-core FIFO the parent-clocked
-  memory sampling (a payload-less SAMPLE descriptor) and tenancy epoch
-  swaps rely on survives the split into two channels.
+  (FINISH, epoch bumps, and the image of a burst too large for a
+  slot): a CTRL descriptor keeps the event's exact position in the
+  ring order while its payload rides a pickle queue, so the strict
+  per-core FIFO the parent-clocked memory sampling (a payload-less
+  SAMPLE descriptor) and tenancy epoch swaps rely on survives the
+  split into two channels.
 
 Descriptor word layout (little-endian u64)::
 
@@ -58,8 +59,7 @@ import time
 from collections import deque
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.packet.batch import PackedBatch, slot_read, slot_write_mbufs, \
-    slot_write_packed
+from repro.packet.batch import slot_read, slot_rows, slot_write_mbufs
 
 try:  # pragma: no cover - import guard exercised via shm_available()
     from multiprocessing import shared_memory as _shared_memory
@@ -126,14 +126,12 @@ def default_layout(config) -> ShmLayout:
     One slot per ring entry — ring capacity and slot availability are
     then the same backpressure condition, ``parallel_queue_depth``
     batches deep. Slots hold one batch at a generous ~2 KiB/frame;
-    bursts that still do not fit (jumbo-heavy traffic) fall back to the
-    control channel per batch. tmpfs commits pages on first write, so
-    unwritten slot capacity costs address space, not memory.
+    bursts that still do not fit (jumbo-heavy traffic) cross the
+    control channel as the same image. tmpfs commits pages on first
+    write, so unwritten slot capacity costs address space, not memory.
     """
-    slot_bytes = config.ipc_slot_bytes
-    if slot_bytes is None:
-        slot_bytes = max(65536, config.parallel_batch_size * 2048)
-    return ShmLayout(config.parallel_queue_depth, slot_bytes)
+    return ShmLayout(config.parallel_queue_depth,
+                     max(65536, config.parallel_batch_size * 2048))
 
 
 class ShmFeederChannel:
@@ -238,21 +236,21 @@ class ShmFeederChannel:
         self._publish(KIND_BATCH, slot, len(mbufs))
         return True
 
-    def send_packed(self, batch: PackedBatch, seq: int, alive) -> bool:
-        """Publish an already-packed batch (supervised dispatch and
-        redo-log replay — the slot gets the identical wire contents the
-        log preserved, under the batch's original seq)."""
-        self._wait_capacity(alive)
-        slot = self._free[0]
-        written = slot_write_packed(
-            self._buf, self.layout.slot_offset(slot),
-            self.layout.slot_bytes, batch, seq)
-        if written < 0:
+    def send_image(self, image: bytes, alive) -> bool:
+        """Copy a burst's slot image verbatim into a free slot and
+        publish it (supervised dispatch and redo-log replay: a replay
+        lays down the bytes the first send did). Returns False when the
+        image does not fit a slot."""
+        size = len(image)
+        if size > self.layout.slot_bytes:
             return False
-        self._free.popleft()
+        self._wait_capacity(alive)
+        slot = self._free.popleft()
+        offset = self.layout.slot_offset(slot)
+        self._buf[offset:offset + size] = image
         self._in_flight.append((self.ordinal, slot))
-        self.slot_bytes_written += written
-        self._publish(KIND_BATCH, slot, len(batch))
+        self.slot_bytes_written += size
+        self._publish(KIND_BATCH, slot, slot_rows(image))
         return True
 
     def send_ctrl(self, alive) -> None:
@@ -350,10 +348,10 @@ class ShmWorkerChannel:
                     if os.getppid() != self._feeder_pid:
                         raise FeederGone()
 
-    def read_batch(self, slot: int) -> Tuple[PackedBatch, int]:
-        """Map the slot back to a batch; the blob is a zero-copy view
-        into the slot, valid until :meth:`mark_consumed` retires this
-        descriptor."""
+    def read_batch(self, slot: int) -> Tuple[list, int, Optional[tuple]]:
+        """Map the slot back to ``(mbufs, seq, trace_ctx)``; each
+        frame is a zero-copy view into the slot, valid until
+        :meth:`mark_consumed` retires this descriptor."""
         return slot_read(self._buf, self.layout.slot_offset(slot))
 
     def mark_consumed(self, ordinal: int) -> None:

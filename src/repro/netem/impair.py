@@ -4,10 +4,8 @@
 in the parent process, before RSS dispatch, exactly where
 :class:`~repro.resilience.faults.PacketFaultInjector` runs — so the
 impaired stream is byte-identical across backends and worker counts.
-It accepts per-mbuf iterables *and* the columnar
-:class:`~repro.packet.batch.PackedBatch` path; packed batches get
-drop/duplicate/reorder surgery on blob slices without rebuilding a
-per-packet object graph.
+It takes and yields mbufs; an untouched frame passes through as the
+same object.
 
 Two halves:
 
@@ -28,12 +26,11 @@ import struct
 from collections import deque
 from heapq import heappop, heappush
 from random import Random
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.netem.ledger import ImpairmentLedger
 from repro.netem.model import GilbertElliottChain, ImpairmentConfig
 from repro.netem.trace import CLEAN, Decision, ImpairmentTrace
-from repro.packet.batch import PackedBatch
 from repro.packet.builder import checksum16, fold_checksum, word_sum
 from repro.packet.ethernet import ETHERTYPE_IPV4, ETHERTYPE_IPV6
 from repro.packet.ipv4 import PROTO_TCP, PROTO_UDP
@@ -241,41 +238,18 @@ class ImpairedLink:
         self._closed = False
 
     # -- the wrap ------------------------------------------------------
-    def wrap(self, traffic: Iterable[Union[Mbuf, PackedBatch]]
-             ) -> Iterator[Union[Mbuf, PackedBatch]]:
-        """Yield the impaired stream, preserving the input's shape:
-        mbufs stay mbufs, packed batches stay packed batches."""
-        last_was_batch = False
+    def wrap(self, traffic: Iterable[Mbuf]) -> Iterator[Mbuf]:
+        """Yield the impaired stream."""
         out: List[tuple] = []
-        for item in traffic:
+        for mbuf in traffic:
             del out[:]
-            if type(item) is PackedBatch:
-                last_was_batch = True
-                view = memoryview(item.blob)
-                offsets = item.offsets
-                ports = item.ports
-                for i, ts in enumerate(item.timestamps):
-                    self._offer(view[offsets[i]:offsets[i + 1]], ts,
-                                ports[i], None, out)
-                if out:
-                    yield PackedBatch.from_rows(
-                        [(data, ts, port) for data, ts, port, _ in out],
-                        queue=item.queue)
-            else:
-                last_was_batch = False
-                self._offer(item.data, item.timestamp, item.port, item,
-                            out)
-                for entry in out:
-                    yield self._as_mbuf(entry)
+            self._offer(mbuf.data, mbuf.timestamp, mbuf.port, mbuf, out)
+            for entry in out:
+                yield self._as_mbuf(entry)
         del out[:]
         self._drain(out)
-        if out:
-            if last_was_batch:
-                yield PackedBatch.from_rows(
-                    [(data, ts, port) for data, ts, port, _ in out])
-            else:
-                for entry in out:
-                    yield self._as_mbuf(entry)
+        for entry in out:
+            yield self._as_mbuf(entry)
         self.close()
 
     @staticmethod

@@ -12,7 +12,6 @@ number (or EtherType) of the next layer.
 """
 
 from repro.packet.mbuf import Mbuf
-from repro.packet.batch import PackedBatch, iter_mbufs, pack_stream
 from repro.packet.ethernet import Ethernet, ETHERTYPE_IPV4, ETHERTYPE_IPV6
 from repro.packet.icmp import Icmp
 from repro.packet.ipv4 import Ipv4
@@ -34,9 +33,6 @@ from repro.packet.builder import (
 
 __all__ = [
     "Mbuf",
-    "PackedBatch",
-    "iter_mbufs",
-    "pack_stream",
     "PacketStack",
     "parse_stack",
     "Ethernet",

@@ -136,6 +136,11 @@ class WorkerSupervisor:
         self.failure_events: List[Dict] = []
 
     # -- dispatch ------------------------------------------------------
+    def next_seq(self, core: int) -> int:
+        """The seq :meth:`on_dispatch` assigns ``core``'s next batch
+        (a burst's slot image carries its own seq)."""
+        return self._cores[core].next_seq
+
     def on_dispatch(self, core: int, batch
                     ) -> Tuple[int, Optional[Tuple[int, FaultSpec]]]:
         """Assign the next sequence number for a batch sent to ``core``

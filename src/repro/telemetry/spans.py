@@ -18,8 +18,8 @@ Three consumers sit on top of the recorder:
 * the **trace stream** — every recorded burst tree, exported as Chrome
   trace-event JSON (Perfetto-loadable; see docs/OBSERVABILITY.md) and
   as NDJSON through the existing exporter conventions. In the parallel
-  backend a ``(queue, seq)`` span context rides each
-  :class:`~repro.packet.batch.PackedBatch`, so worker spans stitch
+  backend a ``(queue, seq)`` span context rides each burst's slot
+  image header (:mod:`repro.packet.batch`), so worker spans stitch
   into the parent's trace under one pid.
 * the **flight recorder** — a bounded ring of the last N burst trees
   per core, dumped (with the triggering event attached) on overload

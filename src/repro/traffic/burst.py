@@ -17,9 +17,8 @@ what lets tests assert exact shed counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.packet.batch import DEFAULT_BATCH_SIZE, PackedBatch, pack_stream
 from repro.packet.mbuf import Mbuf
 from repro.traffic.campus import CampusProfile, CampusTrafficGenerator
 from repro.traffic.flows import merge_flows
@@ -92,14 +91,3 @@ class BurstTrafficGenerator:
         arrivals.sort()
         return merge_flows(
             self._campus._one_connection(ts) for ts in arrivals)
-
-    def packed_batches(
-        self,
-        duration: float = 1.0,
-        gbps: float = 0.1,
-        start_ts: float = 0.0,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-    ) -> Iterator[PackedBatch]:
-        """Like :meth:`packets`, emitted as flat-buffer batches."""
-        yield from pack_stream(
-            self.packets(duration, gbps, start_ts), batch_size)

@@ -13,9 +13,8 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
-from repro.packet.batch import DEFAULT_BATCH_SIZE, PackedBatch, pack_stream
 from repro.packet.mbuf import Mbuf
 from repro.traffic.distributions import (
     FlowSizeModel,
@@ -272,20 +271,3 @@ class CampusTrafficGenerator:
             for _ in range(n_conns)
         )
         return merge_flows(self._one_connection(ts) for ts in arrival_times)
-
-    def packed_batches(
-        self,
-        duration: float = 1.0,
-        gbps: float = 1.0,
-        start_ts: float = 0.0,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-    ) -> Iterator["PackedBatch"]:
-        """Like :meth:`packets`, emitted as flat-buffer batches.
-
-        Yields :class:`~repro.packet.batch.PackedBatch` chunks that
-        ``Runtime.run`` consumes directly; packet content, order, and
-        timestamps are identical to the per-mbuf stream (float64
-        timestamps round-trip exactly).
-        """
-        yield from pack_stream(
-            self.packets(duration, gbps, start_ts), batch_size)

@@ -1,27 +1,28 @@
 """Zero-copy substrate tests: malformed input through the parse-once
-views, flat-buffer batch round-trips, and the allocation budget of the
-filtered-out fast path."""
+views, a burst's private slot image round-tripping across the control
+queue, and the allocation budget of the filtered-out fast path. The
+image written into shm slots is tested in test_shm_transport.py."""
 
 import pickle
 import struct
 import tracemalloc
 
-import pytest
-
 from repro import Runtime, RuntimeConfig
 from repro.packet import (
     ETHERTYPE_IPV4,
     Mbuf,
-    PackedBatch,
     build_ethernet,
     build_tcp_packet,
     build_udp_packet,
-    iter_mbufs,
-    pack_stream,
     parse_stack,
 )
+from repro.packet.batch import (
+    SLOT_HEADER_BYTES,
+    slot_image,
+    slot_read,
+    slot_rows,
+)
 from repro.packet.ethernet import ETHERTYPE_VLAN
-from repro.traffic import CampusTrafficGenerator
 
 
 def tcp_frame(**kwargs):
@@ -111,7 +112,16 @@ class TestMalformedFrames:
         assert stack.tcp is None
 
 
+def _over_ctrl(image):
+    """The image as a burst too large for a slot crosses the control
+    queue: pickled bytes."""
+    return pickle.loads(pickle.dumps(bytes(image)))
+
+
 class TestPackedBatch:
+    """A burst packed into its private slot image (what the redo log
+    keeps and the control queue carries) and read back."""
+
     def _mbufs(self):
         return [
             Mbuf(tcp_frame(payload=b"a" * 40), 1.25, 0),
@@ -122,9 +132,9 @@ class TestPackedBatch:
 
     def test_round_trip_preserves_everything(self):
         mbufs = self._mbufs()
-        batch = pickle.loads(pickle.dumps(PackedBatch.pack(mbufs, 5)))
-        out = batch.unpack()
-        assert len(batch) == len(out) == len(mbufs)
+        out, seq, ctx = slot_read(_over_ctrl(slot_image(mbufs, 5)), 0)
+        assert (seq, ctx) == (-1, None)
+        assert len(out) == len(mbufs)
         for orig, new in zip(mbufs, out):
             assert bytes(new.data) == bytes(orig.data)
             assert new.timestamp == orig.timestamp  # exact float64
@@ -133,19 +143,19 @@ class TestPackedBatch:
             assert new.stack is None and new.pkt_term_node is None
 
     def test_unpacked_data_is_zero_copy_view(self):
-        batch = PackedBatch.pack(self._mbufs())
-        views = batch.unpack()
+        wire = _over_ctrl(slot_image(self._mbufs(), 0))
+        views, _, _ = slot_read(wire, 0)
         assert all(isinstance(m.data, memoryview) for m in views)
-        assert views[0].data.obj is batch.blob
+        assert views[0].data.obj is wire
 
     def test_jumbo_frame_promotes_length_array(self):
         # A frame longer than 0xFFFF bytes cannot ship its length as
-        # u16; the wire encoding must promote the whole length array to
-        # u32 and still round-trip byte-exactly (a silent u16 wrap
-        # would corrupt every offset after the jumbo frame).
+        # u16; the image must promote the whole length array to u32
+        # and still round-trip byte-exactly (a silent u16 wrap would
+        # corrupt every offset after the jumbo frame).
         # Built by appending raw bytes: the builder's checksum pseudo
-        # header is u16-limited, but the wire can carry super-jumbo
-        # frames and PackedBatch must not care what is in them.
+        # header is u16-limited, but the image must not care what is
+        # in a frame.
         jumbo = tcp_frame(payload=b"") + b"J" * 70000
         assert len(jumbo) > 0xFFFF
         mbufs = [
@@ -153,120 +163,44 @@ class TestPackedBatch:
             Mbuf(jumbo, 2.0, 1),
             Mbuf(tcp_frame(payload=b"after"), 3.0, 0),
         ]
-        packed = PackedBatch.pack(mbufs, 2)
-        lengths, code, _ports = packed._wire_fields()
-        assert code == "I"
-        assert list(lengths) == [len(m.data) for m in mbufs]
-        batch = pickle.loads(pickle.dumps(packed))
-        out = batch.unpack()
+        image = slot_image(mbufs, 2)
+        frames = sum(len(m.data) for m in mbufs)
+        # u32 lengths, f64 timestamps, a u16 port column (mixed ports)
+        assert len(image) == SLOT_HEADER_BYTES + 3 * (4 + 8 + 2) + frames
+        out, _, _ = slot_read(_over_ctrl(image), 0)
         assert len(out) == 3
         for orig, new in zip(mbufs, out):
             assert bytes(new.data) == bytes(orig.data)
             assert new.timestamp == orig.timestamp
             assert new.port == orig.port
-
-    def test_memoryview_mbufs_roundtrip_through_ipc(self):
-        # Worker-side mbufs are memoryview-backed; re-packing them
-        # (e.g. a redo-log replay built from unpacked views) and
-        # parsing after another IPC hop must agree with the original.
-        mbufs = self._mbufs()
-        hop1 = pickle.loads(pickle.dumps(PackedBatch.pack(mbufs, 1)))
-        hop2 = pickle.loads(pickle.dumps(
-            PackedBatch.pack(hop1.unpack(), 1)))
-        for orig, new in zip(mbufs, hop2.unpack()):
-            assert bytes(new.data) == bytes(orig.data)
-            want = parse_stack(Mbuf(bytes(orig.data)))
-            got = parse_stack(new)
-            assert (got.tcp is None) == (want.tcp is None)
-            assert (got.udp is None) == (want.udp is None)
-            if want.ipv4 is not None:
-                assert got.ipv4.src_addr_bytes() == \
-                    want.ipv4.src_addr_bytes()
-            assert got.l4_payload() == want.l4_payload()
+            assert new.queue == 2
 
     def test_uniform_ports_collapse_on_the_wire(self):
-        batch = PackedBatch.pack(
-            [Mbuf(b"x" * 10, float(i), 3) for i in range(4)])
-        _lengths, code, ports = batch._wire_fields()
-        assert code == "H"
-        assert ports == 3
-        restored = pickle.loads(pickle.dumps(batch))
-        assert list(restored.ports) == [3, 3, 3, 3]
+        image = slot_image(
+            [Mbuf(b"x" * 10, float(i), 3) for i in range(4)], None)
+        # no port column: u16 length + f64 timestamp per row
+        assert len(image) == SLOT_HEADER_BYTES + 4 * (2 + 8) + 40
+        out, _, _ = slot_read(_over_ctrl(image), 0)
+        assert [m.port for m in out] == [3, 3, 3, 3]
+        assert all(m.queue is None for m in out)
 
     def test_mixed_ports_survive(self):
-        batch = pickle.loads(pickle.dumps(PackedBatch.pack(
-            [Mbuf(b"x", 0.0, 0), Mbuf(b"y", 0.5, 2)])))
-        assert [m.port for m in batch.unpack()] == [0, 2]
+        image = slot_image([Mbuf(b"x", 0.0, 0), Mbuf(b"y", 0.5, 2)], 0)
+        assert len(image) == SLOT_HEADER_BYTES + 2 * (2 + 8 + 2) + 2
+        out, _, _ = slot_read(_over_ctrl(image), 0)
+        assert [m.port for m in out] == [0, 2]
 
     def test_oversize_frame_uses_wide_lengths(self):
-        batch = PackedBatch.pack([Mbuf(b"z" * 70000, 0.0, 0)])
-        assert batch._wire_fields()[1] == "I"
-        restored = pickle.loads(pickle.dumps(batch))
-        assert len(restored.unpack()[0].data) == 70000
+        image = slot_image([Mbuf(b"z" * 70000, 0.0, 0)], 0)
+        assert len(image) == SLOT_HEADER_BYTES + 4 + 8 + 70000
+        out, _, _ = slot_read(_over_ctrl(image), 0)
+        assert len(out[0].data) == 70000
 
     def test_empty_batch(self):
-        batch = pickle.loads(pickle.dumps(PackedBatch.pack([])))
-        assert len(batch) == 0
-        assert batch.unpack() == []
-
-    def test_nbytes_tracks_wire_payload(self):
-        mbufs = [Mbuf(b"x" * 100, 0.0, 0) for _ in range(8)]
-        batch = PackedBatch.pack(mbufs)
-        # frames + u16 length + f64 timestamp per packet, scalar port
-        assert batch.nbytes == 8 * (100 + 2 + 8)
-        assert len(pickle.dumps(batch)) < batch.nbytes + 120
-
-
-class TestBatchedTraffic:
-    def test_pack_stream_and_iter_mbufs_flatten(self):
-        mbufs = [Mbuf(tcp_frame(), float(i), 0) for i in range(10)]
-        batches = list(pack_stream(mbufs, batch_size=4))
-        assert [len(b) for b in batches] == [4, 4, 2]
-        flat = list(iter_mbufs(batches))
-        assert [m.timestamp for m in flat] == \
-            [m.timestamp for m in mbufs]
-        assert [bytes(m.data) for m in flat] == \
-            [m.data for m in mbufs]
-
-    def test_iter_mbufs_list_fast_path_is_identity(self):
-        mbufs = [Mbuf(tcp_frame(), 0.0, 0)]
-        assert iter_mbufs(mbufs) is mbufs
-
-    def test_iter_mbufs_mixed_stream(self):
-        a = Mbuf(tcp_frame(), 0.0, 0)
-        b = Mbuf(tcp_frame(dst_port=80), 1.0, 0)
-        packed = PackedBatch.pack([b])
-        flat = list(iter_mbufs([a, packed]))
-        assert flat[0] is a
-        assert bytes(flat[1].data) == b.data
-
-    def test_generator_packed_batches_match_packets(self):
-        gen_a = CampusTrafficGenerator(seed=7)
-        gen_b = CampusTrafficGenerator(seed=7)
-        plain = gen_a.packets(duration=0.05, gbps=0.05)
-        packed = list(gen_b.packed_batches(duration=0.05, gbps=0.05,
-                                           batch_size=64))
-        flat = list(iter_mbufs(packed))
-        assert len(flat) == len(plain)
-        assert all(bytes(f.data) == p.data and
-                   f.timestamp == p.timestamp and f.port == p.port
-                   for f, p in zip(flat, plain))
-
-    def test_runtime_accepts_packed_traffic(self):
-        plain = CampusTrafficGenerator(seed=11).packets(
-            duration=0.05, gbps=0.05)
-        packed = list(CampusTrafficGenerator(seed=11).packed_batches(
-            duration=0.05, gbps=0.05, batch_size=32))
-
-        def run(traffic, parallel=False):
-            runtime = Runtime(
-                RuntimeConfig(cores=2, parallel=parallel),
-                filter_str="tcp", datatype="connection", callback=None)
-            return runtime.run(traffic).stats.to_dict()
-
-        want = run(iter(plain))
-        assert run(iter(packed)) == want
-        assert run(packed, parallel=True) == want
+        image = slot_image([], None)
+        assert len(image) == SLOT_HEADER_BYTES
+        assert slot_rows(image) == 0
+        assert slot_read(_over_ctrl(image), 0) == ([], -1, None)
 
 
 class TestFilteredOutAllocationBudget:

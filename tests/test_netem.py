@@ -20,7 +20,6 @@ from repro.netem import (CLEAN, Decision, GilbertElliott,
                          ImpairmentConfig, ImpairmentLedger,
                          ImpairmentTrace, corrupt_frame, fix_checksums,
                          frame_checksums_ok)
-from repro.packet.batch import PackedBatch
 from repro.packet.builder import build_tcp_packet, build_udp_packet
 from repro.packet.mbuf import Mbuf
 from repro.telemetry import check
@@ -253,22 +252,6 @@ class TestImpairedLink:
             _mbufs(150))
         assert [(bytes(m.data), m.timestamp) for m in a] != \
             [(bytes(m.data), m.timestamp) for m in other]
-
-    def test_packed_batch_shape_preserved(self):
-        mbufs = _mbufs(64)
-        batch = PackedBatch.from_rows(
-            [(m.data, m.timestamp, m.port) for m in mbufs], queue=3)
-        config = ImpairmentConfig(seed=11, loss_rate=0.1,
-                                  duplicate_rate=0.1, reorder_rate=0.2)
-        out = list(ImpairedLink(config).wrap(iter([batch])))
-        assert all(type(item) is PackedBatch for item in out)
-        assert out[0].queue == 3
-        # Same decisions as the mbuf-shaped stream: identical frames.
-        flat = [(bytes(f), ts, port) for b in out
-                for f, ts, port in b.frames()]
-        mbuf_out = _collect(ImpairedLink(config), mbufs)
-        assert flat == [(bytes(m.data), m.timestamp, m.port)
-                        for m in mbuf_out]
 
     def test_quarantine_drops_detectable_only(self):
         config = ImpairmentConfig(seed=2, corrupt_rate=0.3,

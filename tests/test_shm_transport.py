@@ -2,10 +2,10 @@
 
 Four layers under test:
 
-- **Slot codec** — ``slot_write_mbufs`` / ``slot_write_packed`` /
-  ``slot_read`` round-trip the full PackedBatch wire layout inside a
-  plain buffer, refuse oversize bursts instead of overrunning, and hand
-  back zero-copy blob views.
+- **Slot codec** — ``slot_write_mbufs`` / ``slot_read`` round-trip a
+  burst's slot image inside a plain buffer or a shm slot (the same
+  bytes either way: the redo log's replay invariant), refuse oversize
+  bursts instead of overrunning, and hand back zero-copy frame views.
 - **Ring mechanics** — SPSC descriptor publication with lap-tag
   validation, credit-based slot recycling, and the never-overwrite-a-
   live-slot guarantee when the ring is smaller than the in-flight batch
@@ -25,6 +25,7 @@ import glob
 import json
 import os
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -35,12 +36,13 @@ from repro import FaultPlan, FaultSpec, Runtime, RuntimeConfig
 from repro.core import shm
 from repro.core.parallel import ParallelExecutionError
 from repro.errors import ConfigError
+from repro.packet import Mbuf, build_tcp_packet
 from repro.packet.batch import (
-    PackedBatch,
     SLOT_HEADER_BYTES,
+    slot_image,
     slot_read,
+    slot_rows,
     slot_write_mbufs,
-    slot_write_packed,
 )
 from repro.traffic import CampusTrafficGenerator
 
@@ -68,6 +70,10 @@ def _run(traffic, parallel=True, cores=4, filter_str="tcp",
 # slot codec
 # ---------------------------------------------------------------------------
 
+def _rows(mbufs):
+    return [(bytes(m.data), m.timestamp, m.port, m.queue) for m in mbufs]
+
+
 class TestSlotCodec:
     def _mbufs(self, traffic, n=32):
         return traffic[:n]
@@ -77,44 +83,52 @@ class TestSlotCodec:
         buf = memoryview(bytearray(1 << 20))
         written = slot_write_mbufs(buf, 0, len(buf), mbufs, 3)
         assert written > SLOT_HEADER_BYTES
-        batch, seq = slot_read(buf, 0)
-        assert seq == -1
-        assert batch.queue == 3
-        assert len(batch) == len(mbufs)
-        out = list(batch.unpack())
+        out, seq, ctx = slot_read(buf, 0)
+        assert seq == -1 and ctx is None
+        assert len(out) == len(mbufs)
         for orig, view in zip(mbufs, out):
             assert bytes(view.data) == bytes(orig.data)
             assert view.timestamp == orig.timestamp
             assert view.port == orig.port
+            assert view.queue == 3
 
-    def test_packed_round_trip_matches_mbuf_write(self, traffic):
-        """slot_write_packed(pack(mbufs)) lays down the identical wire
-        bytes slot_write_mbufs(mbufs) does — the redo log replays the
-        exact slot contents."""
-        mbufs = self._mbufs(traffic)
-        direct = memoryview(bytearray(1 << 20))
-        via_pack = memoryview(bytearray(1 << 20))
-        n1 = slot_write_mbufs(direct, 0, len(direct), mbufs, 1)
-        n2 = slot_write_packed(via_pack, 0, len(via_pack),
-                               PackedBatch.pack(mbufs, 1))
-        assert n1 == n2
-        assert bytes(direct[:n1]) == bytes(via_pack[:n2])
+    def test_private_image_matches_slot_image(self, traffic, tiny_channel):
+        """The replay invariant: a burst imaged into a private
+        bytearray (what the redo log keeps) and straight into a shm
+        slot is the same bytes; copied into a second slot verbatim, it
+        reads back as the same mbufs, seq and ctx."""
+        mbufs = self._mbufs(traffic, 16)
+        image = slot_image(mbufs, 0, (0, 5))
+        n = len(image)
+        assert slot_rows(image) == len(mbufs)
+        assert tiny_channel.send_mbufs(mbufs, 0, (0, 5), _alive)
+        assert tiny_channel.send_image(image, _alive)
+        layout = tiny_channel.layout
+        slots = [tiny_channel._buf[layout.slot_offset(slot):][:n]
+                 for slot in (0, 1)]
+        assert bytes(slots[0]) == bytes(slots[1]) == bytes(image)
+        want, want_seq, want_ctx = slot_read(image, 0)
+        assert (want_seq, want_ctx) == (-1, (0, 5))
+        for slot in slots:
+            got, seq, ctx = slot_read(slot, 0)
+            assert (_rows(got), seq, ctx) == \
+                (_rows(want), want_seq, want_ctx)
+        assert _rows(want) == _rows(
+            [Mbuf(m.data, m.timestamp, m.port, 0) for m in mbufs])
 
     def test_trace_ctx_and_seq_round_trip(self, traffic):
         mbufs = self._mbufs(traffic, 8)
         buf = memoryview(bytearray(1 << 20))
         slot_write_mbufs(buf, 0, len(buf), mbufs, 0,
                          trace_ctx=(2, 17), seq=41)
-        batch, seq = slot_read(buf, 0)
+        _, seq, ctx = slot_read(buf, 0)
         assert seq == 41
-        assert batch.trace_ctx == (2, 17)
+        assert ctx == (2, 17)
 
     def test_oversize_burst_refused(self, traffic):
         mbufs = self._mbufs(traffic)
         buf = memoryview(bytearray(1 << 20))
         assert slot_write_mbufs(buf, 0, 128, mbufs, 0) == -1
-        assert slot_write_packed(buf, 0, 128,
-                                 PackedBatch.pack(mbufs, 0)) == -1
 
     def test_offset_respected(self, traffic):
         mbufs = self._mbufs(traffic, 4)
@@ -124,24 +138,32 @@ class TestSlotCodec:
         written = slot_write_mbufs(buf, 64, 4096, mbufs, 0)
         assert written > 0
         assert bytes(buf[0:64]) == canary
-        batch, _ = slot_read(buf, 64)
-        assert len(batch) == 4
+        out, _, _ = slot_read(buf, 64)
+        assert len(out) == 4
 
     def test_blob_is_zero_copy_view(self, traffic):
         mbufs = self._mbufs(traffic, 4)
         buf = memoryview(bytearray(1 << 20))
         slot_write_mbufs(buf, 0, len(buf), mbufs, 0)
-        batch, _ = slot_read(buf, 0)
-        assert isinstance(batch.blob, memoryview)
-        assert batch.blob.obj is buf.obj
+        out, _, _ = slot_read(buf, 0)
+        assert all(isinstance(m.data, memoryview) for m in out)
+        assert out[0].data.obj is buf.obj
 
     def test_empty_batch(self):
         buf = memoryview(bytearray(4096))
         written = slot_write_mbufs(buf, 0, len(buf), [], 2)
         assert written == SLOT_HEADER_BYTES
-        batch, _ = slot_read(buf, 0)
-        assert len(batch) == 0
-        assert batch.queue == 2
+        assert slot_read(buf, 0) == ([], -1, None)
+
+    def test_float64_timestamps_round_trip_exactly(self):
+        stamps = [0.1 + 0.2, 1 / 3, 1e-300, 5e-324, 1.7976931348623157e308,
+                  -0.0, 1234567.000000001]
+        mbufs = [Mbuf(b"t", ts, 0) for ts in stamps]
+        buf = bytearray(4096)
+        slot_write_mbufs(buf, 0, len(buf), mbufs, 0)
+        out, _, _ = slot_read(buf, 0)
+        assert [struct.pack("<d", m.timestamp) for m in out] == \
+            [struct.pack("<d", ts) for ts in stamps]
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +188,10 @@ class _SimConsumer:
     def consume_one(self):
         kind, slot, rows = self.chan.wait_descriptor(self.ordinal)
         if kind == shm.KIND_BATCH:
-            batch, seq = self.chan.read_batch(slot)
+            mbufs, seq, _ctx = self.chan.read_batch(slot)
             # Copy out: the slot is recycled the moment we credit it.
-            self.batches.append((seq, [bytes(m.data)
-                                       for m in batch.unpack()], rows))
+            self.batches.append((seq, [bytes(m.data) for m in mbufs],
+                                 rows))
         self.ordinal += 1
         self.chan.mark_consumed(self.ordinal)
         return kind
@@ -316,17 +338,29 @@ class TestTransportEquivalence:
                        parallel_batch_size=32).stats.to_dict()
             assert par == baseline, f"tiny ring diverged at {cores}"
 
-    def test_oversize_batches_fall_back_to_ctrl(self, traffic):
-        """Slots too small for any burst: every batch takes the CTRL
-        fallback and the run still matches byte-for-byte."""
+    def test_oversize_batches_fall_back_to_ctrl(self):
+        """Jumbo frames: eight ~9 KB frames overflow a 64 KiB slot, so
+        full bursts cross the CTRL queue as their image and the run
+        still matches byte-for-byte."""
+        jumbo = []
+        for flow in range(32):
+            args = (f"10.0.{flow}.1", "10.1.0.1", 40000 + flow, 443)
+            jumbo.append(build_tcp_packet(*args, seq=0, flags=0x02))
+            jumbo += [build_tcp_packet(*args, payload=bytes(9000),
+                                       seq=1 + 9000 * k)
+                      for k in range(5)]
+        # Interleave the flows so every queue fills bursts of eight.
+        frames = [jumbo[flow * 6 + k] for k in range(6)
+                  for flow in range(32)]
+        traffic = [Mbuf(f, i * 1e-4) for i, f in enumerate(frames)]
         for cores in (1, 2, 4):
-            baseline = _run(traffic, parallel=False,
-                            cores=cores).stats.to_dict()
-            par = _run(traffic, cores=cores, ipc_slot_bytes=4096,
-                       parallel_batch_size=256, telemetry=True)
+            baseline = _run(traffic, parallel=False, cores=cores,
+                            parallel_batch_size=8).stats.to_dict()
+            par = _run(traffic, cores=cores, parallel_batch_size=8,
+                       telemetry=True)
             assert par.stats.to_dict() == baseline
-            # Whole flat buffers crossed pickled, not 8-byte descriptors.
-            assert par.backend_health["ipc_bytes_per_packet"] > 50
+            # Whole images crossed pickled, not 8-byte descriptors.
+            assert par.backend_health["ipc_bytes_per_packet"] > 1000
 
     def test_spans_identical_across_transports(self, traffic):
         kwargs = dict(span_sample=1, flight_recorder_depth=4)
@@ -479,10 +513,13 @@ class TestHealthAndConfig:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            RuntimeConfig(ipc_slot_bytes=100)
-        with pytest.raises(ConfigError):
             RuntimeConfig(parallel_queue_depth=0)
-        RuntimeConfig(ipc_slot_bytes=8192)
+        # A descriptor's slot field is 16 bits: depth 65,537 would map
+        # slot 65,536 onto slot 0.
+        for field in ("parallel_queue_depth", "parallel_batch_size"):
+            with pytest.raises(ConfigError, match="16 bits"):
+                RuntimeConfig(**{field: 0x10000})
+            RuntimeConfig(**{field: 0xFFFF})
 
     def test_unusable_dev_shm_is_a_parallel_execution_error(
             self, traffic, monkeypatch):

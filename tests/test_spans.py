@@ -343,21 +343,21 @@ class TestFlightRecorder:
         assert "received_packets" in flight["nic"][0]
 
 
-# ---------------------------------------------------------------------------
-# span context on the IPC wire
-# ---------------------------------------------------------------------------
 class TestPackedBatchCtx:
     def test_trace_ctx_survives_pickle(self):
+        """A burst's span context rides its slot image header, so it
+        survives the pickled control-queue crossing of an oversize
+        burst."""
         import pickle
 
-        from repro.packet.batch import PackedBatch
+        from repro.packet.batch import slot_image, slot_read
         from repro.packet.mbuf import Mbuf
-        batch = PackedBatch.pack(
-            [Mbuf(b"\x00" * 60, 0.5, 0)], queue=1)
-        batch.trace_ctx = (1, 42)
-        clone = pickle.loads(pickle.dumps(batch))
-        assert clone.trace_ctx == (1, 42)
-        assert clone.queue == 1 and len(clone) == 1
+        image = slot_image([Mbuf(b"\x00" * 60, 0.5, 0)], 1,
+                           trace_ctx=(1, 42))
+        out, seq, ctx = slot_read(pickle.loads(pickle.dumps(bytes(image))),
+                                  0)
+        assert ctx == (1, 42) and seq == -1
+        assert out[0].queue == 1 and len(out) == 1
 
 
 # ---------------------------------------------------------------------------
