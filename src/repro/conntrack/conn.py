@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from types import MappingProxyType
-from typing import Any, Mapping, Optional, Sequence, Tuple
+from typing import Any, Mapping, Optional, Sequence
 
 from repro.conntrack.five_tuple import FiveTuple
 from repro.packet.mbuf import Mbuf
@@ -97,12 +97,12 @@ class Connection:
         "history", "_next_seq_orig", "_next_seq_resp", "weirds",
     )
 
-    def __init__(self, key: Tuple, orig_first: bool, now: float) -> None:
+    def __init__(self, key: bytes, orig_first: bool, now: float) -> None:
         self.key = key
         self.orig_first = orig_first
         self._five_tuple: Optional[FiveTuple] = None
         self.state = _PROBE
-        self.tcp_state = _SYN_SENT if key[4] == 6 else _ESTABLISHED
+        self.tcp_state = _SYN_SENT if key[-1] == 6 else _ESTABLISHED
         #: Deadlines owned by the two timer wheels (``None``: unarmed).
         self.timer_establish: Optional[float] = None
         self.timer_inactive: Optional[float] = None
@@ -174,7 +174,7 @@ class Connection:
     def is_single_syn(self) -> bool:
         """An unanswered SYN: one originator packet, no response."""
         return (
-            self.key[4] == 6
+            self.key[-1] == 6
             and self.tcp_state is _SYN_SENT
             and self.pkts_resp == 0
             and self.pkts_orig <= 1

@@ -1,7 +1,12 @@
-"""Direction-canonical connection keys."""
+"""Direction-canonical connection keys.
+
+A key is one ``bytes``, ``ip‖port‖ip‖port‖proto`` in network order with
+the lower endpoint first: 13 bytes for IPv4, 37 for IPv6.
+"""
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -9,6 +14,24 @@ from repro.packet.stack import PacketStack
 
 #: Cache sentinel for "computed: this frame has no five-tuple".
 _NO_TUPLE = "no-tuple"
+
+_KEY4 = struct.Struct("!4sH4sHB")
+_KEY6 = struct.Struct("!16sH16sHB")
+#: Each family's packer, for a hot path that picks one by address length.
+PACK_KEY4, PACK_KEY6 = _KEY4.pack, _KEY6.pack
+
+
+def pack_key(a_ip: bytes, a_port: int, b_ip: bytes, b_port: int,
+             proto: int) -> bytes:
+    """The key of endpoints ``a`` and ``b``, ``a`` the lower one."""
+    return (PACK_KEY4 if len(a_ip) == 4 else PACK_KEY6)(
+        a_ip, a_port, b_ip, b_port, proto)
+
+
+def unpack_key(key: bytes) -> Tuple[bytes, int, bytes, int, int]:
+    """The key's five fields. Keys of one family sort as these tuples
+    do; across families only the tuples keep the old order."""
+    return (_KEY4 if len(key) == 13 else _KEY6).unpack(key)
 
 
 @dataclass(frozen=True)
@@ -59,11 +82,11 @@ class FiveTuple:
         return tup
 
     @classmethod
-    def from_key(cls, key: Tuple, orig_first: bool) -> "FiveTuple":
+    def from_key(cls, key: bytes, orig_first: bool) -> "FiveTuple":
         """The originator-to-responder tuple of a canonical ``key``,
         whose originator is the key's first endpoint iff
         ``orig_first``; its :meth:`canonical` is ``key`` itself."""
-        a_ip, a_port, b_ip, b_port, protocol = key
+        a_ip, a_port, b_ip, b_port, protocol = unpack_key(key)
         if orig_first:
             tup = cls(a_ip, b_ip, a_port, b_port, protocol)
         else:
@@ -71,18 +94,18 @@ class FiveTuple:
         object.__setattr__(tup, "_canonical", key)
         return tup
 
-    def canonical(self) -> Tuple:
-        """Direction-insensitive hashable key (computed once, cached)."""
+    def canonical(self) -> bytes:
+        """Direction-insensitive packed key (computed once, cached)."""
         try:
             return self._canonical
         except AttributeError:
             pass
         if self.src_is_first():
-            canon = (self.src_ip, self.src_port, self.dst_ip,
-                     self.dst_port, self.protocol)
+            canon = pack_key(self.src_ip, self.src_port, self.dst_ip,
+                             self.dst_port, self.protocol)
         else:
-            canon = (self.dst_ip, self.dst_port, self.src_ip,
-                     self.src_port, self.protocol)
+            canon = pack_key(self.dst_ip, self.dst_port, self.src_ip,
+                             self.src_port, self.protocol)
         object.__setattr__(self, "_canonical", canon)
         return canon
 

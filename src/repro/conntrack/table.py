@@ -16,11 +16,11 @@ and exposes a small API the pipeline drives:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.conntrack.conn import CONN_BASE_MEMORY_BYTES, Connection, \
     ConnState
-from repro.conntrack.five_tuple import FiveTuple
+from repro.conntrack.five_tuple import FiveTuple, unpack_key
 from repro.conntrack.timerwheel import ConnectionTimers
 from repro.errors import ResourceExhaustedError
 
@@ -56,7 +56,7 @@ class ConnTable:
 
     def __init__(self, timeouts: TimeoutConfig = TimeoutConfig()) -> None:
         self.timeouts = timeouts
-        self._conns: Dict[Tuple, Connection] = {}
+        self._conns: Dict[bytes, Connection] = {}
         self._timers = ConnectionTimers(
             timeouts.establish_timeout, timeouts.inactivity_timeout
         )
@@ -73,15 +73,12 @@ class ConnTable:
     def __iter__(self) -> Iterator[Connection]:
         return iter(self._conns.values())
 
-    def lookup(self, five_tuple: FiveTuple) -> Optional[Connection]:
-        return self._conns.get(five_tuple.canonical())
-
-    def lookup_key(self, key: Tuple) -> Optional[Connection]:
+    def lookup_key(self, key: bytes) -> Optional[Connection]:
         """Lookup by an already-canonical key (columnar hot path: the
         key is assembled straight from decoded columns, no FiveTuple)."""
         return self._conns.get(key)
 
-    def create_with_key(self, key: Tuple, orig_first: bool,
+    def create_with_key(self, key: bytes, orig_first: bool,
                         now: float) -> Connection:
         """Insert a new connection whose canonical key is already known
         (the caller has missed on :meth:`lookup_key`); ``orig_first``
@@ -164,9 +161,9 @@ class ConnTable:
         This is the ``memory_policy="evict"`` degradation action: the
         victims are returned (like :meth:`expire`) so the pipeline can
         still deliver whatever connection-level data the subscription
-        asked for. Ordering is by ``(last activity, canonical key)`` —
-        fully deterministic, so the same run evicts the same flows on
-        every backend.
+        asked for. Ordering is by ``(last activity, unpacked canonical
+        key)`` — fully deterministic, so the same run evicts the same
+        flows on every backend.
 
         Raises :class:`~repro.errors.ResourceExhaustedError` — without
         evicting anything — when even an empty table would sit above
@@ -183,7 +180,7 @@ class ConnTable:
             return []
         victims: List[Connection] = []
         for conn in sorted(self._conns.values(),
-                           key=lambda c: (c.last_ts, c.key)):
+                           key=lambda c: (c.last_ts, unpack_key(c.key))):
             if remaining <= target_bytes:
                 break
             remaining -= conn.memory_bytes
@@ -204,8 +201,8 @@ class ConnTable:
         This feeds the overload ladder's rung-3 circuit breaker
         (:mod:`repro.overload`): the returned victims get their lazy
         reassembly / session parsing disabled. Ordering is heaviest
-        first with the canonical key as tiebreak — fully deterministic,
-        so every backend downgrades the same flows.
+        first with the unpacked canonical key as tiebreak — fully
+        deterministic, so every backend downgrades the same flows.
         """
         heavy: List[Connection] = []
         for conn in self._conns.values():
@@ -216,7 +213,7 @@ class ConnTable:
             if conn.memory_bytes - CONN_BASE_MEMORY_BYTES \
                     > min_overhead_bytes:
                 heavy.append(conn)
-        heavy.sort(key=lambda c: (-c.memory_bytes, c.key))
+        heavy.sort(key=lambda c: (-c.memory_bytes, unpack_key(c.key)))
         return heavy
 
     @property

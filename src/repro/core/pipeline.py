@@ -35,6 +35,7 @@ if TYPE_CHECKING:  # avoid a config<->core import cycle at runtime
     from repro.config import RuntimeConfig
 
 from repro.conntrack.conn import ConnState, Connection
+from repro.conntrack.five_tuple import PACK_KEY4, PACK_KEY6
 from repro.conntrack.table import ConnTable
 from repro.errors import CallbackError, ProtocolError, \
     ResourceExhaustedError
@@ -375,10 +376,11 @@ class CorePipeline:
         dp = cols.dst_port[i]
         proto = cols.proto[i]
         src_first = (sip, sp) <= (dip, dp)
+        pack = PACK_KEY4 if len(sip) == 4 else PACK_KEY6
         if src_first:
-            key = (sip, sp, dip, dp, proto)
+            key = pack(sip, sp, dip, dp, proto)
         else:
-            key = (dip, dp, sip, sp, proto)
+            key = pack(dip, dp, sip, sp, proto)
         table = self.table
         conn = table.lookup_key(key)
         created = conn is None
@@ -550,7 +552,7 @@ class CorePipeline:
         conn.parser = _ProbeContext(candidates)
 
     def _create_reassembler(self, conn: Connection) -> None:
-        if conn.key[4] != PROTO_TCP or \
+        if conn.key[-1] != PROTO_TCP or \
                 conn.reassembler is not None:
             return
         if self.config.reassembler == "buffered":
@@ -572,7 +574,7 @@ class CorePipeline:
                     from_orig: bool, seq, flags) -> List[StreamSegment]:
         """Row-shaped: the state machine holds ``from_orig``/``seq``/
         ``flags`` already, from the row's columns."""
-        if conn.key[4] == PROTO_UDP:
+        if conn.key[-1] == PROTO_UDP:
             if not payload:
                 return []
             return [StreamSegment(payload, from_orig, self._now)]

@@ -12,7 +12,7 @@ sampling (Section 6.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.errors import ConfigError
 from repro.filter.batch import compile_hw_admit
@@ -213,18 +213,3 @@ class SimNic:
         dispatched = stats.dispatched_packets
         dispatched[queue] = dispatched.get(queue, 0) + 1
         return queue
-
-    def receive_burst(self, mbufs: List[Mbuf]) -> Dict[int, List[Mbuf]]:
-        """Dispatch a burst, returning per-queue packet lists in
-        arrival order (the shape a batched pipeline consumes)."""
-        queues: Dict[int, List[Mbuf]] = {}
-        receive = self.receive
-        get_queue = queues.get
-        for mbuf in mbufs:
-            queue = receive(mbuf)
-            if queue is not None:
-                batch = get_queue(queue)
-                if batch is None:
-                    batch = queues[queue] = []
-                batch.append(mbuf)
-        return queues

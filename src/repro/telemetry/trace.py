@@ -38,21 +38,14 @@ TRACE_EVENTS = (
 TraceEvent = Tuple[float, str, int, str, str]
 
 
-def stable_sample_hash(key) -> int:
+def stable_sample_hash(key: bytes) -> int:
     """CRC-32 of a connection's canonical key, identical across
     processes and runs (``PYTHONHASHSEED``-proof).
 
-    ``key`` is ``FiveTuple.canonical()``: (ip, port, ip, port, proto)
-    with packed-bytes addresses. Ports and protocol are fixed-width so
-    the concatenation is unambiguous.
+    ``key`` is ``FiveTuple.canonical()``, the packed
+    ``ip‖port‖ip‖port‖proto`` bytes, so it is hashed as it is.
     """
-    ip_a, port_a, ip_b, port_b, proto = key
-    packed = b"".join((
-        ip_a, port_a.to_bytes(2, "big"),
-        ip_b, port_b.to_bytes(2, "big"),
-        proto.to_bytes(1, "big"),
-    ))
-    return zlib.crc32(packed) & 0xFFFFFFFF
+    return zlib.crc32(key)
 
 
 class ConnectionTracer:

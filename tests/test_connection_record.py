@@ -6,13 +6,13 @@ one the public keyword constructor makes from the same connection."""
 import pytest
 
 from repro.conntrack import Connection
-from repro.conntrack.five_tuple import FiveTuple
+from repro.conntrack.five_tuple import FiveTuple, pack_key
 from repro.core.datatypes import ConnectionRecord
 from repro.packet.tcp import TcpFlags
 
 LOW = (b"\x0a\x00\x00\x01", 443)
 HIGH = (b"\x0a\x00\x00\x02", 50000)
-KEY = (*LOW, *HIGH, 6)
+KEY = pack_key(*LOW, *HIGH, 6)
 
 SYN, ACK, FIN, RST = TcpFlags.SYN, TcpFlags.ACK, TcpFlags.FIN, TcpFlags.RST
 

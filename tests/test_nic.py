@@ -289,15 +289,6 @@ class TestSimNic:
         nic = SimNic(num_queues=4)
         assert nic.receive(Mbuf(b"\x00" * 64)) == 0
 
-    def test_receive_burst_groups(self):
-        nic = SimNic(num_queues=2)
-        mbufs = [
-            Mbuf(build_tcp_packet("10.0.0.1", "10.0.0.2", 1000 + i, 80))
-            for i in range(20)
-        ]
-        queues = nic.receive_burst(mbufs)
-        assert sum(len(v) for v in queues.values()) == 20
-
     def test_bad_config(self):
         with pytest.raises(ConfigError):
             SimNic(num_queues=0)

@@ -16,6 +16,7 @@ from dataclasses import replace
 import pytest
 
 from repro import Runtime, RuntimeConfig
+from repro.conntrack.five_tuple import pack_key
 from repro.core.monitor import MonitorSample, StatsMonitor
 from repro.telemetry import (
     ConnectionTracer,
@@ -215,9 +216,10 @@ class TestFunnel:
 # ---------------------------------------------------------------------------
 class TestTracer:
     def test_stable_hash_is_seed_independent(self):
-        # CRC-32 of the packed canonical tuple: a fixed value, not
+        # CRC-32 of the packed canonical key: a fixed value, not
         # Python's randomized hash().
-        key = (b"\x01\x02\x03\x04", 443, b"\x05\x06\x07\x08", 51000, 6)
+        key = pack_key(b"\x01\x02\x03\x04", 443, b"\x05\x06\x07\x08",
+                       51000, 6)
         assert stable_sample_hash(key) == stable_sample_hash(key)
         assert 0 <= stable_sample_hash(key) < 2 ** 32
 
@@ -225,7 +227,7 @@ class TestTracer:
         all_events, no_events = [], []
         always = ConnectionTracer(1.0, all_events)
         never = ConnectionTracer(0.0, no_events)
-        key = (b"\x01\x02\x03\x04", 1, b"\x05\x06\x07\x08", 2, 17)
+        key = pack_key(b"\x01\x02\x03\x04", 1, b"\x05\x06\x07\x08", 2, 17)
         assert always.sampled(key)
         assert not never.sampled(key)
         with pytest.raises(ValueError):
