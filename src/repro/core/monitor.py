@@ -222,8 +222,5 @@ class StatsMonitor:
         return len(recent) >= 3 and \
             all(s.loss_fraction > 0 for s in recent)
 
-    def peak_memory(self) -> int:
-        return max((s.memory_bytes for s in self.samples), default=0)
-
     def log_lines(self) -> List[str]:
         return [s.format() for s in self.samples]

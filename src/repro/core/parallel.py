@@ -385,10 +385,6 @@ class WorkerPool:
     children, no feeder threads blocking interpreter exit.
     """
 
-    #: The feeder only routes: each worker decodes and filters its own
-    #: bursts, so ingress runs no batch packet filter here.
-    _classify = None
-
     def __init__(self, runtime: "Runtime", monitor,
                  memory_interval: Optional[float]) -> None:
         """``memory_interval`` is the sample cadence when the loop

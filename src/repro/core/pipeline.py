@@ -120,13 +120,12 @@ class CorePipeline:
         else:
             self._tracer = None
         self._filter = subscription.filter
-        #: Batch packet filter over decoded columns; None when no row
-        #: will be fast (``config.columnar=False``, the parity tests'
-        #: reference) or when the filter trie uses predicates the
-        #: columnar layer cannot express: every row then carries
-        #: verdict ``None`` and runs the scalar filter in the loop.
-        self._pf_batch = (subscription.filter.packet_filter_batch
-                          if config.columnar else None)
+        #: Where a fast row's verdict comes from: ``verdicts_of(cols)``
+        #: is the batch's verdict vectors, this pipeline's at ``lane``.
+        #: Its own filter by default; a shared table's multiplexer
+        #: points it at the table's classifier.
+        self.verdicts_of = self._own_verdicts
+        self.lane = 0
         # -- burst span recorder (repro.telemetry.spans) ----------------
         # None when disabled: the batch loops then pay one ``is None``
         # check per burst and the per-packet loops stay untouched (the
@@ -211,36 +210,44 @@ class CorePipeline:
     # ------------------------------------------------------------------
     # packet entry point
     # ------------------------------------------------------------------
-    def process_packet(self, mbuf: Mbuf) -> None:
-        self.process_batch((mbuf,))
-
     def process_batch(self, mbufs) -> None:
         """Run a burst of packets (one receive queue's share of a DPDK
         burst) through the pipeline: the headers are decoded in bulk
-        (:func:`~repro.packet.columnar.decode_mbufs`), the packet filter
-        runs once over the columns as mask predicates, and the rows go
+        (:func:`~repro.packet.columnar.decode_mbufs`) and the rows go
         through :meth:`process_batch_rows`."""
         if type(mbufs) is not list and type(mbufs) is not tuple:
             mbufs = list(mbufs)
         cols = decode_mbufs(mbufs, self.config.columnar)
-        pf_batch = self._pf_batch
-        self.process_batch_rows(zip(
-            mbufs, repeat(None), repeat(cols), range(len(mbufs)),
-            pf_batch(cols) if pf_batch is not None else repeat(None)))
+        self.process_batch_rows(zip(mbufs, repeat(None), repeat(cols),
+                                    range(len(mbufs))))
+
+    def _own_verdicts(self, cols: ColumnarBatch) -> list:
+        """This pipeline's filter's verdicts on ``cols``, in one lane,
+        cached on the batch under the filter object: every core sharing
+        the compiled filter reads one classification per batch. A
+        filter no column expresses leaves each row ``None``."""
+        key = self._filter
+        if cols.verdicts_by is not key:
+            batch = key.packet_filter_batch
+            cols.verdicts = [batch(cols) if batch is not None
+                             else [None] * cols.n]
+            cols.verdicts_by = key
+        return cols.verdicts
 
     def process_batch_rows(self, rows) -> None:
-        """The per-row loop, over one burst of ``(mbuf, queue, cols, i,
-        verdict)`` rows as :func:`~repro.packet.columnar.ingress_rows`
-        yields them: the frame, the column batch it was decoded into,
-        its row there and the batch filter's verdict on it (the queue
-        is not read). The sequential backend decodes and filters each
-        ingress burst *once*, so nothing happens twice here.
+        """The per-row loop, over one burst of ``(mbuf, queue, cols,
+        i)`` rows as :func:`~repro.packet.columnar.ingress_rows` yields
+        them: the frame, the column batch it was decoded into and its
+        row there (the queue is not read). The sequential backend
+        decodes each ingress burst *once*, so nothing happens twice
+        here.
 
-        A verdict is ``(node << 1) | terminal`` (negative: no match)
-        and only meaningful where ``cols.fast[i]``; slow rows, and every
-        row when the filter is not batch-expressible (verdict ``None``),
-        run the scalar ``packet_filter`` here instead. Fast rows key
-        conntrack straight off their columns either way.
+        A fast row's verdict is ``verdicts_of(cols)[lane][i]``, read
+        once per batch the burst draws on: ``(node << 1) | terminal``
+        (negative: no match). Slow rows, and every row when the filter
+        is not batch-expressible (verdict ``None``), run the scalar
+        ``packet_filter`` here instead. Fast rows key conntrack straight
+        off their columns either way.
 
         The hot path: every per-packet attribute lookup and bound
         method is hoisted out of the loop. Capture and the packet
@@ -254,6 +261,9 @@ class CorePipeline:
         deliver = self._deliver
         stateful = self._stateful
         stateful_columnar = self._stateful_columnar
+        verdicts_of = self.verdicts_of
+        lane = self.lane
+        vcols = vec = None
         now = self._now
         ov_next = self._ov_next
         spans = self._spans
@@ -274,7 +284,7 @@ class CorePipeline:
         pf_bytes = 0
         fast_packets = 0
         fast_bytes = 0
-        for mbuf, _queue, cols, i, verdict in rows:
+        for mbuf, _queue, cols, i in rows:
             ts = mbuf.timestamp
             if ts > now:
                 now = ts
@@ -294,6 +304,11 @@ class CorePipeline:
             frame_bytes = cols.wire[i]
             wire_bytes += frame_bytes
             fast_row = cols.fast[i]
+            if fast_row:
+                if cols is not vcols:
+                    vcols = cols
+                    vec = verdicts_of(cols)[lane]
+                verdict = vec[i]
             if not fast_row or verdict is None:
                 result = packet_filter(mbuf)
                 if not result.matched:

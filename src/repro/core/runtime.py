@@ -364,10 +364,9 @@ class Runtime:
             # with ``timestamp >= event.time`` observes the new table.
             # The NICs never reconfigure mid-run.
             next_event_ts = self.next_reconfigure_ts
-            for row in ingress_rows(  # (mbuf, queue, cols, i, verdict)
+            for row in ingress_rows(  # (mbuf, queue, cols, i)
                     traffic, self.nics, batch_size,
-                    self.fragment_reassembler, config.columnar,
-                    backend._classify):
+                    self.fragment_reassembler, config.columnar):
                 ts = row[0].timestamp
                 if first:
                     first = False
@@ -428,13 +427,6 @@ class Runtime:
         return report
 
     # -- the loop's sequential backend (WorkerPool is its parallel one)
-    @property
-    def _classify(self):
-        """The batch packet filter ingress runs once per chunk: every
-        core holds the same table, so one verdict vector serves all
-        queues, and the rows carry it into the pipelines."""
-        return self.pipelines[0].classify
-
     def _burst(self, queue: int, rows: list) -> Optional[float]:
         """Run one burst through its core's pipeline; returns the
         virtual time that core tripped fail-fast, or None."""

@@ -398,9 +398,3 @@ class GeneratedFilter:
             writer.emit(2, "return False")
         writer.emit(1, "return False")
         return writer.source()
-
-
-def var_cls(proto: str) -> str:
-    """Class name used in generated source for a protocol parser."""
-    return {"ipv4": "Ipv4", "ipv6": "Ipv6", "tcp": "Tcp", "udp": "Udp",
-            "icmp": "Icmp"}[proto]

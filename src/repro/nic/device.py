@@ -40,10 +40,6 @@ class NicPortStats:
     sink_dropped_bytes: int = 0
     dispatched_packets: Dict[int, int] = field(default_factory=dict)
 
-    def record_dispatch(self, queue: int) -> None:
-        self.dispatched_packets[queue] = \
-            self.dispatched_packets.get(queue, 0) + 1
-
     def to_dict(self) -> Dict:
         """Deterministic JSON-able snapshot. The span subsystem
         (:mod:`repro.telemetry.spans`) attaches this ingress context to

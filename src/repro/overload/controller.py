@@ -148,7 +148,3 @@ class OverloadController:
     @property
     def downgrading(self) -> bool:
         return self.policy == "ladder" and self.rung >= RUNG_DOWNGRADE
-
-    @property
-    def rung_name(self) -> str:
-        return RUNG_NAMES[self.rung]

@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import struct
 from itertools import islice
-from typing import Callable, Iterable, Iterator, List, Optional, \
-    Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.packet.mbuf import Mbuf
 
@@ -106,14 +105,20 @@ class ColumnarBatch:
     meaningful where ``fast[i]`` is True. ``payload_off`` is the frame
     offset of the first byte above TCP/UDP, so a fast row's L4 payload
     is ``data[payload_off:payload_off + payload_len]``.
-    ``verdicts_by`` names the batch packet filter whose verdicts the
-    ingress rows over this batch carry (None: they carry none).
+
+    ``verdicts`` caches the packet filter's verdicts on the batch, one
+    vector per lane (a lone filter has one lane, a shared table one per
+    tenant), and ``verdicts_by`` the key of the classifier that computed
+    them (None: none has). Every pipeline reading a row asks for the
+    verdicts under its own key and the batch is classified again only
+    when the key differs, so a chunk the ingress fans out to every core
+    is classified once per table it meets.
     """
 
     __slots__ = ("n", "wire", "fast", "ethertype", "proto", "src_ip",
                  "dst_ip", "src_port", "dst_port", "payload_len",
                  "tcp_flags", "tcp_seq", "ip_total_len", "payload_off",
-                 "verdicts_by")
+                 "verdicts", "verdicts_by")
 
     def __init__(self, n: int, wire: Sequence[int], fast: Sequence[bool],
                  ethertype: Sequence[int], proto: Sequence[int],
@@ -136,6 +141,7 @@ class ColumnarBatch:
         self.tcp_seq = tcp_seq
         self.ip_total_len = ip_total_len
         self.payload_off = payload_off
+        self.verdicts = None
         self.verdicts_by = None
 
 
@@ -267,23 +273,20 @@ HELD = object()
 
 
 def ingress_rows(mbufs: Iterable[Mbuf], nics: Sequence,
-                 chunk_size: int = 256, frag=None, columnar: bool = True,
-                 classify: Optional[Callable] = None
-                 ) -> Iterator[Tuple[Mbuf, object, ColumnarBatch, int,
-                                     Optional[int]]]:
+                 chunk_size: int = 256, frag=None, columnar: bool = True
+                 ) -> Iterator[Tuple[Mbuf, object, ColumnarBatch, int]]:
     """The ingress path of both backends: frames in, routed rows out.
 
     Pulls ``chunk_size`` frames, passes them through the IPv4 fragment
     reassembler ``frag`` when one is configured (before the decode: a
     completed datagram is a new frame), decodes the burst once
-    (:func:`decode_mbufs`), runs the batch packet filter ``classify``
-    over the columns once when there is one, and yields a row
-    ``(mbuf, queue, cols, i, verdict)`` per frame: the receive queue
-    its port's NIC dispatched it to (``None`` when the NIC dropped it),
-    the row of ``cols`` that describes it, and that row's verdict
-    (``None`` without ``classify``). A row is what
-    ``CorePipeline.process_batch_rows`` consumes, so nothing downstream
-    decodes or filters the frame again.
+    (:func:`decode_mbufs`) and yields a row ``(mbuf, queue, cols, i)``
+    per frame: the receive queue its port's NIC dispatched it to
+    (``None`` when the NIC dropped it) and the row of ``cols`` that
+    describes it. A row is what ``CorePipeline.process_batch_rows``
+    consumes, so nothing downstream decodes the frame again; the packet
+    filter runs there, once per batch and classifier, and caches its
+    verdicts on ``cols`` (:class:`ColumnarBatch`).
     ``SimNic.receive_columnar`` itself falls back to the per-packet
     ``receive`` for slow rows and for flow rules that are not
     column-expressible, so only those rows pay for a stack parse. A
@@ -297,7 +300,6 @@ def ingress_rows(mbufs: Iterable[Mbuf], nics: Sequence,
     """
     num_nics = len(nics)
     nic0 = nics[0]
-    no_verdicts = [None] * chunk_size
     it = iter(mbufs)
     while True:
         chunk = list(islice(it, chunk_size))
@@ -315,11 +317,10 @@ def ingress_rows(mbufs: Iterable[Mbuf], nics: Sequence,
                 else:
                     chunk[i] = pushed
         cols = decode_mbufs(chunk, columnar)
-        verdicts = classify(cols) if classify is not None else no_verdicts
         for i, m in enumerate(chunk):
             if held and i in held:
-                yield m, HELD, cols, i, None
+                yield m, HELD, cols, i
                 continue
             port = m.port
             nic = nics[port] if 0 < port < num_nics else nic0
-            yield m, nic.receive_columnar(m, cols, i), cols, i, verdicts[i]
+            yield m, nic.receive_columnar(m, cols, i), cols, i

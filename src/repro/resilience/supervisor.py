@@ -181,9 +181,6 @@ class WorkerSupervisor:
     def last_epoch(self, core: int) -> int:
         return self._cores[core].last_epoch
 
-    def heard_from(self, core: int) -> None:
-        self._cores[core].last_heard = time.monotonic()
-
     def silent_for(self, core: int) -> float:
         return time.monotonic() - self._cores[core].last_heard
 

@@ -11,7 +11,6 @@ from repro.packet.tcp import TcpFlags
 # dispatches to the enum's Python-level ``__rand__`` on every segment.
 _FIN = int(TcpFlags.FIN)
 _SYN = int(TcpFlags.SYN)
-_RST = int(TcpFlags.RST)
 
 
 @dataclass
@@ -37,10 +36,6 @@ class L4Pdu:
     @property
     def is_fin(self) -> bool:
         return bool(self.flags & _FIN)
-
-    @property
-    def is_rst(self) -> bool:
-        return bool(self.flags & _RST)
 
     @property
     def seq_span(self) -> int:

@@ -36,8 +36,6 @@ from repro.telemetry.registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRecorder,
-    NULL_RECORDER,
 )
 from repro.telemetry.spans import (
     SPAN_HIST_BOUNDS,
@@ -59,8 +57,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRecorder",
-    "NULL_RECORDER",
     "FunnelLayer",
     "build_funnel",
     "check",

@@ -11,10 +11,6 @@ Metrics marked ``volatile=True`` carry machine- or schedule-dependent
 values (wall-clock feeder block time, queue high-water marks). They are
 excluded from rendering by default so exports stay deterministic and
 comparable across backends; pass ``include_volatile=True`` to see them.
-
-For disabled-telemetry paths, :data:`NULL_RECORDER` offers the same
-call surface with no-op methods — swap it in at construction time and
-the instrumented code needs no ``if enabled`` branches.
 """
 
 from __future__ import annotations
@@ -263,37 +259,3 @@ class MetricsRegistry:
                 lines.append(f"{labeled} {format_value(value)}")
         return "\n".join(lines) + "\n"
 
-
-class NullRecorder:
-    """No-op stand-in for any metric or registry: every method accepts
-    anything and does nothing. Swap it in at construction time so the
-    instrumented code path carries zero conditional overhead when
-    telemetry is disabled."""
-
-    def inc(self, *args, **kwargs) -> None:
-        pass
-
-    def set(self, *args, **kwargs) -> None:
-        pass
-
-    def max(self, *args, **kwargs) -> None:
-        pass
-
-    def observe(self, *args, **kwargs) -> None:
-        pass
-
-    def load(self, *args, **kwargs) -> None:
-        pass
-
-    def counter(self, *args, **kwargs) -> "NullRecorder":
-        return self
-
-    def gauge(self, *args, **kwargs) -> "NullRecorder":
-        return self
-
-    def histogram(self, *args, **kwargs) -> "NullRecorder":
-        return self
-
-
-#: Shared no-op instance (stateless, safe to share everywhere).
-NULL_RECORDER = NullRecorder()

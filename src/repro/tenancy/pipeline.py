@@ -11,17 +11,17 @@ pointing at the column batches the ingress decoded (a parallel worker's
 ``process_batch`` decodes the burst it was sent).
 
 While one unmetered tenant is alone in the table, the multiplexer is a
-pass-through: rows reach that tenant's pipeline untouched, carrying the
-verdicts its own batch filter computed once per ingress chunk
-(:meth:`TenantCorePipeline.classify`). Each chunk is stamped with the
-epoch and filter that classified it, and a verdict stamped under an
-earlier table (a chunk that straddled a swap) is dropped, so that row
-runs the tenant's scalar filter. Otherwise the table's
-:class:`~repro.tenancy.shared.SharedFilter` classifies each burst when
-it runs, once per column batch it draws on, under the epoch in force,
-and every tenant gets rows that point at the same columns with its own
-verdict (``None`` where the classifier has no say: a slow row,
-``config.columnar=False``, a predicate no column expresses).
+pass-through: rows reach that tenant's pipeline untouched, and its own
+filter classifies each column batch they point at. Otherwise every
+active tenant reads its lane of the table's
+:class:`~repro.tenancy.shared.SharedFilter` verdicts
+(:meth:`TenantCorePipeline._shared_verdicts`), and the tenants get the
+ingress's own rows. Either way the verdicts are cached on the batch
+under the key of the classifier that computed them (the filter, or the
+tuple of active filters): every core holding the table reads one
+classification per chunk, and a chunk that straddles a swap is
+classified again under the new table. A fast row's verdict is ``None``
+where the classifier has no say: a predicate no column expresses.
 
 Isolation knobs enforced here, before rows reach a tenant's pipeline,
 both on virtual time, so deterministic across backends and worker
@@ -45,7 +45,7 @@ draining under its admission epoch.
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -65,11 +65,8 @@ _WINDOW_S = 1.0
 #: tenant-granular analogue of rung 3's heavy-connection breaker).
 _QUOTA_RUNG = 1
 _PRESSURE_RUNG = 3
-#: The column batch of an ingress row ``(mbuf, queue, cols, i, verdict)``.
+#: The column batch of an ingress row ``(mbuf, queue, cols, i)``.
 _row_cols = itemgetter(2)
-#: Equal to no verdict: stands in for ``NO_MATCH`` when a tenant's loop
-#: must see the rows it refuses too.
-_REFUSE_NONE = object()
 
 
 def build_tenant_subscription(spec: TenantSpec, config) -> Subscription:
@@ -175,13 +172,13 @@ class TenantCorePipeline:
 
     Exposes the surface of a :class:`CorePipeline` that the ingest loop,
     the workers and the monitor drive, plus the table verbs:
-    :meth:`apply_epoch`, :meth:`classify`, ``epoch`` and ``solo``.
+    :meth:`apply_epoch`, ``epoch`` and ``solo``.
 
     ``pressure_mbps`` is the run's pressure budget (None: none).
     ``compiled`` maps tenant name to ``(spec, Subscription, executor)``
     (executor None: an inline one per pipeline), compiled once per
     runtime and shared — not copied — by its multiplexers, so every
-    core's pass-through trusts the same verdicts.
+    core's filters are the same objects and key the same verdicts.
     """
 
     def __init__(self, core_id: int, specs: Sequence[TenantSpec],
@@ -261,13 +258,15 @@ class TenantCorePipeline:
         #: all this multiplexer then runs — or None.
         self.solo = self._pipes[names[0]] \
             if len(names) == 1 and not self._metered else None
-        #: What a chunk's ingress verdicts must be stamped with for the
-        #: pass-through to trust them: this epoch and the solo filter.
-        self._verdict_key = (self.epoch, self.solo.sub.filter) \
-            if self.solo is not None else None
-        self._shared = SharedFilter(
-            names, [self._pipes[n].sub.filter for n in names]) \
+        #: The table's verdict cache key: its filters, lane by lane.
+        self._table = tuple(self._pipes[n].sub.filter for n in names)
+        self._shared = SharedFilter(names, self._table) \
             if names and self.solo is None else None
+        for lane, name in enumerate(names):
+            pipe = self._pipes[name]
+            pipe.verdicts_of = pipe._own_verdicts if self._shared is None \
+                else self._shared_verdicts
+            pipe.lane = lane
         #: Every tenant pipeline by name — active first (in active
         #: order), then draining (in drop order) — and the pipelines.
         self._named = [(n, self._pipes[n]) for n in names] + self._draining
@@ -353,7 +352,8 @@ class TenantCorePipeline:
         track_pressure = self._pressure_share is not None
         quota_share = self._quota_share
         tenants = list(zip(self._active, vecs, feeds))
-        for mbuf, _queue, _cols, i, _verdict in group:
+        for row in group:
+            mbuf, _queue, _cols, i = row
             w = int(mbuf.timestamp)
             if w > window:
                 self._rollover(w)
@@ -388,46 +388,35 @@ class TenantCorePipeline:
                                                "tenant_quota", wire)
                             continue
                         self._win_used[name] = used + wire
-                feed.append((mbuf, None, cols, i, verdict))
+                feed.append(row)
 
     # -- the data path --------------------------------------------------
-    def classify(self, cols) -> list:
-        """The ingress's batch packet filter for one decoded chunk.
-        While the multiplexer is a pass-through, the lone tenant's own
-        filter classifies the chunk, which is stamped with the key its
-        verdicts hold under; otherwise every row carries ``None`` and
-        each burst is classified when it runs."""
-        solo = self.solo
-        pf_batch = solo._pf_batch if solo is not None else None
-        if pf_batch is None:
-            return [None] * cols.n
-        cols.verdicts_by = self._verdict_key
-        return pf_batch(cols)
+    def _shared_verdicts(self, cols) -> list:
+        """The table's verdicts on ``cols``, one lane per active tenant,
+        cached on the batch under the tuple of active filters — equal
+        on every core, so each chunk is classified once per table."""
+        key = self._table
+        if cols.verdicts_by != key:
+            vecs = self._shared.classify_batch(cols)
+            cols.verdicts = vecs if vecs is not None \
+                else [[None] * cols.n] * len(key)
+            cols.verdicts_by = key
+        return cols.verdicts
 
     def process_batch(self, mbufs: list) -> None:
-        """What a parallel worker calls with the burst it was sent: the
-        pass-through tenant's own ``process_batch`` (decode + batch
-        filter), or the decode and then its rows."""
-        if not mbufs:
-            return
-        if self.solo is not None:
-            self._offered += len(mbufs)
-            self.solo.process_batch(mbufs)
-            return
-        cols = decode_mbufs(mbufs, self.config.columnar)
-        self.process_batch_rows(
-            [(mbuf, None, cols, i, None) for i, mbuf in enumerate(mbufs)])
+        """What a parallel worker calls with the burst it was sent:
+        decode it, then run its rows."""
+        if mbufs:
+            cols = decode_mbufs(mbufs, self.config.columnar)
+            self.process_batch_rows(list(zip(
+                mbufs, repeat(None), repeat(cols), range(len(mbufs)))))
 
     def process_batch_rows(self, rows) -> None:
-        """The one data path: a burst of ``(mbuf, queue, cols, i,
-        verdict)`` rows as :func:`~repro.packet.columnar.ingress_rows`
-        yields them. A pass-through hands them to the lone tenant as
-        they are, minus verdicts stamped under an earlier table (a swap
-        flushes every pending burst, so the chunk in flight at the swap
-        is the first one a later burst draws on). Otherwise each column
-        batch the burst draws on is classified here, for the burst's
-        own rows, and every tenant gets those rows with its own
-        verdict.
+        """The one data path: a burst of ``(mbuf, queue, cols, i)``
+        rows as :func:`~repro.packet.columnar.ingress_rows` yields them.
+        A pass-through hands them to the lone tenant as they are.
+        Otherwise every tenant reads its verdicts off the table's
+        classifier and is fed the rows themselves.
 
         A tenant's loop sees only the rows it does not refuse — the
         rest are counted in one call — unless refusing in bulk would
@@ -445,12 +434,6 @@ class TenantCorePipeline:
         self._offered += n
         solo = self.solo
         if solo is not None:  # its clock covers the burst: ours need not
-            key = self._verdict_key
-            stamp = rows[0][2].verdicts_by
-            if stamp is not None and stamp != key:
-                rows = [row if row[2].verdicts_by == key
-                        else (row[0], row[1], row[2], row[3], None)
-                        for row in rows]
             solo.process_batch_rows(rows)
             return
         last_ts = rows[-1][0].timestamp
@@ -459,34 +442,37 @@ class TenantCorePipeline:
         active = self._active
         if not active:
             return
-        bulk = not (self._observed or self._metered)
+        pipes = [self._pipes[name] for name in active]
+        if self._metered:
+            feeds: List[list] = [[] for _ in active]
+            for cols, group in groupby(rows, _row_cols):
+                self._meter(list(group), cols, self._shared_verdicts(cols),
+                            feeds)
+            for pipeline, feed in zip(pipes, feeds):
+                pipeline.process_batch_rows(feed)
+            return
+        bulk = not self._observed
         if bulk:
             stamps = [row[0].timestamp for row in rows]
             bulk = stamps == sorted(stamps)
-        refuse = NO_MATCH if bulk else _REFUSE_NONE
-        shared = self._shared
-        feeds: List[list] = [[] for _ in active]
+        if not bulk:
+            for pipeline in pipes:
+                pipeline.process_batch_rows(rows)
+            return
+        feeds = [[] for _ in active]
         wire_total = 0
         for cols, group in groupby(rows, _row_cols):
             group = list(group)
             idxs = [row[3] for row in group]
-            vecs = shared.classify_batch(cols, idxs)
-            if vecs is None:
-                vecs = [[None] * cols.n] * len(active)
-            if self._metered:
-                self._meter(group, cols, vecs, feeds)
-                continue
             wire = cols.wire
             wire_total += sum([wire[i] for i in idxs])
-            for feed, vec in zip(feeds, vecs):
-                feed += [(row[0], None, cols, i, vec[i])
-                         for row, i in zip(group, idxs)
-                         if vec[i] != refuse]
-        for name, feed in zip(active, feeds):
-            pipeline = self._pipes[name]
-            if feed or not bulk:
+            for feed, vec in zip(feeds, self._shared_verdicts(cols)):
+                feed += [row for row, i in zip(group, idxs)
+                         if vec[i] != NO_MATCH]
+        for pipeline, feed in zip(pipes, feeds):
+            if feed:
                 pipeline.process_batch_rows(feed)
-            if bulk and len(feed) < n:
+            if len(feed) < n:
                 pipeline.count_refused(
                     n - len(feed),
                     wire_total - sum([row[2].wire[row[3]] for row in feed]),

@@ -244,24 +244,20 @@ class SharedFilter:
             self._walk(child, headers, best, results)
 
     # -- columnar mask path --------------------------------------------
-    def classify_batch(self, cols, rows: Optional[Sequence[int]] = None
-                       ) -> Optional[List[List[Optional[int]]]]:
-        """Rows ``rows`` of one decoded burst (all of it by default),
-        every tenant's encoded verdict vector.
+    def classify_batch(self, cols) -> Optional[List[List[Optional[int]]]]:
+        """One decoded burst, every tenant's encoded verdict vector.
 
-        Returns one ``ColumnarBatch``-aligned verdict list per tenant,
-        meaningful at ``rows`` only: ``(node_id << 1) | terminal`` or
-        ``NO_MATCH`` for a fast row, ``None`` — unclassified, like every
-        batch packet filter leaves it — for a slow one. Returns None
-        when some tenant's predicates are not batch-expressible.
+        Returns one ``ColumnarBatch``-aligned verdict list per tenant:
+        ``(node_id << 1) | terminal`` or ``NO_MATCH`` for a fast row,
+        ``None`` — unclassified, like every batch packet filter leaves
+        it — for a slow one. Returns None when some tenant's predicates
+        are not batch-expressible.
         """
         if not self.batch_supported:
             return None
         n = cols.n
         fast = cols.fast
-        if rows is None:
-            rows = range(n)
-        idxs = [i for i in rows if fast[i]]
+        idxs = [i for i in range(n) if fast[i]]
         outs: List[List[Optional[int]]] = []
         ranks: List[List[float]] = []
         for match_all in self._match_all:
@@ -274,8 +270,8 @@ class SharedFilter:
         if idxs:
             for child in self._root.children:
                 self._walk_batch(child, cols, idxs, outs, ranks)
-        if len(idxs) < len(rows):
-            for i in rows:
+        if len(idxs) < n:
+            for i in range(n):
                 if not fast[i]:
                     for out in outs:
                         out[i] = None

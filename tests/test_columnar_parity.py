@@ -333,7 +333,8 @@ class TestNoReparse:
                 RuntimeConfig(cores=2, columnar=columnar),
                 filter_str="ipv4.ttl > 5 and tcp", datatype="connection",
                 callback=None)
-            assert runtime.pipelines[0].solo._pf_batch is None
+            assert runtime.pipelines[0].solo.sub.filter \
+                .packet_filter_batch is None
             stats = runtime.run(iter(mbufs)).stats
             return mbufs, json.dumps(stats.to_dict(), sort_keys=True)
 
@@ -347,19 +348,31 @@ class TestNoReparse:
                                                   monkeypatch, cores):
         """The multiplexer classifies and fans out the rows the ingress
         decoded: a sequential multi-tenant run calls ``decode_mbufs``
-        once per ingress chunk, however its bursts are cut."""
+        once per ingress chunk, however its bursts are cut, and
+        classifies each chunk at most once however many cores its rows
+        reach — the table's shared classifier, and a lone
+        subscription's own batch filter, alike."""
         import repro.core.pipeline as pipeline_mod
         import repro.packet.columnar as columnar_mod
         import repro.tenancy.pipeline as tenancy_mod
         from repro.tenancy import TenantRuntime, TenantSpec
+        from repro.tenancy.shared import SharedFilter
         decodes = []
+        classified = []
 
         def counting(mbufs, columnar=True):
             decodes.append(len(mbufs))
             return decode_mbufs(mbufs, columnar)
 
+        def counting_classify(shared, cols):
+            classified.append(cols.n)
+            return classify_batch(shared, cols)
+
         for mod in (columnar_mod, pipeline_mod, tenancy_mod):
             monkeypatch.setattr(mod, "decode_mbufs", counting)
+        classify_batch = SharedFilter.classify_batch
+        monkeypatch.setattr(SharedFilter, "classify_batch",
+                            counting_classify)
 
         def run(columnar):
             mbufs = [Mbuf(*row) for row in traces["campus"]]
@@ -375,6 +388,24 @@ class TestNoReparse:
                 sort_keys=True)
 
         mbufs, digest = run(columnar=True)
+        chunks = -(-len(mbufs) // 256)
         assert decodes == [256] * (len(mbufs) // 256) + \
             [len(mbufs) % 256][:len(mbufs) % 256]
+        assert 0 < len(classified) <= chunks
         assert digest == run(columnar=False)[1]
+
+        lone = Runtime(RuntimeConfig(cores=cores), filter_str="tcp",
+                       datatype="connection", callback=None)
+        compiled = lone.pipelines[0].solo.sub.filter
+        assert all(p.solo.sub.filter is compiled for p in lone.pipelines)
+        batch = compiled.packet_filter_batch
+        lone_classified = []
+
+        def counting_batch(cols):
+            lone_classified.append(cols.n)
+            return batch(cols)
+
+        compiled.packet_filter_batch = counting_batch
+        lone.run(iter([Mbuf(*row) for row in traces["campus"]]),
+                 memory_sample_interval=0.01)
+        assert 0 < len(lone_classified) <= chunks

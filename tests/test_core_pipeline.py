@@ -335,7 +335,7 @@ class TestBurstShapeDoesNotMatter:
     @staticmethod
     def _one_at_a_time(pipeline, mbufs):
         for mbuf in mbufs:
-            pipeline.process_packet(mbuf)
+            pipeline.process_batch((mbuf,))
 
     @staticmethod
     def _bursts_of(size):
@@ -347,14 +347,12 @@ class TestBurstShapeDoesNotMatter:
     @staticmethod
     def _rows_across_batches(pipeline, mbufs):
         """Bursts of 16 rows, each drawn from four 5-frame decodes."""
-        pf_batch = pipeline._pf_batch
         rows = []
         for start in range(0, len(mbufs), 5):
             chunk = mbufs[start:start + 5]
             cols = decode_mbufs(chunk)
             rows.extend(zip(chunk, [None] * len(chunk),
-                            [cols] * len(chunk), range(len(chunk)),
-                            pf_batch(cols)))
+                            [cols] * len(chunk), range(len(chunk))))
         for start in range(0, len(rows), 16):
             pipeline.process_batch_rows(rows[start:start + 16])
 
@@ -409,7 +407,7 @@ class TestBurstShapeDoesNotMatter:
             for start in range(0, len(mbufs), 5):
                 chunk = mbufs[start:start + 5]
                 cols = decode_mbufs(chunk)
-                rows.extend((m, None, cols, i, None)
+                rows.extend((m, None, cols, i)
                             for i, m in enumerate(chunk))
             for start in range(0, len(rows), 16):
                 mux.process_batch_rows(rows[start:start + 16])

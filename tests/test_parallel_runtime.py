@@ -219,7 +219,7 @@ class TestSequentialBatching:
         assert _comparable(one) == _comparable(big)
 
     def test_process_batch_matches_per_packet(self):
-        """CorePipeline.process_batch == a loop of process_packet."""
+        """CorePipeline.process_batch == a loop of one-packet bursts."""
         from repro.core.pipeline import CorePipeline
         from repro.core.subscription import Subscription
 
@@ -230,7 +230,7 @@ class TestSequentialBatching:
         unbatched = CorePipeline(0, sub, config)
         batched.process_batch(traffic)
         for mbuf in traffic:
-            unbatched.process_packet(mbuf)
+            unbatched.process_batch((mbuf,))
         assert batched.stats.ledger.snapshot() == \
             unbatched.stats.ledger.snapshot()
         assert batched.stats.callbacks == unbatched.stats.callbacks

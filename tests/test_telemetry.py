@@ -21,7 +21,6 @@ from repro.core.monitor import MonitorSample, StatsMonitor
 from repro.telemetry import (
     ConnectionTracer,
     MetricsRegistry,
-    NULL_RECORDER,
     build_funnel,
     check,
     stable_sample_hash,
@@ -157,12 +156,6 @@ class TestRegistry:
         reg.counter("pkts_total", "packets",
                     label_names=("stage",)).inc(3, labels=("parsing",))
         assert 'pkts_total{stage="parsing"} 3' in reg.render_prometheus()
-
-    def test_null_recorder_is_inert(self):
-        NULL_RECORDER.inc(5, labels=("x",))
-        NULL_RECORDER.observe(1.0)
-        assert NULL_RECORDER.counter("anything") is NULL_RECORDER
-        assert NULL_RECORDER.histogram("x", "", (1,)) is NULL_RECORDER
 
 
 # ---------------------------------------------------------------------------
