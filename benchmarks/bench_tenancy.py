@@ -65,7 +65,6 @@ def _reset(traffic) -> None:
     for mbuf in traffic:
         mbuf.stack = None
         mbuf.queue = None
-        mbuf.pkt_term_node = None
 
 
 def _specs():

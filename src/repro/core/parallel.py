@@ -5,8 +5,8 @@ but executes them on one thread, so wall-clock throughput is bounded by
 a single CPU no matter what ``config.cores`` says. This module makes
 the paper's Section 5 scaling claim *real*: one OS worker process per
 simulated core, each running its own shared-nothing multiplexer
-(:class:`~repro.tenancy.pipeline.TenantCorePipeline`, rebuilt from the
-runtime's wire table) and connection tables, fed by the parent over
+(:class:`~repro.tenancy.pipeline.TenantCorePipeline`, built over the
+runtime's filter table) and connection tables, fed by the parent over
 bounded shared-memory rings.
 
 There is one ingest loop, :meth:`Runtime.run`; :class:`WorkerPool` is
@@ -47,9 +47,9 @@ sequential one produces the same ``AggregateStats`` by contract.
 
 Caveats (documented deviations):
 
-- Worker processes rebuild every subscription from the wire table's
-  filter text and data type; custom parser/field registries on a
-  hand-built ``Subscription`` are not shipped to workers.
+- Worker processes recompile every subscription from the filter
+  table's filter text and data type; custom parser/field registries on
+  a hand-built ``Subscription`` are not shipped to workers.
 - Callbacks execute inside the worker processes: their side effects
   (prints, appended lists) live in the worker's address space, not the
   parent's. Counts still aggregate exactly.
@@ -84,11 +84,13 @@ from repro.packet.batch import slot_image, slot_read, slot_rows
 from repro.resilience.faults import FaultPlan
 from repro.resilience.supervisor import WorkerSupervisor
 from repro.tenancy.pipeline import TenantCorePipeline
-from repro.tenancy.spec import TenantSpec
+from repro.tenancy.table import FilterTable
 
 #: Message tags on the per-core control queues: the image of a burst
 #: that does not fit a slot — ``(_BATCH, image)`` — a table epoch bump
-#: — ``(_EPOCH, seq, epoch, actions)``, seq -1 when unsupervised — and
+#: — ``(_EPOCH, seq, epoch, active)``, seq -1 when unsupervised and
+#: ``active`` the successor table's tuple of tenant names (the worker
+#: holds every spec already, so a bump never pickles a callback) — and
 #: ``(_FINISH, last_ts, drain)``.
 _BATCH = 0
 _FINISH = 1
@@ -137,18 +139,22 @@ class ParallelExecutionError(RetinaError):
 class _WorkerSpec:
     """Everything a worker needs to rebuild its shard of the runtime.
 
-    Must be picklable under the ``spawn`` start method; under ``fork``
-    it is simply inherited. The subscriptions are recompiled in the
-    worker (compiled filters hold generated code objects that do not
-    pickle), which also guarantees each shard gets genuinely private
-    state.
+    Must be picklable under the ``spawn`` start method (then every
+    tenant callback must be too); under ``fork`` it is simply
+    inherited. The subscriptions are recompiled in the worker (compiled
+    filters hold generated code objects that do not pickle), which also
+    guarantees each shard gets genuinely private state.
     """
 
     core_id: int
     config: "RuntimeConfig"
-    #: The filter table to rebuild: ``Runtime.tenant_wire_state``'s
-    #: plain dict, so this spec stays picklable.
-    tenancy: dict
+    #: The filter table the worker starts from: the runtime's at pool
+    #: start, or for a restarted worker the one its predecessor last
+    #: acknowledged. It holds every spec the run can activate.
+    table: FilterTable
+    #: The run's pressure budget (``tenancy_pressure_mbps`` on a table
+    #: of named tenants, else None).
+    pressure_mbps: Optional[float] = None
     #: Virtual seconds between progress reports to the parent, or None
     #: for "never" (no monitor, no memory limit, no fail-fast).
     progress_interval: Optional[float] = None
@@ -167,28 +173,6 @@ class _WorkerSpec:
     #: slot_bytes)``. Plain strings/ints so the spec stays picklable
     #: under spawn.
     shm: Tuple[str, int, int] = ("", 0, 0)
-
-
-def _tenancy_state(base: dict, bumps, epoch: int) -> dict:
-    """The wire-dict table state at ``epoch``: the pool's base state
-    plus every published epoch bump numbered ``<= epoch``. Seeds a
-    restarted worker at the table its predecessor last acknowledged;
-    bumps past ``epoch`` re-apply through redo-log replay."""
-    specs = [dict(w) for w in base["specs"]]
-    active = list(base["active"])
-    applied = base["epoch"]
-    for epoch_no, actions in bumps:
-        if epoch_no <= applied or epoch_no > epoch:
-            continue
-        for kind, name, wire in actions:
-            if kind == "add":
-                specs = [w for w in specs if w["name"] != name]
-                specs.append(dict(wire))
-                active.append(name)
-            else:  # drop
-                active = [n for n in active if n != name]
-        applied = epoch_no
-    return {**base, "specs": specs, "active": active, "epoch": applied}
 
 
 def _fire_worker_fault(spec: _WorkerSpec, out_queue, plan_index: int,
@@ -248,7 +232,8 @@ class _Worker:
 
     def on_batch(self, mbufs: list, seq: int, trace_ctx: Optional[tuple],
                  epoch: Optional[tuple] = None) -> None:
-        """One burst, or an epoch bump (``epoch`` set, no mbufs);
+        """One burst, or an epoch bump (``epoch`` the successor table's
+        ``(epoch, active)``, no mbufs);
         ``seq`` is its supervised sequence number (the worker
         acknowledges it after processing: heartbeat + redo-log trim
         signal), or -1."""
@@ -267,11 +252,11 @@ class _Worker:
             # the parent's trace.
             pipeline.set_span_ctx(trace_ctx)
         if epoch is not None:
-            # Epoch bump: swap the filter table here (the feeder
+            # Epoch bump: adopt the successor table here (the feeder
             # flushed everything older first, so per-core FIFO makes
             # the swap land on the exact burst boundary). Idempotent on
             # the epoch number — replays after a restart are no-ops.
-            pipeline.apply_epoch(*epoch)
+            pipeline.adopt(FilterTable(pipeline.table.specs, *epoch))
         pipeline.process_batch(mbufs)
         if seq >= 0:
             self.pending_ack = seq
@@ -347,14 +332,10 @@ def _worker_main(spec: _WorkerSpec, in_queue, out_queue) -> None:
         # which a feeder killed meanwhile has already passed on.
         channel = shm_mod.ShmWorkerChannel(*spec.shm)
         try:
-            table = spec.tenancy
             pipeline = TenantCorePipeline(
-                spec.core_id,
-                [TenantSpec.from_wire(w) for w in table["specs"]],
-                table["active"], spec.config.with_(parallel=False),
-                epoch=table["epoch"],
+                spec.core_id, spec.table, spec.config.with_(parallel=False),
                 initial_overload_rung=spec.initial_overload_rung,
-                pressure_mbps=table["pressure_mbps"])
+                pressure_mbps=spec.pressure_mbps)
             _consume(channel, _Worker(spec, pipeline, out_queue), in_queue)
         except shm_mod.FeederGone:
             # Orphaned (the feeder was killed): nobody will read the
@@ -433,12 +414,11 @@ class WorkerPool:
             if config.telemetry else None
         )
         self._cpu_from = time.process_time()
-        # The runtime's filter table as a plain wire dict: every worker
-        # spec carries it, and the feeder appends each published epoch
-        # bump so restart() can rebuild a crashed worker at the table
-        # state it last acknowledged.
-        self._tenancy_base = runtime.tenant_wire_state()
-        self.tenancy_bumps: List[Tuple[int, tuple]] = []
+        #: Every table this pool broadcast, by epoch — the runtime's at
+        #: pool start first — so restart() can seed a crashed worker
+        #: with the table its predecessor last acknowledged.
+        self.tables: Dict[int, FilterTable] = {
+            runtime.table.epoch: runtime.table}
         # Prefer fork where available: workers start fast and
         # subscriptions with closure callbacks are inherited rather
         # than pickled. spawn (macOS/Windows default) works too, but
@@ -463,7 +443,8 @@ class WorkerPool:
         self.in_queues = [self._ctx.Queue() for _ in range(config.cores)]
         self.specs: List[_WorkerSpec] = [
             _WorkerSpec(core_id=core_id, config=config,
-                        tenancy=self._tenancy_base,
+                        table=runtime.table,
+                        pressure_mbps=runtime.pressure_mbps,
                         progress_interval=progress_interval,
                         fault_plan=config.fault_plan,
                         shm=self.transport.spec_args(core_id))
@@ -551,17 +532,18 @@ class WorkerPool:
         if fault is not None:
             _recover_planned(self, self.supervisor, queue, fault)
 
-    def _bump(self, epoch: int, actions: tuple) -> None:
-        """Broadcast a table epoch to every queue as a control message;
-        per-queue FIFO makes each worker swap on exactly that burst
-        boundary."""
-        self.tenancy_bumps.append((epoch, actions))
+    def _bump(self, table: FilterTable) -> None:
+        """Broadcast a successor table's ``(epoch, active)`` to every
+        queue as a control message; per-queue FIFO makes each worker
+        swap on exactly that burst boundary."""
+        self.tables[table.epoch] = table
+        epoch, active = table.epoch, tuple(table.active)
         sup = self.supervisor
         for queue in range(len(self.processes)):
             if self._lost(queue):
                 continue
             if sup is None:
-                self.send_entry(queue, (_EPOCH, -1, epoch, actions))
+                self.send_entry(queue, (_EPOCH, -1, epoch, active))
             else:
                 # Bumps ride the supervised sequence space like any
                 # batch: redo-logged (a crash mid-swap replays the
@@ -569,7 +551,7 @@ class WorkerPool:
                 # their own seq, which is how the crash-during-swap
                 # tests pin the fault to the swap window.
                 self._send_logged(queue, (_EPOCH, sup.next_seq(queue),
-                                          epoch, actions))
+                                          epoch, active))
 
     def _sample_point(self) -> None:
         """A payload-less parent-clocked memory-sample point for every
@@ -767,16 +749,17 @@ class WorkerPool:
         old_queue.cancel_join_thread()
         old_queue.close()
         supervisor = self.supervisor
-        # Re-seed the replacement at the table state and the rung its
-        # predecessor last acknowledged: bumps past that epoch are
-        # still in the redo log and re-apply (idempotently) during
-        # replay, and a crash mid-overload must not silently reopen the
-        # admission gate.
+        # Re-seed the replacement at the table and the rung its
+        # predecessor last acknowledged (the pool's first table if it
+        # acknowledged none): bumps past that epoch are still in the
+        # redo log and re-apply (idempotently) during replay, and a
+        # crash mid-overload must not silently reopen the admission
+        # gate.
+        epoch = max(supervisor.last_epoch(core_id), min(self.tables))
         self.specs[core_id] = dataclasses.replace(
             self.specs[core_id], suppressed_faults=tuple(suppressed),
             initial_overload_rung=supervisor.last_rung(core_id),
-            tenancy=_tenancy_state(self._tenancy_base, self.tenancy_bumps,
-                                   supervisor.last_epoch(core_id)))
+            table=self.tables[epoch])
         # Fresh ordinal space for the replacement: zero the ring and
         # credit counter, reclaim every in-flight slot (the dead worker
         # will never retire them; the redo log owns their contents and

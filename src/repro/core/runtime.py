@@ -20,10 +20,11 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, \
-    Optional, Tuple
+    Optional
 
 if TYPE_CHECKING:  # avoid a config<->core import cycle at runtime
     from repro.config import RuntimeConfig
+    from repro.tenancy.table import FilterTable
 from repro.core.cycles import Stage, hist_index
 from repro.core.monitor import CoreProgress
 from repro.core.stats import AGGREGATE_NAMES, COUNTERS, AggregateStats, \
@@ -166,7 +167,7 @@ class Runtime:
         self._events = sorted(events, key=lambda e: e.time)
         #: Pressure meters named tenants against each other; one
         #: subscription has nobody to be heavier than.
-        self._pressure_mbps = config.tenancy_pressure_mbps \
+        self.pressure_mbps = config.tenancy_pressure_mbps \
             if self.subscription is None else None
         # The paper's testbed tapped two 100GbE links through two NICs
         # whose queues feed the same cores; `ports` models that. Port
@@ -184,9 +185,8 @@ class Runtime:
             if config.sink_fraction > 0:
                 nic.set_sink_fraction(config.sink_fraction)
         self.pipelines = [
-            TenantCorePipeline(core, self.table.specs, self.table.active,
-                               config, epoch=self.table.epoch,
-                               pressure_mbps=self._pressure_mbps,
+            TenantCorePipeline(core, self.table, config,
+                               pressure_mbps=self.pressure_mbps,
                                compiled=compiled)
             for core in range(config.cores)]
         if config.reassemble_fragments:
@@ -222,19 +222,15 @@ class Runtime:
                 hardware = self._union_hardware()
                 for nic in self.nics:
                     nic.install_hardware_filter(hardware)
-        self._sync_local()
+        self._bump(self.table)
         return self.table.epoch
 
     def unsubscribe(self, name: str) -> int:
         """Deactivate tenant ``name``; its in-flight connections keep
         draining under their admission epoch. Returns the new epoch."""
         self.table = self.table.unsubscribe(name)
-        self._sync_local()
+        self._bump(self.table)
         return self.table.epoch
-
-    def _sync_local(self) -> None:
-        epoch, action = self.table.actions[-1]
-        self._bump(epoch, (action,))
 
     # -- the ingest loop's table protocol ------------------------------
     @property
@@ -242,29 +238,18 @@ class Runtime:
         """Virtual time of the next scheduled reconfiguration, or None."""
         return self._events[0].time if self._events else None
 
-    def publish_tenancy_events(self, ts: float) -> List[Tuple[int, tuple]]:
+    def publish_tenancy_events(self, ts: float) -> List["FilterTable"]:
         """Apply every scheduled event due at virtual time ``ts`` to
-        the live table; returns the ``(epoch, actions)`` bumps to
-        broadcast (one bump per event, in schedule order)."""
-        bumps: List[Tuple[int, tuple]] = []
+        the live table; returns the successor tables to broadcast (one
+        per event, in schedule order)."""
+        tables = []
         while self._events and self._events[0].time <= ts:
             event = self._events.pop(0)  # names a known tenant
             self.table = self.table.unsubscribe(event.name) \
                 if event.action == "drop" else \
                 self.table.subscribe(self.table.by_name[event.name])
-            epoch, action = self.table.actions[-1]
-            bumps.append((epoch, (action,)))
-        return bumps
-
-    def tenant_wire_state(self) -> dict:
-        """The table as the plain wire dict parallel workers rebuild
-        their multiplexers from."""
-        return {
-            "specs": [spec.to_wire() for spec in self.table.specs],
-            "active": list(self.table.active),
-            "epoch": self.table.epoch,
-            "pressure_mbps": self._pressure_mbps,
-        }
+            tables.append(self.table)
+        return tables
 
     # ------------------------------------------------------------------
     def run(
@@ -376,8 +361,8 @@ class Runtime:
                     self._last_ts = ts
                 if next_event_ts is not None and ts >= next_event_ts:
                     flush()
-                    for epoch, actions in self.publish_tenancy_events(ts):
-                        backend._bump(epoch, actions)
+                    for table in self.publish_tenancy_events(ts):
+                        backend._bump(table)
                     next_event_ts = self.next_reconfigure_ts
                 queue = row[1]
                 if queue is HELD:
@@ -434,9 +419,9 @@ class Runtime:
         pipeline.process_batch_rows(rows)
         return pipeline.overload_failfast_at
 
-    def _bump(self, epoch: int, actions: tuple) -> None:
+    def _bump(self, table: "FilterTable") -> None:
         for pipeline in self.pipelines:
-            pipeline.apply_epoch(epoch, actions)
+            pipeline.adopt(table)
 
     def _sample_point(self) -> None:
         for pipeline in self.pipelines:

@@ -41,15 +41,6 @@ class PacketParseError(RetinaError):
     """
 
 
-class HardwareRuleError(RetinaError):
-    """A filter predicate could not be expressed as a NIC flow rule.
-
-    Retina handles this by widening the hardware filter (the software
-    packet filter picks up the slack); this error is how the capability
-    layer reports the incompatibility to the rule generator.
-    """
-
-
 class ConfigError(RetinaError):
     """Invalid runtime configuration (core counts, timeouts, ring sizes)."""
 

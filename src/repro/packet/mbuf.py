@@ -20,18 +20,13 @@ class Mbuf:
         port: Index of the NIC port the frame arrived on.
         queue: RSS receive queue the NIC dispatched the frame to, or
             ``None`` before RSS assignment.
-        pkt_term_node: Predicate-trie node id recorded by the software
-            packet filter when a pattern matches non-terminally. Later
-            filter layers branch directly from this node instead of
-            re-walking the trie (Section 4.1 of the paper).
         stack: Memoized :class:`~repro.packet.stack.PacketStack` set by
             the first :func:`~repro.packet.stack.parse_stack` call, so
             RSS dispatch, the software filters, and conntrack all read
             the same parse-once header views instead of re-decoding.
     """
 
-    __slots__ = ("data", "timestamp", "port", "queue", "pkt_term_node",
-                 "stack")
+    __slots__ = ("data", "timestamp", "port", "queue", "stack")
 
     def __init__(
         self,
@@ -44,7 +39,6 @@ class Mbuf:
         self.timestamp = timestamp
         self.port = port
         self.queue = queue
-        self.pkt_term_node: Optional[int] = None
         self.stack = None
 
     def __len__(self) -> int:
@@ -53,9 +47,8 @@ class Mbuf:
     def __reduce__(self):
         # Compact pickling for the parallel backend's IPC batches:
         # rebuild from constructor args instead of a per-slot state
-        # dict. ``pkt_term_node`` and ``stack`` are derived scratch
-        # state that is only set after dispatch, so they are
-        # deliberately not carried. ``bytes()`` normalizes
+        # dict. ``stack`` is derived scratch state that is only set
+        # after dispatch, so it is deliberately not carried. ``bytes()`` normalizes
         # memoryview-backed frames (which cannot pickle) and is a no-op
         # for ``bytes`` data.
         return (Mbuf, (bytes(self.data), self.timestamp, self.port,

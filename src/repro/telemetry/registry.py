@@ -2,10 +2,9 @@
 
 No third-party dependencies — the registry is a thin, deterministic
 container whose only jobs are (a) collecting named metric families with
-optional labels, (b) merging across shards exactly (integer/float
-addition, elementwise bucket addition), and (c) rendering to the
-Prometheus text exposition format with a stable ordering so two runs
-that did the same work produce byte-identical output.
+optional labels and (b) rendering to the Prometheus text exposition
+format with a stable ordering so two runs that did the same work
+produce byte-identical output.
 
 Metrics marked ``volatile=True`` carry machine- or schedule-dependent
 values (wall-clock feeder block time, queue high-water marks). They are
@@ -82,10 +81,6 @@ class Metric:
         for key in sorted(self.values):
             yield self.labeled(key), self.values[key]
 
-    def merge(self, other: "Metric") -> None:
-        for key, value in other.values.items():
-            self.values[key] = self.values.get(key, 0) + value
-
 
 class Counter(Metric):
     """Monotonically increasing count."""
@@ -106,18 +101,6 @@ class Gauge(Metric):
 
     def set(self, value: float, labels: Sequence[str] = ()) -> None:
         self.values[self._key(labels)] = value
-
-    def max(self, value: float, labels: Sequence[str] = ()) -> None:
-        """High-water-mark update."""
-        key = self._key(labels)
-        if value > self.values.get(key, float("-inf")):
-            self.values[key] = value
-
-    def merge(self, other: "Metric") -> None:
-        # Gauges merge by maximum (high-water semantics across shards).
-        for key, value in other.values.items():
-            if value > self.values.get(key, float("-inf")):
-                self.values[key] = value
 
 
 class Histogram(Metric):
@@ -181,11 +164,6 @@ class Histogram(Metric):
                          for n, v in zip(self.label_names, key))
         return f"{self.name}{suffix}{{{pairs}}}"
 
-    def merge(self, other: "Metric") -> None:
-        assert isinstance(other, Histogram)
-        for key, (counts, total) in other.series.items():
-            self.load(counts, total, labels=key)
-
 
 class MetricsRegistry:
     """A named collection of metric families."""
@@ -235,16 +213,6 @@ class MetricsRegistry:
     def collect(self, include_volatile: bool = False) -> List[Metric]:
         return [self._metrics[name] for name in sorted(self._metrics)
                 if include_volatile or not self._metrics[name].volatile]
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's samples into this one (exact:
-        counters add, gauges take the max, histograms add buckets)."""
-        for metric in other._metrics.values():
-            mine = self._metrics.get(metric.name)
-            if mine is None:
-                self._metrics[metric.name] = metric
-            else:
-                mine.merge(metric)
 
     def render_prometheus(self, include_volatile: bool = False) -> str:
         """The Prometheus text exposition format, deterministically

@@ -36,9 +36,11 @@ counts at a fixed ``config.cores``:
   *matching their own filter*, ties by name) are shed for the next
   window (rung 3, layer ``tenant_pressure``) until the rest fits.
 
-Epoch swaps (:meth:`TenantCorePipeline.apply_epoch`) are idempotent on
-the epoch number, so a replayed bump after a supervised worker restart
-is a no-op. A dropped tenant's pipeline moves to the draining set: it
+An epoch swap hands every core the successor
+:class:`~repro.tenancy.table.FilterTable` whole
+(:meth:`TenantCorePipeline.adopt`). Adopting is idempotent on the epoch
+number, so a replayed bump after a supervised worker restart is a
+no-op. A dropped tenant's pipeline moves to the draining set: it
 receives no further rows but keeps expiring, sampling and finally
 draining under its admission epoch.
 """
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 from itertools import groupby, repeat
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.pipeline import CorePipeline
 from repro.core.stats import CoreStats
@@ -57,6 +59,7 @@ from repro.overload.ledger import LossLedger
 from repro.packet.columnar import decode_mbufs
 from repro.tenancy.shared import SharedFilter
 from repro.tenancy.spec import TenantSpec
+from repro.tenancy.table import FilterTable
 
 #: One virtual second: the quota / pressure accounting window.
 _WINDOW_S = 1.0
@@ -172,7 +175,7 @@ class TenantCorePipeline:
 
     Exposes the surface of a :class:`CorePipeline` that the ingest loop,
     the workers and the monitor drive, plus the table verbs:
-    :meth:`apply_epoch`, ``epoch`` and ``solo``.
+    :meth:`adopt`, ``table``, ``epoch`` and ``solo``.
 
     ``pressure_mbps`` is the run's pressure budget (None: none).
     ``compiled`` maps tenant name to ``(spec, Subscription, executor)``
@@ -181,21 +184,19 @@ class TenantCorePipeline:
     core's filters are the same objects and key the same verdicts.
     """
 
-    def __init__(self, core_id: int, specs: Sequence[TenantSpec],
-                 active: Sequence[str], config, epoch: int = 0,
+    def __init__(self, core_id: int, table: FilterTable, config,
                  initial_overload_rung: int = 0,
                  pressure_mbps: Optional[float] = None,
                  compiled: Optional[dict] = None) -> None:
         self.core_id = core_id
         self.config = config
-        self.epoch = epoch
+        #: The adopted filter table: every spec this core knows, and
+        #: which are active, in activation order.
+        self.table = table
         self._compiled = compiled if compiled is not None else {}
         self._initial_rung = initial_overload_rung
-        #: Every spec this core knows, by name (the filter table that
-        #: feeds them, and every epoch's actions, validated them).
-        self._known = {spec.name: spec for spec in specs}
+        #: The active tenants' pipelines, by name.
         self._pipes: Dict[str, CorePipeline] = {}
-        self._active: List[str] = []
         #: Dropped tenants' pipelines: no further rows, but they keep
         #: expiring/sampling and drain at end of run ((name, pipeline)
         #: pairs — a name can drain more than once if re-added).
@@ -222,13 +223,18 @@ class TenantCorePipeline:
         #: (so a dropped tenant's is short by the count at the end).
         self._offered = 0
         self._away: Dict[str, int] = {}
-        for name in active:
+        for name in table.active:
             self._activate(name)
         self._rebuild()
 
+    @property
+    def epoch(self) -> int:
+        """The epoch of the adopted filter table."""
+        return self.table.epoch
+
     # -- construction / swaps ------------------------------------------
     def _activate(self, name: str) -> None:
-        spec = self._known[name]
+        spec = self.table.by_name[name]
         compiled = self._compiled.get(name)
         if compiled is None or compiled[0] != spec:
             compiled = (spec, build_tenant_subscription(spec, self.config),
@@ -238,16 +244,15 @@ class TenantCorePipeline:
         self._pipes[name] = CorePipeline(
             self.core_id, sub, tenant_config(spec, self.config),
             executor=executor, initial_overload_rung=self._initial_rung)
-        self._active.append(name)
         self._away[name] = self._away.get(name, 0) + self._offered
 
     def _rebuild(self) -> None:
         """The metering plan, the pass-through and the shared classifier
         for the current active set (one rebuild per epoch swap)."""
-        names = self._active
+        names = self.table.active
         self._quota_share: Dict[str, float] = {}
         for name in names:
-            quota = self._known[name].quota_bytes_per_sec
+            quota = self.table.by_name[name].quota_bytes_per_sec
             if quota is not None:
                 self._quota_share[name] = \
                     quota * _WINDOW_S / self.config.cores
@@ -259,8 +264,8 @@ class TenantCorePipeline:
         self.solo = self._pipes[names[0]] \
             if len(names) == 1 and not self._metered else None
         #: The table's verdict cache key: its filters, lane by lane.
-        self._table = tuple(self._pipes[n].sub.filter for n in names)
-        self._shared = SharedFilter(names, self._table) \
+        self._filters = tuple(self._pipes[n].sub.filter for n in names)
+        self._shared = SharedFilter(names, self._filters) \
             if names and self.solo is None else None
         for lane, name in enumerate(names):
             pipe = self._pipes[name]
@@ -272,27 +277,27 @@ class TenantCorePipeline:
         self._named = [(n, self._pipes[n]) for n in names] + self._draining
         self._all = [tp for _name, tp in self._named]
 
-    def apply_epoch(self, epoch: int, actions) -> None:
-        """Adopt filter-table epoch ``epoch`` by applying its actions.
+    def adopt(self, table: FilterTable) -> None:
+        """Adopt the successor filter table ``table``: tenants it no
+        longer lists move to draining, tenants it adds activate (in
+        ``table.active`` order).
 
         Idempotent on the epoch number: a replayed bump (supervised
         restart re-delivers unacked batches verbatim) whose epoch this
-        worker already adopted — or was re-seeded past — is a no-op.
+        core already adopted — or was re-seeded past — is a no-op.
         """
-        if epoch <= self.epoch:
+        if table.epoch <= self.epoch:
             return
-        for kind, name, wire in actions:
-            if kind == "add":
-                spec = TenantSpec.from_wire(wire)
-                self._known[spec.name] = spec
-                self._activate(spec.name)
-            else:  # drop
+        for name in self.table.active:
+            if name not in table.active:
                 self._draining.append((name, self._pipes.pop(name)))
-                self._active.remove(name)
                 self._away[name] -= self._offered
                 self._win_used.pop(name, None)
                 self._downgraded.discard(name)
-        self.epoch = epoch
+        self.table = table
+        for name in table.active:
+            if name not in self._pipes:
+                self._activate(name)
         self._rebuild()
 
     # -- metering -------------------------------------------------------
@@ -341,17 +346,18 @@ class TenantCorePipeline:
         the tenant's pipelines were fed, on every core).
 
         Quota and pressure charge a tenant only for rows its *own*
-        packet filter matches (per the shared verdicts; rows they leave
-        unclassified fall back to one scalar classify). Rows irrelevant
-        to a tenant ride through unmetered — the tenant's pipeline
-        refuses them exactly as it would solo, so co-tenant traffic can
-        never eat a tenant's budget or mark it "heavy".
+        packet filter matches (per the shared verdicts; a row they leave
+        unclassified takes the tenant's own ``packet_filter``, as its
+        pipeline would). Rows irrelevant to a tenant ride through
+        unmetered — the tenant's pipeline refuses them exactly as it
+        would solo, so co-tenant traffic can never eat a tenant's budget
+        or mark it "heavy".
         """
         window = self._window
         wires = cols.wire
         track_pressure = self._pressure_share is not None
         quota_share = self._quota_share
-        tenants = list(zip(self._active, vecs, feeds))
+        tenants = list(zip(self.table.active, self._filters, vecs, feeds))
         for row in group:
             mbuf, _queue, _cols, i = row
             w = int(mbuf.timestamp)
@@ -359,15 +365,10 @@ class TenantCorePipeline:
                 self._rollover(w)
                 window = w
             wire = wires[i]
-            scalar_fan = None
-            for t, (name, vec, feed) in enumerate(tenants):
+            for name, own, vec, feed in tenants:
                 verdict = vec[i]
-                if verdict is None:
-                    if scalar_fan is None:
-                        scalar_fan = self._shared.classify(mbuf)
-                    relevant = scalar_fan[t].matched
-                else:
-                    relevant = verdict != NO_MATCH
+                relevant = own.packet_filter(mbuf).matched \
+                    if verdict is None else verdict != NO_MATCH
                 if relevant:
                     if track_pressure:
                         self._win_bytes[name] = \
@@ -395,7 +396,7 @@ class TenantCorePipeline:
         """The table's verdicts on ``cols``, one lane per active tenant,
         cached on the batch under the tuple of active filters — equal
         on every core, so each chunk is classified once per table."""
-        key = self._table
+        key = self._filters
         if cols.verdicts_by != key:
             vecs = self._shared.classify_batch(cols)
             cols.verdicts = vecs if vecs is not None \
@@ -439,7 +440,7 @@ class TenantCorePipeline:
         last_ts = rows[-1][0].timestamp
         if last_ts > self._mux_now:
             self._mux_now = last_ts
-        active = self._active
+        active = self.table.active
         if not active:
             return
         pipes = [self._pipes[name] for name in active]

@@ -14,7 +14,7 @@ due, the one ingest loop (:meth:`repro.core.runtime.Runtime.run`)
 flushes every pending burst before it publishes, so the first packet
 with ``timestamp >= event.time`` observes the new epoch on either
 backend. Bumps ride the supervised redo log, so a worker crash inside
-the swap window replays the bump (``apply_epoch`` is idempotent).
+the swap window replays the bump (``adopt`` is idempotent).
 """
 
 from __future__ import annotations

@@ -9,12 +9,14 @@ verdict, which is what makes classification cost sublinear in tenant
 count (the ``tenants8`` workload of ``benchmarks/perf``).
 
 Correctness contract (pinned by ``tests/test_tenancy_fuzz.py``): for
-every tenant, the verdict fanned out of the shared walk is *identical*
-— same matched/terminal flags, same tenant-native trie node id — to
-running that tenant's own :class:`~repro.filter.CompiledFilter`
-independently, on both the scalar and the columnar mask paths. Verdicts
-carry tenant-native node ids precisely so the per-tenant connection and
-session sub-filters downstream need no changes at all.
+every tenant and every fast row of a decoded batch, the verdict fanned
+out of the shared walk is *identical* — same terminal flag, same
+tenant-native trie node id — to that tenant's own
+:class:`~repro.filter.CompiledFilter` batch verdict. A slow row (one
+the columns cannot express) is left unclassified, and takes the
+tenant's own scalar ``packet_filter``. Verdicts carry tenant-native
+node ids precisely so the per-tenant connection and session sub-filters
+downstream need no changes at all.
 
 The single-tenant walkers return the *first* matching report in their
 DFS emission order (packet children before the node's own report; see
@@ -30,7 +32,7 @@ must not swallow tenant B's ``ipv4 and tcp`` subtree.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import TenancyError
 from repro.filter import CompiledFilter
@@ -44,11 +46,7 @@ from repro.filter.batch import (
 )
 from repro.filter.fields import Layer
 from repro.filter.hardware import HardwareFilter
-from repro.filter.interp import evaluate_binary
-from repro.filter.result import FilterResult
 from repro.filter.trie import TrieNode
-from repro.packet.mbuf import Mbuf
-from repro.packet.stack import parse_stack
 
 _NO_PRIORITY = float("inf")
 
@@ -108,9 +106,9 @@ class _MergedNode:
         self.pred = pred
         self.children: List["_MergedNode"] = []
         self._child_by_key: Dict[str, "_MergedNode"] = {}
-        #: ``(tenant_idx, rank, encoded_verdict, FilterResult)`` per
-        #: tenant whose own trie reports at this path.
-        self.tags: List[Tuple[int, int, int, FilterResult]] = []
+        #: ``(tenant_idx, rank, encoded_verdict)`` per tenant whose own
+        #: trie reports at this path.
+        self.tags: List[Tuple[int, int, int]] = []
         self.batch_kind = None
         self.batch_eval: Optional[Callable] = None
 
@@ -143,13 +141,9 @@ class SharedFilter:
         self.registry = registry
         count = len(filters)
         #: Tenants whose trie root is terminal (match-all filters):
-        #: scalar verdict is terminal node 0 unconditionally, batch
-        #: verdict is terminal for every fast row.
+        #: their verdict is terminal node 0 for every fast row.
         self._match_all = [compiled.trie.root.terminal
                            for compiled in filters]
-        self._base = [FilterResult.match_terminal(0) if match_all
-                      else FilterResult.no_match()
-                      for match_all in self._match_all]
         self._root = _MergedNode(None)
         self.tenant_packet_nodes = 0
         for idx, compiled in enumerate(filters):
@@ -174,12 +168,8 @@ class SharedFilter:
             merged = dst.child_for(child.pred)
             rank = order.get(child.id)
             if rank is not None:
-                result = (FilterResult.match_terminal(child.id)
-                          if child.terminal
-                          else FilterResult.match_non_terminal(child.id))
                 merged.tags.append(
-                    (idx, rank,
-                     encode_verdict(child.id, child.terminal), result))
+                    (idx, rank, encode_verdict(child.id, child.terminal)))
             self._merge(idx, child, merged, order)
 
     def _prepare_batch(self) -> int:
@@ -199,49 +189,6 @@ class SharedFilter:
                                                       self.registry)
             stack.extend(node.children)
         return total
-
-    # -- scalar path ---------------------------------------------------
-    def classify(self, mbuf: Mbuf) -> List[FilterResult]:
-        """One packet, every tenant's packet-filter verdict.
-
-        Mirrors ``interp.packet_filter`` over the merged trie: walk
-        every matching branch once, keep each tenant's minimum-rank
-        matched report.
-        """
-        results = list(self._base)
-        stack = mbuf.stack
-        if stack is None:
-            stack = parse_stack(mbuf)
-        if stack.eth is None:
-            return results
-        headers: Dict[str, Any] = {
-            "eth": stack.eth,
-            "ipv4": stack.ipv4,
-            "ipv6": stack.ipv6,
-            "tcp": stack.tcp,
-            "udp": stack.udp,
-            "icmp": stack.icmp,
-        }
-        best = [_NO_PRIORITY] * len(results)
-        for child in self._root.children:
-            self._walk(child, headers, best, results)
-        return results
-
-    def _walk(self, node: _MergedNode, headers: Dict[str, Any],
-              best: List[float], results: List[FilterResult]) -> None:
-        pred = node.pred
-        obj = headers.get(pred.protocol)
-        if obj is None:
-            return
-        if not pred.is_unary and \
-                not evaluate_binary(pred, obj, self.registry):
-            return
-        for idx, rank, _verdict, result in node.tags:
-            if rank < best[idx]:
-                best[idx] = rank
-                results[idx] = result
-        for child in node.children:
-            self._walk(child, headers, best, results)
 
     # -- columnar mask path --------------------------------------------
     def classify_batch(self, cols) -> Optional[List[List[Optional[int]]]]:
@@ -292,7 +239,7 @@ class SharedFilter:
             idxs = [i for i in idxs if column[i] == want]
         if not idxs:
             return
-        for tenant, rank, verdict, _result in node.tags:
+        for tenant, rank, verdict in node.tags:
             out = outs[tenant]
             tenant_ranks = ranks[tenant]
             for i in idxs:

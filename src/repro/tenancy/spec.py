@@ -2,10 +2,9 @@
 
 A tenant is one named subscription: a filter, a data type, a callback,
 and optional robustness knobs (ingress quota, callback-error policy, a
-private fault plan for tests). Specs must survive a trip through the
-parallel backend's pickled worker specs, so the wire form
-(:meth:`TenantSpec.to_wire`) is a plain dict of primitives plus a
-picklable callback.
+private fault plan for tests). A parallel worker receives every spec
+once, inside the filter table its worker spec carries (inherited under
+``fork``); an epoch swap names tenants and never ships a spec.
 
 The subscriptions file (CLI ``--subscriptions``) is JSON: either a list
 of tenant objects or ``{"tenants": [...]}``. Each object::
@@ -25,8 +24,8 @@ from __future__ import annotations
 import importlib
 import json
 import re
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, List, Optional, Sequence
 
 from repro.errors import TenancyError
 from repro.resilience.faults import FaultPlan
@@ -73,8 +72,6 @@ class TenantSpec:
     filter: str = ""
     datatype: str = "packet"
     callback: Optional[Callable] = None
-    #: Spec string the callback was resolved from (kept for reports).
-    callback_spec: Optional[str] = None
     #: Per-tenant ingress budget in megabits per *virtual* second; rows
     #: beyond the budget are shed (and attributed to this tenant in its
     #: loss ledger) before they reach the tenant's pipeline. None means
@@ -116,26 +113,6 @@ class TenantSpec:
 
     def with_(self, **kwargs) -> "TenantSpec":
         return replace(self, **kwargs)
-
-    # -- pickled wire form (worker specs, epoch-bump actions) ----------
-    def to_wire(self) -> Dict:
-        return {
-            "name": self.name,
-            "filter": self.filter,
-            "datatype": self.datatype,
-            "callback": self.callback,
-            "callback_spec": self.callback_spec,
-            "quota_mbps": self.quota_mbps,
-            "start": self.start,
-            "identify_services": self.identify_services,
-            "callback_error_policy": self.callback_error_policy,
-            "callback_error_budget": self.callback_error_budget,
-            "fault_plan": self.fault_plan,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: Dict) -> "TenantSpec":
-        return cls(**wire)
 
 
 @dataclass(frozen=True)
@@ -218,13 +195,11 @@ def parse_subscriptions(text: str,
             raise TenancyError(
                 f"{source}: duplicate tenant name {name!r}")
         seen.add(name)
-        cb_spec = entry.get("callback")
         specs.append(TenantSpec(
             name=name,
             filter=entry.get("filter", ""),
             datatype=entry.get("datatype", "packet"),
-            callback=resolve_callback(cb_spec),
-            callback_spec=cb_spec,
+            callback=resolve_callback(entry.get("callback")),
             quota_mbps=entry.get("quota_mbps"),
             start=bool(entry.get("start", True)),
             identify_services=bool(entry.get("identify_services",

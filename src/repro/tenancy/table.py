@@ -4,11 +4,12 @@ A :class:`FilterTable` is an *immutable* snapshot of the tenant set at
 one epoch: the ordered specs and which of them are active. Every
 runtime deploys one — a plain subscription is a one-entry table.
 ``subscribe``/``unsubscribe`` never mutate a table — they build the
-successor table at ``epoch + 1`` and record the action, so a swap is a
-single reference assignment (atomic in CPython) and every action ever
-applied can be replayed onto a freshly restarted worker
-(``core/parallel.py::_tenancy_state`` seeds the supervisor's restart
-path from the published bumps).
+successor table at ``epoch + 1``, so a swap is a single reference
+assignment (atomic in CPython). The table is the only form a swap
+takes: every core adopts the successor whole
+(:meth:`~repro.tenancy.pipeline.TenantCorePipeline.adopt`), and a
+parallel worker, which holds every spec from its start, is sent only
+the successor's ``(epoch, active)``.
 
 The table compiles nothing: each core's multiplexer
 (:class:`~repro.tenancy.pipeline.TenantCorePipeline`) builds its own
@@ -18,23 +19,17 @@ never pays compilation for filters only workers evaluate.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import TenancyError
 from repro.tenancy.spec import TenantSpec
-
-#: One reconfiguration action on the wire: ``(action, name, wire_spec)``
-#: with ``wire_spec`` None for drops. A tuple of these rides each epoch
-#: bump batch, so the bump is self-describing and replay-safe.
-WireAction = Tuple[str, str, Optional[Dict]]
 
 
 class FilterTable:
     """One epoch of the multi-tenant subscription set."""
 
     def __init__(self, specs: Sequence[TenantSpec], epoch: int = 0,
-                 active: Optional[Sequence[str]] = None,
-                 actions: Sequence[Tuple[int, WireAction]] = ()) -> None:
+                 active: Optional[Sequence[str]] = None) -> None:
         self.specs: List[TenantSpec] = list(specs)
         names = [spec.name for spec in self.specs]
         if len(set(names)) != len(names):
@@ -50,8 +45,6 @@ class FilterTable:
                 raise TenancyError(f"active tenant {name!r} unknown")
         if not self.specs:
             raise TenancyError("a filter table needs >= 1 tenant spec")
-        #: Every ``(epoch, action)`` applied since epoch 0, newest last.
-        self.actions: List[Tuple[int, WireAction]] = list(actions)
 
     # -- swaps ---------------------------------------------------------
     def subscribe(self, spec: TenantSpec) -> "FilterTable":
@@ -66,11 +59,8 @@ class FilterTable:
                 f"tenant {spec.name!r} is already subscribed")
         specs = [s for s in self.specs if s.name != spec.name]
         specs.append(spec)
-        action: WireAction = ("add", spec.name, spec.to_wire())
-        return FilterTable(
-            specs, epoch=self.epoch + 1,
-            active=self.active + [spec.name],
-            actions=self.actions + [(self.epoch + 1, action)])
+        return FilterTable(specs, epoch=self.epoch + 1,
+                           active=self.active + [spec.name])
 
     def unsubscribe(self, name: str) -> "FilterTable":
         """The successor table with tenant ``name`` inactive. The spec
@@ -79,8 +69,5 @@ class FilterTable:
         epoch."""
         if name not in self.active:
             raise TenancyError(f"tenant {name!r} is not subscribed")
-        action: WireAction = ("drop", name, None)
-        return FilterTable(
-            self.specs, epoch=self.epoch + 1,
-            active=[n for n in self.active if n != name],
-            actions=self.actions + [(self.epoch + 1, action)])
+        return FilterTable(self.specs, epoch=self.epoch + 1,
+                           active=[n for n in self.active if n != name])

@@ -140,7 +140,7 @@ class TestPackedBatch:
             assert new.timestamp == orig.timestamp  # exact float64
             assert new.port == orig.port
             assert new.queue == 5
-            assert new.stack is None and new.pkt_term_node is None
+            assert new.stack is None
 
     def test_unpacked_data_is_zero_copy_view(self):
         wire = _over_ctrl(slot_image(self._mbufs(), 0))

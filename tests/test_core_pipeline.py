@@ -376,7 +376,7 @@ class TestBurstShapeDoesNotMatter:
         256s, or ``process_batch_rows`` with 16-row bursts whose rows
         point into four different decodes. Tenants take turns per
         burst, so it is each tenant's own delivery order that holds."""
-        from repro.tenancy import TenantSpec
+        from repro.tenancy import FilterTable, TenantSpec
         from repro.tenancy.pipeline import TenantCorePipeline
 
         def run(feed):
@@ -394,9 +394,8 @@ class TestBurstShapeDoesNotMatter:
                      tenant("plain", "tcp.dst_port = 80", "byte_stream"),
                      tenant("pings", "icmp", "packet"),
                      tenant("udp_all", "udp", "packet")]
-            mux = TenantCorePipeline(
-                0, specs, [spec.name for spec in specs],
-                RuntimeConfig(cores=1))
+            mux = TenantCorePipeline(0, FilterTable(specs),
+                                     RuntimeConfig(cores=1))
             feed(mux, mbufs)
             mux.advance_time(mbufs[-1].timestamp + 600.0)
             mux.drain()

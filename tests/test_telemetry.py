@@ -71,14 +71,6 @@ class TestRegistry:
         with pytest.raises(ValueError):
             reg.gauge("x")
 
-    def test_gauge_merges_by_max(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.gauge("hw").max(3)
-        a.gauge("hw").max(2)  # below the high-water mark
-        b.gauge("hw").set(7)
-        a.merge(b)
-        assert dict(a.get("hw").samples()) == {"hw": 7}
-
     def test_histogram_cumulative_buckets(self):
         reg = MetricsRegistry()
         h = reg.histogram("lat", "latency", buckets=(1.0, 10.0))

@@ -9,12 +9,18 @@ Pins the robustness contract of :mod:`repro.tenancy`:
   stats are byte-identical to a static (no-events) run.
 - **Swap-window crash survival**: a supervised worker crash planned at
   an epoch bump's own batch sequence replays the bump to the restarted
-  worker and leaves every tenant's stats byte-identical.
+  worker and leaves every tenant's stats byte-identical; a worker
+  restarted before its first ack starts from the table the pool was
+  built over, not from epoch 0.
+- **Bumps carry names only**: a late joiner whose callback cannot
+  pickle (a lambda) joins a parallel run mid-stream.
 - **Tenant fault isolation**: a quarantined-callback tenant and a
   quota-shed tenant each leave their co-tenants byte-identical to runs
   without the misbehaving tenant's faults, with every suppressed
   delivery / shed packet attributed in the tenant's own loss ledger.
 """
+
+import signal
 
 import pytest
 
@@ -180,6 +186,47 @@ class TestLiveReconfigDeterminism:
                                   supervise=True)
         assert report.faults.worker_restarts == 1
         assert base == crashed
+
+    def test_restart_seeds_from_the_pool_table(self, traffic):
+        """A tenant subscribed before a supervised run is in the table
+        at epoch 1; a worker that crashes before acknowledging anything
+        restarts from that table, so the tenant's packets stay
+        accounted for on every core."""
+        plan = FaultPlan(seed=7, faults=(
+            FaultSpec(kind="worker_crash", core=1, at_batch=0),))
+        runtime = TenantRuntime(RuntimeConfig(
+            cores=2, parallel=True, supervise=True, fault_plan=plan),
+            _specs())
+        runtime.subscribe(runtime.table.by_name["late"])  # start=False
+        report = runtime.run(iter(traffic))
+        assert report.faults.worker_restarts == 1
+        assert "late" in report.core_stats[1].per_tenant
+        check(report)
+
+    def test_late_joiner_with_a_lambda_callback(self, traffic):
+        """An ``add`` bump names the tenant and never pickles its spec:
+        fork-started workers inherit the lambda, and the run finishes
+        with the sequential backend's stats instead of leaving a worker
+        waiting for a bump that failed to pickle."""
+        specs = [TenantSpec("web", "tcp.dst_port = 443", "connection"),
+                 TenantSpec("late", "tcp", "connection", start=False,
+                            callback=lambda obj: None)]
+        events = [ReconfigureEvent(traffic[len(traffic) // 2].timestamp,
+                                   "add", "late")]
+
+        def deadline(signum, frame):
+            raise TimeoutError("the parallel run did not finish in 30 s")
+
+        previous = signal.signal(signal.SIGALRM, deadline)
+        signal.alarm(30)
+        try:
+            par, _, _ = _run(traffic, specs, events, parallel=True)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        seq, _, _ = _run(traffic, specs, events)
+        assert sorted(seq) == ["late", "web"]
+        assert par == seq
 
 
 class TestTenantFaultIsolation:
