@@ -6,6 +6,11 @@ Parse / Track / Delete), TCP establishment tracking for the two-tier
 timeouts, per-direction packet/byte counters, the stream reassembler,
 the probing/parsing context, and the filter progress tags
 (``pkt_term_node`` / ``conn_term_node``).
+
+Most tracked connections are lone unanswered SYNs (§5.2: 65 % of campus
+connections), so the layout is cut to them: a connection's slots are
+the fields a lone SYN writes, and every other field is a class default
+that a connection takes into its own instance dict on first write.
 """
 
 from __future__ import annotations
@@ -82,75 +87,84 @@ class Connection:
     Identity is the canonical ``key`` plus ``orig_first`` — whether the
     originator is the key's first endpoint — so the hot path never needs
     a :class:`FiveTuple`; :attr:`five_tuple` materialises on first read.
+
+    Layout: the slots are exactly the fields a lone SYN writes between
+    creation and expiry. Every other field is an immutable class-level
+    default until a connection first writes it, which moves the field
+    into that connection's instance dict. So an unanswered SYN never
+    gets a dict, and a connection that carries data gets a small one.
+    Writers keep it that way: a write never stores a default on a
+    connection that lacks the field (clear only what is set).
     """
 
     __slots__ = (
-        "key", "orig_first", "_five_tuple", "state", "tcp_state",
-        "timer_establish", "timer_inactive",
-        "first_ts", "last_ts", "syn_ts", "established_ts",
-        "pkts_orig", "pkts_resp", "bytes_orig", "bytes_resp",
-        "payload_bytes_orig", "payload_bytes_resp",
-        "ooo_orig", "ooo_resp",
-        "pkt_term_node", "conn_term_node", "matched", "delivered",
-        "parser", "service_name", "reassembler",
-        "buffered_mbufs", "buffered_bytes", "user_data",
-        "history", "_next_seq_orig", "_next_seq_resp", "weirds",
+        "key", "orig_first", "state", "tcp_state", "timer_establish",
+        "first_ts", "last_ts", "syn_ts", "pkts_orig", "bytes_orig",
+        "conn_term_node", "matched", "history", "_next_seq_orig",
+        "__dict__",
     )
+
+    # -- class defaults: fields a lone SYN never writes ----------------------
+    _five_tuple: Optional[FiveTuple] = None
+    #: The inactivity tier's deadline (``None``: unarmed).
+    timer_inactive: Optional[float] = None
+    established_ts: Optional[float] = None
+    pkts_resp = 0
+    bytes_resp = 0
+    payload_bytes_orig = 0
+    payload_bytes_resp = 0
+    ooo_orig = 0
+    ooo_resp = 0
+    #: Deepest packet-filter trie node matched for this connection;
+    #: written only for a connection that enters probing (its one
+    #: reader is the connection filter, at service resolution).
+    pkt_term_node: Optional[int] = None
+    #: True once the subscription has delivered this connection
+    #: (prevents double delivery from linger-expiry after FIN).
+    delivered = False
+    #: Active application-layer parser context (or None).
+    parser: Optional[Any] = None
+    #: Identified L7 service name, once probing succeeds.
+    service_name: Optional[str] = None
+    #: Per-direction stream reassembler (set by the pipeline when
+    #: the subscription needs in-order bytes).
+    reassembler: Optional[Any] = None
+    #: Packets buffered before a full filter match (Figure 4a).
+    buffered_mbufs: Sequence[Mbuf] = _NO_MBUFS
+    buffered_bytes = 0
+    #: Subscription-owned per-connection data (Trackable state).
+    user_data: Optional[Any] = None
+    _next_seq_resp: Optional[int] = None
+    #: Zeek-style protocol anomalies ("weirds") observed on this
+    #: connection, name → count. Real-world traffic is unpredictable
+    #: and malicious (the paper's Security goal); these are the
+    #: analysis-visible symptoms.
+    weirds: Mapping[str, int] = _NO_WEIRDS
 
     def __init__(self, key: bytes, orig_first: bool, now: float) -> None:
         self.key = key
         self.orig_first = orig_first
-        self._five_tuple: Optional[FiveTuple] = None
         self.state = _PROBE
         self.tcp_state = _SYN_SENT if key[-1] == 6 else _ESTABLISHED
-        #: Deadlines owned by the two timer wheels (``None``: unarmed).
+        #: The establishment tier's deadline, owned by its timer wheel
+        #: (``None``: unarmed).
         self.timer_establish: Optional[float] = None
-        self.timer_inactive: Optional[float] = None
         self.first_ts = now
         self.last_ts = now
         self.syn_ts: Optional[float] = None
-        self.established_ts: Optional[float] = None
         self.pkts_orig = 0
-        self.pkts_resp = 0
         self.bytes_orig = 0
-        self.bytes_resp = 0
-        self.payload_bytes_orig = 0
-        self.payload_bytes_resp = 0
-        self.ooo_orig = 0
-        self.ooo_resp = 0
-        #: Deepest packet-filter trie node matched for this connection.
-        self.pkt_term_node: Optional[int] = None
         #: Deepest connection-filter trie node matched.
         self.conn_term_node: Optional[int] = None
         #: True once the full (all-layer) filter matched.
         self.matched = False
-        #: True once the subscription has delivered this connection
-        #: (prevents double delivery from linger-expiry after FIN).
-        self.delivered = False
-        #: Active application-layer parser context (or None).
-        self.parser: Optional[Any] = None
-        #: Identified L7 service name, once probing succeeds.
-        self.service_name: Optional[str] = None
-        #: Per-direction stream reassembler (set by the pipeline when
-        #: the subscription needs in-order bytes).
-        self.reassembler: Optional[Any] = None
-        #: Packets buffered before a full filter match (Figure 4a).
-        self.buffered_mbufs: Sequence[Mbuf] = _NO_MBUFS
-        self.buffered_bytes = 0
-        #: Subscription-owned per-connection data (Trackable state).
-        self.user_data: Optional[Any] = None
         #: Zeek-style history string of flag events ("S", "SA", "F"...).
         self.history = ""
         # Lightweight per-direction sequence tracking for out-of-order
         # accounting — cheap enough to run even in TRACK state, where
-        # the full reassembler has been torn down.
+        # the full reassembler has been torn down. The responder's
+        # mark is a class default above.
         self._next_seq_orig: Optional[int] = None
-        self._next_seq_resp: Optional[int] = None
-        #: Zeek-style protocol anomalies ("weirds") observed on this
-        #: connection, name → count. Real-world traffic is unpredictable
-        #: and malicious (the paper's Security goal); these are the
-        #: analysis-visible symptoms.
-        self.weirds: Mapping[str, int] = _NO_WEIRDS
 
     @property
     def five_tuple(self) -> FiveTuple:
@@ -169,16 +183,6 @@ class Connection:
     def established(self) -> bool:
         state = self.tcp_state
         return state is _ESTABLISHED or state is _CLOSING
-
-    @property
-    def is_single_syn(self) -> bool:
-        """An unanswered SYN: one originator packet, no response."""
-        return (
-            self.key[-1] == 6
-            and self.tcp_state is _SYN_SENT
-            and self.pkts_resp == 0
-            and self.pkts_orig <= 1
-        )
 
     @property
     def total_packets(self) -> int:
@@ -210,11 +214,13 @@ class Connection:
         if from_orig:
             self.pkts_orig += 1
             self.bytes_orig += wire_bytes
-            self.payload_bytes_orig += payload_bytes
+            if payload_bytes:
+                self.payload_bytes_orig += payload_bytes
         else:
             self.pkts_resp += 1
             self.bytes_resp += wire_bytes
-            self.payload_bytes_resp += payload_bytes
+            if payload_bytes:
+                self.payload_bytes_resp += payload_bytes
         if tcp_flags is None:
             return False
         flags = tcp_flags
@@ -313,8 +319,9 @@ class Connection:
         return mbufs
 
     def drop_buffered(self) -> None:
-        self.buffered_mbufs = _NO_MBUFS
-        self.buffered_bytes = 0
+        if self.buffered_mbufs:
+            self.buffered_mbufs = _NO_MBUFS
+            self.buffered_bytes = 0
 
     @property
     def memory_bytes(self) -> int:
@@ -329,7 +336,10 @@ class Connection:
         return self.tcp_state is _CLOSED
 
     def __repr__(self) -> str:
+        tup = self._five_tuple
+        if tup is None:  # built, not cached: a repr leaves no dict
+            tup = FiveTuple.from_key(self.key, self.orig_first)
         return (
-            f"Connection({self.five_tuple}, {self.state.value}, "
+            f"Connection({tup}, {self.state.value}, "
             f"{self.tcp_state.value}, pkts={self.total_packets})"
         )

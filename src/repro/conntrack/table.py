@@ -6,7 +6,6 @@ cross-core synchronization (Section 5.2, citing Girondi et al.). The
 table owns the two-tier :class:`~repro.conntrack.timerwheel.ConnectionTimers`
 and exposes a small API the pipeline drives:
 
-* :meth:`get_or_create` on packet arrival,
 * :meth:`touch` to refresh timeouts and migrate establishment tiers,
 * :meth:`expire` to harvest timed-out connections,
 * :meth:`remove` for filter-driven early deletion (Figure 4's dashed
@@ -16,11 +15,11 @@ and exposes a small API the pipeline drives:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from repro.conntrack.conn import CONN_BASE_MEMORY_BYTES, Connection, \
     ConnState
-from repro.conntrack.five_tuple import FiveTuple, unpack_key
+from repro.conntrack.five_tuple import unpack_key
 from repro.conntrack.timerwheel import ConnectionTimers
 from repro.errors import ResourceExhaustedError
 
@@ -88,17 +87,6 @@ class ConnTable:
         self._timers.on_new_connection(conn, now)
         self.created += 1
         return conn
-
-    def get_or_create(
-        self, five_tuple: FiveTuple, now: float
-    ) -> Tuple[Connection, bool]:
-        """Return (connection, created_flag) for the packet's flow."""
-        key = five_tuple.canonical()
-        conn = self._conns.get(key)
-        if conn is not None:
-            return conn, False
-        return self.create_with_key(key, five_tuple.src_is_first(),
-                                    now), True
 
     def touch(self, conn: Connection, now: float,
               newly_established: bool) -> None:

@@ -139,8 +139,9 @@ class ConnectionTimers:
 
     # The tiers' deadline attributes are read and written here directly
     # (not through ``TimerWheel.schedule``'s attribute-by-name access):
-    # this is the per-packet path. A tier that is disabled never writes
-    # its attribute, so clearing it unconditionally is a no-op there.
+    # this is the per-packet path. ``timer_inactive`` is cleared only
+    # when set: a connection that never armed the inactivity tier keeps
+    # reading its class default (see ``conntrack/conn.py``).
     def _arm_establish(self, conn, fire_at: float) -> None:
         previous = conn.timer_establish
         conn.timer_establish = fire_at
@@ -187,7 +188,8 @@ class ConnectionTimers:
         handshake without re-creating the connection). Returns False if
         no timer tier is enabled (caller should remove immediately)."""
         if self._establish_wheel is not None:
-            conn.timer_inactive = None
+            if conn.timer_inactive is not None:
+                conn.timer_inactive = None
             self._arm_establish(conn, now + linger)
             return True
         if self._inactivity_wheel is not None:
@@ -197,7 +199,8 @@ class ConnectionTimers:
 
     def on_remove(self, conn) -> None:
         conn.timer_establish = None
-        conn.timer_inactive = None
+        if conn.timer_inactive is not None:
+            conn.timer_inactive = None
 
     def advance(self, now: float) -> List[object]:
         """Collect every connection whose deadline has passed."""

@@ -531,7 +531,9 @@ class CorePipeline:
 
     def _init_connection(self, conn: Connection, node: int,
                          terminal: bool) -> None:
-        conn.pkt_term_node = node
+        # ``pkt_term_node`` is stored only for a connection that
+        # probes: the connection filter at service resolution is its
+        # one reader, and a lone SYN that never writes it stays lean.
         needs_sessions = self._level is _SESSION_LEVEL
         if terminal:
             conn.matched = True
@@ -544,6 +546,7 @@ class CorePipeline:
             ):
                 # Session subscriptions must parse; service-labeling
                 # connection subscriptions probe until identification.
+                conn.pkt_term_node = node
                 self._enter_probe(conn)
             else:
                 conn.state = _TRACK
@@ -551,6 +554,7 @@ class CorePipeline:
                     # The stream itself is the subscription data.
                     self._create_reassembler(conn)
         else:
+            conn.pkt_term_node = node
             self._enter_probe(conn)
 
     def _enter_probe(self, conn: Connection) -> None:
@@ -849,10 +853,12 @@ class CorePipeline:
     def _stop_heavy_processing(self, conn: Connection,
                                state: ConnState) -> None:
         """Enter TRACK: free the parser (and the reassembler, unless
-        the subscription streams bytes), keep counters."""
+        the subscription streams bytes), keep counters. Clears only
+        what is set, so a connection that never held them stays lean."""
         conn.state = state
-        conn.parser = None
-        if not self._streams_bytes:
+        if conn.parser is not None:
+            conn.parser = None
+        if not self._streams_bytes and conn.reassembler is not None:
             conn.reassembler = None
         if self._level is not _PACKET_LEVEL:
             conn.drop_buffered()
@@ -870,10 +876,13 @@ class CorePipeline:
             if self._tracer is not None:
                 self._tracer.record(conn, self._now, "discarded")
         conn.state = _DELETE
-        conn.parser = None
-        conn.reassembler = None
+        if conn.parser is not None:
+            conn.parser = None
+        if conn.reassembler is not None:
+            conn.reassembler = None
         conn.drop_buffered()
-        conn.user_data = None
+        if conn.user_data is not None:
+            conn.user_data = None
 
     # -- termination and expiry --------------------------------------------------
     def _finalize(self, conn: Connection, delivered_by: str) -> None:

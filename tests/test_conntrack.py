@@ -1,5 +1,7 @@
 """Tests for connection tracking: five-tuples, timer wheels, the table."""
 
+from types import FunctionType, MappingProxyType, MemberDescriptorType
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from repro.conntrack import (
     TimerWheel,
 )
 from repro import Runtime, RuntimeConfig
+from repro.core.datatypes import ConnectionRecord
 from repro.packet import Mbuf, TcpFlags, build_tcp_packet, \
     build_udp_packet, parse_stack
 
@@ -30,6 +33,12 @@ def ft(src="10.0.0.1", dst="10.0.0.2", sport=1234, dport=443, proto=6):
 def conn_of(tup, now=0.0):
     """A connection originated by ``tup``'s source."""
     return Connection(tup.canonical(), tup.src_is_first(), now)
+
+
+def create(table, tup, now):
+    """Insert the connection ``tup``'s source originates, as the
+    pipeline does on a lookup miss."""
+    return table.create_with_key(tup.canonical(), tup.src_is_first(), now)
 
 
 class TestFiveTuple:
@@ -256,7 +265,7 @@ class TestConnection:
     def test_single_syn_detection(self):
         conn = conn_of(ft())
         conn.record_packet(True, 60, 0, 0.0, TcpFlags.SYN)
-        assert conn.is_single_syn
+        assert ConnectionRecord.from_connection(conn).is_single_syn
         assert conn.tcp_state is TcpConnState.SYN_SENT
 
     def test_establishment(self):
@@ -266,7 +275,7 @@ class TestConnection:
                                    TcpFlags.SYN | TcpFlags.ACK)
         assert newly and conn.established
         assert conn.established_ts == 0.1
-        assert not conn.is_single_syn
+        assert not ConnectionRecord.from_connection(conn).is_single_syn
 
     def test_establishment_via_responder_data(self):
         """Missing SYN-ACK (lossy tap) still establishes on reverse data."""
@@ -314,15 +323,14 @@ class TestConnection:
 class TestConnTable:
     def test_create_and_lookup_both_directions(self):
         table = ConnTable()
-        conn, created = table.get_or_create(ft(), now=0.0)
-        assert created
-        again, created2 = table.get_or_create(ft().reversed(), now=0.1)
-        assert again is conn and not created2
+        assert table.lookup_key(ft().canonical()) is None
+        conn = create(table, ft(), now=0.0)
+        assert table.lookup_key(ft().reversed().canonical()) is conn
         assert len(table) == 1
 
     def test_establish_timeout_expires_syn(self):
         table = ConnTable(TimeoutConfig(5.0, 300.0))
-        conn, _ = table.get_or_create(ft(), now=0.0)
+        conn = create(table, ft(), now=0.0)
         conn.record_packet(True, 60, 0, 0.0, TcpFlags.SYN)
         expired = table.expire(now=6.0)
         assert expired == [conn]
@@ -331,7 +339,7 @@ class TestConnTable:
 
     def test_established_survives_establish_timeout(self):
         table = ConnTable(TimeoutConfig(5.0, 300.0))
-        conn, _ = table.get_or_create(ft(), now=0.0)
+        conn = create(table, ft(), now=0.0)
         conn.record_packet(True, 60, 0, 0.0, TcpFlags.SYN)
         newly = conn.record_packet(False, 60, 0, 1.0,
                                    TcpFlags.SYN | TcpFlags.ACK)
@@ -343,7 +351,7 @@ class TestConnTable:
 
     def test_activity_refreshes_inactivity(self):
         table = ConnTable(TimeoutConfig(5.0, 300.0))
-        conn, _ = table.get_or_create(ft(), now=0.0)
+        conn = create(table, ft(), now=0.0)
         newly = conn.record_packet(False, 60, 0, 0.0,
                                    TcpFlags.SYN | TcpFlags.ACK)
         table.touch(conn, 0.0, newly)
@@ -356,7 +364,7 @@ class TestConnTable:
 
     def test_remove_idempotent(self):
         table = ConnTable()
-        conn, _ = table.get_or_create(ft(), now=0.0)
+        conn = create(table, ft(), now=0.0)
         table.remove(conn)
         table.remove(conn)
         assert table.removed == 1
@@ -365,20 +373,138 @@ class TestConnTable:
     def test_drain(self):
         table = ConnTable()
         for i in range(5):
-            table.get_or_create(ft(sport=i + 1), now=0.0)
+            create(table, ft(sport=i + 1), now=0.0)
         drained = table.drain()
         assert len(drained) == 5 and len(table) == 0
 
     def test_no_timeout_config_grows(self):
         table = ConnTable(TimeoutConfig.no_timeouts())
         for i in range(100):
-            table.get_or_create(ft(sport=i + 1), now=float(i))
+            create(table, ft(sport=i + 1), now=float(i))
         assert table.expire(now=1e9) == []
         assert len(table) == 100
 
     def test_memory_accounting(self):
         table = ConnTable()
-        conn, _ = table.get_or_create(ft(), now=0.0)
+        conn = create(table, ft(), now=0.0)
         base = table.memory_bytes
         conn.buffer_packet(Mbuf(b"y" * 1000))
         assert table.memory_bytes == base + 1000
+
+
+def class_defaults():
+    """Connection's class-level field defaults, by name."""
+    return {name: value for name, value in vars(Connection).items()
+            if not name.startswith("__") and not isinstance(
+                value, (FunctionType, property, MemberDescriptorType))}
+
+
+SYN, ACK, RST = TcpFlags.SYN, TcpFlags.ACK, TcpFlags.RST
+#: Frame bytes of a payload-free TCP/IPv4 packet.
+BARE = 54
+
+
+def flow(sport, start, steps):
+    """One flow of 10.0.0.1:``sport`` -> 10.0.0.2:443 as Mbufs, a
+    millisecond apart from ``start``; a step is (from_orig, flags, seq,
+    payload)."""
+    mbufs = []
+    for k, (from_orig, flags, seq, payload) in enumerate(steps):
+        ends = ("10.0.0.1", "10.0.0.2", sport, 443)
+        if not from_orig:
+            ends = ("10.0.0.2", "10.0.0.1", 443, sport)
+        mbufs.append(Mbuf(build_tcp_packet(*ends, payload=payload, seq=seq,
+                                           flags=int(flags)),
+                          start + k / 1000))
+    return mbufs
+
+
+def live_connections(filter_str, datatype, mbufs):
+    """A one-core run of ``mbufs`` that drains nothing: its connection
+    lookup by source port (by key: :attr:`Connection.five_tuple`
+    caches), and the records it delivered."""
+    delivered = []
+    runtime = Runtime(RuntimeConfig(cores=1), filter_str=filter_str,
+                      datatype=datatype, callback=delivered.append)
+    runtime.run(iter(mbufs), drain=False)
+    table = runtime.pipelines[0].solo.table
+    return (lambda sport: table.lookup_key(ft(sport=sport).canonical()),
+            delivered)
+
+
+class TestConnectionLayout:
+    """A connection's slots are the fields a lone SYN writes; every
+    other field is an immutable class default until first written."""
+
+    def test_slots_and_defaults_are_disjoint(self):
+        slots = set(Connection.__slots__)
+        assert "__dict__" in slots
+        defaults = class_defaults()
+        assert "weirds" in defaults and "pkt_term_node" in defaults
+        assert not slots & defaults.keys()
+
+    def test_every_default_is_immutable(self):
+        immutable = (type(None), bool, int, str, tuple, MappingProxyType)
+        for name, value in class_defaults().items():
+            assert type(value) in immutable, name
+
+    def test_fields_read_the_same_through_the_record(self):
+        lone_syn = flow(40001, 1.0, [(True, SYN, 1000, b"")])
+        handshake = flow(40002, 2.0, [
+            (True, SYN, 100, b""),
+            (False, SYN | ACK, 500, b""),
+            (True, ACK, 101, b""),
+            (True, ACK, 101, b"x" * 10),
+            (False, ACK, 501, b"y" * 20),
+            (True, ACK, 101, b"x" * 10),  # retransmitted: late
+        ])
+        reset = flow(40003, 3.0, [(True, SYN, 7, b""),
+                                  (False, RST | ACK, 0, b"")])
+        conn_of_port, delivered = live_connections(
+            "tcp", "connection", lone_syn + handshake + reset)
+
+        conn = conn_of_port(40001)
+        assert ConnectionRecord.from_connection(conn) == ConnectionRecord(
+            ft(sport=40001), 1.0, 1.0, 1.0, None, 1, 0, BARE, 0, 0, 0,
+            0, 0, "S", None, False, {})
+        assert vars(conn) == {}  # every other field a class default
+        repr(conn)
+        assert vars(conn) == {}
+
+        conn = conn_of_port(40002)
+        assert ConnectionRecord.from_connection(conn) == ConnectionRecord(
+            ft(sport=40002), 2.0, 2.005, 2.0, 2.001, 4, 2,
+            2 * BARE + 2 * (BARE + 10), BARE + (BARE + 20), 20, 20,
+            1, 0, "SSA", None, False, {})
+        assert conn.timer_inactive is not None
+        assert conn.timer_establish is None
+
+        # A RST'd lone SYN is delivered at termination and lingers as
+        # a tombstone, its heavy state never written.
+        conn = conn_of_port(40003)
+        record = ConnectionRecord(
+            ft(sport=40003), 3.0, 3.001, 3.0, None, 1, 1, BARE, BARE, 0,
+            0, 0, 0, "SR", None, True, {})
+        assert ConnectionRecord.from_connection(conn) == record
+        assert delivered == [record]
+        assert conn.state is ConnState.DELETE and conn.delivered
+        assert vars(conn) == {"pkts_resp": 1, "bytes_resp": BARE,
+                              "_next_seq_resp": 0, "delivered": True}
+
+    def test_buffered_packet_level_flow(self):
+        handshake = flow(40004, 4.0, [(True, SYN, 100, b""),
+                                      (False, SYN | ACK, 500, b""),
+                                      (True, ACK, 101, b"")])
+        conn_of_port, delivered = live_connections("tls", "packet", handshake)
+        conn = conn_of_port(40004)
+        assert delivered == []
+        assert ConnectionRecord.from_connection(conn) == ConnectionRecord(
+            ft(sport=40004), 4.0, 4.002, 4.0, 4.001, 2, 1, 2 * BARE,
+            BARE, 0, 0, 0, 0, "SSA", None, False, {})
+        assert conn.state is ConnState.PROBE and conn.pkt_term_node is not None
+        assert [bytes(m.data) for m in conn.buffered_mbufs] == \
+            [bytes(m.data) for m in handshake]
+        assert conn.buffered_bytes == 3 * BARE
+        assert [bytes(m.data) for m in conn.drain_buffered()] == \
+            [bytes(m.data) for m in handshake]
+        assert conn.buffered_mbufs == () and conn.buffered_bytes == 0

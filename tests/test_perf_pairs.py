@@ -1,6 +1,7 @@
 """tools/perf_pairs.py: the paired-run verdict (choosing-metrics §8)."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -73,3 +74,37 @@ def test_fewer_than_ten_pairs_never_claim(pairs):
     assert verdict([1.0] * pairs, [0.5] * pairs, "lower", 0.25) \
         == "unchanged"
     assert verdict([1.0] * 10, [0.5] * 10, "lower", 0.25) == "gain"
+
+
+def test_both_sides_run_from_paths_of_equal_length(tmp_path):
+    """``peak_rss_mb`` follows the length of the checkout's path, so the
+    parent and the change run from equally long ones: copies of a
+    parent directory and of the working tree, without ``.git``."""
+    root, parent = tmp_path / "checkout-of-the-change", tmp_path / "p"
+    for tree, text in ((root, "change"), (parent, "parent")):
+        (tree / ".git").mkdir(parents=True)
+        (tree / "src").mkdir()
+        (tree / "src" / "mod.py").write_text(text)
+    trees = perf_pairs.run_trees(tmp_path / "runs", str(parent), root)
+    assert len(str(trees["parent"])) == len(str(trees["change"]))
+    for side, tree in trees.items():
+        assert tree.parent == tmp_path / "runs"
+        assert (tree / "src" / "mod.py").read_text() == side
+        assert not (tree / ".git").exists()
+
+
+def test_a_git_ref_is_exported_beside_the_change(tmp_path):
+    root = tmp_path / "repo"
+    root.mkdir()
+    (root / "mod.py").write_text("parent")
+    git = ["git", "-C", str(root), "-c", "user.name=t",
+           "-c", "user.email=t@t"]
+    for command in (["init", "-q"], ["add", "mod.py"],
+                    ["commit", "-q", "-m", "parent"]):
+        subprocess.run(git + command, check=True, capture_output=True)
+    (root / "mod.py").write_text("change")
+    (tmp_path / "runs").mkdir()
+    trees = perf_pairs.run_trees(tmp_path / "runs", "HEAD", root)
+    assert len(str(trees["parent"])) == len(str(trees["change"]))
+    assert (trees["parent"] / "mod.py").read_text() == "parent"
+    assert (trees["change"] / "mod.py").read_text() == "change"

@@ -3,10 +3,11 @@
     python tools/perf_pairs.py PARENT [--workload W ...] [--pairs 10]
         [--first-seed 101]
 
-PARENT is a git ref, checked out into a temporary ``git worktree`` that
-is removed afterwards, or a directory that already holds the parent's
-files. The change is the tree this file sits in. For each workload it
-runs N pairs of
+PARENT is a git ref or a directory that already holds the parent's
+files. The change is the working tree this file sits in. Both sides run
+from copies in one temporary directory, at ``TMP/parent`` and
+``TMP/change``: paths of equal length, because ``peak_rss_mb`` follows
+the length of the checkout's path. For each workload it runs N pairs of
 
     python3 benchmarks/perf/run.py --workload W --seed S --seconds 10 --trace 0
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -85,6 +87,24 @@ def verdict(parent: Sequence[float], change: Sequence[float],
     return "unchanged"
 
 
+def run_trees(tmp: Path, parent: str, root: Path = ROOT) -> Dict[str, Path]:
+    """Lay out both sides under ``tmp``: ``parent`` (a directory, copied,
+    or a git ref of ``root``, exported) at ``tmp/parent`` and ``root``'s
+    working tree at ``tmp/change``, neither with ``.git`` or bytecode."""
+    trees = {"parent": tmp / "parent", "change": tmp / "change"}
+    skip = shutil.ignore_patterns(".git", "__pycache__")
+    if Path(parent).is_dir():
+        shutil.copytree(parent, trees["parent"], ignore=skip)
+    else:
+        tar = subprocess.run(["git", "-C", str(root), "archive", parent],
+                             check=True, capture_output=True).stdout
+        trees["parent"].mkdir()
+        subprocess.run(["tar", "-x", "-C", str(trees["parent"])],
+                       input=tar, check=True)
+    shutil.copytree(root, trees["change"], ignore=skip)
+    return trees
+
+
 def run_once(tree: Path, workload: str, seed: int) -> Dict:
     """One benchmark run in ``tree``; its result line as a dict."""
     proc = subprocess.run(
@@ -97,11 +117,10 @@ def run_once(tree: Path, workload: str, seed: int) -> Dict:
     return json.loads(lines[-1])
 
 
-def measure(parent: Path, workload: str, pairs: int, first_seed: int,
-            metrics: List[Dict]) -> Tuple[Values, int]:
-    """Run the pairs; returns the values and the number of failed
-    repetitions seen on either side."""
-    sides = {"parent": parent, "change": ROOT}
+def measure(sides: Dict[str, Path], workload: str, pairs: int,
+            first_seed: int, metrics: List[Dict]) -> Tuple[Values, int]:
+    """Run the pairs in ``sides``' trees; returns the values and the
+    number of failed repetitions seen on either side."""
     values: Values = {m["name"]: {"parent": [], "change": []}
                       for m in metrics}
     failed = 0
@@ -154,22 +173,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     metrics = spec["end_to_end"]
     bad = False
     with tempfile.TemporaryDirectory(prefix="perf-pairs-") as tmp:
-        parent = Path(args.parent)
-        worktree = None
-        if not parent.is_dir():
-            worktree = parent = Path(tmp) / "parent"
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "add",
-                            "--detach", str(worktree), args.parent],
-                           check=True, capture_output=True)
-        try:
-            for workload in args.workload or names:
-                values, failed = measure(parent.resolve(), workload,
-                                         args.pairs, args.first_seed, metrics)
-                bad |= report(workload, values, metrics) or failed > 0
-        finally:
-            if worktree is not None:
-                subprocess.run(["git", "-C", str(ROOT), "worktree", "remove",
-                                "--force", str(worktree)], check=False)
+        sides = run_trees(Path(tmp), args.parent)
+        for workload in args.workload or names:
+            values, failed = measure(sides, workload, args.pairs,
+                                     args.first_seed, metrics)
+            bad |= report(workload, values, metrics) or failed > 0
     return 1 if bad else 0
 
 
