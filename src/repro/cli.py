@@ -449,13 +449,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             impairment=impairment,
             ooo_adaptive=args.impair_adaptive_reassembly,
         )
-        if tenancy_specs is not None:
-            from repro.tenancy import TenantRuntime
-            runtime = TenantRuntime(config, tenancy_specs,
-                                    events=tenancy_events)
-        else:
-            runtime = Runtime(config, filter_str=args.filter_str,
-                              datatype=args.datatype, callback=callback)
+        runtime = Runtime(config, filter_str=args.filter_str,
+                          datatype=args.datatype, callback=callback,
+                          tenants=tenancy_specs, events=tenancy_events)
     except RetinaError as exc:
         return _fail(exc)
 

@@ -45,8 +45,8 @@ class CoreProgress(NamedTuple):
 
     @classmethod
     def of(cls, pipeline) -> "CoreProgress":
-        """The record of one core's multiplexer. One ``stats`` read:
-        it builds and merges a fresh bundle on every read."""
+        """The record of one core's pipeline. One ``stats`` read: it
+        builds a fresh snapshot of every lane on every read."""
         stats = pipeline.stats
         shed = stats.overload
         return cls(stats.callbacks, pipeline.live_connections,

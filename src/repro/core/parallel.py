@@ -4,8 +4,8 @@ The sequential backend models Retina's per-core pipelines faithfully
 but executes them on one thread, so wall-clock throughput is bounded by
 a single CPU no matter what ``config.cores`` says. This module makes
 the paper's Section 5 scaling claim *real*: one OS worker process per
-simulated core, each running its own shared-nothing multiplexer
-(:class:`~repro.tenancy.pipeline.TenantCorePipeline`, built over the
+simulated core, each running its own shared-nothing pipeline
+(:class:`~repro.core.pipeline.CorePipeline`, built over the
 runtime's filter table) and connection tables, fed by the parent over
 bounded shared-memory rings.
 
@@ -78,12 +78,12 @@ if TYPE_CHECKING:
 
 from repro.core import shm as shm_mod
 from repro.core.monitor import CoreProgress
+from repro.core.pipeline import CorePipeline
 from repro.core.stats import CoreStats
 from repro.errors import RetinaError
 from repro.packet.batch import slot_image, slot_read, slot_rows
 from repro.resilience.faults import FaultPlan
 from repro.resilience.supervisor import WorkerSupervisor
-from repro.tenancy.pipeline import TenantCorePipeline
 from repro.tenancy.table import FilterTable
 
 #: Message tags on the per-core control queues: the image of a burst
@@ -332,7 +332,7 @@ def _worker_main(spec: _WorkerSpec, in_queue, out_queue) -> None:
         # which a feeder killed meanwhile has already passed on.
         channel = shm_mod.ShmWorkerChannel(*spec.shm)
         try:
-            pipeline = TenantCorePipeline(
+            pipeline = CorePipeline(
                 spec.core_id, spec.table, spec.config.with_(parallel=False),
                 initial_overload_rung=spec.initial_overload_rung,
                 pressure_mbps=spec.pressure_mbps)

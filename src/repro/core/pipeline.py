@@ -1,35 +1,66 @@
 """Per-core processing pipeline (Figure 2, right side).
 
-One :class:`CorePipeline` runs per receive queue and implements the
-work-conserving, lazily reconstructing data path:
+One :class:`CorePipeline` runs per receive queue over the filter table
+the runtime deploys (a plain subscription is a one-entry table). Its
+one row loop captures each packet once, reads the packet filter's
+verdict once per tenant (a lone filter's own batch verdicts, or the
+table's :class:`~repro.tenancy.shared.SharedFilter` lanes) and hands
+the row to every tenant *lane* whose verdict matched. A
+:class:`Lane` is one tenant's work-conserving, lazily reconstructing
+data path:
 
-1. software packet filter immediately after "capture",
-2. fast-path callback for packet subscriptions with packet-only filters,
-3. connection tracking (per-core table, two-tier timer wheels),
-4. lazy stream reassembly only for connections that still need payload,
-5. protocol probing restricted to the subscription's parser set,
-6. the connection filter at probe resolution, the session filter at
+1. fast-path callback for packet subscriptions with packet-only filters,
+2. connection tracking (per-lane table, two-tier timer wheels),
+3. lazy stream reassembly only for connections that still need payload,
+4. protocol probing restricted to the subscription's parser set,
+5. the connection filter at probe resolution, the session filter at
    session completion, with Figure 4's state transitions in between,
-7. inline callback execution.
+6. inline callback execution.
 
-The core's cycle ledger, this reproduction's stand-in for a 3 GHz
-core's time, prices the counts the pipeline keeps (packets, sessions
-parsed, deliveries) and counts only conn-tracking, reassembly and
-parsing itself.
+Each lane keeps its own :class:`~repro.core.stats.CoreStats`: the
+tenant's solo view, counting every packet the core was handed while the
+tenant was active, exactly as a run of that tenant alone would. The
+core's own face prices what the core does once per packet — capture and
+the software packet filter — once, off the packets it was handed; the
+rest of the face is the lanes' counters summed. The core's cycle
+ledger, this reproduction's stand-in for a 3 GHz core's time, prices
+those counts and counts only conn-tracking, reassembly and parsing
+itself.
+
+Isolation knobs enforced by the loop, before a row reaches a lane, both
+on virtual time, so deterministic across backends and worker counts at
+a fixed ``config.cores``:
+
+* **Quotas** — a tenant with ``quota_mbps`` gets a per-core byte budget
+  per virtual-second window; over-budget rows are shed and charged to
+  that tenant's private loss ledger (rung 1, layer ``tenant_quota``).
+* **Pressure downgrade** — on a table of named tenants with
+  ``config.tenancy_pressure_mbps`` set, when a window's aggregate load
+  exceeds the per-core share the *heaviest* tenants (by offered bytes
+  *matching their own filter*, ties by name) are shed for the next
+  window (rung 3, layer ``tenant_pressure``) until the rest fits.
+
+An epoch swap hands every core the successor
+:class:`~repro.tenancy.table.FilterTable` whole
+(:meth:`CorePipeline.adopt`). Adopting is idempotent on the epoch
+number, so a replayed bump after a supervised worker restart is a
+no-op. A dropped tenant's lane moves to the draining set: it receives
+no further rows but keeps expiring, sampling and finally draining
+under its admission epoch.
 
 One documented deviation from the paper: where Retina deletes a
-connection the filter has rejected (or already delivered), this
-pipeline keeps a 512-byte "ignore" tombstone in the table until the
-inactivity timeout. The tombstone prevents subsequent packets of the
-same flow from re-creating the connection and re-probing ciphertext;
-CPU behaviour matches the paper's, and memory stays bounded by the same
+connection the filter has rejected (or already delivered), a lane
+keeps a 512-byte "ignore" tombstone in the table until the inactivity
+timeout. The tombstone prevents subsequent packets of the same flow
+from re-creating the connection and re-probing ciphertext; CPU
+behaviour matches the paper's, and memory stays bounded by the same
 timer wheels.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # avoid a config<->core import cycle at runtime
     from repro.config import RuntimeConfig
@@ -46,8 +77,9 @@ from repro.core.datatypes import (
     RawPacket,
     StreamChunk,
 )
-from repro.core.stats import CoreStats
+from repro.core.stats import CoreStats, TenantStatsBundle
 from repro.core.subscription import Subscription
+from repro.filter.batch import NO_MATCH
 from repro.packet.columnar import ColumnarBatch, decode_mbufs
 from repro.packet.ipv4 import PROTO_TCP, PROTO_UDP
 from repro.packet.mbuf import Mbuf
@@ -90,8 +122,11 @@ class _ProbeContext:
         self.bytes_probed = 0
 
 
-class CorePipeline:
-    """The per-core data path."""
+class Lane:
+    """One tenant's data path on one core: its conntrack table, stats
+    (the solo view), executor, fault injector, overload controller and
+    the Figure 4 state machine. :class:`CorePipeline`'s row loop feeds
+    it the rows its filter passed."""
 
     def __init__(
         self,
@@ -100,8 +135,11 @@ class CorePipeline:
         config: "RuntimeConfig",
         executor=None,
         initial_overload_rung: int = 0,
+        name: str = "subscription",
     ) -> None:
         self.core_id = core_id
+        #: The tenant's name in the core's filter table.
+        self.name = name
         self.sub = subscription
         self.config = config
         self.table = ConnTable(config.timeouts)
@@ -120,12 +158,6 @@ class CorePipeline:
         else:
             self._tracer = None
         self._filter = subscription.filter
-        #: Where a fast row's verdict comes from: ``verdicts_of(cols)``
-        #: is the batch's verdict vectors, this pipeline's at ``lane``.
-        #: Its own filter by default; a shared table's multiplexer
-        #: points it at the table's classifier.
-        self.verdicts_of = self._own_verdicts
-        self.lane = 0
         # -- burst span recorder (repro.telemetry.spans) ----------------
         # None when disabled: the batch loops then pay one ``is None``
         # check per burst and the per-packet loops stay untouched (the
@@ -138,6 +170,10 @@ class CorePipeline:
                 flight_depth=config.flight_recorder_depth)
         else:
             self._spans = None
+        #: Per burst, set by the core's row loop: this lane's packet and
+        #: packet-filter counters at its start, and its open span.
+        self._mark = (0, 0, 0)
+        self._span_tok = self._span_nodes = None
         self._level = subscription.level
         # Plan flags are getattr-backed properties on the subscription;
         # resolved once here, they are read per packet below.
@@ -206,165 +242,6 @@ class CorePipeline:
     @property
     def live_connections(self) -> int:
         return len(self.table)
-
-    # ------------------------------------------------------------------
-    # packet entry point
-    # ------------------------------------------------------------------
-    def process_batch(self, mbufs) -> None:
-        """Run a burst of packets (one receive queue's share of a DPDK
-        burst) through the pipeline: the headers are decoded in bulk
-        (:func:`~repro.packet.columnar.decode_mbufs`) and the rows go
-        through :meth:`process_batch_rows`."""
-        if type(mbufs) is not list and type(mbufs) is not tuple:
-            mbufs = list(mbufs)
-        cols = decode_mbufs(mbufs, self.config.columnar)
-        self.process_batch_rows(zip(mbufs, repeat(None), repeat(cols),
-                                    range(len(mbufs))))
-
-    def _own_verdicts(self, cols: ColumnarBatch) -> list:
-        """This pipeline's filter's verdicts on ``cols``, in one lane,
-        cached on the batch under the filter object: every core sharing
-        the compiled filter reads one classification per batch. A
-        filter no column expresses leaves each row ``None``."""
-        key = self._filter
-        if cols.verdicts_by is not key:
-            batch = key.packet_filter_batch
-            cols.verdicts = [batch(cols) if batch is not None
-                             else [None] * cols.n]
-            cols.verdicts_by = key
-        return cols.verdicts
-
-    def process_batch_rows(self, rows) -> None:
-        """The per-row loop, over one burst of ``(mbuf, queue, cols,
-        i)`` rows as :func:`~repro.packet.columnar.ingress_rows` yields
-        them: the frame, the column batch it was decoded into and its
-        row there (the queue is not read). The sequential backend
-        decodes each ingress burst *once*, so nothing happens twice
-        here.
-
-        A fast row's verdict is ``verdicts_of(cols)[lane][i]``, read
-        once per batch the burst draws on: ``(node << 1) | terminal``
-        (negative: no match). Slow rows, and every row when the filter
-        is not batch-expressible (verdict ``None``), run the scalar
-        ``packet_filter`` here instead. Fast rows key conntrack straight
-        off their columns either way.
-
-        The hot path: every per-packet attribute lookup and bound
-        method is hoisted out of the loop. Capture and the packet
-        filter are priced off ``stats.packets``, conn-tracking off the
-        rows the packet filter passed: each is folded in once per burst.
-        """
-        stats = self.stats
-        counts = stats.ledger.counts
-        packet_filter = self._filter.packet_filter
-        fast_path = not self._needs_conntrack
-        deliver = self._deliver
-        stateful = self._stateful
-        stateful_columnar = self._stateful_columnar
-        verdicts_of = self.verdicts_of
-        lane = self.lane
-        vcols = vec = None
-        now = self._now
-        ov_next = self._ov_next
-        spans = self._spans
-        span_tok = span_nodes = None
-        if spans is not None:
-            span_tok = spans.start(stats)
-            if span_tok[0]:
-                span_nodes = {}
-        packets = 0
-        ticked = ticked_pf = 0  # rows, pf survivors counted in by ticks
-        wire_bytes = 0
-        # Funnel survivor counters, accumulated in locals and folded
-        # into stats once per batch (telemetry stays near-free on the
-        # hot path). The fast path — and a non-transport frame
-        # delivered from the slow-row adapter — satisfies the whole
-        # filter at the packet layer, so it survives every funnel layer.
-        pf_packets = 0
-        pf_bytes = 0
-        fast_packets = 0
-        fast_bytes = 0
-        for mbuf, _queue, cols, i in rows:
-            ts = mbuf.timestamp
-            if ts > now:
-                now = ts
-                self._now = ts
-            if ts >= ov_next:
-                # Controller tick: clocked on the per-core virtual
-                # packet stream, so transitions are identical across
-                # backends and batch boundaries. It reads the ledger's
-                # busy time, so the rows so far are counted in first.
-                stats.packets += packets - ticked
-                if not fast_path:
-                    counts[Stage.CONN_TRACK] += pf_packets - ticked_pf
-                ticked, ticked_pf = packets, pf_packets
-                self._overload_tick(ts)
-                ov_next = self._ov_next
-            packets += 1
-            frame_bytes = cols.wire[i]
-            wire_bytes += frame_bytes
-            fast_row = cols.fast[i]
-            if fast_row:
-                if cols is not vcols:
-                    vcols = cols
-                    vec = verdicts_of(cols)[lane]
-                verdict = vec[i]
-            if not fast_row or verdict is None:
-                result = packet_filter(mbuf)
-                if not result.matched:
-                    continue
-                verdict = (result.node << 1) | result.terminal
-            elif verdict < 0:
-                continue
-            pf_packets += 1
-            pf_bytes += frame_bytes
-            if span_nodes is not None:
-                node = verdict >> 1
-                span_nodes[node] = span_nodes.get(node, 0) + 1
-            if fast_path:
-                # Packet subscription with a packet-only filter: §5.1
-                # fast path, the callback runs right after the filter.
-                deliver(RawPacket(mbuf=mbuf))
-                fast_packets += 1
-                fast_bytes += frame_bytes
-                continue
-            if fast_row:
-                stateful_columnar(mbuf, cols, i, verdict >> 1,
-                                  bool(verdict & 1))
-            elif stateful(mbuf, verdict >> 1, bool(verdict & 1)):
-                fast_packets += 1
-                fast_bytes += frame_bytes
-            now = self._now  # the state machine may not move it, expiry may
-        stats.packets += packets - ticked
-        if not fast_path:  # every row the filter passed was looked up
-            counts[Stage.CONN_TRACK] += pf_packets - ticked_pf
-        stats.bytes += wire_bytes
-        if self._overload is not None:
-            self._overload.ledger.packets_seen += packets
-        stats.pf_packets += pf_packets
-        stats.pf_bytes += pf_bytes
-        if fast_packets:
-            stats.connf_packets += fast_packets
-            stats.connf_bytes += fast_bytes
-            stats.sessf_packets += fast_packets
-            stats.sessf_bytes += fast_bytes
-        if span_tok is not None:
-            spans.finish(stats, self._now, span_tok, span_nodes)
-
-    def count_refused(self, packets: int, wire_bytes: int,
-                      now: float) -> None:
-        """Account ``packets`` rows of a burst (``wire_bytes`` in all,
-        the burst ending at virtual time ``now``) that a classifier
-        shared with other pipelines refused on this one's behalf —
-        what :meth:`process_batch_rows` does with a fast row whose
-        verdict is negative, once for all of them. Call it after the
-        burst's other rows went through the loop: they must not see
-        the clock already at the burst's end."""
-        stats = self.stats
-        stats.packets += packets
-        stats.bytes += wire_bytes
-        if now > self._now:
-            self._now = now
 
     # ------------------------------------------------------------------
     # stateful processing
@@ -1028,7 +905,13 @@ class CorePipeline:
     # -- overload control (repro.overload) --------------------------------
     def _overload_tick(self, now: float) -> None:
         """One controller evaluation at virtual time ``now`` (reached
-        via the per-packet ``ts >= ov_next`` compare)."""
+        via the per-packet ``ts >= ov_next`` compare, after the rows
+        before it were counted in). It reads the ledger's busy time, so
+        the lookups of the rows the packet filter passed are counted
+        in first: every one of them, on a stateful lane."""
+        if self._needs_conntrack:
+            stats = self.stats
+            stats.ledger.counts[Stage.CONN_TRACK] = stats.pf_packets
         ctl = self._overload
         rung_before = ctl.rung
         tripped = ctl.evaluate(now, self.stats.ledger.busy_seconds,
@@ -1095,3 +978,527 @@ class CorePipeline:
             # is complete at every fold point, and the snapshot ships
             # home with the pickled CoreStats.
             self.stats.spans = self._spans.snapshot()
+
+
+#: One virtual second: the quota / pressure accounting window.
+_WINDOW_S = 1.0
+#: Ladder rungs quota and pressure sheds are attributed to (the quota
+#: gate refuses work the way rung 1 does; the pressure downgrade is the
+#: tenant-granular analogue of rung 3's heavy-connection breaker).
+_QUOTA_RUNG = 1
+_PRESSURE_RUNG = 3
+
+
+def subscription_table(subscription: Subscription, config: "RuntimeConfig",
+                       executor=None):
+    """A plain subscription as the one-entry filter table a core runs,
+    and the compile cache holding it (see :class:`CorePipeline`). The
+    run-level fault plan is the entry's own: its lane's injector is the
+    run's."""
+    from repro.tenancy.spec import TenantSpec
+    from repro.tenancy.table import FilterTable
+    entry = TenantSpec(
+        "subscription", subscription.filter.text, subscription.datatype,
+        subscription.callback,
+        identify_services=subscription.identify_services,
+        fault_plan=config.fault_plan)
+    return FilterTable([entry]), {entry.name: (entry, subscription,
+                                               executor)}
+
+
+class CorePipeline:
+    """The per-core data path of every run: one row loop over the
+    adopted filter table's lanes.
+
+    ``pressure_mbps`` is the run's pressure budget (None: none).
+    ``compiled`` maps tenant name to ``(spec, Subscription, executor)``
+    (executor None: an inline one per lane), compiled once per runtime
+    and shared — not copied — by its cores, so every core's filters are
+    the same objects and key the same verdicts.
+    """
+
+    def __init__(self, core_id: int, table, config: "RuntimeConfig",
+                 initial_overload_rung: int = 0,
+                 pressure_mbps: Optional[float] = None,
+                 compiled: Optional[dict] = None) -> None:
+        self.core_id = core_id
+        self.config = config
+        #: The adopted filter table: every spec this core knows, and
+        #: which are active, in activation order.
+        self.table = table
+        self._compiled = compiled if compiled is not None else {}
+        self._initial_rung = initial_overload_rung
+        #: The active tenants' lanes, by name.
+        self._by_name: Dict[str, Lane] = {}
+        #: Dropped tenants' lanes: no further rows, but they keep
+        #: expiring/sampling and drain at end of run ((name, lane)
+        #: pairs — a name can drain more than once if re-added).
+        self._draining: List[Tuple[str, Lane]] = []
+        #: Quota / pressure ledgers, created lazily at first shed so an
+        #: unmetered tenant's snapshot carries no extra state at all.
+        self._tenant_shed: Dict[str, object] = {}
+        #: Every lane ticks an overload ladder on the rows it is offered,
+        #: and every lane records burst spans.
+        self._ladder = config.overload_policy != "off"
+        self._spans_on = config.span_sample > 0 or \
+            config.flight_recorder_depth > 0
+        self._pressure_share = (
+            pressure_mbps * 1e6 / 8.0 * _WINDOW_S / config.cores
+            if pressure_mbps is not None else None)
+        # -- metering state (virtual-second windows) -------------------
+        self._window = 0
+        self._win_used: Dict[str, float] = {}
+        self._win_bytes: Dict[str, float] = {}
+        self._downgraded: set = set()
+        #: The core clock (latest packet timestamp it was handed), and
+        #: the packets and wire bytes it was handed: what it captured
+        #: and ran the packet filter on.
+        self._now = 0.0
+        self.packets = 0
+        self.bytes = 0
+        #: Per tenant, how many of those packets came while it was out
+        #: of the table: plus the count at each ``add``, minus the
+        #: count at each ``drop`` (so a dropped tenant's is short by the
+        #: count at the end).
+        self._away: Dict[str, int] = {}
+        for name in table.active:
+            self._activate(name)
+        self._rebuild()
+
+    @classmethod
+    def of(cls, core_id: int, subscription: Subscription,
+           config: "RuntimeConfig", **kwargs) -> "CorePipeline":
+        """One core running ``subscription`` alone: a one-lane table."""
+        table, compiled = subscription_table(subscription, config)
+        return cls(core_id, table, config, compiled=compiled, **kwargs)
+
+    @property
+    def epoch(self) -> int:
+        """The epoch of the adopted filter table."""
+        return self.table.epoch
+
+    # -- construction / swaps ------------------------------------------
+    def _activate(self, name: str) -> None:
+        spec = self.table.by_name[name]
+        compiled = self._compiled.get(name)
+        if compiled is None or compiled[0] != spec:
+            # The tenant's own filter object also feeds the table's
+            # SharedFilter, so verdict node ids line up with its
+            # connection/session sub-filters for free.
+            compiled = (spec, Subscription(
+                spec.filter, spec.datatype, spec.callback,
+                filter_mode=self.config.filter_mode,
+                identify_services=spec.identify_services), None)
+            self._compiled[name] = compiled
+        _spec, sub, executor = compiled
+        config = self.config
+        # Tenant overrides for the callback error policy, and the
+        # tenant-scoped fault plan *replacing* the run-level one
+        # (worker-level faults stay with the supervisor; in-pipeline
+        # injectors must be tenant-local or quarantine leaks).
+        self._by_name[name] = Lane(
+            self.core_id, sub, config.with_(
+                callback_error_policy=(
+                    spec.callback_error_policy
+                    if spec.callback_error_policy is not None
+                    else config.callback_error_policy),
+                callback_error_budget=(
+                    spec.callback_error_budget
+                    if spec.callback_error_budget is not None
+                    else config.callback_error_budget),
+                fault_plan=spec.fault_plan),
+            executor=executor, initial_overload_rung=self._initial_rung,
+            name=name)
+        self._away[name] = self._away.get(name, 0) + self.packets
+
+    def _rebuild(self) -> None:
+        """The metering plan and the verdict source for the current
+        active set (one rebuild per epoch swap)."""
+        names = self.table.active
+        self._quota_share: Dict[str, float] = {}
+        for name in names:
+            quota = self.table.by_name[name].quota_bytes_per_sec
+            if quota is not None:
+                self._quota_share[name] = \
+                    quota * _WINDOW_S / self.config.cores
+                self._win_used.setdefault(name, 0.0)
+        self._metered = bool(self._quota_share) or \
+            self._pressure_share is not None
+        #: The active lanes, in table order: verdict lane ``k`` is
+        #: ``lanes[k]``'s.
+        self.lanes = [self._by_name[name] for name in names]
+        filters = tuple(lane.sub.filter for lane in self.lanes)
+        #: The verdict cache key — a lone filter, or the tuple of the
+        #: active filters — and the table's classifier for the latter.
+        self._key = filters[0] if len(filters) == 1 else filters
+        self._shared = None
+        if len(filters) > 1:
+            from repro.tenancy.shared import SharedFilter
+            self._shared = SharedFilter(names, filters)
+        #: What the row loop reads of each active lane: the lane, its
+        #: scalar packet filter, its stats, whether it delivers on the
+        #: §5.1 fast path, and its verdict lane.
+        self._plan = [(lane, lane._filter.packet_filter, lane.stats,
+                       not lane._needs_conntrack, k)
+                      for k, lane in enumerate(self.lanes)]
+        #: Every lane by name — active first (in active order), then
+        #: draining (in drop order) — and the lanes alone.
+        self._named = [(name, self._by_name[name]) for name in names] + \
+            self._draining
+        self._all = [lane for _name, lane in self._named]
+
+    def adopt(self, table) -> None:
+        """Adopt the successor filter table ``table``: tenants it no
+        longer lists move to draining, tenants it adds activate (in
+        ``table.active`` order).
+
+        Idempotent on the epoch number: a replayed bump (supervised
+        restart re-delivers unacked batches verbatim) whose epoch this
+        core already adopted — or was re-seeded past — is a no-op.
+        """
+        if table.epoch <= self.epoch:
+            return
+        for name in self.table.active:
+            if name not in table.active:
+                self._draining.append((name, self._by_name.pop(name)))
+                self._away[name] -= self.packets
+                self._win_used.pop(name, None)
+                self._downgraded.discard(name)
+        self.table = table
+        for name in table.active:
+            if name not in self._by_name:
+                self._activate(name)
+        self._rebuild()
+
+    # -- metering -------------------------------------------------------
+    def _rollover(self, new_window: int) -> None:
+        """A virtual-second window closed: pick next window's
+        downgraded set (heaviest offered load first, ties by name)
+        from the *finished* window's per-tenant bytes."""
+        if self._pressure_share is not None:
+            if new_window == self._window + 1 and self._win_bytes:
+                total = sum(self._win_bytes.values())
+                share = self._pressure_share
+                if total > share:
+                    downgraded = set()
+                    remaining = total
+                    for name in sorted(
+                            self._win_bytes,
+                            key=lambda n: (-self._win_bytes[n], n)):
+                        if remaining <= share:
+                            break
+                        downgraded.add(name)
+                        remaining -= self._win_bytes[name]
+                    self._downgraded = downgraded
+                else:
+                    self._downgraded = set()
+            else:
+                # The window before ``new_window`` was empty: pressure
+                # has passed, nobody stays downgraded.
+                self._downgraded = set()
+        self._win_bytes = {}
+        for name in self._win_used:
+            self._win_used[name] = 0.0
+        self._window = new_window
+
+    def _sheds(self, name: str, wire: int) -> bool:
+        """Meter one row tenant ``name``'s own packet filter matched:
+        True when quota or pressure sheds it, charged to the tenant's
+        private ledger (``packets_seen`` counts only sheds there;
+        ``Runtime.tenant_ledgers`` adds what the tenant's lanes were
+        fed, on every core). Rows irrelevant to a tenant ride through
+        unmetered — its lane refuses them exactly as it would solo, so
+        co-tenant traffic can never eat a tenant's budget or mark it
+        "heavy"."""
+        if self._pressure_share is not None:
+            self._win_bytes[name] = self._win_bytes.get(name, 0.0) + wire
+        if name in self._downgraded:
+            self._shed_ledger(name).record_shed(
+                _PRESSURE_RUNG, "tenant_pressure", wire)
+            return True
+        share = self._quota_share.get(name)
+        if share is not None:
+            used = self._win_used[name]
+            if used + wire > share:
+                self._shed_ledger(name).record_shed(
+                    _QUOTA_RUNG, "tenant_quota", wire)
+                return True
+            self._win_used[name] = used + wire
+        return False
+
+    def _shed_ledger(self, name: str):
+        """Tenant ``name``'s quota/pressure ledger, one shed counted."""
+        ledger = self._tenant_shed.get(name)
+        if ledger is None:
+            from repro.overload.ledger import LossLedger
+            ledger = LossLedger(self.core_id)
+            self._tenant_shed[name] = ledger
+        ledger.packets_seen += 1
+        return ledger
+
+    def _offer(self, lane: Lane, verdict: int, ts: float, now: float,
+               wire: int) -> bool:
+        """A row reaching ``lane`` of a metered or laddered core, in the
+        order the lane's solo run sees it: metered (False: shed), the
+        lane's clock moved, its ladder ticked, then the row counted in
+        — one by one, as the ladder reads them mid-burst."""
+        if self._metered:
+            if verdict != NO_MATCH and self._sheds(lane.name, wire):
+                return False
+            if ts > lane._now:  # its clock covers the rows it was fed
+                lane._now = ts
+        elif now > lane._now:
+            lane._now = now
+        if ts >= lane._ov_next:
+            lane._overload_tick(ts)
+        stats = lane.stats
+        stats.packets += 1
+        stats.bytes += wire
+        return True
+
+    # -- the data path --------------------------------------------------
+    def _verdicts(self, cols: ColumnarBatch) -> list:
+        """Every active lane's verdicts on ``cols``: the lone filter's
+        own batch verdicts, or the table's shared classifier's, cached
+        on the batch under ``_key`` — equal on every core, so each
+        chunk is classified once per table, and a chunk that straddles
+        a swap is classified again under the new one. A filter no
+        column expresses leaves each row ``None``."""
+        key = self._key
+        if cols.verdicts_by != key:
+            shared = self._shared
+            if shared is None:
+                batch = key.packet_filter_batch
+                cols.verdicts = [batch(cols) if batch is not None
+                                 else [None] * cols.n]
+            else:
+                vecs = shared.classify_batch(cols)
+                cols.verdicts = vecs if vecs is not None \
+                    else [[None] * cols.n] * len(key)
+            cols.verdicts_by = key
+        return cols.verdicts
+
+    def process_batch(self, mbufs) -> None:
+        """Run a burst of frames (a parallel worker's, or a test's):
+        decode it (:func:`~repro.packet.columnar.decode_mbufs`), then
+        run its rows."""
+        if type(mbufs) is not list:
+            mbufs = list(mbufs)
+        if mbufs:
+            cols = decode_mbufs(mbufs, self.config.columnar)
+            self.process_batch_rows(list(zip(
+                mbufs, repeat(None), repeat(cols), range(len(mbufs)))))
+
+    def process_batch_rows(self, rows: list) -> None:
+        """The one per-row loop, over one burst of ``(mbuf, queue, cols,
+        i)`` rows as :func:`~repro.packet.columnar.ingress_rows` yields
+        them: the frame, the column batch it was decoded into and its
+        row there (the queue is not read). The sequential backend
+        decodes each ingress burst *once*, so nothing happens twice
+        here.
+
+        Each row is captured once and handed to every lane whose
+        verdict matched. A fast row's verdict for lane ``k`` is
+        ``_verdicts(cols)[k][i]``, read once per batch the burst draws
+        on: ``(node << 1) | terminal`` (negative: no match). Slow rows,
+        and every row when the filter is not batch-expressible
+        (verdict ``None``), run the lane's scalar ``packet_filter``
+        instead. Fast rows key conntrack straight off their columns
+        either way.
+
+        A lane is counted the rows it was offered, and priced for them
+        as its solo run would be; without metering or a ladder, in one
+        fold per burst. Conn-tracking is priced off the rows a stateful
+        lane's packet filter passed, folded at the same points.
+        """
+        if not rows:
+            return
+        metered = self._metered
+        gated = metered or self._ladder
+        spans = self._spans_on
+        plan = self._plan
+        for lane in self.lanes:
+            stats = lane.stats
+            lane._mark = (stats.packets, stats.pf_packets, stats.pf_bytes)
+            if spans:
+                lane._span_tok = tok = lane._spans.start(stats)
+                lane._span_nodes = {} if tok[0] else None
+        now = 0.0  # the burst's clock: the latest timestamp in it so far
+        wire_bytes = 0
+        vcols = vecs = None
+        for mbuf, _queue, cols, i in rows:
+            ts = mbuf.timestamp
+            if ts > now:
+                now = ts
+            if metered and int(ts) > self._window:
+                self._rollover(int(ts))
+            wire = cols.wire[i]
+            wire_bytes += wire
+            if cols is not vcols:
+                vcols = cols
+                vecs = self._verdicts(cols) if plan else None
+            fast_row = cols.fast[i]
+            for lane, packet_filter, stats, fast_path, k in plan:
+                verdict = vecs[k][i] if fast_row else None
+                if verdict is None:
+                    result = packet_filter(mbuf)
+                    verdict = (result.node << 1) | result.terminal \
+                        if result.matched else NO_MATCH
+                if gated:
+                    if not self._offer(lane, verdict, ts, now, wire) or \
+                            verdict < 0:
+                        continue
+                elif verdict < 0:
+                    continue
+                elif now > lane._now:
+                    # Its solo run saw every row of the burst: the
+                    # refused ones moved its clock too.
+                    lane._now = now
+                stats.pf_packets += 1
+                stats.pf_bytes += wire
+                if spans:
+                    nodes = lane._span_nodes
+                    if nodes is not None:
+                        node = verdict >> 1
+                        nodes[node] = nodes.get(node, 0) + 1
+                if fast_path:
+                    # Packet subscription with a packet-only filter:
+                    # §5.1 fast path, the callback runs right after the
+                    # filter.
+                    lane._deliver(RawPacket(mbuf=mbuf))
+                elif fast_row:
+                    lane._stateful_columnar(mbuf, cols, i, verdict >> 1,
+                                            bool(verdict & 1))
+                elif lane._stateful(mbuf, verdict >> 1, bool(verdict & 1)):
+                    # A non-transport frame delivered from the slow-row
+                    # adapter satisfies the whole filter at the packet
+                    # layer: it survives every funnel layer.
+                    stats.connf_packets += 1
+                    stats.connf_bytes += wire
+                    stats.sessf_packets += 1
+                    stats.sessf_bytes += wire
+        n = len(rows)
+        self.packets += n
+        self.bytes += wire_bytes
+        if now > self._now:
+            self._now = now
+        for lane, _filter, stats, fast_path, _k in plan:
+            packets, pf_packets, pf_bytes = lane._mark
+            if not gated:
+                stats.packets += n
+                stats.bytes += wire_bytes
+            if not metered and now > lane._now:
+                lane._now = now
+            if fast_path:  # it delivered every row its filter passed
+                delivered = stats.pf_packets - pf_packets
+                if delivered:
+                    delivered_bytes = stats.pf_bytes - pf_bytes
+                    stats.connf_packets += delivered
+                    stats.connf_bytes += delivered_bytes
+                    stats.sessf_packets += delivered
+                    stats.sessf_bytes += delivered_bytes
+            else:  # every row the filter passed was looked up
+                stats.ledger.counts[Stage.CONN_TRACK] = stats.pf_packets
+            if lane._overload is not None:
+                lane._overload.ledger.packets_seen += \
+                    stats.packets - packets
+            if spans:
+                lane._spans.finish(stats, lane._now, lane._span_tok,
+                                   lane._span_nodes)
+
+    # -- lifecycle ------------------------------------------------------
+    def advance_time(self, now: float) -> None:
+        """Move virtual time forward (idle periods, end of trace)."""
+        if now > self._now:
+            self._now = now
+        for lane in self._all:
+            lane.advance_time(now)
+
+    def drain(self) -> None:
+        """End of run: every lane delivers its still-live matched
+        connections."""
+        for lane in self._all:
+            lane.drain()
+
+    def sample_memory(self) -> None:
+        for lane in self._all:
+            lane.sample_memory()
+
+    def set_span_ctx(self, ctx) -> None:
+        """Stamp the IPC span context for the next burst (the parallel
+        worker loop calls this with the ``(queue, seq)`` that rode the
+        burst's slot image), stitching worker spans into the parent's
+        trace."""
+        for lane in self._all:
+            lane.set_span_ctx(ctx)
+
+    def fold_fault_counters(self) -> None:
+        for lane in self._all:
+            lane.fold_fault_counters()
+
+    # -- monitoring surface ---------------------------------------------
+    @property
+    def now(self) -> float:
+        """The core clock (latest packet timestamp it was handed)."""
+        return self._now
+
+    @property
+    def memory_bytes(self) -> int:
+        return sum(lane.memory_bytes for lane in self._all)
+
+    @property
+    def live_connections(self) -> int:
+        return sum(lane.live_connections for lane in self._all)
+
+    @property
+    def overload_rung(self) -> int:
+        """The highest rung any lane's ladder holds (0: none)."""
+        return max([0] + [lane.overload_rung for lane in self._all])
+
+    @property
+    def overload_failfast_at(self) -> Optional[float]:
+        """The earliest virtual time a lane tripped fail-fast, or None."""
+        tripped = None  # read per burst: a loop, not a list
+        for lane in self._all:
+            at = lane.overload_failfast_at
+            if at is not None and (tripped is None or at < tripped):
+                tripped = at
+        return tripped
+
+    @property
+    def stats(self) -> TenantStatsBundle:
+        """A fresh snapshot: the core's face over the per-tenant
+        breakdown (each lane's stats, its solo view)."""
+        config = self.config
+        bundle = TenantStatsBundle(config.cost_model,
+                                   telemetry=config.telemetry)
+        for name, lane in self._named:
+            lane_stats = lane.stats
+            CoreStats.merge(bundle, lane_stats)
+            mine = bundle.per_tenant.get(name)
+            if mine is None:
+                mine = CoreStats(config.cost_model,
+                                 telemetry=config.telemetry)
+                bundle.per_tenant[name] = mine
+            mine.merge(lane_stats)
+            if bundle.spans is None:
+                bundle.spans = lane_stats.spans
+        if self._tenant_shed:
+            from repro.overload.ledger import LossLedger
+        for name, ledger in self._tenant_shed.items():
+            snap = LossLedger(self.core_id)
+            snap.merge(ledger)
+            bundle.tenant_shed[name] = snap
+            # The core's ledger states everything not analyzed on it; a
+            # tenant's own (``per_tenant``) stays its lane's ladder.
+            if bundle.overload is None:
+                bundle.overload = LossLedger(core_id=-1)
+            bundle.overload.merge(ledger)
+        bundle.offered = self.packets
+        for name in bundle.per_tenant:
+            bundle.not_subscribed[name] = self._away[name] + (
+                0 if name in self._by_name else self.packets)
+        if len(self._named) > 1:
+            bundle.combine_memory_samples()
+        bundle.epoch = self.epoch
+        return bundle

@@ -8,11 +8,12 @@ paper's metrics (offered rate, zero-loss ceiling, per-stage fractions,
 memory samples).
 
 The subscription is deployed as a one-entry filter table
-(:class:`~repro.tenancy.table.FilterTable`), and every core runs the
-table's multiplexer (:class:`~repro.tenancy.pipeline
-.TenantCorePipeline`). :class:`repro.tenancy.TenantRuntime` is only a
-constructor for a table of named tenants: the table's scheduled and
-live swaps and the per-tenant reporting all live here.
+(:class:`~repro.tenancy.table.FilterTable`); given ``tenants``, the
+runtime deploys a table of named tenants instead, with its scheduled
+and live swaps and the per-tenant reporting. Either way every core runs
+one :class:`~repro.core.pipeline.CorePipeline` over the table, one lane
+per active tenant. :class:`repro.tenancy.TenantRuntime` is the same
+runtime under the tenant-table constructor's older name.
 """
 
 from __future__ import annotations
@@ -20,16 +21,18 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, \
-    Optional
+    Optional, Sequence
 
 if TYPE_CHECKING:  # avoid a config<->core import cycle at runtime
     from repro.config import RuntimeConfig
+    from repro.tenancy.spec import ReconfigureEvent, TenantSpec
     from repro.tenancy.table import FilterTable
 from repro.core.cycles import Stage, hist_index
 from repro.core.monitor import CoreProgress
 from repro.core.stats import AGGREGATE_NAMES, COUNTERS, AggregateStats, \
-    CoreStats
+    CoreStats, TenantStatsBundle
 from repro.core.subscription import Subscription
+from repro.errors import TenancyError
 from repro.nic.device import SimNic
 from repro.packet.columnar import HELD, ingress_rows
 from repro.packet.mbuf import Mbuf
@@ -75,15 +78,15 @@ class RuntimeReport:
     #: Span data lives here — never on ``stats`` — so
     #: ``AggregateStats`` stays byte-identical with spans on or off.
     spans: Optional[object] = None
-    #: The per-tenant breakdown of a run over named tenants (a
-    #: :class:`repro.tenancy.TenantRuntime`; None for one subscription):
+    #: The per-tenant breakdown of a run over named tenants
+    #: (``Runtime(..., tenants=...)``; None for one subscription):
     #: ``epoch`` and ``active`` at the end of the run; by tenant name
-    #: ``tenants`` (:class:`AggregateStats`), ``ladders`` (its
-    #: pipelines' :class:`repro.overload.LossLedger` or None),
-    #: ``metered`` (the multiplexer's quota/pressure ledger, metered
-    #: tenants only), ``shed`` (the two merged) and ``not_subscribed``
-    #: (packets that came while it was out of the table); ``offered``
-    #: is what the multiplexers were handed.
+    #: ``tenants`` (:class:`AggregateStats`), ``ladders`` (its lanes'
+    #: :class:`repro.overload.LossLedger` or None), ``metered`` (the
+    #: core loop's quota/pressure ledger, metered tenants only),
+    #: ``shed`` (the two merged) and ``not_subscribed`` (packets that
+    #: came while it was out of the table); ``offered`` is what the
+    #: cores were handed.
     tenancy: Optional[dict] = None
 
     @property
@@ -116,59 +119,61 @@ class Runtime:
         subscription: Optional[Subscription] = None,
         identify_services: bool = False,
         ports: int = 1,
+        tenants: Optional[Sequence["TenantSpec"]] = None,
+        events: Sequence["ReconfigureEvent"] = (),
     ) -> None:
-        from repro.tenancy.spec import TenantSpec
-        if subscription is None:
-            subscription = Subscription(
-                filter_str,
-                datatype,
-                callback,
-                filter_mode=config.filter_mode,
-                nic=config.nic,
-                identify_services=identify_services,
-            )
-        self.subscription = subscription
-        if config.callback_execution == "queued":
-            from repro.core.executor import QueuedExecutor
-            self.executor = QueuedExecutor(
-                subscription.callback, config.callback_cycles,
-                workers=config.callback_workers,
-                enqueue_cycles=config.enqueue_cycles,
-            )
-        else:
-            from repro.core.executor import InlineExecutor
-            self.executor = InlineExecutor(subscription.callback,
-                                           config.callback_cycles)
-        # The one-entry table. The run-level fault plan is the entry's
-        # own: its pipelines' injectors are the run's.
-        entry = TenantSpec(
-            "subscription", subscription.filter.text,
-            subscription.datatype, subscription.callback,
-            identify_services=subscription.identify_services,
-            fault_plan=config.fault_plan)
-        self._deploy(config, ports, [entry], (),
-                     subscription.filter.hardware,
-                     {entry.name: (entry, subscription, self.executor)})
-
-    def _deploy(self, config: "RuntimeConfig", ports: int, specs,
-                events, hardware, compiled: dict) -> None:
-        """What every runtime is made of: the filter table and its
-        schedule, the NICs with their flow rules installed (once), one
-        multiplexer per core, and the run's clocks. ``compiled`` is the
-        multiplexers' shared compile cache (see ``TenantCorePipeline``)."""
-        from repro.tenancy.pipeline import TenantCorePipeline
+        """Deploy one subscription — ``subscription``, or one compiled
+        from ``filter_str``/``datatype``/``callback`` — or, with
+        ``tenants``, a table of named tenants and its scheduled swaps
+        ``events`` (the subscription arguments are then unused)."""
+        from repro.core.pipeline import CorePipeline, subscription_table
         from repro.tenancy.spec import check_events
         from repro.tenancy.table import FilterTable
         self.config = config
-        self.table = FilterTable(specs)
+        hardware = None
+        if tenants is None:
+            if subscription is None:
+                subscription = Subscription(
+                    filter_str,
+                    datatype,
+                    callback,
+                    filter_mode=config.filter_mode,
+                    nic=config.nic,
+                    identify_services=identify_services,
+                )
+            if config.callback_execution == "queued":
+                from repro.core.executor import QueuedExecutor
+                self.executor = QueuedExecutor(
+                    subscription.callback, config.callback_cycles,
+                    workers=config.callback_workers,
+                    enqueue_cycles=config.enqueue_cycles,
+                )
+            else:
+                from repro.core.executor import InlineExecutor
+                self.executor = InlineExecutor(subscription.callback,
+                                               config.callback_cycles)
+            self.table, compiled = subscription_table(
+                subscription, config, self.executor)
+            hardware = subscription.filter.hardware
+        else:
+            if config.callback_execution != "inline":
+                raise TenancyError(
+                    "multi-tenant runs require callback_execution="
+                    "'inline' (each tenant lane owns its own inline "
+                    "executor)")
+            #: Callback executors are per tenant, inside the lanes.
+            self.executor = None
+            self.table, compiled = FilterTable(tenants), {}
+        #: The table of named tenants as deployed, or None for one
+        #: subscription: such a run reports its per-tenant breakdown,
+        #: and pressure meters its tenants against each other.
+        self.tenants = self.table if tenants is not None else None
         check_events(events, self.table.specs)
         #: Scheduled events still to fire, earliest first (stable for
         #: same-timestamp events: schedule order breaks the tie).
         self._events = sorted(events, key=lambda e: e.time)
-        #: Pressure meters named tenants against each other; one
-        #: subscription has nobody to be heavier than.
         self.pressure_mbps = config.tenancy_pressure_mbps \
-            if self.subscription is None else None
+            if self.tenants is not None else None
         # The paper's testbed tapped two 100GbE links through two NICs
         # whose queues feed the same cores; `ports` models that. Port
         # *i* of every frame selects its NIC; symmetric RSS keeps flow
@@ -177,6 +182,9 @@ class Runtime:
             SimNic(num_queues=config.cores) for _ in range(max(ports, 1))
         ]
         self.nic = self.nics[0]  # single-port convenience alias
+        # One immutable hardware plane for a tenant table: the union of
+        # every tenant it knows, dormant late joiners included, so an
+        # epoch swap never touches the NIC.
         if config.hardware_filter and hardware is None:
             hardware = self._union_hardware()
         for nic in self.nics:
@@ -184,10 +192,12 @@ class Runtime:
                 nic.install_hardware_filter(hardware)
             if config.sink_fraction > 0:
                 nic.set_sink_fraction(config.sink_fraction)
+        # ``compiled`` is the cores' shared compile cache (see
+        # ``CorePipeline``).
         self.pipelines = [
-            TenantCorePipeline(core, self.table, config,
-                               pressure_mbps=self.pressure_mbps,
-                               compiled=compiled)
+            CorePipeline(core, self.table, config,
+                         pressure_mbps=self.pressure_mbps,
+                         compiled=compiled)
             for core in range(config.cores)]
         if config.reassemble_fragments:
             from repro.packet.fragments import FragmentReassembler
@@ -407,7 +417,7 @@ class Runtime:
         if link is not None:
             link.close()  # flush a recorded trace even on an abort
             report.impairment = link.ledger
-        if self.subscription is None:
+        if self.tenants is not None:
             report.tenancy = self._tenancy(report)
         return report
 
@@ -578,7 +588,6 @@ class Runtime:
 
     def _merged(self, report: RuntimeReport):
         """Every core's bundle folded into one."""
-        from repro.tenancy.pipeline import TenantStatsBundle
         merged = TenantStatsBundle(self.config.cost_model)
         for core_id in sorted(report.core_stats or {}):
             merged.merge(report.core_stats[core_id])
@@ -598,12 +607,12 @@ class Runtime:
         return {name: self.aggregate(stats) for name, stats in per.items()}
 
     def tenant_ledgers(self, report: RuntimeReport) -> Dict[str, object]:
-        """Per-tenant merged loss ledgers (pipeline overload sheds plus
-        quota/pressure sheds charged by the multiplexer); tenants with
+        """Per-tenant merged loss ledgers (lane overload sheds plus
+        quota/pressure sheds charged by the core loop); tenants with
         no ledger activity are absent. ``packets_seen`` is every packet
-        the tenant was offered: what its pipelines were fed on every
+        the tenant was offered: what its lanes were fed on every
         core — ladder or not, shedding or not — plus what the
-        multiplexer shed before them."""
+        loop shed before them."""
         return self._ledgers(self._merged(report))
 
     @staticmethod

@@ -8,9 +8,10 @@ tenants. Their filters merge into one :class:`SharedFilter` (a
 common-prefix trie with per-layer predicate dedup, so each packet is
 classified once and verdicts fan out per tenant); ``subscribe``/
 ``unsubscribe`` publish a new epoch that every worker adopts at a burst
-boundary; and each tenant gets its own conntrack, stats, loss ledger,
-quota and callback quarantine, so a noisy or crashing tenant cannot
-perturb the rest.
+boundary; and each core runs one pipeline whose row loop hands every
+packet to the tenant lanes that matched it. Each lane has its own
+conntrack, stats, loss ledger, quota and callback quarantine, so a
+noisy or crashing tenant cannot perturb the rest.
 
 See docs/MULTITENANT.md for the epoch-swap protocol, quota semantics,
 and the isolation guarantees the test suite pins down.
@@ -25,14 +26,13 @@ from repro.tenancy.spec import (
 )
 from repro.tenancy.shared import SharedFilter, union_hardware
 from repro.tenancy.table import FilterTable
-from repro.tenancy.pipeline import TenantCorePipeline, TenantStatsBundle
+from repro.core.stats import TenantStatsBundle
 from repro.tenancy.runtime import TenantRuntime
 
 __all__ = [
     "FilterTable",
     "ReconfigureEvent",
     "SharedFilter",
-    "TenantCorePipeline",
     "TenantRuntime",
     "TenantSpec",
     "TenantStatsBundle",

@@ -1,13 +1,12 @@
 """The multi-tenant constructor: a runtime over a table of named tenants.
 
 A :class:`TenantRuntime` is a :class:`~repro.core.runtime.Runtime`
-whose filter table holds N named :class:`~repro.tenancy.spec.TenantSpec`
-entries instead of one subscription. Everything it runs — the
-multiplexer on every core, scheduled and live table swaps, the
-per-tenant breakdown on ``report.tenancy`` — is the runtime's own; this
-class only validates what it is handed and installs the union hardware
-plane: every tenant the run will ever know, dormant late joiners
-included, so an epoch swap never touches the NIC.
+built with ``tenants``: its filter table holds N named
+:class:`~repro.tenancy.spec.TenantSpec` entries instead of one
+subscription. Everything it runs — one pipeline per core with a lane
+per active tenant, scheduled and live table swaps, the per-tenant
+breakdown on ``report.tenancy`` — is the runtime's own; this class only
+keeps the constructor's positional form.
 
 Swaps land atomically on burst boundaries: when a scheduled event is
 due, the one ingest loop (:meth:`repro.core.runtime.Runtime.run`)
@@ -25,7 +24,6 @@ if TYPE_CHECKING:
     from repro.config import RuntimeConfig
 
 from repro.core.runtime import Runtime
-from repro.errors import TenancyError
 from repro.tenancy.spec import ReconfigureEvent, TenantSpec
 
 
@@ -39,14 +37,4 @@ class TenantRuntime(Runtime):
         events: Sequence[ReconfigureEvent] = (),
         ports: int = 1,
     ) -> None:
-        if config.callback_execution != "inline":
-            raise TenancyError(
-                "multi-tenant runs require callback_execution='inline' "
-                "(each tenant pipeline owns its own inline executor)")
-        #: Subscriptions and callback executors are per tenant, inside
-        #: the pipelines; the runtime itself has neither.
-        self.subscription = self.executor = None
-        # One immutable hardware plane for the whole tenant universe
-        # (hardware None): dormant tenants are compiled in up front so
-        # activating them later never touches the NIC.
-        self._deploy(config, ports, specs, events, None, {})
+        super().__init__(config, ports=ports, tenants=specs, events=events)

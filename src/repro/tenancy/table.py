@@ -7,12 +7,12 @@ runtime deploys one — a plain subscription is a one-entry table.
 successor table at ``epoch + 1``, so a swap is a single reference
 assignment (atomic in CPython). The table is the only form a swap
 takes: every core adopts the successor whole
-(:meth:`~repro.tenancy.pipeline.TenantCorePipeline.adopt`), and a
+(:meth:`~repro.core.pipeline.CorePipeline.adopt`), and a
 parallel worker, which holds every spec from its start, is sent only
 the successor's ``(epoch, active)``.
 
-The table compiles nothing: each core's multiplexer
-(:class:`~repro.tenancy.pipeline.TenantCorePipeline`) builds its own
+The table compiles nothing: each core's pipeline
+(:class:`~repro.core.pipeline.CorePipeline`) builds its own
 shared classifier for the active set it adopts, so the feeder process
 never pays compilation for filters only workers evaluate.
 """

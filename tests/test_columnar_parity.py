@@ -333,7 +333,7 @@ class TestNoReparse:
                 RuntimeConfig(cores=2, columnar=columnar),
                 filter_str="ipv4.ttl > 5 and tcp", datatype="connection",
                 callback=None)
-            assert runtime.pipelines[0].solo.sub.filter \
+            assert runtime.pipelines[0].lanes[0].sub.filter \
                 .packet_filter_batch is None
             stats = runtime.run(iter(mbufs)).stats
             return mbufs, json.dumps(stats.to_dict(), sort_keys=True)
@@ -354,7 +354,6 @@ class TestNoReparse:
         subscription's own batch filter, alike."""
         import repro.core.pipeline as pipeline_mod
         import repro.packet.columnar as columnar_mod
-        import repro.tenancy.pipeline as tenancy_mod
         from repro.tenancy import TenantRuntime, TenantSpec
         from repro.tenancy.shared import SharedFilter
         decodes = []
@@ -368,7 +367,7 @@ class TestNoReparse:
             classified.append(cols.n)
             return classify_batch(shared, cols)
 
-        for mod in (columnar_mod, pipeline_mod, tenancy_mod):
+        for mod in (columnar_mod, pipeline_mod):
             monkeypatch.setattr(mod, "decode_mbufs", counting)
         classify_batch = SharedFilter.classify_batch
         monkeypatch.setattr(SharedFilter, "classify_batch",
@@ -396,8 +395,9 @@ class TestNoReparse:
 
         lone = Runtime(RuntimeConfig(cores=cores), filter_str="tcp",
                        datatype="connection", callback=None)
-        compiled = lone.pipelines[0].solo.sub.filter
-        assert all(p.solo.sub.filter is compiled for p in lone.pipelines)
+        compiled = lone.pipelines[0].lanes[0].sub.filter
+        assert all(p.lanes[0].sub.filter is compiled
+                   for p in lone.pipelines)
         batch = compiled.packet_filter_batch
         lone_classified = []
 

@@ -54,7 +54,7 @@ def test_single_syn_flow_costs_at_most_400_live_bytes():
     assert len(rows) == FLOWS
     runtime = Runtime(RuntimeConfig(cores=1), filter_str="tcp",
                       datatype="connection", callback=None)
-    table = runtime.pipelines[0].solo.table
+    table = runtime.pipelines[0].lanes[0].table
     memo = runtime.nic._hash_cache
     seen = {"memo_peak": 0}
 

@@ -427,7 +427,7 @@ def live_connections(filter_str, datatype, mbufs):
     runtime = Runtime(RuntimeConfig(cores=1), filter_str=filter_str,
                       datatype=datatype, callback=delivered.append)
     runtime.run(iter(mbufs), drain=False)
-    table = runtime.pipelines[0].solo.table
+    table = runtime.pipelines[0].lanes[0].table
     return (lambda sport: table.lookup_key(ft(sport=sport).canonical()),
             delivered)
 

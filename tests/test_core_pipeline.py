@@ -323,7 +323,7 @@ class TestBurstShapeDoesNotMatter:
         # the same flows (see tests/test_stats_golden.py).
         mbufs = golden_trace("mixed_burst")
         got = []
-        pipeline = CorePipeline(
+        pipeline = CorePipeline.of(
             0, Subscription(filter_str, datatype,
                             lambda obj: got.append(cls._describe(obj))),
             RuntimeConfig(cores=1))
@@ -372,12 +372,12 @@ class TestBurstShapeDoesNotMatter:
                              ids=["unmetered", "metered"])
     def test_tenant_multiplexer_same_stats_same_delivery_order(self,
                                                                quota):
-        """The multiplexer has one data path too: ``process_batch`` in
-        256s, or ``process_batch_rows`` with 16-row bursts whose rows
-        point into four different decodes. Tenants take turns per
-        burst, so it is each tenant's own delivery order that holds."""
+        """A table of tenants runs the same one loop: ``process_batch``
+        in 256s, or ``process_batch_rows`` with 16-row bursts whose rows
+        point into four different decodes. Tenants' deliveries
+        interleave row by row, so it is each tenant's own delivery order
+        that holds."""
         from repro.tenancy import FilterTable, TenantSpec
-        from repro.tenancy.pipeline import TenantCorePipeline
 
         def run(feed):
             mbufs = golden_trace("mixed_burst")
@@ -394,8 +394,8 @@ class TestBurstShapeDoesNotMatter:
                      tenant("plain", "tcp.dst_port = 80", "byte_stream"),
                      tenant("pings", "icmp", "packet"),
                      tenant("udp_all", "udp", "packet")]
-            mux = TenantCorePipeline(0, FilterTable(specs),
-                                     RuntimeConfig(cores=1))
+            mux = CorePipeline(0, FilterTable(specs),
+                               RuntimeConfig(cores=1))
             feed(mux, mbufs)
             mux.advance_time(mbufs[-1].timestamp + 600.0)
             mux.drain()
@@ -465,7 +465,7 @@ class TestBurstShapeDoesNotMatter:
                                     "tls_handshake", None)
         ledgers = []
         for share in shares:
-            pipeline = CorePipeline(0, subscription, config)
+            pipeline = CorePipeline.of(0, subscription, config)
             sizes = itertools.cycle(burst_sizes)
             start = 0
             while start < len(share):

@@ -117,7 +117,7 @@ class TestCycleLedger:
             return evaluate(ctl, now, busy_seconds, *args)
 
         monkeypatch.setattr(OverloadController, "evaluate", spy)
-        pipeline = CorePipeline(
+        pipeline = CorePipeline.of(
             0, sub, RuntimeConfig(cores=1, overload_policy="ladder"))
         pipeline.process_batch(mbufs)  # one burst
         assert pipeline.overload_rung == 0 and len(seen) >= 4
@@ -125,7 +125,7 @@ class TestCycleLedger:
         for now, busy in seen[1:]:
             before = stamps.index(now)
             assert before > 0
-            reference = CorePipeline(0, sub, RuntimeConfig(cores=1))
+            reference = CorePipeline.of(0, sub, RuntimeConfig(cores=1))
             reference.process_batch(mbufs[:before])
             assert busy == reference.stats.ledger.busy_seconds > 0
 

@@ -76,14 +76,14 @@ class TestStatsMonitor:
         assert all("conns=" in line for line in lines)
 
     def test_one_stats_read_per_pipeline_per_snapshot(self, monkeypatch):
-        """A tenant core builds and merges a fresh bundle on every
-        ``stats`` read, so a snapshot reads each pipeline's once."""
+        """A core builds and merges a fresh bundle on every ``stats``
+        read, so a snapshot reads each pipeline's once."""
+        from repro.core.pipeline import CorePipeline
         from repro.tenancy import TenantRuntime, TenantSpec
-        from repro.tenancy.pipeline import TenantCorePipeline
         reads = []
-        stats = TenantCorePipeline.stats
+        stats = CorePipeline.stats
         monkeypatch.setattr(
-            TenantCorePipeline, "stats",
+            CorePipeline, "stats",
             property(lambda self: reads.append(self.core_id)
                      or stats.fget(self)))
         runtime = TenantRuntime(RuntimeConfig(cores=2), [

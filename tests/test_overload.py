@@ -282,7 +282,7 @@ def _pipeline(**kw):
                            overload_target_lag=0.02, **kw)
     sub = Subscription("tls", SUBSCRIBABLES["tls_handshake"], None,
                        nic=config.nic)
-    return CorePipeline(0, sub, config)
+    return CorePipeline.of(0, sub, config)
 
 
 def _stalled_flow(port: int, hole: int):
@@ -301,10 +301,11 @@ class TestDowngrade:
         # Two stalled flows buffering different amounts past the hole.
         pipeline.process_batch(_stalled_flow(40000, 4))
         pipeline.process_batch(_stalled_flow(40001, 3))
-        probing = [c for c in pipeline.table
+        lane = pipeline.lanes[0]
+        probing = [c for c in lane.table
                    if c.state in (ConnState.PROBE, ConnState.PARSE)]
         assert len(probing) == 2
-        heavy = pipeline.table.heavy_connections(0)
+        heavy = lane.table.heavy_connections(0)
         assert len(heavy) == 2
         weights = [c.memory_bytes for c in heavy]
         assert weights == sorted(weights, reverse=True)
@@ -314,10 +315,11 @@ class TestDowngrade:
         pipeline = _pipeline(reassembler="buffered",
                              overload_heavy_bytes=0)
         pipeline.process_batch(_stalled_flow(40000, 4))
-        victims = pipeline.table.heavy_connections(0)
+        lane = pipeline.lanes[0]
+        victims = lane.table.heavy_connections(0)
         assert victims
-        pipeline._overload.rung = RUNG_DOWNGRADE
-        pipeline._overload_downgrade(pipeline.now)
+        lane._overload.rung = RUNG_DOWNGRADE
+        lane._overload_downgrade(pipeline.now)
         ledger = pipeline.stats.overload
         assert ledger.conns_downgraded == len(victims)
         assert ledger.layer_packets.get("session_filter") is None or \
@@ -365,7 +367,7 @@ class TestTruncation:
         # Establish the connection, then cap its buffer so the stalled
         # tail overflows.
         pipeline.process_batch(flow[:3])
-        conn = next(iter(pipeline.table))
+        conn = next(iter(pipeline.lanes[0].table))
         conn.reassembler = BufferedReassembler(max_buffer=64)
         pipeline.process_batch(flow[4:12])  # hole at segment 3
         stats = pipeline.stats
@@ -464,10 +466,10 @@ class TestRungPersistence:
         config = RuntimeConfig(cores=1, overload_policy="ladder")
         sub = Subscription("", SUBSCRIBABLES["connection"], None,
                            nic=config.nic)
-        pipeline = CorePipeline(0, sub, config, initial_overload_rung=2)
+        pipeline = CorePipeline.of(0, sub, config, initial_overload_rung=2)
         assert pipeline.overload_rung == 2
         # Rung 2 blocks all new connections from the very first packet.
-        assert pipeline._ov_block == 2
+        assert pipeline.lanes[0]._ov_block == 2
 
     def test_restarted_worker_resumes_rung(self):
         """End to end: a planned worker crash mid-overload must not

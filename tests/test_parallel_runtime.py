@@ -226,8 +226,8 @@ class TestSequentialBatching:
         traffic = _campus(seed=15, duration=0.2)
         config = RuntimeConfig(cores=1)
         sub = Subscription("tcp", "connection", None)
-        batched = CorePipeline(0, sub, config)
-        unbatched = CorePipeline(0, sub, config)
+        batched = CorePipeline.of(0, sub, config)
+        unbatched = CorePipeline.of(0, sub, config)
         batched.process_batch(traffic)
         for mbuf in traffic:
             unbatched.process_batch((mbuf,))

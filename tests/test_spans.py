@@ -382,7 +382,7 @@ class TestCycleHistParity:
                           callback=None)
         stats = runtime.run(iter(_campus(duration=0.3))).stats
         for pipeline in runtime.pipelines:  # nothing bucketed per charge
-            assert not any(pipeline.solo.stats.ledger.hist[Stage.CAPTURE])
+            assert not any(pipeline.lanes[0].stats.ledger.hist[Stage.CAPTURE])
         for stage in (Stage.CAPTURE, Stage.HARDWARE_FILTER,
                       Stage.CONN_TRACK):
             buckets = stats.stage_cycle_hist[stage]
