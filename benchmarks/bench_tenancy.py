@@ -13,15 +13,22 @@ workload:
    shared fast path safe.
 2. **Live reconfiguration**: the same shared run with a mid-stream
    drop+add epoch swap ends at epoch 2.
+3. **The extension's own figure**: the zero-loss ceiling (virtual
+   clock) and the wall-clock packet rate of one shared run over the
+   first 1, 2, 4 and 8 tenants, hardware plane off. Each core captures
+   and software-filters a packet once however many tenants it fans out
+   to, so N >= 2 tenants must cost less virtual busy time than their N
+   solo runs.
 
-Speed is measured by the ``tenants8`` workload of ``benchmarks/perf``.
-Env knobs: ``BENCH_TENANCY_DURATION`` (default 0.3 virtual seconds),
-``BENCH_TENANCY_GBPS`` (default 0.3).
+Per-layer speed is measured by the ``tenants8`` workload of
+``benchmarks/perf``. Env knobs: ``BENCH_TENANCY_DURATION`` (default 0.3
+virtual seconds), ``BENCH_TENANCY_GBPS`` (default 0.3).
 """
 
 from __future__ import annotations
 
 import os
+import time
 
 from _util import emit, table
 from repro import Runtime, RuntimeConfig
@@ -29,6 +36,8 @@ from repro.tenancy import ReconfigureEvent, TenantRuntime, TenantSpec
 from repro.traffic import CampusTrafficGenerator
 
 CORES = 4
+#: Table sizes of the scaling figure: the first N of ``TENANTS``.
+SIZES = (1, 2, 4, 8)
 
 #: The N=8 tenant set: shared tcp/udp trie prefixes with per-tenant
 #: port leaves (what the merged-trie dedup is for), two connection
@@ -73,11 +82,14 @@ def _specs():
 
 
 def _shared_run(traffic, specs, events=(), **overrides):
+    """The runtime, its report, and the run's wall-clock seconds."""
     _reset(traffic)
     runtime = TenantRuntime(
         RuntimeConfig(cores=CORES, **overrides), specs,
         events=list(events))
-    return runtime, runtime.run(iter(traffic))
+    started = time.perf_counter()
+    report = runtime.run(iter(traffic))
+    return runtime, report, time.perf_counter() - started
 
 
 def _solo_run(traffic, flt, datatype, **overrides):
@@ -86,6 +98,11 @@ def _solo_run(traffic, flt, datatype, **overrides):
         RuntimeConfig(cores=CORES, **overrides),
         filter_str=flt, datatype=datatype, callback=None)
     return runtime.run(iter(traffic))
+
+
+def _busy(stats) -> float:
+    """Virtual CPU seconds a run spent, over every core."""
+    return sum(stats.per_core_busy_seconds)
 
 
 def run_tenancy():
@@ -97,23 +114,35 @@ def run_tenancy():
     }
     # Hardware plane off so a solo run sees the shared link's exact
     # ingress.
-    runtime, report = _shared_run(traffic, _specs(),
-                                  hardware_filter=False)
+    solo = {name: _solo_run(traffic, flt, datatype,
+                            hardware_filter=False).stats
+            for name, flt, datatype in TENANTS}
+    results["scaling"] = []
+    for size in SIZES:
+        runtime, report, wall = _shared_run(traffic, _specs()[:size],
+                                            hardware_filter=False)
+        results["scaling"].append({
+            "tenants": size,
+            "zero_loss_gbps": report.stats.max_zero_loss_gbps(),
+            "pkts_per_s": len(traffic) / wall,
+            "busy_s": _busy(report.stats),
+            "solo_busy_s": sum(_busy(solo[name])
+                               for name, _flt, _dt in TENANTS[:size]),
+        })
+    # The last run is the whole table's.
     shared_tenants = {
         name: stats.to_dict()
         for name, stats in runtime.aggregate_tenants(report).items()}
     results["equivalence"] = {
-        name: shared_tenants[name] == _solo_run(
-            traffic, flt, datatype,
-            hardware_filter=False).stats.to_dict()
-        for name, flt, datatype in TENANTS}
+        name: shared_tenants[name] == solo[name].to_dict()
+        for name, _flt, _dt in TENANTS}
 
     mid = traffic[len(traffic) // 2].timestamp
     swap_specs = _specs() + [TenantSpec("late", "tcp.dst_port = 8443",
                                         "connection", start=False)]
     events = [ReconfigureEvent(mid, "drop", "udp_all"),
               ReconfigureEvent(mid, "add", "late")]
-    swap_runtime, _report = _shared_run(traffic, swap_specs, events)
+    swap_runtime, _report, _wall = _shared_run(traffic, swap_specs, events)
     results["final_epoch"] = swap_runtime.table.epoch
     return results
 
@@ -130,6 +159,15 @@ def report(results) -> None:
         ["tenant", "filter", "solo byte-identical"],
         [[name, flt, results["equivalence"][name]]
          for name, flt, _datatype in TENANTS]))
+    lines += ["", "one shared run over the first N tenants, hardware "
+              "plane off (pkts/s is wall clock):", ""]
+    lines.extend(table(
+        ["tenants", "zero-loss Gbps", "pkts/s", "busy s",
+         "N solo runs' busy s"],
+        [[row["tenants"], f"{row['zero_loss_gbps']:.1f}",
+          f"{row['pkts_per_s']:.0f}", f"{row['busy_s']:.6f}",
+          f"{row['solo_busy_s']:.6f}"]
+         for row in results["scaling"]]))
     emit("tenancy", lines)
 
 
@@ -142,6 +180,11 @@ def test_tenancy(benchmark):
     for name, ok in results["equivalence"].items():
         assert ok, f"tenant {name} diverged from its solo run"
     assert results["final_epoch"] == 2
+    # Capture and the packet filter run once per packet, not once per
+    # tenant: sharing a core is cheaper than a run per tenant.
+    for row in results["scaling"]:
+        if row["tenants"] >= 2:
+            assert row["busy_s"] < row["solo_busy_s"], row
 
 
 if __name__ == "__main__":

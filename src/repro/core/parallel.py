@@ -226,7 +226,7 @@ class _Worker:
         # filter-table epoch so the supervisor can hand both to a
         # restarted worker.
         self.out_queue.put((_ACK, self.spec.core_id, self.pending_ack,
-                            pipeline.overload_rung, pipeline.epoch))
+                            pipeline.overload_rung, pipeline.table.epoch))
         self.pending_ack = -1
         self.unflushed = 0
 

@@ -1,12 +1,10 @@
 """Per-core processing pipeline (Figure 2, right side).
 
-One :class:`CorePipeline` runs per receive queue over the filter table
-the runtime deploys (a plain subscription is a one-entry table). Its
-one row loop captures each packet once, reads the packet filter's
-verdict once per tenant (a lone filter's own batch verdicts, or the
-table's :class:`~repro.tenancy.shared.SharedFilter` lanes) and hands
-the row to every tenant *lane* whose verdict matched. A
-:class:`Lane` is one tenant's work-conserving, lazily reconstructing
+One :class:`CorePipeline` runs per receive queue over the runtime's
+filter table (a plain subscription is a one-entry table). Its one row
+loop captures each packet once, reads its packet-filter verdict once
+per tenant and hands it to every tenant *lane* whose verdict matched.
+A :class:`Lane` is one tenant's work-conserving, lazily reconstructing
 data path:
 
 1. fast-path callback for packet subscriptions with packet-only filters,
@@ -17,36 +15,13 @@ data path:
    session completion, with Figure 4's state transitions in between,
 6. inline callback execution.
 
-Each lane keeps its own :class:`~repro.core.stats.CoreStats`: the
-tenant's solo view, counting every packet the core was handed while the
-tenant was active, exactly as a run of that tenant alone would. The
-core's own face prices what the core does once per packet — capture and
-the software packet filter — once, off the packets it was handed; the
-rest of the face is the lanes' counters summed. The core's cycle
-ledger, this reproduction's stand-in for a 3 GHz core's time, prices
-those counts and counts only conn-tracking, reassembly and parsing
-itself.
-
-Isolation knobs enforced by the loop, before a row reaches a lane, both
-on virtual time, so deterministic across backends and worker counts at
-a fixed ``config.cores``:
-
-* **Quotas** — a tenant with ``quota_mbps`` gets a per-core byte budget
-  per virtual-second window; over-budget rows are shed and charged to
-  that tenant's private loss ledger (rung 1, layer ``tenant_quota``).
-* **Pressure downgrade** — on a table of named tenants with
-  ``config.tenancy_pressure_mbps`` set, when a window's aggregate load
-  exceeds the per-core share the *heaviest* tenants (by offered bytes
-  *matching their own filter*, ties by name) are shed for the next
-  window (rung 3, layer ``tenant_pressure``) until the rest fits.
-
-An epoch swap hands every core the successor
-:class:`~repro.tenancy.table.FilterTable` whole
-(:meth:`CorePipeline.adopt`). Adopting is idempotent on the epoch
-number, so a replayed bump after a supervised worker restart is a
-no-op. A dropped tenant's lane moves to the draining set: it receives
-no further rows but keeps expiring, sampling and finally draining
-under its admission epoch.
+A lane's :class:`~repro.core.stats.CoreStats` is its tenant's solo
+view: it counts every packet the core was handed while the tenant was
+active, as a run of that tenant alone would. The core's own face counts
+capture and the packet filter once per packet and sums the lanes' other
+counters. The cycle ledger, this reproduction's stand-in for a 3 GHz
+core's time, prices those counts. Quota and pressure metering, epoch
+swaps and draining are docs/MULTITENANT.md's.
 
 One documented deviation from the paper: where Retina deletes a
 connection the filter has rejected (or already delivered), a lane
@@ -60,7 +35,7 @@ timer wheels.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:  # avoid a config<->core import cycle at runtime
     from repro.config import RuntimeConfig
@@ -159,10 +134,8 @@ class Lane:
             self._tracer = None
         self._filter = subscription.filter
         # -- burst span recorder (repro.telemetry.spans) ----------------
-        # None when disabled: the batch loops then pay one ``is None``
-        # check per burst and the per-packet loops stay untouched (the
-        # "no-op recorder" path). Enabled recorders snapshot the core's
-        # counters at burst boundaries only.
+        # None when disabled; enabled, it snapshots the lane's counters
+        # at burst boundaries only.
         if config.span_sample > 0 or config.flight_recorder_depth > 0:
             from repro.telemetry.spans import SpanRecorder
             self._spans = SpanRecorder(
@@ -170,8 +143,8 @@ class Lane:
                 flight_depth=config.flight_recorder_depth)
         else:
             self._spans = None
-        #: Per burst, set by the core's row loop: this lane's packet and
-        #: packet-filter counters at its start, and its open span.
+        #: Per burst, set by the core's row loop: counters at its start
+        #: (packets, pf packets, pf bytes) and the open span.
         self._mark = (0, 0, 0)
         self._span_tok = self._span_nodes = None
         self._level = subscription.level
@@ -202,9 +175,8 @@ class Lane:
             self._memory_share = None
         self._shedding = False
         # -- overload control (repro.overload) -------------------------
-        # One controller per core, clocked on virtual time inside the
-        # packet loop; `_ov_next = inf` when the policy is off, so the
-        # disabled hot path pays one float compare per packet.
+        # One controller per lane, clocked on virtual time by the core's
+        # row loop; `_ov_next = inf` when the policy is off.
         if config.overload_policy != "off":
             from repro.overload import LossLedger, OverloadController
             ledger = LossLedger(core_id, initial_overload_rung)
@@ -233,15 +205,6 @@ class Lane:
         #: Virtual timestamp at which this core tripped fail-fast, or
         #: None. The runtime polls it after each batch.
         self.overload_failfast_at: Optional[float] = None
-
-    @property
-    def now(self) -> float:
-        """The pipeline's virtual clock (latest packet timestamp seen)."""
-        return self._now
-
-    @property
-    def live_connections(self) -> int:
-        return len(self.table)
 
     # ------------------------------------------------------------------
     # stateful processing
@@ -377,11 +340,10 @@ class Lane:
             self._finalize(conn, delivered_by="termination")
         self._maybe_expire()
 
-    def _stateful(self, mbuf: Mbuf, node: int, terminal: bool) -> bool:
+    def _stateful(self, mbuf: Mbuf, node: int, terminal: bool) -> None:
         """Slow-row adapter: a frame the burst decode cannot express
         (VLAN, IP options/extensions, fragment, ICMP, truncation) is
-        parsed layer by layer and handed on as a one-row batch. True
-        when it was delivered without a connection instead."""
+        parsed layer by layer and handed on as a one-row batch."""
         stack = mbuf.stack
         if stack is None:  # match-all filters skip the layer walk
             stack = parse_stack(mbuf)
@@ -390,11 +352,16 @@ class Lane:
         if ip is None or transport is None:
             # Non-transport traffic cannot be tracked (the lookup is
             # still charged); a packet-level subscription whose whole
-            # filter is satisfied gets it all the same.
+            # filter is satisfied gets it all the same, and it survives
+            # every funnel layer.
             if terminal and self._level is _PACKET_LEVEL:
                 self._deliver(RawPacket(mbuf=mbuf))
-                return True
-            return False
+                stats = self.stats
+                stats.connf_packets += 1
+                stats.connf_bytes += len(mbuf.data)
+                stats.sessf_packets += 1
+                stats.sessf_bytes += len(mbuf.data)
+            return
         tcp = stack.tcp
         self._stateful_columnar(mbuf, ColumnarBatch(
             1, (len(mbuf.data),), (True,), (0,), (ip.next_protocol(),),
@@ -404,7 +371,6 @@ class Lane:
             (tcp.flags_raw() if tcp is not None else 0,),
             (tcp.seq_no() if tcp is not None else 0,), (0,),
             (transport.payload_offset(),)), 0, node, terminal)
-        return False
 
     def _init_connection(self, conn: Connection, node: int,
                          terminal: bool) -> None:
@@ -799,16 +765,6 @@ class Lane:
             if tracer is not None:
                 tracer.record(conn, self._now, "expired")
 
-    def advance_time(self, now: float) -> None:
-        """Move virtual time forward (idle periods, end of trace)."""
-        self._now = max(self._now, now)
-        self._maybe_expire(force=True)
-
-    def drain(self) -> None:
-        """End of run: deliver still-live matched connections."""
-        for conn in self.table.drain():
-            self._deliver_connection(conn)
-
     # -- delivery ---------------------------------------------------------------
     def _deliver(self, obj) -> None:
         # Every delivery is counted (so charged) alike — suppressed
@@ -951,19 +907,6 @@ class Lane:
             else:
                 self._discard(conn, rejected=False)
 
-    @property
-    def overload_rung(self) -> int:
-        """The ladder's current rung (0 when the policy is off)."""
-        return self._overload.rung if self._overload is not None else 0
-
-    def set_span_ctx(self, ctx) -> None:
-        """Stamp the IPC span context for the next burst (the parallel
-        worker loop calls this with the ``(queue, seq)`` that rode the
-        burst's slot image), stitching worker
-        spans into the parent's trace."""
-        if self._spans is not None:
-            self._spans.ctx = ctx
-
     def fold_fault_counters(self) -> None:
         """Merge the injector's injection counts into the stats
         snapshot (idempotent; called before stats leave the core)."""
@@ -1012,9 +955,9 @@ class CorePipeline:
 
     ``pressure_mbps`` is the run's pressure budget (None: none).
     ``compiled`` maps tenant name to ``(spec, Subscription, executor)``
-    (executor None: an inline one per lane), compiled once per runtime
-    and shared — not copied — by its cores, so every core's filters are
-    the same objects and key the same verdicts.
+    (executor None: an inline one per lane), shared by a runtime's
+    cores so their filters are the same objects and key the same
+    verdicts.
     """
 
     def __init__(self, core_id: int, table, config: "RuntimeConfig",
@@ -1031,14 +974,11 @@ class CorePipeline:
         #: The active tenants' lanes, by name.
         self._by_name: Dict[str, Lane] = {}
         #: Dropped tenants' lanes: no further rows, but they keep
-        #: expiring/sampling and drain at end of run ((name, lane)
-        #: pairs — a name can drain more than once if re-added).
-        self._draining: List[Tuple[str, Lane]] = []
-        #: Quota / pressure ledgers, created lazily at first shed so an
-        #: unmetered tenant's snapshot carries no extra state at all.
+        #: expiring, sampling and drain at end of run.
+        self._draining: List[Lane] = []
+        #: Quota / pressure ledgers, created at a tenant's first shed.
         self._tenant_shed: Dict[str, object] = {}
-        #: Every lane ticks an overload ladder on the rows it is offered,
-        #: and every lane records burst spans.
+        #: Every lane ticks a ladder / records burst spans.
         self._ladder = config.overload_policy != "off"
         self._spans_on = config.span_sample > 0 or \
             config.flight_recorder_depth > 0
@@ -1053,13 +993,12 @@ class CorePipeline:
         #: The core clock (latest packet timestamp it was handed), and
         #: the packets and wire bytes it was handed: what it captured
         #: and ran the packet filter on.
-        self._now = 0.0
+        self.now = 0.0
         self.packets = 0
         self.bytes = 0
-        #: Per tenant, how many of those packets came while it was out
-        #: of the table: plus the count at each ``add``, minus the
-        #: count at each ``drop`` (so a dropped tenant's is short by the
-        #: count at the end).
+        #: Per tenant, those packets that came while it was out of the
+        #: table: plus the count at each ``add``, minus it at each
+        #: ``drop``.
         self._away: Dict[str, int] = {}
         for name in table.active:
             self._activate(name)
@@ -1071,11 +1010,6 @@ class CorePipeline:
         """One core running ``subscription`` alone: a one-lane table."""
         table, compiled = subscription_table(subscription, config)
         return cls(core_id, table, config, compiled=compiled, **kwargs)
-
-    @property
-    def epoch(self) -> int:
-        """The epoch of the adopted filter table."""
-        return self.table.epoch
 
     # -- construction / swaps ------------------------------------------
     def _activate(self, name: str) -> None:
@@ -1091,22 +1025,16 @@ class CorePipeline:
                 identify_services=spec.identify_services), None)
             self._compiled[name] = compiled
         _spec, sub, executor = compiled
-        config = self.config
         # Tenant overrides for the callback error policy, and the
         # tenant-scoped fault plan *replacing* the run-level one
         # (worker-level faults stay with the supervisor; in-pipeline
         # injectors must be tenant-local or quarantine leaks).
+        overrides = {field: getattr(spec, field) for field in (
+            "callback_error_policy", "callback_error_budget")
+            if getattr(spec, field) is not None}
         self._by_name[name] = Lane(
-            self.core_id, sub, config.with_(
-                callback_error_policy=(
-                    spec.callback_error_policy
-                    if spec.callback_error_policy is not None
-                    else config.callback_error_policy),
-                callback_error_budget=(
-                    spec.callback_error_budget
-                    if spec.callback_error_budget is not None
-                    else config.callback_error_budget),
-                fault_plan=spec.fault_plan),
+            self.core_id, sub,
+            self.config.with_(fault_plan=spec.fault_plan, **overrides),
             executor=executor, initial_overload_rung=self._initial_rung,
             name=name)
         self._away[name] = self._away.get(name, 0) + self.packets
@@ -1141,11 +1069,9 @@ class CorePipeline:
         self._plan = [(lane, lane._filter.packet_filter, lane.stats,
                        not lane._needs_conntrack, k)
                       for k, lane in enumerate(self.lanes)]
-        #: Every lane by name — active first (in active order), then
-        #: draining (in drop order) — and the lanes alone.
-        self._named = [(name, self._by_name[name]) for name in names] + \
-            self._draining
-        self._all = [lane for _name, lane in self._named]
+        #: Every lane: active first (in active order), then draining (in
+        #: drop order).
+        self._all = self.lanes + self._draining
 
     def adopt(self, table) -> None:
         """Adopt the successor filter table ``table``: tenants it no
@@ -1156,11 +1082,11 @@ class CorePipeline:
         restart re-delivers unacked batches verbatim) whose epoch this
         core already adopted — or was re-seeded past — is a no-op.
         """
-        if table.epoch <= self.epoch:
+        if table.epoch <= self.table.epoch:
             return
         for name in self.table.active:
             if name not in table.active:
-                self._draining.append((name, self._by_name.pop(name)))
+                self._draining.append(self._by_name.pop(name))
                 self._away[name] -= self.packets
                 self._win_used.pop(name, None)
                 self._downgraded.discard(name)
@@ -1174,42 +1100,28 @@ class CorePipeline:
     def _rollover(self, new_window: int) -> None:
         """A virtual-second window closed: pick next window's
         downgraded set (heaviest offered load first, ties by name)
-        from the *finished* window's per-tenant bytes."""
-        if self._pressure_share is not None:
-            if new_window == self._window + 1 and self._win_bytes:
-                total = sum(self._win_bytes.values())
-                share = self._pressure_share
-                if total > share:
-                    downgraded = set()
-                    remaining = total
-                    for name in sorted(
-                            self._win_bytes,
-                            key=lambda n: (-self._win_bytes[n], n)):
-                        if remaining <= share:
-                            break
-                        downgraded.add(name)
-                        remaining -= self._win_bytes[name]
-                    self._downgraded = downgraded
-                else:
-                    self._downgraded = set()
-            else:
-                # The window before ``new_window`` was empty: pressure
-                # has passed, nobody stays downgraded.
-                self._downgraded = set()
+        from the *finished* window's per-tenant bytes. After an empty
+        window, pressure has passed: nobody stays downgraded."""
+        self._downgraded = set()
+        if self._pressure_share is not None and \
+                new_window == self._window + 1:
+            loads = self._win_bytes
+            remaining = sum(loads.values())
+            for name in sorted(loads, key=lambda n: (-loads[n], n)):
+                if remaining <= self._pressure_share:
+                    break
+                self._downgraded.add(name)
+                remaining -= loads[name]
         self._win_bytes = {}
         for name in self._win_used:
             self._win_used[name] = 0.0
         self._window = new_window
 
     def _sheds(self, name: str, wire: int) -> bool:
-        """Meter one row tenant ``name``'s own packet filter matched:
-        True when quota or pressure sheds it, charged to the tenant's
-        private ledger (``packets_seen`` counts only sheds there;
-        ``Runtime.tenant_ledgers`` adds what the tenant's lanes were
-        fed, on every core). Rows irrelevant to a tenant ride through
-        unmetered — its lane refuses them exactly as it would solo, so
-        co-tenant traffic can never eat a tenant's budget or mark it
-        "heavy"."""
+        """Meter one row tenant ``name``'s own packet filter matched
+        (other rows ride through unmetered, so co-tenant traffic never
+        eats its budget): True when quota or pressure sheds it, charged
+        to the tenant's private ledger."""
         if self._pressure_share is not None:
             self._win_bytes[name] = self._win_bytes.get(name, 0.0) + wire
         if name in self._downgraded:
@@ -1227,7 +1139,8 @@ class CorePipeline:
         return False
 
     def _shed_ledger(self, name: str):
-        """Tenant ``name``'s quota/pressure ledger, one shed counted."""
+        """Tenant ``name``'s quota/pressure ledger, one shed counted
+        (``Runtime.tenant_ledgers`` adds what its lanes were fed)."""
         ledger = self._tenant_shed.get(name)
         if ledger is None:
             from repro.overload.ledger import LossLedger
@@ -1238,10 +1151,9 @@ class CorePipeline:
 
     def _offer(self, lane: Lane, verdict: int, ts: float, now: float,
                wire: int) -> bool:
-        """A row reaching ``lane`` of a metered or laddered core, in the
-        order the lane's solo run sees it: metered (False: shed), the
-        lane's clock moved, its ladder ticked, then the row counted in
-        — one by one, as the ladder reads them mid-burst."""
+        """A row reaching ``lane`` of a metered or laddered core, as its
+        solo run sees it: metered (False: shed), the lane's clock moved,
+        its ladder ticked, then the row counted in."""
         if self._metered:
             if verdict != NO_MATCH and self._sheds(lane.name, wire):
                 return False
@@ -1258,21 +1170,18 @@ class CorePipeline:
 
     # -- the data path --------------------------------------------------
     def _verdicts(self, cols: ColumnarBatch) -> list:
-        """Every active lane's verdicts on ``cols``: the lone filter's
-        own batch verdicts, or the table's shared classifier's, cached
-        on the batch under ``_key`` — equal on every core, so each
-        chunk is classified once per table, and a chunk that straddles
-        a swap is classified again under the new one. A filter no
-        column expresses leaves each row ``None``."""
+        """Every active lane's verdicts on ``cols``, cached on the batch
+        under ``_key`` (equal on every core: one classification per
+        chunk and table). A filter no column expresses leaves each row
+        ``None``."""
         key = self._key
         if cols.verdicts_by != key:
-            shared = self._shared
-            if shared is None:
+            if self._shared is None:
                 batch = key.packet_filter_batch
                 cols.verdicts = [batch(cols) if batch is not None
                                  else [None] * cols.n]
             else:
-                vecs = shared.classify_batch(cols)
+                vecs = self._shared.classify_batch(cols)
                 cols.verdicts = vecs if vecs is not None \
                     else [[None] * cols.n] * len(key)
             cols.verdicts_by = key
@@ -1282,8 +1191,6 @@ class CorePipeline:
         """Run a burst of frames (a parallel worker's, or a test's):
         decode it (:func:`~repro.packet.columnar.decode_mbufs`), then
         run its rows."""
-        if type(mbufs) is not list:
-            mbufs = list(mbufs)
         if mbufs:
             cols = decode_mbufs(mbufs, self.config.columnar)
             self.process_batch_rows(list(zip(
@@ -1292,24 +1199,16 @@ class CorePipeline:
     def process_batch_rows(self, rows: list) -> None:
         """The one per-row loop, over one burst of ``(mbuf, queue, cols,
         i)`` rows as :func:`~repro.packet.columnar.ingress_rows` yields
-        them: the frame, the column batch it was decoded into and its
-        row there (the queue is not read). The sequential backend
-        decodes each ingress burst *once*, so nothing happens twice
-        here.
+        them (the queue is not read). Each row is captured once and
+        handed to every lane whose verdict matched: for lane ``k``,
+        ``_verdicts(cols)[k][i]``, ``(node << 1) | terminal`` (negative:
+        no match), or ``None`` — a slow row, or a filter no column
+        expresses — where the lane's scalar ``packet_filter`` runs.
 
-        Each row is captured once and handed to every lane whose
-        verdict matched. A fast row's verdict for lane ``k`` is
-        ``_verdicts(cols)[k][i]``, read once per batch the burst draws
-        on: ``(node << 1) | terminal`` (negative: no match). Slow rows,
-        and every row when the filter is not batch-expressible
-        (verdict ``None``), run the lane's scalar ``packet_filter``
-        instead. Fast rows key conntrack straight off their columns
-        either way.
-
-        A lane is counted the rows it was offered, and priced for them
-        as its solo run would be; without metering or a ladder, in one
-        fold per burst. Conn-tracking is priced off the rows a stateful
-        lane's packet filter passed, folded at the same points.
+        A lane is counted the rows it was offered, as its solo run would
+        be, and priced for conn-tracking the rows its filter passed
+        when stateful: without metering or a ladder, in one fold per
+        burst.
         """
         if not rows:
             return
@@ -1369,19 +1268,13 @@ class CorePipeline:
                 elif fast_row:
                     lane._stateful_columnar(mbuf, cols, i, verdict >> 1,
                                             bool(verdict & 1))
-                elif lane._stateful(mbuf, verdict >> 1, bool(verdict & 1)):
-                    # A non-transport frame delivered from the slow-row
-                    # adapter satisfies the whole filter at the packet
-                    # layer: it survives every funnel layer.
-                    stats.connf_packets += 1
-                    stats.connf_bytes += wire
-                    stats.sessf_packets += 1
-                    stats.sessf_bytes += wire
+                else:
+                    lane._stateful(mbuf, verdict >> 1, bool(verdict & 1))
         n = len(rows)
         self.packets += n
         self.bytes += wire_bytes
-        if now > self._now:
-            self._now = now
+        if now > self.now:
+            self.now = now
         for lane, _filter, stats, fast_path, _k in plan:
             packets, pf_packets, pf_bytes = lane._mark
             if not gated:
@@ -1409,16 +1302,19 @@ class CorePipeline:
     # -- lifecycle ------------------------------------------------------
     def advance_time(self, now: float) -> None:
         """Move virtual time forward (idle periods, end of trace)."""
-        if now > self._now:
-            self._now = now
+        if now > self.now:
+            self.now = now
         for lane in self._all:
-            lane.advance_time(now)
+            if now > lane._now:
+                lane._now = now
+            lane._maybe_expire(force=True)
 
     def drain(self) -> None:
         """End of run: every lane delivers its still-live matched
         connections."""
         for lane in self._all:
-            lane.drain()
+            for conn in lane.table.drain():
+                lane._deliver_connection(conn)
 
     def sample_memory(self) -> None:
         for lane in self._all:
@@ -1430,7 +1326,8 @@ class CorePipeline:
         burst's slot image), stitching worker spans into the parent's
         trace."""
         for lane in self._all:
-            lane.set_span_ctx(ctx)
+            if lane._spans is not None:
+                lane._spans.ctx = ctx
 
     def fold_fault_counters(self) -> None:
         for lane in self._all:
@@ -1438,22 +1335,18 @@ class CorePipeline:
 
     # -- monitoring surface ---------------------------------------------
     @property
-    def now(self) -> float:
-        """The core clock (latest packet timestamp it was handed)."""
-        return self._now
-
-    @property
     def memory_bytes(self) -> int:
         return sum(lane.memory_bytes for lane in self._all)
 
     @property
     def live_connections(self) -> int:
-        return sum(lane.live_connections for lane in self._all)
+        return sum(len(lane.table) for lane in self._all)
 
     @property
     def overload_rung(self) -> int:
         """The highest rung any lane's ladder holds (0: none)."""
-        return max([0] + [lane.overload_rung for lane in self._all])
+        return max([0] + [lane._overload.rung for lane in self._all
+                          if lane._overload is not None])
 
     @property
     def overload_failfast_at(self) -> Optional[float]:
@@ -1468,37 +1361,36 @@ class CorePipeline:
     @property
     def stats(self) -> TenantStatsBundle:
         """A fresh snapshot: the core's face over the per-tenant
-        breakdown (each lane's stats, its solo view)."""
+        breakdown (each lane's stats, its solo view). The face counts
+        the packets and bytes the core was handed — capture and the
+        packet filter ran once on each, however many lanes it reached —
+        and sums the lanes' other counters."""
         config = self.config
         bundle = TenantStatsBundle(config.cost_model,
                                    telemetry=config.telemetry)
-        for name, lane in self._named:
-            lane_stats = lane.stats
-            CoreStats.merge(bundle, lane_stats)
-            mine = bundle.per_tenant.get(name)
-            if mine is None:
-                mine = CoreStats(config.cost_model,
-                                 telemetry=config.telemetry)
-                bundle.per_tenant[name] = mine
-            mine.merge(lane_stats)
+        for lane in self._all:
+            CoreStats.merge(bundle, lane.stats)
+            bundle.per_tenant.setdefault(lane.name, CoreStats(
+                config.cost_model, telemetry=config.telemetry)).merge(
+                    lane.stats)
             if bundle.spans is None:
-                bundle.spans = lane_stats.spans
+                bundle.spans = lane.stats.spans
         if self._tenant_shed:
             from repro.overload.ledger import LossLedger
-        for name, ledger in self._tenant_shed.items():
-            snap = LossLedger(self.core_id)
-            snap.merge(ledger)
-            bundle.tenant_shed[name] = snap
             # The core's ledger states everything not analyzed on it; a
             # tenant's own (``per_tenant``) stays its lane's ladder.
             if bundle.overload is None:
                 bundle.overload = LossLedger(core_id=-1)
+        for name, ledger in self._tenant_shed.items():
+            bundle.tenant_shed[name] = snap = LossLedger(self.core_id)
+            snap.merge(ledger)
             bundle.overload.merge(ledger)
-        bundle.offered = self.packets
+        bundle.packets = self.packets
+        bundle.bytes = self.bytes
         for name in bundle.per_tenant:
             bundle.not_subscribed[name] = self._away[name] + (
                 0 if name in self._by_name else self.packets)
-        if len(self._named) > 1:
+        if len(self._all) > 1:
             bundle.combine_memory_samples()
-        bundle.epoch = self.epoch
+        bundle.epoch = self.table.epoch
         return bundle

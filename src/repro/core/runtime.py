@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # avoid a config<->core import cycle at runtime
 from repro.core.cycles import Stage, hist_index
 from repro.core.monitor import CoreProgress
 from repro.core.stats import AGGREGATE_NAMES, COUNTERS, AggregateStats, \
-    CoreStats, TenantStatsBundle
+    CoreStats
 from repro.core.subscription import Subscription
 from repro.errors import TenancyError
 from repro.nic.device import SimNic
@@ -85,8 +85,7 @@ class RuntimeReport:
     #: :class:`repro.overload.LossLedger` or None), ``metered`` (the
     #: core loop's quota/pressure ledger, metered tenants only),
     #: ``shed`` (the two merged) and ``not_subscribed`` (packets that
-    #: came while it was out of the table); ``offered`` is what the
-    #: cores were handed.
+    #: came while it was out of the table).
     tenancy: Optional[dict] = None
 
     @property
@@ -134,20 +133,15 @@ class Runtime:
         if tenants is None:
             if subscription is None:
                 subscription = Subscription(
-                    filter_str,
-                    datatype,
-                    callback,
-                    filter_mode=config.filter_mode,
-                    nic=config.nic,
-                    identify_services=identify_services,
-                )
+                    filter_str, datatype, callback,
+                    filter_mode=config.filter_mode, nic=config.nic,
+                    identify_services=identify_services)
             if config.callback_execution == "queued":
                 from repro.core.executor import QueuedExecutor
                 self.executor = QueuedExecutor(
                     subscription.callback, config.callback_cycles,
                     workers=config.callback_workers,
-                    enqueue_cycles=config.enqueue_cycles,
-                )
+                    enqueue_cycles=config.enqueue_cycles)
             else:
                 from repro.core.executor import InlineExecutor
                 self.executor = InlineExecutor(subscription.callback,
@@ -573,25 +567,36 @@ class Runtime:
     def _tenancy(self, report: RuntimeReport) -> dict:
         """``report.tenancy``: exporters and the fate table read the
         per-tenant breakdown there and need no runtime."""
-        merged = self._merged(report)
+        from repro.overload import merge_ledgers
+        cores = list((report.core_stats or {}).values())
+        names = self._tenant_stats(report)
         return {
             "epoch": self.table.epoch,
             "active": list(self.table.active),
             "tenants": self.aggregate_tenants(report),
-            "shed": self._ledgers(merged),
-            "ladders": {name: stats.overload for name, stats
-                        in merged.per_tenant.items()},
-            "metered": merged.tenant_shed,
-            "offered": merged.offered,
-            "not_subscribed": merged.not_subscribed,
+            "shed": self.tenant_ledgers(report),
+            "ladders": {name: merge_ledgers(stats.overload
+                                            for stats in names[name])
+                        for name in names},
+            "metered": {name: merge_ledgers(core.tenant_shed.get(name)
+                                            for core in cores)
+                        for name in names
+                        if any(name in core.tenant_shed for core in cores)},
+            "not_subscribed": {name: sum(core.not_subscribed.get(name, 0)
+                                         for core in cores)
+                               for name in names},
         }
 
-    def _merged(self, report: RuntimeReport):
-        """Every core's bundle folded into one."""
-        merged = TenantStatsBundle(self.config.cost_model)
+    def _tenant_stats(self, report: RuntimeReport
+                      ) -> Dict[str, List[CoreStats]]:
+        """Per tenant, its stats on every core that ran it, in core
+        order."""
+        per: Dict[str, List[CoreStats]] = {}
         for core_id in sorted(report.core_stats or {}):
-            merged.merge(report.core_stats[core_id])
-        return merged
+            bundle = report.core_stats[core_id]
+            for name in sorted(bundle.per_tenant):
+                per.setdefault(name, []).append(bundle.per_tenant[name])
+        return per
 
     def aggregate_tenants(self, report: RuntimeReport
                           ) -> Dict[str, AggregateStats]:
@@ -599,12 +604,8 @@ class Runtime:
         bundles. Every tenant that was active at any point appears —
         including tenants dropped mid-run, whose drained stats are
         frozen at their last admitted epoch."""
-        per: Dict[str, List[CoreStats]] = {}
-        for core_id in sorted(report.core_stats or {}):
-            bundle = report.core_stats[core_id]
-            for name in sorted(bundle.per_tenant):
-                per.setdefault(name, []).append(bundle.per_tenant[name])
-        return {name: self.aggregate(stats) for name, stats in per.items()}
+        return {name: self.aggregate(stats) for name, stats
+                in self._tenant_stats(report).items()}
 
     def tenant_ledgers(self, report: RuntimeReport) -> Dict[str, object]:
         """Per-tenant merged loss ledgers (lane overload sheds plus
@@ -613,17 +614,15 @@ class Runtime:
         the tenant was offered: what its lanes were fed on every
         core — ladder or not, shedding or not — plus what the
         loop shed before them."""
-        return self._ledgers(self._merged(report))
-
-    @staticmethod
-    def _ledgers(merged) -> Dict[str, object]:
         from repro.overload import merge_ledgers
+        cores = list((report.core_stats or {}).values())
         out: Dict[str, object] = {}
-        for name, stats in merged.per_tenant.items():
-            mux = merged.tenant_shed.get(name)
-            ledger = merge_ledgers([stats.overload, mux])
+        for name, stats in self._tenant_stats(report).items():
+            mux = merge_ledgers(core.tenant_shed.get(name)
+                                for core in cores)
+            ledger = merge_ledgers([s.overload for s in stats] + [mux])
             if ledger is not None:
-                ledger.packets_seen = stats.packets + (
+                ledger.packets_seen = sum(s.packets for s in stats) + (
                     mux.packets_shed if mux is not None else 0)
                 out[name] = ledger
         return out

@@ -171,20 +171,17 @@ class CoreStats:
 
 class TenantStatsBundle(CoreStats):
     """One core's snapshot: the :class:`CoreStats` face every consumer
-    of a per-core snapshot reads, plus the per-tenant breakdown:
+    of a per-core snapshot reads, plus the per-tenant breakdown, which
+    ``Runtime`` reads core by core:
 
     * ``per_tenant``: tenant name → that tenant's CoreStats (its solo
-      view; re-added tenants merge their drained and live lanes).
-    * ``tenant_shed``: tenant name → the quota/pressure loss ledger,
-      present only for tenants that were actually metered (so an
-      unmetered run's snapshot is byte-identical to a plain run's).
-    * ``epoch``: the filter-table epoch this core had adopted when the
-      snapshot was taken.
-    * ``offered``: packets the core was handed, and
-      ``not_subscribed``: tenant name → those it was handed while the
-      tenant was out of the table (before an ``add``, after a
-      ``drop``) — what the fate table needs to account, per tenant,
-      for every packet of the shared link.
+      view; a re-added tenant's drained and live lanes merged).
+    * ``tenant_shed``: tenant name → the quota/pressure loss ledger of
+      a tenant that was actually metered.
+    * ``epoch``: the filter-table epoch the core had adopted.
+    * ``not_subscribed``: tenant name → the packets the core was handed
+      while the tenant was out of the table (before an ``add``, after a
+      ``drop``), so the fate table accounts for the whole link.
     """
 
     def __init__(self, cost_model: CostModel,
@@ -193,46 +190,18 @@ class TenantStatsBundle(CoreStats):
         self.per_tenant: Dict[str, CoreStats] = {}
         self.tenant_shed: Dict[str, object] = {}
         self.epoch = 0
-        self.offered = 0
         self.not_subscribed: Dict[str, int] = {}
 
-    def merge(self, other: "TenantStatsBundle") -> None:
-        super().merge(other)
-        for name, stats in other.per_tenant.items():
-            mine = self.per_tenant.get(name)
-            if mine is None:
-                mine = CoreStats(stats.ledger.model)
-                self.per_tenant[name] = mine
-            mine.merge(stats)
-        for name, ledger in other.tenant_shed.items():
-            mine = self.tenant_shed.get(name)
-            if mine is None:
-                from repro.overload.ledger import LossLedger
-                mine = LossLedger(core_id=-1)
-                self.tenant_shed[name] = mine
-            mine.merge(ledger)
-        if other.epoch > self.epoch:
-            self.epoch = other.epoch
-        self.offered += other.offered
-        for name, packets in other.not_subscribed.items():
-            self.not_subscribed[name] = \
-                self.not_subscribed.get(name, 0) + packets
-
     def combine_memory_samples(self) -> None:
-        """Fold per-tenant memory samples taken at the same virtual
-        instant into one whole-core sample (sum of live connections and
-        bytes), so the aggregate peak reflects the core's true
-        footprint."""
+        """Sum the lanes' memory samples taken at one virtual instant
+        into one whole-core sample: the core's true footprint."""
         combined: Dict[float, List[int]] = {}
         for ts, conns, mem in self.memory_samples:
-            entry = combined.get(ts)
-            if entry is None:
-                combined[ts] = [conns, mem]
-            else:
-                entry[0] += conns
-                entry[1] += mem
-        self.memory_samples = [(ts, entry[0], entry[1])
-                               for ts, entry in sorted(combined.items())]
+            entry = combined.setdefault(ts, [0, 0])
+            entry[0] += conns
+            entry[1] += mem
+        self.memory_samples = [(ts, conns, mem) for ts, (conns, mem)
+                               in sorted(combined.items())]
 
     def to_dict(self) -> Dict:
         out = super().to_dict()
@@ -241,7 +210,6 @@ class TenantStatsBundle(CoreStats):
         # snapshot must stay byte-identical to a non-tenancy run.
         if len(self.per_tenant) > 1 or self.tenant_shed:
             out["epoch"] = self.epoch
-            out["offered"] = self.offered
             out["not_subscribed"] = dict(sorted(
                 self.not_subscribed.items()))
             out["tenants"] = {

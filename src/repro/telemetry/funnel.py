@@ -180,8 +180,8 @@ def fate_counters(report) -> dict:
     faults = report.faults
     cores = report.core_stats or {}
     tenancy = report.tenancy
-    # A multi-tenant run's own table ends at the multiplexers: each
-    # tenant's goes on from there, with that tenant's ladder.
+    # A multi-tenant run's own table ends at the cores' packet loop:
+    # each tenant's goes on from there, with that tenant's ladder.
     run = _view(report.stats,
                 report.overload if tenancy is None else None, cores)
     #: Restarted or lost workers: the only licence for ``worker_lost``.
@@ -191,7 +191,6 @@ def fate_counters(report) -> dict:
     if report.impairment is not None:
         out["link"] = link_counters(report.impairment)
     if tenancy is not None:
-        out["multiplexed"] = tenancy["offered"]
         out["tenants"] = {}
         for name, stats in sorted(tenancy["tenants"].items()):
             view = _view(stats, tenancy["ladders"][name],
@@ -204,12 +203,6 @@ def fate_counters(report) -> dict:
                 dict(mux.layer_packets)
             out["tenants"][name] = view
     return out
-
-
-def _reached(counters: dict) -> int:
-    """Packets that reached a pipeline (or a tenant multiplexer)."""
-    return counters.get("multiplexed",
-                        counters["run"]["processed_packets"])
 
 
 def _pipeline_fates(view: dict) -> Dict[str, int]:
@@ -236,8 +229,9 @@ def fate_table(counters: dict) -> Dict[str, dict]:
     """``{RUN: {"offered", "fates"}, <tenant>: ...}``: each ``fates``
     maps a terminal state to its packets, in pipeline order, and sums
     to ``offered`` (a tenant is offered the shared link's ingress). On
-    a multi-tenant run the run's own table ends at ``multiplexed`` and
-    the tenants' tables go on from there."""
+    a multi-tenant run the run's own table ends at ``multiplexed``, the
+    packets the cores processed, and the tenants' tables go on from
+    there."""
     run = counters["run"]
     link = counters.get("link")
     tenants = counters.get("tenants")
@@ -251,7 +245,7 @@ def fate_table(counters: dict) -> Dict[str, dict]:
     shared = {"hw_filtered": run["hw_dropped_packets"],
               "sink_dropped": run["sink_dropped_packets"]}
     lost = run["ingress_packets"] - sum(shared.values()) \
-        - _reached(counters)
+        - run["processed_packets"]
     if lost:
         shared["worker_lost"] = lost
     fates.update(shared)
@@ -259,7 +253,7 @@ def fate_table(counters: dict) -> Dict[str, dict]:
     if tenants is None:
         fates.update(_pipeline_fates(run))
         return table
-    fates["multiplexed"] = _reached(counters)
+    fates["multiplexed"] = run["processed_packets"]
     for name, view in tenants.items():
         table[name] = {
             "offered": run["ingress_packets"],
@@ -296,7 +290,7 @@ def _edges(counters: dict):
     if run is None:
         return
     tenants = counters.get("tenants", {})
-    reached = _reached(counters)
+    reached = run["processed_packets"]
     if not run["worker_faults"]:  # else ``worker_lost``, checked >= 0
         yield "nic -> cores", run["ingress_packets"] \
             - run["hw_dropped_packets"] - run["sink_dropped_packets"], \
@@ -323,12 +317,9 @@ def _edges(counters: dict):
                        "sink_dropped_packets"):
             yield f"nic -> tenant {name} ({shared})", run[shared], \
                 view[shared]
-        yield f"multiplexer -> tenant {name}", reached, \
+        yield f"cores -> tenant {name}", reached, \
             view["processed_packets"] + view["not_subscribed"] \
             + sum(view["metered"].values())
-    if tenants:
-        yield "tenants -> report", run["processed_packets"], sum(
-            view["processed_packets"] for view in tenants.values())
 
 
 def check_fates(counters: dict) -> None:
@@ -350,9 +341,9 @@ def check_fates(counters: dict) -> None:
                     f"went on than the edge before it let through")
     tenants = counters.get("tenants", {})
     for who, view in [("run", counters["run"])] + list(tenants.items()):
-        # A multi-tenant report sums every tenant's copy of the link's
-        # traffic: its bytes are comparable from the packet filter on.
-        skip = 1 if tenants and who == "run" else 0
+        # A multi-tenant report sums every tenant's packet filter
+        # survivors: its bytes are comparable from there on.
+        skip = 2 if tenants and who == "run" else 0
         sizes = view["bytes"][skip:]
         for layer, more, fewer in zip(FUNNEL_LAYERS[skip:], sizes,
                                       sizes[1:]):

@@ -1,19 +1,10 @@
-"""The multi-tenant constructor: a runtime over a table of named tenants.
+"""The multi-tenant constructor's older name.
 
 A :class:`TenantRuntime` is a :class:`~repro.core.runtime.Runtime`
 built with ``tenants``: its filter table holds N named
 :class:`~repro.tenancy.spec.TenantSpec` entries instead of one
-subscription. Everything it runs — one pipeline per core with a lane
-per active tenant, scheduled and live table swaps, the per-tenant
-breakdown on ``report.tenancy`` — is the runtime's own; this class only
+subscription. Everything it runs is the runtime's own; this class only
 keeps the constructor's positional form.
-
-Swaps land atomically on burst boundaries: when a scheduled event is
-due, the one ingest loop (:meth:`repro.core.runtime.Runtime.run`)
-flushes every pending burst before it publishes, so the first packet
-with ``timestamp >= event.time`` observes the new epoch on either
-backend. Bumps ride the supervised redo log, so a worker crash inside
-the swap window replays the bump (``adopt`` is idempotent).
 """
 
 from __future__ import annotations

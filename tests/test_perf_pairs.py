@@ -1,4 +1,5 @@
-"""tools/perf_pairs.py: the paired-run verdict (choosing-metrics §8)."""
+"""tools/perf_pairs.py: the paired-run verdict, the equal-length run
+trees and the traced per-layer call counts."""
 
 import importlib.util
 import subprocess
@@ -108,3 +109,39 @@ def test_a_git_ref_is_exported_beside_the_change(tmp_path):
     assert len(str(trees["parent"])) == len(str(trees["change"]))
     assert (trees["parent"] / "mod.py").read_text() == "parent"
     assert (trees["change"] / "mod.py").read_text() == "change"
+
+
+def test_call_counts_come_from_one_traced_run_per_side(monkeypatch,
+                                                       capsys):
+    """Each side makes one ``--trace 1`` run on the same seed, and every
+    ``*.calls_per_pkt`` metric either side reports is printed as parent,
+    change and delta (a layer one side lacks reads 0)."""
+    made = []
+    reports = {
+        "parent": {"core.pipeline.calls_per_pkt": 1.367,
+                   "tenancy.calls_per_pkt": 0.089,
+                   "pkts_per_s": 300000.0},
+        "change": {"core.pipeline.calls_per_pkt": 2.481,
+                   "core.shm.calls_per_pkt": 0.5,
+                   "pkts_per_s": 280000.0},
+    }
+
+    def run_once(tree, workload, seed, trace=0):
+        made.append((tree, workload, seed, trace))
+        return {"metrics": {name: {"value": value} for name, value
+                            in reports[tree].items()}}
+
+    monkeypatch.setattr(perf_pairs, "run_once", run_once)
+    rows = perf_pairs.call_counts({"parent": "parent", "change": "change"},
+                                  "campus_conn", 42)
+    assert sorted(made) == [("change", "campus_conn", 42, 1),
+                            ("parent", "campus_conn", 42, 1)]
+    assert rows == [("core.pipeline.calls_per_pkt", 1.367, 2.481),
+                    ("core.shm.calls_per_pkt", 0.0, 0.5),
+                    ("tenancy.calls_per_pkt", 0.089, 0.0)]
+    perf_pairs.report_calls("campus_conn", rows)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert lines[0].split()[1:] == ["core.pipeline.calls_per_pkt",
+                                    "parent", "1.367", "change", "2.481",
+                                    "+1.114"]

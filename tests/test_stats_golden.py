@@ -39,7 +39,21 @@ packets). Every case now also runs the fate check
 cases (``tenant_solo``; ``tenants_solo_multi_solo``, whose two swaps
 fall inside one ingress chunk) were recorded on 2d35b3b, before
 ``Runtime`` itself ran a one-entry table through the multiplexer.
-A case added later is recorded the same way,
+**The eleven multi-tenant cases were re-recorded once more, on the
+change that made one pipeline per core price capture and the packet
+filter once per packet (parent a73a2a0; every digest here passed
+unmodified once the tenant multiplexer was folded into that pipeline,
+before the pricing moved).** Same protocol: the payload was dumped for
+all 30 cases x their variants (114 payloads) on both sides. The 70
+payloads of the single-subscription cases, ``tenant_solo`` and the
+supervised cases were equal in every field, and so were every
+``tenants.<name>`` payload and every tenant ledger of the eleven. What moved is the
+whole-run face alone, and only what it derives from ``packets`` and
+``bytes``: ``processed_packets``, the CAPTURE and PACKET_FILTER
+``stage_invocations`` and ``stage_cycles``, ``cycles_per_ingress_packet``,
+``max_zero_loss_gbps`` (``loss_fraction`` on the one overloaded case),
+and the funnel's ``nic_hardware`` bytes out and ``packet_filter`` row
+in (``processed_bytes``). A case added later is recorded the same way,
 by running this file as a script:
 
     PYTHONPATH=src:. python tests/test_stats_golden.py
@@ -434,7 +448,7 @@ GOLDEN = {
     'scan_conn':
         '6250:cbde145a9ac617d1c4ad7d041c59099b109872d3a245147384114cc7c054fce5',
     'tenants8':
-        '24164:464551e29cf184242f24e2cca7a87931e0bf342ba81de6ff39e25d6753c2eb3b',
+        '24164:091d2fb789f2406932132342a23b2aba4e93665cddcfcb45e284b9eda208d7f5',
     'netem':
         '14487:ef524a8991a02f4c8afb1ba388bb78b0b9be18de09ecb97c6427e809128899d9',
     'overload_ladder':
@@ -442,9 +456,9 @@ GOLDEN = {
     'spans_k1':
         '14483:55d1f301302f4b841ddfa6c0015f59d88d0e8dd796d3987174cf3b7273068a7a',
     'tenancy_swap':
-        '14483:c3742784c80b48cb21e47311846843d6b36c89d25d4aef05dd613be9a1f218e2',
+        '14483:fb1998a1089b358ea915e946a840514f3a484fcdea232a35ee225b295a82e273',
     'tenants_mixed_burst':
-        '82:e5e33c736bcafc579d2e54ee995cc576fbd4d38c3c553f18e69a70048729044c',
+        '82:822568db6748df620d784340cebe72003898c8de094ee8b6de2a4a45216283a7',
     'fragments_held_tail':
         '72:e8fc97356d975fab44a3ca2302ffb6d813deb82c5f771d41eb8556b665705381',
     'mixed_burst[packet]':
@@ -462,28 +476,30 @@ GOLDEN = {
     # Recorded on 14bf723 (PR 21), before PR 22 touched the multiplexer.
     # The four with a quota-metered tenant (tenants_metered,
     # tenants_mixed_burst_metered, tenants_unexpressible_metered,
-    # tenants_spans_k1) were re-recorded on ce5c236's child; see the
+    # tenants_spans_k1) were re-recorded on ce5c236's child, and all of
+    # these once more when shared stages were priced once; see the
     # module docstring.
     'tenants_metered':
-        '14483:6464daa2ef8aaea39e1371302fe448c5672b72bc252fc142336329823587c645',
+        '14483:4e6ed70e4391b7a520173dca0fcf4ffdbead1eb233e2690018c3bed030052fd2',
     'tenants_mixed_burst_metered':
-        '82:d5954a409abeba7ef359a157bf66a8522a5f741e85f0756390ca427e173c6d1f',
+        '82:662d19564e4f5d29f835f88e58189dbe4a39f10ba1b767cfc6bf418ac6821bff',
     'tenants_unexpressible':
-        '14483:8a9fc5aeb9272c32b97d1227a4322c3f4dcc63ad8efb199817721aa110925e64',
+        '14483:5ed9e16aa6a66d5a1428e524e6aff5a348a4c9d96974262b20d16889874794d0',
     'tenants_unexpressible_metered':
-        '14483:31ed39993aea14cfe6cbc6582b070e83dd0c6e4dbc565f405ccd4811525d6359',
+        '14483:bf04ab77e4f10d43616a49ab283d4f300381e2b56ab3413c3e785867f81087b5',
     'tenants_spans_k1':
-        '14483:ab94c10809ff7112b1811e025da15de352eb0f28b5826f95b63da5d44fb64619',
+        '14483:e4b831ba6c057a36ddea38ee100888ea1791ed7fad75cb00c04b51882e7a3254',
     'tenants_overload_ladder':
-        '18947:03291b630a480b54c3ee3ecbdfcab94b6c4bc9351f2747e09b635b4c66da239e',
+        '18947:049c0c9cda61f017e9606e2f75195aaca0ee6af5e1fe10b802d0cdeb40661e1b',
     'tenants_spans_ladder':
-        '18947:2a3ad31d47152cb59b55ced2b7bcb765d5c799b308a7bdf45bbf5aa2f2a4af5b',
+        '18947:adbd1c0b8ab7004fefc23caea0408a94ca9759243884a31b695962fdc30905ca',
     # Recorded on 2d35b3b, before a plain subscription became a
-    # one-entry filter table.
+    # one-entry filter table; tenants_solo_multi_solo re-recorded with
+    # the other multi-tenant cases (see the module docstring).
     'tenant_solo':
         '24164:5c991305545d99cef11251f2e8f84bfb90f2eee2589104a3d201b4d9828ee815',
     'tenants_solo_multi_solo':
-        '14483:c4cfa2c5df70d40bff3fbc321c617317f0e40a354edb95de77e7da65012fbbc1',
+        '14483:80e6d1bafd091d43f2bffa91cf42b7fd5b9ff80deca4b9b0d8724c0eac0e88e1',
 }
 
 #: Recorded on a42ba2c (PR 22), before PR 23 made the shm ring the only

@@ -14,6 +14,9 @@ Pins the robustness contract of :mod:`repro.tenancy`:
   built over, not from epoch 0.
 - **Bumps carry names only**: a late joiner whose callback cannot
   pickle (a lambda) joins a parallel run mid-stream.
+- **Shared stages priced once**: the run's face charges capture and the
+  packet filter once per packet the cores were handed, while every
+  tenant's own stats are its solo run's.
 - **Tenant fault isolation**: a quarantined-callback tenant and a
   quota-shed tenant each leave their co-tenants byte-identical to runs
   without the misbehaving tenant's faults, with every suppressed
@@ -25,6 +28,7 @@ import signal
 import pytest
 
 from repro import Runtime, RuntimeConfig
+from repro.core.cycles import Stage
 from repro.errors import TenancyError
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.telemetry import check
@@ -334,6 +338,47 @@ class TestTenantFaultIsolation:
         par = {n: led.to_dict()
                for n, led in rt_par.tenant_ledgers(rep_par).items()}
         assert seq == par
+
+
+#: Three tenants that split the campus trace unevenly: two stateful,
+#: one on the fast path.
+_PRICED = (("web", "tcp.dst_port = 443", "connection"),
+           ("dns", "udp", "packet"),
+           ("all", "tcp", "connection"))
+
+
+class TestSharedStagesPricedOnce:
+    @pytest.mark.parametrize("cores,parallel", [(1, False), (4, False),
+                                                (2, True)],
+                             ids=["cores1", "cores4", "par2"])
+    def test_capture_priced_once_and_tenants_see_their_solo_run(
+            self, traffic, cores, parallel):
+        """One pipeline per core captures and software-filters each
+        packet once, however many tenants it fans out to: the run's
+        face prices CAPTURE and PACKET_FILTER once per packet the cores
+        were handed. Every tenant's own stats still charge them as its
+        solo run would — with the hardware plane off a solo run sees
+        the shared link's exact ingress, so they are that run's bytes."""
+        specs = [TenantSpec(*spec) for spec in _PRICED]
+        for hardware_filter in (True, False):
+            config = RuntimeConfig(cores=cores, parallel=parallel,
+                                   hardware_filter=hardware_filter)
+            runtime = TenantRuntime(config, specs)
+            report = runtime.run(iter(traffic))
+            check(report)
+            stats = report.stats
+            reached = stats.ingress_packets - stats.hw_dropped_packets \
+                - stats.sink_dropped_packets
+            assert stats.stage_invocations[Stage.CAPTURE] \
+                == stats.stage_invocations[Stage.PACKET_FILTER] \
+                == stats.processed_packets == reached
+        assert stats.hw_dropped_packets == 0
+        tenants = runtime.aggregate_tenants(report)
+        assert sorted(tenants) == sorted(name for name, *_ in _PRICED)
+        for name, filter_str, datatype in _PRICED:
+            solo = Runtime(config, filter_str=filter_str,
+                           datatype=datatype).run(iter(traffic))
+            assert tenants[name].to_dict() == solo.stats.to_dict(), name
 
 
 class TestTenantRuntimeValidation:

@@ -13,10 +13,12 @@ the length of the checkout's path. For each workload it runs N pairs of
 
 one per side, a fresh seed per pair, alternating which side goes first,
 and prints for every end-to-end metric of ``BENCHMARK.json`` each side's
-median and quartiles, the change's wins, and the verdict of
-/opt/skills/guides/choosing-metrics section 8 (see :func:`verdict`).
-Every run made is printed as it finishes. Exits 1 on a regression or a
-failed repetition.
+median and quartiles, the change's wins, and the paired-run verdict
+(see :func:`verdict`). Then it makes one ``--trace 1`` run per side on
+the first pair's seed and prints every ``*.calls_per_pkt`` layer count
+as parent, change and delta: a call added per packet shows there even
+when the end-to-end metrics cannot see it. Every run made is printed as
+it finishes. Exits 1 on a regression or a failed repetition.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
-RUN = ["benchmarks/perf/run.py", "--seconds", "10", "--trace", "0"]
+RUN = ["benchmarks/perf/run.py", "--seconds", "10"]
 #: Fewer pairs than this never support a claim, whatever they show.
 MIN_PAIRS = 10
 #: {metric name: {"parent" | "change": one value per pair}}
@@ -105,10 +107,12 @@ def run_trees(tmp: Path, parent: str, root: Path = ROOT) -> Dict[str, Path]:
     return trees
 
 
-def run_once(tree: Path, workload: str, seed: int) -> Dict:
-    """One benchmark run in ``tree``; its result line as a dict."""
+def run_once(tree: Path, workload: str, seed: int, trace: int = 0) -> Dict:
+    """One benchmark run in ``tree`` (``trace`` 1: the profiled one that
+    reports the per-layer counts); its result line as a dict."""
     proc = subprocess.run(
-        [sys.executable, *RUN, "--workload", workload, "--seed", str(seed)],
+        [sys.executable, *RUN, "--trace", str(trace),
+         "--workload", workload, "--seed", str(seed)],
         cwd=tree, capture_output=True, text=True, timeout=600)
     lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("{")]
     if not lines:
@@ -160,6 +164,28 @@ def report(workload: str, values: Values, metrics: List[Dict]) -> bool:
     return regressed
 
 
+def call_counts(sides: Dict[str, Path], workload: str,
+                seed: int) -> List[Tuple[str, float, float]]:
+    """One traced run per side on ``seed``: ``(metric, parent, change)``
+    for every ``*.calls_per_pkt`` either side reports, by name."""
+    counts = {side: {name: metric["value"] for name, metric
+                     in run_once(tree, workload, seed, trace=1)
+                     ["metrics"].items()
+                     if name.endswith(".calls_per_pkt")}
+              for side, tree in sides.items()}
+    parent, change = counts["parent"], counts["change"]
+    return [(name, parent.get(name, 0.0), change.get(name, 0.0))
+            for name in sorted(set(parent) | set(change))]
+
+
+def report_calls(workload: str,
+                 rows: List[Tuple[str, float, float]]) -> None:
+    """Print one row per layer count: parent, change, delta."""
+    for name, parent, change in rows:
+        print(f"{workload:16s} {name:30s} parent {parent:8.3f}  "
+              f"change {change:8.3f}  {change - parent:+8.3f}")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
@@ -178,6 +204,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             values, failed = measure(sides, workload, args.pairs,
                                      args.first_seed, metrics)
             bad |= report(workload, values, metrics) or failed > 0
+            report_calls(workload, call_counts(sides, workload,
+                                               args.first_seed))
     return 1 if bad else 0
 
 
