@@ -35,7 +35,7 @@ timer wheels.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # avoid a config<->core import cycle at runtime
     from repro.config import RuntimeConfig
@@ -1000,6 +1000,9 @@ class CorePipeline:
         #: table: plus the count at each ``add``, minus it at each
         #: ``drop``.
         self._away: Dict[str, int] = {}
+        #: The face's memory series: one ``(ts, conns, bytes)`` sample
+        #: per sample point, the sum of its lanes' samples there.
+        self._memory_samples: List[Tuple[float, int, int]] = []
         for name in table.active:
             self._activate(name)
         self._rebuild()
@@ -1317,8 +1320,18 @@ class CorePipeline:
                 lane._deliver_connection(conn)
 
     def sample_memory(self) -> None:
+        """A sample point: every lane samples its own table, and the
+        face records their sum at the core clock. It is combined per
+        sample point, not per instant: a core handed no packet between
+        two points samples twice at one ``now``, and records two
+        samples, not one of twice its state."""
+        conns = memory = 0
         for lane in self._all:
             lane.sample_memory()
+            _ts, lane_conns, lane_memory = lane.stats.memory_samples[-1]
+            conns += lane_conns
+            memory += lane_memory
+        self._memory_samples.append((self.now, conns, memory))
 
     def set_span_ctx(self, ctx) -> None:
         """Stamp the IPC span context for the next burst (the parallel
@@ -1364,7 +1377,8 @@ class CorePipeline:
         breakdown (each lane's stats, its solo view). The face counts
         the packets and bytes the core was handed — capture and the
         packet filter ran once on each, however many lanes it reached —
-        and sums the lanes' other counters."""
+        and sums the lanes' other counters; its memory series is the
+        core's own, one sample per sample point."""
         config = self.config
         bundle = TenantStatsBundle(config.cost_model,
                                    telemetry=config.telemetry)
@@ -1390,7 +1404,6 @@ class CorePipeline:
         for name in bundle.per_tenant:
             bundle.not_subscribed[name] = self._away[name] + (
                 0 if name in self._by_name else self.packets)
-        if len(self._all) > 1:
-            bundle.combine_memory_samples()
+        bundle.memory_samples = list(self._memory_samples)
         bundle.epoch = self.table.epoch
         return bundle

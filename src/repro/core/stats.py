@@ -192,17 +192,6 @@ class TenantStatsBundle(CoreStats):
         self.epoch = 0
         self.not_subscribed: Dict[str, int] = {}
 
-    def combine_memory_samples(self) -> None:
-        """Sum the lanes' memory samples taken at one virtual instant
-        into one whole-core sample: the core's true footprint."""
-        combined: Dict[float, List[int]] = {}
-        for ts, conns, mem in self.memory_samples:
-            entry = combined.setdefault(ts, [0, 0])
-            entry[0] += conns
-            entry[1] += mem
-        self.memory_samples = [(ts, conns, mem) for ts, (conns, mem)
-                               in sorted(combined.items())]
-
     def to_dict(self) -> Dict:
         out = super().to_dict()
         # The tenant breakdown joins the snapshot only when the run is

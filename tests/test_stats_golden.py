@@ -53,8 +53,20 @@ whole-run face alone, and only what it derives from ``packets`` and
 ``stage_invocations`` and ``stage_cycles``, ``cycles_per_ingress_packet``,
 ``max_zero_loss_gbps`` (``loss_fraction`` on the one overloaded case),
 and the funnel's ``nic_hardware`` bytes out and ``packet_filter`` row
-in (``processed_bytes``). A case added later is recorded the same way,
-by running this file as a script:
+in (``processed_bytes``). **Seven of those multi-tenant cases were
+re-recorded once more, on the change that made a core's face combine its
+lanes' memory samples per sample point instead of per virtual instant
+(parent 3ec6237).** A core handed no packet between two sample points
+samples twice at one ``now``, and the face used to add those two samples
+together. Same protocol: all 114 payloads were dumped on both sides. In
+86 of them every field was equal. In the other 28 (``tenancy_swap``,
+``tenants_metered``, ``tenants_unexpressible``,
+``tenants_unexpressible_metered``, ``tenants_spans_k1``,
+``tenants_overload_ladder`` and ``tenants_solo_multi_solo``, every
+variant) exactly two fields moved, both on the whole-run face:
+``stats.peak_live_connections`` and ``stats.peak_memory_bytes`` (e.g.
+9700 -> 28 and 4966400 -> 14336). A case added later is recorded the
+same way, by running this file as a script:
 
     PYTHONPATH=src:. python tests/test_stats_golden.py
 
@@ -456,7 +468,7 @@ GOLDEN = {
     'spans_k1':
         '14483:55d1f301302f4b841ddfa6c0015f59d88d0e8dd796d3987174cf3b7273068a7a',
     'tenancy_swap':
-        '14483:fb1998a1089b358ea915e946a840514f3a484fcdea232a35ee225b295a82e273',
+        '14483:3e970a1bcbfad1a96cf9eaaee161a6dd97e63f88e5f3711d1289f02382948f1d',
     'tenants_mixed_burst':
         '82:822568db6748df620d784340cebe72003898c8de094ee8b6de2a4a45216283a7',
     'fragments_held_tail':
@@ -477,20 +489,21 @@ GOLDEN = {
     # The four with a quota-metered tenant (tenants_metered,
     # tenants_mixed_burst_metered, tenants_unexpressible_metered,
     # tenants_spans_k1) were re-recorded on ce5c236's child, and all of
-    # these once more when shared stages were priced once; see the
-    # module docstring.
+    # these once more when shared stages were priced once, and seven
+    # of them when the face combined per sample point; see the module
+    # docstring.
     'tenants_metered':
-        '14483:4e6ed70e4391b7a520173dca0fcf4ffdbead1eb233e2690018c3bed030052fd2',
+        '14483:654dad192e3f0ee04d909c85fd88e7e89805ebb77e10998964d7818f27bf181b',
     'tenants_mixed_burst_metered':
         '82:662d19564e4f5d29f835f88e58189dbe4a39f10ba1b767cfc6bf418ac6821bff',
     'tenants_unexpressible':
-        '14483:5ed9e16aa6a66d5a1428e524e6aff5a348a4c9d96974262b20d16889874794d0',
+        '14483:08728ae731debfcd735bf1150ad210bd68db4770b5288b7c4fbee9eb4eb530ed',
     'tenants_unexpressible_metered':
-        '14483:bf04ab77e4f10d43616a49ab283d4f300381e2b56ab3413c3e785867f81087b5',
+        '14483:be1b66c7420a9e90de7249f6bbcbde6a78fd8a2830822bd17df59a1f5845c79a',
     'tenants_spans_k1':
-        '14483:e4b831ba6c057a36ddea38ee100888ea1791ed7fad75cb00c04b51882e7a3254',
+        '14483:bf04e0776e3101d0b475751e334e0c23d61cd36683bb6b3f4de775d8bb76f091',
     'tenants_overload_ladder':
-        '18947:049c0c9cda61f017e9606e2f75195aaca0ee6af5e1fe10b802d0cdeb40661e1b',
+        '18947:03bf49046a78b3bf707f0ede8cafd4a14df724fb74afea022f56e88d40225f79',
     'tenants_spans_ladder':
         '18947:adbd1c0b8ab7004fefc23caea0408a94ca9759243884a31b695962fdc30905ca',
     # Recorded on 2d35b3b, before a plain subscription became a
@@ -499,7 +512,7 @@ GOLDEN = {
     'tenant_solo':
         '24164:5c991305545d99cef11251f2e8f84bfb90f2eee2589104a3d201b4d9828ee815',
     'tenants_solo_multi_solo':
-        '14483:80e6d1bafd091d43f2bffa91cf42b7fd5b9ff80deca4b9b0d8724c0eac0e88e1',
+        '14483:97cf28e4e3fcaa2ecdc5a4903fed000b9f2e22cdee19f1c114a83dbb7fe0ba09',
 }
 
 #: Recorded on a42ba2c (PR 22), before PR 23 made the shm ring the only

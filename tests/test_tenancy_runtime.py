@@ -17,6 +17,8 @@ Pins the robustness contract of :mod:`repro.tenancy`:
 - **Shared stages priced once**: the run's face charges capture and the
   packet filter once per packet the cores were handed, while every
   tenant's own stats are its solo run's.
+- **The face's memory series, per sample point**: a core idle across
+  sample points records each point once, as the sum of its lanes.
 - **Tenant fault isolation**: a quarantined-callback tenant and a
   quota-shed tenant each leave their co-tenants byte-identical to runs
   without the misbehaving tenant's faults, with every suppressed
@@ -33,7 +35,8 @@ from repro.errors import TenancyError
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.telemetry import check
 from repro.tenancy import ReconfigureEvent, TenantRuntime, TenantSpec
-from repro.traffic import CampusTrafficGenerator
+from repro.traffic import CampusTrafficGenerator, FlowSpec, \
+    single_syn
 
 
 @pytest.fixture(scope="module")
@@ -379,6 +382,53 @@ class TestSharedStagesPricedOnce:
             solo = Runtime(config, filter_str=filter_str,
                            datatype=datatype).run(iter(traffic))
             assert tenants[name].to_dict() == solo.stats.to_dict(), name
+
+
+def _syns_on(queue, count, dport, start_ts, step):
+    """``count`` lone SYNs to port ``dport``, one every ``step`` virtual
+    seconds from ``start_ts``, that RSS sends to ``queue`` of 2."""
+    nic = Runtime(RuntimeConfig(cores=2), "tcp", "connection").nic
+    out = []
+    for sport in range(20000, 30000):
+        (syn,) = single_syn(FlowSpec("10.0.0.1", "171.64.0.1", sport, dport),
+                            start_ts + step * len(out))
+        if nic.receive(syn) == queue:
+            out.append(syn)
+            if len(out) == count:
+                return out
+    raise AssertionError("no such flows")
+
+
+class TestFacePerSamplePoint:
+    @pytest.mark.parametrize("parallel", [False, True],
+                             ids=["seq", "par2"])
+    def test_idle_core_records_each_sample_point_once(self, parallel):
+        """Core 0 gets one SYN at t=0, and core 1 gets one every 0.1 s
+        after it: core 0 then samples at one virtual ``now`` at every
+        sample point. Its face records each point once, as the sum of
+        what its two lanes hold there (one connection each) — not one
+        sample that adds up the points — so the run's peak is core 1's
+        five connections."""
+        specs = [TenantSpec("all", "tcp", "connection"),
+                 TenantSpec("web", "tcp.dst_port = 443", "connection")]
+        mbufs = _syns_on(0, 1, 443, 0.0, 0.0) + \
+            _syns_on(1, 5, 80, 0.1, 0.1)
+        runtime = TenantRuntime(RuntimeConfig(cores=2, parallel=parallel),
+                                specs)
+        report = runtime.run(iter(mbufs), memory_sample_interval=0.05)
+        check(report)
+        idle = report.core_stats[0]
+        # Five sample points in the trace, one more at its end (after
+        # the cores advance to the last timestamp).
+        assert list(idle.memory_samples) == \
+            [(0.0, 2, 1024)] * 5 + [(0.5, 2, 1024)]
+        for name in ("all", "web"):
+            assert list(idle.per_tenant[name].memory_samples) == \
+                [(0.0, 1, 512)] * 5 + [(0.5, 1, 512)]
+        assert [conns for _ts, conns, _mem
+                in report.core_stats[1].memory_samples] == [1, 2, 3, 4, 5, 5]
+        assert report.stats.peak_live_connections == 5
+        assert report.stats.peak_memory_bytes == 5 * 512
 
 
 class TestTenantRuntimeValidation:
