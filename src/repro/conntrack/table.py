@@ -9,7 +9,9 @@ and exposes a small API the pipeline drives:
 * :meth:`touch` to refresh timeouts and migrate establishment tiers,
 * :meth:`expire` to harvest timed-out connections,
 * :meth:`remove` for filter-driven early deletion (Figure 4's dashed
-  transitions) and natural termination.
+  transitions) and natural termination,
+* :meth:`hold` and :meth:`release` to keep its record of the connections
+  that carry bytes beyond the base: what :attr:`memory_bytes` reads.
 """
 
 from __future__ import annotations
@@ -56,6 +58,11 @@ class ConnTable:
     def __init__(self, timeouts: TimeoutConfig = TimeoutConfig()) -> None:
         self.timeouts = timeouts
         self._conns: Dict[bytes, Connection] = {}
+        #: The connections carrying state beyond their base bytes — a
+        #: reassembler or buffered packets — by key: the only ones
+        #: :attr:`memory_bytes` reads one by one. A lone SYN is never
+        #: here, so the total costs what the state costs.
+        self._holding: Dict[bytes, Connection] = {}
         self._timers = ConnectionTimers(
             timeouts.establish_timeout, timeouts.inactivity_timeout
         )
@@ -88,6 +95,20 @@ class ConnTable:
         self.created += 1
         return conn
 
+    def hold(self, conn: Connection) -> None:
+        """``conn`` took a reassembler or a buffered packet."""
+        self._holding[conn.key] = conn
+
+    def release(self, conn: Connection) -> None:
+        """``conn`` gave up some state: it leaves the record once it
+        carries neither a reassembler nor buffered packets."""
+        if conn.reassembler is None and not conn.buffered_mbufs:
+            self._holding.pop(conn.key, None)
+
+    def holding(self) -> Iterator[Connection]:
+        """The connections carrying state beyond their base bytes."""
+        return iter(self._holding.values())
+
     def touch(self, conn: Connection, now: float,
               newly_established: bool) -> None:
         """Refresh the connection's timeout after a packet."""
@@ -108,6 +129,8 @@ class ConnTable:
         completion — the Figure 4 DELETE transitions)."""
         if self._conns.pop(conn.key, None) is not None:
             self._timers.on_remove(conn)
+            if conn.reassembler is not None or conn.buffered_mbufs:
+                del self._holding[conn.key]
             self.removed += 1
             conn.state = _DELETE
 
@@ -123,6 +146,8 @@ class ConnTable:
             if self._conns.pop(conn.key, None) is None:
                 continue  # fired by both tiers in this advance
             self._timers.on_remove(conn)
+            if conn.reassembler is not None or conn.buffered_mbufs:
+                del self._holding[conn.key]
             if conn.established:
                 self.expired_inactive += 1
             else:
@@ -139,6 +164,7 @@ class ConnTable:
             self._timers.on_remove(conn)
             conn.state = _DELETE
         self._conns.clear()
+        self._holding.clear()
         self.removed += len(conns)
         return conns
 
@@ -174,6 +200,8 @@ class ConnTable:
             remaining -= conn.memory_bytes
             del self._conns[conn.key]
             self._timers.on_remove(conn)
+            if conn.reassembler is not None or conn.buffered_mbufs:
+                del self._holding[conn.key]
             conn.state = _DELETE
             self.removed += 1
             self.evicted += 1
@@ -193,7 +221,7 @@ class ConnTable:
         deterministic, so every backend downgrades the same flows.
         """
         heavy: List[Connection] = []
-        for conn in self._conns.values():
+        for conn in self._holding.values():  # nobody else has overhead
             state = conn.state
             if state is not ConnState.PROBE and \
                     state is not ConnState.PARSE:
@@ -206,5 +234,11 @@ class ConnTable:
 
     @property
     def memory_bytes(self) -> int:
-        """Estimated bytes of connection state currently resident."""
-        return sum(conn.memory_bytes for conn in self._conns.values())
+        """Estimated bytes of connection state currently resident:
+        every connection's base bytes, plus what the recorded ones carry
+        beyond it. O(state), not O(connections): it equals the walk
+        ``sum(conn.memory_bytes for conn in table)``."""
+        total = CONN_BASE_MEMORY_BYTES * len(self._conns)
+        for conn in self._holding.values():
+            total += conn.memory_bytes - CONN_BASE_MEMORY_BYTES
+        return total

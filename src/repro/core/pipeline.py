@@ -52,7 +52,7 @@ from repro.core.datatypes import (
     RawPacket,
     StreamChunk,
 )
-from repro.core.stats import CoreStats, TenantStatsBundle
+from repro.core.stats import CoreStats, MemorySeries, TenantStatsBundle
 from repro.core.subscription import Subscription
 from repro.filter.batch import NO_MATCH
 from repro.packet.columnar import ColumnarBatch, decode_mbufs
@@ -174,6 +174,14 @@ class Lane:
         else:
             self._memory_share = None
         self._shedding = False
+        #: Whether this lane can ever hold connection state — a table,
+        #: a memory spike or a memory policy to enforce. Only such a
+        #: lane records a memory series: a stateless one's would read
+        #: zero at every sample point.
+        self.stateful = (self._needs_conntrack
+                         or self._memory_share is not None
+                         or (self._injector is not None
+                             and self._injector.spikes_memory))
         # -- overload control (repro.overload) -------------------------
         # One controller per lane, clocked on virtual time by the core's
         # row loop; `_ov_next = inf` when the policy is off.
@@ -310,6 +318,7 @@ class Lane:
         elif state in _PROBE_OR_PARSE:
             if self._buffers_packets and not conn.matched:
                 conn.buffer_packet(mbuf)
+                table.hold(conn)
             off = cols.payload_off[i]
             segments = self._reassemble(
                 conn, mbuf, bytes(mbuf.data[off:off + payload_len]),
@@ -417,6 +426,7 @@ class Lane:
         if conn.key[-1] != PROTO_TCP or \
                 conn.reassembler is not None:
             return
+        self.table.hold(conn)
         if self.config.reassembler == "buffered":
             conn.reassembler = BufferedReassembler()
         else:
@@ -665,6 +675,7 @@ class Lane:
             for mbuf in conn.drain_buffered():
                 self._deliver(RawPacket(mbuf=mbuf,
                                         five_tuple=conn.five_tuple))
+            self.table.release(conn)
         if self._streams_bytes and conn.user_data:
             # Release the stream chunks held while the filter resolved.
             for segment in conn.user_data:
@@ -701,10 +712,12 @@ class Lane:
         conn.state = state
         if conn.parser is not None:
             conn.parser = None
-        if not self._streams_bytes and conn.reassembler is not None:
-            conn.reassembler = None
-        if self._level is not _PACKET_LEVEL:
-            conn.drop_buffered()
+        if conn.reassembler is not None or conn.buffered_mbufs:
+            if not self._streams_bytes and conn.reassembler is not None:
+                conn.reassembler = None
+            if self._level is not _PACKET_LEVEL:
+                conn.drop_buffered()
+            self.table.release(conn)
 
     def _discard(self, conn: Connection, rejected: bool = True) -> None:
         """Filter rejected (or nothing more to deliver): drop all heavy
@@ -721,9 +734,11 @@ class Lane:
         conn.state = _DELETE
         if conn.parser is not None:
             conn.parser = None
-        if conn.reassembler is not None:
-            conn.reassembler = None
-        conn.drop_buffered()
+        if conn.reassembler is not None or conn.buffered_mbufs:
+            if conn.reassembler is not None:
+                conn.reassembler = None
+            conn.drop_buffered()
+            self.table.release(conn)
         if conn.user_data is not None:
             conn.user_data = None
 
@@ -812,20 +827,25 @@ class Lane:
             memory += self._injector.memory_spike_bytes(self._now)
         return memory
 
-    def sample_memory(self) -> None:
+    def sample_memory(self) -> Tuple[int, int]:
+        """A stateful lane's sample point: the memory policy enforced,
+        then ``(live connections, bytes)`` recorded and returned. Every
+        read is O(state) (see ``ConnTable.memory_bytes``)."""
         stats = self.stats
         if self._memory_share is not None:
             self._enforce_memory()
-        stats.sample_memory(
-            self._now, len(self.table), self.memory_bytes
-        )
+        table = self.table
+        conns = len(table)
+        memory = self.memory_bytes
+        stats.memory_samples.append(self._now, conns, memory)
         if stats.reasm_hist is not None:
             occupancy = 0
-            for conn in self.table:
+            for conn in table.holding():
                 reassembler = conn.reassembler
                 if reassembler is not None:
                     occupancy += reassembler.memory_bytes
             stats.observe_reasm_occupancy(occupancy)
+        return conns, memory
 
     def _enforce_memory(self) -> None:
         """Apply the evict/shed memory policy against this core's share
@@ -1001,8 +1021,9 @@ class CorePipeline:
         #: ``drop``.
         self._away: Dict[str, int] = {}
         #: The face's memory series: one ``(ts, conns, bytes)`` sample
-        #: per sample point, the sum of its lanes' samples there.
-        self._memory_samples: List[Tuple[float, int, int]] = []
+        #: per sample point, the sum of its stateful lanes' samples
+        #: there (none while it has no stateful lane).
+        self._memory_samples = MemorySeries()
         for name in table.active:
             self._activate(name)
         self._rebuild()
@@ -1075,6 +1096,8 @@ class CorePipeline:
         #: Every lane: active first (in active order), then draining (in
         #: drop order).
         self._all = self.lanes + self._draining
+        #: The lanes a sample point reads (see ``Lane.stateful``).
+        self._sampled = [lane for lane in self._all if lane.stateful]
 
     def adopt(self, table) -> None:
         """Adopt the successor filter table ``table``: tenants it no
@@ -1320,18 +1343,21 @@ class CorePipeline:
                 lane._deliver_connection(conn)
 
     def sample_memory(self) -> None:
-        """A sample point: every lane samples its own table, and the
-        face records their sum at the core clock. It is combined per
-        sample point, not per instant: a core handed no packet between
-        two points samples twice at one ``now``, and records two
-        samples, not one of twice its state."""
+        """A sample point: every stateful lane samples its own table,
+        and the face records their sum at the core clock; a core with
+        no stateful lane records nothing. It is combined per sample
+        point, not per instant: a core handed no packet between two
+        points samples twice at one ``now``, and records two samples,
+        not one of twice its state."""
+        lanes = self._sampled
+        if not lanes:
+            return
         conns = memory = 0
-        for lane in self._all:
-            lane.sample_memory()
-            _ts, lane_conns, lane_memory = lane.stats.memory_samples[-1]
+        for lane in lanes:
+            lane_conns, lane_memory = lane.sample_memory()
             conns += lane_conns
             memory += lane_memory
-        self._memory_samples.append((self.now, conns, memory))
+        self._memory_samples.append(self.now, conns, memory)
 
     def set_span_ctx(self, ctx) -> None:
         """Stamp the IPC span context for the next burst (the parallel
@@ -1404,6 +1430,6 @@ class CorePipeline:
         for name in bundle.per_tenant:
             bundle.not_subscribed[name] = self._away[name] + (
                 0 if name in self._by_name else self.packets)
-        bundle.memory_samples = list(self._memory_samples)
+        bundle.memory_samples = self._memory_samples.copy()
         bundle.epoch = self.table.epoch
         return bundle

@@ -551,8 +551,7 @@ class Runtime:
             stage_cycles=stage_cycles,
             per_core_busy_seconds=[stats.ledger.busy_seconds
                                    for stats in core_stats],
-            memory_samples=sorted(merged.memory_samples,
-                                  key=lambda s: s[0]),
+            memory_samples=merged.memory_samples.sorted(),
             fault_counters=merged.fault_counters,
             stage_cycle_hist=ledger.hist,
             reasm_hist=merged.reasm_hist,

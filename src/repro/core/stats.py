@@ -7,8 +7,10 @@ tracks one core; :class:`AggregateStats` merges cores for reports.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.cycles import CostModel, CycleLedger, Stage
 
@@ -70,6 +72,74 @@ _FUNNEL_COUNTERS = frozenset(
     if name == "bytes" or name.startswith(("pf_", "connf_", "sessf_")))
 
 
+class MemorySeries(Sequence):
+    """A Figure 8 memory series: one ``(ts, live connections, bytes)``
+    sample per sample point, kept as three flat columns — 24 bytes a
+    sample, where a tuple of three objects costs ~100. It reads as the
+    sequence of those tuples, built on read."""
+
+    __slots__ = ("ts", "conns", "memory")
+
+    def __init__(self, samples: Iterable[Tuple[float, int, int]] = ()
+                 ) -> None:
+        self.ts = array("d")
+        self.conns = array("q")
+        self.memory = array("q")
+        for ts, conns, memory in samples:
+            self.append(ts, conns, memory)
+
+    def append(self, ts: float, conns: int, memory: int) -> None:
+        self.ts.append(ts)
+        self.conns.append(conns)
+        self.memory.append(memory)
+
+    def extend(self, other: "MemorySeries") -> None:
+        self.ts.extend(other.ts)
+        self.conns.extend(other.conns)
+        self.memory.extend(other.memory)
+
+    def copy(self) -> "MemorySeries":
+        out = MemorySeries()
+        out.extend(self)
+        return out
+
+    def sorted(self) -> "MemorySeries":
+        """A copy in timestamp order; samples of one timestamp keep
+        their order."""
+        ts = self.ts
+        order = sorted(range(len(ts)), key=ts.__getitem__)
+        out = MemorySeries()
+        out.ts = array("d", [ts[i] for i in order])
+        out.conns = array("q", [self.conns[i] for i in order])
+        out.memory = array("q", [self.memory[i] for i in order])
+        return out
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(zip(self.ts[index], self.conns[index],
+                            self.memory[index]))
+        return self.ts[index], self.conns[index], self.memory[index]
+
+    def __iter__(self) -> Iterator[Tuple[float, int, int]]:
+        return zip(self.ts, self.conns, self.memory)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, MemorySeries):
+            return (self.ts == other.ts and self.conns == other.conns
+                    and self.memory == other.memory)
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"MemorySeries({list(self)!r})"
+
+
 class CoreStats:
     """Counters for one processing core."""
 
@@ -86,8 +156,9 @@ class CoreStats:
         #: by the pipeline when an overload policy is active; None
         #: otherwise. Travels with the snapshot like every counter.
         self.overload = None
-        #: (timestamp, live_connections, memory_bytes) samples.
-        self.memory_samples: List[Tuple[float, int, int]] = []
+        #: The memory series: a lane's own samples, or a core's (empty
+        #: where no lane can hold state; see ``Lane.stateful``).
+        self.memory_samples = MemorySeries()
         #: Sampled connection-lifecycle events (repro.telemetry.trace).
         self.trace_events: List[Tuple] = []
         #: Reassembly-buffer occupancy histogram (telemetry only):
@@ -117,10 +188,6 @@ class CoreStats:
                     self.reasm_hist[i] += 1
                     return
             self.reasm_hist[-1] += 1
-
-    def sample_memory(self, ts: float, live_conns: int,
-                      memory_bytes: int) -> None:
-        self.memory_samples.append((ts, live_conns, memory_bytes))
 
     def to_dict(self) -> Dict:
         """Deterministic, comparable snapshot of one core's counters.
@@ -235,7 +302,9 @@ class AggregateStats:
     #: total (see :class:`CycleLedger`) divided once, by the aggregator.
     stage_cycles: Dict[Stage, float]
     per_core_busy_seconds: List[float]
-    memory_samples: List[Tuple[float, int, int]]
+    #: Every core's samples in timestamp order (a list of
+    #: ``(ts, conns, bytes)`` tuples is taken as one).
+    memory_samples: MemorySeries
     # -- telemetry (filter funnel, tracing, histograms) ----------------------
     pf_packets: int = 0
     pf_bytes: int = 0
@@ -272,6 +341,10 @@ class AggregateStats:
     reasm_peak_bytes: int = 0
     #: Merged (unsorted) trace events; see repro.telemetry.trace.
     trace_events: List[Tuple] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.memory_samples, MemorySeries):
+            self.memory_samples = MemorySeries(self.memory_samples)
 
     # -- derived -------------------------------------------------------------
     @property
@@ -334,15 +407,13 @@ class AggregateStats:
 
     @property
     def peak_memory_bytes(self) -> int:
-        if not self.memory_samples:
-            return 0
-        return max(m for _, _, m in self.memory_samples)
+        """The largest single-core sample (Figure 8 sums the cores)."""
+        return max(self.memory_samples.memory, default=0)
 
     @property
     def peak_live_connections(self) -> int:
-        if not self.memory_samples:
-            return 0
-        return max(c for _, c, _ in self.memory_samples)
+        """The most connections one core held at a sample point."""
+        return max(self.memory_samples.conns, default=0)
 
     def stage_fractions(self) -> Dict[Stage, float]:
         """Fraction of ingress packets that triggered each stage

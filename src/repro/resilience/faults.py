@@ -355,6 +355,11 @@ class CoreFaultInjector:
                 raise ProtocolError(
                     f"injected parser fault at parse #{ordinal}")
 
+    @property
+    def spikes_memory(self) -> bool:
+        """Whether any memory spike targets this core."""
+        return bool(self._spikes)
+
     def memory_spike_bytes(self, now: float) -> int:
         """Synthetic extra bytes active at virtual time ``now``."""
         extra = 0

@@ -111,8 +111,9 @@ def test_eviction_ties_across_families_keep_tuple_order():
 def test_heavy_connection_ties_across_families_keep_tuple_order():
     table = ConnTable()
     expected = _two_families(table)
-    for conn in table:
-        conn.buffered_bytes = 100
+    for conn in table:  # each carrying one 100-byte buffered packet
+        conn.buffer_packet(Mbuf(bytes(100)))
+        table.hold(conn)
     assert [c.key for c in table.heavy_connections(0)] == expected
 
 

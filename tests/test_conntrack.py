@@ -385,11 +385,22 @@ class TestConnTable:
         assert len(table) == 100
 
     def test_memory_accounting(self):
+        """The total reads the connections the table was told hold
+        state (the pipeline tells it as it hands state out), and one
+        leaves the record once it holds none."""
         table = ConnTable()
         conn = create(table, ft(), now=0.0)
         base = table.memory_bytes
         conn.buffer_packet(Mbuf(b"y" * 1000))
+        table.hold(conn)
         assert table.memory_bytes == base + 1000
+        assert list(table.holding()) == [conn]
+        table.release(conn)  # still buffering: stays
+        assert list(table.holding()) == [conn]
+        conn.drop_buffered()
+        table.release(conn)
+        assert table.memory_bytes == base
+        assert list(table.holding()) == []
 
 
 def class_defaults():

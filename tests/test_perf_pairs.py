@@ -1,5 +1,6 @@
 """tools/perf_pairs.py: the paired-run verdict, the equal-length run
-trees and the traced per-layer call counts."""
+trees, the traced per-layer call counts and the exact per-layer
+deltas."""
 
 import importlib.util
 import subprocess
@@ -132,16 +133,68 @@ def test_call_counts_come_from_one_traced_run_per_side(monkeypatch,
                             in reports[tree].items()}}
 
     monkeypatch.setattr(perf_pairs, "run_once", run_once)
-    rows = perf_pairs.call_counts({"parent": "parent", "change": "change"},
-                                  "campus_conn", 42)
+    runs = perf_pairs.traced({"parent": "parent", "change": "change"},
+                             "campus_conn", 42)
+    rows = perf_pairs.layer_rows(runs, perf_pairs.is_call_count)
     assert sorted(made) == [("change", "campus_conn", 42, 1),
                             ("parent", "campus_conn", 42, 1)]
     assert rows == [("core.pipeline.calls_per_pkt", 1.367, 2.481),
                     ("core.shm.calls_per_pkt", 0.0, 0.5),
                     ("tenancy.calls_per_pkt", 0.089, 0.0)]
-    perf_pairs.report_calls("campus_conn", rows)
+    perf_pairs.report_rows("campus_conn", rows)
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3
     assert lines[0].split()[1:] == ["core.pipeline.calls_per_pkt",
                                     "parent", "1.367", "change", "2.481",
                                     "+1.114"]
+
+
+def test_exact_deltas_print_every_moved_count_and_no_timing(monkeypatch,
+                                                            capsys):
+    """From the same two traced runs, every exact per-layer metric the
+    sides disagree on is printed — the virtual clock's cycles, the peak
+    state — and neither a timing (which no two runs agree on) nor an
+    exact metric that did not move; the call counts have their own
+    rows."""
+    reports = {
+        "parent": {"core.cycles.capture_cycles_per_pkt": 1137.96,
+                   "core.cycles.cycles_per_pkt": 1877.36,
+                   "conntrack.peak_state_bytes": 209920,
+                   "conntrack.peak_live_conns": 410,
+                   "traffic.pkts": 101951,
+                   "conntrack.calls_per_pkt": 4.151,
+                   "conntrack.self_share": 0.12,
+                   "filter.self_us_per_pkt": 1.0,
+                   "pkts_per_s": 139000.0,
+                   "core.shm.ring_highwater": 3},
+        "change": {"core.cycles.capture_cycles_per_pkt": 142.25,
+                   "core.cycles.cycles_per_pkt": 1877.36,
+                   "conntrack.peak_state_bytes": 159232,
+                   "conntrack.peak_live_conns": 311,
+                   "traffic.pkts": 101951,
+                   "conntrack.calls_per_pkt": 2.413,
+                   "conntrack.self_share": 0.08,
+                   "filter.self_us_per_pkt": 0.9,
+                   "pkts_per_s": 150000.0,
+                   "core.shm.ring_highwater": 5,
+                   "core.parallel.ipc_bytes_per_pkt": 0.5},
+    }
+
+    def run_once(tree, workload, seed, trace=0):
+        assert trace == 1
+        return {"metrics": {name: {"value": value} for name, value
+                            in reports[tree].items()}}
+
+    monkeypatch.setattr(perf_pairs, "run_once", run_once)
+    runs = perf_pairs.traced({"parent": "parent", "change": "change"},
+                             "tenants8", 42)
+    rows = perf_pairs.exact_deltas(runs)
+    assert rows == [("conntrack.peak_live_conns", 410, 311),
+                    ("conntrack.peak_state_bytes", 209920, 159232),
+                    ("core.cycles.capture_cycles_per_pkt", 1137.96, 142.25),
+                    ("core.parallel.ipc_bytes_per_pkt", 0.0, 0.5)]
+    perf_pairs.report_rows("tenants8", rows)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split()[1:] == ["conntrack.peak_state_bytes",
+                                    "parent", "209920.000", "change",
+                                    "159232.000", "-50688.000"]

@@ -17,8 +17,13 @@ median and quartiles, the change's wins, and the paired-run verdict
 (see :func:`verdict`). Then it makes one ``--trace 1`` run per side on
 the first pair's seed and prints every ``*.calls_per_pkt`` layer count
 as parent, change and delta: a call added per packet shows there even
-when the end-to-end metrics cannot see it. Every run made is printed as
-it finishes. Exits 1 on a regression or a failed repetition.
+when the end-to-end metrics cannot see it. After those it prints, the
+same way, every other exact per-layer metric the two traced runs
+disagree on — ``core.cycles.*``, ``conntrack.peak_state_bytes`` and the
+rest that count rather than time (see :func:`is_timing`), so a change
+that moves the virtual clock or the state it keeps shows it. Every run
+made is printed as it finishes. Exits 1 on a regression or a failed
+repetition.
 """
 
 from __future__ import annotations
@@ -39,6 +44,18 @@ RUN = ["benchmarks/perf/run.py", "--seconds", "10"]
 MIN_PAIRS = 10
 #: {metric name: {"parent" | "change": one value per pair}}
 Values = Dict[str, Dict[str, List[float]]]
+#: {"parent" | "change": {metric name: value}} of one traced run a side.
+Traced = Dict[str, Dict[str, float]]
+#: Per-layer metrics read off a clock, or off the scheduling of the run
+#: (how full the ring got): no two runs agree on them, moved or not.
+#: ``*.self_share`` and ``*.self_us_per_pkt`` are timings too.
+TIMINGS = frozenset((
+    "pkts_per_s", "cpu_us_per_pkt", "traffic.gen_us_per_pkt",
+    "core.parallel.par_over_seq", "core.parallel.feeder_block_share",
+    "core.parallel.cpu_over_wall", "core.shm.ring_highwater",
+    "core.shm.slot_starvation_waits", "bench.trace_overhead_x",
+    "bench.rep_iqr_share",
+))
 
 
 def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
@@ -164,23 +181,43 @@ def report(workload: str, values: Values, metrics: List[Dict]) -> bool:
     return regressed
 
 
-def call_counts(sides: Dict[str, Path], workload: str,
-                seed: int) -> List[Tuple[str, float, float]]:
-    """One traced run per side on ``seed``: ``(metric, parent, change)``
-    for every ``*.calls_per_pkt`` either side reports, by name."""
-    counts = {side: {name: metric["value"] for name, metric
-                     in run_once(tree, workload, seed, trace=1)
-                     ["metrics"].items()
-                     if name.endswith(".calls_per_pkt")}
-              for side, tree in sides.items()}
-    parent, change = counts["parent"], counts["change"]
+def is_timing(name: str) -> bool:
+    return name in TIMINGS or \
+        name.endswith((".self_share", ".self_us_per_pkt"))
+
+
+def is_call_count(name: str) -> bool:
+    return name.endswith(".calls_per_pkt")
+
+
+def traced(sides: Dict[str, Path], workload: str, seed: int) -> Traced:
+    """One ``--trace 1`` run per side on ``seed``: its metrics."""
+    return {side: {name: metric["value"] for name, metric
+                   in run_once(tree, workload, seed, trace=1)
+                   ["metrics"].items()}
+            for side, tree in sides.items()}
+
+
+def layer_rows(runs: Traced, keep) -> List[Tuple[str, float, float]]:
+    """``(metric, parent, change)`` for every metric either side of
+    ``runs`` reports that ``keep`` accepts, by name (0: not reported)."""
+    parent, change = runs["parent"], runs["change"]
     return [(name, parent.get(name, 0.0), change.get(name, 0.0))
-            for name in sorted(set(parent) | set(change))]
+            for name in sorted(set(parent) | set(change)) if keep(name)]
 
 
-def report_calls(workload: str,
-                 rows: List[Tuple[str, float, float]]) -> None:
-    """Print one row per layer count: parent, change, delta."""
+def exact_deltas(runs: Traced) -> List[Tuple[str, float, float]]:
+    """Every exact per-layer metric other than the call counts —
+    neither a timing nor a ``*.calls_per_pkt`` — on which the two
+    traced runs disagree."""
+    return [row for row in layer_rows(
+                runs, lambda n: not is_timing(n) and not is_call_count(n))
+            if row[1] != row[2]]
+
+
+def report_rows(workload: str,
+                rows: List[Tuple[str, float, float]]) -> None:
+    """Print one row per per-layer metric: parent, change, delta."""
     for name, parent, change in rows:
         print(f"{workload:16s} {name:30s} parent {parent:8.3f}  "
               f"change {change:8.3f}  {change - parent:+8.3f}")
@@ -204,8 +241,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             values, failed = measure(sides, workload, args.pairs,
                                      args.first_seed, metrics)
             bad |= report(workload, values, metrics) or failed > 0
-            report_calls(workload, call_counts(sides, workload,
-                                               args.first_seed))
+            runs = traced(sides, workload, args.first_seed)
+            report_rows(workload, layer_rows(runs, is_call_count))
+            report_rows(workload, exact_deltas(runs))
     return 1 if bad else 0
 
 
