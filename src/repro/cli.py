@@ -107,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               "virtual time T: <vt>:<add|drop>:<name> "
                               "(repeatable; requires --subscriptions)")
     resilience = parser.add_argument_group(
-        "resilience", "fault injection, supervision and degradation "
+        "resilience", "fault injection and degradation "
         "(see docs/RESILIENCE.md)")
     resilience.add_argument("--fault-plan", metavar="PLAN",
                             help="JSON fault plan: a file path or an "
@@ -130,9 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             metavar="BYTES",
                             help="total connection-state budget in "
                                  "bytes (0: unlimited)")
-    resilience.add_argument("--supervise", action="store_true",
-                            help="supervise parallel workers: restart "
-                                 "crashed/hung cores with batch replay")
     overload = parser.add_argument_group(
         "overload", "closed-loop overload control "
         "(see docs/OVERLOAD.md)")
@@ -277,16 +274,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             "--reconfigure-at has no effect without --subscriptions: "
             "live reconfiguration swaps tenants in a multi-tenant filter "
             "table; add --subscriptions PATH or drop --reconfigure-at")
-    if args.subscriptions and fault_plan is not None:
-        from repro.resilience.faults import WORKER_FAULT_KINDS
-        if any(s.kind not in WORKER_FAULT_KINDS
-               for s in fault_plan.faults):
-            return _fail(
-                "--subscriptions conflicts with non-worker --fault-plan "
-                "entries: pipeline-level faults (callback_error/"
-                "parser_error/corrupt_packet/...) cannot be attributed "
-                "to one tenant from a run-level plan; keep only "
-                "worker_crash/worker_hang entries")
+    if args.subscriptions and fault_plan is not None and \
+            fault_plan.faults:
+        return _fail(
+            "--subscriptions conflicts with --fault-plan entries: a "
+            "run-level fault (callback_error/parser_error/"
+            "corrupt_packet/...) cannot be attributed to one tenant; "
+            "drop --fault-plan")
     tenancy_specs = None
     tenancy_events = []
     if args.subscriptions:
@@ -297,11 +291,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                               for text in args.reconfigure_at]
         except RetinaError as exc:
             return _fail(exc)
-    if args.supervise and args.parallel <= 0:
-        return _fail(
-            "--supervise requires --parallel N: supervision restarts "
-            "worker *processes*, which only exist on the parallel "
-            "backend; add --parallel 2 (or more) or drop --supervise")
     if args.overload_target_lag <= 0:
         return _fail("--overload-target-lag must be positive (virtual "
                      "seconds of tolerated backlog)")
@@ -443,7 +432,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             callback_error_budget=args.callback_error_budget,
             memory_policy=args.memory_policy,
             memory_limit_bytes=args.memory_limit or None,
-            supervise=args.supervise,
             overload_policy=args.overload_policy,
             overload_target_lag=args.overload_target_lag,
             impairment=impairment,
@@ -482,13 +470,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(report.overload.describe())
     if report.faults is not None:
         faults = report.faults
-        line = (f"faults: injected={sum(faults.injected.values())} "
-                f"callback_errors={faults.callback_errors} "
-                f"restarts={faults.worker_restarts} "
-                f"replayed={faults.replayed_batches}")
-        if faults.degraded:
-            line += f" DEGRADED lost_cores={faults.lost_cores}"
-        print(line)
+        print(f"faults: injected={sum(faults.injected.values())} "
+              f"callback_errors={faults.callback_errors}")
     if args.report_dir:
         from repro.telemetry.bundle import write_bundle
         try:

@@ -120,9 +120,9 @@ class RuntimeConfig:
     span_sample: int = 0
     #: Flight recorder: keep the last N burst span-trees per core in a
     #: bounded ring, dumped with the triggering event on overload rung
-    #: escalation, callback quarantine, parser faults, and worker
-    #: crash/restart. 0 disables the ring. Either this or
-    #: ``span_sample`` being nonzero enables the span recorder.
+    #: escalation, callback quarantine and parser faults. 0 disables
+    #: the ring. Either this or ``span_sample`` being nonzero enables
+    #: the span recorder.
     flight_recorder_depth: int = 0
     # -- resilience (repro.resilience) ---------------------------------
     #: Deterministic fault plan to inject into the run; None disables
@@ -147,20 +147,6 @@ class RuntimeConfig:
     #: core is over its share. Both degradation policies keep the run
     #: alive and count their actions in ``RuntimeReport.faults``.
     memory_policy: str = "record"
-    #: Supervise parallel workers: per-core batch sequence numbers and
-    #: acknowledgements, a bounded redo log, crash detection + restart
-    #: with capped exponential backoff, hang detection via heartbeat
-    #: deadlines, and degraded completion (partial stats) when a core
-    #: is unrecoverable. Implied by a fault plan containing worker
-    #: faults. Off by default: the unsupervised dispatch path is
-    #: byte-identical to previous releases.
-    supervise: bool = False
-    #: Restarts allowed per core before it is declared lost and the run
-    #: completes degraded.
-    max_worker_restarts: int = 2
-    #: Wall-clock seconds without progress before a live-but-silent
-    #: worker is treated as hung (supervised mode only).
-    worker_heartbeat_timeout: float = 5.0
     # -- overload control (repro.overload) ------------------------------
     #: What a core does when it cannot keep up with arrivals: "off"
     #: (keep absorbing load, the historical behavior), "ladder" (the
@@ -259,10 +245,6 @@ class RuntimeConfig:
             raise ConfigError(
                 f"unknown memory_policy {self.memory_policy!r} "
                 f"(want 'record', 'evict', or 'shed')")
-        if self.max_worker_restarts < 0:
-            raise ConfigError("max_worker_restarts must be >= 0")
-        if self.worker_heartbeat_timeout <= 0:
-            raise ConfigError("worker_heartbeat_timeout must be > 0")
         if self.overload_policy not in ("off", "ladder", "failfast"):
             raise ConfigError(
                 f"unknown overload_policy {self.overload_policy!r} "

@@ -109,7 +109,6 @@ class Lane:
         subscription: Subscription,
         config: "RuntimeConfig",
         executor=None,
-        initial_overload_rung: int = 0,
         name: str = "subscription",
     ) -> None:
         self.core_id = core_id
@@ -187,10 +186,9 @@ class Lane:
         # row loop; `_ov_next = inf` when the policy is off.
         if config.overload_policy != "off":
             from repro.overload import LossLedger, OverloadController
-            ledger = LossLedger(core_id, initial_overload_rung)
+            ledger = LossLedger(core_id)
             self.stats.overload = ledger
-            self._overload = OverloadController(
-                config, ledger, initial_rung=initial_overload_rung)
+            self._overload = OverloadController(config, ledger)
             self._ov_next = 0.0
             self._ov_mem_share = (
                 config.memory_limit_bytes // config.cores
@@ -981,7 +979,6 @@ class CorePipeline:
     """
 
     def __init__(self, core_id: int, table, config: "RuntimeConfig",
-                 initial_overload_rung: int = 0,
                  pressure_mbps: Optional[float] = None,
                  compiled: Optional[dict] = None) -> None:
         self.core_id = core_id
@@ -990,7 +987,6 @@ class CorePipeline:
         #: which are active, in activation order.
         self.table = table
         self._compiled = compiled if compiled is not None else {}
-        self._initial_rung = initial_overload_rung
         #: The active tenants' lanes, by name.
         self._by_name: Dict[str, Lane] = {}
         #: Dropped tenants' lanes: no further rows, but they keep
@@ -1051,16 +1047,15 @@ class CorePipeline:
         _spec, sub, executor = compiled
         # Tenant overrides for the callback error policy, and the
         # tenant-scoped fault plan *replacing* the run-level one
-        # (worker-level faults stay with the supervisor; in-pipeline
-        # injectors must be tenant-local or quarantine leaks).
+        # (in-pipeline injectors must be tenant-local or quarantine
+        # leaks).
         overrides = {field: getattr(spec, field) for field in (
             "callback_error_policy", "callback_error_budget")
             if getattr(spec, field) is not None}
         self._by_name[name] = Lane(
             self.core_id, sub,
             self.config.with_(fault_plan=spec.fault_plan, **overrides),
-            executor=executor, initial_overload_rung=self._initial_rung,
-            name=name)
+            executor=executor, name=name)
         self._away[name] = self._away.get(name, 0) + self.packets
 
     def _rebuild(self) -> None:
@@ -1103,13 +1098,7 @@ class CorePipeline:
         """Adopt the successor filter table ``table``: tenants it no
         longer lists move to draining, tenants it adds activate (in
         ``table.active`` order).
-
-        Idempotent on the epoch number: a replayed bump (supervised
-        restart re-delivers unacked batches verbatim) whose epoch this
-        core already adopted — or was re-seeded past — is a no-op.
         """
-        if table.epoch <= self.table.epoch:
-            return
         for name in self.table.active:
             if name not in table.active:
                 self._draining.append(self._by_name.pop(name))

@@ -52,12 +52,11 @@ class RuntimeReport:
     #: when ``config.telemetry`` is on; None otherwise. Volatile — in
     #: a run bundle it is in the manifest and nowhere else.
     backend_health: Optional[dict] = None
-    #: Resilience outcome (injections, policy actions, supervisor
-    #: recovery), or None when nothing was configured and nothing
-    #: happened. Deterministic for a fixed ``(seed, FaultPlan)``.
+    #: Resilience outcome (injections, policy actions), or None when
+    #: nothing was configured and nothing happened. Deterministic for a
+    #: fixed ``(seed, FaultPlan)``.
     faults: Optional[FaultReport] = None
-    #: Final per-core stats snapshots by core id. On a degraded
-    #: parallel run, lost cores are absent.
+    #: Final per-core stats snapshots by core id.
     core_stats: Optional[Dict[int, CoreStats]] = None
     #: Merged overload loss ledger (:class:`repro.overload.LossLedger`)
     #: when an overload policy was active; None otherwise. Attributes
@@ -98,12 +97,6 @@ class RuntimeReport:
         §7 fail-fast exit, as an explicit opt-in policy)."""
         return self.overload is not None and \
             self.overload.failfast_at is not None
-
-    @property
-    def degraded(self) -> bool:
-        """True when the run completed with partial results (one or
-        more worker cores were lost past their restart budget)."""
-        return self.faults is not None and self.faults.degraded
 
 
 class Runtime:
@@ -398,7 +391,7 @@ class Runtime:
             self._next_memory_sample = next_sample
             flush()
             # On a cutoff the cores neither advance time nor drain.
-            core_stats, supervisor, health = backend._finish(
+            core_stats, health = backend._finish(
                 self._last_ts if oom_at is None and failfast_at is None
                 else None, drain)
             if monitor is not None:
@@ -406,8 +399,7 @@ class Runtime:
                 # between interval boundaries must not silently drop
                 # its tail.
                 monitor.finalize(self._last_ts, backend)
-        report = self.report(core_stats, oom_at, injector, supervisor,
-                             health)
+        report = self.report(core_stats, oom_at, injector, health)
         if link is not None:
             link.close()  # flush a recorded trace even on an abort
             report.impairment = link.ledger
@@ -432,7 +424,7 @@ class Runtime:
             pipeline.sample_memory()
 
     def _finish(self, last_ts: Optional[float], drain: bool):
-        """End of run: ``(core_stats, supervisor, backend_health)``.
+        """End of run: ``(core_stats, backend_health)``.
         ``last_ts`` is None after a cutoff; a trip on a burst the loop
         did not check (a flushed partial one) is a cutoff too."""
         pipelines = self.pipelines
@@ -451,15 +443,13 @@ class Runtime:
             )
         for pipeline in pipelines:
             pipeline.fold_fault_counters()
-        return {p.core_id: p.stats for p in pipelines}, None, None
+        return {p.core_id: p.stats for p in pipelines}, None
 
     def report(self, core_stats: Dict[int, CoreStats],
                oom_at: Optional[float], packet_injector,
-               supervisor=None,
                backend_health: Optional[dict] = None) -> RuntimeReport:
         """A finished run's report from its per-core stats: where both
-        backends end. ``supervisor`` is the worker backend's, whose
-        restart events join the spans and the fault report."""
+        backends end."""
         config = self.config
         cores = [core_stats[core] for core in sorted(core_stats)]
         overload = spans = None
@@ -468,21 +458,13 @@ class Runtime:
             overload = merge_ledgers(stats.overload for stats in cores)
         if config.span_sample > 0 or config.flight_recorder_depth > 0:
             from repro.telemetry.spans import build_span_report
-            # Parent-side supervisor events (worker crash/restart) join
-            # the workers' own trigger events; each synthesizes a
-            # flight dump from that core's surviving ring.
             spans = build_span_report(
-                cores,
-                supervisor.failure_events if supervisor is not None
-                else None,
-                config.cost_model.cpu_hz,
+                cores, config.cost_model.cpu_hz,
                 nic=[n.stats.to_dict() for n in self.nics])
         return RuntimeReport(
             stats=self.aggregate(cores), oom_at=oom_at,
             backend_health=backend_health,
-            faults=build_fault_report(
-                config, core_stats, packet_injector,
-                supervisor.summary() if supervisor is not None else None),
+            faults=build_fault_report(config, core_stats, packet_injector),
             core_stats=core_stats, overload=overload, spans=spans)
 
     def run_pcap(self, path, **kwargs) -> RuntimeReport:

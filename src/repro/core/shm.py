@@ -8,9 +8,8 @@ only feeder→worker data path:
 
 - a **mempool** of fixed pre-allocated batch slots per core inside one
   ``multiprocessing.shared_memory`` segment — the feeder lays a burst's
-  slot image down in place (:func:`~repro.packet.batch.slot_write_mbufs`,
-  or a verbatim copy of an image the supervisor's redo log already
-  holds) and the worker maps it back as ``memoryview``-backed mbufs
+  slot image down in place (:func:`~repro.packet.batch.slot_write_mbufs`)
+  and the worker maps it back as ``memoryview``-backed mbufs
   (:func:`~repro.packet.batch.slot_read`) — no pickle, no pipe copy,
   on either side;
 - a per-core **SPSC descriptor ring** whose entries are a single
@@ -59,7 +58,7 @@ import time
 from collections import deque
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.packet.batch import slot_read, slot_rows, slot_write_mbufs
+from repro.packet.batch import slot_read, slot_write_mbufs
 
 try:  # pragma: no cover - import guard exercised via shm_available()
     from multiprocessing import shared_memory as _shared_memory
@@ -149,11 +148,6 @@ class ShmFeederChannel:
         self._shm = _shared_memory.SharedMemory(
             self.name, create=True, size=layout.total_bytes)
         self._buf = self._shm.buf
-        # Zero the control region (consumed counter + ring words). The
-        # kernel gives fresh segments zeroed pages, but reset() reuses
-        # this for worker restarts, so do it explicitly.
-        self._buf[:_RING_BASE + 8 * layout.ring_size] = \
-            bytes(_RING_BASE + 8 * layout.ring_size)
         #: Next ring ordinal to publish.
         self.ordinal = 0
         self._consumed = 0
@@ -236,23 +230,6 @@ class ShmFeederChannel:
         self._publish(KIND_BATCH, slot, len(mbufs))
         return True
 
-    def send_image(self, image: bytes, alive) -> bool:
-        """Copy a burst's slot image verbatim into a free slot and
-        publish it (supervised dispatch and redo-log replay: a replay
-        lays down the bytes the first send did). Returns False when the
-        image does not fit a slot."""
-        size = len(image)
-        if size > self.layout.slot_bytes:
-            return False
-        self._wait_capacity(alive)
-        slot = self._free.popleft()
-        offset = self.layout.slot_offset(slot)
-        self._buf[offset:offset + size] = image
-        self._in_flight.append((self.ordinal, slot))
-        self.slot_bytes_written += size
-        self._publish(KIND_BATCH, slot, slot_rows(image))
-        return True
-
     def send_ctrl(self, alive) -> None:
         """Publish a control descriptor; the payload must already be on
         (or about to enter) the pickle control queue. The descriptor
@@ -266,17 +243,6 @@ class ShmFeederChannel:
         self._publish(KIND_SAMPLE, 0, 0)
 
     # -- lifecycle -----------------------------------------------------
-    def reset(self) -> None:
-        """Re-arm the channel for a restarted worker: zero the counter
-        and ring, reclaim every in-flight slot (the dead worker will
-        never retire them; the redo log owns their contents)."""
-        self._buf[:_RING_BASE + 8 * self.layout.ring_size] = \
-            bytes(_RING_BASE + 8 * self.layout.ring_size)
-        self.ordinal = 0
-        self._consumed = 0
-        self._free = deque(range(self.layout.ring_size))
-        self._in_flight = deque()
-
     def close(self) -> None:
         buf, self._buf = self._buf, None
         if buf is not None:
@@ -313,14 +279,9 @@ class ShmWorkerChannel:
         #: The feeder: a worker re-parented away from it is orphaned.
         self._feeder_pid = os.getppid()
 
-    def wait_descriptor(self, ordinal: int,
-                        on_idle: Optional[Callable[[], None]] = None
-                        ) -> Tuple[int, int, int]:
+    def wait_descriptor(self, ordinal: int) -> Tuple[int, int, int]:
         """Spin-then-sleep until the entry for ``ordinal`` is published;
-        returns ``(kind, slot, rows)``. ``on_idle`` fires once when the
-        first poll misses (the ring is momentarily empty) — the worker
-        hooks its coalesced-ack flush there, so acks drain whenever the
-        feeder is not saturating the core. A long wait re-checks the
+        returns ``(kind, slot, rows)``. A long wait re-checks the
         feeder's liveness on the cadence the feeder checks the worker's
         and raises :class:`FeederGone` once it is dead."""
         buf = self._buf
@@ -336,8 +297,6 @@ class ShmWorkerChannel:
                 return ((word >> 60) & 0xF, (word >> 24) & 0xFFFF,
                         (word >> 40) & 0xFFFFF)
             spins += 1
-            if spins == 1 and on_idle is not None:
-                on_idle()
             if spins > 100:
                 time.sleep(sleep)
                 if sleep < 0.002:
@@ -348,8 +307,8 @@ class ShmWorkerChannel:
                     if os.getppid() != self._feeder_pid:
                         raise FeederGone()
 
-    def read_batch(self, slot: int) -> Tuple[list, int, Optional[tuple]]:
-        """Map the slot back to ``(mbufs, seq, trace_ctx)``; each
+    def read_batch(self, slot: int) -> Tuple[list, Optional[tuple]]:
+        """Map the slot back to ``(mbufs, trace_ctx)``; each
         frame is a zero-copy view into the slot, valid until
         :meth:`mark_consumed` retires this descriptor."""
         return slot_read(self._buf, self.layout.slot_offset(slot))
@@ -405,9 +364,6 @@ class ShmTransport:
         Strings and ints only — picklable under spawn, trivially
         inherited under fork."""
         return (self.channels[core_id].name,) + self.layout.wire()
-
-    def reset_core(self, core_id: int) -> None:
-        self.channels[core_id].reset()
 
     def close(self) -> None:
         # Idempotent, and the channel objects (with their volatile

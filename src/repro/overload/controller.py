@@ -71,18 +71,15 @@ class OverloadController:
                  "relax_ticks", "ledger", "rung", "last_pressure",
                  "_hot", "_calm", "_first_ts", "_last_tick")
 
-    def __init__(self, config: "RuntimeConfig", ledger: LossLedger,
-                 initial_rung: int = 0) -> None:
+    def __init__(self, config: "RuntimeConfig",
+                 ledger: LossLedger) -> None:
         self.policy = config.overload_policy
         self.target_lag = config.overload_target_lag
         self.interval = config.overload_eval_interval
         self.max_rung = config.overload_max_rung
         self.relax_ticks = config.overload_relax_ticks
         self.ledger = ledger
-        # A restarted worker resumes at the rung its predecessor held
-        # (the supervisor carries it across the restart) so a crash
-        # mid-overload does not silently reopen the admission gate.
-        self.rung = min(max(initial_rung, 0), RUNG_FAILFAST)
+        self.rung = 0
         self.last_pressure = 0.0
         self._hot = 0
         self._calm = 0

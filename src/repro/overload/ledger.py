@@ -37,7 +37,7 @@ class LossLedger:
     pickle cheaply inside a worker's :class:`CoreStats` snapshot.
     """
 
-    def __init__(self, core_id: int = 0, initial_rung: int = 0) -> None:
+    def __init__(self, core_id: int = 0) -> None:
         self.core_id = core_id
         #: Packets that entered this core's pipeline (shed or not).
         self.packets_seen = 0
@@ -65,8 +65,7 @@ class LossLedger:
         self.rung_time: List[float] = [0.0] * _NUM_RUNGS
         #: Virtual timestamp of the fail-fast trip, or None.
         self.failfast_at: Optional[float] = None
-        self._initial_rung = initial_rung
-        self.max_rung_seen = initial_rung
+        self.max_rung_seen = 0
 
     # -- recording -----------------------------------------------------
     def record_shed(self, rung: int, layer: str, wire_bytes: int) -> None:
@@ -108,7 +107,7 @@ class LossLedger:
         """The rung after the last transition (per-core ledgers only;
         a merged ledger reports the highest core's last rung)."""
         if not self.transitions:
-            return self._initial_rung
+            return 0
         return self.transitions[-1][2]
 
     @property

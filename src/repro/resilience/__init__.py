@@ -1,9 +1,8 @@
-"""Resilience subsystem: deterministic fault injection, worker
-supervision, and graceful degradation under pressure.
+"""Resilience subsystem: deterministic fault injection and graceful
+degradation under pressure.
 
-See :mod:`repro.resilience.faults` for the fault-plan model and
-:mod:`repro.resilience.supervisor` for the parallel-backend worker
-supervisor; ``docs/RESILIENCE.md`` is the narrative guide.
+See :mod:`repro.resilience.faults` for the fault-plan model;
+``docs/RESILIENCE.md`` is the narrative guide.
 """
 
 from repro.resilience.faults import (
@@ -14,9 +13,7 @@ from repro.resilience.faults import (
     FaultSpec,
     PacketFaultInjector,
     build_fault_report,
-    restart_backoff,
 )
-from repro.resilience.supervisor import RedoLog, WorkerSupervisor
 
 __all__ = [
     "FAULT_KINDS",
@@ -25,8 +22,5 @@ __all__ = [
     "FaultReport",
     "FaultSpec",
     "PacketFaultInjector",
-    "RedoLog",
-    "WorkerSupervisor",
     "build_fault_report",
-    "restart_backoff",
 ]

@@ -4,11 +4,10 @@ Retina's value proposition is sustained analysis under hostile
 conditions; this module makes every failure path *testable and
 replayable*. A :class:`FaultPlan` is a declarative list of faults —
 packet corruption/truncation, injected parser and callback exceptions,
-worker crashes/hangs at a given batch, synthetic memory spikes — each
-anchored to a deterministic coordinate (global packet index, per-core
-delivery/parse ordinal, per-core batch sequence number, virtual time).
+synthetic memory spikes — each anchored to a deterministic coordinate
+(global packet index, per-core delivery/parse ordinal, virtual time).
 The same ``(seed, plan)`` therefore produces the same injections, the
-same recovery actions, and a byte-identical
+same policy actions, and a byte-identical
 :class:`~repro.core.runtime.RuntimeReport` ``faults`` section across
 runs.
 
@@ -25,10 +24,6 @@ Coordinates and cross-backend determinism:
   sequential and parallel execution. Across *different* worker counts
   the ordinals land on different packets (the plan does not "permit"
   that comparison).
-- ``worker_crash`` / ``worker_hang`` key on a per-core **batch sequence
-  number** and only apply to the parallel backend (the sequential
-  backend has no worker processes to kill; such faults are counted as
-  skipped in the report).
 - ``memory_spike`` keys on **virtual time**: from ``at_time`` on (for
   ``duration`` virtual seconds, or indefinitely) the named core's
   reported connection-table memory is inflated by ``bytes`` — enough to
@@ -57,13 +52,8 @@ FAULT_KINDS = (
     "truncate_packet",
     "callback_error",
     "parser_error",
-    "worker_crash",
-    "worker_hang",
     "memory_spike",
 )
-
-#: Fault kinds that target the parallel backend's worker processes.
-WORKER_FAULT_KINDS = ("worker_crash", "worker_hang")
 
 
 @dataclass(frozen=True)
@@ -83,12 +73,9 @@ class FaultSpec:
     #: Repeat the callback/parser fault every N ordinals after the
     #: first hit (None: fire once).
     every: Optional[int] = None
-    #: Target core for core-scoped faults (callback/parser/worker/
-    #: memory). None means core 0 for worker faults and "all cores"
-    #: for callback/parser/memory faults.
+    #: Target core for core-scoped faults (callback/parser/memory).
+    #: None means "all cores".
     core: Optional[int] = None
-    #: Per-core batch sequence number (worker faults), 0-based.
-    at_batch: Optional[int] = None
     #: Virtual-time anchor (memory spikes).
     at_time: Optional[float] = None
     #: Spike duration in virtual seconds (None: until end of run).
@@ -99,7 +86,7 @@ class FaultSpec:
     def to_dict(self) -> Dict:
         out: Dict = {"kind": self.kind}
         for key in ("at_packet", "keep_bytes", "at_ordinal", "every",
-                    "core", "at_batch", "at_time", "duration"):
+                    "core", "at_time", "duration"):
             value = getattr(self, key)
             if value is not None:
                 out[key] = value
@@ -115,6 +102,11 @@ def _require(condition: bool, message: str) -> None:
         raise FaultInjectionError(message)
 
 
+def _require_kind(kind: str) -> None:
+    _require(kind in FAULT_KINDS,
+             f"unknown fault kind {kind!r}; known: {list(FAULT_KINDS)}")
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """A seeded, declarative set of faults to inject into one run."""
@@ -124,9 +116,7 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         for spec in self.faults:
-            _require(spec.kind in FAULT_KINDS,
-                     f"unknown fault kind {spec.kind!r}; "
-                     f"known: {list(FAULT_KINDS)}")
+            _require_kind(spec.kind)
             if spec.kind in ("corrupt_packet", "truncate_packet"):
                 _require(spec.at_packet is not None and spec.at_packet >= 0,
                          f"{spec.kind} needs at_packet >= 0")
@@ -136,9 +126,6 @@ class FaultPlan:
                          f"{spec.kind} needs at_ordinal >= 0")
                 _require(spec.every is None or spec.every >= 1,
                          f"{spec.kind}: every must be >= 1")
-            elif spec.kind in WORKER_FAULT_KINDS:
-                _require(spec.at_batch is not None and spec.at_batch >= 0,
-                         f"{spec.kind} needs at_batch >= 0")
             elif spec.kind == "memory_spike":
                 _require(spec.at_time is not None and spec.at_time >= 0,
                          "memory_spike needs at_time >= 0")
@@ -155,11 +142,14 @@ class FaultPlan:
                  "fault plan 'faults' must be a list")
         specs: List[FaultSpec] = []
         allowed = {"kind", "at_packet", "count", "keep_bytes",
-                   "at_ordinal", "every", "core", "at_batch", "at_time",
-                   "duration", "bytes"}
+                   "at_ordinal", "every", "core", "at_time", "duration",
+                   "bytes"}
         for raw in raw_faults:
             _require(isinstance(raw, dict) and "kind" in raw,
                      "each fault must be an object with a 'kind'")
+            # The kind first: an unknown kind's coordinates are unknown
+            # fields too, and the kind is the error to report.
+            _require_kind(raw["kind"])
             unknown = set(raw) - allowed
             _require(not unknown,
                      f"unknown fault field(s) {sorted(unknown)}")
@@ -188,22 +178,6 @@ class FaultPlan:
     def has_packet_faults(self) -> bool:
         return any(s.kind in ("corrupt_packet", "truncate_packet")
                    for s in self.faults)
-
-    @property
-    def has_worker_faults(self) -> bool:
-        return any(s.kind in WORKER_FAULT_KINDS for s in self.faults)
-
-    def worker_fault_at(self, core: int, seq: int,
-                        suppressed: Tuple[int, ...] = ()
-                        ) -> Optional[Tuple[int, FaultSpec]]:
-        """The (plan index, spec) of a worker fault firing when ``core``
-        receives batch ``seq``, skipping already-fired plan indices."""
-        for index, spec in enumerate(self.faults):
-            if spec.kind not in WORKER_FAULT_KINDS or index in suppressed:
-                continue
-            if (spec.core or 0) == core and spec.at_batch == seq:
-                return index, spec
-        return None
 
     def _fault_rng(self, index: int, packet: int = 0) -> random.Random:
         # Keyed on the fault's plan index (and, for multi-packet
@@ -385,7 +359,7 @@ class CoreFaultInjector:
 # ---------------------------------------------------------------------------
 @dataclass
 class FaultReport:
-    """``RuntimeReport.faults``: what was injected, what was survived.
+    """``RuntimeReport.faults``: what was injected, what was absorbed.
 
     Every field is deterministic for a fixed ``(seed, plan)`` — wall
     clock never appears here — so two runs of the same plan produce
@@ -397,8 +371,6 @@ class FaultReport:
     plan_seed: Optional[int] = None
     #: Injection counts by fault kind.
     injected: Dict[str, int] = field(default_factory=dict)
-    #: Planned worker faults that could not apply (sequential backend).
-    skipped_worker_faults: int = 0
     #: Callback exceptions absorbed by the ``isolate`` policy.
     callback_errors: int = 0
     #: Deliveries whose user callback was skipped post-quarantine.
@@ -410,68 +382,36 @@ class FaultReport:
     #: Connections evicted / new connections refused by memory policies.
     conns_evicted: int = 0
     conns_shed: int = 0
-    #: Supervisor actions (parallel backend only).
-    worker_restarts: int = 0
-    replayed_batches: int = 0
-    unreplayable_batches: int = 0
-    lost_cores: List[int] = field(default_factory=list)
-    #: Deterministic backoff schedule applied across restarts (seconds).
-    restart_backoffs: List[float] = field(default_factory=list)
-    #: True when the run completed with partial results.
-    degraded: bool = False
 
     @property
     def any_events(self) -> bool:
         return bool(
             self.injected or self.callback_errors or self.parser_exceptions
-            or self.conns_evicted or self.conns_shed or self.worker_restarts
-            or self.lost_cores or self.quarantined_cores or self.degraded
-            or self.skipped_worker_faults or self.callbacks_suppressed
+            or self.conns_evicted or self.conns_shed
+            or self.quarantined_cores or self.callbacks_suppressed
         )
 
     def to_dict(self) -> Dict:
         return {
             "plan_seed": self.plan_seed,
             "injected": {k: self.injected[k] for k in sorted(self.injected)},
-            "skipped_worker_faults": self.skipped_worker_faults,
             "callback_errors": self.callback_errors,
             "callbacks_suppressed": self.callbacks_suppressed,
             "quarantined_cores": sorted(self.quarantined_cores),
             "parser_exceptions": self.parser_exceptions,
             "conns_evicted": self.conns_evicted,
             "conns_shed": self.conns_shed,
-            "worker_restarts": self.worker_restarts,
-            "replayed_batches": self.replayed_batches,
-            "unreplayable_batches": self.unreplayable_batches,
-            "lost_cores": sorted(self.lost_cores),
-            "restart_backoffs": list(self.restart_backoffs),
-            "degraded": self.degraded,
         }
-
-
-def restart_backoff(attempt: int, base: float = 0.05,
-                    cap: float = 1.0) -> float:
-    """Capped exponential backoff for worker restart ``attempt`` (0-based).
-
-    Deterministic (no jitter): the schedule is part of the fault
-    report's byte-identity guarantee. "Virtual-time aware" in the sense
-    that the schedule is derived from the attempt count alone — the
-    run's virtual clock never waits on it; only the wall-clock restart
-    pauses."""
-    return min(base * (2 ** attempt), cap)
 
 
 def build_fault_report(config, core_stats,
                        packet_injector: Optional[PacketFaultInjector],
-                       supervisor_summary: Optional[Dict] = None,
                        ) -> Optional[FaultReport]:
     """Assemble the report from per-core stats + parent-side state.
 
-    ``core_stats`` is a ``{core_id: CoreStats}`` mapping (a dict rather
-    than a list so degraded runs with lost cores keep correct ids).
-    Returns None when no plan, non-default policy, or supervision was
-    configured *and* nothing happened — keeping ``RuntimeReport.faults``
-    absent for plain runs.
+    ``core_stats`` is a ``{core_id: CoreStats}`` mapping. Returns None
+    when no plan or non-default policy was configured *and* nothing
+    happened — keeping ``RuntimeReport.faults`` absent for plain runs.
     """
     plan = config.fault_plan
     report = FaultReport(plan_seed=plan.seed if plan else None)
@@ -488,23 +428,10 @@ def build_fault_report(config, core_stats,
         report.conns_shed += stats.conns_shed
         for kind, count in stats.fault_counters.items():
             report.injected[kind] = report.injected.get(kind, 0) + count
-    if supervisor_summary is not None:
-        report.worker_restarts = supervisor_summary.get("restarts", 0)
-        report.replayed_batches = supervisor_summary.get("replayed", 0)
-        report.unreplayable_batches = \
-            supervisor_summary.get("unreplayable", 0)
-        report.lost_cores = list(supervisor_summary.get("lost_cores", ()))
-        report.restart_backoffs = \
-            list(supervisor_summary.get("backoffs", ()))
-        report.degraded = bool(supervisor_summary.get("degraded", False))
-    elif plan is not None and not config.parallel:
-        report.skipped_worker_faults = sum(
-            1 for spec in plan.faults if spec.kind in WORKER_FAULT_KINDS)
     configured = (
         plan is not None
         or config.callback_error_policy != "raise"
         or config.memory_policy != "record"
-        or config.supervise
     )
     if not configured and not report.any_events:
         return None

@@ -68,7 +68,7 @@ def _artifacts(report) -> Iterator[Tuple[str, Optional[str], str]]:
         indent=2), "single subscription"
     yield "faults.json", report.faults and _json(
         report.faults.to_dict(), indent=2), \
-        "no faults: no fault plan, policy or supervision configured"
+        "no faults: no fault plan or policy configured"
 
 
 def prepare(directory) -> Path:

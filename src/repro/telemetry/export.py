@@ -149,24 +149,9 @@ def build_registry(report) -> MetricsRegistry:
         for kind in sorted(fault_counts):
             injected.inc(fault_counts[kind], labels=(kind,))
         if faults is not None:
-            reg.counter("repro_worker_restarts_total",
-                        "Crashed or hung workers restarted") \
-                .inc(faults.worker_restarts)
-            replay = reg.counter("repro_replayed_batches_total",
-                                 "Redo-log batches by replay outcome",
-                                 label_names=("outcome",))
-            replay.inc(faults.replayed_batches, labels=("replayed",))
-            replay.inc(faults.unreplayable_batches,
-                       labels=("unreplayable",))
             reg.gauge("repro_quarantined_cores",
                       "Cores whose subscription callback is quarantined") \
                 .set(len(faults.quarantined_cores))
-            reg.gauge("repro_lost_cores",
-                      "Cores that exhausted their restart budget") \
-                .set(len(faults.lost_cores))
-            reg.gauge("repro_run_degraded",
-                      "1 when the run completed with partial results") \
-                .set(1 if faults.degraded else 0)
 
     # -- overload ladder (repro.overload) ----------------------------------
     if overload is not None:

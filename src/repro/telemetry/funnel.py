@@ -177,16 +177,12 @@ def _view(stats, ledger, cores) -> dict:
 
 def fate_counters(report) -> dict:
     """Every counter the fate table reads, off a finished report."""
-    faults = report.faults
     cores = report.core_stats or {}
     tenancy = report.tenancy
     # A multi-tenant run's own table ends at the cores' packet loop:
     # each tenant's goes on from there, with that tenant's ladder.
     run = _view(report.stats,
                 report.overload if tenancy is None else None, cores)
-    #: Restarted or lost workers: the only licence for ``worker_lost``.
-    run["worker_faults"] = 0 if faults is None else \
-        faults.worker_restarts + len(faults.lost_cores)
     out = {"run": run}
     if report.impairment is not None:
         out["link"] = link_counters(report.impairment)
@@ -244,10 +240,6 @@ def fate_table(counters: dict) -> Dict[str, dict]:
                   else "link_" + cause] = packets
     shared = {"hw_filtered": run["hw_dropped_packets"],
               "sink_dropped": run["sink_dropped_packets"]}
-    lost = run["ingress_packets"] - sum(shared.values()) \
-        - run["processed_packets"]
-    if lost:
-        shared["worker_lost"] = lost
     fates.update(shared)
     table = {RUN: {"offered": offered, "fates": fates}}
     if tenants is None:
@@ -291,10 +283,9 @@ def _edges(counters: dict):
         return
     tenants = counters.get("tenants", {})
     reached = run["processed_packets"]
-    if not run["worker_faults"]:  # else ``worker_lost``, checked >= 0
-        yield "nic -> cores", run["ingress_packets"] \
-            - run["hw_dropped_packets"] - run["sink_dropped_packets"], \
-            reached
+    yield "nic -> cores", run["ingress_packets"] \
+        - run["hw_dropped_packets"] - run["sink_dropped_packets"], \
+        reached
     for who, view in [("run", run)] + list(tenants.items()):
         for i, name in enumerate(_CORE_COUNTERS):
             name = AGGREGATE_NAMES.get(name, name)

@@ -23,8 +23,7 @@ Three consumers sit on top of the recorder:
   into the parent's trace under one pid.
 * the **flight recorder** — a bounded ring of the last N burst trees
   per core, dumped (with the triggering event attached) on overload
-  rung escalation, callback quarantine, parser faults, and worker
-  crash/restart.
+  rung escalation, callback quarantine and parser faults.
 * the **continuous profiler** — deterministic 1-in-K burst sampling
   feeding per-stage self-time histograms and a "hottest stage ×
   filter-node" attribution table onto ``RuntimeReport.spans``.
@@ -480,18 +479,14 @@ def chrome_trace_events(report: SpanReport) -> List[Dict]:
     return events
 
 
-def build_span_report(core_stats, parent_events: Optional[List[Dict]],
-                      cpu_hz: float,
+def build_span_report(core_stats, cpu_hz: float,
                       nic: Optional[List[Dict]] = None
                       ) -> Optional[SpanReport]:
     """Assemble a :class:`SpanReport` from per-core ``CoreStats``.
 
     ``core_stats`` is an iterable of CoreStats whose ``spans``
     attribute carries recorder snapshots (None when spans were off —
-    then the report is None too). ``parent_events`` are
-    parent-process events (worker crash/restart from the supervisor);
-    each synthesizes a dump from that core's final ring so a crashed
-    worker's surviving history is still attached to the trigger.
+    then the report is None too).
     """
     snaps = [s.spans for s in core_stats if getattr(s, "spans", None)]
     if not snaps:
@@ -499,14 +494,4 @@ def build_span_report(core_stats, parent_events: Optional[List[Dict]],
     events: List[Dict] = []
     for snap in snaps:
         events.extend(snap["events"])
-    by_core = {snap["core"]: snap for snap in snaps}
-    for event in (parent_events or []):
-        events.append(event)
-        snap = by_core.get(event.get("core"))
-        if snap is not None and snap["ring"] is not None \
-                and len(snap["dumps"]) < _MAX_DUMPS:
-            snap["dumps"].append({
-                "trigger": dict(event),
-                "bursts": [dict(t) for t in snap["ring"]],
-            })
     return SpanReport(snaps, events, cpu_hz, nic=nic)

@@ -20,7 +20,6 @@ from repro.packet.batch import (
     SLOT_HEADER_BYTES,
     slot_image,
     slot_read,
-    slot_rows,
 )
 from repro.packet.ethernet import ETHERTYPE_VLAN
 
@@ -119,8 +118,8 @@ def _over_ctrl(image):
 
 
 class TestPackedBatch:
-    """A burst packed into its private slot image (what the redo log
-    keeps and the control queue carries) and read back."""
+    """A burst packed into its private slot image (what the control
+    queue carries) and read back."""
 
     def _mbufs(self):
         return [
@@ -132,8 +131,8 @@ class TestPackedBatch:
 
     def test_round_trip_preserves_everything(self):
         mbufs = self._mbufs()
-        out, seq, ctx = slot_read(_over_ctrl(slot_image(mbufs, 5)), 0)
-        assert (seq, ctx) == (-1, None)
+        out, ctx = slot_read(_over_ctrl(slot_image(mbufs, 5)), 0)
+        assert ctx is None
         assert len(out) == len(mbufs)
         for orig, new in zip(mbufs, out):
             assert bytes(new.data) == bytes(orig.data)
@@ -144,7 +143,7 @@ class TestPackedBatch:
 
     def test_unpacked_data_is_zero_copy_view(self):
         wire = _over_ctrl(slot_image(self._mbufs(), 0))
-        views, _, _ = slot_read(wire, 0)
+        views, _ = slot_read(wire, 0)
         assert all(isinstance(m.data, memoryview) for m in views)
         assert views[0].data.obj is wire
 
@@ -167,7 +166,7 @@ class TestPackedBatch:
         frames = sum(len(m.data) for m in mbufs)
         # u32 lengths, f64 timestamps, a u16 port column (mixed ports)
         assert len(image) == SLOT_HEADER_BYTES + 3 * (4 + 8 + 2) + frames
-        out, _, _ = slot_read(_over_ctrl(image), 0)
+        out, _ = slot_read(_over_ctrl(image), 0)
         assert len(out) == 3
         for orig, new in zip(mbufs, out):
             assert bytes(new.data) == bytes(orig.data)
@@ -180,27 +179,26 @@ class TestPackedBatch:
             [Mbuf(b"x" * 10, float(i), 3) for i in range(4)], None)
         # no port column: u16 length + f64 timestamp per row
         assert len(image) == SLOT_HEADER_BYTES + 4 * (2 + 8) + 40
-        out, _, _ = slot_read(_over_ctrl(image), 0)
+        out, _ = slot_read(_over_ctrl(image), 0)
         assert [m.port for m in out] == [3, 3, 3, 3]
         assert all(m.queue is None for m in out)
 
     def test_mixed_ports_survive(self):
         image = slot_image([Mbuf(b"x", 0.0, 0), Mbuf(b"y", 0.5, 2)], 0)
         assert len(image) == SLOT_HEADER_BYTES + 2 * (2 + 8 + 2) + 2
-        out, _, _ = slot_read(_over_ctrl(image), 0)
+        out, _ = slot_read(_over_ctrl(image), 0)
         assert [m.port for m in out] == [0, 2]
 
     def test_oversize_frame_uses_wide_lengths(self):
         image = slot_image([Mbuf(b"z" * 70000, 0.0, 0)], 0)
         assert len(image) == SLOT_HEADER_BYTES + 4 + 8 + 70000
-        out, _, _ = slot_read(_over_ctrl(image), 0)
+        out, _ = slot_read(_over_ctrl(image), 0)
         assert len(out[0].data) == 70000
 
     def test_empty_batch(self):
         image = slot_image([], None)
         assert len(image) == SLOT_HEADER_BYTES
-        assert slot_rows(image) == 0
-        assert slot_read(_over_ctrl(image), 0) == ([], -1, None)
+        assert slot_read(_over_ctrl(image), 0) == ([], None)
 
 
 class TestFilteredOutAllocationBudget:

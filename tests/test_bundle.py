@@ -3,7 +3,7 @@
 One run leaves one directory (``--report-dir``), and every packet the
 run was offered has exactly one counted fate in it. Under test:
 
-* the five CI scenarios, each through the CLI on the sequential backend
+* the four CI scenarios, each through the CLI on the sequential backend
   and on two worker processes: the bundle re-checks, the manifest lists
   exactly the files present, every other file is byte-identical between
   the backends, and each subsystem's artifact says what its retired
@@ -56,32 +56,23 @@ SWAP = ["--reconfigure-at", "0.2:drop:dns", "--reconfigure-at",
 TWO_QUOTAS = [dict(spec, quota_mbps=0.001) if spec["name"] == "dns"
               else spec for spec in SUBSCRIPTIONS]
 CONN = ["--filter", "tcp", "--datatype", "connection"]
-CRASH = '{"seed": 1, "faults": [{"kind": "worker_crash", "core": 1, ' \
-    '"at_batch": 1}]}'
 
-#: name -> (CLI arguments, backends it runs on).
+#: name -> CLI arguments.
 SCENARIOS = {
-    "plain": (CONN + ["--synthetic", "campus", "--duration", "0.2",
-                      "--gbps", "0.05", "--trace-sample", "1.0"],
-              ("seq", "par")),
-    "burst_ladder": (CONN[2:] + ["--synthetic", "burst", "--duration",
-                                 "0.3", "--gbps", "0.02", "--seed", "3",
-                                 "--overload-policy", "ladder"],
-                     ("seq", "par")),
-    "degraded_link": (CONN + [
+    "plain": CONN + ["--synthetic", "campus", "--duration", "0.2",
+                     "--gbps", "0.05", "--trace-sample", "1.0"],
+    "burst_ladder": CONN[2:] + ["--synthetic", "burst", "--duration",
+                                "0.3", "--gbps", "0.02", "--seed", "3",
+                                "--overload-policy", "ladder"],
+    "degraded_link": CONN + [
         "--synthetic", "campus", "--duration", "0.15", "--gbps", "0.05",
         "--seed", "3", "--impair-burst", "0.02,0.3",
         "--impair-corrupt", "0.05", "--impair-quarantine",
         "--impair-disable-threshold", "3",
         "--impair-disable-window", "64", "--impair-repair-time", "0.02",
-        "--impair-adaptive-reassembly"], ("seq", "par")),
-    "tenants_swap": (["--synthetic", "campus", "--duration", "0.4",
-                      "--gbps", "0.1", "--seed", "5"] + SWAP,
-                     ("seq", "par")),
-    # The sequential backend has no worker to crash.
-    "worker_crash": (CONN + ["--synthetic", "campus", "--duration", "0.4",
-                             "--gbps", "0.1", "--supervise",
-                             "--fault-plan", CRASH], ("par",)),
+        "--impair-adaptive-reassembly"],
+    "tenants_swap": ["--synthetic", "campus", "--duration", "0.4",
+                     "--gbps", "0.1", "--seed", "5"] + SWAP,
 }
 
 
@@ -102,11 +93,11 @@ def subscriptions(tmp_path_factory):
 def bundles(request, tmp_path, subscriptions, capsys):
     """The scenario's bundle directory per backend, and what the CLI
     printed on the last of them."""
-    args, backends = SCENARIOS[request.param]
+    args = SCENARIOS[request.param]
     if request.param == "tenants_swap":
         args = args + ["--subscriptions", subscriptions]
     out = {}
-    for backend in backends:
+    for backend in ("seq", "par"):
         out[backend] = tmp_path / backend
         code = main(args + ["--print-limit", "0", "--report-dir",
                             str(out[backend])]
@@ -190,25 +181,6 @@ def _tenants_swap(path, stdout):
     assert fates["late"]["fates"]["not_subscribed"] > 0
 
 
-def _worker_crash(path, stdout):
-    faults = _load(path / "faults.json")
-    assert faults["worker_restarts"] == 1
-    assert faults["restart_backoffs"] == [0.05]
-    assert faults["replayed_batches"] >= 1
-    assert not faults["degraded"]
-    events = _load(path / "spans.json")["traceEvents"]
-    assert {e["tid"] for e in events if e["ph"] == "X"} == {0, 1}
-    assert len({e["pid"] for e in events}) == 1
-    dumps = _load(path / "flight.json")["dumps"]
-    assert any(d["trigger"]["event"] == "worker_restart" for d in dumps)
-    assert all(d["bursts"] for d in dumps), "flight dump with empty rings"
-    assert _load(path / "spans.ndjson")
-    # What the crashed process had acknowledged went with it.
-    assert _load(path / "fates.json")["fates"][RUN]["fates"][
-        "worker_lost"] > 0
-    assert _load(path / "manifest.json")["backend_health"]["workers"]
-
-
 class TestBundle:
     @pytest.mark.parametrize("bundles", list(SCENARIOS), indirect=True)
     def test_scenario(self, bundles):
@@ -221,23 +193,21 @@ class TestBundle:
             assert not set(manifest["files"]) & set(manifest["absent"])
             assert all(manifest["absent"].values())
             globals()["_" + name](path, stdout)
-        if len(dirs) == 2:
-            seq, par = dirs["seq"], dirs["par"]
-            names = sorted(p.name for p in seq.iterdir()
-                           if p.name != "manifest.json")
-            same, differ, errors = filecmp.cmpfiles(seq, par, names,
-                                                    shallow=False)
-            assert (differ, errors) == ([], []), \
-                f"{name}: backends disagree"
-            assert _load(seq / "manifest.json")["backend_health"] is None
+        seq, par = dirs["seq"], dirs["par"]
+        names = sorted(p.name for p in seq.iterdir()
+                       if p.name != "manifest.json")
+        same, differ, errors = filecmp.cmpfiles(seq, par, names,
+                                                shallow=False)
+        assert (differ, errors) == ([], []), f"{name}: backends disagree"
+        assert _load(seq / "manifest.json")["backend_health"] is None
 
 
 class TestAbsentArtifacts:
     @pytest.fixture(scope="class")
     def plain(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("plain")
-        assert main(SCENARIOS["plain"][0] + ["--print-limit", "0",
-                                             "--report-dir", str(path)]) == 0
+        assert main(SCENARIOS["plain"] + ["--print-limit", "0",
+                                          "--report-dir", str(path)]) == 0
         return path
 
     @pytest.mark.parametrize("name, why", [
@@ -456,10 +426,10 @@ def _rich_counters():
 
 def _leaves(node, path=()):
     """Paths to every integer the fate check reads (byte counts are
-    only ordered, and ``worker_faults`` is a licence, not a count)."""
+    only ordered)."""
     if isinstance(node, dict):
         for key, value in node.items():
-            if key not in ("bytes", "worker_faults"):
+            if key != "bytes":
                 yield from _leaves(value, path + (key,))
     elif isinstance(node, list):
         for i, value in enumerate(node):

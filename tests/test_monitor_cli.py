@@ -178,13 +178,21 @@ class TestFlagValidation:
                      "--memory-policy", "record"])
         assert code == 0
 
-    def test_supervise_requires_parallel(self, capsys):
+    def test_supervise_is_an_unknown_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--synthetic", "campus", "--duration", "0.1",
+                  "--parallel", "2", "--supervise"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --supervise" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["worker_crash", "worker_hang"])
+    def test_removed_fault_kind_exits_2(self, kind, capsys):
+        plan = '{"faults": [{"kind": "%s", "at_batch": 1}]}' % kind
         code = main(["--synthetic", "campus", "--duration", "0.1",
-                     "--supervise"])
+                     "--parallel", "2", "--fault-plan", plan])
         assert code == 2
-        err = capsys.readouterr().err
-        assert "--supervise requires --parallel" in err
-        assert "--parallel 2" in err  # the remediation
+        assert "unknown fault kind" in capsys.readouterr().err
 
     def test_nonpositive_target_lag(self, capsys):
         code = main(["--synthetic", "campus", "--duration", "0.1",
@@ -427,17 +435,8 @@ class TestTenancyCli:
         code = main(["--subscriptions", self._subs(tmp_path),
                      "--synthetic", "campus", "--fault-plan", plan])
         assert code == 2
-        assert "non-worker --fault-plan" in capsys.readouterr().err
-
-    def test_worker_fault_plan_allowed(self, tmp_path, capsys):
-        plan = ('{"seed": 1, "faults": '
-                '[{"kind": "worker_crash", "core": 1, "at_batch": 1}]}')
-        code = main(["--subscriptions", self._subs(tmp_path),
-                     "--synthetic", "campus", "--duration", "0.2",
-                     "--gbps", "0.05", "--print-limit", "0",
-                     "--parallel", "2", "--supervise",
-                     "--fault-plan", plan])
-        assert code == 0
+        assert "--subscriptions conflicts with --fault-plan" in \
+            capsys.readouterr().err
 
     def test_bad_subscriptions_json(self, tmp_path, capsys):
         path = tmp_path / "subs.json"

@@ -434,10 +434,10 @@ class TestLossLedger:
         assert merge_ledgers([None, a]).packets_seen == 1
 
     def test_current_rung_tracks_transitions(self):
-        ledger = LossLedger(core_id=0, initial_rung=2)
-        assert ledger.current_rung == 2
-        ledger.record_transition(0.5, 2, 3, "pressure=4.00")
-        assert ledger.current_rung == 3
+        ledger = LossLedger(core_id=0)
+        assert ledger.current_rung == 0
+        ledger.record_transition(0.5, 0, 1, "pressure=4.00")
+        assert ledger.current_rung == 1
 
     def test_to_dict_and_describe(self):
         report = run(burst_traffic())
@@ -448,41 +448,6 @@ class TestLossLedger:
         assert set(payload["shed_by_rung"]) <= set(RUNG_NAMES)
         line = report.overload.describe()
         assert "shed=" in line and "max_rung=" in line
-
-
-# ---------------------------------------------------------------------------
-# rung survives a worker restart
-# ---------------------------------------------------------------------------
-class TestRungPersistence:
-    def test_supervisor_remembers_rung(self):
-        from repro.resilience.supervisor import WorkerSupervisor
-        sup = WorkerSupervisor(2, None, 2, 64, 5.0)
-        assert sup.last_rung(0) == 0
-        sup.note_rung(0, 3)
-        assert sup.last_rung(0) == 3
-        assert sup.last_rung(1) == 0
-
-    def test_pipeline_accepts_initial_rung(self):
-        config = RuntimeConfig(cores=1, overload_policy="ladder")
-        sub = Subscription("", SUBSCRIBABLES["connection"], None,
-                           nic=config.nic)
-        pipeline = CorePipeline.of(0, sub, config, initial_overload_rung=2)
-        assert pipeline.overload_rung == 2
-        # Rung 2 blocks all new connections from the very first packet.
-        assert pipeline.lanes[0]._ov_block == 2
-
-    def test_restarted_worker_resumes_rung(self):
-        """End to end: a planned worker crash mid-overload must not
-        reopen the admission gate — the ledger keeps shedding."""
-        from repro.resilience import FaultPlan
-        plan = FaultPlan.from_dict(
-            {"faults": [{"kind": "worker_crash", "core": 0,
-                         "at_batch": 4}]})
-        report = run(burst_traffic(), parallel=True, supervise=True,
-                     fault_plan=plan)
-        assert report.faults is not None
-        assert report.faults.worker_restarts >= 1
-        assert report.overload.packets_shed > 0
 
 
 # ---------------------------------------------------------------------------

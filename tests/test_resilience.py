@@ -1,5 +1,5 @@
-"""Resilience subsystem: deterministic fault injection, worker
-supervision, and graceful degradation (repro.resilience).
+"""Resilience subsystem: deterministic fault injection and graceful
+degradation (repro.resilience), and how a dead worker ends a run.
 
 The acceptance contract under test:
 
@@ -7,9 +7,10 @@ The acceptance contract under test:
   byte-identical ``RuntimeReport.faults`` and aggregate stats across
   repeated runs and across backends (where the plan's coordinates
   permit the comparison; see faults.py's coordinate notes).
-- **Crash recovery** — a plan that kills one worker completes; cores
-  the fault never touched are *bit-identical* to a fault-free run; the
-  report records the restart and the replayed batches.
+- **A dead worker is a diagnosis, never a hang** — a worker that dies
+  with its ring full, or without reporting its stats, fails the run
+  with a :class:`ParallelExecutionError` naming its core, and leaves no
+  worker process behind.
 - **Callback isolation** — under ``callback_error_policy="isolate"``
   the run completes, non-faulty counters match the baseline, and the
   quarantine fires exactly when the error budget is spent.
@@ -18,6 +19,10 @@ The acceptance contract under test:
 """
 
 import json
+import multiprocessing as mp
+import os
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -28,8 +33,7 @@ from repro.errors import (
     FaultInjectionError,
     ResourceExhaustedError,
 )
-from repro.resilience import RedoLog, WorkerSupervisor, restart_backoff
-from repro.traffic import CampusTrafficGenerator
+from repro.traffic import CampusProfile, CampusTrafficGenerator
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +68,7 @@ class TestFaultPlan:
             "faults": [
                 {"kind": "corrupt_packet", "at_packet": 5, "count": 2},
                 {"kind": "callback_error", "at_ordinal": 3, "core": 1},
-                {"kind": "worker_crash", "at_batch": 2},
+                {"kind": "parser_error", "at_ordinal": 2, "every": 4},
                 {"kind": "memory_spike", "at_time": 1.5, "bytes": 4096,
                  "duration": 0.5},
             ],
@@ -72,15 +76,17 @@ class TestFaultPlan:
         assert FaultPlan.from_dict(plan.to_dict()) == plan
         assert FaultPlan.from_json(json.dumps(plan.to_dict())) == plan
 
-    def test_unknown_kind_rejected(self):
+    @pytest.mark.parametrize("kind", ["set_on_fire", "worker_crash",
+                                      "worker_hang"])
+    def test_unknown_kind_rejected(self, kind):
         with pytest.raises(FaultInjectionError, match="unknown fault kind"):
             FaultPlan.from_dict(
-                {"faults": [{"kind": "set_on_fire", "at_packet": 0}]})
+                {"faults": [{"kind": kind, "at_batch": 0}]})
 
     def test_unknown_field_rejected(self):
         with pytest.raises(FaultInjectionError, match="unknown fault field"):
             FaultPlan.from_dict(
-                {"faults": [{"kind": "worker_crash", "at_batch": 0,
+                {"faults": [{"kind": "corrupt_packet", "at_packet": 0,
                              "at_pakcet": 1}]})
 
     def test_missing_coordinate_rejected(self):
@@ -92,20 +98,6 @@ class TestFaultPlan:
     def test_bad_json_rejected(self):
         with pytest.raises(FaultInjectionError, match="not valid JSON"):
             FaultPlan.from_json("{nope")
-
-    def test_worker_fault_lookup_and_suppression(self):
-        plan = FaultPlan(faults=(
-            FaultSpec(kind="worker_crash", at_batch=2, core=1),
-            FaultSpec(kind="worker_hang", at_batch=2, core=1),
-        ))
-        index, spec = plan.worker_fault_at(1, 2)
-        assert (index, spec.kind) == (0, "worker_crash")
-        # After the crash fired once it is suppressed; the hang at the
-        # same coordinate is next.
-        index, spec = plan.worker_fault_at(1, 2, suppressed=(0,))
-        assert (index, spec.kind) == (1, "worker_hang")
-        assert plan.worker_fault_at(0, 2) is None
-        assert plan.worker_fault_at(1, 3) is None
 
 
 # ---------------------------------------------------------------------------
@@ -304,127 +296,78 @@ class TestMemoryPolicies:
 
 
 # ---------------------------------------------------------------------------
-# supervisor bookkeeping (unit)
+# pool lifecycle: a failed worker fails the run, and leaks no process
 # ---------------------------------------------------------------------------
-class TestSupervisorUnits:
-    def test_backoff_schedule(self):
-        assert [restart_backoff(i) for i in range(6)] == \
-            [0.05, 0.1, 0.2, 0.4, 0.8, 1.0]
-
-    def test_redo_log_bounds_and_ack(self):
-        log = RedoLog(capacity=2)
-        for seq in range(4):
-            log.record(seq, [seq])
-        assert [s for s, _ in log.pending()] == [2, 3]
-        assert log.unreplayable == 2  # seqs 0 and 1 were evicted
-        log.ack(1)  # the worker did process them before crashing
-        assert log.unreplayable == 0
-        log.ack(2)
-        assert [s for s, _ in log.pending()] == [3]
-
-    def test_supervisor_budget_exhaustion(self):
-        sup = WorkerSupervisor(cores=2, plan=None, max_restarts=1,
-                               redo_capacity=8, heartbeat_timeout=5.0)
-        seq, fault = sup.on_dispatch(0, ["batch"])
-        assert (seq, fault) == (0, None)
-        backoff, replay, suppressed = sup.on_failure(0, None)
-        assert backoff == 0.05
-        assert [s for s, _ in replay] == [0]
-        assert not sup.is_lost(0)
-        assert sup.on_failure(0, None) is None  # budget spent
-        assert sup.is_lost(0)
-        assert sup.degraded
-        assert sup.lost_cores == [0]
-        summary = sup.summary()
-        assert summary["restarts"] == 1
-        assert summary["degraded"] is True
-
-    def test_planned_fault_surfaces_on_dispatch(self):
-        plan = FaultPlan(faults=(
-            FaultSpec(kind="worker_crash", at_batch=1, core=0),))
-        sup = WorkerSupervisor(cores=1, plan=plan, max_restarts=2,
-                               redo_capacity=8, heartbeat_timeout=5.0)
-        assert sup.on_dispatch(0, ["b0"])[1] is None
-        seq, fault = sup.on_dispatch(0, ["b1"])
-        assert seq == 1 and fault is not None
-        index, spec = fault
-        assert spec.kind == "worker_crash"
-        # Recovery suppresses the fired index in the restarted worker.
-        _, _, suppressed = sup.on_failure(0, index)
-        assert index in suppressed
+def _leaked_workers():
+    return [p.name for p in mp.active_children()
+            if p.name.startswith("repro-core-")]
 
 
-# ---------------------------------------------------------------------------
-# crash recovery end-to-end (parallel backend)
-# ---------------------------------------------------------------------------
-class TestCrashRecovery:
-    CRASH = FaultPlan(seed=1, faults=(
-        FaultSpec(kind="worker_crash", at_batch=1, core=1),))
+@contextmanager
+def _deadline(seconds):
+    """Turn a hang into a failure: a dead worker must end the run in a
+    diagnosis well within ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"the parallel run did not end in {seconds} s")
 
-    def test_crash_restart_completes(self, traffic):
-        report = _run(traffic, self.CRASH, parallel=True)
-        faults = report.faults
-        assert faults.worker_restarts == 1
-        assert faults.replayed_batches == 1
-        assert faults.unreplayable_batches == 0
-        assert faults.restart_backoffs == [0.05]
-        assert not faults.degraded
-        assert report.stats.ingress_packets > 0
-
-    def test_crash_recovery_deterministic(self, traffic):
-        one = _run(traffic, self.CRASH, parallel=True)
-        two = _run(traffic, self.CRASH, parallel=True)
-        assert one.faults.to_dict() == two.faults.to_dict()
-        assert one.stats.to_dict() == two.stats.to_dict()
-
-    def test_unaffected_cores_bit_identical(self, traffic):
-        """Cores the fault never touched match a fault-free run
-        bit-for-bit — the blast radius really is one core."""
-        base = _run(traffic, None, parallel=True)
-        hurt = _run(traffic, self.CRASH, parallel=True)
-        for core in (0, 2, 3):
-            assert base.core_stats[core].to_dict() == \
-                hurt.core_stats[core].to_dict(), f"core {core} diverged"
-
-    def test_hang_detected_and_restarted(self, traffic):
-        plan = FaultPlan(faults=(
-            FaultSpec(kind="worker_hang", at_batch=1, core=0),))
-        report = _run(traffic, plan, parallel=True,
-                      worker_heartbeat_timeout=0.5)
-        assert report.faults.worker_restarts == 1
-        assert not report.faults.degraded
-
-    def test_restart_budget_exhaustion_degrades(self, traffic):
-        """Two planned crashes against a budget of one: the core is
-        lost and the run completes degraded with partial stats."""
-        plan = FaultPlan(faults=(
-            FaultSpec(kind="worker_crash", at_batch=0, core=1),
-            FaultSpec(kind="worker_crash", at_batch=0, core=1),
-        ))
-        base = _run(traffic, None, parallel=True)
-        report = _run(traffic, plan, parallel=True, max_worker_restarts=1)
-        faults = report.faults
-        assert faults.degraded and report.degraded
-        assert faults.lost_cores == [1]
-        assert faults.worker_restarts == 1
-        # Partial results: the three surviving cores still reported.
-        assert sorted(report.core_stats) == [0, 2, 3]
-        assert 0 < report.stats.processed_packets < \
-            base.stats.processed_packets
-
-    def test_sequential_backend_skips_worker_faults(self, traffic):
-        report = _run(traffic, self.CRASH, parallel=False)
-        assert report.faults.worker_restarts == 0
-        assert report.faults.skipped_worker_faults == 1
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
-# ---------------------------------------------------------------------------
-# pool lifecycle (satellite: no leaked workers on error)
-# ---------------------------------------------------------------------------
+def _die(obj):
+    """A callback that kills its worker without a word to the parent."""
+    os._exit(3)
+
+
+@pytest.fixture(scope="module")
+def lone_syns():
+    """Lone SYNs only: ``tcp -> connection`` delivers every record at
+    the end-of-run drain, after the last burst."""
+    return list(CampusTrafficGenerator(
+        seed=21, profile=CampusProfile(tcp_fraction=1.0,
+                                       single_syn_fraction=1.0)).packets(
+        duration=0.2, gbps=0.05))
+
+
 class TestPoolLifecycle:
-    def test_error_terminates_pool_and_keeps_partial_stats(self, traffic):
-        import multiprocessing as mp
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_dead_with_its_ring_full_is_named(self, traffic,
+                                                      workers):
+        """The first delivery kills its worker mid-trace; the feeder
+        finds that core's ring full and names it."""
+        runtime = Runtime(RuntimeConfig(cores=workers, parallel=True),
+                          filter_str="", datatype="packet", callback=_die)
+        with _deadline(30), pytest.raises(ParallelExecutionError) as excinfo:
+            runtime.run(iter(traffic))
+        core = excinfo.value.core_id
+        assert core in range(workers)
+        assert f"worker {core} died with its ring full" in \
+            str(excinfo.value)
+        assert _leaked_workers() == []
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_dead_before_its_stats_is_named(self, lone_syns,
+                                                    workers):
+        """The drain's first delivery kills its worker after every
+        burst went through: the gather at the end of the run notices
+        the silent, dead worker and names it."""
+        runtime = Runtime(RuntimeConfig(cores=workers, parallel=True),
+                          filter_str="tcp", datatype="connection",
+                          callback=_die)
+        with _deadline(30), pytest.raises(ParallelExecutionError) as excinfo:
+            runtime.run(iter(lone_syns))
+        core = excinfo.value.core_id
+        assert core in range(workers)
+        assert f"worker(s) [{core}" in str(excinfo.value)
+        assert "exited without reporting stats" in str(excinfo.value)
+        assert _leaked_workers() == []
+
+    def test_error_terminates_pool_and_keeps_partial_stats(self, traffic):
         def exploding(obj):
             raise RuntimeError("callback boom")
 
@@ -436,9 +379,7 @@ class TestPoolLifecycle:
         assert excinfo.value.core_id is not None
         # The pool was torn down before the exception propagated: no
         # repro worker processes survive.
-        leaked = [p for p in mp.active_children()
-                  if p.name.startswith("repro-core-")]
-        assert leaked == []
+        assert _leaked_workers() == []
 
 
 # ---------------------------------------------------------------------------

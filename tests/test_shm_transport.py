@@ -4,18 +4,16 @@ Four layers under test:
 
 - **Slot codec** — ``slot_write_mbufs`` / ``slot_read`` round-trip a
   burst's slot image inside a plain buffer or a shm slot (the same
-  bytes either way: the redo log's replay invariant), refuse oversize
-  bursts instead of overrunning, and hand back zero-copy frame views.
+  bytes either way: an oversize burst crosses the control queue as the
+  private image), refuse oversize bursts instead of overrunning, and
+  hand back zero-copy frame views.
 - **Ring mechanics** — SPSC descriptor publication with lap-tag
   validation, credit-based slot recycling, and the never-overwrite-a-
   live-slot guarantee when the ring is smaller than the in-flight batch
-  count (satellite: slot exhaustion + wraparound, 1/2/4 workers, crash
-  mid-flight).
+  count (satellite: slot exhaustion + wraparound, 1/2/4 workers).
 - **End-to-end determinism** — AggregateStats byte-identical to the
   sequential backend at 1/2/4 workers, with spans/tenancy/netem/overload
-  riding the batches; supervised crash replay repeatable and isolated
-  (its digests are pinned in ``tests/test_stats_golden.py``, recorded
-  where the since-deleted pickled-queue transport agreed with the ring).
+  riding the batches.
 - **Failure edges** — an unusable ``/dev/shm`` is a
   ``ParallelExecutionError`` with a remedy, and a killed feeder leaves
   no worker and no segment behind.
@@ -32,7 +30,7 @@ import time
 
 import pytest
 
-from repro import FaultPlan, FaultSpec, Runtime, RuntimeConfig
+from repro import Runtime, RuntimeConfig
 from repro.core import shm
 from repro.core.parallel import ParallelExecutionError
 from repro.errors import ConfigError
@@ -41,7 +39,6 @@ from repro.packet.batch import (
     SLOT_HEADER_BYTES,
     slot_image,
     slot_read,
-    slot_rows,
     slot_write_mbufs,
 )
 from repro.traffic import CampusTrafficGenerator
@@ -83,8 +80,8 @@ class TestSlotCodec:
         buf = memoryview(bytearray(1 << 20))
         written = slot_write_mbufs(buf, 0, len(buf), mbufs, 3)
         assert written > SLOT_HEADER_BYTES
-        out, seq, ctx = slot_read(buf, 0)
-        assert seq == -1 and ctx is None
+        out, ctx = slot_read(buf, 0)
+        assert ctx is None
         assert len(out) == len(mbufs)
         for orig, view in zip(mbufs, out):
             assert bytes(view.data) == bytes(orig.data)
@@ -93,36 +90,27 @@ class TestSlotCodec:
             assert view.queue == 3
 
     def test_private_image_matches_slot_image(self, traffic, tiny_channel):
-        """The replay invariant: a burst imaged into a private
-        bytearray (what the redo log keeps) and straight into a shm
-        slot is the same bytes; copied into a second slot verbatim, it
-        reads back as the same mbufs, seq and ctx."""
+        """A burst imaged into a private bytearray (how an oversize
+        burst crosses the control queue) and straight into a shm slot
+        is the same bytes, and reads back as the same mbufs and ctx."""
         mbufs = self._mbufs(traffic, 16)
         image = slot_image(mbufs, 0, (0, 5))
         n = len(image)
-        assert slot_rows(image) == len(mbufs)
         assert tiny_channel.send_mbufs(mbufs, 0, (0, 5), _alive)
-        assert tiny_channel.send_image(image, _alive)
-        layout = tiny_channel.layout
-        slots = [tiny_channel._buf[layout.slot_offset(slot):][:n]
-                 for slot in (0, 1)]
-        assert bytes(slots[0]) == bytes(slots[1]) == bytes(image)
-        want, want_seq, want_ctx = slot_read(image, 0)
-        assert (want_seq, want_ctx) == (-1, (0, 5))
-        for slot in slots:
-            got, seq, ctx = slot_read(slot, 0)
-            assert (_rows(got), seq, ctx) == \
-                (_rows(want), want_seq, want_ctx)
+        slot = tiny_channel._buf[tiny_channel.layout.slot_offset(0):][:n]
+        assert bytes(slot) == bytes(image)
+        want, want_ctx = slot_read(image, 0)
+        assert want_ctx == (0, 5)
+        got, ctx = slot_read(slot, 0)
+        assert (_rows(got), ctx) == (_rows(want), want_ctx)
         assert _rows(want) == _rows(
             [Mbuf(m.data, m.timestamp, m.port, 0) for m in mbufs])
 
-    def test_trace_ctx_and_seq_round_trip(self, traffic):
+    def test_trace_ctx_round_trip(self, traffic):
         mbufs = self._mbufs(traffic, 8)
         buf = memoryview(bytearray(1 << 20))
-        slot_write_mbufs(buf, 0, len(buf), mbufs, 0,
-                         trace_ctx=(2, 17), seq=41)
-        _, seq, ctx = slot_read(buf, 0)
-        assert seq == 41
+        slot_write_mbufs(buf, 0, len(buf), mbufs, 0, trace_ctx=(2, 17))
+        _, ctx = slot_read(buf, 0)
         assert ctx == (2, 17)
 
     def test_oversize_burst_refused(self, traffic):
@@ -138,14 +126,14 @@ class TestSlotCodec:
         written = slot_write_mbufs(buf, 64, 4096, mbufs, 0)
         assert written > 0
         assert bytes(buf[0:64]) == canary
-        out, _, _ = slot_read(buf, 64)
+        out, _ = slot_read(buf, 64)
         assert len(out) == 4
 
     def test_blob_is_zero_copy_view(self, traffic):
         mbufs = self._mbufs(traffic, 4)
         buf = memoryview(bytearray(1 << 20))
         slot_write_mbufs(buf, 0, len(buf), mbufs, 0)
-        out, _, _ = slot_read(buf, 0)
+        out, _ = slot_read(buf, 0)
         assert all(isinstance(m.data, memoryview) for m in out)
         assert out[0].data.obj is buf.obj
 
@@ -153,7 +141,7 @@ class TestSlotCodec:
         buf = memoryview(bytearray(4096))
         written = slot_write_mbufs(buf, 0, len(buf), [], 2)
         assert written == SLOT_HEADER_BYTES
-        assert slot_read(buf, 0) == ([], -1, None)
+        assert slot_read(buf, 0) == ([], None)
 
     def test_float64_timestamps_round_trip_exactly(self):
         stamps = [0.1 + 0.2, 1 / 3, 1e-300, 5e-324, 1.7976931348623157e308,
@@ -161,7 +149,7 @@ class TestSlotCodec:
         mbufs = [Mbuf(b"t", ts, 0) for ts in stamps]
         buf = bytearray(4096)
         slot_write_mbufs(buf, 0, len(buf), mbufs, 0)
-        out, _, _ = slot_read(buf, 0)
+        out, _ = slot_read(buf, 0)
         assert [struct.pack("<d", m.timestamp) for m in out] == \
             [struct.pack("<d", ts) for ts in stamps]
 
@@ -188,10 +176,9 @@ class _SimConsumer:
     def consume_one(self):
         kind, slot, rows = self.chan.wait_descriptor(self.ordinal)
         if kind == shm.KIND_BATCH:
-            mbufs, seq, _ctx = self.chan.read_batch(slot)
+            mbufs, _ctx = self.chan.read_batch(slot)
             # Copy out: the slot is recycled the moment we credit it.
-            self.batches.append((seq, [bytes(m.data) for m in mbufs],
-                                 rows))
+            self.batches.append(([bytes(m.data) for m in mbufs], rows))
         self.ordinal += 1
         self.chan.mark_consumed(self.ordinal)
         return kind
@@ -222,7 +209,7 @@ class TestRingMechanics:
                 sent.append([bytes(m.data) for m in mbufs])
                 assert tiny_channel.send_mbufs(mbufs, 0, None, _alive)
                 consumer.consume_one()
-            assert [payload for _, payload, _ in consumer.batches] == sent
+            assert [payload for payload, _ in consumer.batches] == sent
         finally:
             consumer.close()
 
@@ -247,13 +234,13 @@ class TestRingMechanics:
             # The in-flight payloads survived the blocked attempt.
             consumer.consume_one()
             consumer.consume_one()
-            assert consumer.batches[0][1] == first
-            assert consumer.batches[1][1] == second
+            assert consumer.batches[0][0] == first
+            assert consumer.batches[1][0] == second
             # Credits returned: the third burst now goes through.
             assert tiny_channel.send_mbufs(traffic[8:12], 0, None,
                                            _alive)
             consumer.consume_one()
-            assert consumer.batches[2][1] == \
+            assert consumer.batches[2][0] == \
                 [bytes(m.data) for m in traffic[8:12]]
         finally:
             consumer.close()
@@ -287,24 +274,6 @@ class TestRingMechanics:
             assert consumer.consume_one() == shm.KIND_SAMPLE
             tiny_channel.send_ctrl(_alive)
             assert consumer.consume_one() == shm.KIND_CTRL
-        finally:
-            consumer.close()
-
-    def test_reset_rearms_ordinal_space(self, tiny_channel, traffic):
-        assert tiny_channel.send_mbufs(traffic[0:2], 0, None,
-                                       _alive)
-        assert tiny_channel.send_mbufs(traffic[2:4], 0, None,
-                                       _alive)
-        tiny_channel.reset()
-        assert tiny_channel.ordinal == 0
-        assert len(tiny_channel._free) == 2
-        consumer = _SimConsumer(tiny_channel)
-        try:
-            assert tiny_channel.send_mbufs(traffic[4:6], 0, None,
-                                           _alive)
-            consumer.consume_one()
-            assert consumer.batches[0][1] == \
-                [bytes(m.data) for m in traffic[4:6]]
         finally:
             consumer.close()
 
@@ -415,53 +384,6 @@ class TestTransportEquivalence:
         for cores in (1, 2, 4):
             assert run(True, cores).stats.to_dict() == \
                 run(False, cores).stats.to_dict()
-
-
-# ---------------------------------------------------------------------------
-# supervised crash replay (slot contents replayed byte-identically; the
-# post-crash digests are pinned in tests/test_stats_golden.py)
-# ---------------------------------------------------------------------------
-
-class TestSupervisedReplay:
-    def _crash_run(self, traffic, cores=2, depth=8):
-        plan = FaultPlan(seed=1, faults=(
-            FaultSpec(kind="worker_crash", at_batch=1, core=1),))
-        return _run(traffic, cores=cores, fault_plan=plan, supervise=True,
-                    parallel_queue_depth=depth)
-
-    def test_crash_replay_deterministic_and_isolated(self, traffic):
-        """Same crash, run twice: byte-identical; and cores the fault
-        never touched match a fault-free run bit-for-bit."""
-        one = self._crash_run(traffic, cores=4)
-        two = self._crash_run(traffic, cores=4)
-        assert one.stats.to_dict() == two.stats.to_dict()
-        assert one.faults.to_dict() == two.faults.to_dict()
-        assert one.faults.worker_restarts == 1
-        clean = _run(traffic, cores=4)
-        for core in (0, 2, 3):
-            assert one.core_stats[core].to_dict() == \
-                clean.core_stats[core].to_dict(), f"core {core} diverged"
-
-    def test_crash_mid_flight_on_tiny_ring(self, traffic):
-        """Satellite: crash while the 2-deep ring is saturated, at
-        1/2/4 workers — restart resets the ring, the redo log replays
-        into fresh slots, and the outcome repeats exactly and leaves
-        every other core as a fault-free run has it."""
-        for cores in (1, 2, 4):
-            plan = FaultPlan(seed=1, faults=(
-                FaultSpec(kind="worker_crash", at_batch=2, core=0),))
-            kwargs = dict(cores=cores, parallel_queue_depth=2,
-                          parallel_batch_size=32)
-            one = _run(traffic, fault_plan=plan, supervise=True, **kwargs)
-            two = _run(traffic, fault_plan=plan, supervise=True, **kwargs)
-            assert one.stats.to_dict() == two.stats.to_dict(), \
-                f"crash on tiny ring diverged at {cores} workers"
-            assert one.faults.to_dict() == two.faults.to_dict()
-            assert one.faults.worker_restarts == 1
-            clean = _run(traffic, **kwargs)
-            for core in range(1, cores):
-                assert one.core_stats[core].to_dict() == \
-                    clean.core_stats[core].to_dict()
 
 
 # ---------------------------------------------------------------------------

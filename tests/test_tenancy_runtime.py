@@ -7,11 +7,6 @@ Pins the robustness contract of :mod:`repro.tenancy`:
   :class:`AggregateStats` on the sequential and parallel backends at
   1/2/4 workers, in both filter modes, and an always-present tenant's
   stats are byte-identical to a static (no-events) run.
-- **Swap-window crash survival**: a supervised worker crash planned at
-  an epoch bump's own batch sequence replays the bump to the restarted
-  worker and leaves every tenant's stats byte-identical; a worker
-  restarted before its first ack starts from the table the pool was
-  built over, not from epoch 0.
 - **Bumps carry names only**: a late joiner whose callback cannot
   pickle (a lambda) joins a parallel run mid-stream.
 - **Shared stages priced once**: the run's face charges capture and the
@@ -175,40 +170,6 @@ class TestLiveReconfigDeterminism:
         runtime = TenantRuntime(RuntimeConfig(cores=1), _specs()[:1])
         with pytest.raises(TenancyError):
             runtime.subscribe(TenantSpec("web", "tcp"))
-
-    def test_crash_during_swap_window(self, traffic):
-        """A worker crash planned at the epoch bump's own sequence
-        number: the supervisor replays the bump to the fresh worker and
-        every tenant's stats stay byte-identical."""
-        # Events at t=0 fire before any packet, so the two bump batches
-        # are seqs 0 and 1 on every core; crashing core 1 at seq 1 puts
-        # the failure inside the swap window with nothing acked yet.
-        events = [ReconfigureEvent(0.0, "drop", "dns"),
-                  ReconfigureEvent(0.0, "add", "late")]
-        plan = FaultPlan(seed=7, faults=(
-            FaultSpec(kind="worker_crash", core=1, at_batch=1),))
-        base, _, _ = _run(traffic, _specs(), events, parallel=True)
-        crashed, _, report = _run(traffic, _specs(), events,
-                                  parallel=True, fault_plan=plan,
-                                  supervise=True)
-        assert report.faults.worker_restarts == 1
-        assert base == crashed
-
-    def test_restart_seeds_from_the_pool_table(self, traffic):
-        """A tenant subscribed before a supervised run is in the table
-        at epoch 1; a worker that crashes before acknowledging anything
-        restarts from that table, so the tenant's packets stay
-        accounted for on every core."""
-        plan = FaultPlan(seed=7, faults=(
-            FaultSpec(kind="worker_crash", core=1, at_batch=0),))
-        runtime = TenantRuntime(RuntimeConfig(
-            cores=2, parallel=True, supervise=True, fault_plan=plan),
-            _specs())
-        runtime.subscribe(runtime.table.by_name["late"])  # start=False
-        report = runtime.run(iter(traffic))
-        assert report.faults.worker_restarts == 1
-        assert "late" in report.core_stats[1].per_tenant
-        check(report)
 
     def test_late_joiner_with_a_lambda_callback(self, traffic):
         """An ``add`` bump names the tenant and never pickles its spec:
