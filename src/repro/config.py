@@ -11,8 +11,6 @@ from repro.errors import ConfigError
 from repro.filter.hardware import NicCapabilities, connectx5_capabilities
 from repro.netem.model import ImpairmentConfig
 from repro.resilience.faults import FaultPlan
-from repro.stream.reassembly import ADAPTIVE_MAX_CAPACITY, \
-    ADAPTIVE_MIN_CAPACITY, DEFAULT_OOO_CAPACITY
 
 
 @dataclass
@@ -28,15 +26,13 @@ class RuntimeConfig:
     cores: int = 4
     #: Connection timeout scheme (Figure 8 ablations swap this).
     timeouts: TimeoutConfig = field(default_factory=TimeoutConfig)
-    #: Out-of-order ring capacity per flow direction.
-    ooo_capacity: int = DEFAULT_OOO_CAPACITY
     #: Adaptive out-of-order window (repro.stream.reassembly): the
-    #: per-direction ring grows (×2, up to ``ADAPTIVE_MAX_CAPACITY``)
-    #: instead of dropping when observed reorder depth exceeds it, and
-    #: shrinks (÷2, down to ``ADAPTIVE_MIN_CAPACITY``) after a long
-    #: fully in-order streak. Off by default — the fixed ring is the
-    #: paper's design; the adaptive window is the degraded-link
-    #: mitigation.
+    #: per-direction ring (``DEFAULT_OOO_CAPACITY``, 500 packets) grows
+    #: (×2, up to ``ADAPTIVE_MAX_CAPACITY``) instead of dropping when
+    #: observed reorder depth exceeds it, and shrinks (÷2, down to
+    #: ``ADAPTIVE_MIN_CAPACITY``) after a long fully in-order streak.
+    #: Off by default — the fixed ring is the paper's design; the
+    #: adaptive window is the degraded-link mitigation.
     ooo_adaptive: bool = False
     #: NIC capability profile used to validate hardware rules.
     nic: NicCapabilities = field(default_factory=connectx5_capabilities)
@@ -200,16 +196,6 @@ class RuntimeConfig:
             raise ConfigError("sink_fraction must be in [0, 1]")
         if self.filter_mode not in ("codegen", "interp"):
             raise ConfigError(f"unknown filter_mode {self.filter_mode!r}")
-        if self.ooo_capacity < 0:
-            raise ConfigError("ooo_capacity must be >= 0")
-        if self.ooo_adaptive and not (
-                ADAPTIVE_MIN_CAPACITY <= self.ooo_capacity
-                <= ADAPTIVE_MAX_CAPACITY):
-            raise ConfigError(
-                f"with ooo_adaptive, ooo_capacity "
-                f"({self.ooo_capacity}) must start inside the adaptive "
-                f"window's bounds [{ADAPTIVE_MIN_CAPACITY}, "
-                f"{ADAPTIVE_MAX_CAPACITY}]")
         if self.reassembler not in ("lazy", "buffered"):
             raise ConfigError(f"unknown reassembler {self.reassembler!r}")
         if self.callback_execution not in ("inline", "queued"):

@@ -95,9 +95,11 @@ _PROGRESS = "progress"
 _DONE = "done"
 _ERROR = "error"
 
-#: How long to wait on a silent result queue before checking worker
-#: liveness.
+#: How long to wait for a worker process to exit.
 _POLL_TIMEOUT = 5.0
+#: How long the gather waits on a silent result queue between checks
+#: of worker liveness.
+_LIVENESS_SLICE = 0.05
 
 
 class ParallelExecutionError(RetinaError):
@@ -499,11 +501,13 @@ class WorkerPool:
         remaining = set(range(len(self.processes)))
         while remaining:
             try:
-                message = self.out_queue.get(timeout=_POLL_TIMEOUT)
+                message = self.out_queue.get(timeout=_LIVENESS_SLICE)
             except queue_mod.Empty:
                 dead = [core for core in sorted(remaining)
                         if not self.processes[core].is_alive()]
-                if dead:
+                # A worker flushes its queue before it exits: once it
+                # is dead, what it sent can be read without waiting.
+                if dead and self.out_queue.empty():
                     self.terminate()
                     self.close()
                     raise ParallelExecutionError(

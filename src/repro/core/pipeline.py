@@ -433,7 +433,6 @@ class Lane:
             # funnel telemetry; the adaptive window is a config switch
             # (off by default — the fixed ring is the paper's).
             conn.reassembler = LazyReassembler(
-                self.config.ooo_capacity,
                 adaptive=self.config.ooo_adaptive,
                 min_capacity=ADAPTIVE_MIN_CAPACITY,
                 max_capacity=ADAPTIVE_MAX_CAPACITY,

@@ -1,26 +1,33 @@
-"""Batch (mask-based) filter support shared by both filter backends.
+"""Burst classification: one predicate tree, generated or interpreted.
 
 The columnar decode layer (:mod:`repro.packet.columnar`) turns a burst
-of frames into field columns plus a ``fast`` eligibility mask. Both
-filter backends can then evaluate the packet sub-filter *per batch*
-instead of per packet: the generated backend emits list-comprehension
-mask predicates over the columns, the interpreted backend walks the
-trie once per batch narrowing an index list. This module holds what
-the two share — which predicates are expressible over the columns, the
-verdict encoding, per-predicate evaluator closures, and the compiled
-fast-admit check for the simulated NIC's hardware filter.
+of frames into field columns plus a ``fast`` eligibility mask. Every
+classifier of a burst's fast rows — the NIC's flow-rule admit, a lone
+packet filter and the tenant table — is a :class:`BurstTree`: the
+lanes' predicate paths merged by predicate text, each path ending in a
+lane's ranked verdict tag. A burst narrows an index list down the tree,
+once per predicate, and each lane takes the verdict of its
+lowest-ranked tag a row reached. The tree runs two ways:
+:meth:`BurstTree.interpret` walks it over :func:`make_pred_evaluator`
+closures (the Appendix B baseline and the fuzz oracle), and
+:func:`repro.filter.codegen.burst_classifier_source` writes it out as
+one straight-line function of narrowing comprehensions over
+:func:`gen_batch_condition` expressions. This module holds the tree and
+what both executions share — which predicates are expressible over the
+columns, the verdict encoding and the per-predicate evaluators.
 
 Verdict encoding
 ----------------
-A batch filter returns one int per row: ``NO_MATCH`` (−1) when no
-pattern matched, else ``(node_id << 1) | terminal`` — the same
-``(node, terminal)`` pair a scalar :class:`~repro.filter.result.FilterResult`
-carries, flattened so 256 verdicts fit in one plain list. Verdicts are
-only valid for rows with ``fast[i]`` set; slow rows must be re-run
-through the scalar ``packet_filter``.
+A classifier returns one int per row and lane: ``NO_MATCH`` (−1) when
+no path matched, else the tag's verdict — for a filter's trie
+``(node_id << 1) | terminal``, the same ``(node, terminal)`` pair a
+scalar :class:`~repro.filter.result.FilterResult` carries, flattened so
+256 verdicts fit in one plain list. Verdicts are only valid for rows
+with ``fast[i]`` set; slow rows must be re-run through the scalar
+``packet_filter``.
 
 Anything not expressible over the columns (``ipv4.ttl``, string
-regexes, ``udp.length``, …) disables batching for the whole trie —
+regexes, ``udp.length``, …) disables batching for the whole tree —
 ``packet_filter_batch`` stays ``None`` and the pipeline keeps the
 scalar path, so supported-predicate coverage is a pure optimization
 knob, never a semantics question.
@@ -29,7 +36,7 @@ knob, never a semantics question.
 from __future__ import annotations
 
 import ipaddress
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.filter.ast import Op, Predicate
 from repro.filter.fields import DEFAULT_REGISTRY, FieldRegistry, Layer
@@ -143,35 +150,6 @@ def binary_supported(pred: Predicate,
     )
 
 
-def _node_supported(node: TrieNode, registry: FieldRegistry) -> bool:
-    pred = node.pred
-    if pred.is_unary:
-        kind = unary_kind(pred.protocol)
-        if kind is None:
-            return False
-        if kind == "never":
-            return True  # subtree pruned, children never evaluated
-    elif not binary_supported(pred, registry):
-        return False
-    return all(
-        _node_supported(child, registry)
-        for child in node.children if child.layer is Layer.PACKET
-    )
-
-
-def trie_batch_supported(trie: PredicateTrie,
-                         registry: FieldRegistry = DEFAULT_REGISTRY
-                         ) -> bool:
-    """True if the packet sub-filter can run as batch mask predicates."""
-    root = trie.root
-    if root.terminal:
-        return True
-    return all(
-        _node_supported(child, registry)
-        for child in root.children if child.layer is Layer.PACKET
-    )
-
-
 # -- interpreted-backend evaluators -------------------------------------------
 
 def _one_accessor_eval(pred: Predicate, accessor: str) -> Callable:
@@ -269,7 +247,7 @@ def _one_accessor_expr(pred: Predicate, accessor: str,
 
 def gen_batch_condition(pred: Predicate, used_cols: set,
                         registry: FieldRegistry = DEFAULT_REGISTRY) -> str:
-    """Render a batch-supported binary predicate as a mask condition."""
+    """Render a batch-supported binary predicate as a row condition."""
     fdef = registry.field(pred.protocol, pred.field)
     clauses = [
         _one_accessor_expr(pred, accessor, used_cols)
@@ -280,68 +258,179 @@ def gen_batch_condition(pred: Predicate, used_cols: set,
     return " or ".join(f"({c})" for c in clauses)
 
 
-# -- hardware-filter fast admit -----------------------------------------------
+# -- the burst classifier -----------------------------------------------------
 
-def compile_hw_admit(hw, registry: FieldRegistry = DEFAULT_REGISTRY
-                     ) -> Union[bool, Callable, None]:
-    """Compile a hardware filter's admit check for columnar fast rows.
+class _Node:
+    """One predicate of a :class:`BurstTree`, with the ``(lane, rank,
+    verdict)`` tag of every lane whose path ends here."""
 
-    Returns ``True`` when every fast row is admitted (no filter or
-    accept-all), a ``f(cols, i) -> bool`` closure when the rule set is
-    column-expressible, or ``None`` when it is not (the NIC must then
-    keep the scalar per-packet ingress path).
+    __slots__ = ("id", "pred", "children", "by_text", "tags", "kind",
+                 "evaluate")
+
+    def __init__(self, node_id: int, pred: Optional[Predicate],
+                 registry: FieldRegistry) -> None:
+        self.id = node_id
+        self.pred = pred
+        self.children: List["_Node"] = []
+        self.by_text: Dict[str, "_Node"] = {}
+        self.tags: List[Tuple[int, int, int]] = []
+        #: How a fast row is tested: ``"always"``, ``"never"``, a
+        #: ``(column, value)`` equality, ``"binary"`` (``evaluate``
+        #: holds its closure), or None when no column expresses it.
+        self.kind = "always" if pred is None else (
+            unary_kind(pred.protocol) if pred.is_unary else
+            "binary" if binary_supported(pred, registry) else None)
+        self.evaluate = make_pred_evaluator(pred, registry) \
+            if self.kind == "binary" else None
+
+
+def _ladder_order(trie: PredicateTrie) -> Dict[int, int]:
+    """Rank each report node of ``trie`` by the scalar walkers'
+    first-match order: children before the node's own report, and the
+    root only when terminal (a match-all filter)."""
+    order: Dict[int, int] = {}
+
+    def walk(node: TrieNode) -> None:
+        for child in node.children:
+            if child.layer is Layer.PACKET:
+                walk(child)
+        if node.terminal or node.parent is not None and any(
+                child.layer is not Layer.PACKET
+                for child in node.children):
+            order[node.id] = len(order)
+
+    walk(trie.root)
+    return order
+
+
+class BurstTree:
+    """Lanes' predicate paths merged by predicate text.
+
+    A row's verdict in lane ``k`` is the verdict of the lowest-ranked
+    tag of lane ``k`` whose path the row satisfies, or ``NO_MATCH``.
+    Common prefixes — the ``eth``/``ipv4``/``tcp`` chains every filter
+    starts with — are tested once per burst for all lanes. A lane's
+    ranks replay its own first-match order, so merging lanes never
+    changes a lane's verdicts; nor is cross-lane subsumption pruned
+    (lane A's ``ipv4`` terminal must not swallow lane B's ``ipv4 and
+    tcp`` subtree).
+
+    A classifier of a one-lane tree returns the lane's verdict list, of
+    an N-lane tree the list of the N lanes' lists.
     """
-    if hw is None or hw.accept_all:
-        return True
-    known = (_UNARY_ALWAYS | set(_UNARY_ETH) | set(_UNARY_PROTO))
-    compiled: List[
-        Tuple[Optional[int], Optional[int], List[Callable]]] = []
-    for rule in hw.rules:
-        protos = set(rule.protocols)
-        protos.update(p.protocol for p in rule.items)
-        if protos & _UNARY_NEVER:
-            continue  # rule requires icmp: never matches fast rows
-        if not protos <= known:
-            return None  # protocol the columnar layer cannot reason about
-        want_eth: Optional[int] = None
-        want_proto: Optional[int] = None
-        contradictory = False
-        for proto in protos:
-            eth = _UNARY_ETH.get(proto)
-            if eth is not None:
-                if want_eth is not None and want_eth != eth:
-                    contradictory = True  # ipv4 AND ipv6: never matches
-                    break
-                want_eth = eth
-                continue
-            need = _UNARY_PROTO.get(proto)
-            if need is None:
-                continue
-            if want_proto is not None and want_proto != need:
-                contradictory = True  # tcp AND udp: never matches
-                break
-            want_proto = need
-        if contradictory:
-            continue
-        tests = []
-        for pred in rule.items:
-            if not binary_supported(pred, registry):
-                return None
-            tests.append(make_pred_evaluator(pred, registry))
-        compiled.append((want_eth, want_proto, tests))
 
-    def admit(cols, i, _rules=compiled):
-        ethertype = cols.ethertype[i]
-        proto = cols.proto[i]
-        for want_eth, want_proto, tests in _rules:
-            if want_eth is not None and ethertype != want_eth:
+    def __init__(self, lanes: int,
+                 registry: FieldRegistry = DEFAULT_REGISTRY) -> None:
+        self.lanes = lanes
+        self.registry = registry
+        self.root = _Node(0, None, registry)
+        self.nodes = [self.root]
+        #: Packet-layer nodes of the lanes' own tries, before merging.
+        self.lane_nodes = 0
+        #: False when some predicate a fast row can reach has no column.
+        self.supported = True
+        #: Every reachable tag as ``(lane, rank, verdict, node id)``,
+        #: in lane and rank order: the order verdicts are written in.
+        self.writes: List[Tuple[int, int, int, int]] = []
+
+    @classmethod
+    def of_tries(cls, tries: Sequence[PredicateTrie],
+                 registry: FieldRegistry = DEFAULT_REGISTRY
+                 ) -> "BurstTree":
+        """One lane per filter trie: its packet-layer report nodes,
+        tagged ``(node_id << 1) | terminal``."""
+        tree = cls(len(tries), registry)
+        for lane, trie in enumerate(tries):
+            tree._merge(lane, trie.root, tree.root, _ladder_order(trie))
+        tree._finish()
+        return tree
+
+    @classmethod
+    def of_rules(cls, rules: Sequence, registry: FieldRegistry
+                 = DEFAULT_REGISTRY) -> "BurstTree":
+        """One lane of hardware flow rules: each rule a chain of its
+        protocols (and its items' protocols, which gate the shared
+        port and address columns) then its items, tagged 1 (admit)."""
+        tree = cls(1, registry)
+        for rank, rule in enumerate(rules):
+            protocols = dict.fromkeys(
+                [*rule.protocols, *(item.protocol for item in rule.items)])
+            node = tree.root
+            for pred in [*map(Predicate, protocols), *rule.items]:
+                node = tree._child(node, pred)
+            node.tags.append((0, rank, 1))
+        tree._finish()
+        return tree
+
+    def _child(self, node: _Node, pred: Predicate) -> _Node:
+        text = str(pred)
+        child = node.by_text.get(text)
+        if child is None:
+            child = _Node(len(self.nodes), pred, self.registry)
+            self.nodes.append(child)
+            node.by_text[text] = child
+            node.children.append(child)
+        return child
+
+    def _merge(self, lane: int, src: TrieNode, dst: _Node,
+               order: Dict[int, int]) -> None:
+        rank = order.get(src.id)
+        if rank is not None:
+            dst.tags.append(
+                (lane, rank, encode_verdict(src.id, src.terminal)))
+        for child in src.children:
+            if child.layer is Layer.PACKET:
+                self.lane_nodes += 1
+                self._merge(lane, child, self._child(dst, child.pred),
+                            order)
+
+    def _finish(self) -> None:
+        """Check expressibility and order the writes, over the nodes a
+        fast row can reach (never below a ``"never"`` node)."""
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            if node.kind is None:
+                self.supported = False
+            self.writes.extend((lane, rank, verdict, node.id)
+                               for lane, rank, verdict in node.tags)
+            stack.extend(child for child in node.children
+                         if child.kind != "never")
+        self.writes.sort()
+
+    def interpret(self, cols) -> list:
+        """Classify a burst by walking the tree: each node narrows its
+        parent's row list, binary predicates through their evaluator
+        closures, one call per row."""
+        n = cols.n
+        fast = cols.fast
+        reached = {0: [i for i in range(n) if fast[i]]}
+        self._narrow(self.root, cols, reached[0], reached)
+        outs = [[NO_MATCH] * n for _ in range(self.lanes)]
+        for lane, _rank, verdict, node_id in self.writes:
+            rows = reached.get(node_id)
+            if rows:
+                out = outs[lane]
+                for i in rows:
+                    if out[i] < 0:
+                        out[i] = verdict
+        return outs[0] if self.lanes == 1 else outs
+
+    def _narrow(self, node: _Node, cols, rows: List[int],
+                reached: Dict[int, List[int]]) -> None:
+        for child in node.children:
+            kind = child.kind
+            if kind == "never":
                 continue
-            if want_proto is not None and proto != want_proto:
-                continue
-            for test in tests:
-                if not test(cols, i):
-                    break
+            if kind == "binary":
+                evaluate = child.evaluate
+                sub = [i for i in rows if evaluate(cols, i)]
+            elif kind == "always":
+                sub = rows
             else:
-                return True
-        return False
-    return admit
+                column_name, want = kind
+                column = getattr(cols, column_name)
+                sub = [i for i in rows if column[i] == want]
+            if sub:
+                reached[child.id] = sub
+                self._narrow(child, cols, sub, reached)

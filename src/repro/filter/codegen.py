@@ -19,22 +19,22 @@ Generated functions:
   on the packet filter's reported node and the identified service.
 * ``session_filter(session, conn_term_node) -> bool`` — evaluates
   session-layer predicates on parsed application data.
+* ``packet_filter_batch(cols)`` — the packet filter over a decoded
+  burst's fast rows: the trie's :class:`~repro.filter.batch.BurstTree`,
+  as :func:`burst_classifier_source` writes it (absent when a predicate
+  has no column). The same emitter generates the tenant table's and
+  the NIC flow rules' classifiers.
 """
 
 from __future__ import annotations
 
 import ipaddress
 import re
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Union
 
 from repro.errors import PacketParseError
 from repro.filter.ast import Op, Predicate
-from repro.filter.batch import (
-    encode_verdict,
-    gen_batch_condition,
-    trie_batch_supported,
-    unary_kind,
-)
+from repro.filter.batch import BurstTree, gen_batch_condition
 from repro.filter.fields import DEFAULT_REGISTRY, FieldRegistry, Layer
 from repro.filter.result import FilterResult
 from repro.filter.trie import PredicateTrie, TrieNode
@@ -167,7 +167,9 @@ class GeneratedFilter:
         self.registry = registry
         pool = _ConstPool()
         packet_src = self._gen_packet_filter(pool)
-        batch_src = self._gen_packet_filter_batch()
+        tree = BurstTree.of_tries([trie], registry)
+        batch_src = burst_classifier_source(
+            tree, "packet_filter_batch") if tree.supported else None
         conn_src = self._gen_connection_filter(pool)
         session_src = self._gen_session_filter(pool)
         pieces = [packet_src]
@@ -189,7 +191,7 @@ class GeneratedFilter:
         code = compile(self.source, "<retina-filter>", "exec")
         exec(code, namespace)  # noqa: S102 - this is the codegen backend
         self.packet_filter = namespace["packet_filter"]
-        #: Batch variant over ColumnarBatch columns, or None when the
+        #: The trie's burst classifier, generated, or None when the
         #: trie uses predicates the columnar layer cannot express.
         self.packet_filter_batch = namespace.get("packet_filter_batch")
         self.connection_filter = namespace["connection_filter"]
@@ -272,79 +274,6 @@ class GeneratedFilter:
         if _is_report(node):
             writer.emit(indent, _result_stmt(node))
 
-    # -- batch packet filter -------------------------------------------------
-    def _gen_packet_filter_batch(self) -> Optional[str]:
-        """Emit ``packet_filter_batch(cols)``: mask predicates over columns.
-
-        Instead of one generated function call per packet, the batch
-        variant evaluates each trie node once per *burst* as a boolean
-        mask list-comprehension over the decoded columns, then writes
-        encoded verdicts with first-write-wins precedence loops in the
-        same depth-first order as the scalar ladder's ``return``
-        statements — so per-row results are identical by construction.
-        Verdicts are only meaningful for rows with ``cols.fast[i]``
-        set; every mask descends from ``cols.fast``, so other rows
-        stay at ``-1``. Returns ``None`` (no batch function) when the
-        trie contains predicates the columns cannot express.
-        """
-        if not trie_batch_supported(self.trie, self.registry):
-            return None
-        writer = _SourceWriter()
-        writer.emit(0, "def packet_filter_batch(cols):")
-        root = self.trie.root
-        if root.terminal:
-            writer.emit(1, "return [1 if f else -1 for f in cols.fast]")
-            return writer.source()
-        body = _SourceWriter()
-        used_cols: set = set()
-        for child in root.children:
-            if child.layer is Layer.PACKET:
-                self._emit_batch_node(body, child, "m0", used_cols)
-        writer.emit(1, "n = cols.n")
-        writer.emit(1, "out = [-1] * n")
-        writer.emit(1, "m0 = cols.fast")
-        for col in sorted(used_cols):
-            writer.emit(1, f"c_{col} = cols.{col}")
-        writer.lines.extend(body.lines)
-        writer.emit(1, "return out")
-        return writer.source()
-
-    def _emit_batch_node(
-        self,
-        writer: _SourceWriter,
-        node: TrieNode,
-        parent_mask: str,
-        used_cols: set,
-    ) -> None:
-        pred = node.pred
-        assert pred is not None
-        mask = parent_mask
-        if pred.is_unary:
-            kind = unary_kind(pred.protocol)
-            if kind == "never":
-                # Fast rows are plain IP TCP/UDP; this subtree can
-                # only match on the scalar slow path.
-                return
-            if kind != "always":
-                col, val = kind
-                used_cols.add(col)
-                mask = f"m{node.id}"
-                writer.emit(1, f"{mask} = [{parent_mask}[i] and "
-                               f"c_{col}[i] == {val} for i in range(n)]")
-        else:
-            cond = gen_batch_condition(pred, used_cols, self.registry)
-            mask = f"m{node.id}"
-            writer.emit(1, f"{mask} = [{parent_mask}[i] and ({cond}) "
-                           f"for i in range(n)]")
-        for child in node.children:
-            if child.layer is Layer.PACKET:
-                self._emit_batch_node(writer, child, mask, used_cols)
-        if _is_report(node):
-            verdict = encode_verdict(node.id, node.terminal)
-            writer.emit(1, "for i in range(n):")
-            writer.emit(2, f"if {mask}[i] and out[i] < 0:")
-            writer.emit(3, f"out[i] = {verdict}")
-
     # -- connection filter -----------------------------------------------------
     def _gen_connection_filter(self, pool: _ConstPool) -> str:
         writer = _SourceWriter()
@@ -398,3 +327,88 @@ class GeneratedFilter:
             writer.emit(2, "return False")
         writer.emit(1, "return False")
         return writer.source()
+
+
+# -- burst classifiers -----------------------------------------------------------
+
+def burst_classifier_source(tree: BurstTree, name: str) -> str:
+    """Emit ``name(cols)``: ``tree`` as one straight-line function.
+
+    Each reachable node becomes one comprehension narrowing its
+    parent's row list (``x<id>``, ``x0`` the burst's fast rows), skipped
+    when the parent's list is empty; then each lane's verdict list
+    (``o<lane>``) takes the tree's writes in rank order, first write
+    wins — the interpreted walk's result, with no call per row.
+    """
+    body = _SourceWriter()
+    used_cols: set = set()
+    rows = {0: "x0"}
+
+    def emit(node, parent: str) -> None:
+        for child in node.children:
+            kind = child.kind
+            if kind == "never":
+                continue
+            var = parent
+            if kind != "always":
+                if kind == "binary":
+                    cond = gen_batch_condition(child.pred, used_cols,
+                                               tree.registry)
+                else:
+                    col, want = kind
+                    used_cols.add(col)
+                    cond = f"c_{col}[i] == {want}"
+                var = f"x{child.id}"
+                body.emit(1, f"{var} = [i for i in {parent} if {cond}] "
+                             f"if {parent} else {parent}")
+            rows[child.id] = var
+            emit(child, var)
+
+    emit(tree.root, "x0")
+    writer = _SourceWriter()
+    writer.emit(0, f"def {name}(cols):")
+    writer.emit(1, "n = cols.n")
+    writer.emit(1, "fast = cols.fast")
+    for col in sorted(used_cols):
+        writer.emit(1, f"c_{col} = cols.{col}")
+    writer.emit(1, "x0 = [i for i in range(n) if fast[i]]")
+    writer.lines.extend(body.lines)
+    lanes = [f"o{lane}" for lane in range(tree.lanes)]
+    for out in lanes:
+        writer.emit(1, f"{out} = [-1] * n")
+    written = set()
+    for lane, _rank, verdict, node_id in tree.writes:
+        out = lanes[lane]
+        writer.emit(1, f"for i in {rows[node_id]}:")
+        if lane in written:
+            writer.emit(2, f"if {out}[i] < 0:")
+            writer.emit(3, f"{out}[i] = {verdict}")
+        else:  # the lane's first write: every row is still unmatched
+            written.add(lane)
+            writer.emit(2, f"{out}[i] = {verdict}")
+    writer.emit(1, f"return {lanes[0]}" if tree.lanes == 1
+                else f"return [{', '.join(lanes)}]")
+    return writer.source()
+
+
+def compile_burst_classifier(tree: BurstTree) -> Callable:
+    """The generated form of ``tree`` (which must be ``supported``)."""
+    namespace: Dict[str, Any] = {}
+    exec(compile(burst_classifier_source(tree, "classify_burst"),  # noqa: S102
+                 "<retina-filter>", "exec"), namespace)
+    return namespace["classify_burst"]
+
+
+def compile_hw_admit(hw) -> Union[bool, Callable, None]:
+    """A hardware filter's admit check for columnar fast rows.
+
+    Returns ``True`` when every fast row is admitted (no filter or
+    accept-all), the generated classifier of its rules' one-lane tree
+    (``cols -> verdicts``, non-negative: admitted) when every rule is
+    column-expressible, or ``None`` when one is not (the NIC must then
+    keep the scalar per-packet ingress path).
+    """
+    if hw is None or hw.accept_all:
+        return True
+    tree = BurstTree.of_rules(hw.rules)
+    return compile_burst_classifier(tree) if tree.supported else None

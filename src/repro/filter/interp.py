@@ -11,17 +11,10 @@ execution strategy differs, which is exactly what Figure 12 measures.
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.filter.ast import Op, Predicate
-from repro.filter.batch import (
-    NO_MATCH,
-    binary_supported,
-    encode_verdict,
-    make_pred_evaluator,
-    trie_batch_supported,
-    unary_kind,
-)
+from repro.filter.batch import BurstTree
 from repro.filter.fields import DEFAULT_REGISTRY, FieldRegistry, Layer
 from repro.filter.result import FilterResult
 from repro.filter.trie import PredicateTrie, TrieNode
@@ -75,19 +68,11 @@ class InterpretedFilter:
     ) -> None:
         self.trie = trie
         self.registry = registry
-        #: Batch variant over ColumnarBatch columns, or None when the
+        #: The trie's burst classifier, interpreted, or None when the
         #: trie uses predicates the columnar layer cannot express.
-        self.packet_filter_batch: Optional[Callable] = None
-        if trie_batch_supported(trie, registry):
-            # Nodes inside pruned (ipv6/icmp) subtrees are never batch
-            # evaluated and may be inexpressible; skip them here.
-            self._batch_evals: Dict[int, Callable] = {
-                node.id: make_pred_evaluator(node.pred, registry)
-                for node in trie.packet_nodes()
-                if not node.pred.is_unary
-                and binary_supported(node.pred, registry)
-            }
-            self.packet_filter_batch = self._packet_filter_batch
+        tree = BurstTree.of_tries([trie], registry)
+        self.packet_filter_batch: Optional[Callable] = \
+            tree.interpret if tree.supported else None
 
     # -- packet filter -------------------------------------------------------
     def packet_filter(self, mbuf: Mbuf) -> FilterResult:
@@ -148,61 +133,6 @@ class InterpretedFilter:
         if any(c.layer is not Layer.PACKET for c in node.children):
             return FilterResult.match_non_terminal(node.id)
         return None
-
-    # -- batch packet filter -------------------------------------------------
-    def _packet_filter_batch(self, cols: Any) -> List[int]:
-        """Walk the trie once per *batch*, narrowing an index list.
-
-        Returns one encoded verdict per row (see
-        :mod:`repro.filter.batch`); verdicts are only meaningful for
-        rows with ``cols.fast[i]`` set. The walk visits nodes in the
-        same depth-first order as :meth:`_walk_packet` and writes
-        verdicts first-match-wins, so per-row results are identical to
-        the scalar walker by construction.
-        """
-        n = cols.n
-        root = self.trie.root
-        if root.terminal:
-            return [1 if f else NO_MATCH for f in cols.fast]
-        out = [NO_MATCH] * n
-        fast = cols.fast
-        idxs = [i for i in range(n) if fast[i]]
-        if idxs:
-            for child in root.children:
-                if child.layer is Layer.PACKET:
-                    self._walk_batch(child, cols, idxs, out)
-        return out
-
-    def _walk_batch(self, node: TrieNode, cols: Any, idxs: List[int],
-                    out: List[int]) -> None:
-        pred = node.pred
-        if pred.is_unary:
-            kind = unary_kind(pred.protocol)
-            if kind == "never":
-                # Fast rows are plain IP TCP/UDP; this subtree can
-                # only match on the scalar slow path.
-                return
-            if kind != "always":
-                col, val = kind
-                colvals = getattr(cols, col)
-                idxs = [i for i in idxs if colvals[i] == val]
-        else:
-            evaluate = self._batch_evals[node.id]
-            idxs = [i for i in idxs if evaluate(cols, i)]
-        if not idxs:
-            return
-        for child in node.children:
-            if child.layer is Layer.PACKET:
-                self._walk_batch(child, cols, idxs, out)
-        if node.terminal:
-            verdict = encode_verdict(node.id, True)
-        elif any(c.layer is not Layer.PACKET for c in node.children):
-            verdict = encode_verdict(node.id, False)
-        else:
-            return
-        for i in idxs:
-            if out[i] < 0:
-                out[i] = verdict
 
     # -- connection filter -----------------------------------------------------
     def connection_filter(self, conn: Any, pkt_term_node: int) -> FilterResult:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 from repro.errors import ConfigError
-from repro.filter.batch import compile_hw_admit
+from repro.filter.codegen import compile_hw_admit
 from repro.filter.hardware import HardwareFilter
 from repro.nic.rss import (
     SYMMETRIC_RSS_KEY,
@@ -108,8 +108,9 @@ class SimNic:
         self._hash_cache = _RssHashCache(toeplitz_kernel(rss_key),
                                          hash_cache_size)
         # Fast-row admit check over decoded columns: True (admit all),
-        # a closure, or None when the rule set is not column-expressible
-        # (receive_columnar then hands every row to receive).
+        # the rules' generated burst classifier, or None when the rule
+        # set is not column-expressible (receive_columnar then hands
+        # every row to receive).
         self._col_admit = compile_hw_admit(None)
 
     # -- configuration -----------------------------------------------------
@@ -174,15 +175,18 @@ class SimNic:
 
         Row ``i`` of ``cols`` describes ``mbuf``. Fast rows (plain
         IPv4/IPv6 TCP/UDP, see :mod:`repro.packet.columnar`) skip the
-        header-stack parse entirely: the hardware-filter check runs as
-        the precompiled column admit and the symmetric-RSS input is one
-        contiguous frame slice (addresses and ports are adjacent in a
-        plain IP+transport header, so ``frame[26:38]`` / ``frame[22:58]``
-        is value-equal to :func:`~repro.nic.rss.rss_input_bytes` — the
-        hash cache behaves identically). Slow rows — and every row of a
-        port whose flow rules do not compile to a column admit check —
-        delegate to :meth:`receive`. Counter updates match
-        :meth:`receive` exactly.
+        header-stack parse entirely: the hardware filter reads the
+        row's admit bit — the port's generated rule classifier runs
+        once per burst, its result cached on ``cols`` per classifier, so
+        ports interleaved in one chunk each classify it once — and the
+        symmetric-RSS input is one contiguous frame slice (addresses and
+        ports are adjacent in a plain IP+transport header, so
+        ``frame[26:38]`` / ``frame[22:58]`` is value-equal to
+        :func:`~repro.nic.rss.rss_input_bytes` — the hash cache behaves
+        identically). Slow rows — and every row of a port whose flow
+        rules do not compile to a column admit check — delegate to
+        :meth:`receive`. Counter updates match :meth:`receive` exactly,
+        frame by frame.
         """
         admit = self._col_admit
         if admit is None or not cols.fast[i]:
@@ -191,10 +195,14 @@ class SimNic:
         frame_bytes = cols.wire[i]
         stats.received_packets += 1
         stats.received_bytes += frame_bytes
-        if admit is not True and not admit(cols, i):
-            stats.hw_dropped_packets += 1
-            stats.hw_dropped_bytes += frame_bytes
-            return None
+        if admit is not True:
+            admitted = cols.admitted
+            if admit not in admitted:
+                admitted[admit] = admit(cols)
+            if admitted[admit][i] < 0:
+                stats.hw_dropped_packets += 1
+                stats.hw_dropped_bytes += frame_bytes
+                return None
         if cols.ethertype[i] == ETHERTYPE_IPV4:
             rss = self._hash_cache[bytes(mbuf.data[26:38])]
         else:

@@ -103,14 +103,6 @@ class LossLedger:
         return self.packets_seen - self.packets_shed
 
     @property
-    def current_rung(self) -> int:
-        """The rung after the last transition (per-core ledgers only;
-        a merged ledger reports the highest core's last rung)."""
-        if not self.transitions:
-            return 0
-        return self.transitions[-1][2]
-
-    @property
     def engaged(self) -> bool:
         """True when the ladder ever left rung 0 or anything was shed."""
         return bool(self.transitions or self.packets_shed

@@ -112,13 +112,14 @@ class ColumnarBatch:
     them (None: none has). Every pipeline reading a row asks for the
     verdicts under its own key and the batch is classified again only
     when the key differs, so a chunk the ingress fans out to every core
-    is classified once per table it meets.
+    is classified once per table it meets. ``admitted`` likewise maps
+    each NIC admit classifier that met the batch to its verdicts.
     """
 
     __slots__ = ("n", "wire", "fast", "ethertype", "proto", "src_ip",
                  "dst_ip", "src_port", "dst_port", "payload_len",
                  "tcp_flags", "tcp_seq", "ip_total_len", "payload_off",
-                 "verdicts", "verdicts_by")
+                 "verdicts", "verdicts_by", "admitted")
 
     def __init__(self, n: int, wire: Sequence[int], fast: Sequence[bool],
                  ethertype: Sequence[int], proto: Sequence[int],
@@ -143,6 +144,7 @@ class ColumnarBatch:
         self.payload_off = payload_off
         self.verdicts = None
         self.verdicts_by = None
+        self.admitted = {}
 
 
 _EMPTY: Tuple = ()

@@ -16,8 +16,59 @@ from repro.nic import (
     toeplitz_hash,
 )
 from repro.nic.rss import _toeplitz_tables, toeplitz_kernel
-from repro.packet import Mbuf, build_tcp_packet, build_udp_packet, parse_stack
-from repro.packet.columnar import decode_mbufs
+from repro.filter.ast import Op, Predicate
+from repro.filter.batch import BurstTree
+from repro.filter.hardware import FlowRule, HardwareFilter
+from repro.packet import Mbuf, build_icmp_echo, build_tcp_packet, \
+    build_udp_packet, parse_stack
+from repro.packet.columnar import decode_mbufs, ingress_rows
+from repro.tenancy import union_hardware
+
+#: ``bench_tenancy``'s eight tenant filters.
+TENANTS8 = ("tcp.dst_port = 443", "tcp.dst_port = 80",
+            "tcp.dst_port = 8080", "tcp.dst_port = 22",
+            "udp.dst_port = 53", "udp.dst_port = 123",
+            "tcp.src_port = 443", "udp")
+
+#: Flow-rule sets for the burst-admit parity test.
+ADMIT_CASES = {
+    "tenants8": lambda: union_hardware(
+        [compile_filter(text) for text in TENANTS8]),
+    "addresses": lambda: compile_filter(
+        "ipv4.src_addr in 10.0.0.0/8 or ipv6.dst_addr = 2001:db8::9 "
+        "or (udp and ipv4.addr = 8.8.8.8)").hardware,
+    # An icmp rule and an ipv4-and-ipv6 rule match no fast row.
+    "icmp_and_both_ips": lambda: HardwareFilter([
+        FlowRule(("eth", "ipv4", "icmp")),
+        FlowRule(("eth", "ipv4", "ipv6", "tcp")),
+        FlowRule(("eth", "ipv6"), (Predicate("tcp", "dst_port", Op.EQ,
+                                             443),)),
+    ], accept_all=False),
+    # No column holds the TTL: every row takes the scalar path.
+    "no_column": lambda: HardwareFilter([
+        FlowRule(("eth", "ipv4"), (Predicate("ipv4", "ttl", Op.GT, 5),)),
+        FlowRule(("eth", "ipv6", "udp")),
+    ], accept_all=False),
+}
+
+
+def admit_corpus():
+    """IPv4 and IPv6 TCP/UDP frames over the tenant ports, plus ICMP
+    and truncated frames (slow rows)."""
+    frames = []
+    hosts = (("10.0.0.1", "8.8.8.8"), ("192.168.1.2", "10.1.2.3"),
+             ("2001:db8::1", "2001:db8::9"), ("2606:4700::1111",
+                                               "2001:db8::1"))
+    for k, (src, dst) in enumerate(hosts):
+        for sport, dport in ((40000, 443), (443, 40000), (5000, 80),
+                             (5001, 8080), (5002, 22), (5003, 9999)):
+            frames.append(build_tcp_packet(src, dst, sport + k, dport))
+        for sport, dport in ((5353, 53), (123, 123), (7000, 7001),
+                             (5004, 443)):
+            frames.append(build_udp_packet(src, dst, sport, dport))
+    frames.append(build_icmp_echo("10.0.0.1", "8.8.8.8"))
+    frames.append(build_tcp_packet("10.0.0.1", "8.8.8.8", 1, 443)[:30])
+    return frames
 
 
 def toeplitz_bit_serial(key: bytes, data: bytes) -> int:
@@ -316,6 +367,75 @@ class TestSimNic:
                 toeplitz_bit_serial(SYMMETRIC_RSS_KEY, frame[26:38])
             assert len(nic._hash_cache) == i % 3 + 1
         assert nic.stats.received_packets == 14
+
+    @pytest.mark.parametrize("rules", sorted(ADMIT_CASES))
+    def test_burst_admit_matches_scalar_rules(self, rules):
+        """The burst admit against the scalar rules, frame by frame:
+        ``receive_columnar`` over one decoded burst of IPv4 and IPv6
+        TCP/UDP, ICMP and truncated rows leaves the same queue and the
+        same counters after every frame as ``receive``, and a row is
+        admitted exactly when ``HardwareFilter.admits`` says so."""
+        hw = ADMIT_CASES[rules]()
+        scalar, columnar = SimNic(num_queues=4), SimNic(num_queues=4)
+        scalar.install_hardware_filter(hw)
+        columnar.install_hardware_filter(hw)
+        frames = admit_corpus()
+        mbufs = [Mbuf(frame) for frame in frames]
+        cols = decode_mbufs(mbufs)
+        tree = BurstTree.of_rules(hw.rules)
+        assert tree.supported == (rules != "no_column")
+        if tree.supported:  # the generated form is the interpreted one
+            assert columnar._col_admit(cols) == tree.interpret(cols)
+        else:
+            assert columnar._col_admit is None
+        assert 0 < sum(cols.fast) < len(frames)
+        assert any(len(cols.src_ip[i]) == 16 for i in range(cols.n)
+                   if cols.fast[i])
+        slow_calls = []
+        receive = columnar.receive
+        columnar.receive = lambda mbuf: slow_calls.append(mbuf) or \
+            receive(mbuf)
+        for i, frame in enumerate(frames):
+            want = scalar.receive(Mbuf(frame))
+            assert columnar.receive_columnar(mbufs[i], cols, i) == want
+            assert columnar.stats.to_dict() == scalar.stats.to_dict()
+            assert (want is not None) == \
+                hw.admits(parse_stack(Mbuf(frame)))
+        if rules == "no_column":
+            assert slow_calls == mbufs  # every row stays on receive
+        else:
+            assert len(slow_calls) == cols.n - sum(cols.fast)
+        assert 0 < scalar.stats.hw_dropped_packets < len(frames)
+
+    def test_interleaved_ports_admit_once_per_burst(self):
+        """Two ports interleaved in one chunk: each port's admit runs
+        once per (batch, NIC filter), not once per row, and the rows
+        fare as ``receive`` has them fare."""
+        hws = [ADMIT_CASES["tenants8"](),
+               compile_filter("ipv6 or udp.dst_port = 53").hardware]
+        nics, oracles, calls = [], [], []
+        for port, hw in enumerate(hws):
+            nic, oracle = SimNic(num_queues=2), SimNic(num_queues=2)
+            nic.install_hardware_filter(hw)
+            oracle.install_hardware_filter(hw)
+            admit = nic._col_admit
+
+            def counting(cols, _admit=admit, _port=port):
+                calls.append(_port)
+                return _admit(cols)
+            nic._col_admit = counting
+            nics.append(nic)
+            oracles.append(oracle)
+        frames = admit_corpus()
+        mbufs = [Mbuf(frame, 0.0, i % 2) for i, frame in enumerate(frames)]
+        rows = list(ingress_rows(mbufs, nics, chunk_size=len(frames)))
+        assert sorted(calls) == [0, 1]
+        for mbuf, queue, _cols, _i in rows:
+            assert queue == oracles[mbuf.port].receive(Mbuf(mbuf.data))
+        for nic, oracle in zip(nics, oracles):
+            assert nic.stats.to_dict() == oracle.stats.to_dict()
+        list(ingress_rows(mbufs, nics, chunk_size=len(frames) // 3 + 1))
+        assert sorted(calls) == [0] * 4 + [1] * 4
 
     def test_hash_cache_consistent(self):
         nic = SimNic(num_queues=4, hash_cache_size=2)

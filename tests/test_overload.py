@@ -433,12 +433,6 @@ class TestLossLedger:
         a.packets_seen = 1
         assert merge_ledgers([None, a]).packets_seen == 1
 
-    def test_current_rung_tracks_transitions(self):
-        ledger = LossLedger(core_id=0)
-        assert ledger.current_rung == 0
-        ledger.record_transition(0.5, 0, 1, "pressure=4.00")
-        assert ledger.current_rung == 1
-
     def test_to_dict_and_describe(self):
         report = run(burst_traffic())
         payload = report.overload.to_dict()
