@@ -12,7 +12,8 @@ workload of ``benchmarks/perf``). The table's filter mode picks the
 execution: the tree's generated function in ``codegen`` mode, its
 interpreted walk in ``interp`` mode.
 
-Correctness contract (pinned by ``tests/test_tenancy_fuzz.py``): for
+Correctness contract (pinned by ``tests/test_tenancy_fuzz.py``, and
+against the scalar filters by ``tests/test_burst_tree.py``): for
 every tenant and every fast row of a decoded batch, the verdict fanned
 out of the shared tree is *identical* — same terminal flag, same
 tenant-native trie node id — to that tenant's own
