@@ -8,7 +8,6 @@ from typing import Optional
 from repro.conntrack.table import TimeoutConfig
 from repro.core.cycles import CostModel
 from repro.errors import ConfigError
-from repro.filter.hardware import NicCapabilities, connectx5_capabilities
 from repro.netem.model import ImpairmentConfig
 from repro.resilience.faults import FaultPlan
 
@@ -34,8 +33,6 @@ class RuntimeConfig:
     #: Off by default — the fixed ring is the paper's design; the
     #: adaptive window is the degraded-link mitigation.
     ooo_adaptive: bool = False
-    #: NIC capability profile used to validate hardware rules.
-    nic: NicCapabilities = field(default_factory=connectx5_capabilities)
     #: Install the hardware filter (Section 6.1 disables it).
     hardware_filter: bool = True
     #: Fraction of four-tuples redirected to the sink queue (Section 6.1
@@ -59,9 +56,6 @@ class RuntimeConfig:
     callback_execution: str = "inline"
     #: Worker cores for the queued execution model.
     callback_workers: int = 2
-    #: Receive-core cost of handing a result to the queue (serialize +
-    #: MPSC enqueue), charged instead of the callback cost.
-    enqueue_cycles: float = 250.0
     #: Reassemble fragmented IPv4 datagrams before filtering. Off by
     #: default — like Retina (and kernel-bypass pipelines generally),
     #: non-first fragments simply fail port-based filters.
@@ -158,14 +152,9 @@ class RuntimeConfig:
     #: ledger's budget) a core tolerates before the controller counts
     #: it as overloaded. The ladder's primary pressure signal.
     overload_target_lag: float = 0.05
-    #: Virtual seconds between controller evaluations on each core.
-    overload_eval_interval: float = 0.05
     #: Highest rung the ladder may climb to (1-4; 4 enables the
     #: fail-fast last resort at the top of the ladder).
     overload_max_rung: int = 3
-    #: Consecutive calm evaluations (pressure < 0.5) before the ladder
-    #: relaxes multiplicatively (rung //= 2).
-    overload_relax_ticks: int = 3
     #: Rung 3's per-connection circuit breaker: established probing/
     #: parsing connections holding more than this many bytes of heavy
     #: state (reassembly buffers + packet buffers) get their lazy
@@ -237,12 +226,8 @@ class RuntimeConfig:
                 f"(want 'off', 'ladder', or 'failfast')")
         if self.overload_target_lag <= 0:
             raise ConfigError("overload_target_lag must be > 0")
-        if self.overload_eval_interval <= 0:
-            raise ConfigError("overload_eval_interval must be > 0")
         if not 1 <= self.overload_max_rung <= 4:
             raise ConfigError("overload_max_rung must be in [1, 4]")
-        if self.overload_relax_ticks < 1:
-            raise ConfigError("overload_relax_ticks must be >= 1")
         if self.overload_heavy_bytes < 0:
             raise ConfigError("overload_heavy_bytes must be >= 0")
         if self.overload_policy != "off" and \

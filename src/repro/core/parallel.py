@@ -46,9 +46,10 @@ Retina's run-to-completion cores, none is ever restarted.
 
 Caveats (documented deviations):
 
-- Worker processes recompile every subscription from the filter
-  table's filter text and data type; custom parser/field registries on
-  a hand-built ``Subscription`` are not shipped to workers.
+- Under ``spawn``, worker processes recompile every subscription from
+  the filter table's filter text and data type; custom parser/field
+  registries and NIC capabilities on a hand-built ``Subscription`` are
+  not shipped to them (``fork`` workers inherit the compiled table).
 - Callbacks execute inside the worker processes: their side effects
   (prints, appended lists) live in the worker's address space, not the
   parent's. Counts still aggregate exactly.
@@ -79,6 +80,7 @@ from repro.core.monitor import CoreProgress
 from repro.core.pipeline import CorePipeline
 from repro.core.stats import CoreStats
 from repro.errors import RetinaError
+from repro.overload.controller import EVAL_INTERVAL
 from repro.packet.batch import slot_image, slot_read
 from repro.tenancy.table import FilterTable
 
@@ -125,9 +127,9 @@ class _WorkerSpec:
 
     Must be picklable under the ``spawn`` start method (then every
     tenant callback must be too); under ``fork`` it is simply
-    inherited. The subscriptions are recompiled in the worker (compiled
-    filters hold generated code objects that do not pickle), which also
-    guarantees each shard gets genuinely private state.
+    inherited, the table's compiled filters with it. Under ``spawn``
+    the table crosses without them (generated code objects do not
+    pickle) and the worker compiles its own.
     """
 
     core_id: int
@@ -173,7 +175,7 @@ class _Worker:
             # Epoch bump: adopt the successor table here (the feeder
             # flushed everything older first, so per-core FIFO makes
             # the swap land on the exact burst boundary).
-            pipeline.adopt(FilterTable(pipeline.table.specs, *epoch))
+            pipeline.adopt(pipeline.table.at(*epoch))
         pipeline.process_batch(mbufs)
         interval = spec.progress_interval
         if interval is not None:
@@ -295,7 +297,7 @@ class WorkerPool:
         needs = [interval for interval in (
             monitor.interval if monitor is not None else None,
             memory_interval,
-            config.overload_eval_interval if self._failfast else None)
+            EVAL_INTERVAL if self._failfast else None)
             if interval is not None]
         progress_interval = min(needs) if needs else None
         # Span context stamping: when burst span tracing is on, every

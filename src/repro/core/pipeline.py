@@ -55,6 +55,7 @@ from repro.core.datatypes import (
 from repro.core.stats import CoreStats, MemorySeries, TenantStatsBundle
 from repro.core.subscription import Subscription
 from repro.filter.batch import NO_MATCH
+from repro.overload.controller import EVAL_INTERVAL
 from repro.packet.columnar import ColumnarBatch, decode_mbufs
 from repro.packet.ipv4 import PROTO_TCP, PROTO_UDP
 from repro.packet.mbuf import Mbuf
@@ -65,6 +66,7 @@ from repro.stream.buffered import BufferedReassembler
 from repro.stream.pdu import L4Pdu, StreamSegment
 from repro.stream.reassembly import ADAPTIVE_MAX_CAPACITY, \
     ADAPTIVE_MIN_CAPACITY, LazyReassembler
+from repro.tenancy.table import FilterTable
 
 #: Sentinel for "filter already satisfied before the session layer":
 #: the session filter is skipped and sessions match unconditionally.
@@ -890,7 +892,7 @@ class Lane:
         tripped = ctl.evaluate(now, self.stats.ledger.busy_seconds,
                                self.table.memory_bytes,
                                self._ov_mem_share)
-        self._ov_next = now + ctl.interval
+        self._ov_next = now + EVAL_INTERVAL
         self._ov_block = ctl.admission_block
         if self._spans is not None and ctl.rung > rung_before:
             self._spans.trigger(
@@ -949,43 +951,20 @@ _QUOTA_RUNG = 1
 _PRESSURE_RUNG = 3
 
 
-def subscription_table(subscription: Subscription, config: "RuntimeConfig",
-                       executor=None):
-    """A plain subscription as the one-entry filter table a core runs,
-    and the compile cache holding it (see :class:`CorePipeline`). The
-    run-level fault plan is the entry's own: its lane's injector is the
-    run's."""
-    from repro.tenancy.spec import TenantSpec
-    from repro.tenancy.table import FilterTable
-    entry = TenantSpec(
-        "subscription", subscription.filter.text, subscription.datatype,
-        subscription.callback,
-        identify_services=subscription.identify_services,
-        fault_plan=config.fault_plan)
-    return FilterTable([entry]), {entry.name: (entry, subscription,
-                                               executor)}
-
-
 class CorePipeline:
     """The per-core data path of every run: one row loop over the
     adopted filter table's lanes.
 
     ``pressure_mbps`` is the run's pressure budget (None: none).
-    ``compiled`` maps tenant name to ``(spec, Subscription, executor)``
-    (executor None: an inline one per lane), shared by a runtime's
-    cores so their filters are the same objects and key the same
-    verdicts.
     """
 
     def __init__(self, core_id: int, table, config: "RuntimeConfig",
-                 pressure_mbps: Optional[float] = None,
-                 compiled: Optional[dict] = None) -> None:
+                 pressure_mbps: Optional[float] = None) -> None:
         self.core_id = core_id
         self.config = config
         #: The adopted filter table: every spec this core knows, and
         #: which are active, in activation order.
         self.table = table
-        self._compiled = compiled if compiled is not None else {}
         #: The active tenants' lanes, by name.
         self._by_name: Dict[str, Lane] = {}
         #: Dropped tenants' lanes: no further rows, but they keep
@@ -1027,23 +1006,15 @@ class CorePipeline:
     def of(cls, core_id: int, subscription: Subscription,
            config: "RuntimeConfig", **kwargs) -> "CorePipeline":
         """One core running ``subscription`` alone: a one-lane table."""
-        table, compiled = subscription_table(subscription, config)
-        return cls(core_id, table, config, compiled=compiled, **kwargs)
+        return cls(core_id, FilterTable.of(subscription, config), config,
+                   **kwargs)
 
     # -- construction / swaps ------------------------------------------
     def _activate(self, name: str) -> None:
-        spec = self.table.by_name[name]
-        compiled = self._compiled.get(name)
-        if compiled is None or compiled[0] != spec:
-            # The tenant's own filter object also feeds the table's
-            # SharedFilter, so verdict node ids line up with its
-            # connection/session sub-filters for free.
-            compiled = (spec, Subscription(
-                spec.filter, spec.datatype, spec.callback,
-                filter_mode=self.config.filter_mode,
-                identify_services=spec.identify_services), None)
-            self._compiled[name] = compiled
-        _spec, sub, executor = compiled
+        # The tenant's own filter object also feeds the table's
+        # classifier, so verdict node ids line up with its
+        # connection/session sub-filters for free.
+        spec, sub, executor = self.table.compiled(name)
         # Tenant overrides for the callback error policy, and the
         # tenant-scoped fault plan *replacing* the run-level one
         # (in-pipeline injectors must be tenant-local or quarantine
@@ -1058,7 +1029,7 @@ class CorePipeline:
         self._away[name] = self._away.get(name, 0) + self.packets
 
     def _rebuild(self) -> None:
-        """The metering plan and the verdict source for the current
+        """The metering plan and the row loop's lanes for the current
         active set (one rebuild per epoch swap)."""
         names = self.table.active
         self._quota_share: Dict[str, float] = {}
@@ -1073,14 +1044,6 @@ class CorePipeline:
         #: The active lanes, in table order: verdict lane ``k`` is
         #: ``lanes[k]``'s.
         self.lanes = [self._by_name[name] for name in names]
-        filters = tuple(lane.sub.filter for lane in self.lanes)
-        #: The verdict cache key — a lone filter, or the tuple of the
-        #: active filters — and the table's classifier for the latter.
-        self._key = filters[0] if len(filters) == 1 else filters
-        self._shared = None
-        if len(filters) > 1:
-            from repro.tenancy.shared import SharedFilter
-            self._shared = SharedFilter(names, filters)
         #: What the row loop reads of each active lane: the lane, its
         #: scalar packet filter, its stats, whether it delivers on the
         #: §5.1 fast path, and its verdict lane.
@@ -1185,21 +1148,14 @@ class CorePipeline:
     # -- the data path --------------------------------------------------
     def _verdicts(self, cols: ColumnarBatch) -> list:
         """Every active lane's verdicts on ``cols``, cached on the batch
-        under ``_key`` (equal on every core: one classification per
-        chunk and table). A filter no column expresses leaves each row
-        ``None``."""
-        key = self._key
-        if cols.verdicts_by != key:
-            if self._shared is None:
-                batch = key.packet_filter_batch
-                cols.verdicts = [batch(cols) if batch is not None
-                                 else [None] * cols.n]
-            else:
-                vecs = self._shared.classify_batch(cols)
-                cols.verdicts = vecs if vecs is not None \
-                    else [[None] * cols.n] * len(key)
-            cols.verdicts_by = key
-        return cols.verdicts
+        under the adopted table (the same object on every core: one
+        classification per chunk and table)."""
+        classified = cols.classified
+        table = self.table
+        vecs = classified.get(table)
+        if vecs is None:
+            vecs = classified[table] = table.classify(cols)
+        return vecs
 
     def process_batch(self, mbufs) -> None:
         """Run a burst of frames (a parallel worker's, or a test's):

@@ -25,8 +25,6 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, \
 
 if TYPE_CHECKING:  # avoid a config<->core import cycle at runtime
     from repro.config import RuntimeConfig
-    from repro.tenancy.spec import ReconfigureEvent, TenantSpec
-    from repro.tenancy.table import FilterTable
 from repro.core.cycles import Stage, hist_index
 from repro.core.monitor import CoreProgress
 from repro.core.stats import AGGREGATE_NAMES, COUNTERS, AggregateStats, \
@@ -38,6 +36,8 @@ from repro.packet.columnar import HELD, ingress_rows
 from repro.packet.mbuf import Mbuf
 from repro.resilience.faults import FaultReport, PacketFaultInjector, \
     build_fault_report
+from repro.tenancy.spec import ReconfigureEvent, TenantSpec, check_events
+from repro.tenancy.table import FilterTable
 
 
 @dataclass
@@ -111,37 +111,31 @@ class Runtime:
         subscription: Optional[Subscription] = None,
         identify_services: bool = False,
         ports: int = 1,
-        tenants: Optional[Sequence["TenantSpec"]] = None,
-        events: Sequence["ReconfigureEvent"] = (),
+        tenants: Optional[Sequence[TenantSpec]] = None,
+        events: Sequence[ReconfigureEvent] = (),
     ) -> None:
         """Deploy one subscription — ``subscription``, or one compiled
         from ``filter_str``/``datatype``/``callback`` — or, with
         ``tenants``, a table of named tenants and its scheduled swaps
         ``events`` (the subscription arguments are then unused)."""
-        from repro.core.pipeline import CorePipeline, subscription_table
-        from repro.tenancy.spec import check_events
-        from repro.tenancy.table import FilterTable
+        from repro.core.pipeline import CorePipeline
         self.config = config
-        hardware = None
         if tenants is None:
             if subscription is None:
                 subscription = Subscription(
                     filter_str, datatype, callback,
-                    filter_mode=config.filter_mode, nic=config.nic,
+                    filter_mode=config.filter_mode,
                     identify_services=identify_services)
             if config.callback_execution == "queued":
                 from repro.core.executor import QueuedExecutor
                 self.executor = QueuedExecutor(
                     subscription.callback, config.callback_cycles,
-                    workers=config.callback_workers,
-                    enqueue_cycles=config.enqueue_cycles)
+                    workers=config.callback_workers)
             else:
                 from repro.core.executor import InlineExecutor
                 self.executor = InlineExecutor(subscription.callback,
                                                config.callback_cycles)
-            self.table, compiled = subscription_table(
-                subscription, config, self.executor)
-            hardware = subscription.filter.hardware
+            self.table = FilterTable.of(subscription, config, self.executor)
         else:
             if config.callback_execution != "inline":
                 raise TenancyError(
@@ -150,7 +144,8 @@ class Runtime:
                     "executor)")
             #: Callback executors are per tenant, inside the lanes.
             self.executor = None
-            self.table, compiled = FilterTable(tenants), {}
+            self.table = FilterTable(tenants,
+                                     filter_mode=config.filter_mode)
         #: The table of named tenants as deployed, or None for one
         #: subscription: such a run reports its per-tenant breakdown,
         #: and pressure meters its tenants against each other.
@@ -169,22 +164,16 @@ class Runtime:
             SimNic(num_queues=config.cores) for _ in range(max(ports, 1))
         ]
         self.nic = self.nics[0]  # single-port convenience alias
-        # One immutable hardware plane for a tenant table: the union of
-        # every tenant it knows, dormant late joiners included, so an
-        # epoch swap never touches the NIC.
-        if config.hardware_filter and hardware is None:
-            hardware = self._union_hardware()
+        # One immutable hardware plane: the union of every tenant the
+        # table knows, dormant late joiners included.
         for nic in self.nics:
             if config.hardware_filter:
-                nic.install_hardware_filter(hardware)
+                nic.install_hardware_filter(self.table.hardware())
             if config.sink_fraction > 0:
                 nic.set_sink_fraction(config.sink_fraction)
-        # ``compiled`` is the cores' shared compile cache (see
-        # ``CorePipeline``).
         self.pipelines = [
             CorePipeline(core, self.table, config,
-                         pressure_mbps=self.pressure_mbps,
-                         compiled=compiled)
+                         pressure_mbps=self.pressure_mbps)
             for core in range(config.cores)]
         if config.reassemble_fragments:
             from repro.packet.fragments import FragmentReassembler
@@ -194,14 +183,6 @@ class Runtime:
         self._first_ts: Optional[float] = None
         self._last_ts = 0.0
         self._next_memory_sample = float("inf")
-
-    def _union_hardware(self):
-        """The union flow-rule set of every tenant the table knows."""
-        from repro.filter import compile_filter
-        from repro.tenancy.shared import union_hardware
-        return union_hardware([
-            compile_filter(spec.filter, mode=self.config.filter_mode)
-            for spec in self.table.specs])
 
     # -- live reconfiguration ------------------------------------------
     def subscribe(self, spec) -> int:
@@ -216,7 +197,7 @@ class Runtime:
         self.table = self.table.subscribe(spec)
         if known is None or known.filter != spec.filter:
             if self.config.hardware_filter:
-                hardware = self._union_hardware()
+                hardware = self.table.hardware()
                 for nic in self.nics:
                     nic.install_hardware_filter(hardware)
         self._bump(self.table)
@@ -235,7 +216,7 @@ class Runtime:
         """Virtual time of the next scheduled reconfiguration, or None."""
         return self._events[0].time if self._events else None
 
-    def publish_tenancy_events(self, ts: float) -> List["FilterTable"]:
+    def publish_tenancy_events(self, ts: float) -> List[FilterTable]:
         """Apply every scheduled event due at virtual time ``ts`` to
         the live table; returns the successor tables to broadcast (one
         per event, in schedule order)."""
@@ -415,7 +396,7 @@ class Runtime:
         pipeline.process_batch_rows(rows)
         return pipeline.overload_failfast_at
 
-    def _bump(self, table: "FilterTable") -> None:
+    def _bump(self, table: FilterTable) -> None:
         for pipeline in self.pipelines:
             pipeline.adopt(table)
 

@@ -196,10 +196,10 @@ class SimNic:
         stats.received_packets += 1
         stats.received_bytes += frame_bytes
         if admit is not True:
-            admitted = cols.admitted
-            if admit not in admitted:
-                admitted[admit] = admit(cols)
-            if admitted[admit][i] < 0:
+            classified = cols.classified
+            if admit not in classified:
+                classified[admit] = admit(cols)
+            if classified[admit][i] < 0:
                 stats.hw_dropped_packets += 1
                 stats.hw_dropped_bytes += frame_bytes
                 return None

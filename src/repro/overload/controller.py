@@ -28,7 +28,7 @@ depth remains visible as volatile backend-health telemetry
 The ladder (additive-increase, multiplicative-decrease):
 
 - pressure > 1.0 → climb one rung (capped at ``overload_max_rung``);
-- pressure < 0.5 for ``overload_relax_ticks`` consecutive ticks →
+- pressure < 0.5 for ``RELAX_TICKS`` consecutive ticks →
   drop to ``rung // 2``;
 - otherwise hold.
 
@@ -55,6 +55,13 @@ RUNG_SHED_NEW_CONNS = 2
 RUNG_DOWNGRADE = 3
 RUNG_FAILFAST = 4
 
+#: Virtual seconds between controller evaluations on each core.
+EVAL_INTERVAL = 0.05
+
+#: Consecutive calm evaluations (pressure < 0.5) before the ladder
+#: relaxes multiplicatively (rung //= 2).
+RELAX_TICKS = 3
+
 #: Consecutive overloaded ticks before the failfast policy trips —
 #: mirrors StatsMonitor.sustained_loss's three-sample rule.
 _FAILFAST_TICKS = 3
@@ -67,17 +74,15 @@ _MEM_HEADROOM = 0.9
 class OverloadController:
     """Per-core ladder state machine. See the module docstring."""
 
-    __slots__ = ("policy", "target_lag", "interval", "max_rung",
-                 "relax_ticks", "ledger", "rung", "last_pressure",
-                 "_hot", "_calm", "_first_ts", "_last_tick")
+    __slots__ = ("policy", "target_lag", "max_rung", "ledger", "rung",
+                 "last_pressure", "_hot", "_calm", "_first_ts",
+                 "_last_tick")
 
     def __init__(self, config: "RuntimeConfig",
                  ledger: LossLedger) -> None:
         self.policy = config.overload_policy
         self.target_lag = config.overload_target_lag
-        self.interval = config.overload_eval_interval
         self.max_rung = config.overload_max_rung
-        self.relax_ticks = config.overload_relax_ticks
         self.ledger = ledger
         self.rung = 0
         self.last_pressure = 0.0
@@ -118,7 +123,7 @@ class OverloadController:
         self._hot = 0
         if pressure < 0.5:
             self._calm += 1
-            if self._calm >= self.relax_ticks and self.rung > RUNG_NORMAL:
+            if self._calm >= RELAX_TICKS and self.rung > RUNG_NORMAL:
                 self._calm = 0
                 self._transition(now, self.rung // 2, "relaxed")
         else:

@@ -106,20 +106,17 @@ class ColumnarBatch:
     offset of the first byte above TCP/UDP, so a fast row's L4 payload
     is ``data[payload_off:payload_off + payload_len]``.
 
-    ``verdicts`` caches the packet filter's verdicts on the batch, one
-    vector per lane (a lone filter has one lane, a shared table one per
-    tenant), and ``verdicts_by`` the key of the classifier that computed
-    them (None: none has). Every pipeline reading a row asks for the
-    verdicts under its own key and the batch is classified again only
-    when the key differs, so a chunk the ingress fans out to every core
-    is classified once per table it meets. ``admitted`` likewise maps
-    each NIC admit classifier that met the batch to its verdicts.
+    ``classified`` maps each classifier that met the batch to its
+    verdicts: a filter table (one vector per active lane) or a NIC's
+    admit function. Every consumer reads the verdicts under its own
+    classifier, so a chunk the ingress fans out to every core is
+    classified once per table and NIC rule set it meets.
     """
 
     __slots__ = ("n", "wire", "fast", "ethertype", "proto", "src_ip",
                  "dst_ip", "src_port", "dst_port", "payload_len",
                  "tcp_flags", "tcp_seq", "ip_total_len", "payload_off",
-                 "verdicts", "verdicts_by", "admitted")
+                 "classified")
 
     def __init__(self, n: int, wire: Sequence[int], fast: Sequence[bool],
                  ethertype: Sequence[int], proto: Sequence[int],
@@ -142,9 +139,7 @@ class ColumnarBatch:
         self.tcp_seq = tcp_seq
         self.ip_total_len = ip_total_len
         self.payload_off = payload_off
-        self.verdicts = None
-        self.verdicts_by = None
-        self.admitted = {}
+        self.classified = {}
 
 
 _EMPTY: Tuple = ()
@@ -287,7 +282,7 @@ def ingress_rows(mbufs: Iterable[Mbuf], nics: Sequence,
     (``None`` when the NIC dropped it) and the row of ``cols`` that
     describes it. A row is what ``CorePipeline.process_batch_rows``
     consumes, so nothing downstream decodes the frame again; the packet
-    filter runs there, once per batch and classifier, and caches its
+    filter runs there, once per batch and filter table, and caches its
     verdicts on ``cols`` (:class:`ColumnarBatch`).
     ``SimNic.receive_columnar`` itself falls back to the per-packet
     ``receive`` for slow rows and for flow rules that are not

@@ -43,20 +43,12 @@ def union_hardware(filters: Sequence[CompiledFilter]) -> HardwareFilter:
     never has to touch the NIC — the hardware plane stays immutable
     while the software table swaps.
     """
-    rules = []
-    seen: set = set()
-    for compiled in filters:
-        hw = compiled.hardware
-        if hw.accept_all:
-            return HardwareFilter([], accept_all=True)
-        for rule in hw.rules:
-            key = rule.describe()
-            if key not in seen:
-                seen.add(key)
-                rules.append(rule)
-    if not rules:
+    if any(compiled.hardware.accept_all for compiled in filters):
         return HardwareFilter([], accept_all=True)
-    return HardwareFilter(rules, accept_all=False)
+    # Deduplicated by description, in first-seen order.
+    rules = {rule.describe(): rule for compiled in filters
+             for rule in compiled.hardware.rules}
+    return HardwareFilter(list(rules.values()), accept_all=not rules)
 
 
 class SharedFilter:
@@ -75,7 +67,6 @@ class SharedFilter:
                     "all tenants must share one field registry")
         self.names = list(names)
         self.filters = list(filters)
-        self.registry = registry
         tree = BurstTree.of_tries(
             [compiled.trie for compiled in filters], registry)
         #: Packet nodes of the tenants' own tries, and of the merged
