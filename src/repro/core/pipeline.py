@@ -1152,10 +1152,9 @@ class CorePipeline:
         classification per chunk and table)."""
         classified = cols.classified
         table = self.table
-        vecs = classified.get(table)
-        if vecs is None:
-            vecs = classified[table] = table.classify(cols)
-        return vecs
+        if table not in classified:
+            classified[table] = table.classify(cols)
+        return classified[table]
 
     def process_batch(self, mbufs) -> None:
         """Run a burst of frames (a parallel worker's, or a test's):
