@@ -58,8 +58,9 @@ class SharedFilter:
                  filters: Sequence[CompiledFilter]) -> None:
         if len(names) != len(filters):
             raise TenancyError("names and filters must pair up")
-        if not filters:
-            raise TenancyError("a shared filter needs >= 1 tenant")
+        if len(filters) < 2:
+            # One lane classifies with its own filter's batch filter.
+            raise TenancyError("a shared filter merges >= 2 tenants")
         registry = filters[0].registry
         for compiled in filters:
             if compiled.registry is not registry:
@@ -78,12 +79,9 @@ class SharedFilter:
         self.batch_supported = tree.supported
         self._classify = None
         if tree.supported:
-            # The runtime compiles every tenant in its one filter mode.
-            classify = compile_burst_classifier(tree) \
+            # The table compiles every tenant in its one filter mode.
+            self._classify = compile_burst_classifier(tree) \
                 if filters[0].mode == "codegen" else tree.interpret
-            # A one-lane tree classifies into its lane's vector alone.
-            self._classify = classify if len(filters) > 1 \
-                else lambda cols: [classify(cols)]
 
     def classify_batch(self, cols) -> Optional[List[List[int]]]:
         """One decoded burst, every tenant's encoded verdict vector.
