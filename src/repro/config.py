@@ -79,15 +79,10 @@ class RuntimeConfig:
     #: extension headers, fragments, ICMP, truncation). The parity
     #: tests and benchmarks compare the columns against it.
     columnar: bool = True
-    #: Packets per dispatch batch. Batches amortize the per-burst
-    #: ring cost in the parallel backend (DPDK-burst style) and
+    #: Packets per dispatch batch. Batches amortize the per-message
+    #: pipe cost in the parallel backend (DPDK-burst style) and
     #: per-packet dispatch overhead in the sequential backend.
     parallel_batch_size: int = 256
-    #: Depth (in batches) of each worker's descriptor ring, which is
-    #: also its mempool slot count (:mod:`repro.core.shm`): the feeder
-    #: blocks when a worker falls this far behind (backpressure instead
-    #: of unbounded buffering).
-    parallel_queue_depth: int = 8
     #: Enable the extended telemetry recorders: per-stage cycle
     #: histograms, reassembly-buffer occupancy histograms, and parallel
     #: backend health metrics. The filter-funnel counters are always on
@@ -192,15 +187,8 @@ class RuntimeConfig:
                 f"unknown callback_execution {self.callback_execution!r}")
         if self.callback_workers < 1:
             raise ConfigError("callback_workers must be >= 1")
-        # Ring descriptors (repro.core.shm) pack a burst's slot index
-        # into 16 bits; its row count is held to the same width.
-        for name, why in (
-                ("parallel_batch_size", "a burst's row count is held to "
-                                        "16 bits"),
-                ("parallel_queue_depth", "a ring descriptor's slot field "
-                                         "is 16 bits")):
-            if not 1 <= getattr(self, name) <= 0xFFFF:
-                raise ConfigError(f"{name} must be in [1, 65535]: {why}")
+        if self.parallel_batch_size < 1:
+            raise ConfigError("parallel_batch_size must be >= 1")
         if not 0.0 <= self.trace_sample <= 1.0:
             raise ConfigError("trace_sample must be in [0, 1]")
         if self.span_sample < 0:

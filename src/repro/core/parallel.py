@@ -7,7 +7,7 @@ the paper's Section 5 scaling claim *real*: one OS worker process per
 simulated core, each running its own shared-nothing pipeline
 (:class:`~repro.core.pipeline.CorePipeline`, built over the
 runtime's filter table) and connection tables, fed by the parent over
-bounded shared-memory rings.
+one ordered pipe per worker.
 
 There is one ingest loop, :meth:`Runtime.run`; :class:`WorkerPool` is
 its worker backend, as the runtime's own pipelines are its sequential
@@ -22,27 +22,26 @@ sequential backend's pipeline would — so both backends produce
 identical stats, memory series and span trees by construction, and the
 cycle ledger's integer sums do not depend on merge order.
 
-There is one feeder→worker data path, the shared-memory mempool +
-descriptor ring of :mod:`repro.core.shm`, and one wire form, the
-burst's slot image (:mod:`repro.packet.batch`): the feeder writes it
-straight into a pre-allocated shared slot and publishes an 8-byte
-descriptor on a per-core SPSC ring; the worker maps the slot back as
-zero-copy ``memoryview`` mbufs and returns the slot by publishing a
-cumulative consumed counter (credit-based recycling). A full ring
-blocks the feeder (the analogue of a finite RX descriptor ring).
-Memory samples are payload-less descriptors. Everything else — FINISH,
-tenancy epoch bumps, the image of a burst too large for a slot — rides
-a CTRL descriptor whose payload travels on a per-core pickle queue, so
-the strict per-core total order holds across both channels. Workers
+There is one feeder→worker channel per core, a one-way OS pipe
+(``multiprocessing.Pipe(duplex=False)``), and every message on it is
+one ``send_bytes`` record behind a one-byte kind tag: a burst is its
+slot image (:mod:`repro.packet.batch`), written after the tag in place;
+a memory sample point is the tag alone; an epoch bump and FINISH are
+pickled tuples. The pipe delivers in send order, so each worker reads
+the bursts, sample points and bumps in the order the loop issued them,
+as a Retina core reads its RX queue (§5). A full pipe blocks the
+feeder, the analogue of a finite RX descriptor ring; on Linux each
+pipe is widened to 1 MiB, room for about four campus bursts. Workers
 share nothing; each returns a :class:`~repro.core.stats.CoreStats`
 snapshot that the parent merges through ``Runtime.report()``. A host
-that cannot create the segments cannot run this backend; the
-sequential one produces the same ``AggregateStats`` by contract.
+that cannot create the pipes cannot run this backend; the sequential
+one produces the same ``AggregateStats`` by contract.
 
 A worker either reports its stats or fails the run: a worker that dies
-— its ring full, or silent past its FINISH — surfaces as a
+— with its pipe unread, or silent past its FINISH — surfaces as a
 :class:`ParallelExecutionError` naming its core, never as a hang. Like
-Retina's run-to-completion cores, none is ever restarted.
+Retina's run-to-completion cores, none is ever restarted; none outlives
+a killed feeder either.
 
 Caveats (documented deviations):
 
@@ -64,18 +63,23 @@ from __future__ import annotations
 import faulthandler
 import multiprocessing as mp
 import os
+import pickle
 import queue as queue_mod
 import sys
 import time
 import traceback
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
+
+try:
+    from fcntl import F_SETPIPE_SZ, fcntl
+except ImportError:  # not Linux: every pipe keeps the platform default
+    F_SETPIPE_SZ = None
 
 if TYPE_CHECKING:
     from repro.config import RuntimeConfig
     from repro.core.runtime import Runtime
 
-from repro.core import shm as shm_mod
 from repro.core.monitor import CoreProgress
 from repro.core.pipeline import CorePipeline
 from repro.core.stats import CoreStats
@@ -84,24 +88,34 @@ from repro.overload.controller import EVAL_INTERVAL
 from repro.packet.batch import slot_image, slot_read
 from repro.tenancy.table import FilterTable
 
-#: Message tags on the per-core control queues: the image of a burst
-#: that does not fit a slot — ``(_BATCH, image)`` — a table epoch bump
-#: — ``(_EPOCH, epoch, active)``, ``active`` the successor table's
-#: tuple of tenant names (the worker holds every spec already, so a
-#: bump never pickles a callback) — and ``(_FINISH, last_ts, drain)``.
-_BATCH = 0
-_FINISH = 1
+#: Message kinds, the first byte of every record on a worker's pipe:
+#: a burst's slot image follows ``_BURST``; nothing follows
+#: ``_SAMPLE``; a pickled ``(epoch, active)`` follows ``_EPOCH``,
+#: ``active`` the successor table's tuple of tenant names (the worker
+#: holds every spec already, so a bump never pickles a callback); a
+#: pickled ``(last_ts, drain)`` follows ``_FINISH``.
+_BURST = 0
+_SAMPLE = 1
 _EPOCH = 2
+_FINISH = 3
+_BURST_TAG = bytes((_BURST,))
+_SAMPLE_TAG = bytes((_SAMPLE,))
 #: Message tags on the shared result queue.
 _PROGRESS = "progress"
 _DONE = "done"
 _ERROR = "error"
 
+#: Each pipe's capacity where the platform lets it be set: room for
+#: about four 256-row bursts of campus traffic (~220 KB images).
+_PIPE_BYTES = 1 << 20
 #: How long to wait for a worker process to exit.
 _POLL_TIMEOUT = 5.0
 #: How long the gather waits on a silent result queue between checks
 #: of worker liveness.
 _LIVENESS_SLICE = 0.05
+#: How long a worker waits on a silent pipe between checks that its
+#: feeder is still its parent.
+_FEEDER_CHECK = 0.25
 
 
 class ParallelExecutionError(RetinaError):
@@ -143,14 +157,10 @@ class _WorkerSpec:
     #: Virtual seconds between progress reports to the parent, or None
     #: for "never" (no monitor, no memory limit, no fail-fast).
     progress_interval: Optional[float] = None
-    #: The core's ring attachment — ``(segment_name, ring_size,
-    #: slot_bytes)``. Plain strings/ints so the spec stays picklable
-    #: under spawn.
-    shm: Tuple[str, int, int] = ("", 0, 0)
 
 
 class _Worker:
-    """One worker's handlers for what arrives in ring order."""
+    """One worker's handlers for what arrives in pipe order."""
 
     __slots__ = ("spec", "pipeline", "out_queue", "next_progress")
 
@@ -198,64 +208,61 @@ class _Worker:
                             time.process_time()))
 
 
-def _consume(channel: shm_mod.ShmWorkerChannel, worker: _Worker,
-             in_queue) -> None:
-    """Poll the descriptor ring in ordinal order until FINISH: map
-    batch slots zero-copy, pull CTRL payloads from the pickle queue
-    (the descriptor pins their position in the total order), and
-    publish cumulative consumed credits so the feeder can recycle
-    slots."""
-    ordinal = 0
+def _receive(reader, feeder: int) -> bytes:
+    """The pipe's next message. An orphaned worker (its feeder killed)
+    leaves at once, without flushing the result queue nobody reads:
+    re-parenting shows between polls, and a pipe no process can write
+    to any more reads as end of file, even mid-message."""
+    while not reader.poll(_FEEDER_CHECK):
+        if os.getppid() != feeder:
+            os._exit(1)
+    try:
+        return reader.recv_bytes()
+    except (EOFError, OSError):
+        os._exit(1)
+
+
+def _consume(reader, feeder: int, worker: _Worker) -> None:
+    """Handle the pipe's messages in send order until FINISH."""
     while True:
-        kind, slot, _rows = channel.wait_descriptor(ordinal)
-        if kind == shm_mod.KIND_BATCH:
-            worker.on_batch(*channel.read_batch(slot))
-        elif kind == shm_mod.KIND_SAMPLE:
+        message = _receive(reader, feeder)
+        kind = message[0]
+        if kind == _BURST:
+            worker.on_batch(*slot_read(message, 1))
+        elif kind == _SAMPLE:
             # Parent-clocked sample point: every batch dispatched
             # before the deadline is already processed (strict per-core
             # order), so this records exactly what the sequential
             # backend's sample point would.
             worker.pipeline.sample_memory()
-        else:  # KIND_CTRL: payload rides the pickle queue
-            message = in_queue.get()
-            tag = message[0]
-            if tag == _FINISH:
-                worker.finish(message[1], message[2])
-                return
-            if tag == _EPOCH:
-                worker.on_batch([], None, message[1:])
-            else:  # a burst's image, too large for a slot
-                worker.on_batch(*slot_read(message[1], 0))
-        # Credit return *after* processing: the slot (and the
-        # memoryviews the batch borrowed from it) must stay intact
-        # until the burst is fully consumed.
-        ordinal += 1
-        channel.mark_consumed(ordinal)
+        elif kind == _EPOCH:
+            worker.on_batch([], None, pickle.loads(message[1:]))
+        else:  # _FINISH
+            worker.finish(*pickle.loads(message[1:]))
+            return
 
 
-def _worker_main(spec: _WorkerSpec, in_queue, out_queue) -> None:
-    """Worker process entry point: one core's shared-nothing pipeline."""
+def _worker_main(spec: _WorkerSpec, reader, writers: list,
+                 out_queue) -> None:
+    """Worker process entry point: one core's shared-nothing pipeline.
+    ``writers`` are the pool's pipe write ends this process inherited
+    (its own and every earlier worker's)."""
+    # Read first: a feeder killed meanwhile has already passed this
+    # process on.
+    feeder = os.getppid()
     try:
         # A wedged worker dumps every stack on a fatal signal. The
         # inherited sys.stderr may be a capture object with no
         # descriptor, so name the real one.
         faulthandler.enable(sys.__stderr__)
-        # Attach before compiling: the channel reads the feeder's pid,
-        # which a feeder killed meanwhile has already passed on.
-        channel = shm_mod.ShmWorkerChannel(*spec.shm)
-        try:
-            pipeline = CorePipeline(
-                spec.core_id, spec.table, spec.config.with_(parallel=False),
-                pressure_mbps=spec.pressure_mbps)
-            _consume(channel, _Worker(spec, pipeline, out_queue), in_queue)
-        except shm_mod.FeederGone:
-            # Orphaned (the feeder was killed): nobody will read the
-            # result queue or unlink the segment. Do the latter and
-            # leave without flushing the former.
-            channel.unlink()
-            os._exit(1)
-        finally:
-            channel.close()
+        # Only the feeder may hold a write end: its death is then this
+        # pipe's end of file.
+        for writer in writers:
+            writer.close()
+        pipeline = CorePipeline(
+            spec.core_id, spec.table, spec.config.with_(parallel=False),
+            pressure_mbps=spec.pressure_mbps)
+        _consume(reader, feeder, _Worker(spec, pipeline, out_queue))
     except BaseException:
         out_queue.put((_ERROR, spec.core_id, traceback.format_exc()))
 
@@ -265,14 +272,14 @@ def _worker_main(spec: _WorkerSpec, in_queue, out_queue) -> None:
 # ---------------------------------------------------------------------------
 class WorkerPool:
     """The worker backend of :meth:`Runtime.run`'s ingest loop: one
-    process per core plus their rings and queues.
+    process per core plus their pipes and result queue.
 
     The loop calls it once per burst, sample point, epoch bump and at
     the end of the run — the same calls it makes on the runtime itself
     for the sequential backend — and hands it to the monitor. Usable as a
     context manager: on an exception inside the ``with`` block the
     pool terminates every worker before the exception propagates, and
-    the queues and segments are released either way — no leaked
+    the pipes and the queue are released either way — no leaked
     children, no feeder threads blocking interpreter exit.
     """
 
@@ -316,51 +323,64 @@ class WorkerPool:
             if config.telemetry else None
         )
         self._cpu_from = time.process_time()
+        #: Wall seconds spent inside ``send_bytes``: the feeder blocked
+        #: on a full pipe (plus the copy into it).
+        self._blocked = 0.0
         # Prefer fork where available: workers start fast and
         # subscriptions with closure callbacks are inherited rather
         # than pickled. spawn (macOS/Windows default) works too, but
         # requires the callback to be picklable.
         methods = mp.get_all_start_methods()
         self._ctx = mp.get_context("fork" if "fork" in methods else None)
-        layout = shm_mod.default_layout(config)
-        try:
-            self.transport = shm_mod.ShmTransport(config.cores, layout)
-        except OSError as exc:
-            raise ParallelExecutionError(
-                f"cannot create the feeder->worker shared-memory "
-                f"segments ({config.cores} x {layout.total_bytes} bytes: "
-                f"{exc}); the parallel backend has no other transport — "
-                f"run without --parallel (parallel=False): the "
-                f"sequential backend produces the same AggregateStats"
-            ) from exc
         self.out_queue = self._ctx.Queue()
-        # The control channel: payloads whose positions are pinned by
-        # CTRL descriptors in the ring. The ring itself is the
-        # backpressure bound, so these stay unbounded.
-        self.in_queues = [self._ctx.Queue() for _ in range(config.cores)]
-        specs = [
-            _WorkerSpec(core_id=core_id, config=config,
-                        table=runtime.table,
-                        pressure_mbps=runtime.pressure_mbps,
-                        progress_interval=progress_interval,
-                        shm=self.transport.spec_args(core_id))
-            for core_id in range(config.cores)]
-        self.processes = [
-            self._ctx.Process(
-                target=_worker_main,
-                args=(spec, self.in_queues[spec.core_id], self.out_queue),
-                daemon=True, name=f"repro-core-{spec.core_id}")
-            for spec in specs]
+        #: Each worker's pipe write end, in core order.
+        self._writers: list = []
+        self.processes: list = []
         try:
-            for process in self.processes:
-                process.start()
-        except Exception as exc:  # unpicklable callback under spawn
+            for core_id in range(config.cores):
+                self._start(_WorkerSpec(
+                    core_id=core_id, config=config, table=runtime.table,
+                    pressure_mbps=runtime.pressure_mbps,
+                    progress_interval=progress_interval))
+        except BaseException:
             self.terminate()
             self.close()
+            raise
+
+    def _start(self, spec: _WorkerSpec) -> None:
+        """Open core ``spec.core_id``'s pipe and start its worker. The
+        feeder closes the read end once the worker holds it, and no
+        later fork inherits it: a write to a dead worker's pipe then
+        fails at once instead of blocking."""
+        try:
+            reader, writer = self._ctx.Pipe(duplex=False)
+        except OSError as exc:
+            raise ParallelExecutionError(
+                f"cannot create worker {spec.core_id}'s pipe ({exc}); the "
+                f"parallel backend has no other transport — run without "
+                f"--parallel (parallel=False): the sequential backend "
+                f"produces the same AggregateStats",
+                core_id=spec.core_id) from exc
+        if F_SETPIPE_SZ is not None:
+            try:
+                fcntl(writer.fileno(), F_SETPIPE_SZ, _PIPE_BYTES)
+            except OSError:  # above the host's pipe-max-size
+                pass
+        self._writers.append(writer)
+        process = self._ctx.Process(
+            target=_worker_main,
+            args=(spec, reader, self._writers, self.out_queue),
+            daemon=True, name=f"repro-core-{spec.core_id}")
+        self.processes.append(process)
+        try:
+            process.start()
+        except Exception as exc:  # unpicklable callback under spawn
             raise ParallelExecutionError(
                 f"could not start worker processes ({exc}); under the "
                 f"'spawn' start method the subscription callback must be "
                 f"picklable (a module-level function or None)") from exc
+        finally:
+            reader.close()
 
     def core_progress(self) -> List[CoreProgress]:
         """Each worker's last-reported record (as fresh as its progress
@@ -376,23 +396,15 @@ class WorkerPool:
     def _burst(self, queue: int, rows: list) -> Optional[float]:
         """Dispatch one burst of ingress rows to its worker; returns
         the earliest fail-fast trip any worker has reported, or None."""
-        mbufs = [row[0] for row in rows]
         ctx = None
         if self._spans_on:
             ctx = (queue, self._span_seq[queue])
             self._span_seq[queue] += 1
-        # The hot path: the burst goes straight into a mempool slot
-        # — no copy, no pickle; the only serialized IPC is the
-        # 8-byte ring descriptor, and ``ctx`` rides the slot
-        # header. A burst that exceeds the slot size (jumbo-heavy)
-        # crosses the control channel as its image.
-        if self._ring(queue, self.transport.channels[queue].send_mbufs,
-                      mbufs, queue, ctx):
-            self._account(queue, len(mbufs), 8)
-        else:
-            image = slot_image(mbufs, queue, ctx)
-            self.send_ctrl(queue, (_BATCH, image))
-            self._account(queue, len(mbufs), 8 + len(image))
+        # ``ctx`` rides the image header; the image is the message.
+        image = slot_image([row[0] for row in rows], queue, ctx,
+                           _BURST_TAG)
+        self._send(queue, image)
+        self._account(queue, len(rows), len(image))
         if not self._failfast:
             return None
         tripped = [core.failfast_at for core in self.core_progress()
@@ -400,42 +412,43 @@ class WorkerPool:
         return min(tripped) if tripped else None
 
     def _bump(self, table: FilterTable) -> None:
-        """Broadcast a successor table's ``(epoch, active)`` to every
-        queue as a control message; per-queue FIFO makes each worker
-        swap on exactly that burst boundary."""
-        bump = (_EPOCH, table.epoch, tuple(table.active))
+        """Send a successor table's ``(epoch, active)`` to every
+        worker; pipe order makes each swap on exactly that burst
+        boundary."""
+        bump = bytes((_EPOCH,)) + pickle.dumps(
+            (table.epoch, tuple(table.active)))
         for queue in range(len(self.processes)):
-            self.send_ctrl(queue, bump)
-            self._account(queue, 0, 8)
+            self._send(queue, bump)
+            self._account(queue, 0, len(bump))
 
     def _sample_point(self) -> None:
-        """A payload-less parent-clocked memory-sample point for every
-        worker."""
+        """A parent-clocked memory-sample point for every worker."""
         for queue in range(len(self.processes)):
-            self._ring(queue, self.transport.channels[queue].send_sample)
+            self._send(queue, _SAMPLE_TAG)
 
     def _finish(self, last_ts: Optional[float], drain: bool):
         """Tell every worker to wrap up (``last_ts`` None: after a
         cutoff, neither advance time nor drain) and gather the final
         stats: ``(core_stats, backend_health)``."""
+        finish = bytes((_FINISH,)) + pickle.dumps((last_ts, drain))
         for queue in range(len(self.processes)):
-            self.send_ctrl(queue, (_FINISH, last_ts, drain))
+            self._send(queue, finish)
         return self.gather(), self.backend_health()
 
-    # -- the feeder->worker sends ---------------------------------------
-    def _ring(self, core_id: int, send, *args):
-        """One ring operation on ``core_id``'s channel. The capacity
-        wait inside it polls the worker, so a worker that died with its
-        ring full surfaces as an error instead of a deadlock."""
+    def _send(self, core_id: int, message) -> None:
+        """One message onto ``core_id``'s pipe. A worker that died
+        left no reader, so the write fails instead of blocking."""
+        started = time.perf_counter()
         try:
-            return send(*args, self.processes[core_id].is_alive)
-        except shm_mod.WorkerGone:
+            self._writers[core_id].send_bytes(message)
+        except BrokenPipeError:
             # Surface the worker's own traceback if it sent one before
             # dying; fall back to the generic error.
             self.drain_progress()
             raise ParallelExecutionError(
-                f"worker {core_id} died with its ring full",
-                core_id=core_id)
+                f"worker {core_id} died with its pipe unread",
+                core_id=core_id) from None
+        self._blocked += time.perf_counter() - started
 
     def _account(self, core_id: int, packets: int, ipc_bytes: int) -> None:
         if self._health is not None:
@@ -446,24 +459,16 @@ class WorkerPool:
             if packets > row["batch_occupancy_max"]:
                 row["batch_occupancy_max"] = packets
 
-    def send_ctrl(self, core_id: int, message: tuple) -> None:
-        """Payload onto the pickle queue first, then the descriptor
-        that pins its position in the core's total order."""
-        self.in_queues[core_id].put(message)
-        self._ring(core_id, self.transport.channels[core_id].send_ctrl)
-
     def backend_health(self) -> Optional[dict]:
         """Volatile health snapshot, or None when telemetry is off."""
         if self._health is None:
             return None
-        channels = self.transport.channels
         ipc_bytes = sum(row["ipc_bytes"] for row in self._health)
         ipc_packets = sum(row["packets"] for row in self._health)
-        # Ring capacity is the one condition the feeder ever blocks on.
-        blocked = sum(ch.slot_starvation_seconds for ch in channels)
         return {
-            "transport": "shm",
-            "feeder_block_seconds": blocked,
+            "transport": "pipe",
+            # A full pipe is the one condition the feeder ever blocks on.
+            "feeder_block_seconds": self._blocked,
             # The serial stage's CPU, beside each worker's below: their
             # ratio bounds what any worker count can buy.
             "feeder_cpu_seconds": time.process_time() - self._cpu_from,
@@ -471,20 +476,9 @@ class WorkerPool:
             "ipc_packets": ipc_packets,
             "ipc_bytes_per_packet": (ipc_bytes / ipc_packets)
             if ipc_packets else 0.0,
-            "ring_size": self.transport.layout.ring_size,
-            "slot_bytes": self.transport.layout.slot_bytes,
-            "ring_highwater": max(ch.ring_highwater for ch in channels),
-            "slot_starvation_waits": sum(ch.slot_starvation_waits
-                                         for ch in channels),
-            "slot_starvation_seconds": blocked,
-            "workers": [{"worker": core_id, **row,
-                         "ring_highwater": ch.ring_highwater,
-                         "slot_starvation_waits": ch.slot_starvation_waits,
-                         "slot_bytes_written": ch.slot_bytes_written}
-                        for core_id, (row, ch)
-                        in enumerate(zip(self._health, channels))],
+            "workers": [{"worker": core_id, **row}
+                        for core_id, row in enumerate(self._health)],
         }
-
     def drain_progress(self) -> None:
         """Consume any pending reports without blocking; raises if a
         worker reported an error (after terminating the pool)."""
@@ -561,22 +555,16 @@ class WorkerPool:
                 process.join(timeout=_POLL_TIMEOUT)
 
     def close(self) -> None:
-        # The control queues' feeder threads may hold buffered payloads
-        # a dead worker will never read; never block interpreter exit
-        # on flushing them.
+        # Closing the write ends is end of file to any worker still
+        # reading; never block interpreter exit on flushing the result
+        # queue's feeder thread either.
         if self._closed:
             return
         self._closed = True
-        for in_queue in self.in_queues:
-            in_queue.cancel_join_thread()
-            in_queue.close()
+        for writer in self._writers:
+            writer.close()
         self.out_queue.cancel_join_thread()
         self.out_queue.close()
-        # Unlink the segments (workers are gone or exiting; their
-        # mappings die with them). The transport object stays so
-        # backend_health() can still read its volatile counters after
-        # the pool context exits.
-        self.transport.close()
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -171,7 +171,10 @@ class Runtime:
                 nic.install_hardware_filter(self.table.hardware())
             if config.sink_fraction > 0:
                 nic.set_sink_fraction(config.sink_fraction)
-        self.pipelines = [
+        # A parallel run's feeder classifies nothing: its workers
+        # build their own pipelines, so it builds none, and a swap
+        # here acts on the table alone.
+        self.pipelines = [] if config.parallel else [
             CorePipeline(core, self.table, config,
                          pressure_mbps=self.pressure_mbps)
             for core in range(config.cores)]

@@ -352,28 +352,20 @@ def build_registry(report) -> MetricsRegistry:
 #: per worker, behind a ``worker`` label.
 _HEALTH_FAMILIES = (
     ("gauge", "repro_feeder_block_seconds", "feeder_block_seconds",
-     "Wall-clock seconds the feeder spent blocked on full worker rings"),
+     "Wall-clock seconds the feeder spent writing to worker pipes "
+     "(blocked while a pipe was full)"),
     ("counter", "repro_ipc_bytes_total", "ipc_bytes",
-     "Serialized bytes shipped feeder->workers (descriptors, plus "
-     "control-channel batches)"),
+     "Bytes written to the feeder->worker pipes (burst images, "
+     "epoch bumps)"),
     ("gauge", "repro_ipc_bytes_per_packet", "ipc_bytes_per_packet",
-     "Average serialized IPC bytes per dispatched packet (8-byte "
-     "descriptors; frames are written in place)"),
-    ("gauge", "repro_slot_starvation_seconds", "slot_starvation_seconds",
-     "Wall-clock seconds the feeder spent blocked on slot/ring "
-     "exhaustion across all workers"),
+     "Average pipe bytes per dispatched packet (a burst's frames "
+     "plus its image's per-row columns)"),
 )
 _WORKER_HEALTH_FAMILIES = (
     ("counter", "repro_worker_batches_total", "batches",
      "Batches dispatched to each worker"),
     ("gauge", "repro_worker_batch_occupancy_max", "batch_occupancy_max",
      "Largest batch (packets) each worker received"),
-    ("gauge", "repro_worker_ring_highwater", "ring_highwater",
-     "Per-worker descriptor-ring occupancy high-water mark (entries)"),
-    ("counter", "repro_worker_slot_starvation_total",
-     "slot_starvation_waits",
-     "Times the feeder blocked waiting for a free mempool slot, per "
-     "worker"),
 )
 
 

@@ -8,7 +8,7 @@ The acceptance contract under test:
   repeated runs and across backends (where the plan's coordinates
   permit the comparison; see faults.py's coordinate notes).
 - **A dead worker is a diagnosis, never a hang** — a worker that dies
-  with its ring full, or without reporting its stats, fails the run
+  with its pipe unread, or without reporting its stats, fails the run
   with a :class:`ParallelExecutionError` naming its core, and leaves no
   worker process behind.
 - **Callback isolation** — under ``callback_error_policy="isolate"``
@@ -339,14 +339,14 @@ class TestPoolLifecycle:
     def test_worker_dead_with_its_ring_full_is_named(self, traffic,
                                                       workers):
         """The first delivery kills its worker mid-trace; the feeder
-        finds that core's ring full and names it."""
+        finds that core's pipe broken and names it."""
         runtime = Runtime(RuntimeConfig(cores=workers, parallel=True),
                           filter_str="", datatype="packet", callback=_die)
         with _deadline(30), pytest.raises(ParallelExecutionError) as excinfo:
             runtime.run(iter(traffic))
         core = excinfo.value.core_id
         assert core in range(workers)
-        assert f"worker {core} died with its ring full" in \
+        assert f"worker {core} died with its pipe unread" in \
             str(excinfo.value)
         assert _leaked_workers() == []
 

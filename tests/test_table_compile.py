@@ -15,6 +15,7 @@ import pytest
 import repro.core.subscription as subscription_mod
 import repro.filter as filter_mod
 from repro import RuntimeConfig
+from repro.core.pipeline import Lane
 from repro.packet.columnar import decode_mbufs
 from repro.tenancy import ReconfigureEvent, TenantRuntime, TenantSpec
 from repro.tenancy.shared import SharedFilter
@@ -102,6 +103,27 @@ def test_parallel_feeder_builds_no_classifier(traffic, counts):
     report = runtime.run(_reset(traffic))
     assert report.stats.callbacks > 0
     assert counts == {"compile_filter": 8, "SharedFilter": 0}
+
+
+@pytest.mark.parametrize("parallel, lanes", [(True, 0), (False, 32)])
+def test_parallel_feeder_builds_no_lanes(traffic, monkeypatch, parallel,
+                                         lanes):
+    """A parallel run's workers build their own pipelines; the
+    feeder's would never see a row, so it builds none (the eight
+    tenants on four cores are 32 lanes)."""
+    built = []
+    init = Lane.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Lane, "__init__", counting_init)
+    runtime = _runtime(traffic, parallel=parallel)
+    assert len(built) == lanes
+    report = runtime.run(_reset(traffic))
+    assert report.stats.callbacks > 0
+    assert len(built) == lanes
 
 
 def test_every_lane_compiles_in_the_run_mode(traffic, counts):

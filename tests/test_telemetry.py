@@ -317,7 +317,7 @@ class TestExport:
         assert "repro_worker" not in default
         assert "repro_feeder" not in default
         verbose = export.render_metrics(report, include_volatile=True)
-        assert 'repro_worker_ring_highwater{worker="3"}' in verbose
+        assert 'repro_worker_batch_occupancy_max{worker="3"}' in verbose
         assert "repro_worker_batches_total" in verbose
         assert "repro_feeder_block_seconds" in verbose
         assert "repro_ipc_bytes_per_packet" in verbose
