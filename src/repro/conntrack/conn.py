@@ -146,8 +146,8 @@ class Connection:
         self.orig_first = orig_first
         self.state = _PROBE
         self.tcp_state = _SYN_SENT if key[-1] == 6 else _ESTABLISHED
-        #: The establishment tier's deadline, owned by its timer wheel
-        #: (``None``: unarmed).
+        #: The establishment tier's deadline, owned by ``ConnectionTimers``
+        #: (``None``: unarmed; ``DERIVED``: ``last_ts`` + the timeout).
         self.timer_establish: Optional[float] = None
         self.first_ts = now
         self.last_ts = now
@@ -203,7 +203,7 @@ class Connection:
         seq: Optional[int] = None,
     ) -> bool:
         """Update counters and TCP liveness; returns True if the packet
-        newly established the connection (timer migration point).
+        newly established the connection.
 
         For a TCP packet (``tcp_flags`` given) this also records the
         Zeek-style weirds the packet shows, counts a late data segment

@@ -4,9 +4,9 @@ One :class:`ConnTable` exists per core; symmetric RSS guarantees both
 directions of a flow land on the same core, so tables need no
 cross-core synchronization (Section 5.2, citing Girondi et al.). The
 table owns the two-tier :class:`~repro.conntrack.timerwheel.ConnectionTimers`
+(:attr:`ConnTable.timers`, which the pipeline tells of TCP transitions)
 and exposes a small API the pipeline drives:
 
-* :meth:`touch` to refresh timeouts and migrate establishment tiers,
 * :meth:`expire` to harvest timed-out connections,
 * :meth:`remove` for filter-driven early deletion (Figure 4's dashed
   transitions) and natural termination,
@@ -63,7 +63,7 @@ class ConnTable:
         #: :attr:`memory_bytes` reads one by one. A lone SYN is never
         #: here, so the total costs what the state costs.
         self._holding: Dict[bytes, Connection] = {}
-        self._timers = ConnectionTimers(
+        self.timers = ConnectionTimers(
             timeouts.establish_timeout, timeouts.inactivity_timeout
         )
         # Lifetime statistics.
@@ -89,9 +89,9 @@ class ConnTable:
         """Insert a new connection whose canonical key is already known
         (the caller has missed on :meth:`lookup_key`); ``orig_first``
         says whether its originator is the key's first endpoint. It is
-        born armed: one deadline write and one wheel-slot append."""
+        born armed: one wheel-slot append per tier it starts on."""
         conn = self._conns[key] = Connection(key, orig_first, now)
-        self._timers.on_new_connection(conn, now)
+        self.timers.on_new_connection(conn, now)
         self.created += 1
         return conn
 
@@ -109,30 +109,21 @@ class ConnTable:
         """The connections carrying state beyond their base bytes."""
         return iter(self._holding.values())
 
-    def touch(self, conn: Connection, now: float,
-              newly_established: bool) -> None:
-        """Refresh the connection's timeout after a packet."""
-        if newly_established:
-            self._timers.on_established(conn, now)
-        else:
-            self._timers.on_activity(conn, now, conn.established)
-
-    def schedule_removal(self, conn: Connection, now: float,
-                         linger: float = 5.0) -> bool:
-        """TIME_WAIT-like linger for a closed, already-delivered
-        connection: keep the (lightweight) entry briefly so trailing
-        segments of the teardown don't re-create the flow."""
-        return self._timers.schedule_removal(conn, now, linger)
-
     def remove(self, conn: Connection) -> None:
         """Delete a connection (filter miss, termination, or callback
         completion — the Figure 4 DELETE transitions)."""
-        if self._conns.pop(conn.key, None) is not None:
-            self._timers.on_remove(conn)
-            if conn.reassembler is not None or conn.buffered_mbufs:
-                del self._holding[conn.key]
-            self.removed += 1
-            conn.state = _DELETE
+        if conn.key in self._conns:
+            self._unlink(conn)
+
+    def _unlink(self, conn: Connection) -> None:
+        """The one way out of the table: ``conn`` leaves the index, its
+        timers and the record of holders, and reads DELETE."""
+        del self._conns[conn.key]
+        self.timers.on_remove(conn)
+        if conn.reassembler is not None or conn.buffered_mbufs:
+            del self._holding[conn.key]
+        conn.state = _DELETE
+        self.removed += 1
 
     def expire(self, now: float) -> List[Connection]:
         """Harvest connections whose timers fired.
@@ -142,18 +133,14 @@ class ConnTable:
         connection record the user may have subscribed to).
         """
         expired: List[Connection] = []
-        for conn in self._timers.advance(now):
-            if self._conns.pop(conn.key, None) is None:
+        for conn in self.timers.advance(now):
+            if conn.key not in self._conns:
                 continue  # fired by both tiers in this advance
-            self._timers.on_remove(conn)
-            if conn.reassembler is not None or conn.buffered_mbufs:
-                del self._holding[conn.key]
+            self._unlink(conn)
             if conn.established:
                 self.expired_inactive += 1
             else:
                 self.expired_establish += 1
-            conn.state = _DELETE
-            self.removed += 1
             expired.append(conn)
         return expired
 
@@ -161,11 +148,7 @@ class ConnTable:
         """Remove and return every live connection (end of run)."""
         conns = list(self._conns.values())
         for conn in conns:
-            self._timers.on_remove(conn)
-            conn.state = _DELETE
-        self._conns.clear()
-        self._holding.clear()
-        self.removed += len(conns)
+            self._unlink(conn)
         return conns
 
     def evict_idle(self, target_bytes: int) -> List[Connection]:
@@ -198,12 +181,7 @@ class ConnTable:
             if remaining <= target_bytes:
                 break
             remaining -= conn.memory_bytes
-            del self._conns[conn.key]
-            self._timers.on_remove(conn)
-            if conn.reassembler is not None or conn.buffered_mbufs:
-                del self._holding[conn.key]
-            conn.state = _DELETE
-            self.removed += 1
+            self._unlink(conn)
             self.evicted += 1
             victims.append(conn)
         return victims

@@ -419,7 +419,8 @@ class WorkerPool:
             (table.epoch, tuple(table.active)))
         for queue in range(len(self.processes)):
             self._send(queue, bump)
-            self._account(queue, 0, len(bump))
+            if self._health is not None:  # bytes on the pipe, no batch
+                self._health[queue]["ipc_bytes"] += len(bump)
 
     def _sample_point(self) -> None:
         """A parent-clocked memory-sample point for every worker."""

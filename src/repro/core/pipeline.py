@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 if TYPE_CHECKING:  # avoid a config<->core import cycle at runtime
     from repro.config import RuntimeConfig
 
-from repro.conntrack.conn import ConnState, Connection
+from repro.conntrack.conn import ConnState, Connection, TcpConnState
 from repro.conntrack.five_tuple import PACK_KEY4, PACK_KEY6
 from repro.conntrack.table import ConnTable
 from repro.errors import CallbackError, ProtocolError, \
@@ -83,6 +83,7 @@ _PROBE = ConnState.PROBE
 _PARSE = ConnState.PARSE
 _TRACK = ConnState.TRACK
 _DELETE = ConnState.DELETE
+_CLOSED = TcpConnState.CLOSED
 _PROBE_OR_PARSE = (_PROBE, _PARSE)
 _PACKET_LEVEL = Level.PACKET
 _CONNECTION_LEVEL = Level.CONNECTION
@@ -295,13 +296,9 @@ class Lane:
         else:
             flags = None
             seq = None
-        newly_established = conn.record_packet(
-            from_orig, wire, payload_len, now, flags, seq
-        )
-        # ``create_with_key`` armed the establishment timer at this very
-        # deadline; only a creating packet that establishes migrates.
-        if not created or conn.established:
-            table.touch(conn, now, newly_established)
+        # Deadlines follow ``last_ts``: only TCP transitions reach timers.
+        was, last_ts = conn.tcp_state, conn.last_ts
+        conn.record_packet(from_orig, wire, payload_len, now, flags, seq)
 
         state = conn.state
         if state is _TRACK:
@@ -345,8 +342,11 @@ class Lane:
                 stats.sessf_packets += 1
                 stats.sessf_bytes += wire
 
-        if conn.terminated and conn.state is not _DELETE:
-            self._finalize(conn, delivered_by="termination")
+        tcp_state = conn.tcp_state
+        if tcp_state is not was or was is _CLOSED:
+            table.timers.on_transition(conn, was, last_ts)
+            if tcp_state is _CLOSED and conn.state is not _DELETE:
+                self._finalize(conn, delivered_by="termination")
         self._maybe_expire()
 
     def _stateful(self, mbuf: Mbuf, node: int, terminal: bool) -> None:
@@ -754,7 +754,7 @@ class Lane:
         # With no timer tiers configured (the Figure 8 no-timeout
         # ablation) the tombstone simply stays resident — consistent
         # with "nothing is ever freed".
-        self.table.schedule_removal(conn, self._now)
+        self.table.timers.schedule_removal(conn, self._now)
 
     def _deliver_connection(self, conn: Connection) -> None:
         if self._streams_bytes:

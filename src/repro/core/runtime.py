@@ -47,10 +47,10 @@ class RuntimeReport:
     stats: AggregateStats
     #: Virtual timestamp at which the memory limit was exceeded, or None.
     oom_at: Optional[float] = None
-    #: Parallel-backend health snapshot (ring high-water marks, batch
-    #: occupancy, feeder block time, feeder and per-worker CPU seconds)
-    #: when ``config.telemetry`` is on; None otherwise. Volatile — in
-    #: a run bundle it is in the manifest and nowhere else.
+    #: Parallel-backend health snapshot (per-worker bursts, packets,
+    #: pipe bytes and occupancy; feeder block time; feeder and worker
+    #: CPU seconds) when ``config.telemetry`` is on, else None. Volatile:
+    #: in a run bundle it is in the manifest and nowhere else.
     backend_health: Optional[dict] = None
     #: Resilience outcome (injections, policy actions), or None when
     #: nothing was configured and nothing happened. Deterministic for a

@@ -17,6 +17,7 @@ from repro.conntrack import (
     TimerWheel,
 )
 from repro import Runtime, RuntimeConfig
+from repro.conntrack.timerwheel import DERIVED
 from repro.core.datatypes import ConnectionRecord
 from repro.packet import Mbuf, TcpFlags, build_tcp_packet, \
     build_udp_packet, parse_stack
@@ -171,14 +172,33 @@ class TestTimerWheel:
             assert (i in fired) == (deadline <= advance_to)
 
 
+def tcp_conn(sport, now=0.0):
+    return conn_of(ft(sport=sport), now)
+
+
+def udp_conn(sport, now=0.0):
+    return conn_of(ft(sport=sport, proto=17), now)
+
+
+def packet(timers, conn, now, flags=None, from_orig=False):
+    """Record one packet on ``conn`` and report it to ``timers`` as the
+    pipeline does: only a change of TCP state or a packet trailing a
+    close."""
+    was, last_ts = conn.tcp_state, conn.last_ts
+    conn.record_packet(from_orig, 60, 0, now,
+                       *(() if flags is None else (flags,)))
+    if conn.tcp_state is not was or was is TcpConnState.CLOSED:
+        timers.on_transition(conn, was, last_ts)
+
+
 class TestConnectionTimers:
     def test_two_tier(self):
         timers = ConnectionTimers(establish_timeout=5.0,
                                   inactivity_timeout=300.0)
-        syn_only, handshake = Node("syn-only"), Node("handshake")
+        syn_only, handshake = tcp_conn(1), tcp_conn(2)
         timers.on_new_connection(syn_only, now=0.0)
         timers.on_new_connection(handshake, now=0.0)
-        timers.on_established(handshake, now=1.0)
+        packet(timers, handshake, 1.0, TcpFlags.SYN | TcpFlags.ACK)
         expired = timers.advance(10.0)
         assert expired == [syn_only]
         assert timers.advance(200.0) == []
@@ -186,22 +206,23 @@ class TestConnectionTimers:
 
     def test_activity_refresh(self):
         timers = ConnectionTimers(5.0, 300.0)
-        c = Node("c")
+        c = tcp_conn(1)
         timers.on_new_connection(c, 0.0)
-        timers.on_activity(c, 4.0, established=False)
-        assert timers.advance(6.0) == []  # refreshed to 9.0
+        packet(timers, c, 4.0, TcpFlags.SYN, from_orig=True)
+        assert (c.timer_establish, c.timer_inactive) == (DERIVED, None)
+        assert timers.advance(6.0) == []  # derived: 9.0
         assert timers.advance(9.5) == [c]
 
     def test_no_timeouts_never_expires(self):
         timers = ConnectionTimers(None, None)
-        c = Node("c")
+        c = tcp_conn(1)
         timers.on_new_connection(c, 0.0)
         assert timers.advance(1e6) == []
         assert (c.timer_establish, c.timer_inactive) == (None, None)
 
     def test_inactivity_only(self):
         timers = ConnectionTimers(None, 300.0)
-        syn_only = Node("syn-only")
+        syn_only = tcp_conn(1)
         timers.on_new_connection(syn_only, 0.0)
         assert timers.advance(10.0) == []  # no establish tier
         assert timers.advance(301.0) == [syn_only]
@@ -211,19 +232,20 @@ class TestConnectionTimers:
         TestKnownDefects below): the establishment deadline is never
         cancelled, so it fires first however active the flow."""
         timers = ConnectionTimers(5.0, 300.0)
-        udp = Node("udp")
+        udp = udp_conn(1)
         timers.on_new_connection(udp, 0.0)
-        timers.on_activity(udp, 0.0, established=True)
-        timers.on_activity(udp, 4.0, established=True)
-        assert (udp.timer_establish, udp.timer_inactive) == (5.0, 304.0)
+        packet(timers, udp, 0.0)
+        packet(timers, udp, 4.0)
+        assert (udp.timer_establish, udp.timer_inactive) == (5.0, DERIVED)
         assert timers.advance(5.0) == [udp]
 
     def test_removal_linger_and_remove(self):
         timers = ConnectionTimers(5.0, 300.0)
-        closed, removed = Node("closed"), Node("removed")
-        for node in (closed, removed):
-            timers.on_new_connection(node, 0.0)
-            timers.on_established(node, 1.0)
+        closed, removed = tcp_conn(1), tcp_conn(2)
+        for conn in (closed, removed):
+            timers.on_new_connection(conn, 0.0)
+            packet(timers, conn, 1.0, TcpFlags.SYN | TcpFlags.ACK)
+        packet(timers, closed, 2.0, TcpFlags.RST)
         assert timers.schedule_removal(closed, 2.0)
         assert (closed.timer_establish, closed.timer_inactive) == \
             (7.0, None)
@@ -249,7 +271,7 @@ class TestKnownDefects:
         "connections born established (all UDP) are armed on the "
         "establishment wheel and never cancelled, so an active flow is "
         "expired 5 s after its first packet; the fix changes stats and "
-        "belongs with ROADMAP item 1's trace-changing fixes"))
+        "belongs with ROADMAP item 3 PR B's trace-changing fixes"))
     @pytest.mark.parametrize("columnar", [True, False])
     def test_active_udp_flow_is_one_connection(self, columnar):
         assert self.udp_conns_created(columnar) == 1
@@ -341,9 +363,7 @@ class TestConnTable:
         table = ConnTable(TimeoutConfig(5.0, 300.0))
         conn = create(table, ft(), now=0.0)
         conn.record_packet(True, 60, 0, 0.0, TcpFlags.SYN)
-        newly = conn.record_packet(False, 60, 0, 1.0,
-                                   TcpFlags.SYN | TcpFlags.ACK)
-        table.touch(conn, 1.0, newly)
+        packet(table.timers, conn, 1.0, TcpFlags.SYN | TcpFlags.ACK)
         assert table.expire(now=10.0) == []
         expired = table.expire(now=302.0)
         assert expired == [conn]
@@ -352,13 +372,10 @@ class TestConnTable:
     def test_activity_refreshes_inactivity(self):
         table = ConnTable(TimeoutConfig(5.0, 300.0))
         conn = create(table, ft(), now=0.0)
-        newly = conn.record_packet(False, 60, 0, 0.0,
-                                   TcpFlags.SYN | TcpFlags.ACK)
-        table.touch(conn, 0.0, newly)
+        packet(table.timers, conn, 0.0, TcpFlags.SYN | TcpFlags.ACK)
         for t in (100.0, 200.0, 300.0, 400.0):
             assert table.expire(now=t) == []
-            conn.record_packet(True, 100, 60, t)
-            table.touch(conn, t, False)
+            packet(table.timers, conn, t, TcpFlags.ACK, from_orig=True)
         assert table.expire(now=500.0) == []
         assert table.expire(now=701.0) == [conn]
 

@@ -244,6 +244,45 @@ class TestHealthAndConfig:
         # timestamp) and a share of the header.
         assert 64 < health["ipc_bytes_per_packet"] < 1600
 
+    def test_batches_count_bursts_not_epoch_bumps(self, traffic,
+                                                  monkeypatch):
+        """Two scheduled swaps bump every worker's epoch twice: each
+        worker's ``batches`` counts the bursts the loop dispatched to
+        it and nothing else, and its ``ipc_bytes`` every byte of its
+        bursts and bumps."""
+        from repro.core.parallel import WorkerPool
+        from repro.tenancy.runtime import TenantRuntime
+        from repro.tenancy.spec import parse_reconfigure, \
+            parse_subscriptions
+
+        bursts, sent = [0, 0], [0, 0]
+        burst, send = WorkerPool._burst, WorkerPool._send
+
+        def counted_burst(pool, queue, rows):
+            bursts[queue] += 1
+            return burst(pool, queue, rows)
+
+        def counted_send(pool, core_id, message):
+            if message[0] in (0, 2):  # a burst's image, an epoch bump
+                sent[core_id] += len(message)
+            send(pool, core_id, message)
+
+        monkeypatch.setattr(WorkerPool, "_burst", counted_burst)
+        monkeypatch.setattr(WorkerPool, "_send", counted_send)
+        specs = parse_subscriptions(json.dumps({"tenants": [
+            {"name": "alpha", "filter": "tcp", "datatype": "connection"},
+            {"name": "beta", "filter": "udp", "datatype": "packet"},
+        ]}))
+        events = [parse_reconfigure("0.1:drop:beta"),
+                  parse_reconfigure("0.2:add:beta")]
+        runtime = TenantRuntime(
+            RuntimeConfig(cores=2, parallel=True, telemetry=True), specs,
+            events=events)
+        workers = runtime.run(iter(traffic)).backend_health["workers"]
+        assert [row["batches"] for row in workers] == bursts
+        assert sum(bursts) > 2
+        assert [row["ipc_bytes"] for row in workers] == sent
+
     @pytest.mark.parametrize("cores", [1, 2])
     def test_backend_health_reports_cpu_seconds(self, traffic, cores):
         """The two costs the serial-stage ceiling is made of."""
