@@ -24,18 +24,18 @@ cycle ledger's integer sums do not depend on merge order.
 
 There is one feeder→worker channel per core, a one-way OS pipe
 (``multiprocessing.Pipe(duplex=False)``), and every message on it is
-one ``send_bytes`` record behind a one-byte kind tag: a burst is its
-slot image (:mod:`repro.packet.batch`), written after the tag in place;
-a memory sample point is the tag alone; an epoch bump and FINISH are
-pickled tuples. The pipe delivers in send order, so each worker reads
-the bursts, sample points and bumps in the order the loop issued them,
-as a Retina core reads its RX queue (§5). A full pipe blocks the
-feeder, the analogue of a finite RX descriptor ring; on Linux each
-pipe is widened to 1 MiB, room for about four campus bursts. Workers
-share nothing; each returns a :class:`~repro.core.stats.CoreStats`
-snapshot that the parent merges through ``Runtime.report()``. A host
-that cannot create the pipes cannot run this backend; the sequential
-one produces the same ``AggregateStats`` by contract.
+one pickled tuple behind its kind: a burst is its rows as ``(data,
+timestamp, port)``, a memory sample point is the kind alone, an epoch
+bump and FINISH carry their arguments. The pipe delivers in send
+order, so each worker reads the bursts, sample points and bumps in the
+order the loop issued them, as a Retina core reads its RX queue (§5).
+A full pipe blocks the feeder, the analogue of a finite RX descriptor
+ring; on Linux each pipe is widened to 1 MiB, room for about four
+campus bursts. Workers share nothing; each returns a
+:class:`~repro.core.stats.CoreStats` snapshot that the parent merges
+through ``Runtime.report()``. A host that cannot create the pipes
+cannot run this backend; the sequential one produces the same
+``AggregateStats`` by contract.
 
 A worker either reports its stats or fails the run: a worker that dies
 — with its pipe unread, or silent past its FINISH — surfaces as a
@@ -85,28 +85,25 @@ from repro.core.pipeline import CorePipeline
 from repro.core.stats import CoreStats
 from repro.errors import RetinaError
 from repro.overload.controller import EVAL_INTERVAL
-from repro.packet.batch import slot_image, slot_read
+from repro.packet.mbuf import Mbuf
 from repro.tenancy.table import FilterTable
 
-#: Message kinds, the first byte of every record on a worker's pipe:
-#: a burst's slot image follows ``_BURST``; nothing follows
-#: ``_SAMPLE``; a pickled ``(epoch, active)`` follows ``_EPOCH``,
-#: ``active`` the successor table's tuple of tenant names (the worker
-#: holds every spec already, so a bump never pickles a callback); a
-#: pickled ``(last_ts, drain)`` follows ``_FINISH``.
+#: Message kinds, the first field of every tuple on a worker's pipe:
+#: ``(_BURST, rows)``, ``(_SAMPLE,)``, ``(_EPOCH, epoch, active)``
+#: (``active`` the successor table's tuple of tenant names: the worker
+#: holds every spec already, so a bump never pickles a callback) and
+#: ``(_FINISH, last_ts, drain)``.
 _BURST = 0
 _SAMPLE = 1
 _EPOCH = 2
 _FINISH = 3
-_BURST_TAG = bytes((_BURST,))
-_SAMPLE_TAG = bytes((_SAMPLE,))
 #: Message tags on the shared result queue.
 _PROGRESS = "progress"
 _DONE = "done"
 _ERROR = "error"
 
 #: Each pipe's capacity where the platform lets it be set: room for
-#: about four 256-row bursts of campus traffic (~220 KB images).
+#: about four 256-row bursts of campus traffic (~220 KB each).
 _PIPE_BYTES = 1 << 20
 #: How long to wait for a worker process to exit.
 _POLL_TIMEOUT = 5.0
@@ -170,17 +167,11 @@ class _Worker:
         self.out_queue = out_queue
         self.next_progress: Optional[float] = None
 
-    def on_batch(self, mbufs: list, trace_ctx: Optional[tuple],
-                 epoch: Optional[tuple] = None) -> None:
+    def on_batch(self, mbufs: list, epoch: Optional[tuple] = None) -> None:
         """One burst, or an epoch bump (``epoch`` the successor table's
         ``(epoch, active)``, no mbufs)."""
         spec = self.spec
         pipeline = self.pipeline
-        if trace_ctx is not None:
-            # Span context stamped by the feeder: the burst tree this
-            # batch produces records it, stitching worker spans into
-            # the parent's trace.
-            pipeline.set_span_ctx(trace_ctx)
         if epoch is not None:
             # Epoch bump: adopt the successor table here (the feeder
             # flushed everything older first, so per-core FIFO makes
@@ -208,7 +199,7 @@ class _Worker:
                             time.process_time()))
 
 
-def _receive(reader, feeder: int) -> bytes:
+def _receive(reader, feeder: int) -> tuple:
     """The pipe's next message. An orphaned worker (its feeder killed)
     leaves at once, without flushing the result queue nobody reads:
     re-parenting shows between polls, and a pipe no process can write
@@ -217,18 +208,20 @@ def _receive(reader, feeder: int) -> bytes:
         if os.getppid() != feeder:
             os._exit(1)
     try:
-        return reader.recv_bytes()
+        message = reader.recv_bytes()
     except (EOFError, OSError):
         os._exit(1)
+    return pickle.loads(message)
 
 
 def _consume(reader, feeder: int, worker: _Worker) -> None:
     """Handle the pipe's messages in send order until FINISH."""
+    core = worker.spec.core_id
     while True:
-        message = _receive(reader, feeder)
-        kind = message[0]
+        kind, *body = _receive(reader, feeder)
         if kind == _BURST:
-            worker.on_batch(*slot_read(message, 1))
+            worker.on_batch([Mbuf(data, ts, port, core)
+                             for data, ts, port in body[0]])
         elif kind == _SAMPLE:
             # Parent-clocked sample point: every batch dispatched
             # before the deadline is already processed (strict per-core
@@ -236,9 +229,9 @@ def _consume(reader, feeder: int, worker: _Worker) -> None:
             # backend's sample point would.
             worker.pipeline.sample_memory()
         elif kind == _EPOCH:
-            worker.on_batch([], None, pickle.loads(message[1:]))
+            worker.on_batch([], body)
         else:  # _FINISH
-            worker.finish(*pickle.loads(message[1:]))
+            worker.finish(*body)
             return
 
 
@@ -307,12 +300,6 @@ class WorkerPool:
             EVAL_INTERVAL if self._failfast else None)
             if interval is not None]
         progress_interval = min(needs) if needs else None
-        # Span context stamping: when burst span tracing is on, every
-        # batch carries (queue, seq) so the worker's burst trees stitch
-        # into the parent's trace.
-        self._spans_on = config.span_sample > 0 or \
-            config.flight_recorder_depth > 0
-        self._span_seq = [0] * config.cores
         self._closed = False
         # Backend-health telemetry (volatile: wall-clock and scheduling
         # dependent, so it never feeds the deterministic exports).
@@ -396,15 +383,10 @@ class WorkerPool:
     def _burst(self, queue: int, rows: list) -> Optional[float]:
         """Dispatch one burst of ingress rows to its worker; returns
         the earliest fail-fast trip any worker has reported, or None."""
-        ctx = None
-        if self._spans_on:
-            ctx = (queue, self._span_seq[queue])
-            self._span_seq[queue] += 1
-        # ``ctx`` rides the image header; the image is the message.
-        image = slot_image([row[0] for row in rows], queue, ctx,
-                           _BURST_TAG)
-        self._send(queue, image)
-        self._account(queue, len(rows), len(image))
+        sent = self._send(queue, (_BURST, [
+            (mbuf.data, mbuf.timestamp, mbuf.port)
+            for mbuf, _, _, _ in rows]))
+        self._account(queue, len(rows), sent)
         if not self._failfast:
             return None
         tripped = [core.failfast_at for core in self.core_progress()
@@ -415,33 +397,33 @@ class WorkerPool:
         """Send a successor table's ``(epoch, active)`` to every
         worker; pipe order makes each swap on exactly that burst
         boundary."""
-        bump = bytes((_EPOCH,)) + pickle.dumps(
-            (table.epoch, tuple(table.active)))
+        bump = (_EPOCH, table.epoch, tuple(table.active))
         for queue in range(len(self.processes)):
-            self._send(queue, bump)
+            sent = self._send(queue, bump)
             if self._health is not None:  # bytes on the pipe, no batch
-                self._health[queue]["ipc_bytes"] += len(bump)
+                self._health[queue]["ipc_bytes"] += sent
 
     def _sample_point(self) -> None:
         """A parent-clocked memory-sample point for every worker."""
         for queue in range(len(self.processes)):
-            self._send(queue, _SAMPLE_TAG)
+            self._send(queue, (_SAMPLE,))
 
     def _finish(self, last_ts: Optional[float], drain: bool):
         """Tell every worker to wrap up (``last_ts`` None: after a
         cutoff, neither advance time nor drain) and gather the final
         stats: ``(core_stats, backend_health)``."""
-        finish = bytes((_FINISH,)) + pickle.dumps((last_ts, drain))
         for queue in range(len(self.processes)):
-            self._send(queue, finish)
+            self._send(queue, (_FINISH, last_ts, drain))
         return self.gather(), self.backend_health()
 
-    def _send(self, core_id: int, message) -> None:
-        """One message onto ``core_id``'s pipe. A worker that died
-        left no reader, so the write fails instead of blocking."""
+    def _send(self, core_id: int, message: tuple) -> int:
+        """Pickle one message onto ``core_id``'s pipe; returns its
+        bytes. A worker that died left no reader, so the write fails
+        instead of blocking."""
+        data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
         started = time.perf_counter()
         try:
-            self._writers[core_id].send_bytes(message)
+            self._writers[core_id].send_bytes(data)
         except BrokenPipeError:
             # Surface the worker's own traceback if it sent one before
             # dying; fall back to the generic error.
@@ -450,6 +432,7 @@ class WorkerPool:
                 f"worker {core_id} died with its pipe unread",
                 core_id=core_id) from None
         self._blocked += time.perf_counter() - started
+        return len(data)
 
     def _account(self, core_id: int, packets: int, ipc_bytes: int) -> None:
         if self._health is not None:

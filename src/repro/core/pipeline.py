@@ -1302,15 +1302,6 @@ class CorePipeline:
             memory += lane_memory
         self._memory_samples.append(self.now, conns, memory)
 
-    def set_span_ctx(self, ctx) -> None:
-        """Stamp the IPC span context for the next burst (the parallel
-        worker loop calls this with the ``(queue, seq)`` that rode the
-        burst's slot image), stitching worker spans into the parent's
-        trace."""
-        for lane in self._all:
-            if lane._spans is not None:
-                lane._spans.ctx = ctx
-
     def fold_fault_counters(self) -> None:
         for lane in self._all:
             lane.fold_fault_counters()

@@ -140,8 +140,8 @@ def rss_input_bytes(stack: PacketStack) -> Optional[bytes]:
     # headers, as are the transport's (src port, dst port), so the
     # canonical input is two raw slices — no address objects, no
     # per-field int round-trips. ``bytes()`` normalizes slices of
-    # memoryview-backed mbufs (flat-buffer IPC) so the result hashes
-    # and concatenates; it is a no-op for bytes-backed frames.
+    # memoryview- or bytearray-backed mbufs so the result hashes and
+    # concatenates; it is a no-op for bytes-backed frames.
     frame = stack.mbuf.data
     offset = ip.offset
     if isinstance(ip, Ipv4):

@@ -69,6 +69,6 @@ class HeaderView:
     def _bytes(self, rel: int, length: int) -> bytes:
         start = self.offset + rel
         # ``bytes()`` is a no-op for bytes-backed mbufs and normalizes
-        # memoryview-backed ones (flat-buffer IPC) so callers can hash,
+        # memoryview- or bytearray-backed ones so callers can hash,
         # compare, and pickle the result.
         return bytes(self.mbuf.data[start:start + length])

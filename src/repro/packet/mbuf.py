@@ -45,9 +45,8 @@ class Mbuf:
         return len(self.data)
 
     def __reduce__(self):
-        # Compact pickling for the parallel backend's IPC batches:
-        # rebuild from constructor args instead of a per-slot state
-        # dict. ``stack`` is derived scratch state that is only set
+        # Compact pickling: rebuild from constructor args instead of a
+        # per-slot state dict. ``stack`` is derived scratch state that is only set
         # after dispatch, so it is deliberately not carried. ``bytes()`` normalizes
         # memoryview-backed frames (which cannot pickle) and is a no-op
         # for ``bytes`` data.

@@ -64,7 +64,7 @@ class PacketStack:
         data = self.mbuf.data
         end = min(end, len(data))
         # bytes() is a no-op for bytes-backed mbufs and normalizes
-        # memoryview-backed ones from the flat-buffer IPC path.
+        # memoryview- or bytearray-backed ones.
         return bytes(data[start:end])
 
     def l4_payload_len(self) -> int:

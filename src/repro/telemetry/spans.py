@@ -17,10 +17,9 @@ Three consumers sit on top of the recorder:
 
 * the **trace stream** — every recorded burst tree, exported as Chrome
   trace-event JSON (Perfetto-loadable; see docs/OBSERVABILITY.md) and
-  as NDJSON through the existing exporter conventions. In the parallel
-  backend a ``(queue, seq)`` span context rides each burst's slot
-  image header (:mod:`repro.packet.batch`), so worker spans stitch
-  into the parent's trace under one pid.
+  as NDJSON through the existing exporter conventions. A tree names
+  its core and burst ordinal, so in the parallel backend each worker's
+  spans join the one trace as they would sequentially, under one pid.
 * the **flight recorder** — a bounded ring of the last N burst trees
   per core, dumped (with the triggering event attached) on overload
   rung escalation, callback quarantine and parser faults.
@@ -32,9 +31,8 @@ Determinism: burst boundaries are identical sequential-vs-parallel
 (both backends flush per-queue pending lists at ``batch_size`` and at
 the same parent-clocked virtual deadlines), sampling is by per-core
 burst ordinal, and timestamps in exports are *virtual* (cycles at the
-model's ``cpu_hz``). Wall-clock fields and IPC span contexts are
-volatile and excluded from deterministic exports, exactly like
-``RuntimeReport.backend_health``.
+model's ``cpu_hz``). Wall-clock fields are volatile and excluded from
+deterministic exports, exactly like ``RuntimeReport.backend_health``.
 """
 
 from __future__ import annotations
@@ -95,10 +93,9 @@ def _counters(stats) -> Tuple[int, ...]:
 
 
 def tree_public(tree: Dict) -> Dict:
-    """The deterministic view of a burst tree: drops wall-clock time
-    and the IPC span context (both volatile — wall time varies run to
-    run, and sequential runs have no IPC context at all)."""
-    return {k: v for k, v in tree.items() if k not in ("wall_ns", "ctx")}
+    """The deterministic view of a burst tree: drops its wall-clock
+    time, which varies run to run."""
+    return {k: v for k, v in tree.items() if k != "wall_ns"}
 
 
 class SpanRecorder:
@@ -115,7 +112,7 @@ class SpanRecorder:
         "core_id", "sample_every", "trees", "trees_dropped", "ring",
         "dumps", "dumps_dropped", "events", "bursts", "bursts_sampled",
         "profile_hist", "profile_cycles", "profile_invocations",
-        "node_attr", "wall_ns", "ctx",
+        "node_attr", "wall_ns",
     )
 
     def __init__(self, core_id: int, sample_every: int = 0,
@@ -145,9 +142,6 @@ class SpanRecorder:
         #: ``"stage|node" -> [packets, cycles]`` attribution table.
         self.node_attr: Dict[str, List[float]] = {}
         self.wall_ns = 0
-        #: IPC span context stamped by the worker loop for the batch
-        #: currently being processed ((queue, seq) or None).
-        self.ctx: Optional[Tuple[int, int]] = None
 
     # -- burst boundaries --------------------------------------------------
     def start(self, stats) -> Tuple:
@@ -193,10 +187,8 @@ class SpanRecorder:
             "conns_created": created,
             "cycles": total_centi / 100,
             "stages": stages,
-            "ctx": list(self.ctx) if self.ctx is not None else None,
             "wall_ns": wall_ns,
         }
-        self.ctx = None
         self.bursts += 1
         self.wall_ns += wall_ns
         if self.ring is not None:
@@ -290,8 +282,8 @@ class SpanReport:
     Everything reachable from :meth:`to_dict`, :meth:`ndjson_lines`,
     :meth:`flight_dump` and :meth:`chrome_trace` is deterministic
     (virtual time only): each is a file of the run bundle, which is
-    byte-identical across backends. The volatile ``wall_ns`` and IPC
-    ``ctx`` stay on the trees in :attr:`cores`.
+    byte-identical across backends. The volatile ``wall_ns`` stays on
+    the trees in :attr:`cores`.
     """
 
     def __init__(self, cores: List[Dict], events: List[Dict],

@@ -1,7 +1,7 @@
 """Zero-copy substrate tests: malformed input through the parse-once
-views, a burst's slot image round-tripping as a worker receives it,
-and the allocation budget of the filtered-out fast path. The pipes
-that carry the image are tested in test_worker_transport.py."""
+views, and the allocation budget of the filtered-out fast path. The
+pipes that carry bursts to the parallel workers are tested in
+test_worker_transport.py."""
 
 import struct
 import tracemalloc
@@ -12,13 +12,7 @@ from repro.packet import (
     Mbuf,
     build_ethernet,
     build_tcp_packet,
-    build_udp_packet,
     parse_stack,
-)
-from repro.packet.batch import (
-    SLOT_HEADER_BYTES,
-    slot_image,
-    slot_read,
 )
 from repro.packet.ethernet import ETHERTYPE_VLAN
 
@@ -108,95 +102,6 @@ class TestMalformedFrames:
         stack = parse_stack(Mbuf(frame))
         assert stack.ipv4 is not None
         assert stack.tcp is None
-
-
-def _received(image):
-    """The image as a worker's ``recv_bytes`` returns it: bytes."""
-    return bytes(image)
-
-
-class TestPackedBatch:
-    """A burst packed into its private slot image (what a worker's
-    pipe carries) and read back."""
-
-    def _mbufs(self):
-        return [
-            Mbuf(tcp_frame(payload=b"a" * 40), 1.25, 0),
-            Mbuf(build_udp_packet("10.0.0.9", "8.8.8.8", 5353, 53,
-                                  payload=b"q"), 2.5, 1),
-            Mbuf(b"", 3.0625, 0),  # empty frame keeps its slot
-        ]
-
-    def test_round_trip_preserves_everything(self):
-        mbufs = self._mbufs()
-        out, ctx = slot_read(_received(slot_image(mbufs, 5)), 0)
-        assert ctx is None
-        assert len(out) == len(mbufs)
-        for orig, new in zip(mbufs, out):
-            assert bytes(new.data) == bytes(orig.data)
-            assert new.timestamp == orig.timestamp  # exact float64
-            assert new.port == orig.port
-            assert new.queue == 5
-            assert new.stack is None
-
-    def test_unpacked_data_is_zero_copy_view(self):
-        wire = _received(slot_image(self._mbufs(), 0))
-        views, _ = slot_read(wire, 0)
-        assert all(isinstance(m.data, memoryview) for m in views)
-        assert views[0].data.obj is wire
-
-    def test_jumbo_frame_promotes_length_array(self):
-        # A frame longer than 0xFFFF bytes cannot ship its length as
-        # u16; the image must promote the whole length array to u32
-        # and still round-trip byte-exactly (a silent u16 wrap would
-        # corrupt every offset after the jumbo frame).
-        # Built by appending raw bytes: the builder's checksum pseudo
-        # header is u16-limited, but the image must not care what is
-        # in a frame.
-        jumbo = tcp_frame(payload=b"") + b"J" * 70000
-        assert len(jumbo) > 0xFFFF
-        mbufs = [
-            Mbuf(tcp_frame(payload=b"before"), 1.0, 0),
-            Mbuf(jumbo, 2.0, 1),
-            Mbuf(tcp_frame(payload=b"after"), 3.0, 0),
-        ]
-        image = slot_image(mbufs, 2)
-        frames = sum(len(m.data) for m in mbufs)
-        # u32 lengths, f64 timestamps, a u16 port column (mixed ports)
-        assert len(image) == SLOT_HEADER_BYTES + 3 * (4 + 8 + 2) + frames
-        out, _ = slot_read(_received(image), 0)
-        assert len(out) == 3
-        for orig, new in zip(mbufs, out):
-            assert bytes(new.data) == bytes(orig.data)
-            assert new.timestamp == orig.timestamp
-            assert new.port == orig.port
-            assert new.queue == 2
-
-    def test_uniform_ports_collapse_on_the_wire(self):
-        image = slot_image(
-            [Mbuf(b"x" * 10, float(i), 3) for i in range(4)], None)
-        # no port column: u16 length + f64 timestamp per row
-        assert len(image) == SLOT_HEADER_BYTES + 4 * (2 + 8) + 40
-        out, _ = slot_read(_received(image), 0)
-        assert [m.port for m in out] == [3, 3, 3, 3]
-        assert all(m.queue is None for m in out)
-
-    def test_mixed_ports_survive(self):
-        image = slot_image([Mbuf(b"x", 0.0, 0), Mbuf(b"y", 0.5, 2)], 0)
-        assert len(image) == SLOT_HEADER_BYTES + 2 * (2 + 8 + 2) + 2
-        out, _ = slot_read(_received(image), 0)
-        assert [m.port for m in out] == [0, 2]
-
-    def test_oversize_frame_uses_wide_lengths(self):
-        image = slot_image([Mbuf(b"z" * 70000, 0.0, 0)], 0)
-        assert len(image) == SLOT_HEADER_BYTES + 4 + 8 + 70000
-        out, _ = slot_read(_received(image), 0)
-        assert len(out[0].data) == 70000
-
-    def test_empty_batch(self):
-        image = slot_image([], None)
-        assert len(image) == SLOT_HEADER_BYTES
-        assert slot_read(_received(image), 0) == ([], None)
 
 
 class TestFilteredOutAllocationBudget:

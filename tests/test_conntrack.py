@@ -255,7 +255,11 @@ class TestConnectionTimers:
 
 
 class TestKnownDefects:
-    """Twelve datagrams of one UDP flow, 1 s apart."""
+    """Two timer defects, each pinned by a strict xfail and a twin
+    that reads today's shape: an active UDP flow expires (twelve
+    datagrams, 1 s apart), and under the one-tier scheme a packet
+    trailing a close re-arms the tombstone for the full inactivity
+    timeout."""
 
     @staticmethod
     def udp_conns_created(columnar):
@@ -281,6 +285,41 @@ class TestKnownDefects:
         """The defect's exact shape, so a timer change cannot move it
         unnoticed; delete together with the xfail above."""
         assert self.udp_conns_created(columnar) == 2
+
+    @staticmethod
+    def trailed_tombstone():
+        """Under ``TimeoutConfig.inactivity_only()``: a RST at 10 s
+        closes a connection, which lingers as a tombstone, and one ACK
+        trails it at 10.5 s."""
+        table = ConnTable(TimeoutConfig.inactivity_only())
+        conn = create(table, ft(), 0.0)
+        packet(table.timers, conn, 0.0, TcpFlags.SYN, from_orig=True)
+        packet(table.timers, conn, 10.0, TcpFlags.RST, from_orig=True)
+        conn.state = ConnState.DELETE
+        assert table.timers.schedule_removal(conn, 10.0)
+        packet(table.timers, conn, 10.5, TcpFlags.ACK)
+        return table
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ConnectionTimers.on_transition's one-tier branch derives a "
+        "trailed tombstone's deadline from the inactivity timeout, so "
+        "one ACK inside the 5 s linger keeps it 300 s; the fix belongs "
+        "with ROADMAP item 3 PR B's timer fixes"))
+    def test_trailing_packet_keeps_the_linger(self):
+        table = self.trailed_tombstone()
+        table.expire(10.5 + 5.0)
+        assert len(table) == 0
+
+    def test_trailed_tombstone_lives_300s_today(self):
+        """The defect's exact shape; delete together with the xfail
+        above."""
+        table = self.trailed_tombstone()
+        table.expire(10.5 + 5.0)
+        assert len(table) == 1
+        table.expire(10.5 + 299.9)
+        assert len(table) == 1
+        table.expire(10.5 + 300.0)
+        assert len(table) == 0
 
 
 class TestConnection:

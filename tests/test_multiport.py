@@ -103,6 +103,34 @@ class TestMultiPortRuntime:
         assert all(m.stack is None for m in by_port[0])
         assert all(m.stack is not None for m in by_port[1])
 
+    def test_parallel_two_ports_match_sequential(self, monkeypatch):
+        """Both copies of a packet take one queue (symmetric RSS), so
+        the parallel backend's bursts carry rows of both ports; two
+        workers still produce the sequential run's stats."""
+        from repro.core.parallel import _BURST, WorkerPool
+
+        traffic = CampusTrafficGenerator(seed=66).packets(duration=0.2,
+                                                          gbps=0.05)
+        doubled = duplicate_across_ports(traffic, ports=2)
+        burst_ports = []
+        send = WorkerPool._send
+
+        def spy(pool, core_id, message):
+            if message[0] == _BURST:
+                burst_ports.append({port for _, _, port in message[1]})
+            return send(pool, core_id, message)
+
+        monkeypatch.setattr(WorkerPool, "_send", spy)
+
+        def run(parallel):
+            runtime = Runtime(RuntimeConfig(cores=2, parallel=parallel),
+                              filter_str="tcp", datatype="connection",
+                              callback=None, ports=2)
+            return runtime.run(iter(doubled)).stats.to_dict()
+
+        assert run(parallel=True) == run(parallel=False)
+        assert burst_ports and all(ports == {0, 1} for ports in burst_ports)
+
     def test_single_port_unchanged(self):
         got = []
         packets = tls_flow(FlowSpec("10.0.0.1", "1.1.1.1", 1000, 443),

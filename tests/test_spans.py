@@ -101,12 +101,11 @@ class TestSpanRecorder:
     def test_tree_public_strips_volatile_fields(self):
         stats = self._stats()
         rec = SpanRecorder(0, sample_every=1, flight_depth=0)
-        rec.ctx = (0, 7)
         rec.finish(stats, 0.0, rec.start(stats))
         tree = rec.trees[0]
-        assert "wall_ns" in tree and tree["ctx"] == [0, 7]
+        assert "wall_ns" in tree and "ctx" not in tree
         public = tree_public(tree)
-        assert "wall_ns" not in public and "ctx" not in public
+        assert "wall_ns" not in public
 
     def test_snapshot_is_json_roundtrippable(self):
         stats = self._stats()
@@ -175,18 +174,6 @@ class TestSpanDeterminism:
         report = Runtime(config, filter_str="tcp", datatype="connection",
                          callback=None).run(iter(traffic))
         assert report.spans is None
-
-    def test_ipc_ctx_stitches_worker_bursts(self, traffic):
-        """Parallel burst trees carry the feeder's (queue, seq) span
-        context; sequential ones carry None — and the context is
-        excluded from deterministic views (tree_public)."""
-        par = _run(traffic, parallel=True, cores=2).spans
-        ctxs = [t["ctx"] for snap in par.cores for t in snap["trees"]]
-        assert any(c is not None for c in ctxs)
-        for snap in par.cores:
-            for tree in snap["trees"]:
-                if tree["ctx"] is not None:
-                    assert tree["ctx"][0] == snap["core"]
 
 
 # ---------------------------------------------------------------------------
@@ -311,22 +298,6 @@ class TestFlightRecorder:
         flight = report.spans.flight_dump()
         assert flight["nic"]
         assert "received_packets" in flight["nic"][0]
-
-
-class TestPackedBatchCtx:
-    def test_trace_ctx_survives_pickle(self):
-        """A burst's span context rides its slot image header, so it
-        survives the pickled control-queue crossing of an oversize
-        burst."""
-        import pickle
-
-        from repro.packet.batch import slot_image, slot_read
-        from repro.packet.mbuf import Mbuf
-        image = slot_image([Mbuf(b"\x00" * 60, 0.5, 0)], 1,
-                           trace_ctx=(1, 42))
-        out, ctx = slot_read(pickle.loads(pickle.dumps(bytes(image))), 0)
-        assert ctx == (1, 42)
-        assert out[0].queue == 1 and len(out) == 1
 
 
 # ---------------------------------------------------------------------------

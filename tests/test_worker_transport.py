@@ -1,11 +1,7 @@
 """The feeder→worker transport: one ordered pipe per worker.
 
-Three layers under test:
+Two layers under test:
 
-- **Slot codec** — ``slot_write_mbufs`` / ``slot_read`` round-trip a
-  burst's slot image (appended to a plain buffer, or by
-  ``slot_image`` after the pipe's kind tag) and hand back zero-copy
-  frame views.
 - **End-to-end determinism** — AggregateStats byte-identical to the
   sequential backend at 1/2/4 workers, with spans/tenancy/netem/overload
   riding the bursts.
@@ -16,8 +12,8 @@ Three layers under test:
 
 import json
 import os
+import pickle
 import signal
-import struct
 import subprocess
 import sys
 import time
@@ -28,12 +24,6 @@ from repro import Runtime, RuntimeConfig
 from repro.core.parallel import ParallelExecutionError
 from repro.errors import ConfigError
 from repro.packet import Mbuf, build_tcp_packet
-from repro.packet.batch import (
-    SLOT_HEADER_BYTES,
-    slot_image,
-    slot_read,
-    slot_write_mbufs,
-)
 from repro.traffic import CampusTrafficGenerator
 
 @pytest.fixture(scope="module")
@@ -52,90 +42,6 @@ def _run(traffic, parallel=True, cores=4, filter_str="tcp",
 
 
 # ---------------------------------------------------------------------------
-# slot codec
-# ---------------------------------------------------------------------------
-
-def _rows(mbufs):
-    return [(bytes(m.data), m.timestamp, m.port, m.queue) for m in mbufs]
-
-
-class TestSlotCodec:
-    def _mbufs(self, traffic, n=32):
-        return traffic[:n]
-
-    def test_mbuf_round_trip(self, traffic):
-        mbufs = self._mbufs(traffic)
-        buf = bytearray()
-        written = slot_write_mbufs(buf, mbufs, 3)
-        assert written == len(buf)
-        assert written > SLOT_HEADER_BYTES
-        out, ctx = slot_read(buf, 0)
-        assert ctx is None
-        assert len(out) == len(mbufs)
-        for orig, view in zip(mbufs, out):
-            assert bytes(view.data) == bytes(orig.data)
-            assert view.timestamp == orig.timestamp
-            assert view.port == orig.port
-            assert view.queue == 3
-
-    def test_private_image_matches_slot_image(self, traffic):
-        """``slot_image`` holds the bytes ``slot_write_mbufs`` appends
-        to a plain buffer, and they read back as the same mbufs and
-        ctx."""
-        mbufs = self._mbufs(traffic, 16)
-        image = slot_image(mbufs, 0, (0, 5))
-        buf = bytearray(b"prefix")
-        assert slot_write_mbufs(buf, mbufs, 0, (0, 5)) == len(image)
-        assert buf == b"prefix" + image
-        got, ctx = slot_read(image, 0)
-        assert ctx == (0, 5)
-        assert _rows(got) == _rows(
-            [Mbuf(m.data, m.timestamp, m.port, 0) for m in mbufs])
-
-    def test_trace_ctx_round_trip(self, traffic):
-        mbufs = self._mbufs(traffic, 8)
-        buf = bytearray()
-        slot_write_mbufs(buf, mbufs, 0, trace_ctx=(2, 17))
-        _, ctx = slot_read(buf, 0)
-        assert ctx == (2, 17)
-
-    def test_head_precedes_image(self, traffic):
-        """The pipe's kind tag goes first; the image after it is the
-        tagless image, byte for byte."""
-        mbufs = self._mbufs(traffic, 4)
-        tagged = slot_image(mbufs, 0, None, b"\x07")
-        assert tagged[:1] == b"\x07"
-        assert tagged[1:] == slot_image(mbufs, 0)
-        out, _ = slot_read(bytes(tagged), 1)
-        assert _rows(out) == _rows(slot_read(tagged, 1)[0])
-        assert len(out) == 4
-
-    def test_blob_is_zero_copy_view(self, traffic):
-        mbufs = self._mbufs(traffic, 4)
-        buf = bytearray()
-        slot_write_mbufs(buf, mbufs, 0)
-        out, _ = slot_read(buf, 0)
-        assert all(isinstance(m.data, memoryview) for m in out)
-        assert out[0].data.obj is buf
-
-    def test_empty_batch(self):
-        buf = bytearray()
-        written = slot_write_mbufs(buf, [], 2)
-        assert written == SLOT_HEADER_BYTES
-        assert slot_read(buf, 0) == ([], None)
-
-    def test_float64_timestamps_round_trip_exactly(self):
-        stamps = [0.1 + 0.2, 1 / 3, 1e-300, 5e-324, 1.7976931348623157e308,
-                  -0.0, 1234567.000000001]
-        mbufs = [Mbuf(b"t", ts, 0) for ts in stamps]
-        buf = bytearray()
-        slot_write_mbufs(buf, mbufs, 0)
-        out, _ = slot_read(buf, 0)
-        assert [struct.pack("<d", m.timestamp) for m in out] == \
-            [struct.pack("<d", ts) for ts in stamps]
-
-
-# ---------------------------------------------------------------------------
 # transport equivalence: the pipes against the sequential backend
 # ---------------------------------------------------------------------------
 
@@ -149,7 +55,7 @@ class TestTransportEquivalence:
 
     def test_jumbo_bursts_are_ordinary_bursts(self):
         """Eight ~9 KB frames a burst: each crosses its pipe as one
-        72 KB image, larger than a default 64 KiB pipe, and the run
+        72 KB message, larger than a default 64 KiB pipe, and the run
         still matches byte-for-byte."""
         jumbo = []
         for flow in range(32):
@@ -168,7 +74,7 @@ class TestTransportEquivalence:
             par = _run(traffic, cores=cores, parallel_batch_size=8,
                        telemetry=True)
             assert par.stats.to_dict() == baseline
-            # The frames crossed inside the images.
+            # The frames crossed inside the bursts.
             assert par.backend_health["ipc_bytes_per_packet"] > 1000
 
     def test_spans_identical_across_transports(self, traffic):
@@ -240,8 +146,7 @@ class TestHealthAndConfig:
             "worker", "batches", "packets", "ipc_bytes",
             "batch_occupancy_max", "cpu_seconds"}
         # Every frame (54 to 1,514 bytes here) crosses inside its
-        # image, with 10 bytes of per-row columns (u16 length, f64
-        # timestamp) and a share of the header.
+        # burst, with its row's timestamp, port and pickle framing.
         assert 64 < health["ipc_bytes_per_packet"] < 1600
 
     def test_batches_count_bursts_not_epoch_bumps(self, traffic,
@@ -250,7 +155,7 @@ class TestHealthAndConfig:
         worker's ``batches`` counts the bursts the loop dispatched to
         it and nothing else, and its ``ipc_bytes`` every byte of its
         bursts and bumps."""
-        from repro.core.parallel import WorkerPool
+        from repro.core.parallel import _BURST, _EPOCH, WorkerPool
         from repro.tenancy.runtime import TenantRuntime
         from repro.tenancy.spec import parse_reconfigure, \
             parse_subscriptions
@@ -263,9 +168,10 @@ class TestHealthAndConfig:
             return burst(pool, queue, rows)
 
         def counted_send(pool, core_id, message):
-            if message[0] in (0, 2):  # a burst's image, an epoch bump
-                sent[core_id] += len(message)
-            send(pool, core_id, message)
+            if message[0] in (_BURST, _EPOCH):
+                sent[core_id] += len(pickle.dumps(
+                    message, pickle.HIGHEST_PROTOCOL))
+            return send(pool, core_id, message)
 
         monkeypatch.setattr(WorkerPool, "_burst", counted_burst)
         monkeypatch.setattr(WorkerPool, "_send", counted_send)
@@ -314,8 +220,7 @@ class TestHealthAndConfig:
     def test_config_validation(self):
         with pytest.raises(ConfigError, match=">= 1"):
             RuntimeConfig(parallel_batch_size=0)
-        # The image header holds a burst's rows as u32.
-        RuntimeConfig(parallel_batch_size=0x10000)
+        RuntimeConfig(parallel_batch_size=0x10000)  # no upper bound
         with pytest.raises(TypeError):
             RuntimeConfig(parallel_queue_depth=8)
 
